@@ -9,7 +9,7 @@ and a seeded experiment harness.
 
 from .algorithms import (RunRecord, run_asmd, run_sgd, run_smd, run_vanilla_sgd)
 from .clipping import ThetaEstimate, clip, estimate_g0, estimate_theta, geometric_median
-from .geometry import Geometry, ball, bregman, dual_norm, euclidean, mirror_step, norm, simplex
+from .geometry import Geometry, ball, euclidean, simplex
 from .noise import Oracle, RadialParetoNoise, TwoPointNoise, make_noise, make_rng, moment_check
 from .problems import (Problem, make_nonconvex_ratio, make_quadratic,
                        make_quadratic_plus_norm, make_simplex_quadratic)

@@ -5,21 +5,22 @@ accelerated mirror descent (final-gap metric, three-sequence update), and
 clipped gradient descent on l2 space (average squared gradient norm), plus
 an unclipped baseline that may diverge under heavy-tailed noise.
 
-Each loop exists in two forms that consume identical per-seed noise streams:
-a single-run form that supports per-step observers (used by the
-diagnostics), and a batch form that advances many seeds in lockstep as rows
-of one array (used by the experiment harness).  Same seed, same config give
-bitwise-identical trajectories in either form.
+Each algorithm has one loop over an (n, d) state whose rows are independent
+seeds, each consuming its own presampled noise block.  ``run_*_batch``
+advances many seeds in lockstep (used by the experiment harness); ``run_*``
+is the one-row case, which adds a per-step table and per-step observers
+(used by the diagnostics).  Same seed, same config give bitwise-identical
+trajectories in either form.  A row whose final iterate, summary or final
+gap is not finite is reported as diverged, with infinite summary and gap.
 """
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from .clipping import clip_batch
 from .noise import Oracle
 from .problems import Problem
 from .schedules import ASMD_MODES, SGD_MODES, SMD_MODES, Schedule
@@ -29,7 +30,7 @@ DIVERGENCE_LIMIT = 1e12
 
 @dataclass
 class StepInfo:
-    """Per-step context handed to observers (single-run loops only)."""
+    """Per-step context handed to observers of single runs; arrays are row-0 views."""
 
     t: int
     eta: float
@@ -67,19 +68,7 @@ class RunRecord:
     final_gap: float
     clipped_fraction: float
     diverged: bool
-    wall_time: float
     table: StepTable | None = None
-
-    def row(self) -> dict:
-        """Flat per-seed record for CSV output."""
-        return {
-            "seed": self.seed,
-            "summary": self.summary,
-            "final_gap": self.final_gap,
-            "clipped_fraction": self.clipped_fraction,
-            "diverged": int(self.diverged),
-            "wall_time": self.wall_time,
-        }
 
 
 @dataclass
@@ -94,19 +83,6 @@ class BatchResult:
     diverged: np.ndarray
 
 
-def _clip_factor(norm: float, lam: float) -> float:
-    return 1.0 if norm <= lam else lam / norm
-
-
-def _sq_norm_rows(X: np.ndarray) -> np.ndarray:
-    """Row-wise squared l2 norms; the one reduction used by scalar and batch paths."""
-    return np.einsum("ij,ij->i", X, X)
-
-
-def _sq_norm(v: np.ndarray) -> float:
-    return float(_sq_norm_rows(v[None, :])[0])
-
-
 def run_smd(problem: Problem, oracle: Oracle, schedule: Schedule, steps: int, x1,
             observer=None, record: bool = True) -> RunRecord:
     """Clipped stochastic mirror descent from ``x1`` for ``steps`` iterations.
@@ -114,43 +90,7 @@ def run_smd(problem: Problem, oracle: Oracle, schedule: Schedule, steps: int, x1
     The per-step metric is the value gap at the new iterate; the summary is
     the average of those gaps, matching the average-gap guarantee.
     """
-    if schedule.mode not in SMD_MODES:
-        raise ValueError(f"run_smd needs a mirror-descent schedule, got {schedule.mode!r}")
-    geom = problem.geometry
-    x = np.asarray(x1, dtype=float).copy()
-    if not geom.contains(x):
-        raise ValueError("initial point outside the domain")
-    schedule.reset()
-    start = time.perf_counter()
-    noise = oracle.noise_matrix(steps)
-    tab = _new_table(steps) if record else None
-    metric_sum = 0.0
-    clipped_steps = 0
-    last_metric = problem.gap(x)
-    for t in range(1, steps + 1):
-        schedule.observe(t, x)
-        eta, lam = schedule.pair(t)
-        ghat = problem.grad(x) + noise[t - 1]
-        nrm = geom.dual_norm(ghat)
-        fac = _clip_factor(nrm, lam)
-        gclip = ghat if fac == 1.0 else ghat * fac
-        x_next = geom.mirror_step(x, gclip, eta)
-        assert geom.contains(x_next), f"mirror step left the domain at t={t}"
-        last_metric = problem.gap(x_next)
-        metric_sum += last_metric
-        clipped = fac != 1.0
-        clipped_steps += clipped
-        if record:
-            _fill(tab, t, eta, lam, clipped, nrm, last_metric)
-        if observer is not None:
-            observer(StepInfo(t=t, eta=eta, lam=lam, x=x, grad_hat=ghat,
-                              grad_clipped=gclip, x_next=x_next))
-        x = x_next
-    return RunRecord(
-        algorithm="smd", seed=oracle.seed, steps=steps, summary=metric_sum / steps,
-        final_point=x, final_gap=last_metric, clipped_fraction=clipped_steps / steps,
-        diverged=False, wall_time=time.perf_counter() - start, table=tab,
-    )
+    return _single("smd", _smd, problem, oracle, schedule, steps, x1, observer, record)
 
 
 def run_asmd(problem: Problem, oracle: Oracle, schedule: Schedule, steps: int, y1,
@@ -161,44 +101,7 @@ def run_asmd(problem: Problem, oracle: Oracle, schedule: Schedule, steps: int, y
     momentum weight is 1, so the first query point coincides with the start.
     The summary is the final-iterate gap.
     """
-    if schedule.mode not in ASMD_MODES:
-        raise ValueError(f"run_asmd needs an accelerated schedule, got {schedule.mode!r}")
-    geom = problem.geometry
-    y = np.asarray(y1, dtype=float).copy()
-    if not geom.contains(y):
-        raise ValueError("initial point outside the domain")
-    z = y.copy()
-    schedule.reset()
-    start = time.perf_counter()
-    noise = oracle.noise_matrix(steps)
-    tab = _new_table(steps) if record else None
-    clipped_steps = 0
-    metric = problem.gap(y)
-    for t in range(1, steps + 1):
-        alpha = schedule.alpha(t)
-        eta, lam = schedule.pair(t)
-        xq = (1.0 - alpha) * y + alpha * z
-        ghat = problem.grad(xq) + noise[t - 1]
-        nrm = geom.dual_norm(ghat)
-        fac = _clip_factor(nrm, lam)
-        gclip = ghat if fac == 1.0 else ghat * fac
-        z_next = geom.mirror_step(z, gclip, eta)
-        assert geom.contains(z_next), f"mirror step left the domain at t={t}"
-        y_next = (1.0 - alpha) * y + alpha * z_next
-        metric = problem.gap(y_next)
-        clipped = fac != 1.0
-        clipped_steps += clipped
-        if record:
-            _fill(tab, t, eta, lam, clipped, nrm, metric)
-        if observer is not None:
-            observer(StepInfo(t=t, eta=eta, lam=lam, x=xq, grad_hat=ghat, grad_clipped=gclip,
-                              alpha=alpha, y=y, z=z, y_next=y_next, z_next=z_next))
-        y, z = y_next, z_next
-    return RunRecord(
-        algorithm="asmd", seed=oracle.seed, steps=steps, summary=metric,
-        final_point=y, final_gap=metric, clipped_fraction=clipped_steps / steps,
-        diverged=False, wall_time=time.perf_counter() - start, table=tab,
-    )
+    return _single("asmd", _asmd, problem, oracle, schedule, steps, y1, observer, record)
 
 
 def run_sgd(problem: Problem, oracle: Oracle, schedule: Schedule, steps: int, x1,
@@ -208,40 +111,7 @@ def run_sgd(problem: Problem, oracle: Oracle, schedule: Schedule, steps: int, x1
     The per-step metric is the squared gradient norm at the visited point;
     the summary is its average over the run (the stationarity guarantee).
     """
-    if schedule.mode not in SGD_MODES:
-        raise ValueError(f"run_sgd needs a gradient-descent schedule, got {schedule.mode!r}")
-    if problem.geometry.kind != "euclidean":
-        raise ValueError("clipped gradient descent runs on unconstrained l2 geometry")
-    x = np.asarray(x1, dtype=float).copy()
-    schedule.reset()
-    start = time.perf_counter()
-    noise = oracle.noise_matrix(steps)
-    tab = _new_table(steps) if record else None
-    metric_sum = 0.0
-    clipped_steps = 0
-    for t in range(1, steps + 1):
-        eta, lam = schedule.pair(t)
-        gtrue = problem.grad(x)
-        metric = _sq_norm(gtrue)
-        metric_sum += metric
-        ghat = gtrue + noise[t - 1]
-        nrm = math.sqrt(_sq_norm(ghat))
-        fac = _clip_factor(nrm, lam)
-        gclip = ghat if fac == 1.0 else ghat * fac
-        x_next = x - eta * gclip
-        clipped = fac != 1.0
-        clipped_steps += clipped
-        if record:
-            _fill(tab, t, eta, lam, clipped, nrm, metric)
-        if observer is not None:
-            observer(StepInfo(t=t, eta=eta, lam=lam, x=x, grad_hat=ghat,
-                              grad_clipped=gclip, x_next=x_next))
-        x = x_next
-    return RunRecord(
-        algorithm="sgd", seed=oracle.seed, steps=steps, summary=metric_sum / steps,
-        final_point=x, final_gap=problem.gap(x), clipped_fraction=clipped_steps / steps,
-        diverged=False, wall_time=time.perf_counter() - start, table=tab,
-    )
+    return _single("sgd", _sgd, problem, oracle, schedule, steps, x1, observer, record)
 
 
 def run_vanilla_sgd(problem: Problem, oracle: Oracle, eta: float, steps: int, x1,
@@ -252,111 +122,110 @@ def run_vanilla_sgd(problem: Problem, oracle: Oracle, eta: float, steps: int, x1
     (or goes non-finite); the final point is the last finite iterate and the
     summary is reported as infinity.
     """
-    if problem.geometry.kind != "euclidean":
-        raise ValueError("the baseline runs on unconstrained l2 geometry")
-    x = np.asarray(x1, dtype=float).copy()
-    start = time.perf_counter()
-    noise = oracle.noise_matrix(steps)
-    tab = _new_table(steps) if record else None
-    metric_sum = 0.0
-    diverged = False
-    done = 0
-    for t in range(1, steps + 1):
-        gtrue = problem.grad(x)
-        metric = _sq_norm(gtrue)
-        metric_sum += metric
-        ghat = gtrue + noise[t - 1]
-        x_next = x - eta * ghat
-        if record:
-            _fill(tab, t, eta, np.inf, False, math.sqrt(_sq_norm(ghat)), metric)
-        done = t
-        if not np.all(np.isfinite(x_next)) or np.max(np.abs(x_next)) > DIVERGENCE_LIMIT:
-            diverged = True
-            break
-        x = x_next
-    if record and done < steps:
-        tab = StepTable(**{k: getattr(tab, k)[:done] for k in
-                           ("t", "eta", "lam", "clipped", "raw_norm", "metric")})
-    return RunRecord(
-        algorithm="vanilla-sgd", seed=oracle.seed, steps=done,
-        summary=np.inf if diverged else metric_sum / steps,
-        final_point=x, final_gap=np.inf if diverged else problem.gap(x),
-        clipped_fraction=0.0, diverged=diverged,
-        wall_time=time.perf_counter() - start, table=tab,
-    )
-
-
-def _new_table(steps: int) -> StepTable:
-    return StepTable(
-        t=np.zeros(steps, dtype=int), eta=np.zeros(steps), lam=np.zeros(steps),
-        clipped=np.zeros(steps, dtype=bool), raw_norm=np.zeros(steps), metric=np.zeros(steps),
-    )
-
-
-def _fill(tab: StepTable, t: int, eta, lam, clipped, raw_norm, metric):
-    i = t - 1
-    tab.t[i] = t
-    tab.eta[i] = eta
-    tab.lam[i] = lam
-    tab.clipped[i] = clipped
-    tab.raw_norm[i] = raw_norm
-    tab.metric[i] = metric
-
-
-# -- lockstep multi-seed forms ---------------------------------------------------
-
-
-def _stack_noise(problem: Problem, noise_model, seeds, steps: int) -> np.ndarray:
-    """Per-seed presampled noise blocks, stacked to (n_seeds, steps, dim)."""
-    blocks = [Oracle(problem, noise_model, seed=int(s)).noise_matrix(steps) for s in seeds]
-    return np.stack(blocks, axis=0)
-
-
-def _require_stateless(schedule: Schedule):
-    if schedule.stateful:
-        raise ValueError("batch runners support stateless schedules only; "
-                         "run the trajectory-dependent mode per seed")
+    return _single("vanilla-sgd", _vanilla, problem, oracle, eta, steps, x1, None, record)
 
 
 def run_smd_batch(problem: Problem, noise_model, schedule: Schedule, steps: int, x1,
                   seeds) -> BatchResult:
     """All seeds advanced in lockstep; identical arithmetic to ``run_smd``."""
-    if schedule.mode not in SMD_MODES:
-        raise ValueError(f"run_smd_batch needs a mirror-descent schedule, got {schedule.mode!r}")
-    _require_stateless(schedule)
-    geom = problem.geometry
-    seeds = np.asarray(list(seeds), dtype=int)
-    n = seeds.size
-    noise = _stack_noise(problem, noise_model, seeds, steps)
-    X = np.tile(np.asarray(x1, dtype=float), (n, 1))
-    gap_sum = np.zeros(n)
-    clipped = np.zeros(n)
-    gaps = problem.gap_many(X)
-    for t in range(1, steps + 1):
-        eta, lam = schedule.pair(t)
-        G = problem.grad_many(X) + noise[:, t - 1, :]
-        norms = geom.dual_norm_many(G)
-        fac = np.where(norms > lam, lam / np.maximum(norms, 1e-300), 1.0)
-        X = geom.mirror_step_many(X, G * fac[:, None], eta)
-        gaps = problem.gap_many(X)
-        gap_sum += gaps
-        clipped += norms > lam
-    return BatchResult("smd", seeds, gap_sum / steps, gaps, clipped / steps,
-                       np.zeros(n, dtype=bool))
+    return _batch("smd", _smd, problem, noise_model, schedule, steps, x1, seeds)
 
 
 def run_asmd_batch(problem: Problem, noise_model, schedule: Schedule, steps: int, y1,
                    seeds) -> BatchResult:
-    if schedule.mode not in ASMD_MODES:
-        raise ValueError(f"run_asmd_batch needs an accelerated schedule, got {schedule.mode!r}")
-    _require_stateless(schedule)
-    geom = problem.geometry
+    return _batch("asmd", _asmd, problem, noise_model, schedule, steps, y1, seeds)
+
+
+def run_sgd_batch(problem: Problem, noise_model, schedule: Schedule, steps: int, x1,
+                  seeds) -> BatchResult:
+    return _batch("sgd", _sgd, problem, noise_model, schedule, steps, x1, seeds)
+
+
+def run_vanilla_sgd_batch(problem: Problem, noise_model, eta: float, steps: int, x1,
+                          seeds) -> BatchResult:
+    """Unclipped lockstep baseline; diverged rows freeze at their last finite iterate."""
+    return _batch("vanilla-sgd", _vanilla, problem, noise_model, eta, steps, x1, seeds)
+
+
+def _single(algorithm, loop, problem, oracle, param, steps, x1, observer, record) -> RunRecord:
+    """One row fed by the oracle's noise block; the table and observers see row 0."""
+    log = [] if record else None
+    summary, final_gap, clipped, X, done = loop(
+        problem, param, steps, x1, oracle.noise_matrix(steps)[None], observer, log)
+    res = _result(algorithm, np.array([oracle.seed]), steps, summary, final_gap, clipped, X)
+    return RunRecord(
+        algorithm=algorithm, seed=oracle.seed, steps=done, summary=float(res.summary[0]),
+        final_point=X[0], final_gap=float(res.final_gap[0]),
+        clipped_fraction=float(res.clipped_fraction[0]), diverged=bool(res.diverged[0]),
+        table=StepTable(*map(np.array, zip(*log))) if record else None,
+    )
+
+
+def _batch(algorithm, loop, problem, noise_model, param, steps, x1, seeds) -> BatchResult:
+    """Per-seed presampled noise blocks, stacked to (n_seeds, steps, dim), as the rows."""
     seeds = np.asarray(list(seeds), dtype=int)
-    n = seeds.size
-    noise = _stack_noise(problem, noise_model, seeds, steps)
-    Y = np.tile(np.asarray(y1, dtype=float), (n, 1))
-    Z = Y.copy()
-    clipped = np.zeros(n)
+    noise = np.stack([Oracle(problem, noise_model, seed=int(s)).noise_matrix(steps)
+                      for s in seeds], axis=0)
+    return _result(algorithm, seeds, steps, *loop(problem, param, steps, x1, noise, None, None)[:4])
+
+
+def _result(algorithm, seeds, steps, summary, final_gap, clipped, X) -> BatchResult:
+    """Rows with a non-finite final iterate, summary or gap are flagged diverged."""
+    diverged = ~(np.isfinite(summary) & np.isfinite(final_gap) & np.all(np.isfinite(X), axis=1))
+    return BatchResult(algorithm, seeds, np.where(diverged, np.inf, summary),
+                       np.where(diverged, np.inf, final_gap), clipped / steps, diverged)
+
+
+def _start(problem: Problem, x1, n: int) -> np.ndarray:
+    x1 = np.asarray(x1, dtype=float)
+    if not problem.geometry.contains(x1):
+        raise ValueError("initial point outside the domain")
+    return np.tile(x1, (n, 1))
+
+
+def _prepare_schedule(schedule: Schedule, modes, needs: str, n: int):
+    if schedule.mode not in modes:
+        raise ValueError(f"{needs}, got {schedule.mode!r}")
+    if schedule.stateful and n != 1:
+        raise ValueError("batch runners support stateless schedules only; "
+                         "run the trajectory-dependent mode per seed")
+    schedule.reset()
+
+
+# -- the loops: each returns (summary, final_gap, clip counts, final rows, steps run) --
+
+
+def _smd(problem, schedule, steps, x1, noise, observer, log):
+    _prepare_schedule(schedule, SMD_MODES, "smd needs a mirror-descent schedule", len(noise))
+    geom = problem.geometry
+    X = _start(problem, x1, len(noise))
+    gap_sum = np.zeros(len(noise))
+    clipped = np.zeros(len(noise))
+    gaps = problem.gap_many(X)
+    for t in range(1, steps + 1):
+        schedule.observe(t, X[0])
+        eta, lam = schedule.pair(t)
+        G = problem.grad_many(X) + noise[:, t - 1, :]
+        norms = geom.dual_norm_many(G)
+        Gc = clip_batch(G, lam, norms)
+        X_next = geom.mirror_step_many(X, Gc, eta)
+        gaps = problem.gap_many(X_next)
+        gap_sum += gaps
+        clipped += norms > lam
+        if log is not None:
+            log.append((t, eta, lam, norms[0] > lam, norms[0], gaps[0]))
+        if observer is not None:
+            observer(StepInfo(t=t, eta=eta, lam=lam, x=X[0], grad_hat=G[0],
+                              grad_clipped=Gc[0], x_next=X_next[0]))
+        X = X_next
+    return gap_sum / steps, gaps, clipped, X, steps
+
+
+def _asmd(problem, schedule, steps, y1, noise, observer, log):
+    _prepare_schedule(schedule, ASMD_MODES, "asmd needs an accelerated schedule", len(noise))
+    geom = problem.geometry
+    Y = Z = _start(problem, y1, len(noise))
+    clipped = np.zeros(len(noise))
     gaps = problem.gap_many(Y)
     for t in range(1, steps + 1):
         alpha = schedule.alpha(t)
@@ -364,62 +233,67 @@ def run_asmd_batch(problem: Problem, noise_model, schedule: Schedule, steps: int
         Xq = (1.0 - alpha) * Y + alpha * Z
         G = problem.grad_many(Xq) + noise[:, t - 1, :]
         norms = geom.dual_norm_many(G)
-        fac = np.where(norms > lam, lam / np.maximum(norms, 1e-300), 1.0)
-        Z = geom.mirror_step_many(Z, G * fac[:, None], eta)
-        Y = (1.0 - alpha) * Y + alpha * Z
-        gaps = problem.gap_many(Y)
+        Gc = clip_batch(G, lam, norms)
+        Z_next = geom.mirror_step_many(Z, Gc, eta)
+        Y_next = (1.0 - alpha) * Y + alpha * Z_next
+        gaps = problem.gap_many(Y_next)
         clipped += norms > lam
-    return BatchResult("asmd", seeds, gaps, gaps, clipped / steps, np.zeros(n, dtype=bool))
+        if log is not None:
+            log.append((t, eta, lam, norms[0] > lam, norms[0], gaps[0]))
+        if observer is not None:
+            observer(StepInfo(t=t, eta=eta, lam=lam, x=Xq[0], grad_hat=G[0],
+                              grad_clipped=Gc[0], alpha=alpha, y=Y[0], z=Z[0],
+                              y_next=Y_next[0], z_next=Z_next[0]))
+        Y, Z = Y_next, Z_next
+    return gaps, gaps, clipped, Y, steps
 
 
-def run_sgd_batch(problem: Problem, noise_model, schedule: Schedule, steps: int, x1,
-                  seeds) -> BatchResult:
-    if schedule.mode not in SGD_MODES:
-        raise ValueError(f"run_sgd_batch needs a gradient-descent schedule, got {schedule.mode!r}")
-    _require_stateless(schedule)
+def _sgd(problem, schedule, steps, x1, noise, observer, log):
+    _prepare_schedule(schedule, SGD_MODES, "sgd needs a gradient-descent schedule", len(noise))
     if problem.geometry.kind != "euclidean":
         raise ValueError("clipped gradient descent runs on unconstrained l2 geometry")
-    seeds = np.asarray(list(seeds), dtype=int)
-    n = seeds.size
-    noise = _stack_noise(problem, noise_model, seeds, steps)
-    X = np.tile(np.asarray(x1, dtype=float), (n, 1))
-    metric_sum = np.zeros(n)
-    clipped = np.zeros(n)
+    geom = problem.geometry
+    X = _start(problem, x1, len(noise))
+    metric_sum = np.zeros(len(noise))
+    clipped = np.zeros(len(noise))
     for t in range(1, steps + 1):
         eta, lam = schedule.pair(t)
         Gt = problem.grad_many(X)
-        metric_sum += _sq_norm_rows(Gt)
+        metric = np.einsum("ij,ij->i", Gt, Gt)
+        metric_sum += metric
         G = Gt + noise[:, t - 1, :]
-        norms = np.sqrt(_sq_norm_rows(G))
-        fac = np.where(norms > lam, lam / np.maximum(norms, 1e-300), 1.0)
-        X = X - eta * (G * fac[:, None])
+        norms = geom.dual_norm_many(G)
+        Gc = clip_batch(G, lam, norms)
+        X_next = X - eta * Gc
         clipped += norms > lam
-    return BatchResult("sgd", seeds, metric_sum / steps, problem.gap_many(X),
-                       clipped / steps, np.zeros(n, dtype=bool))
+        if log is not None:
+            log.append((t, eta, lam, norms[0] > lam, norms[0], metric[0]))
+        if observer is not None:
+            observer(StepInfo(t=t, eta=eta, lam=lam, x=X[0], grad_hat=G[0],
+                              grad_clipped=Gc[0], x_next=X_next[0]))
+        X = X_next
+    return metric_sum / steps, problem.gap_many(X), clipped, X, steps
 
 
-def run_vanilla_sgd_batch(problem: Problem, noise_model, eta: float, steps: int, x1,
-                          seeds) -> BatchResult:
-    """Unclipped lockstep baseline; diverged rows freeze at their last finite iterate."""
+def _vanilla(problem, eta, steps, x1, noise, observer, log):
     if problem.geometry.kind != "euclidean":
         raise ValueError("the baseline runs on unconstrained l2 geometry")
-    seeds = np.asarray(list(seeds), dtype=int)
-    n = seeds.size
-    noise = _stack_noise(problem, noise_model, seeds, steps)
-    X = np.tile(np.asarray(x1, dtype=float), (n, 1))
-    metric_sum = np.zeros(n)
-    active = np.ones(n, dtype=bool)
+    X = _start(problem, x1, len(noise))
+    metric_sum = np.zeros(len(noise))
+    active = np.ones(len(noise), dtype=bool)
     for t in range(1, steps + 1):
         Gt = problem.grad_many(X)
-        metric_sum += np.where(active, _sq_norm_rows(Gt), 0.0)
-        X_new = X - eta * (Gt + noise[:, t - 1, :])
-        with np.errstate(invalid="ignore"):
-            bad = active & (~np.all(np.isfinite(X_new), axis=1)
-                            | (np.max(np.abs(X_new), axis=1) > DIVERGENCE_LIMIT))
-        take = active & ~bad
-        X = np.where(take[:, None], X_new, X)
-        active &= ~bad
-    diverged = ~active
-    summary = np.where(diverged, np.inf, metric_sum / steps)
-    final_gap = np.where(diverged, np.inf, problem.gap_many(X))
-    return BatchResult("vanilla-sgd", seeds, summary, final_gap, np.zeros(n), diverged)
+        metric = np.einsum("ij,ij->i", Gt, Gt)
+        metric_sum += np.where(active, metric, 0.0)
+        G = Gt + noise[:, t - 1, :]
+        X_new = X - eta * G
+        if log is not None:
+            log.append((t, eta, np.inf, False, problem.geometry.dual_norm_many(G)[0], metric[0]))
+        with np.errstate(invalid="ignore"):  # NaN rows compare false and freeze
+            active &= np.all(np.abs(X_new) <= DIVERGENCE_LIMIT, axis=1)
+        X = np.where(active[:, None], X_new, X)
+        if not active.any():
+            break
+    summary = np.where(active, metric_sum / steps, np.inf)
+    final_gap = np.where(active, problem.gap_many(X), np.inf)
+    return summary, final_gap, np.zeros(len(noise)), X, t

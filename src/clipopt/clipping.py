@@ -21,20 +21,11 @@ import numpy as np
 from .noise import Oracle
 
 
-def _l2(v: np.ndarray) -> float:
-    # same reduction as the batched row norms, so scalar and batch clip agree bitwise
-    return float(np.sqrt(np.einsum("ij,ij->i", v[None, :], v[None, :])[0]))
-
-
 def clip(g, level: float, dual_norm=None) -> np.ndarray:
     """``min{1, level / ||g||_*} * g``; unchanged when the norm is below level."""
-    if level <= 0:
-        raise ValueError("clipping level must be positive")
     g = np.asarray(g, dtype=float)
-    n = dual_norm(g) if dual_norm is not None else _l2(g)
-    if n <= level:
-        return g.copy()
-    return g * (level / n)
+    norms = None if dual_norm is None else np.array([dual_norm(g)])
+    return clip_batch(g[None, :], level, norms)[0]
 
 
 def clip_batch(G: np.ndarray, level: float, dual_norms: np.ndarray | None = None) -> np.ndarray:
@@ -43,7 +34,8 @@ def clip_batch(G: np.ndarray, level: float, dual_norms: np.ndarray | None = None
         raise ValueError("clipping level must be positive")
     if dual_norms is None:
         dual_norms = np.sqrt(np.einsum("ij,ij->i", G, G))
-    factors = np.where(dual_norms > level, level / np.maximum(dual_norms, 1e-300), 1.0)
+    # min{1, level / norm} written as level / max{norm, level}: exactly 1 up to the level
+    factors = level / np.maximum(dual_norms, level)
     return G * factors[:, None]
 
 

@@ -39,7 +39,8 @@ from .schedules import Schedule, log_weight_tail_sum
 def check_log_weight_series(t_max: int) -> float:
     """Partial sum of ``1/(2t(1+log t)^2)`` through ``t_max``; always below 1."""
     total = log_weight_tail_sum(t_max)
-    assert total < 1.0, f"log-weight series partial sum reached {total}"
+    if not total < 1.0:
+        raise RuntimeError(f"log-weight series partial sum reached {total}")
     return total
 
 

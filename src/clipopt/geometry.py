@@ -198,19 +198,3 @@ def ball(dim: int, radius: float, center=None) -> Geometry:
 
 def simplex(dim: int) -> Geometry:
     return Geometry(SIMPLEX, dim)
-
-
-def norm(geom: Geometry, v) -> float:
-    return geom.norm(v)
-
-
-def dual_norm(geom: Geometry, v) -> float:
-    return geom.dual_norm(v)
-
-
-def bregman(geom: Geometry, x, y) -> float:
-    return geom.bregman(x, y)
-
-
-def mirror_step(geom: Geometry, x, g, eta: float) -> np.ndarray:
-    return geom.mirror_step(x, g, eta)

@@ -29,9 +29,9 @@ import numpy as np
 from scipy import stats
 
 from . import algorithms as algos
-from .config import (ExperimentConfig, build_noise, build_problem, build_schedule,
-                     config_digest, p_tag)
-from .schedules import theorem_bound
+from .config import (ConfigError, ExperimentConfig, build_noise, build_problem,
+                     build_schedule, config_digest, p_tag)
+from .schedules import SGD_MODES, theorem_bound
 
 # Cap on n_seeds * horizon * dim held in memory at once; larger sweeps are chunked.
 _CHUNK_BUDGET = 30_000_000
@@ -99,6 +99,9 @@ def _batch(cfg: ExperimentConfig, problem, x1, noise_model, horizon: int,
             eta = build_schedule(cfg, problem, x1, horizon=horizon).eta(1)
         return algos.run_vanilla_sgd_batch(problem, noise_model, eta, horizon, x1, seeds)
     schedule = build_schedule(cfg, problem, x1, horizon=horizon)
+    if schedule.stateful:
+        raise ConfigError("schedule.mode", f"{cfg.mode} is trajectory-dependent and runs "
+                          "one seed at a time; only diagnose accepts it")
     runner = {"smd": algos.run_smd_batch, "asmd": algos.run_asmd_batch,
               "sgd": algos.run_sgd_batch}[cfg.algorithm]
     return runner(problem, noise_model, schedule, horizon, x1, seeds)
@@ -205,9 +208,10 @@ def fit_power_law(horizons, values) -> tuple[float, float, float]:
 def fit_rate(cfg: ExperimentConfig) -> RateFit:
     """Median-metric slope over the config's horizon grid versus the prediction."""
     if cfg.horizon_grid is None or len(cfg.horizon_grid) < 4:
-        raise ValueError("rate fitting needs a horizon grid with at least 4 points")
+        raise ConfigError("experiment.t_grid",
+                          "rate fitting needs a horizon grid with at least 4 points")
     if cfg.n_seeds < 100:
-        raise ValueError("rate fitting needs at least 100 seeds per horizon")
+        raise ConfigError("experiment.seeds", "rate fitting needs at least 100 seeds per horizon")
     problem, x1 = build_problem(cfg)
     noise_model = build_noise(cfg)
     medians = []
@@ -235,6 +239,9 @@ def compare_clipped_vanilla(cfg: ExperimentConfig) -> VanillaComparison:
     """
     if cfg.sigma > 0 and cfg.p >= 2.0:
         raise ValueError("the comparison targets heavy tails: configure p < 2 (or sigma = 0)")
+    if cfg.mode not in SGD_MODES:
+        raise ConfigError("schedule.mode", f"compare runs clipped gradient descent; {cfg.mode} "
+                          f"is not one of {SGD_MODES}")
     problem, x1 = build_problem(cfg)
     noise_model = build_noise(cfg)
     clip_cfg = cfg if cfg.algorithm == "sgd" else _with(cfg, algorithm="sgd")

@@ -121,11 +121,6 @@ class RadialParetoNoise:
         return Z * r[:, None]
 
 
-def sample_noise(model, d: int, rng: np.random.Generator) -> np.ndarray:
-    """One perturbation vector from the model; see the samplers for stream order."""
-    return model.sample(d, rng)
-
-
 def make_noise(kind: str, p: float, sigma: float, *, q: float = 0.1, tail_index: float = 1.75):
     """Build a noise model by name; ``none`` is a zero-magnitude two-point model."""
     if kind == "two_point":
@@ -209,7 +204,3 @@ class Oracle:
     def noise_matrix(self, steps: int) -> np.ndarray:
         """Presampled (steps, dim) noise block consumed by the run loops."""
         return self.noise.sample_batch(self.problem.dim, steps, self.rng)
-
-
-def stochastic_grad(oracle: Oracle, x) -> np.ndarray:
-    return oracle.grad(x)

@@ -88,6 +88,22 @@ class ScheduleInputs:
         return max(math.log(1.0 / self.delta), 1.0)
 
 
+def _smd_det(s: ScheduleInputs) -> float:
+    """Deterministic floor ``2 (2 L r1 + L r0 + mu sigma + ||g0||_*)`` of the SMD clipping level."""
+    L = s.smoothness
+    return 2.0 * (2.0 * L * s.r1 + L * s.r0 + s.mu * s.sigma + s.g0_norm)
+
+
+def _sgd_lam(s: ScheduleInputs, tau: float) -> float:
+    """Nonconvex clipping level at horizon (or anytime proxy) ``tau``."""
+    gamma, L, p, sigma, d1 = s.gamma, s.smoothness, s.p, s.sigma, s.delta1
+    return max(
+        (8.0 * gamma / math.sqrt(L * d1)) ** (1.0 / (p - 1.0)) * tau ** (1.0 / (3 * p - 2)) * sigma ** (p / (p - 1.0)),
+        2.0 * math.sqrt(90.0 * L * d1),
+        32.0 ** (1.0 / p) * sigma * tau ** (1.0 / (3 * p - 2)),
+    )
+
+
 def derive_inputs(problem: Problem, x1, *, p: float, sigma: float, delta: float = 0.1,
                   horizon: int | None = None, x0=None, g0=None, mu: float = 0.0,
                   c1: float = 1.0, c2: float = 1.0, c_override: float | None = None) -> ScheduleInputs:
@@ -200,13 +216,12 @@ class Schedule:
         if t < 1:
             raise ValueError("steps are 1-based")
         s = self.inputs
+        if self.mode in SGD_MODES:
+            return _sgd_lam(s, float(s.horizon) if self.mode == "sgd_known_t" else horizon_proxy(t))
         gamma, L, p, sigma = s.gamma, s.smoothness, s.p, s.sigma
-        if self.mode == "smd_known_t":
-            det = 2.0 * (2.0 * L * s.r1 + L * s.r0 + s.mu * sigma + s.g0_norm)
-            return max((26.0 * s.horizon / gamma) ** (1.0 / p) * sigma, det)
-        if self.mode == "smd_anytime":
-            det = 2.0 * (2.0 * L * s.r1 + L * s.r0 + s.mu * sigma + s.g0_norm)
-            return max((26.0 * horizon_proxy(t) / gamma) ** (1.0 / p) * sigma, det)
+        if self.mode in ("smd_known_t", "smd_anytime"):
+            tau = s.horizon if self.mode == "smd_known_t" else horizon_proxy(t)
+            return max((26.0 * tau / gamma) ** (1.0 / p) * sigma, _smd_det(s))
         if self.mode == "smd_param_free":
             if t > self._t_seen:
                 raise ValueError(f"trajectory state missing for t={t}; call observe() first")
@@ -215,16 +230,8 @@ class Schedule:
                 2.0 * (L * self._dev_max + s.grad1_bound),
                 L * s.c1 / 6.0,
             )
-        if self.mode in ASMD_MODES:
-            return self._accel_c(t) * s.r1 * gamma * L * self.alpha(t) / 8.0
-        # nonconvex modes
-        tau = float(s.horizon) if self.mode == "sgd_known_t" else horizon_proxy(t)
-        d1 = s.delta1
-        return max(
-            (8.0 * gamma / math.sqrt(L * d1)) ** (1.0 / (p - 1.0)) * tau ** (1.0 / (3 * p - 2)) * sigma ** (p / (p - 1.0)),
-            2.0 * math.sqrt(90.0 * L * d1),
-            32.0 ** (1.0 / p) * sigma * tau ** (1.0 / (3 * p - 2)),
-        )
+        # accelerated modes
+        return self._accel_c(t) * s.r1 * gamma * L * self.alpha(t) / 8.0
 
     def eta(self, t: int) -> float:
         s = self.inputs
@@ -438,17 +445,15 @@ def theorem_bound(schedule: Schedule, horizon: int) -> float:
     gamma, p, sigma, L = s.gamma, s.p, s.sigma, s.smoothness
     T = horizon
     if schedule.mode == "smd_known_t":
-        det = 2.0 * (2.0 * L * s.r1 + L * s.r0 + s.mu * sigma + s.g0_norm)
         return 48.0 * s.r1 * max(
             26.0 ** (1.0 / p) * T ** ((1.0 - p) / p) * sigma * gamma ** ((p - 1.0) / p),
-            det * gamma / T,
+            _smd_det(s) * gamma / T,
         )
     if schedule.mode == "smd_anytime":
-        det = 2.0 * (2.0 * L * s.r1 + L * s.r0 + s.mu * sigma + s.g0_norm)
         return 48.0 * s.r1 * max(
             52.0 ** (1.0 / p) * T ** ((1.0 - p) / p) * (1.0 + math.log(T)) ** (2.0 / p)
             * sigma * gamma ** ((p - 1.0) / p),
-            det * gamma / T,
+            _smd_det(s) * gamma / T,
         )
     if schedule.mode == "smd_param_free":
         a_const = gamma + 2.0 * sigma ** p / s.c2
@@ -470,10 +475,6 @@ def theorem_bound(schedule: Schedule, horizon: int) -> float:
         )
     d1 = s.delta1
     tau = float(T) if schedule.mode == "sgd_known_t" else horizon_proxy(T)
-    lam_T = max(
-        (8.0 * gamma / math.sqrt(L * d1)) ** (1.0 / (p - 1.0)) * tau ** (1.0 / (3 * p - 2)) * sigma ** (p / (p - 1.0)),
-        2.0 * math.sqrt(90.0 * L * d1),
-        32.0 ** (1.0 / p) * sigma * tau ** (1.0 / (3 * p - 2)),
-    )
+    lam_T = _sgd_lam(s, tau)
     # 90 * delta1 / (eta_T * T) with eta_T = sqrt(delta1) tau^{(1-p)/(3p-2)} / (8 lam_T sqrt(L) gamma)
     return 720.0 * math.sqrt(d1 * L) * gamma * lam_T * tau ** ((p - 1.0) / (3 * p - 2)) / T

@@ -1,13 +1,16 @@
 """Run-loop oracles: closed-form trajectories, records, batch equivalence."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clipopt import algorithms as algos
-from clipopt import problems, schedules
-from clipopt.noise import Oracle, TwoPointNoise
+from clipopt import geometry, problems, schedules
+from clipopt.noise import Oracle, RadialParetoNoise, TwoPointNoise
 
 GAMMA_ONE = math.exp(-1.0)
 
@@ -255,6 +258,43 @@ def test_batch_matches_single_runs_sgd_and_vanilla():
         assert vbatch.diverged[i] == vrec.diverged
 
 
+START = {
+    "euclidean": (quad(diag=(1.0, 2.0)), np.array([1.0, -0.5])),
+    "ball": (dataclasses.replace(quad(diag=(1.0, 2.0)), geometry=geometry.ball(2, radius=1.5)),
+             np.array([0.5, 0.5])),
+    "simplex": (problems.make_simplex_quadratic([0.2, 0.3, 0.5]), np.ones(3) / 3),
+}
+
+
+@given(algorithm=st.sampled_from(["smd", "asmd", "sgd", "vanilla-sgd"]),
+       geom=st.sampled_from(list(START)), radial=st.booleans(), anytime=st.booleans(),
+       lambda_scale=st.sampled_from([1.0, 0.05]), steps=st.integers(1, 64),
+       seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=4))
+@settings(max_examples=30, deadline=None)
+def test_batch_equals_single_runs_property(algorithm, geom, radial, anytime, lambda_scale,
+                                           steps, seeds):
+    if algorithm in ("sgd", "vanilla-sgd"):
+        geom = "euclidean"  # gradient descent runs on unconstrained l2 space only
+    prob, x1 = START[geom]
+    if radial and geom != "simplex":  # radial noise is calibrated for l2 geometries
+        model = RadialParetoNoise(p=1.5, sigma=1.0, tail_index=1.8)
+    else:
+        model = TwoPointNoise(p=1.5, sigma=1.0, q=0.3)
+    family = "sgd" if algorithm == "vanilla-sgd" else algorithm
+    mode = f"{family}_{'anytime' if anytime else 'known_t'}"
+    sched = schedules.make_schedule(mode, smd_inputs(prob, x1, sigma=1.0, horizon=steps),
+                                    lambda_scale=lambda_scale)
+    single, batch_fn = {"smd": (algos.run_smd, algos.run_smd_batch),
+                        "asmd": (algos.run_asmd, algos.run_asmd_batch),
+                        "sgd": (algos.run_sgd, algos.run_sgd_batch),
+                        "vanilla-sgd": (algos.run_vanilla_sgd, algos.run_vanilla_sgd_batch)}[algorithm]
+    param = sched.eta(1) if algorithm == "vanilla-sgd" else sched
+    batch = batch_fn(prob, model, param, steps, x1, seeds)
+    recs = [single(prob, Oracle(prob, model, seed=s), param, steps, x1) for s in seeds]
+    for field in ("summary", "final_gap", "clipped_fraction", "diverged"):
+        np.testing.assert_array_equal(getattr(batch, field), [getattr(r, field) for r in recs])
+
+
 def test_batch_vanilla_divergence_freezes_rows():
     prob = quad()
     x1 = np.array([1.0, 0.0])
@@ -270,7 +310,13 @@ def test_batch_rejects_stateful_schedule():
     model = TwoPointNoise(p=1.5, sigma=1.0, q=0.3)
     sched = schedules.smd_param_free(smd_inputs(prob, x1, sigma=1.0))
     with pytest.raises(ValueError, match="stateless"):
-        algos.run_smd_batch(prob, model, sched, 8, x1, [0])
+        algos.run_smd_batch(prob, model, sched, 8, x1, [0, 1])
+    # one seed is one row: the trajectory-dependent schedule drives it as a single run
+    batch = algos.run_smd_batch(prob, model, sched, 8, x1, [5])
+    rec = algos.run_smd(prob, Oracle(prob, model, seed=5), sched, 8, x1)
+    assert batch.summary[0] == rec.summary
+    assert batch.final_gap[0] == rec.final_gap
+    assert batch.clipped_fraction[0] == rec.clipped_fraction
 
 
 def test_asmd_iterates_stay_in_domain():

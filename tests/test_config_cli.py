@@ -1,6 +1,9 @@
 """Config parsing/round-trip and CLI command contracts."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +32,8 @@ sigma = 0.0
 [schedule]
 mode = smd_known_t
 """
+
+DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 NOISY = MINIMAL.replace("kind = none", "kind = two_point").replace("sigma = 0.0",
                                                                    "sigma = 1.0\nq = 0.2")
@@ -131,6 +136,26 @@ def test_cmd_rates_requires_grid(tmp_path, capsys):
     assert "t_grid" in capsys.readouterr().err
 
 
+def test_cmd_rates_too_few_seeds_exit_2(tmp_path, capsys):
+    cfgfile = _write(tmp_path, MINIMAL.replace("seeds = 31", "seeds = 31\nt_grid = 64,128,256,512"))
+    assert cli.main(["rates", "--config", cfgfile]) == 2
+    assert "experiment.seeds" in capsys.readouterr().err
+
+
+def test_cmd_rates_short_grid_exit_2(tmp_path, capsys):
+    cfgfile = _write(tmp_path, MINIMAL.replace("seeds = 31", "seeds = 100\nt_grid = 64,128,256"))
+    assert cli.main(["rates", "--config", cfgfile]) == 2
+    assert "experiment.t_grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "rates"])
+def test_batch_commands_reject_param_free_exit_2(tmp_path, capsys, command):
+    text = MINIMAL.replace("seeds = 31", "seeds = 100\nt_grid = 64,128,256,512") \
+                  .replace("mode = smd_known_t", "mode = smd_param_free")
+    assert cli.main([command, "--config", _write(tmp_path, text)]) == 2
+    assert "schedule.mode" in capsys.readouterr().err
+
+
 def test_cmd_rates_noiseless_fixture(tmp_path, capsys):
     text = MINIMAL.replace("seeds = 31", "seeds = 100\nt_grid = 256,512,1024,2048")
     cfgfile = _write(tmp_path, text)
@@ -180,6 +205,25 @@ def test_cmd_compare_heavy_tail_guard(tmp_path, capsys):
     rc = cli.main(["compare", "--config", cfgfile])
     assert rc == 1
     assert "p < 2" in capsys.readouterr().err
+
+
+def test_cmd_compare_non_sgd_mode_exit_2(tmp_path, capsys):
+    assert cli.main(["compare", "--config", _write(tmp_path, MINIMAL)]) == 2
+    assert "schedule.mode" in capsys.readouterr().err
+
+
+def test_divergent_run_flagged_under_optimize(tmp_path):
+    """Non-finite rows are flagged diverged by a check that ``python -O`` keeps."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "clipopt.cli", "run",
+         "--config", str(DEMO_CONFIGS / "smd_heavy_tail.cfg"), "--set", "schedule.eta_scale=1e300",
+         "--set", "experiment.t=64", "--seeds", "3", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    summary = (tmp_path / "smd-heavy-tail" / "smd" / "p15" / "summary.jsonl").read_text()
+    assert '"diverged": 3' in summary
 
 
 def test_loading_from_file(tmp_path):

@@ -18,6 +18,12 @@ def test_series_partial_sums():
         0.5 + 1.0 / (4.0 * (1.0 + math.log(2.0)) ** 2))
 
 
+def test_series_check_raises_not_asserts(monkeypatch):
+    monkeypatch.setattr(diag, "log_weight_tail_sum", lambda t_max: 1.0)
+    with pytest.raises(RuntimeError, match="partial sum"):
+        diag.check_log_weight_series(10)
+
+
 # -- MGF bound ------------------------------------------------------------------
 
 

@@ -17,43 +17,43 @@ GEOMETRIES = {
 
 def test_norm_values():
     g2 = geo.euclidean(2)
-    assert geo.norm(g2, [3.0, 4.0]) == pytest.approx(5.0)
+    assert g2.norm([3.0, 4.0]) == pytest.approx(5.0)
     g1 = geo.simplex(3)
-    assert geo.norm(g1, [1.0, -2.0, 0.5]) == pytest.approx(3.5)
-    assert geo.dual_norm(g1, [1.0, -2.0, 0.5]) == pytest.approx(2.0)
+    assert g1.norm([1.0, -2.0, 0.5]) == pytest.approx(3.5)
+    assert g1.dual_norm([1.0, -2.0, 0.5]) == pytest.approx(2.0)
 
 
 def test_norm_dimension_mismatch():
     with pytest.raises(geo.GeometryError):
-        geo.norm(geo.euclidean(2), [1.0, 2.0, 3.0])
+        geo.euclidean(2).norm([1.0, 2.0, 3.0])
 
 
 def test_bregman_values():
     g = geo.euclidean(2)
-    assert geo.bregman(g, [0.3, 0.7], [0.3, 0.7]) == 0.0
-    assert geo.bregman(g, [1.0, 0.0], [0.0, 0.0]) == pytest.approx(0.5)
+    assert g.bregman([0.3, 0.7], [0.3, 0.7]) == 0.0
+    assert g.bregman([1.0, 0.0], [0.0, 0.0]) == pytest.approx(0.5)
     s = geo.simplex(2)
     # closed-form KL with the 0 log 0 convention
-    assert geo.bregman(s, [1.0, 0.0], [0.5, 0.5]) == pytest.approx(math.log(2.0), abs=1e-12)
+    assert s.bregman([1.0, 0.0], [0.5, 0.5]) == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_bregman_boundary_error():
     s = geo.simplex(2)
     with pytest.raises(geo.GeometryError, match="divergence undefined"):
-        geo.bregman(s, [0.5, 0.5], [1.0, 0.0])
+        s.bregman([0.5, 0.5], [1.0, 0.0])
     # matching zero coordinates are fine
-    assert geo.bregman(s, [1.0, 0.0], [1.0, 0.0]) == pytest.approx(0.0)
+    assert s.bregman([1.0, 0.0], [1.0, 0.0]) == pytest.approx(0.0)
 
 
 def test_mirror_step_values():
     g = geo.euclidean(2)
-    np.testing.assert_allclose(geo.mirror_step(g, [1.0, 1.0], [1.0, 0.0], 0.5), [0.5, 1.0])
+    np.testing.assert_allclose(g.mirror_step([1.0, 1.0], [1.0, 0.0], 0.5), [0.5, 1.0])
     s = geo.simplex(2)
     np.testing.assert_allclose(
-        geo.mirror_step(s, [0.5, 0.5], [1.0, 0.0], math.log(2.0)),
+        s.mirror_step([0.5, 0.5], [1.0, 0.0], math.log(2.0)),
         [1.0 / 3.0, 2.0 / 3.0], atol=1e-14)
     b = geo.ball(2, radius=1.0)
-    np.testing.assert_allclose(geo.mirror_step(b, [0.8, 0.0], [-1.0, 0.0], 1.0), [1.0, 0.0])
+    np.testing.assert_allclose(b.mirror_step([0.8, 0.0], [-1.0, 0.0], 1.0), [1.0, 0.0])
 
 
 def test_entropy_step_never_overflows():
