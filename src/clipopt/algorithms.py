@@ -6,12 +6,15 @@ clipped gradient descent on l2 space (average squared gradient norm), plus
 an unclipped baseline that may diverge under heavy-tailed noise.
 
 Each algorithm has one loop over an (n, d) state whose rows are independent
-seeds, each consuming its own presampled noise block.  ``run_*_batch``
-advances many seeds in lockstep (used by the experiment harness); ``run_*``
-is the one-row case, which adds a per-step table and per-step observers
-(used by the diagnostics).  Same seed, same config give bitwise-identical
-trajectories in either form.  A row whose final iterate, summary or final
-gap is not finite is reported as diverged, with infinite summary and gap.
+seeds.  The noise is presampled into one time-major (steps, n, d) block:
+column k holds seed k's noise sequence, drawn in place from its own stream,
+and step t reads the contiguous (n, d) slab ``noise[t - 1]``.
+``run_*_batch`` advances many seeds in lockstep (used by the experiment
+harness); ``run_*`` is the one-row case, a (steps, 1, d) block, which adds a
+per-step table and per-step observers (used by the diagnostics).  Same
+seed, same config give bitwise-identical trajectories in either form.  A
+row whose final iterate, summary or final gap is not finite is reported as
+diverged, with infinite summary and gap.
 """
 
 from __future__ import annotations
@@ -151,7 +154,7 @@ def _single(algorithm, loop, problem, oracle, param, steps, x1, observer, record
     """One row fed by the oracle's noise block; the table and observers see row 0."""
     log = [] if record else None
     summary, final_gap, clipped, X, done = loop(
-        problem, param, steps, x1, oracle.noise_matrix(steps)[None], observer, log)
+        problem, param, steps, x1, oracle.noise_matrix(steps)[:, None, :], observer, log)
     res = _result(algorithm, np.array([oracle.seed]), steps, summary, final_gap, clipped, X)
     return RunRecord(
         algorithm=algorithm, seed=oracle.seed, steps=done, summary=float(res.summary[0]),
@@ -162,10 +165,11 @@ def _single(algorithm, loop, problem, oracle, param, steps, x1, observer, record
 
 
 def _batch(algorithm, loop, problem, noise_model, param, steps, x1, seeds) -> BatchResult:
-    """Per-seed presampled noise blocks, stacked to (n_seeds, steps, dim), as the rows."""
+    """One zero-filled (steps, n_seeds, dim) block; seed k's noise is drawn into column k."""
     seeds = np.asarray(list(seeds), dtype=int)
-    noise = np.stack([Oracle(problem, noise_model, seed=int(s)).noise_matrix(steps)
-                      for s in seeds], axis=0)
+    noise = np.zeros((steps, seeds.size, problem.dim))
+    for k, seed in enumerate(seeds):
+        Oracle(problem, noise_model, seed=int(seed)).noise_matrix(steps, out=noise[:, k, :])
     return _result(algorithm, seeds, steps, *loop(problem, param, steps, x1, noise, None, None)[:4])
 
 
@@ -192,20 +196,22 @@ def _prepare_schedule(schedule: Schedule, modes, needs: str, n: int):
     schedule.reset()
 
 
-# -- the loops: each returns (summary, final_gap, clip counts, final rows, steps run) --
+# -- the loops: noise is (steps, n, d); each returns (summary, final_gap, clip counts,
+# final rows, steps run) --
 
 
 def _smd(problem, schedule, steps, x1, noise, observer, log):
-    _prepare_schedule(schedule, SMD_MODES, "smd needs a mirror-descent schedule", len(noise))
+    n = noise.shape[1]
+    _prepare_schedule(schedule, SMD_MODES, "smd needs a mirror-descent schedule", n)
     geom = problem.geometry
-    X = _start(problem, x1, len(noise))
-    gap_sum = np.zeros(len(noise))
-    clipped = np.zeros(len(noise))
+    X = _start(problem, x1, n)
+    gap_sum = np.zeros(n)
+    clipped = np.zeros(n)
     gaps = problem.gap_many(X)
     for t in range(1, steps + 1):
         schedule.observe(t, X[0])
         eta, lam = schedule.pair(t)
-        G = problem.grad_many(X) + noise[:, t - 1, :]
+        G = problem.grad_many(X) + noise[t - 1]
         norms = geom.dual_norm_many(G)
         Gc = clip_batch(G, lam, norms)
         X_next = geom.mirror_step_many(X, Gc, eta)
@@ -222,16 +228,17 @@ def _smd(problem, schedule, steps, x1, noise, observer, log):
 
 
 def _asmd(problem, schedule, steps, y1, noise, observer, log):
-    _prepare_schedule(schedule, ASMD_MODES, "asmd needs an accelerated schedule", len(noise))
+    n = noise.shape[1]
+    _prepare_schedule(schedule, ASMD_MODES, "asmd needs an accelerated schedule", n)
     geom = problem.geometry
-    Y = Z = _start(problem, y1, len(noise))
-    clipped = np.zeros(len(noise))
+    Y = Z = _start(problem, y1, n)
+    clipped = np.zeros(n)
     gaps = problem.gap_many(Y)
     for t in range(1, steps + 1):
         alpha = schedule.alpha(t)
         eta, lam = schedule.pair(t)
         Xq = (1.0 - alpha) * Y + alpha * Z
-        G = problem.grad_many(Xq) + noise[:, t - 1, :]
+        G = problem.grad_many(Xq) + noise[t - 1]
         norms = geom.dual_norm_many(G)
         Gc = clip_batch(G, lam, norms)
         Z_next = geom.mirror_step_many(Z, Gc, eta)
@@ -249,19 +256,20 @@ def _asmd(problem, schedule, steps, y1, noise, observer, log):
 
 
 def _sgd(problem, schedule, steps, x1, noise, observer, log):
-    _prepare_schedule(schedule, SGD_MODES, "sgd needs a gradient-descent schedule", len(noise))
+    n = noise.shape[1]
+    _prepare_schedule(schedule, SGD_MODES, "sgd needs a gradient-descent schedule", n)
     if problem.geometry.kind != "euclidean":
         raise ValueError("clipped gradient descent runs on unconstrained l2 geometry")
     geom = problem.geometry
-    X = _start(problem, x1, len(noise))
-    metric_sum = np.zeros(len(noise))
-    clipped = np.zeros(len(noise))
+    X = _start(problem, x1, n)
+    metric_sum = np.zeros(n)
+    clipped = np.zeros(n)
     for t in range(1, steps + 1):
         eta, lam = schedule.pair(t)
         Gt = problem.grad_many(X)
         metric = np.einsum("ij,ij->i", Gt, Gt)
         metric_sum += metric
-        G = Gt + noise[:, t - 1, :]
+        G = Gt + noise[t - 1]
         norms = geom.dual_norm_many(G)
         Gc = clip_batch(G, lam, norms)
         X_next = X - eta * Gc
@@ -276,16 +284,17 @@ def _sgd(problem, schedule, steps, x1, noise, observer, log):
 
 
 def _vanilla(problem, eta, steps, x1, noise, observer, log):
+    n = noise.shape[1]
     if problem.geometry.kind != "euclidean":
         raise ValueError("the baseline runs on unconstrained l2 geometry")
-    X = _start(problem, x1, len(noise))
-    metric_sum = np.zeros(len(noise))
-    active = np.ones(len(noise), dtype=bool)
+    X = _start(problem, x1, n)
+    metric_sum = np.zeros(n)
+    active = np.ones(n, dtype=bool)
     for t in range(1, steps + 1):
         Gt = problem.grad_many(X)
         metric = np.einsum("ij,ij->i", Gt, Gt)
         metric_sum += np.where(active, metric, 0.0)
-        G = Gt + noise[:, t - 1, :]
+        G = Gt + noise[t - 1]
         X_new = X - eta * G
         if log is not None:
             log.append((t, eta, np.inf, False, problem.geometry.dual_norm_many(G)[0], metric[0]))
@@ -296,4 +305,4 @@ def _vanilla(problem, eta, steps, x1, noise, observer, log):
             break
     summary = np.where(active, metric_sum / steps, np.inf)
     final_gap = np.where(active, problem.gap_many(X), np.inf)
-    return summary, final_gap, np.zeros(len(noise)), X, t
+    return summary, final_gap, np.zeros(n), X, t

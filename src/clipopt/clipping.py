@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise import Oracle
+from .shrink import shrink_factors
 
 
 def clip(g, level: float, dual_norm=None) -> np.ndarray:
@@ -34,9 +35,7 @@ def clip_batch(G: np.ndarray, level: float, dual_norms: np.ndarray | None = None
         raise ValueError("clipping level must be positive")
     if dual_norms is None:
         dual_norms = np.sqrt(np.einsum("ij,ij->i", G, G))
-    # min{1, level / norm} written as level / max{norm, level}: exactly 1 up to the level
-    factors = level / np.maximum(dual_norms, level)
-    return G * factors[:, None]
+    return G * shrink_factors(dual_norms, level)[:, None]
 
 
 @dataclass(frozen=True)

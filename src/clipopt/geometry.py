@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .shrink import shrink_factors
+
 EUCLIDEAN = "euclidean"
 BALL = "ball"
 SIMPLEX = "simplex"
@@ -144,8 +146,7 @@ class Geometry:
         if self.kind == BALL:
             V = X - eta * G - self.center
             n = np.sqrt(np.einsum("ij,ij->i", V, V))
-            scale = np.where(n <= self.radius, 1.0, self.radius / np.maximum(n, 1e-300))
-            return self.center + V * scale[:, None]
+            return self.center + V * shrink_factors(n, self.radius)[:, None]
         logits = np.log(X) - eta * G
         logits -= np.max(logits, axis=1, keepdims=True)
         W = np.exp(logits)

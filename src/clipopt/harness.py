@@ -86,6 +86,22 @@ class VanillaComparison:
     vanilla_diverged: int
 
 
+def upper_quantile(values: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)`` (linear interpolation) of values in ``[0, inf]``.
+
+    Where the interpolation meets an infinite order statistic numpy computes
+    inf - inf and returns NaN.  The quantile is then the upper of the two
+    order statistics it lies between: the infinite one when the
+    interpolation weight is positive, the order statistic itself when the
+    weight is 0.  Finite inputs get numpy's value unchanged.
+    """
+    with np.errstate(invalid="ignore"):
+        value = float(np.quantile(values, q))
+    if not math.isnan(value) or np.isnan(values).any():
+        return value
+    return float(np.sort(values)[math.ceil((len(values) - 1) * q)])
+
+
 def _seed_list(cfg: ExperimentConfig) -> np.ndarray:
     return cfg.base_seed + np.arange(cfg.n_seeds)
 
@@ -149,7 +165,7 @@ def run_trials(cfg: ExperimentConfig, write: bool = True) -> TrialSummary:
         digest=config_digest(cfg), algorithm=cfg.algorithm, mode=cfg.mode, p=cfg.p,
         horizon=cfg.horizon, n_seeds=cfg.n_seeds, metrics=metrics,
         final_gaps=result.final_gap, median=float(np.median(metrics)),
-        upper_quantile=float(np.quantile(metrics, 1.0 - cfg.delta)), bound=bound,
+        upper_quantile=upper_quantile(metrics, 1.0 - cfg.delta), bound=bound,
         failure_rate=failures, failure_stderr=stderr,
         diverged=int(np.sum(result.diverged)),
     )
@@ -251,9 +267,8 @@ def compare_clipped_vanilla(cfg: ExperimentConfig) -> VanillaComparison:
     eta = cfg.vanilla_eta if cfg.vanilla_eta is not None else schedule.eta(1)
     vanilla = algos.run_vanilla_sgd_batch(problem, noise_model, eta, cfg.horizon, x1, seeds)
     up = 1.0 - cfg.delta
-    with np.errstate(invalid="ignore"):  # quantiles over inf gaps of diverged runs
-        clipped_upper = float(np.quantile(clipped.final_gap, up))
-        vanilla_upper = float(np.quantile(vanilla.final_gap, up))
+    clipped_upper = upper_quantile(clipped.final_gap, up)
+    vanilla_upper = upper_quantile(vanilla.final_gap, up)
     vanilla_median = float(np.median(vanilla.final_gap))
     clipped_median = float(np.median(clipped.final_gap))
     return VanillaComparison(

@@ -15,7 +15,9 @@ documented on each sampler: per two-point draw, one uniform (spike
 indicator), one integer (coordinate), one uniform (sign); per radial draw,
 ``d`` standard normals (direction, normalized) then one uniform (inverse-CDF
 Pareto radius).  Batched draws consume the same fields in column-major
-blocks and are the stream used by the run loops.
+blocks and are the stream used by the run loops; ``sample_batch`` can write
+its draw into a caller's array (``out``), which the lockstep runners use to
+fill one seed's column of their time-major noise block in place.
 """
 
 from __future__ import annotations
@@ -70,11 +72,15 @@ class TwoPointNoise:
             xi[i] = self.spike if s < 0.5 else -self.spike
         return xi
 
-    def sample_batch(self, d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    def sample_batch(self, d: int, n: int, rng: np.random.Generator,
+                     out: np.ndarray | None = None) -> np.ndarray:
+        """``n`` draws as an (n, d) array; only the spikes are written into ``out``,
+        which must therefore hold zeros."""
         u = rng.random(n)
         idx = rng.integers(0, d, size=n)
         s = rng.random(n)
-        out = np.zeros((n, d))
+        if out is None:
+            out = np.zeros((n, d))
         hit = u < self.q
         out[np.nonzero(hit)[0], idx[hit]] = np.where(s[hit] < 0.5, self.spike, -self.spike)
         return out
@@ -113,12 +119,14 @@ class RadialParetoNoise:
         u = rng.random()
         return z * (self.scale * u ** (-1.0 / self.tail_index))
 
-    def sample_batch(self, d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    def sample_batch(self, d: int, n: int, rng: np.random.Generator,
+                     out: np.ndarray | None = None) -> np.ndarray:
+        """``n`` draws as an (n, d) array, written into ``out`` when it is given."""
         Z = rng.standard_normal((n, d))
         Z /= np.sqrt(np.einsum("ij,ij->i", Z, Z))[:, None]
         u = rng.random(n)
         r = self.scale * u ** (-1.0 / self.tail_index)
-        return Z * r[:, None]
+        return np.multiply(Z, r[:, None], out=out)
 
 
 def make_noise(kind: str, p: float, sigma: float, *, q: float = 0.1, tail_index: float = 1.75):
@@ -185,7 +193,9 @@ class Oracle:
     seeds may run concurrently).  ``noise_matrix`` presamples the full noise
     sequence of a run in one batched draw, which the run loops use so that a
     single-run trajectory and a vectorized multi-seed sweep see identical
-    noise for identical seeds.
+    noise for identical seeds.  The lockstep runners pass ``out``, one seed's
+    (steps, dim) column of their zero-filled (steps, n_seeds, dim) block, so
+    the draw lands in place with the same values and the same stream use.
     """
 
     def __init__(self, problem: Problem, noise, seed: int = 0):
@@ -201,6 +211,10 @@ class Oracle:
         x = np.asarray(x, dtype=float)
         return self.problem.grad(x) + self.noise.sample(self.problem.dim, self.rng)
 
-    def noise_matrix(self, steps: int) -> np.ndarray:
-        """Presampled (steps, dim) noise block consumed by the run loops."""
-        return self.noise.sample_batch(self.problem.dim, steps, self.rng)
+    def noise_matrix(self, steps: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Presampled (steps, dim) noise block consumed by the run loops.
+
+        ``out``, if given, is a zero-filled (steps, dim) array (a strided view
+        is fine) that receives the draw and is returned.
+        """
+        return self.noise.sample_batch(self.problem.dim, steps, self.rng, out=out)

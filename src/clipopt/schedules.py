@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -83,8 +84,9 @@ class ScheduleInputs:
         if self.c1 <= 0 or self.c2 <= 0:
             raise ValueError("dimension constants c1, c2 must be positive")
 
-    @property
+    @cached_property
     def gamma(self) -> float:
+        """``max(log(1/delta), 1)``, computed once per inputs object."""
         return max(math.log(1.0 / self.delta), 1.0)
 
 
@@ -210,43 +212,43 @@ class Schedule:
         return max(1e4, grow / (gamma * L * s.r1))
 
     def lam(self, t: int) -> float:
-        return self.lambda_scale * self._lam_raw(t)
+        return self.lambda_scale * self._raw_pair(t)[1]
 
-    def _lam_raw(self, t: int) -> float:
+    def eta(self, t: int) -> float:
+        return self._raw_pair(t)[0]
+
+    def pair(self, t: int) -> tuple[float, float]:
+        eta, lam_raw = self._raw_pair(t)
+        return eta, self.lambda_scale * lam_raw
+
+    def _raw_pair(self, t: int) -> tuple[float, float]:
+        """``(eta_t, lambda_t / lambda_scale)``, each per-step quantity evaluated once."""
         if t < 1:
             raise ValueError("steps are 1-based")
         s = self.inputs
-        if self.mode in SGD_MODES:
-            return _sgd_lam(s, float(s.horizon) if self.mode == "sgd_known_t" else horizon_proxy(t))
         gamma, L, p, sigma = s.gamma, s.smoothness, s.p, s.sigma
+        if self.mode in SGD_MODES:
+            tau = float(s.horizon) if self.mode == "sgd_known_t" else horizon_proxy(t)
+            lam = _sgd_lam(s, tau)
+            num = math.sqrt(s.delta1) * tau ** ((1.0 - p) / (3 * p - 2))
+            return self.eta_scale * num / (8.0 * lam * math.sqrt(L) * gamma), lam
         if self.mode in ("smd_known_t", "smd_anytime"):
             tau = s.horizon if self.mode == "smd_known_t" else horizon_proxy(t)
-            return max((26.0 * tau / gamma) ** (1.0 / p) * sigma, _smd_det(s))
+            lam = max((26.0 * tau / gamma) ** (1.0 / p) * sigma, _smd_det(s))
+            return self.eta_scale * (s.r1 / (24.0 * gamma)) / lam, lam
         if self.mode == "smd_param_free":
             if t > self._t_seen:
                 raise ValueError(f"trajectory state missing for t={t}; call observe() first")
-            return max(
+            lam = max(
                 (26.0 * horizon_proxy(t) * s.c2) ** (1.0 / p),
                 2.0 * (L * self._dev_max + s.grad1_bound),
                 L * s.c1 / 6.0,
             )
+            return self.eta_scale * (s.c1 / 24.0) / lam, lam
         # accelerated modes
-        return self._accel_c(t) * s.r1 * gamma * L * self.alpha(t) / 8.0
-
-    def eta(self, t: int) -> float:
-        s = self.inputs
-        if self.mode in SMD_MODES:
-            num = s.r1 / (24.0 * s.gamma) if self.mode != "smd_param_free" else s.c1 / 24.0
-            return self.eta_scale * num / self._lam_raw(t)
-        if self.mode in ASMD_MODES:
-            return self.eta_scale / (3.0 * self._accel_c(t) * s.gamma ** 2 * s.smoothness * self.alpha(t))
-        tau = float(s.horizon) if self.mode == "sgd_known_t" else horizon_proxy(t)
-        num = math.sqrt(s.delta1) * tau ** ((1.0 - s.p) / (3 * s.p - 2))
-        return self.eta_scale * num / (8.0 * self._lam_raw(t) * math.sqrt(s.smoothness) * s.gamma)
-
-    def pair(self, t: int) -> tuple[float, float]:
-        lam = self.lam(t)
-        return self.eta(t), lam
+        c, alpha = self._accel_c(t), self.alpha(t)
+        lam = c * s.r1 * gamma * L * alpha / 8.0
+        return self.eta_scale / (3.0 * c * gamma ** 2 * L * alpha), lam
 
     @property
     def off_guarantee(self) -> bool:
@@ -357,8 +359,7 @@ def verify_schedule_conditions(schedule: Schedule, horizon: int) -> ConditionRep
     sp = sigma ** p
     report = ConditionReport(mode=schedule.mode, horizon=horizon)
     ts = np.arange(1, horizon + 1)
-    lams = np.array([schedule.lam(int(t)) for t in ts])
-    etas = np.array([schedule.eta(int(t)) for t in ts])
+    etas, lams = np.array([schedule.pair(int(t)) for t in ts]).T
     log_term = math.log(1.0 / s.delta)
 
     def add(name, passed, margin, note=""):

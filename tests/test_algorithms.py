@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -342,3 +343,21 @@ def test_no_clipping_when_level_dominates():
     rec = algos.run_smd(prob, noiseless_oracle(prob), sched, 32, x1)
     assert rec.clipped_fraction == 0.0
     assert np.all(~rec.table.clipped)
+
+
+def test_batch_peak_memory_is_one_noise_block():
+    """The seeds' noise is drawn in place: no per-seed blocks alive beside the batch block."""
+    n, steps = 200, 1024
+    prob = quad()
+    x1 = np.array([4.0, 0.0])
+    sched = schedules.smd_known_t(smd_inputs(prob, x1, sigma=0.25, horizon=steps))
+    model = TwoPointNoise(p=1.5, sigma=0.25, q=0.1)
+    block = 8 * n * steps * prob.dim
+    algos.run_smd_batch(prob, model, sched, 8, x1, [0])  # first-use allocations, not the block
+    tracemalloc.start()
+    try:
+        algos.run_smd_batch(prob, model, sched, steps, x1, range(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * block, peak / block

@@ -1,5 +1,6 @@
 """Config parsing/round-trip and CLI command contracts."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -224,6 +225,22 @@ def test_divergent_run_flagged_under_optimize(tmp_path):
     assert proc.returncode == 0, proc.stderr
     summary = (tmp_path / "smd-heavy-tail" / "smd" / "p15" / "summary.jsonl").read_text()
     assert '"diverged": 3' in summary
+    assert '"upper_quantile": Infinity' in summary  # not NaN from inf - inf
+    assert "RuntimeWarning: invalid value" not in proc.stderr
+
+
+def test_cmd_run_golden_digest(tmp_path):
+    """The per-seed CSV of a small Euclidean demo run is pinned byte for byte.
+
+    Euclidean SMD with two-point noise uses no exp/log in the loop, so the
+    bytes do not depend on the CPU's vector math routines.
+    """
+    rc = cli.main(["run", "--config", str(DEMO_CONFIGS / "smd_heavy_tail.cfg"), "--seeds", "30",
+                   "--set", "experiment.t=128", "--out", str(tmp_path)])
+    assert rc == 0
+    csv_bytes = (tmp_path / "smd-heavy-tail" / "smd" / "p15" / "seed-results.csv").read_bytes()
+    assert hashlib.sha256(csv_bytes).hexdigest() == (
+        "cb81f4c61daa0d288cafe09ce5cda44c632f6eb4ec61bbf2f0c85229333d3b37")
 
 
 def test_loading_from_file(tmp_path):

@@ -7,6 +7,8 @@ import pytest
 from scipy import optimize
 
 from clipopt import geometry as geo
+from clipopt.clipping import clip_batch
+from clipopt.shrink import shrink_factors
 
 GEOMETRIES = {
     "euclidean": geo.euclidean(3),
@@ -144,3 +146,17 @@ def test_ball_projection_inside_is_identity():
     b = geo.ball(2, radius=5.0)
     out = b.mirror_step(np.array([1.0, 1.0]), np.array([0.5, -0.5]), 0.1)
     np.testing.assert_allclose(out, [0.95, 1.05])
+
+
+def test_shrink_factor_is_the_clip_and_the_ball_projection():
+    level = 1.5
+    norms = np.array([0.0, 1e-300, 0.5, level, level * (1 + 1e-15), 2.0, 1e300, np.inf, np.nan])
+    # min{1, level / n}, NaN included, in the form the ball branch once wrote inline
+    with np.errstate(invalid="ignore"):
+        reference = np.where(norms <= level, 1.0, level / np.maximum(norms, 1e-300))
+    np.testing.assert_array_equal(shrink_factors(norms, level), reference)
+    b = geo.ball(2, radius=level, center=np.array([0.5, -0.5]))
+    X = np.array([[0.5, -0.5], [1.0, 0.0], [0.0, 0.2]])
+    G = np.array([[3.0, 4.0], [0.1, 0.0], [-1.0, np.nan]])
+    np.testing.assert_array_equal(b.mirror_step_many(X, G, 0.5) - b.center,
+                                  clip_batch(X - 0.5 * G - b.center, level))

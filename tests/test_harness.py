@@ -145,3 +145,32 @@ def test_compare_reports_divergence_count():
     comp = harness.compare_clipped_vanilla(c)
     assert comp.vanilla_diverged == 40  # the 3/L step is unstable on this quadratic
     assert comp.n_pairs == 40
+
+
+def test_upper_quantile_through_infinities():
+    inf = math.inf
+    assert harness.upper_quantile(np.array([inf, inf, inf]), 0.9) == inf
+    # (11 - 1) * 0.9 = 9: weight 0, so the quantile is the 10th order statistic
+    assert harness.upper_quantile(np.array([1.0] * 10 + [inf]), 0.9) == 1.0
+    # a positive weight toward an infinite neighbour
+    assert harness.upper_quantile(np.array([1.0, 2.0, inf]), 0.9) == inf
+    rng = np.random.default_rng(3)
+    for n in (1, 7, 40, 1000):
+        values = rng.pareto(1.5, size=n)
+        for q in (0.5, 0.9, 1.0 - math.exp(-1.0)):
+            assert harness.upper_quantile(values, q) == float(np.quantile(values, q))
+
+
+def test_run_trials_all_diverged_upper_quantile_inf():
+    summary = harness.run_trials(cfg(n_seeds=30, eta_scale=1e300), write=False)
+    assert summary.diverged == 30
+    assert summary.upper_quantile == math.inf
+
+
+def test_compare_upper_quantiles_with_diverged_baseline():
+    c = cfg(algorithm="sgd", mode="sgd_known_t", p=1.5, sigma=1.0, q=1e-3,
+            horizon=64, n_seeds=30, vanilla_eta=3.0)
+    comp = harness.compare_clipped_vanilla(c)
+    assert comp.vanilla_diverged == 30
+    assert comp.vanilla_upper == math.inf
+    assert math.isfinite(comp.clipped_upper)

@@ -313,3 +313,19 @@ def test_derive_inputs_from_problem():
     assert s.delta1 == pytest.approx(1.0)
     assert s.grad1_bound == pytest.approx(2.0)
     assert s.smoothness == 2.0
+
+
+@pytest.mark.parametrize("mode", schedules.ALL_MODES)
+def test_pair_equals_eta_and_lam_with_one_evaluation(mode, monkeypatch):
+    s = inputs(p=1.5, sigma=0.7, delta=0.05, horizon=40, r0=0.3)
+    sched = schedules.make_schedule(mode, s, eta_scale=1.7, lambda_scale=0.3)
+    calls = []
+    raw_pair = schedules.Schedule._raw_pair
+    monkeypatch.setattr(schedules.Schedule, "_raw_pair",
+                        lambda self, t: calls.append(t) or raw_pair(self, t))
+    for t in range(1, 41):
+        sched.observe(t, np.array([0.05 * t, -0.02 * t]))
+        calls.clear()
+        eta, lam = sched.pair(t)
+        assert calls == [t]  # one evaluation of the step's formulas per pair
+        assert (eta, lam) == (sched.eta(t), sched.lam(t))
