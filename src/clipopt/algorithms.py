@@ -10,11 +10,12 @@ seeds.  The noise is presampled into one time-major (steps, n, d) block:
 column k holds seed k's noise sequence, drawn in place from its own stream,
 and step t reads the contiguous (n, d) slab ``noise[t - 1]``.
 ``run_*_batch`` advances many seeds in lockstep (used by the experiment
-harness); ``run_*`` is the one-row case, a (steps, 1, d) block, which adds a
-per-step table and per-step observers (used by the diagnostics).  Same
-seed, same config give bitwise-identical trajectories in either form.  A
-row whose final iterate, summary or final gap is not finite is reported as
-diverged, with infinite summary and gap.
+harness); ``run_*`` is the one-row case, a (steps, 1, d) block, which can
+also record a per-step table of the row's path (read by the diagnostics).
+Same seed, same config give bitwise-identical trajectories in either form.
+A row whose final iterate, summary or final gap is not finite is reported as
+diverged, with infinite summary and gap; the overflow and invalid-value
+warnings that such a row raises on the way are silenced.
 """
 
 from __future__ import annotations
@@ -32,26 +33,16 @@ DIVERGENCE_LIMIT = 1e12
 
 
 @dataclass
-class StepInfo:
-    """Per-step context handed to observers of single runs; arrays are row-0 views."""
-
-    t: int
-    eta: float
-    lam: float
-    x: np.ndarray                 # point the oracle was queried at
-    grad_hat: np.ndarray
-    grad_clipped: np.ndarray
-    x_next: np.ndarray | None = None
-    alpha: float | None = None    # accelerated loop extras
-    y: np.ndarray | None = None
-    z: np.ndarray | None = None
-    y_next: np.ndarray | None = None
-    z_next: np.ndarray | None = None
-
-
-@dataclass
 class StepTable:
-    """Columnar per-iteration log: one row per step."""
+    """Columnar per-step log of a single run, with its path.
+
+    The per-step columns have one entry per step t = 1..T.  ``x`` holds
+    x_1..x_{T+1}, so step t queried the oracle at ``x[t - 1]`` and moved to
+    ``x[t]``.  The accelerated loop queries at (1 - alpha_t) y_t + alpha_t z_t:
+    its ``x`` holds those T query points, and ``y``, ``z`` hold y_1..y_{T+1}
+    and z_1..z_{T+1}.  ``grad_clipped`` is the gradient each step used (the
+    unclipped one for the baseline).
+    """
 
     t: np.ndarray
     eta: np.ndarray
@@ -59,6 +50,11 @@ class StepTable:
     clipped: np.ndarray
     raw_norm: np.ndarray
     metric: np.ndarray
+    x: np.ndarray
+    grad_clipped: np.ndarray
+    alpha: np.ndarray | None = None
+    y: np.ndarray | None = None
+    z: np.ndarray | None = None
 
 
 @dataclass
@@ -87,34 +83,34 @@ class BatchResult:
 
 
 def run_smd(problem: Problem, oracle: Oracle, schedule: Schedule, steps: int, x1,
-            observer=None, record: bool = True) -> RunRecord:
+            record: bool = True) -> RunRecord:
     """Clipped stochastic mirror descent from ``x1`` for ``steps`` iterations.
 
     The per-step metric is the value gap at the new iterate; the summary is
     the average of those gaps, matching the average-gap guarantee.
     """
-    return _single("smd", _smd, problem, oracle, schedule, steps, x1, observer, record)
+    return _single("smd", _smd, problem, oracle, schedule, steps, x1, record)
 
 
 def run_asmd(problem: Problem, oracle: Oracle, schedule: Schedule, steps: int, y1,
-             observer=None, record: bool = True) -> RunRecord:
+             record: bool = True) -> RunRecord:
     """Clipped accelerated stochastic mirror descent started at ``y1 = z1``.
 
     Requires an instance whose minimizer has zero gradient.  At t = 1 the
     momentum weight is 1, so the first query point coincides with the start.
     The summary is the final-iterate gap.
     """
-    return _single("asmd", _asmd, problem, oracle, schedule, steps, y1, observer, record)
+    return _single("asmd", _asmd, problem, oracle, schedule, steps, y1, record)
 
 
 def run_sgd(problem: Problem, oracle: Oracle, schedule: Schedule, steps: int, x1,
-            observer=None, record: bool = True) -> RunRecord:
+            record: bool = True) -> RunRecord:
     """Clipped gradient descent on unconstrained l2 space.
 
     The per-step metric is the squared gradient norm at the visited point;
     the summary is its average over the run (the stationarity guarantee).
     """
-    return _single("sgd", _sgd, problem, oracle, schedule, steps, x1, observer, record)
+    return _single("sgd", _sgd, problem, oracle, schedule, steps, x1, record)
 
 
 def run_vanilla_sgd(problem: Problem, oracle: Oracle, eta: float, steps: int, x1,
@@ -125,7 +121,7 @@ def run_vanilla_sgd(problem: Problem, oracle: Oracle, eta: float, steps: int, x1
     (or goes non-finite); the final point is the last finite iterate and the
     summary is reported as infinity.
     """
-    return _single("vanilla-sgd", _vanilla, problem, oracle, eta, steps, x1, None, record)
+    return _single("vanilla-sgd", _vanilla, problem, oracle, eta, steps, x1, record)
 
 
 def run_smd_batch(problem: Problem, noise_model, schedule: Schedule, steps: int, x1,
@@ -150,18 +146,30 @@ def run_vanilla_sgd_batch(problem: Problem, noise_model, eta: float, steps: int,
     return _batch("vanilla-sgd", _vanilla, problem, noise_model, eta, steps, x1, seeds)
 
 
-def _single(algorithm, loop, problem, oracle, param, steps, x1, observer, record) -> RunRecord:
-    """One row fed by the oracle's noise block; the table and observers see row 0."""
+def _single(algorithm, loop, problem, oracle, param, steps, x1, record) -> RunRecord:
+    """One row fed by the oracle's noise block; the table records row 0."""
     log = [] if record else None
-    summary, final_gap, clipped, X, done = loop(
-        problem, param, steps, x1, oracle.noise_matrix(steps)[:, None, :], observer, log)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are flagged diverged
+        summary, final_gap, clipped, X, done = loop(
+            problem, param, steps, x1, oracle.noise_matrix(steps)[:, None, :], log)
     res = _result(algorithm, np.array([oracle.seed]), steps, summary, final_gap, clipped, X)
     return RunRecord(
         algorithm=algorithm, seed=oracle.seed, steps=done, summary=float(res.summary[0]),
         final_point=X[0], final_gap=float(res.final_gap[0]),
         clipped_fraction=float(res.clipped_fraction[0]), diverged=bool(res.diverged[0]),
-        table=StepTable(*map(np.array, zip(*log))) if record else None,
+        table=_table(log, x1) if record else None,
     )
+
+
+def _table(log, x1) -> StepTable:
+    """Columns of the per-step log; each path gets the start point prepended."""
+    t, eta, lam, clipped, norm, metric, grad, x_next, *accel = map(np.array, zip(*log))
+    start = np.asarray(x1, dtype=float)[None, :]
+    if not accel:
+        return StepTable(t, eta, lam, clipped, norm, metric, np.vstack([start, x_next]), grad)
+    alpha, query, z_next = accel  # the accelerated loop logs y_{t+1} as its x_next
+    return StepTable(t, eta, lam, clipped, norm, metric, query, grad, alpha,
+                     np.vstack([start, x_next]), np.vstack([start, z_next]))
 
 
 def _batch(algorithm, loop, problem, noise_model, param, steps, x1, seeds) -> BatchResult:
@@ -170,7 +178,9 @@ def _batch(algorithm, loop, problem, noise_model, param, steps, x1, seeds) -> Ba
     noise = np.zeros((steps, seeds.size, problem.dim))
     for k, seed in enumerate(seeds):
         Oracle(problem, noise_model, seed=int(seed)).noise_matrix(steps, out=noise[:, k, :])
-    return _result(algorithm, seeds, steps, *loop(problem, param, steps, x1, noise, None, None)[:4])
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are flagged diverged
+        out = loop(problem, param, steps, x1, noise, None)
+    return _result(algorithm, seeds, steps, *out[:4])
 
 
 def _result(algorithm, seeds, steps, summary, final_gap, clipped, X) -> BatchResult:
@@ -196,11 +206,11 @@ def _prepare_schedule(schedule: Schedule, modes, needs: str, n: int):
     schedule.reset()
 
 
-# -- the loops: noise is (steps, n, d); each returns (summary, final_gap, clip counts,
-# final rows, steps run) --
+# -- the loops: noise is (steps, n, d); a log, if given, gets row 0 of each step;
+# each returns (summary, final_gap, clip counts, final rows, steps run) --
 
 
-def _smd(problem, schedule, steps, x1, noise, observer, log):
+def _smd(problem, schedule, steps, x1, noise, log):
     n = noise.shape[1]
     _prepare_schedule(schedule, SMD_MODES, "smd needs a mirror-descent schedule", n)
     geom = problem.geometry
@@ -214,20 +224,16 @@ def _smd(problem, schedule, steps, x1, noise, observer, log):
         G = problem.grad_many(X) + noise[t - 1]
         norms = geom.dual_norm_many(G)
         Gc = clip_batch(G, lam, norms)
-        X_next = geom.mirror_step_many(X, Gc, eta)
-        gaps = problem.gap_many(X_next)
+        X = geom.mirror_step_many(X, Gc, eta)
+        gaps = problem.gap_many(X)
         gap_sum += gaps
         clipped += norms > lam
         if log is not None:
-            log.append((t, eta, lam, norms[0] > lam, norms[0], gaps[0]))
-        if observer is not None:
-            observer(StepInfo(t=t, eta=eta, lam=lam, x=X[0], grad_hat=G[0],
-                              grad_clipped=Gc[0], x_next=X_next[0]))
-        X = X_next
+            log.append((t, eta, lam, norms[0] > lam, norms[0], gaps[0], Gc[0], X[0]))
     return gap_sum / steps, gaps, clipped, X, steps
 
 
-def _asmd(problem, schedule, steps, y1, noise, observer, log):
+def _asmd(problem, schedule, steps, y1, noise, log):
     n = noise.shape[1]
     _prepare_schedule(schedule, ASMD_MODES, "asmd needs an accelerated schedule", n)
     geom = problem.geometry
@@ -241,21 +247,17 @@ def _asmd(problem, schedule, steps, y1, noise, observer, log):
         G = problem.grad_many(Xq) + noise[t - 1]
         norms = geom.dual_norm_many(G)
         Gc = clip_batch(G, lam, norms)
-        Z_next = geom.mirror_step_many(Z, Gc, eta)
-        Y_next = (1.0 - alpha) * Y + alpha * Z_next
-        gaps = problem.gap_many(Y_next)
+        Z = geom.mirror_step_many(Z, Gc, eta)
+        Y = (1.0 - alpha) * Y + alpha * Z
+        gaps = problem.gap_many(Y)
         clipped += norms > lam
         if log is not None:
-            log.append((t, eta, lam, norms[0] > lam, norms[0], gaps[0]))
-        if observer is not None:
-            observer(StepInfo(t=t, eta=eta, lam=lam, x=Xq[0], grad_hat=G[0],
-                              grad_clipped=Gc[0], alpha=alpha, y=Y[0], z=Z[0],
-                              y_next=Y_next[0], z_next=Z_next[0]))
-        Y, Z = Y_next, Z_next
+            log.append((t, eta, lam, norms[0] > lam, norms[0], gaps[0], Gc[0], Y[0],
+                        alpha, Xq[0], Z[0]))
     return gaps, gaps, clipped, Y, steps
 
 
-def _sgd(problem, schedule, steps, x1, noise, observer, log):
+def _sgd(problem, schedule, steps, x1, noise, log):
     n = noise.shape[1]
     _prepare_schedule(schedule, SGD_MODES, "sgd needs a gradient-descent schedule", n)
     if problem.geometry.kind != "euclidean":
@@ -272,18 +274,14 @@ def _sgd(problem, schedule, steps, x1, noise, observer, log):
         G = Gt + noise[t - 1]
         norms = geom.dual_norm_many(G)
         Gc = clip_batch(G, lam, norms)
-        X_next = X - eta * Gc
+        X = X - eta * Gc
         clipped += norms > lam
         if log is not None:
-            log.append((t, eta, lam, norms[0] > lam, norms[0], metric[0]))
-        if observer is not None:
-            observer(StepInfo(t=t, eta=eta, lam=lam, x=X[0], grad_hat=G[0],
-                              grad_clipped=Gc[0], x_next=X_next[0]))
-        X = X_next
+            log.append((t, eta, lam, norms[0] > lam, norms[0], metric[0], Gc[0], X[0]))
     return metric_sum / steps, problem.gap_many(X), clipped, X, steps
 
 
-def _vanilla(problem, eta, steps, x1, noise, observer, log):
+def _vanilla(problem, eta, steps, x1, noise, log):
     n = noise.shape[1]
     if problem.geometry.kind != "euclidean":
         raise ValueError("the baseline runs on unconstrained l2 geometry")
@@ -296,11 +294,11 @@ def _vanilla(problem, eta, steps, x1, noise, observer, log):
         metric_sum += np.where(active, metric, 0.0)
         G = Gt + noise[t - 1]
         X_new = X - eta * G
-        if log is not None:
-            log.append((t, eta, np.inf, False, problem.geometry.dual_norm_many(G)[0], metric[0]))
-        with np.errstate(invalid="ignore"):  # NaN rows compare false and freeze
-            active &= np.all(np.abs(X_new) <= DIVERGENCE_LIMIT, axis=1)
+        active &= np.all(np.abs(X_new) <= DIVERGENCE_LIMIT, axis=1)  # NaN rows freeze too
         X = np.where(active[:, None], X_new, X)
+        if log is not None:
+            log.append((t, eta, np.inf, False, problem.geometry.dual_norm_many(G)[0],
+                        metric[0], G[0], X[0]))
         if not active.any():
             break
     summary = np.where(active, metric_sum / steps, np.inf)

@@ -2,7 +2,7 @@
 
 Commands::
 
-    clipopt run      --config exp.cfg [--set k=v ...] [--out DIR] [--seeds N] [--jobs J]
+    clipopt run      --config exp.cfg [--set k=v ...] [--out DIR] [--seeds N]
     clipopt rates    --config exp.cfg ...     # horizon-grid slope fit
     clipopt diagnose --config exp.cfg ...     # schedule conditions + toggled checks
     clipopt compare  --config exp.cfg ...     # clipped versus unclipped baseline
@@ -35,7 +35,6 @@ def _add_common(parser: argparse.ArgumentParser):
                         help="override a config value (repeatable)")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seeds", type=int, default=None, help="number of seeds")
-    parser.add_argument("--jobs", type=int, default=None, help="parallel chunk workers")
 
 
 def _load(args) -> ExperimentConfig:
@@ -46,8 +45,6 @@ def _load(args) -> ExperimentConfig:
         cfg.out_dir = args.out
     if args.seeds is not None:
         cfg.n_seeds = args.seeds
-    if args.jobs is not None:
-        cfg.jobs = args.jobs
     validate_config(cfg)  # overrides can invalidate a previously valid file
     return cfg
 
@@ -132,7 +129,8 @@ def cmd_diagnose(args) -> int:
             raise ConfigError("diagnostics.martingale", "trace defined for smd and sgd")
         reports.append(trace)
         print(f"check martingale_{trace.algorithm}: crossed={trace.crossed} "
-              f"max_sum={np.max(trace.running_sum):.4f} threshold={trace.threshold:.4f}")
+              f"max_sum={np.max(trace.running_sum):.4f} threshold={trace.threshold:.4f} "
+              f"warned={trace.warned}")
 
     if cfg.out_dir and reports:
         out = harness.experiment_dir(cfg)

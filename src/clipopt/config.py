@@ -50,7 +50,6 @@ class ExperimentConfig:
     base_seed: int = 0
     delta: float = 0.1
     out_dir: str | None = None
-    jobs: int = 1
     # problem
     problem: str = "quadratic"
     dim: int = 2
@@ -91,7 +90,6 @@ _SCHEMA = {
     ("experiment", "base_seed"): ("base_seed", "int"),
     ("experiment", "delta"): ("delta", "float"),
     ("experiment", "out"): ("out_dir", "str"),
-    ("experiment", "jobs"): ("jobs", "int"),
     ("problem", "kind"): ("problem", "str"),
     ("problem", "dim"): ("dim", "int"),
     ("problem", "diag"): ("diag", "float_tuple"),
@@ -227,8 +225,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("experiment.seeds", "need at least one seed")
     if not (0.0 < cfg.delta < 1.0):
         raise ConfigError("experiment.delta", "delta must lie in (0, 1)")
-    if cfg.jobs < 1:
-        raise ConfigError("experiment.jobs", "jobs must be >= 1")
     if not (1.0 < cfg.p <= 2.0):
         raise ConfigError("noise.p", "moment order p must lie in (1, 2]")
     if cfg.sigma < 0:

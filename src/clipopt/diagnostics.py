@@ -28,6 +28,7 @@ import numpy as np
 
 from .algorithms import run_asmd, run_sgd, run_smd
 from .clipping import clip_batch
+from .geometry import row_dots
 from .noise import Oracle
 from .problems import Problem
 from .schedules import Schedule, log_weight_tail_sum
@@ -229,6 +230,11 @@ def check_clipping_error_bounds(oracle: Oracle, x, level: float, samples: int,
 
 
 # -- pathwise per-step inequalities -------------------------------------------------
+#
+# The checks and traces below evaluate the analysis' per-step expressions over
+# a recorded run, one array expression per quantity.  Powers go through
+# ``np.float_power``, which calls libm's ``pow`` as Python's float ``**`` does;
+# numpy's ``**`` squares by multiplication, which can differ in the last bit.
 
 
 @dataclass
@@ -257,28 +263,19 @@ def check_pathwise_smd(problem: Problem, oracle: Oracle, schedule: Schedule, ste
     realized clipped-gradient error and G the problem's nonsmooth constant.
     Requires ``eta <= 1/(4L)``.
     """
-    geom = problem.geometry
-    xstar = problem.minimizer
-    g_cond = problem.lipschitz_g
-    violations = []
-    margins = []
-
-    def observer(info):
-        if info.eta > 0.25 / problem.smoothness * (1 + 1e-12):
-            raise ValueError(f"step size exceeds 1/(4L) at t={info.t}")
-        theta = info.grad_clipped - problem.grad(info.x)
-        lhs = (info.eta * problem.gap(info.x_next)
-               + geom.bregman(xstar, info.x_next) - geom.bregman(xstar, info.x))
-        rhs = (info.eta * float(theta @ (xstar - info.x))
-               + info.eta ** 2 * geom.dual_norm(theta) ** 2
-               + 2.0 * g_cond ** 2 * info.eta ** 2)
-        margin = rhs - lhs
-        margins.append(margin)
-        if margin < -tol:
-            violations.append((info.t, margin))
-
-    run_smd(problem, oracle, schedule, steps, x1, observer=observer, record=False)
-    return PathwiseReport("pathwise_smd", steps, violations, float(min(margins)), tol)
+    tab = run_smd(problem, oracle, schedule, steps, x1).table
+    eta = tab.eta
+    _step_guard(tab.t, eta > 0.25 / problem.smoothness * (1 + 1e-12), "1/(4L)")
+    geom, xstar = problem.geometry, problem.minimizer
+    x, x_next = tab.x[:-1], tab.x[1:]
+    theta = tab.grad_clipped - problem.grad_many(x)
+    eta2 = np.float_power(eta, 2)
+    lhs = (eta * problem.gap_many(x_next)
+           + geom.bregman_many(xstar, x_next) - geom.bregman_many(xstar, x))
+    rhs = (eta * row_dots(theta, xstar - x)
+           + eta2 * np.float_power(geom.dual_norm_many(theta), 2)
+           + 2.0 * problem.lipschitz_g ** 2 * eta2)
+    return _pathwise("pathwise_smd", tab.t, rhs - lhs, tol)
 
 
 def check_pathwise_asmd(problem: Problem, oracle: Oracle, schedule: Schedule, steps: int,
@@ -290,29 +287,19 @@ def check_pathwise_asmd(problem: Problem, oracle: Oracle, schedule: Schedule, st
     eta^2 ||theta||_*^2 / (2 (1 - L eta alpha))`` per step; requires
     ``eta <= 1/(2 L alpha)``.
     """
-    geom = problem.geometry
-    xstar = problem.minimizer
-    L = problem.smoothness
-    violations = []
-    margins = []
-
-    def observer(info):
-        if info.eta * info.alpha * L > 0.5 * (1 + 1e-12):
-            raise ValueError(f"step size exceeds 1/(2 L alpha) at t={info.t}")
-        theta = info.grad_clipped - problem.grad(info.x)
-        lhs = (info.eta / info.alpha * problem.gap(info.y_next)
-               + geom.bregman(xstar, info.z_next) - geom.bregman(xstar, info.z))
-        rhs = (info.eta * (1.0 - info.alpha) / info.alpha * problem.gap(info.y)
-               + info.eta * float(theta @ (xstar - info.z))
-               + info.eta ** 2 * geom.dual_norm(theta) ** 2
-               / (2.0 * (1.0 - L * info.eta * info.alpha)))
-        margin = rhs - lhs
-        margins.append(margin)
-        if margin < -tol:
-            violations.append((info.t, margin))
-
-    run_asmd(problem, oracle, schedule, steps, y1, observer=observer, record=False)
-    return PathwiseReport("pathwise_asmd", steps, violations, float(min(margins)), tol)
+    tab = run_asmd(problem, oracle, schedule, steps, y1).table
+    eta, alpha, L = tab.eta, tab.alpha, problem.smoothness
+    _step_guard(tab.t, eta * alpha * L > 0.5 * (1 + 1e-12), "1/(2 L alpha)")
+    geom, xstar = problem.geometry, problem.minimizer
+    y, z = tab.y, tab.z
+    theta = tab.grad_clipped - problem.grad_many(tab.x)
+    lhs = (eta / alpha * problem.gap_many(y[1:])
+           + geom.bregman_many(xstar, z[1:]) - geom.bregman_many(xstar, z[:-1]))
+    rhs = (eta * (1.0 - alpha) / alpha * problem.gap_many(y[:-1])
+           + eta * row_dots(theta, xstar - z[:-1])
+           + np.float_power(eta, 2) * np.float_power(geom.dual_norm_many(theta), 2)
+           / (2.0 * (1.0 - L * eta * alpha)))
+    return _pathwise("pathwise_asmd", tab.t, rhs - lhs, tol)
 
 
 def check_pathwise_sgd(problem: Problem, oracle: Oracle, schedule: Schedule, steps: int,
@@ -323,26 +310,29 @@ def check_pathwise_sgd(problem: Problem, oracle: Oracle, schedule: Schedule, ste
     (L eta^2/2)||theta||^2 + (L eta^2 - eta) <grad f(x), theta>`` per step;
     requires ``eta <= 1/L``.
     """
-    L = problem.smoothness
-    violations = []
-    margins = []
+    tab = run_sgd(problem, oracle, schedule, steps, x1).table
+    eta, L = tab.eta, problem.smoothness
+    _step_guard(tab.t, eta * L > 1.0 + 1e-12, "1/L")
+    g = problem.grad_many(tab.x[:-1])
+    theta = tab.grad_clipped - g
+    gap = problem.gap_many(tab.x)
+    eta2 = np.float_power(eta, 2)
+    rhs = (-(eta - L * eta2 / 2.0) * row_dots(g, g)
+           + (L * eta2 / 2.0) * row_dots(theta, theta)
+           + (L * eta2 - eta) * row_dots(g, theta))
+    return _pathwise("pathwise_sgd", tab.t, rhs - (gap[1:] - gap[:-1]), tol)
 
-    def observer(info):
-        if info.eta * L > 1.0 + 1e-12:
-            raise ValueError(f"step size exceeds 1/L at t={info.t}")
-        g = problem.grad(info.x)
-        theta = info.grad_clipped - g
-        lhs = problem.gap(info.x_next) - problem.gap(info.x)
-        rhs = (-(info.eta - L * info.eta ** 2 / 2.0) * float(g @ g)
-               + (L * info.eta ** 2 / 2.0) * float(theta @ theta)
-               + (L * info.eta ** 2 - info.eta) * float(g @ theta))
-        margin = rhs - lhs
-        margins.append(margin)
-        if margin < -tol:
-            violations.append((info.t, margin))
 
-    run_sgd(problem, oracle, schedule, steps, x1, observer=observer, record=False)
-    return PathwiseReport("pathwise_sgd", steps, violations, float(min(margins)), tol)
+def _step_guard(t, too_large, bound: str):
+    """Raise at the first step whose step size exceeds the inequality's range."""
+    if np.any(too_large):
+        raise ValueError(f"step size exceeds {bound} at t={int(t[np.argmax(too_large)])}")
+
+
+def _pathwise(name: str, t, margin, tol: float) -> PathwiseReport:
+    bad = margin < -tol
+    violations = [(int(s), float(m)) for s, m in zip(t[bad], margin[bad])]
+    return PathwiseReport(name, t.size, violations, float(np.min(margin)), tol)
 
 
 # -- supermartingale trace ------------------------------------------------------------
@@ -391,6 +381,17 @@ def _conditional_estimates(problem, noise_model, x, level, resamples, rng):
     return theta_b, float(u_sq.mean()), stderr
 
 
+def _resampled(problem, noise_model, X, lam, resamples, rng):
+    """Conditional estimates at every query point, drawn from ``rng`` in step order.
+
+    Returns the bias rows theta_b (steps, d) and the second moments and
+    standard errors (steps,).
+    """
+    theta_b, m2, se = zip(*(_conditional_estimates(problem, noise_model, x, level, resamples, rng)
+                            for x, level in zip(X, lam)))
+    return np.array(theta_b), np.array(m2), np.array(se)
+
+
 def martingale_trace_smd(problem: Problem, oracle: Oracle, schedule: Schedule, steps: int,
                          x1, delta: float, resamples: int, rng: np.random.Generator,
                          q_const: float | None = None) -> MartingaleTrace:
@@ -400,46 +401,28 @@ def martingale_trace_smd(problem: Problem, oracle: Oracle, schedule: Schedule, s
     seen so far plus a ``16 Q (eta lambda)^2`` floor, which is exactly what
     keeps the exponential increments integrable; conditional moments of the
     clipped error are estimated by ``resamples`` fresh draws per step from
-    ``rng`` (the run's own stream is not perturbed).
+    ``rng`` (the run's own stream is not perturbed).  A Bregman divergence
+    that rounds below zero counts as zero radius.
     """
     geom = problem.geometry
     xstar = problem.minimizer
     q_val = schedule.constants()["Q"] if q_const is None else q_const
-    threshold = math.log(1.0 / delta)
-    rows = {k: [] for k in ("z", "Z", "m2", "bias", "se")}
-    state = {"runmax": 0.0, "warned": False}
-
-    def observer(info):
-        breg_here = geom.bregman(xstar, info.x)
-        state["runmax"] = max(state["runmax"], math.sqrt(2.0 * breg_here))
-        theta_b, m2, se = _conditional_estimates(problem, oracle.noise, info.x, info.lam,
-                                                 resamples, rng)
-        if se > 0.1 * info.lam:
-            state["warned"] = True
-        el = info.eta * info.lam
-        z = 1.0 / (2.0 * el * state["runmax"] + 16.0 * q_val * el ** 2)
-        zinc = z * (info.eta * problem.gap(info.x_next)
-                    + geom.bregman(xstar, info.x_next) - breg_here
-                    - info.eta * float((xstar - info.x) @ theta_b)
-                    - 2.0 * info.eta ** 2 * geom.dual_norm(theta_b) ** 2
-                    - 2.0 * info.eta ** 2 * m2)
-        zinc -= (3.0 / (8.0 * info.lam ** 2) + 24.0 * z ** 2 * info.eta ** 4 * info.lam ** 2) * m2
-        rows["z"].append(z)
-        rows["Z"].append(zinc)
-        rows["m2"].append(m2)
-        rows["bias"].append(geom.dual_norm(theta_b))
-        rows["se"].append(se)
-
-    run_smd(problem, oracle, schedule, steps, x1, observer=observer, record=False)
-    increments = np.array(rows["Z"])
-    running = np.cumsum(increments)
-    return MartingaleTrace(
-        algorithm="smd", threshold=threshold, weights=np.array(rows["z"]),
-        increments=increments, running_sum=running,
-        cond_second_moment=np.array(rows["m2"]), bias_norm=np.array(rows["bias"]),
-        stderr=np.array(rows["se"]), crossed=bool(np.max(running) >= threshold),
-        warned=state["warned"], constants={"Q": q_val},
-    )
+    tab = run_smd(problem, oracle, schedule, steps, x1).table
+    x, eta, lam = tab.x[:-1], tab.eta, tab.lam
+    theta_b, m2, se = _resampled(problem, oracle.noise, x, lam, resamples, rng)
+    breg = geom.bregman_many(xstar, tab.x)
+    runmax = np.maximum.accumulate(np.sqrt(2.0 * np.maximum(breg[:-1], 0.0)))
+    el = eta * lam
+    z = 1.0 / (2.0 * el * runmax + 16.0 * q_val * np.float_power(el, 2))
+    bias = geom.dual_norm_many(theta_b)
+    eta2, lam2 = np.float_power(eta, 2), np.float_power(lam, 2)
+    increments = z * (eta * problem.gap_many(tab.x[1:]) + breg[1:] - breg[:-1]
+                      - eta * row_dots(xstar - x, theta_b)
+                      - 2.0 * eta2 * np.float_power(bias, 2)
+                      - 2.0 * eta2 * m2)
+    increments -= (3.0 / (8.0 * lam2)
+                   + 24.0 * np.float_power(z, 2) * np.float_power(eta, 4) * lam2) * m2
+    return _trace("smd", delta, z, increments, m2, bias, se, lam, {"Q": q_val})
 
 
 def martingale_trace_sgd(problem: Problem, oracle: Oracle, schedule: Schedule, steps: int,
@@ -463,40 +446,31 @@ def martingale_trace_sgd(problem: Problem, oracle: Oracle, schedule: Schedule, s
             raise ValueError("trace undefined: P_t < 1 for this schedule")
         if c1 ** 2 * sqrt_a / (2.0 * L * eta ** 2 * lam ** 2) < 1.0 - 1e-9:
             raise ValueError("trace undefined: Q_t < 1 for this schedule")
+    tab = run_sgd(problem, oracle, schedule, steps, x1).table
+    x, eta, lam = tab.x[:-1], tab.eta, tab.lam
+    theta_b, m2, se = _resampled(problem, oracle.noise, x, lam, resamples, rng)
+    gap = problem.gap_many(tab.x)
+    runmax = np.maximum.accumulate(np.sqrt(np.maximum(gap[:-1], 0.0)))
+    g = problem.grad_many(x)
+    bias_sq = row_dots(theta_b, theta_b)
+    z = 1.0 / (2.0 * c1 * runmax + 4.0 * c1 ** 2 * sqrt_a)
+    z2, eta2 = np.float_power(z, 2), np.float_power(eta, 2)
+    increments = z * (0.5 * eta * row_dots(g, g) + gap[1:] - gap[:-1]
+                      - 1.5 * eta * bias_sq - L * eta2 * m2)
+    increments -= (3.0 * z2 * L * eta2 * gap[:-1]
+                   + 6.0 * L ** 2 * z2 * np.float_power(eta, 4) * np.float_power(lam, 2)) * m2
+    return _trace("sgd", delta, z, increments, m2, np.sqrt(bias_sq), se, lam,
+                  {"C1": c1, "A": a_const})
+
+
+def _trace(algorithm, delta, z, increments, m2, bias, se, lam, constants) -> MartingaleTrace:
     threshold = math.log(1.0 / delta)
-    rows = {k: [] for k in ("z", "Z", "m2", "bias", "se")}
-    state = {"runmax": 0.0, "warned": False}
-
-    def observer(info):
-        gap_here = problem.gap(info.x)
-        state["runmax"] = max(state["runmax"], math.sqrt(max(gap_here, 0.0)))
-        theta_b, m2, se = _conditional_estimates(problem, oracle.noise, info.x, info.lam,
-                                                 resamples, rng)
-        if se > 0.1 * info.lam:
-            state["warned"] = True
-        g = problem.grad(info.x)
-        z = 1.0 / (2.0 * c1 * state["runmax"] + 4.0 * c1 ** 2 * sqrt_a)
-        zinc = z * (0.5 * info.eta * float(g @ g)
-                    + problem.gap(info.x_next) - gap_here
-                    - 1.5 * info.eta * float(theta_b @ theta_b)
-                    - L * info.eta ** 2 * m2)
-        zinc -= (3.0 * z ** 2 * L * info.eta ** 2 * gap_here
-                 + 6.0 * L ** 2 * z ** 2 * info.eta ** 4 * info.lam ** 2) * m2
-        rows["z"].append(z)
-        rows["Z"].append(zinc)
-        rows["m2"].append(m2)
-        rows["bias"].append(float(np.sqrt(theta_b @ theta_b)))
-        rows["se"].append(se)
-
-    run_sgd(problem, oracle, schedule, steps, x1, observer=observer, record=False)
-    increments = np.array(rows["Z"])
     running = np.cumsum(increments)
     return MartingaleTrace(
-        algorithm="sgd", threshold=threshold, weights=np.array(rows["z"]),
-        increments=increments, running_sum=running,
-        cond_second_moment=np.array(rows["m2"]), bias_norm=np.array(rows["bias"]),
-        stderr=np.array(rows["se"]), crossed=bool(np.max(running) >= threshold),
-        warned=state["warned"], constants={"C1": c1, "A": a_const},
+        algorithm=algorithm, threshold=threshold, weights=z, increments=increments,
+        running_sum=running, cond_second_moment=m2, bias_norm=bias, stderr=se,
+        crossed=bool(np.max(running) >= threshold), warned=bool(np.any(se > 0.1 * lam)),
+        constants=constants,
     )
 
 

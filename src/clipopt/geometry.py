@@ -37,6 +37,15 @@ def _as_vector(v, dim: int) -> np.ndarray:
     return v
 
 
+def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows of (n, dim) arrays.
+
+    Each row goes through the same vector dot as ``a @ b`` on two vectors,
+    so a row's value does not depend on the number of rows beside it.
+    """
+    return (A[..., None, :] @ B[..., :, None])[..., 0, 0]
+
+
 @dataclass(frozen=True, eq=False)
 class Geometry:
     """A primal/dual norm pair plus mirror map over a fixed-dimension domain.
@@ -106,27 +115,32 @@ class Geometry:
         return x.copy()
 
     def bregman(self, x, y) -> float:
-        """Bregman divergence induced by the mirror map.
+        """Bregman divergence induced by the mirror map; see ``bregman_many``."""
+        x = _as_vector(x, self.dim)
+        y = _as_vector(y, self.dim)
+        return float(self.bregman_many(x[None, :], y[None, :])[0])
+
+    def bregman_many(self, X, Y) -> np.ndarray:
+        """Row-wise divergences ``D(x_i, y_i)``; ``X`` may be one point for every row.
 
         For the entropy map this is the KL divergence (with 0 log 0 := 0);
         the second argument must have strictly positive entries wherever the
         first is nonzero, otherwise the divergence is undefined.
         """
-        x = _as_vector(x, self.dim)
-        y = _as_vector(y, self.dim)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
             raise GeometryError("bregman arguments must be finite")
         if self.kind == SIMPLEX:
-            if np.any(y < 0):
+            if np.any(Y < 0):
                 raise GeometryError("second argument outside the simplex")
-            bad = (y == 0) & (x != 0)
-            if np.any(bad):
+            if np.any((Y == 0) & (X != 0)):
                 raise GeometryError("divergence undefined: zero coordinate in y paired with nonzero x")
-            pos = x > 0
-            val = np.sum(x[pos] * (np.log(x[pos]) - np.log(y[pos])))
-            return float(val + np.sum(y) - np.sum(x))
-        d = x - y
-        return float(0.5 * (d @ d))
+            pos = X > 0
+            Xp, Yp = np.where(pos, X, 1.0), np.where(pos, Y, 1.0)
+            terms = np.where(pos, Xp * (np.log(Xp) - np.log(Yp)), 0.0)
+            return np.sum(terms, axis=-1) + np.sum(Y, axis=-1) - np.sum(X, axis=-1)
+        D = X - Y
+        return 0.5 * row_dots(D, D)
 
     # -- proximal step --------------------------------------------------------
 

@@ -22,7 +22,6 @@ import json
 import math
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,16 +124,11 @@ def _batch(cfg: ExperimentConfig, problem, x1, noise_model, horizon: int,
 
 def _run_all_seeds(cfg: ExperimentConfig, problem, x1, noise_model,
                    horizon: int) -> algos.BatchResult:
-    """All seeds, chunked for memory; chunk fan-out is order-independent."""
+    """All seeds, chunked for memory; a seed's row does not depend on the chunk size."""
     seeds = _seed_list(cfg)
     chunk = max(1, min(cfg.n_seeds, _CHUNK_BUDGET // max(1, horizon * problem.dim)))
     parts = [seeds[i:i + chunk] for i in range(0, len(seeds), chunk)]
-    if cfg.jobs > 1 and len(parts) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(
-                lambda part: _batch(cfg, problem, x1, noise_model, horizon, part), parts))
-    else:
-        results = [_batch(cfg, problem, x1, noise_model, horizon, part) for part in parts]
+    results = [_batch(cfg, problem, x1, noise_model, horizon, part) for part in parts]
     return algos.BatchResult(
         algorithm=results[0].algorithm,
         seeds=np.concatenate([r.seeds for r in results]),

@@ -77,13 +77,10 @@ def test_asmd_first_step_collapses_to_start():
     prob = quad()
     y1 = np.array([1.0, 0.0])
     sched = schedules.asmd_known_t(smd_inputs(prob, y1, horizon=4))
-    seen = []
-    algos.run_asmd(prob, noiseless_oracle(prob), sched, 1, y1,
-                   observer=lambda info: seen.append(info))
-    info = seen[0]
-    assert info.alpha == 1.0
-    np.testing.assert_array_equal(info.x, y1)    # (1 - alpha) kills the y term
-    np.testing.assert_array_equal(info.y_next, info.z_next)  # T = 1: y2 = z2
+    tab = algos.run_asmd(prob, noiseless_oracle(prob), sched, 1, y1).table
+    assert tab.alpha[0] == 1.0
+    np.testing.assert_array_equal(tab.x[0], y1)    # (1 - alpha) kills the y term
+    np.testing.assert_array_equal(tab.y[1], tab.z[1])  # T = 1: y2 = z2
 
 
 def test_asmd_noiseless_quadratic_rate_with_override():
@@ -326,14 +323,11 @@ def test_asmd_iterates_stay_in_domain():
     model = TwoPointNoise(p=1.5, sigma=0.5, q=0.3)
     sched = schedules.asmd_known_t(smd_inputs(prob, y1, sigma=0.5, p=1.5, horizon=200))
     geom = prob.geometry
-
-    def observer(info):
-        assert geom.contains(info.x)
-        assert geom.contains(info.y_next)
-        assert geom.contains(info.z_next)
-
-    algos.run_asmd(prob, Oracle(prob, model, seed=2), sched, 200, y1,
-                   observer=observer, record=False)
+    tab = algos.run_asmd(prob, Oracle(prob, model, seed=2), sched, 200, y1).table
+    for t in range(200):
+        assert geom.contains(tab.x[t])
+        assert geom.contains(tab.y[t + 1])
+        assert geom.contains(tab.z[t + 1])
 
 
 def test_no_clipping_when_level_dominates():

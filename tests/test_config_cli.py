@@ -1,6 +1,7 @@
 """Config parsing/round-trip and CLI command contracts."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -226,7 +227,51 @@ def test_divergent_run_flagged_under_optimize(tmp_path):
     summary = (tmp_path / "smd-heavy-tail" / "smd" / "p15" / "summary.jsonl").read_text()
     assert '"diverged": 3' in summary
     assert '"upper_quantile": Infinity' in summary  # not NaN from inf - inf
-    assert "RuntimeWarning: invalid value" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
+# report rows of the diagnose demo and of its gradient-descent variant
+SGD_VARIANT = ["experiment.algorithm=sgd", "problem.kind=nonconvex_ratio", "problem.x1=1,1",
+               "schedule.mode=sgd_known_t"]
+DIAGNOSE_ROWS = {
+    "smd": [("pathwise_smd", 256, 0, 0.0003262677263162761, None),
+            ("clipping_error_bounds", 10000, 0, 0.3368355277520125, 0.013054026950263382),
+            ("martingale_smd", 256, 0, 2.303806148621715, 0.08201755393622726)],
+    "sgd": [("pathwise_sgd", 256, 0, 4.1229006565726635e-11, None),
+            ("clipping_error_bounds", 10000, 0, 0.1573402289463254, 0.013054026950263382),
+            ("martingale_sgd", 256, 0, 2.3025987101072216, 0.08201755393622726)],
+}
+
+
+@pytest.mark.parametrize("algorithm", ["smd", "sgd"])
+def test_cmd_diagnose_demo_report_values(tmp_path, capsys, algorithm):
+    """Counts and crossings exactly; margins and stderr up to roundoff of the BLAS kernel."""
+    overrides = [] if algorithm == "smd" else SGD_VARIANT
+    args = ["diagnose", "--config", str(DEMO_CONFIGS / "diagnose_smd.cfg"), "--out", str(tmp_path)]
+    for assignment in overrides:
+        args += ["--set", assignment]
+    assert cli.main(args) == 0
+    path = tmp_path / "diagnose-smd" / algorithm / "p15" / "diagnostics.jsonl"
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [(r["name"], r["steps"], r["violations"]) for r in rows] == [
+        row[:3] for row in DIAGNOSE_ROWS[algorithm]]
+    for r, (*_, margin, stderr) in zip(rows, DIAGNOSE_ROWS[algorithm]):
+        assert r["max_margin"] == pytest.approx(margin, rel=1e-12, abs=1e-15)
+        assert r["stderr"] == (None if stderr is None else pytest.approx(stderr, rel=1e-12))
+    assert f"check martingale_{algorithm}: crossed=False" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("lambda_scale, warned", [("1", False), ("0.01", True)])
+def test_cmd_diagnose_prints_resample_warning(tmp_path, capsys, lambda_scale, warned):
+    """A clipping level small against every spike leaves the resampled mean too noisy."""
+    rc = cli.main(["diagnose", "--config", str(DEMO_CONFIGS / "diagnose_smd.cfg"),
+                   "--out", str(tmp_path), "--set", "experiment.t=16",
+                   "--set", "diagnostics.resamples=100", "--set", "noise.q=1",
+                   "--set", "problem.x1=0.01,0", "--set", f"schedule.lambda_scale={lambda_scale}",
+                   "--set", "diagnostics.pathwise=false", "--set", "diagnostics.error_bounds=false"])
+    out = capsys.readouterr().out
+    assert rc == (0 if lambda_scale == "1" else 1)  # the scaled schedule fails its conditions
+    assert f"warned={warned}\n" in out
 
 
 def test_cmd_run_golden_digest(tmp_path):

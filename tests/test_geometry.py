@@ -47,6 +47,29 @@ def test_bregman_boundary_error():
     assert s.bregman([1.0, 0.0], [1.0, 0.0]) == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_bregman_many_rows_equal_scalar(name):
+    g = GEOMETRIES[name]
+    rng = np.random.default_rng(4)
+    X = np.array([g.sample(rng) for _ in range(6)])
+    Y = np.array([g.sample(rng) for _ in range(6)])
+    np.testing.assert_array_equal(g.bregman_many(X, Y), [g.bregman(x, y) for x, y in zip(X, Y)])
+    # one first argument for every row, as the diagnostics pass the minimizer
+    np.testing.assert_array_equal(g.bregman_many(X[0], Y), [g.bregman(X[0], y) for y in Y])
+
+
+def test_bregman_many_keeps_domain_checks():
+    s = geo.simplex(2)
+    with pytest.raises(geo.GeometryError, match="divergence undefined"):
+        s.bregman_many([0.5, 0.5], [[0.5, 0.5], [1.0, 0.0]])
+    with pytest.raises(geo.GeometryError, match="outside the simplex"):
+        s.bregman_many([0.5, 0.5], [[1.5, -0.5]])
+    with pytest.raises(geo.GeometryError, match="finite"):
+        geo.euclidean(2).bregman_many([0.0, 0.0], [[1.0, 0.0], [np.nan, 0.0]])
+    np.testing.assert_array_equal(s.bregman_many([1.0, 0.0], [[1.0, 0.0], [0.5, 0.5]]),
+                                  [0.0, s.bregman([1.0, 0.0], [0.5, 0.5])])
+
+
 def test_mirror_step_values():
     g = geo.euclidean(2)
     np.testing.assert_allclose(g.mirror_step([1.0, 1.0], [1.0, 0.0], 0.5), [0.5, 1.0])

@@ -79,9 +79,6 @@ def test_run_trials_independent_of_chunking(monkeypatch):
     monkeypatch.setattr(harness, "_CHUNK_BUDGET", 64 * 2 * 7)  # force tiny chunks
     chunked = harness.run_trials(cfg(n_seeds=40), write=False)
     np.testing.assert_array_equal(full.metrics, chunked.metrics)
-    monkeypatch.setattr(harness, "_CHUNK_BUDGET", 64 * 2 * 3)
-    threaded = harness.run_trials(cfg(n_seeds=40, jobs=2), write=False)
-    np.testing.assert_array_equal(full.metrics, threaded.metrics)
 
 
 def test_run_trials_writes_stable_csv(tmp_path):
