@@ -6,12 +6,19 @@ clipped gradient descent on l2 space (average squared gradient norm), plus
 an unclipped baseline that may diverge under heavy-tailed noise.
 
 Each algorithm has one loop over an (n, d) state whose rows are independent
-seeds.  The noise is presampled into one time-major (steps, n, d) block:
-column k holds seed k's noise sequence, drawn in place from its own stream,
-and step t reads the contiguous (n, d) slab ``noise[t - 1]``.
-``run_*_batch`` advances many seeds in lockstep (used by the experiment
-harness); ``run_*`` is the one-row case, a (steps, 1, d) block, which can
-also record a per-step table of the row's path (read by the diagnostics).
+seeds.  The state is seed-contiguous: it is stored Fortran-ordered, as the
+transpose of a C-ordered (d, n) block, so each coordinate's n values lie
+next to each other and every elementwise op, per-coordinate constant and
+per-row factor runs as one inner loop over the seeds instead of one per
+row.  Reductions over coordinates go through ``geometry.coord_sum`` and
+``geometry.coord_dot``, whose bits do not depend on the layout.  The noise
+is presampled into one time-major (steps, d, n) block: seed k's noise
+sequence is drawn in place into ``noise[:, :, k]`` from its own stream, and
+step t reads the contiguous slab ``noise[t - 1]`` as the (n, d) view
+``noise[t - 1].T``.  ``run_*_batch`` advances many seeds in lockstep (used
+by the experiment harness); ``run_*`` is the one-row case, a (steps, d, 1)
+block, which can also record a per-step table of the row's path (read by
+the diagnostics).
 Same seed, same config give bitwise-identical trajectories in either form.
 A row whose final iterate, summary or final gap is not finite is reported as
 diverged, with infinite summary and gap; the overflow and invalid-value
@@ -25,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clipping import clip_batch
+from .geometry import coord_dot
 from .noise import Oracle
 from .problems import Problem
 from .schedules import ASMD_MODES, SGD_MODES, SMD_MODES, Schedule
@@ -151,7 +159,7 @@ def _single(algorithm, loop, problem, oracle, param, steps, x1, record) -> RunRe
     log = [] if record else None
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are flagged diverged
         summary, final_gap, clipped, X, done = loop(
-            problem, param, steps, x1, oracle.noise_matrix(steps)[:, None, :], log)
+            problem, param, steps, x1, oracle.noise_matrix(steps)[:, :, None], log)
     res = _result(algorithm, np.array([oracle.seed]), steps, summary, final_gap, clipped, X)
     return RunRecord(
         algorithm=algorithm, seed=oracle.seed, steps=done, summary=float(res.summary[0]),
@@ -173,11 +181,11 @@ def _table(log, x1) -> StepTable:
 
 
 def _batch(algorithm, loop, problem, noise_model, param, steps, x1, seeds) -> BatchResult:
-    """One zero-filled (steps, n_seeds, dim) block; seed k's noise is drawn into column k."""
+    """One zero-filled (steps, dim, n_seeds) block; seed k's noise is drawn into ``[:, :, k]``."""
     seeds = np.asarray(list(seeds), dtype=int)
-    noise = np.zeros((steps, seeds.size, problem.dim))
+    noise = np.zeros((steps, problem.dim, seeds.size))
     for k, seed in enumerate(seeds):
-        Oracle(problem, noise_model, seed=int(seed)).noise_matrix(steps, out=noise[:, k, :])
+        Oracle(problem, noise_model, seed=int(seed)).noise_matrix(steps, out=noise[:, :, k])
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are flagged diverged
         out = loop(problem, param, steps, x1, noise, None)
     return _result(algorithm, seeds, steps, *out[:4])
@@ -191,10 +199,11 @@ def _result(algorithm, seeds, steps, summary, final_gap, clipped, X) -> BatchRes
 
 
 def _start(problem: Problem, x1, n: int) -> np.ndarray:
+    """n copies of ``x1`` as seed-contiguous rows: the transpose of a C-ordered (d, n) block."""
     x1 = np.asarray(x1, dtype=float)
     if not problem.geometry.contains(x1):
         raise ValueError("initial point outside the domain")
-    return np.tile(x1, (n, 1))
+    return np.repeat(x1[:, None], n, axis=1).T
 
 
 def _prepare_schedule(schedule: Schedule, modes, needs: str, n: int):
@@ -206,12 +215,14 @@ def _prepare_schedule(schedule: Schedule, modes, needs: str, n: int):
     schedule.reset()
 
 
-# -- the loops: noise is (steps, n, d); a log, if given, gets row 0 of each step;
-# each returns (summary, final_gap, clip counts, final rows, steps run) --
+# -- the loops: noise is (steps, d, n) and step t uses the (n, d) view
+# noise[t - 1].T, so the state stays seed-contiguous; a log, if given, gets
+# row 0 of each step; each returns (summary, final_gap, clip counts, final
+# rows, steps run) --
 
 
 def _smd(problem, schedule, steps, x1, noise, log):
-    n = noise.shape[1]
+    n = noise.shape[2]
     _prepare_schedule(schedule, SMD_MODES, "smd needs a mirror-descent schedule", n)
     geom = problem.geometry
     X = _start(problem, x1, n)
@@ -221,7 +232,7 @@ def _smd(problem, schedule, steps, x1, noise, log):
     for t in range(1, steps + 1):
         schedule.observe(t, X[0])
         eta, lam = schedule.pair(t)
-        G = problem.grad_many(X) + noise[t - 1]
+        G = problem.grad_many(X) + noise[t - 1].T
         norms = geom.dual_norm_many(G)
         Gc = clip_batch(G, lam, norms)
         X = geom.mirror_step_many(X, Gc, eta)
@@ -234,31 +245,30 @@ def _smd(problem, schedule, steps, x1, noise, log):
 
 
 def _asmd(problem, schedule, steps, y1, noise, log):
-    n = noise.shape[1]
+    n = noise.shape[2]
     _prepare_schedule(schedule, ASMD_MODES, "asmd needs an accelerated schedule", n)
     geom = problem.geometry
     Y = Z = _start(problem, y1, n)
     clipped = np.zeros(n)
-    gaps = problem.gap_many(Y)
     for t in range(1, steps + 1):
         alpha = schedule.alpha(t)
         eta, lam = schedule.pair(t)
         Xq = (1.0 - alpha) * Y + alpha * Z
-        G = problem.grad_many(Xq) + noise[t - 1]
+        G = problem.grad_many(Xq) + noise[t - 1].T
         norms = geom.dual_norm_many(G)
         Gc = clip_batch(G, lam, norms)
         Z = geom.mirror_step_many(Z, Gc, eta)
         Y = (1.0 - alpha) * Y + alpha * Z
-        gaps = problem.gap_many(Y)
         clipped += norms > lam
         if log is not None:
-            log.append((t, eta, lam, norms[0] > lam, norms[0], gaps[0], Gc[0], Y[0],
-                        alpha, Xq[0], Z[0]))
+            log.append((t, eta, lam, norms[0] > lam, norms[0], problem.gap_many(Y)[0], Gc[0],
+                        Y[0], alpha, Xq[0], Z[0]))
+    gaps = problem.gap_many(Y)
     return gaps, gaps, clipped, Y, steps
 
 
 def _sgd(problem, schedule, steps, x1, noise, log):
-    n = noise.shape[1]
+    n = noise.shape[2]
     _prepare_schedule(schedule, SGD_MODES, "sgd needs a gradient-descent schedule", n)
     if problem.geometry.kind != "euclidean":
         raise ValueError("clipped gradient descent runs on unconstrained l2 geometry")
@@ -269,9 +279,9 @@ def _sgd(problem, schedule, steps, x1, noise, log):
     for t in range(1, steps + 1):
         eta, lam = schedule.pair(t)
         Gt = problem.grad_many(X)
-        metric = np.einsum("ij,ij->i", Gt, Gt)
+        metric = coord_dot(Gt, Gt)
         metric_sum += metric
-        G = Gt + noise[t - 1]
+        G = Gt + noise[t - 1].T
         norms = geom.dual_norm_many(G)
         Gc = clip_batch(G, lam, norms)
         X = X - eta * Gc
@@ -282,7 +292,7 @@ def _sgd(problem, schedule, steps, x1, noise, log):
 
 
 def _vanilla(problem, eta, steps, x1, noise, log):
-    n = noise.shape[1]
+    n = noise.shape[2]
     if problem.geometry.kind != "euclidean":
         raise ValueError("the baseline runs on unconstrained l2 geometry")
     X = _start(problem, x1, n)
@@ -290,9 +300,9 @@ def _vanilla(problem, eta, steps, x1, noise, log):
     active = np.ones(n, dtype=bool)
     for t in range(1, steps + 1):
         Gt = problem.grad_many(X)
-        metric = np.einsum("ij,ij->i", Gt, Gt)
+        metric = coord_dot(Gt, Gt)
         metric_sum += np.where(active, metric, 0.0)
-        G = Gt + noise[t - 1]
+        G = Gt + noise[t - 1].T
         X_new = X - eta * G
         active &= np.all(np.abs(X_new) <= DIVERGENCE_LIMIT, axis=1)  # NaN rows freeze too
         X = np.where(active[:, None], X_new, X)

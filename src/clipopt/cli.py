@@ -15,6 +15,7 @@ the configured output directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from . import harness
-from .algorithms import run_smd
+from .algorithms import run_asmd, run_sgd, run_smd
 from .config import (ConfigError, ExperimentConfig, apply_override, build_noise,
                      build_problem, build_schedule, load_config, validate_config)
 from .noise import Oracle, make_rng
@@ -79,10 +80,15 @@ def cmd_diagnose(args) -> int:
     reports = []
     failed = False
 
+    @functools.cache
+    def table():
+        """The step table of the seed's one recorded run, shared by every check."""
+        run = {"smd": run_smd, "asmd": run_asmd, "sgd": run_sgd}[cfg.algorithm]
+        return run(problem, Oracle(problem, noise_model, seed=cfg.base_seed), schedule,
+                   cfg.horizon, x1).table
+
     if schedule.stateful:
-        # drive the trajectory state so the conditions are defined over the horizon
-        run_smd(problem, Oracle(problem, noise_model, seed=cfg.base_seed), schedule,
-                cfg.horizon, x1, record=False)
+        table()  # drive the trajectory state so the conditions are defined over the horizon
     cond = verify_schedule_conditions(schedule, cfg.horizon)
     for check in cond.checks:
         status = "pass" if check.passed else "FAIL"
@@ -91,14 +97,12 @@ def cmd_diagnose(args) -> int:
     failed |= not cond.ok
 
     if cfg.pathwise:
-        check_fns = {"smd": diag.check_pathwise_smd, "asmd": diag.check_pathwise_asmd,
-                     "sgd": diag.check_pathwise_sgd}
+        check_fns = {"smd": diag.pathwise_smd, "asmd": diag.pathwise_asmd,
+                     "sgd": diag.pathwise_sgd}
         fn = check_fns.get(cfg.algorithm)
         if fn is None:
             raise ConfigError("diagnostics.pathwise", "no pathwise check for this algorithm")
-        schedule = build_schedule(cfg, problem, x1, horizon=cfg.horizon)
-        rep = fn(problem, Oracle(problem, noise_model, seed=cfg.base_seed), schedule,
-                 cfg.horizon, x1)
+        rep = fn(problem, table())
         reports.append(rep)
         print(f"check {rep.name}: {'pass' if rep.passed else 'FAIL'} "
               f"violations={len(rep.violations)} min_margin={rep.min_margin:.3e}")
@@ -116,17 +120,11 @@ def cmd_diagnose(args) -> int:
         failed |= not rep.passed
 
     if cfg.martingale:
-        rng = make_rng(cfg.base_seed + 9_000_000)
-        oracle = Oracle(problem, noise_model, seed=cfg.base_seed)
-        schedule = build_schedule(cfg, problem, x1, horizon=cfg.horizon)
-        if cfg.algorithm == "smd":
-            trace = diag.martingale_trace_smd(problem, oracle, schedule, cfg.horizon,
-                                              x1, cfg.delta, cfg.resamples, rng)
-        elif cfg.algorithm == "sgd":
-            trace = diag.martingale_trace_sgd(problem, oracle, schedule, cfg.horizon,
-                                              x1, cfg.delta, cfg.resamples, rng)
-        else:
+        trace_fn = {"smd": diag.martingale_smd, "sgd": diag.martingale_sgd}.get(cfg.algorithm)
+        if trace_fn is None:
             raise ConfigError("diagnostics.martingale", "trace defined for smd and sgd")
+        trace = trace_fn(problem, noise_model, table(), schedule.constants(), cfg.delta,
+                         cfg.resamples, make_rng(cfg.base_seed + 9_000_000))
         reports.append(trace)
         print(f"check martingale_{trace.algorithm}: crossed={trace.crossed} "
               f"max_sum={np.max(trace.running_sum):.4f} threshold={trace.threshold:.4f} "

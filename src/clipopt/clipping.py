@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import coord_dot
 from .noise import Oracle
 from .shrink import shrink_factors
 
@@ -34,7 +35,7 @@ def clip_batch(G: np.ndarray, level: float, dual_norms: np.ndarray | None = None
     if level <= 0:
         raise ValueError("clipping level must be positive")
     if dual_norms is None:
-        dual_norms = np.sqrt(np.einsum("ij,ij->i", G, G))
+        dual_norms = np.sqrt(coord_dot(G, G))
     return G * shrink_factors(dual_norms, level)[:, None]
 
 

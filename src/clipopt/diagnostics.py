@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algorithms import run_asmd, run_sgd, run_smd
+from .algorithms import StepTable, run_asmd, run_sgd, run_smd
 from .clipping import clip_batch
 from .geometry import row_dots
 from .noise import Oracle
@@ -232,9 +232,13 @@ def check_clipping_error_bounds(oracle: Oracle, x, level: float, samples: int,
 # -- pathwise per-step inequalities -------------------------------------------------
 #
 # The checks and traces below evaluate the analysis' per-step expressions over
-# a recorded run, one array expression per quantity.  Powers go through
-# ``np.float_power``, which calls libm's ``pow`` as Python's float ``**`` does;
-# numpy's ``**`` squares by multiplication, which can differ in the last bit.
+# a recorded run, one array expression per quantity.  Each public check records
+# its own run and hands the run's ``StepTable`` to its core (``pathwise_*``,
+# ``martingale_*``); a caller that already holds the table, such as the
+# ``diagnose`` command, calls the cores directly and records the run once.
+# Powers go through ``np.float_power``, which calls libm's ``pow`` as Python's
+# float ``**`` does; numpy's ``**`` squares by multiplication, which can differ
+# in the last bit.
 
 
 @dataclass
@@ -263,7 +267,11 @@ def check_pathwise_smd(problem: Problem, oracle: Oracle, schedule: Schedule, ste
     realized clipped-gradient error and G the problem's nonsmooth constant.
     Requires ``eta <= 1/(4L)``.
     """
-    tab = run_smd(problem, oracle, schedule, steps, x1).table
+    return pathwise_smd(problem, run_smd(problem, oracle, schedule, steps, x1).table, tol)
+
+
+def pathwise_smd(problem: Problem, tab: StepTable, tol: float = 1e-8) -> PathwiseReport:
+    """``check_pathwise_smd`` over the table of a recorded ``run_smd``."""
     eta = tab.eta
     _step_guard(tab.t, eta > 0.25 / problem.smoothness * (1 + 1e-12), "1/(4L)")
     geom, xstar = problem.geometry, problem.minimizer
@@ -287,7 +295,11 @@ def check_pathwise_asmd(problem: Problem, oracle: Oracle, schedule: Schedule, st
     eta^2 ||theta||_*^2 / (2 (1 - L eta alpha))`` per step; requires
     ``eta <= 1/(2 L alpha)``.
     """
-    tab = run_asmd(problem, oracle, schedule, steps, y1).table
+    return pathwise_asmd(problem, run_asmd(problem, oracle, schedule, steps, y1).table, tol)
+
+
+def pathwise_asmd(problem: Problem, tab: StepTable, tol: float = 1e-8) -> PathwiseReport:
+    """``check_pathwise_asmd`` over the table of a recorded ``run_asmd``."""
     eta, alpha, L = tab.eta, tab.alpha, problem.smoothness
     _step_guard(tab.t, eta * alpha * L > 0.5 * (1 + 1e-12), "1/(2 L alpha)")
     geom, xstar = problem.geometry, problem.minimizer
@@ -310,7 +322,11 @@ def check_pathwise_sgd(problem: Problem, oracle: Oracle, schedule: Schedule, ste
     (L eta^2/2)||theta||^2 + (L eta^2 - eta) <grad f(x), theta>`` per step;
     requires ``eta <= 1/L``.
     """
-    tab = run_sgd(problem, oracle, schedule, steps, x1).table
+    return pathwise_sgd(problem, run_sgd(problem, oracle, schedule, steps, x1).table, tol)
+
+
+def pathwise_sgd(problem: Problem, tab: StepTable, tol: float = 1e-8) -> PathwiseReport:
+    """``check_pathwise_sgd`` over the table of a recorded ``run_sgd``."""
     eta, L = tab.eta, problem.smoothness
     _step_guard(tab.t, eta * L > 1.0 + 1e-12, "1/L")
     g = problem.grad_many(tab.x[:-1])
@@ -404,12 +420,19 @@ def martingale_trace_smd(problem: Problem, oracle: Oracle, schedule: Schedule, s
     ``rng`` (the run's own stream is not perturbed).  A Bregman divergence
     that rounds below zero counts as zero radius.
     """
+    constants = {"Q": schedule.constants()["Q"] if q_const is None else q_const}
+    tab = run_smd(problem, oracle, schedule, steps, x1).table
+    return martingale_smd(problem, oracle.noise, tab, constants, delta, resamples, rng)
+
+
+def martingale_smd(problem: Problem, noise_model, tab: StepTable, constants: dict,
+                   delta: float, resamples: int, rng: np.random.Generator) -> MartingaleTrace:
+    """``martingale_trace_smd`` over the table of a recorded ``run_smd``; reads ``constants["Q"]``."""
     geom = problem.geometry
     xstar = problem.minimizer
-    q_val = schedule.constants()["Q"] if q_const is None else q_const
-    tab = run_smd(problem, oracle, schedule, steps, x1).table
+    q_val = constants["Q"]
     x, eta, lam = tab.x[:-1], tab.eta, tab.lam
-    theta_b, m2, se = _resampled(problem, oracle.noise, x, lam, resamples, rng)
+    theta_b, m2, se = _resampled(problem, noise_model, x, lam, resamples, rng)
     breg = geom.bregman_many(xstar, tab.x)
     runmax = np.maximum.accumulate(np.sqrt(2.0 * np.maximum(breg[:-1], 0.0)))
     el = eta * lam
@@ -434,21 +457,26 @@ def martingale_trace_sgd(problem: Problem, oracle: Oracle, schedule: Schedule, s
     ``Q_t = C1^2 sqrt(A)/(2 L eta_t^2 lambda_t^2)``, which collapse the
     denominator to ``2 C1 max sqrt(gap) + 4 C1^2 sqrt(A)``.  Both multipliers
     must be at least 1, so the trace is defined only for schedules meeting
-    their guarantee conditions.
+    their guarantee conditions (checked at the first and the last step).
     """
-    consts = schedule.constants()
-    c1, a_const = consts["C1"], consts["A"]
+    tab = run_sgd(problem, oracle, schedule, steps, x1).table
+    return martingale_sgd(problem, oracle.noise, tab, schedule.constants(), delta,
+                          resamples, rng)
+
+
+def martingale_sgd(problem: Problem, noise_model, tab: StepTable, constants: dict,
+                   delta: float, resamples: int, rng: np.random.Generator) -> MartingaleTrace:
+    """``martingale_trace_sgd`` over the table of a recorded ``run_sgd``; reads ``C1`` and ``A``."""
+    c1, a_const = constants["C1"], constants["A"]
     L = problem.smoothness
     sqrt_a = math.sqrt(a_const)
-    for t in (1, steps):
-        eta, lam = schedule.pair(t)
+    for eta, lam in zip(tab.eta[[0, -1]].tolist(), tab.lam[[0, -1]].tolist()):
         if c1 / (lam * eta * math.sqrt(2.0 * L)) < 1.0 - 1e-9:
             raise ValueError("trace undefined: P_t < 1 for this schedule")
         if c1 ** 2 * sqrt_a / (2.0 * L * eta ** 2 * lam ** 2) < 1.0 - 1e-9:
             raise ValueError("trace undefined: Q_t < 1 for this schedule")
-    tab = run_sgd(problem, oracle, schedule, steps, x1).table
     x, eta, lam = tab.x[:-1], tab.eta, tab.lam
-    theta_b, m2, se = _resampled(problem, oracle.noise, x, lam, resamples, rng)
+    theta_b, m2, se = _resampled(problem, noise_model, x, lam, resamples, rng)
     gap = problem.gap_many(tab.x)
     runmax = np.maximum.accumulate(np.sqrt(np.maximum(gap[:-1], 0.0)))
     g = problem.grad_many(x)

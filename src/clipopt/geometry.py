@@ -46,6 +46,33 @@ def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (A[..., None, :] @ B[..., :, None])[..., 0, 0]
 
 
+# Sums and dot products over coordinates.  The run loops' (n, dim) arrays are
+# seed-contiguous (Fortran-ordered), where numpy would reduce the last axis
+# with one inner loop per row.  Both helpers return the bits of numpy's own
+# reduction of a C-ordered array, whatever the layout and n: for up to two
+# coordinates numpy adds left to right from +0.0, which column adds repeat
+# with one inner loop over the seeds; for more, numpy's order is pairwise
+# (``np.sum``) or SIMD (``np.einsum``), so the helpers reduce a C-ordered copy.
+
+
+def coord_sum(A: np.ndarray) -> np.ndarray:
+    """``np.sum(A, axis=-1)``, bitwise, for any memory layout of ``A``."""
+    d = A.shape[-1]
+    if d > 2:
+        return np.sum(np.ascontiguousarray(A), axis=-1)
+    total = A[..., 0] + A[..., 1] if d == 2 else A[..., 0].copy()
+    total += 0.0  # numpy's sum starts from +0.0, so a sum of -0.0 terms is +0.0
+    return total
+
+
+def coord_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``np.einsum("...i,...i->...", A, B)``, bitwise, for any memory layout."""
+    if A.shape[-1] > 2:
+        C = np.ascontiguousarray(A)
+        return np.einsum("...i,...i->...", C, C if B is A else np.ascontiguousarray(B))
+    return coord_sum(A * B)
+
+
 @dataclass(frozen=True, eq=False)
 class Geometry:
     """A primal/dual norm pair plus mirror map over a fixed-dimension domain.
@@ -95,7 +122,7 @@ class Geometry:
         """Row-wise dual norms of an (n, dim) array."""
         if self.kind == SIMPLEX:
             return np.max(np.abs(V), axis=-1)
-        return np.sqrt(np.einsum("...i,...i->...", V, V))
+        return np.sqrt(coord_dot(V, V))
 
     # -- mirror map ---------------------------------------------------------
 
@@ -138,7 +165,7 @@ class Geometry:
             pos = X > 0
             Xp, Yp = np.where(pos, X, 1.0), np.where(pos, Y, 1.0)
             terms = np.where(pos, Xp * (np.log(Xp) - np.log(Yp)), 0.0)
-            return np.sum(terms, axis=-1) + np.sum(Y, axis=-1) - np.sum(X, axis=-1)
+            return coord_sum(terms) + coord_sum(Y) - coord_sum(X)
         D = X - Y
         return 0.5 * row_dots(D, D)
 
@@ -159,12 +186,12 @@ class Geometry:
             return X - eta * G
         if self.kind == BALL:
             V = X - eta * G - self.center
-            n = np.sqrt(np.einsum("ij,ij->i", V, V))
+            n = np.sqrt(coord_dot(V, V))
             return self.center + V * shrink_factors(n, self.radius)[:, None]
         logits = np.log(X) - eta * G
         logits -= np.max(logits, axis=1, keepdims=True)
         W = np.exp(logits)
-        return W / np.sum(W, axis=1, keepdims=True)
+        return W / coord_sum(W)[:, None]
 
     def step_optimality_gap(self, x, g, eta: float, x_next, u) -> float:
         """First-order optimality residual ``<eta*g + grad_psi(x+) - grad_psi(x), u - x+>``.

@@ -122,13 +122,23 @@ def _batch(cfg: ExperimentConfig, problem, x1, noise_model, horizon: int,
     return runner(problem, noise_model, schedule, horizon, x1, seeds)
 
 
+def _seed_chunks(seeds: np.ndarray, horizon: int, dim: int) -> list[np.ndarray]:
+    """``ceil(n * horizon * dim / _CHUNK_BUDGET)`` chunks, at most one per seed.
+
+    Their sizes differ by at most one seed, so each noise block is within one
+    seed's block of the budget, and no chunk is left with a small remainder.
+    """
+    n = len(seeds)
+    sections = -(-n * horizon * dim // _CHUNK_BUDGET)  # ceil
+    return np.array_split(seeds, min(n, sections))
+
+
 def _run_all_seeds(cfg: ExperimentConfig, problem, x1, noise_model,
                    horizon: int) -> algos.BatchResult:
     """All seeds, chunked for memory; a seed's row does not depend on the chunk size."""
     seeds = _seed_list(cfg)
-    chunk = max(1, min(cfg.n_seeds, _CHUNK_BUDGET // max(1, horizon * problem.dim)))
-    parts = [seeds[i:i + chunk] for i in range(0, len(seeds), chunk)]
-    results = [_batch(cfg, problem, x1, noise_model, horizon, part) for part in parts]
+    results = [_batch(cfg, problem, x1, noise_model, horizon, part)
+               for part in _seed_chunks(seeds, horizon, problem.dim)]
     return algos.BatchResult(
         algorithm=results[0].algorithm,
         seeds=np.concatenate([r.seeds for r in results]),

@@ -17,7 +17,8 @@ indicator), one integer (coordinate), one uniform (sign); per radial draw,
 Pareto radius).  Batched draws consume the same fields in column-major
 blocks and are the stream used by the run loops; ``sample_batch`` can write
 its draw into a caller's array (``out``), which the lockstep runners use to
-fill one seed's column of their time-major noise block in place.
+fill one seed's strided slice ``noise[:, :, k]`` of their time-major
+(steps, dim, n_seeds) noise block in place.
 """
 
 from __future__ import annotations
@@ -194,8 +195,9 @@ class Oracle:
     sequence of a run in one batched draw, which the run loops use so that a
     single-run trajectory and a vectorized multi-seed sweep see identical
     noise for identical seeds.  The lockstep runners pass ``out``, one seed's
-    (steps, dim) column of their zero-filled (steps, n_seeds, dim) block, so
-    the draw lands in place with the same values and the same stream use.
+    (steps, dim) slice ``noise[:, :, k]`` of their zero-filled
+    (steps, dim, n_seeds) block, so the draw lands in place with the same
+    values and the same stream use.
     """
 
     def __init__(self, problem: Problem, noise, seed: int = 0):

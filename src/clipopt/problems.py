@@ -73,7 +73,7 @@ def make_quadratic(diag, shift=None) -> Problem:
 
     def value_many(X):
         R = X - shift
-        return 0.5 * np.sum(diag * R * R, axis=1)
+        return 0.5 * geo.coord_sum(diag * R * R)
 
     def grad_many(X):
         return diag * (X - shift)
@@ -108,7 +108,7 @@ def make_simplex_quadratic(target) -> Problem:
 
     def value_many(X):
         R = X - target
-        return 0.5 * np.einsum("ij,ij->i", R, R)
+        return 0.5 * geo.coord_dot(R, R)
 
     def grad_many(X):
         return X - target
@@ -139,7 +139,7 @@ def make_nonconvex_ratio(d: int) -> Problem:
 
     def value_many(X):
         S = X * X
-        return np.sum(S / (1.0 + S), axis=1)
+        return geo.coord_sum(S / (1.0 + S))
 
     def grad_many(X):
         return 2.0 * X / (1.0 + X * X) ** 2
@@ -172,11 +172,11 @@ def make_quadratic_plus_norm(d: int, coef: float) -> Problem:
         raise ValueError("nonsmooth coefficient must be >= 0")
 
     def value_many(X):
-        sq = np.einsum("ij,ij->i", X, X)
+        sq = geo.coord_dot(X, X)
         return 0.5 * sq + coef * np.sqrt(sq)
 
     def grad_many(X):
-        n = np.sqrt(np.einsum("ij,ij->i", X, X))
+        n = np.sqrt(geo.coord_dot(X, X))
         scale = np.where(n > 0, 1.0 + coef / np.maximum(n, 1e-300), 1.0)
         return X * scale[:, None]
 

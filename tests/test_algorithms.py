@@ -261,20 +261,24 @@ START = {
     "ball": (dataclasses.replace(quad(diag=(1.0, 2.0)), geometry=geometry.ball(2, radius=1.5)),
              np.array([0.5, 0.5])),
     "simplex": (problems.make_simplex_quadratic([0.2, 0.3, 0.5]), np.ones(3) / 3),
+    # past two coordinates the loops' reductions take their C-ordered-copy branch
+    "euclidean3": (problems.make_quadratic([1.0, 2.0, 0.5], [0.5, 0.0, -1.0]),
+                   np.array([1.0, -0.5, 2.0])),
+    "simplex9": (problems.make_simplex_quadratic(np.arange(1, 10) / 45.0), np.ones(9) / 9),
 }
 
 
 @given(algorithm=st.sampled_from(["smd", "asmd", "sgd", "vanilla-sgd"]),
        geom=st.sampled_from(list(START)), radial=st.booleans(), anytime=st.booleans(),
        lambda_scale=st.sampled_from([1.0, 0.05]), steps=st.integers(1, 64),
-       seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=4))
+       seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=8))
 @settings(max_examples=30, deadline=None)
 def test_batch_equals_single_runs_property(algorithm, geom, radial, anytime, lambda_scale,
                                            steps, seeds):
-    if algorithm in ("sgd", "vanilla-sgd"):
+    if algorithm in ("sgd", "vanilla-sgd") and not geom.startswith("euclidean"):
         geom = "euclidean"  # gradient descent runs on unconstrained l2 space only
     prob, x1 = START[geom]
-    if radial and geom != "simplex":  # radial noise is calibrated for l2 geometries
+    if radial and not geom.startswith("simplex"):  # radial noise is calibrated for l2 geometries
         model = RadialParetoNoise(p=1.5, sigma=1.0, tail_index=1.8)
     else:
         model = TwoPointNoise(p=1.5, sigma=1.0, q=0.3)
@@ -355,3 +359,24 @@ def test_batch_peak_memory_is_one_noise_block():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * block, peak / block
+
+
+@pytest.mark.parametrize("loop, start, param", [
+    (algos._smd, "euclidean", "smd_known_t"), (algos._smd, "ball", "smd_known_t"),
+    (algos._smd, "simplex9", "smd_known_t"), (algos._asmd, "euclidean", "asmd_known_t"),
+    (algos._asmd, "simplex9", "asmd_known_t"), (algos._sgd, "euclidean3", "sgd_known_t"),
+    (algos._vanilla, "euclidean", 0.1),
+])
+def test_batch_state_stays_seed_contiguous(loop, start, param):
+    """Each loop hands back a Fortran-ordered state: its numpy ops run one loop over the seeds."""
+    prob, x1 = START[start]
+    steps, n = 16, 5
+    if isinstance(param, str):
+        param = schedules.make_schedule(param, smd_inputs(prob, x1, sigma=1.0, horizon=steps))
+    model = TwoPointNoise(p=1.5, sigma=1.0, q=0.3)
+    noise = np.zeros((steps, prob.dim, n))
+    for k in range(n):
+        Oracle(prob, model, seed=k).noise_matrix(steps, out=noise[:, :, k])
+    X = loop(prob, param, steps, x1, noise, None)[3]
+    assert X.shape == (n, prob.dim)
+    assert X.flags.f_contiguous and not X.flags.c_contiguous

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from clipopt import cli
+from clipopt import algorithms, cli
 from clipopt.config import (ConfigError, apply_override, dumps_config, load_config,
                             parse_config)
 
@@ -259,6 +259,24 @@ def test_cmd_diagnose_demo_report_values(tmp_path, capsys, algorithm):
         assert r["max_margin"] == pytest.approx(margin, rel=1e-12, abs=1e-15)
         assert r["stderr"] == (None if stderr is None else pytest.approx(stderr, rel=1e-12))
     assert f"check martingale_{algorithm}: crossed=False" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("overrides", [[], ["schedule.mode=smd_param_free"], SGD_VARIANT])
+def test_cmd_diagnose_records_one_run(tmp_path, monkeypatch, overrides):
+    """The schedule's state, the pathwise check and the martingale trace share one run."""
+    calls = []
+    single = algorithms._single
+
+    def counting(algorithm, *args):
+        calls.append(algorithm)
+        return single(algorithm, *args)
+
+    monkeypatch.setattr(algorithms, "_single", counting)
+    args = ["diagnose", "--config", str(DEMO_CONFIGS / "diagnose_smd.cfg"), "--out", str(tmp_path)]
+    for assignment in overrides:
+        args += ["--set", assignment]
+    assert cli.main(args) == 0
+    assert calls == ["sgd" if overrides == SGD_VARIANT else "smd"]
 
 
 @pytest.mark.parametrize("lambda_scale, warned", [("1", False), ("0.01", True)])

@@ -183,3 +183,27 @@ def test_shrink_factor_is_the_clip_and_the_ball_projection():
     G = np.array([[3.0, 4.0], [0.1, 0.0], [-1.0, np.nan]])
     np.testing.assert_array_equal(b.mirror_step_many(X, G, 0.5) - b.center,
                                   clip_batch(X - 0.5 * G - b.center, level))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 9, 32])
+@pytest.mark.parametrize("n", [1, 2, 1000])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_coordinate_reductions_match_numpy_bitwise(d, n, order):
+    """The loops' sum and dot over coordinates give numpy's bits in either layout."""
+    rng = np.random.default_rng(1000 * d + n)
+
+    def wide():  # signs, zeros of both signs and exponents across 2^-60..2^60
+        A = rng.standard_normal((n, d)) * np.exp2(rng.integers(-60, 61, size=(n, d)))
+        A[rng.random((n, d)) < 0.1] = 0.0
+        A[rng.random((n, d)) < 0.1] = -0.0
+        return np.asarray(A, order=order)
+
+    A, B = wide(), wide()
+    assert A.flags.f_contiguous == (order == "F" or n == 1 or d == 1)
+    for got, ref in ((geo.coord_sum(A), np.sum(np.ascontiguousarray(A), axis=-1)),
+                     (geo.coord_dot(A, B), np.einsum("ij,ij->i", np.ascontiguousarray(A),
+                                                     np.ascontiguousarray(B))),
+                     (geo.coord_dot(A, A), np.einsum("ij,ij->i", np.ascontiguousarray(A),
+                                                     np.ascontiguousarray(A)))):
+        assert got.shape == (n,)
+        np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))

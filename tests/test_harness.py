@@ -81,6 +81,16 @@ def test_run_trials_independent_of_chunking(monkeypatch):
     np.testing.assert_array_equal(full.metrics, chunked.metrics)
 
 
+def test_seed_chunks_are_balanced():
+    # the perfbench asmd sweep: n*T*d = 32.8M over the 30M budget gives two halves
+    chunks = harness._seed_chunks(np.arange(500), 2048, 32)
+    assert [len(c) for c in chunks] == [250, 250]
+    np.testing.assert_array_equal(np.concatenate(chunks), np.arange(500))
+    assert [len(c) for c in harness._seed_chunks(np.arange(7), 100, 2)] == [7]
+    # a seed whose own block exceeds the budget still runs, alone
+    assert [len(c) for c in harness._seed_chunks(np.arange(3), 10 ** 8, 1)] == [1, 1, 1]
+
+
 def test_run_trials_writes_stable_csv(tmp_path):
     c = cfg(n_seeds=31, out_dir=str(tmp_path))
     harness.run_trials(c)

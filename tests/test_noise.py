@@ -170,15 +170,15 @@ def test_moment_check_requires_enough_samples():
 @pytest.mark.parametrize("model", [nz.TwoPointNoise(p=1.5, sigma=1.0, q=0.3),
                                    nz.RadialParetoNoise(p=1.5, sigma=1.0, tail_index=1.75)])
 def test_sample_batch_into_strided_view(model, d):
-    """A draw written into one seed's column of a time-major block equals a fresh draw."""
+    """A draw written into one seed's slice of a (steps, d, n) block equals a fresh draw."""
     steps, n, k = 257, 3, 1
-    block = np.zeros((steps, n, d))
-    view = block[:, k, :]
+    block = np.zeros((steps, d, n))
+    view = block[:, :, k]
     rng_out, rng_fresh = nz.make_rng(11), nz.make_rng(11)
     result = model.sample_batch(d, steps, rng_out, out=view)
     fresh = model.sample_batch(d, steps, rng_fresh)
     assert result is view
     np.testing.assert_array_equal(view, fresh)
     np.testing.assert_equal(rng_out.bit_generator.state, rng_fresh.bit_generator.state)
-    assert not np.any(np.delete(block, k, axis=1))  # the other columns are untouched
+    assert not np.any(np.delete(block, k, axis=2))  # the other seeds' slices are untouched
 
