@@ -12,8 +12,9 @@ next to each other and every elementwise op, per-coordinate constant and
 per-row factor runs as one inner loop over the seeds instead of one per
 row.  Reductions over coordinates go through ``geometry.coord_sum`` and
 ``geometry.coord_dot``, whose bits do not depend on the layout.  The noise
-is presampled into one time-major (steps, d, n) block: seed k's noise
-sequence is drawn in place into ``noise[:, :, k]`` from its own stream, and
+is presampled into one time-major (steps, d, n) block, an anonymous
+mapping of its own (``_zero_block``): seed k's noise sequence is drawn
+in place into ``noise[:, :, k]`` from its own stream, and
 step t reads the contiguous slab ``noise[t - 1]`` as the (n, d) view
 ``noise[t - 1].T``.  ``run_*_batch`` advances many seeds in lockstep (used
 by the experiment harness); ``run_*`` is the one-row case, a (steps, d, 1)
@@ -27,13 +28,14 @@ warnings that such a row raises on the way are silenced.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
 
 from .clipping import clip_batch
 from .geometry import coord_dot
-from .noise import Oracle
+from .noise import Oracle, check_noise_geometry, make_rng
 from .problems import Problem
 from .schedules import ASMD_MODES, SGD_MODES, SMD_MODES, Schedule
 
@@ -183,12 +185,35 @@ def _table(log, x1) -> StepTable:
 def _batch(algorithm, loop, problem, noise_model, param, steps, x1, seeds) -> BatchResult:
     """One zero-filled (steps, dim, n_seeds) block; seed k's noise is drawn into ``[:, :, k]``."""
     seeds = np.asarray(list(seeds), dtype=int)
-    noise = np.zeros((steps, problem.dim, seeds.size))
+    check_noise_geometry(problem, noise_model)
+    noise = _zero_block((steps, problem.dim, seeds.size))
     for k, seed in enumerate(seeds):
-        Oracle(problem, noise_model, seed=int(seed)).noise_matrix(steps, out=noise[:, :, k])
+        noise_model.sample_batch(problem.dim, steps, make_rng(int(seed)), out=noise[:, :, k])
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are flagged diverged
         out = loop(problem, param, steps, x1, noise, None)
     return _result(algorithm, seeds, steps, *out[:4])
+
+
+def _zero_block(shape) -> np.ndarray:
+    """A zero-filled float block on fresh pages of its own, unmapped when the array goes.
+
+    ``np.zeros`` puts a block below malloc's mmap threshold (which glibc raises
+    to the size of the last block freed, up to 32 MiB) on the heap.  Whether it
+    then reuses the resident pages of the previous batch's block or grows the
+    heap depends on what small allocations landed in between, so the peak
+    resident size of a run of batches could differ by a whole block from one
+    process to the next.  A private anonymous mapping holds only the block and
+    goes back to the system with it; like numpy for its own large blocks, it
+    asks for huge pages where the platform has them, without which the page
+    faults of a large block cost about twice as much.
+    """
+    nbytes = 8 * int(np.prod(shape))
+    if nbytes == 0:
+        return np.zeros(shape)
+    pages = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        pages.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(pages, dtype=float).reshape(shape)
 
 
 def _result(algorithm, seeds, steps, summary, final_gap, clipped, X) -> BatchResult:

@@ -14,6 +14,7 @@ iteration).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,56 @@ def clip_batch(G: np.ndarray, level: float, dual_norms: np.ndarray | None = None
     if dual_norms is None:
         dual_norms = np.sqrt(coord_dot(G, G))
     return G * shrink_factors(dual_norms, level)[:, None]
+
+
+# Points per chunk of the resampling kernel: a chunk's (points, resamples, d)
+# block holds about this many doubles, so its temporaries stay in cache.
+_RESAMPLE_BLOCK = 1 << 15
+
+# Per-point (P, d) or (P,) summaries of clipped resamples; ``u`` is a draw minus
+# ``cond_mean``, ``u_over`` counts ``||u||_* > 2 level`` (ruled out by clipping up
+# to roundoff), ``var`` and ``u_sq_sd`` use ddof=1, ``stderr`` is cond_mean's l2 s.e.
+Resampled = namedtuple("Resampled", "grad cond_mean var stderr u_sq_mean u_sq_sd u_max u_over")
+
+
+def resample_clipped(problem, noise_model, X, levels, resamples: int,
+                     rng: np.random.Generator) -> Resampled:
+    """Clip ``resamples`` fresh draws at each row of ``X`` with that row's level.
+
+    Row k's draws are the k-th of successive ``noise_model.sample_batch(d,
+    resamples, rng)`` calls, and its numbers are bitwise numpy's ``mean``,
+    ``var`` and ``std`` over its own draws.  Rows go in chunks of about
+    ``_RESAMPLE_BLOCK`` doubles, each clipped and reduced as one block.
+    """
+    grad = problem.grad_many(np.asarray(X, dtype=float))
+    points, d = grad.shape
+    levels = np.broadcast_to(np.asarray(levels, dtype=float), (points,))
+    if np.any(levels <= 0):
+        raise ValueError("clipping level must be positive")
+    geom = problem.geometry
+    step = max(1, _RESAMPLE_BLOCK // (resamples * d))
+    chunks = []
+    for lo in range(0, points, step):
+        n = min(step, points - lo)
+        # resample-major: a sum over resamples adds (n, d) slabs in numpy's per-point order
+        block = np.zeros((resamples, n, d))
+        noise_model.sample_block(d, n, resamples, rng, out=block.transpose(1, 0, 2))
+        block += grad[lo:lo + n]
+        rows = block.reshape(-1, d)
+        level = np.tile(levels[lo:lo + n], resamples)
+        rows *= shrink_factors(geom.dual_norm_many(rows), level)[:, None]
+        mean = block.mean(axis=0)
+        u = block - mean
+        var = np.add.reduce(u * u, axis=0) / (resamples - 1)  # numpy's var(ddof=1)
+        norms = geom.dual_norm_many(u.reshape(-1, d))
+        over = np.count_nonzero((norms > 2.0 * level * (1 + 1e-12)).reshape(resamples, n), axis=0)
+        norms = np.ascontiguousarray(norms.reshape(resamples, n).T)  # pairwise sums per point
+        u_sq = norms ** 2
+        chunks.append((mean, var, u_sq.mean(axis=1), u_sq.std(axis=1, ddof=1),
+                       norms.max(axis=1), over))
+    mean, var, u_sq_mean, u_sq_sd, u_max, over = map(np.concatenate, zip(*chunks))
+    return Resampled(grad, mean, var, np.sqrt(np.sum(var, axis=1) / resamples),
+                     u_sq_mean, u_sq_sd, u_max, over)
 
 
 @dataclass(frozen=True)
@@ -66,21 +117,11 @@ def estimate_theta(oracle: Oracle, x, level: float, samples: int, rng: np.random
     """
     if samples < 100:
         raise ValueError("need at least 100 resamples for a stable conditional mean")
-    x = np.asarray(x, dtype=float)
-    geom = oracle.problem.geometry
-    g_true = oracle.problem.grad(x)
-    primary = clip(oracle.grad(x), level, geom.dual_norm)
-
-    aux_noise = oracle.noise.sample_batch(oracle.problem.dim, samples, rng)
-    aux_clipped = clip_batch(g_true + aux_noise, level, geom.dual_norm_many(g_true + aux_noise))
-    cond_mean = aux_clipped.mean(axis=0)
-    per_coord_var = aux_clipped.var(axis=0, ddof=1)
-    stderr = float(np.sqrt(np.sum(per_coord_var) / samples))
-
-    theta = primary - g_true
-    theta_b = cond_mean - g_true
+    aux = resample_clipped(oracle.problem, oracle.noise, [x], level, samples, rng)
+    g_true, theta_b = aux.grad[0], aux.cond_mean[0] - aux.grad[0]
+    theta = clip(oracle.grad(x), level, oracle.problem.geometry.dual_norm) - g_true
     return ThetaEstimate(theta=theta, theta_u=theta - theta_b, theta_b=theta_b,
-                         samples=samples, stderr=stderr)
+                         samples=samples, stderr=float(aux.stderr[0]))
 
 
 def geometric_median(points: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> np.ndarray:

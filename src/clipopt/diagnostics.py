@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algorithms import StepTable, run_asmd, run_sgd, run_smd
-from .clipping import clip_batch
+from .clipping import resample_clipped
 from .geometry import row_dots
 from .noise import Oracle
 from .problems import Problem
@@ -195,37 +195,16 @@ def check_clipping_error_bounds(oracle: Oracle, x, level: float, samples: int,
     """
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples for the error-bound check")
-    x = np.asarray(x, dtype=float)
-    problem = oracle.problem
-    geom = problem.geometry
-    p, sigma = oracle.noise.p, oracle.noise.sigma
-    g_true = problem.grad(x)
-    xi = oracle.noise.sample_batch(problem.dim, samples, rng)
-    raw = g_true + xi
-    clipped = clip_batch(raw, level, geom.dual_norm_many(raw))
-    cond_mean = clipped.mean(axis=0)
-
-    theta_u = clipped - cond_mean
-    u_norms = geom.dual_norm_many(theta_u)
-    u_violations = int(np.sum(u_norms > 2.0 * level * (1 + 1e-12)))
-
-    theta_b = cond_mean - g_true
-    bias_norm = geom.dual_norm(theta_b)
-    per_coord_var = clipped.var(axis=0, ddof=1)
-    bias_stderr = float(np.sqrt(np.sum(per_coord_var) / samples))
-
-    u_sq = u_norms ** 2
-    second = float(u_sq.mean())
-    second_stderr = float(u_sq.std(ddof=1) / math.sqrt(samples))
-
-    applicable = geom.dual_norm(g_true) <= level / 2.0
+    geom, p, sigma = oracle.problem.geometry, oracle.noise.p, oracle.noise.sigma
+    res = resample_clipped(oracle.problem, oracle.noise, [x], level, samples, rng)
     return ClipErrorReport(
-        samples=samples, level=level, u_violations=u_violations,
-        u_max_norm=float(u_norms.max()), applicable=applicable,
-        bias_norm=float(bias_norm), bias_bound=4.0 * sigma ** p * level ** (1.0 - p),
-        bias_stderr=bias_stderr, second_moment=second,
+        samples=samples, level=level, u_violations=int(res.u_over[0]),
+        u_max_norm=float(res.u_max[0]), applicable=geom.dual_norm(res.grad[0]) <= level / 2.0,
+        bias_norm=geom.dual_norm(res.cond_mean[0] - res.grad[0]),
+        bias_bound=4.0 * sigma ** p * level ** (1.0 - p), bias_stderr=float(res.stderr[0]),
+        second_moment=float(res.u_sq_mean[0]),
         second_moment_bound=40.0 * sigma ** p * level ** (2.0 - p),
-        second_moment_stderr=second_stderr,
+        second_moment_stderr=float(res.u_sq_sd[0] / math.sqrt(samples)),
     )
 
 
@@ -235,7 +214,9 @@ def check_clipping_error_bounds(oracle: Oracle, x, level: float, samples: int,
 # a recorded run, one array expression per quantity.  Each public check records
 # its own run and hands the run's ``StepTable`` to its core (``pathwise_*``,
 # ``martingale_*``); a caller that already holds the table, such as the
-# ``diagnose`` command, calls the cores directly and records the run once.
+# ``diagnose`` command, calls the cores directly and records the run once.  The
+# traces' conditional moments come from one ``clipping.resample_clipped`` call
+# over all steps, each step's resamples drawn from ``rng`` in step order.
 # Powers go through ``np.float_power``, which calls libm's ``pow`` as Python's
 # float ``**`` does; numpy's ``**`` squares by multiplication, which can differ
 # in the last bit.
@@ -383,31 +364,6 @@ class MartingaleTrace:
                 "stderr": float(np.mean(self.stderr))}
 
 
-def _conditional_estimates(problem, noise_model, x, level, resamples, rng):
-    """Resampled conditional mean and second moment of the clipped error at x."""
-    geom = problem.geometry
-    g_true = problem.grad(x)
-    xi = noise_model.sample_batch(problem.dim, resamples, rng)
-    raw = g_true + xi
-    clipped = clip_batch(raw, level, geom.dual_norm_many(raw))
-    cond_mean = clipped.mean(axis=0)
-    theta_b = cond_mean - g_true
-    u_sq = geom.dual_norm_many(clipped - cond_mean) ** 2
-    stderr = float(np.sqrt(np.sum(clipped.var(axis=0, ddof=1)) / resamples))
-    return theta_b, float(u_sq.mean()), stderr
-
-
-def _resampled(problem, noise_model, X, lam, resamples, rng):
-    """Conditional estimates at every query point, drawn from ``rng`` in step order.
-
-    Returns the bias rows theta_b (steps, d) and the second moments and
-    standard errors (steps,).
-    """
-    theta_b, m2, se = zip(*(_conditional_estimates(problem, noise_model, x, level, resamples, rng)
-                            for x, level in zip(X, lam)))
-    return np.array(theta_b), np.array(m2), np.array(se)
-
-
 def martingale_trace_smd(problem: Problem, oracle: Oracle, schedule: Schedule, steps: int,
                          x1, delta: float, resamples: int, rng: np.random.Generator,
                          q_const: float | None = None) -> MartingaleTrace:
@@ -432,7 +388,8 @@ def martingale_smd(problem: Problem, noise_model, tab: StepTable, constants: dic
     xstar = problem.minimizer
     q_val = constants["Q"]
     x, eta, lam = tab.x[:-1], tab.eta, tab.lam
-    theta_b, m2, se = _resampled(problem, noise_model, x, lam, resamples, rng)
+    res = resample_clipped(problem, noise_model, x, lam, resamples, rng)
+    theta_b, m2, se = res.cond_mean - res.grad, res.u_sq_mean, res.stderr
     breg = geom.bregman_many(xstar, tab.x)
     runmax = np.maximum.accumulate(np.sqrt(2.0 * np.maximum(breg[:-1], 0.0)))
     el = eta * lam
@@ -476,10 +433,10 @@ def martingale_sgd(problem: Problem, noise_model, tab: StepTable, constants: dic
         if c1 ** 2 * sqrt_a / (2.0 * L * eta ** 2 * lam ** 2) < 1.0 - 1e-9:
             raise ValueError("trace undefined: Q_t < 1 for this schedule")
     x, eta, lam = tab.x[:-1], tab.eta, tab.lam
-    theta_b, m2, se = _resampled(problem, noise_model, x, lam, resamples, rng)
+    res = resample_clipped(problem, noise_model, x, lam, resamples, rng)
+    g, theta_b, m2, se = res.grad, res.cond_mean - res.grad, res.u_sq_mean, res.stderr
     gap = problem.gap_many(tab.x)
     runmax = np.maximum.accumulate(np.sqrt(np.maximum(gap[:-1], 0.0)))
-    g = problem.grad_many(x)
     bias_sq = row_dots(theta_b, theta_b)
     z = 1.0 / (2.0 * c1 * runmax + 4.0 * c1 ** 2 * sqrt_a)
     z2, eta2 = np.float_power(z, 2), np.float_power(eta, 2)

@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from . import algorithms as algos
 from .config import (ConfigError, ExperimentConfig, build_noise, build_problem,
@@ -221,8 +220,14 @@ def fit_power_law(horizons, values) -> tuple[float, float, float]:
     values = np.asarray(values, dtype=float)
     if np.any(values <= 0):
         raise ValueError("nonpositive metric: log-log fit undefined")
-    res = stats.linregress(np.log(horizons), np.log(values))
-    return float(res.slope), float(res.intercept), float(res.rvalue ** 2)
+    x, y = np.log(horizons), np.log(values)
+    if np.amax(x) == np.amin(x):
+        raise ValueError("all horizons identical: log-log fit undefined")
+    # scipy's linregress arithmetic: the biased covariance, r clipped to [-1, 1]
+    s_xx, s_xy, _, s_yy = np.cov(x, y, bias=1).flat
+    r = 0.0 if s_xx == 0.0 or s_yy == 0.0 else min(max(s_xy / np.sqrt(s_xx * s_yy), -1.0), 1.0)
+    slope = s_xy / s_xx
+    return float(slope), float(np.mean(y) - slope * np.mean(x)), float(r ** 2)
 
 
 def fit_rate(cfg: ExperimentConfig) -> RateFit:

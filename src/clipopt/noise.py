@@ -18,7 +18,14 @@ Pareto radius).  Batched draws consume the same fields in column-major
 blocks and are the stream used by the run loops; ``sample_batch`` can write
 its draw into a caller's array (``out``), which the lockstep runners use to
 fill one seed's strided slice ``noise[:, :, k]`` of their time-major
-(steps, dim, n_seeds) noise block in place.
+(steps, dim, n_seeds) noise block in place, from the seed's own generator.
+
+Block draws: ``sample_block(d, points, n, rng)`` is the stream of ``points``
+successive ``sample_batch(d, n, rng)`` calls.  It makes the same generator
+calls in the same order, point by point, and only then scatters the spikes
+(two-point) or normalizes and scales (radial) the whole (points, n, d)
+block; ``sample_batch`` is its one-point case.  The diagnostics draw the
+resamples of many steps this way, with the stream of a per-step loop.
 """
 
 from __future__ import annotations
@@ -76,14 +83,28 @@ class TwoPointNoise:
     def sample_batch(self, d: int, n: int, rng: np.random.Generator,
                      out: np.ndarray | None = None) -> np.ndarray:
         """``n`` draws as an (n, d) array; only the spikes are written into ``out``,
-        which must therefore hold zeros."""
-        u = rng.random(n)
-        idx = rng.integers(0, d, size=n)
-        s = rng.random(n)
+        which must therefore hold zeros.  The one-point case of ``sample_block``."""
+        return _one_point(self, d, n, rng, out)
+
+    def sample_block(self, d: int, points: int, n: int, rng: np.random.Generator,
+                     out: np.ndarray | None = None) -> np.ndarray:
+        """``points`` successive ``sample_batch(d, n, rng)`` draws as a (points, n, d) block.
+
+        Each point's three fields are drawn in turn, so the stream is that of
+        the successive calls; the spikes of the whole block are then written
+        with one scatter into ``out``, which must hold zeros.
+        """
+        U, S = np.empty((points, n)), np.empty((points, n))
+        idx = np.empty((points, n), dtype=np.int64)
+        for k in range(points):
+            rng.random(out=U[k])
+            idx[k] = rng.integers(0, d, size=n)
+            rng.random(out=S[k])
         if out is None:
-            out = np.zeros((n, d))
-        hit = u < self.q
-        out[np.nonzero(hit)[0], idx[hit]] = np.where(s[hit] < 0.5, self.spike, -self.spike)
+            out = np.zeros((points, n, d))
+        hits = np.flatnonzero(U < self.q)
+        k, i = np.divmod(hits, n)
+        out[k, i, idx.ravel()[hits]] = np.where(S.ravel()[hits] < 0.5, self.spike, -self.spike)
         return out
 
 
@@ -122,12 +143,34 @@ class RadialParetoNoise:
 
     def sample_batch(self, d: int, n: int, rng: np.random.Generator,
                      out: np.ndarray | None = None) -> np.ndarray:
-        """``n`` draws as an (n, d) array, written into ``out`` when it is given."""
-        Z = rng.standard_normal((n, d))
-        Z /= np.sqrt(np.einsum("ij,ij->i", Z, Z))[:, None]
-        u = rng.random(n)
-        r = self.scale * u ** (-1.0 / self.tail_index)
-        return np.multiply(Z, r[:, None], out=out)
+        """``n`` draws as an (n, d) array, written into ``out`` when it is given.
+        The one-point case of ``sample_block``."""
+        return _one_point(self, d, n, rng, out)
+
+    def sample_block(self, d: int, points: int, n: int, rng: np.random.Generator,
+                     out: np.ndarray | None = None) -> np.ndarray:
+        """``points`` successive ``sample_batch(d, n, rng)`` draws as a (points, n, d) block.
+
+        Each point's normals and uniforms are drawn in turn, so the stream is
+        that of the successive calls; the whole block is then normalized and
+        scaled at once.
+        """
+        Z, U = np.empty((points, n, d)), np.empty((points, n))
+        for k in range(points):
+            rng.standard_normal(out=Z[k])
+            rng.random(out=U[k])
+        rows = Z.reshape(points * n, d)
+        rows /= np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
+        r = self.scale * U ** (-1.0 / self.tail_index)
+        return np.multiply(Z, r[:, :, None], out=out)
+
+
+def _one_point(model, d: int, n: int, rng: np.random.Generator, out) -> np.ndarray:
+    """``sample_batch`` through ``sample_block``: ``out`` (any strided (n, d) view) is returned."""
+    if out is None:
+        return model.sample_block(d, 1, n, rng)[0]
+    model.sample_block(d, 1, n, rng, out=out[None])
+    return out
 
 
 def make_noise(kind: str, p: float, sigma: float, *, q: float = 0.1, tail_index: float = 1.75):
@@ -187,22 +230,25 @@ def moment_check(model, d: int, n: int, rng: np.random.Generator, blocks: int = 
     return float(est), float(spread)
 
 
+def check_noise_geometry(problem: Problem, noise) -> None:
+    """Reject a noise model that is not calibrated for the problem's geometry."""
+    if isinstance(noise, RadialParetoNoise) and problem.geometry.kind == "simplex":
+        raise ValueError("radial noise is calibrated for l2 geometries only")
+
+
 class Oracle:
     """Stochastic first-order oracle: exact gradient plus fresh additive noise.
 
     Carries its own mutable generator; use one instance per run (distinct
     seeds may run concurrently).  ``noise_matrix`` presamples the full noise
-    sequence of a run in one batched draw, which the run loops use so that a
-    single-run trajectory and a vectorized multi-seed sweep see identical
-    noise for identical seeds.  The lockstep runners pass ``out``, one seed's
-    (steps, dim) slice ``noise[:, :, k]`` of their zero-filled
-    (steps, dim, n_seeds) block, so the draw lands in place with the same
-    values and the same stream use.
+    sequence of a run in one batched draw, which the single-run loops use.
+    The lockstep runners make the same ``sample_batch`` draw from
+    ``make_rng(seed)`` for each seed, so a single-run trajectory and a
+    vectorized multi-seed sweep see identical noise for identical seeds.
     """
 
     def __init__(self, problem: Problem, noise, seed: int = 0):
-        if isinstance(noise, RadialParetoNoise) and problem.geometry.kind == "simplex":
-            raise ValueError("radial noise is calibrated for l2 geometries only")
+        check_noise_geometry(problem, noise)
         self.problem = problem
         self.noise = noise
         self.seed = seed

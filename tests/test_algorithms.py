@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+import mmap
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -321,6 +323,26 @@ def test_batch_rejects_stateful_schedule():
     assert batch.clipped_fraction[0] == rec.clipped_fraction
 
 
+def test_batch_draws_seed_streams_without_oracles(monkeypatch):
+    """Each seed's noise comes from ``make_rng(seed)`` directly; the geometry guard runs once."""
+    prob = quad()
+    x1 = np.array([1.0, 0.0])
+    model = TwoPointNoise(p=1.5, sigma=1.0, q=0.3)
+    sched = schedules.smd_known_t(smd_inputs(prob, x1, sigma=1.0, horizon=16))
+    singles = [algos.run_smd(prob, Oracle(prob, model, seed=s), sched, 16, x1) for s in range(4)]
+    guards = []
+    monkeypatch.setattr(algos, "check_noise_geometry", lambda *args: guards.append(args))
+    monkeypatch.setattr(algos, "Oracle", None)  # building an Oracle here would fail
+    batch = algos.run_smd_batch(prob, model, sched, 16, x1, range(4))
+    assert len(guards) == 1
+    assert batch.summary.tolist() == [rec.summary for rec in singles]
+    monkeypatch.undo()
+    simplex = problems.make_simplex_quadratic([0.5, 0.5])
+    with pytest.raises(ValueError, match="l2 geometries"):
+        algos.run_smd_batch(simplex, RadialParetoNoise(p=1.5, sigma=1.0, tail_index=1.75),
+                            sched, 4, np.array([0.5, 0.5]), range(3))
+
+
 def test_asmd_iterates_stay_in_domain():
     prob = problems.make_simplex_quadratic([0.2, 0.3, 0.5])
     y1 = np.ones(3) / 3
@@ -344,7 +366,12 @@ def test_no_clipping_when_level_dominates():
 
 
 def test_batch_peak_memory_is_one_noise_block():
-    """The seeds' noise is drawn in place: no per-seed blocks alive beside the batch block."""
+    """The seeds' noise is drawn in place: no per-seed blocks alive beside the batch block.
+
+    The block lives in a mapping of its own, which tracemalloc does not see, so
+    the traced peak is what the batch allocates beside it: a copy of the block
+    would be a whole block more.
+    """
     n, steps = 200, 1024
     prob = quad()
     x1 = np.array([4.0, 0.0])
@@ -358,7 +385,21 @@ def test_batch_peak_memory_is_one_noise_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * block, peak / block
+    assert peak < 0.5 * block, peak / block
+
+
+def test_batch_noise_block_is_a_fresh_mapping():
+    """Zero-filled pages of the block's own, unmapped when the array goes, so a run of
+    batches does not leave its peak memory to how the heap happens to be laid out."""
+    block = algos._zero_block((16, 2, 5))
+    assert block.shape == (16, 2, 5) and block.dtype == float
+    assert block.flags.writeable and block.flags.c_contiguous and not block.any()
+    view = block.base.base
+    assert isinstance(view.obj, mmap.mmap)
+    released = weakref.ref(view)
+    del block, view
+    assert released() is None
+    assert algos._zero_block((0, 2, 3)).shape == (0, 2, 3)
 
 
 @pytest.mark.parametrize("loop, start, param", [

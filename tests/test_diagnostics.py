@@ -1,10 +1,12 @@
 """Diagnostics oracles: MGF bound, clipping-error bounds, pathwise checks, traces."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from clipopt import algorithms
 from clipopt import diagnostics as diag
 from clipopt import problems, schedules
 from clipopt.noise import Oracle, TwoPointNoise, make_rng
@@ -268,6 +270,25 @@ def test_martingale_smd_first_step_exponential_moment():
     stderr = e.std(ddof=1) / math.sqrt(e.size)
     assert e.mean() <= 1.0 + 3.0 * stderr
     assert e.mean() < 1.0  # strictly below: the compensator leaves real slack
+
+
+def test_martingale_resampling_memory_stays_per_chunk():
+    """The resamples go in chunks of steps: no (steps, resamples, d) block, nor a (steps, resamples) one."""
+    steps, resamples = 4096, 1000
+    prob = problems.make_quadratic([1.0, 1.0])
+    x1 = np.array([4.0, 0.0])
+    sched, oracle = _smd_setup(prob, x1, 1.0, steps, seed=0)
+    tab = algorithms.run_smd(prob, oracle, sched, steps, x1).table
+    constants = {"Q": sched.constants()["Q"]}
+    diag.martingale_smd(prob, oracle.noise, tab, constants, 0.1, 100, make_rng(0))  # first use
+    block = 8 * steps * resamples * prob.dim
+    tracemalloc.start()
+    try:
+        diag.martingale_smd(prob, oracle.noise, tab, constants, 0.1, resamples, make_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < block / 16, peak / block
 
 
 def test_pathwise_smd_detects_dropped_nonsmooth_term():

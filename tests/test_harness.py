@@ -1,6 +1,9 @@
 """Harness oracles: trial aggregation, slope fitting, baseline comparison."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -31,6 +34,39 @@ def test_fit_power_law_exact():
 def test_fit_power_law_rejects_nonpositive():
     with pytest.raises(ValueError, match="log-log"):
         harness.fit_power_law([1, 2, 4, 8], [1.0, 0.0, 0.1, 0.1])
+
+
+def test_fit_power_law_equals_linregress_bitwise():
+    """The numpy fit repeats scipy's linregress arithmetic bit for bit."""
+    from scipy import stats
+    rng = np.random.default_rng(20)
+    for _ in range(500):
+        k = int(rng.integers(4, 12))
+        horizons = np.sort(rng.choice(np.arange(1, 100_000), size=k, replace=False))
+        values = np.exp(rng.normal(scale=rng.uniform(0.0, 3.0), size=k)
+                        + rng.uniform(-3.0, 0.0) * np.log(horizons))
+        res = stats.linregress(np.log(horizons.astype(float)), np.log(values))
+        want = np.array([res.slope, res.intercept, res.rvalue ** 2])
+        assert np.array(harness.fit_power_law(horizons, values)).tobytes() == want.tobytes()
+
+
+def test_fit_power_law_degenerate_inputs():
+    slope, _, r2 = harness.fit_power_law([1, 2, 4, 8], [0.5, 0.5, 0.5, 0.5])
+    assert slope == 0.0 and r2 == 0.0  # a constant metric: zero variance gives r = 0
+    with pytest.raises(ValueError, match="identical"):
+        harness.fit_power_law([8, 8, 8, 8], [1.0, 0.5, 0.2, 0.1])
+
+
+def test_cli_import_leaves_scipy_out():
+    """Every CLI call imports ``clipopt.cli``; scipy is a test-only dependency."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, clipopt.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_theoretical_exponents():
