@@ -18,7 +18,7 @@ SEED = 7
 def run(problem, x1, sigma, label):
     s = schedules.derive_inputs(problem, x1, p=1.5, sigma=sigma, delta=0.1,
                                 horizon=HORIZON)
-    sched = schedules.smd_known_t(s)
+    sched = schedules.Schedule("smd_known_t", s)
     oracle = Oracle(problem, TwoPointNoise(p=1.5, sigma=sigma, q=0.1), seed=SEED)
     rec = algorithms.run_smd(problem, oracle, sched, HORIZON, x1)
     bound = schedules.theorem_bound(sched, HORIZON)

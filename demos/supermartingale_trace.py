@@ -22,7 +22,7 @@ def main():
     x1 = np.array([4.0, 0.0])
     model = TwoPointNoise(p=1.5, sigma=1.0, q=0.1)
     s = schedules.derive_inputs(prob, x1, p=1.5, sigma=1.0, delta=DELTA, horizon=STEPS)
-    sched = schedules.smd_known_t(s)
+    sched = schedules.Schedule("smd_known_t", s)
 
     peaks = []
     crossings = 0

@@ -13,8 +13,7 @@ from .geometry import Geometry, ball, euclidean, simplex
 from .noise import Oracle, RadialParetoNoise, TwoPointNoise, make_noise, make_rng, moment_check
 from .problems import (Problem, make_nonconvex_ratio, make_quadratic,
                        make_quadratic_plus_norm, make_simplex_quadratic)
-from .schedules import (Schedule, ScheduleInputs, asmd_anytime, asmd_known_t, derive_inputs,
-                        make_schedule, sgd_anytime, sgd_known_t, smd_anytime, smd_known_t,
-                        smd_param_free, theorem_bound, verify_schedule_conditions)
+from .schedules import (Schedule, ScheduleInputs, derive_inputs, theorem_bound,
+                        verify_schedule_conditions)
 
 __version__ = "0.1.0"

@@ -215,6 +215,10 @@ def p_tag(p: float) -> str:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
+    for (section, key), (attr, kind) in _SCHEMA.items():
+        value = getattr(cfg, attr)
+        if kind in ("float", "float_tuple") and value is not None and not np.all(np.isfinite(value)):
+            raise ConfigError(f"{section}.{key}", f"must be finite, got {value!r}")
     if cfg.algorithm not in ALGORITHMS:
         raise ConfigError("experiment.algorithm", f"must be one of {ALGORITHMS}")
     if cfg.horizon < 1:
@@ -223,12 +227,18 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("experiment.t_grid", "all horizons must be >= 1")
     if cfg.n_seeds < 1:
         raise ConfigError("experiment.seeds", "need at least one seed")
+    if cfg.base_seed < 0:
+        raise ConfigError("experiment.base_seed", "base seed must be >= 0")
     if not (0.0 < cfg.delta < 1.0):
         raise ConfigError("experiment.delta", "delta must lie in (0, 1)")
     if not (1.0 < cfg.p <= 2.0):
         raise ConfigError("noise.p", "moment order p must lie in (1, 2]")
     if cfg.sigma < 0:
         raise ConfigError("noise.sigma", "sigma must be >= 0")
+    try:
+        cfg.sigma ** (2 * cfg.p)  # the largest power of sigma the schedule conditions take
+    except OverflowError:
+        raise ConfigError("noise.sigma", f"sigma^(2p) overflows a double at p = {cfg.p}") from None
     if cfg.noise == "two_point" and not (0.0 < cfg.q <= 1.0):
         raise ConfigError("noise.q", "spike probability must lie in (0, 1]")
     if cfg.noise == "radial_pareto":
@@ -243,6 +253,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.mode not in MODE_FOR_ALGORITHM[cfg.algorithm]:
         raise ConfigError("schedule.mode",
                           f"mode {cfg.mode!r} does not drive algorithm {cfg.algorithm!r}")
+    if cfg.mu < 0:
+        raise ConfigError("schedule.mu", "mu is a ratio of norms and must be >= 0")
     if cfg.resamples < 100:
         raise ConfigError("diagnostics.resamples", "need at least 100 resamples")
     # build everything once so module-level constraints surface at load time
@@ -316,8 +328,7 @@ def build_schedule(cfg: ExperimentConfig, problem, x1, horizon: int | None = Non
             horizon=horizon if horizon is not None else cfg.horizon,
             mu=cfg.mu, c1=cfg.c1, c2=cfg.c2, c_override=cfg.c_override,
         )
-        return schedules_mod.make_schedule(cfg.mode, inputs, norm=problem.geometry.norm,
-                                           eta_scale=cfg.eta_scale,
-                                           lambda_scale=cfg.lambda_scale)
+        return schedules_mod.Schedule(cfg.mode, inputs, norm=problem.geometry.norm,
+                                      eta_scale=cfg.eta_scale, lambda_scale=cfg.lambda_scale)
     except ValueError as exc:
         raise ConfigError("schedule.mode", str(exc)) from exc

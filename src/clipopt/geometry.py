@@ -25,6 +25,9 @@ EUCLIDEAN = "euclidean"
 BALL = "ball"
 SIMPLEX = "simplex"
 
+# Floor of an entropy mirror step's coordinates: the smallest positive double.
+_SIMPLEX_FLOOR = np.nextafter(0.0, 1.0)
+
 
 class GeometryError(ValueError):
     """Raised for points outside a geometry's domain or mismatched shapes."""
@@ -191,7 +194,10 @@ class Geometry:
         logits = np.log(X) - eta * G
         logits -= np.max(logits, axis=1, keepdims=True)
         W = np.exp(logits)
-        return W / coord_sum(W)[:, None]
+        W /= coord_sum(W)[:, None]
+        # A coordinate that underflowed to 0 would make the next step's log -inf;
+        # hold it at the floor so iterates stay strictly interior.  Other bits are unchanged.
+        return np.maximum(W, _SIMPLEX_FLOOR, out=W)
 
     def step_optimality_gap(self, x, g, eta: float, x_next, u) -> float:
         """First-order optimality residual ``<eta*g + grad_psi(x+) - grad_psi(x), u - x+>``.

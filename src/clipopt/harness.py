@@ -269,12 +269,10 @@ def compare_clipped_vanilla(cfg: ExperimentConfig) -> VanillaComparison:
                           f"is not one of {SGD_MODES}")
     problem, x1 = build_problem(cfg)
     noise_model = build_noise(cfg)
-    clip_cfg = cfg if cfg.algorithm == "sgd" else _with(cfg, algorithm="sgd")
-    schedule = build_schedule(clip_cfg, problem, x1, horizon=cfg.horizon)
-    seeds = _seed_list(cfg)
-    clipped = algos.run_sgd_batch(problem, noise_model, schedule, cfg.horizon, x1, seeds)
-    eta = cfg.vanilla_eta if cfg.vanilla_eta is not None else schedule.eta(1)
-    vanilla = algos.run_vanilla_sgd_batch(problem, noise_model, eta, cfg.horizon, x1, seeds)
+    clipped, vanilla = (
+        _run_all_seeds(dataclasses.replace(cfg, algorithm=algorithm), problem, x1, noise_model,
+                       cfg.horizon)
+        for algorithm in ("sgd", "vanilla-sgd"))
     up = 1.0 - cfg.delta
     clipped_upper = upper_quantile(clipped.final_gap, up)
     vanilla_upper = upper_quantile(vanilla.final_gap, up)
@@ -289,7 +287,3 @@ def compare_clipped_vanilla(cfg: ExperimentConfig) -> VanillaComparison:
         median_ratio=clipped_median / vanilla_median if vanilla_median > 0 else math.nan,
         vanilla_diverged=int(np.sum(vanilla.diverged)),
     )
-
-
-def _with(cfg: ExperimentConfig, **kw) -> ExperimentConfig:
-    return dataclasses.replace(cfg, **kw)

@@ -1,6 +1,7 @@
 """Step-size and clipping-level schedules with verifiable conditions.
 
-Seven modes are provided, one per convergence guarantee:
+Seven modes are provided, one per convergence guarantee, each built as
+``Schedule(mode, inputs, ...)``:
 
 * ``smd_known_t`` / ``smd_anytime``: mirror descent with a horizon-dependent
   constant pair or the horizon-free substitution ``T -> 2t(1+log t)^2``;
@@ -10,7 +11,11 @@ Seven modes are provided, one per convergence guarantee:
 * ``asmd_known_t`` / ``asmd_anytime``: the accelerated three-sequence method;
 * ``sgd_known_t`` / ``sgd_anytime``: nonconvex gradient descent on l2 space.
 
-Every schedule exposes the proof-level constants (C1, C2, C3, A, Q) that its
+Each clipping level and step size is written once, as a function of the
+inputs and a horizon term ``tau`` (:func:`_horizon_at`: the known horizon,
+or the anytime substitution at step t).  A schedule evaluates it at every
+step; :func:`theorem_bound` evaluates the same level at t = T.  Every
+schedule exposes the proof-level constants (C1, C2, C3, A, Q) that its
 guarantee is built on, and :func:`verify_schedule_conditions` checks the
 corresponding inequalities numerically over a horizon.  Logarithms are
 natural throughout.  ``eta_scale`` is a fault-injection knob for the
@@ -34,6 +39,7 @@ SMD_MODES = ("smd_known_t", "smd_anytime", "smd_param_free")
 ASMD_MODES = ("asmd_known_t", "asmd_anytime")
 SGD_MODES = ("sgd_known_t", "sgd_anytime")
 ALL_MODES = SMD_MODES + ASMD_MODES + SGD_MODES
+KNOWN_T_MODES = ("smd_known_t", "asmd_known_t", "sgd_known_t")
 
 
 def horizon_proxy(t: int) -> float:
@@ -90,10 +96,43 @@ class ScheduleInputs:
         return max(math.log(1.0 / self.delta), 1.0)
 
 
+def _horizon_at(mode: str, horizon: int | None, t: int) -> tuple[int, float]:
+    """``(n, tau)`` at step ``t``: the known horizon for the known-T modes, else t and its proxy.
+
+    ``tau`` is the horizon term of every level and step size; ``n`` is the
+    count the accelerated constant grows with.
+    """
+    if mode in KNOWN_T_MODES:
+        return horizon, float(horizon)
+    return t, horizon_proxy(t)
+
+
 def _smd_det(s: ScheduleInputs) -> float:
     """Deterministic floor ``2 (2 L r1 + L r0 + mu sigma + ||g0||_*)`` of the SMD clipping level."""
     L = s.smoothness
     return 2.0 * (2.0 * L * s.r1 + L * s.r0 + s.mu * s.sigma + s.g0_norm)
+
+
+def _smd_lam(s: ScheduleInputs, tau: float) -> float:
+    """Mirror-descent clipping level ``max((26 tau / gamma)^(1/p) sigma, det)``."""
+    return max((26.0 * tau / s.gamma) ** (1.0 / s.p) * s.sigma, _smd_det(s))
+
+
+def _pf_lam(s: ScheduleInputs, tau: float, dev: float) -> float:
+    """Parameter-free clipping level for displacement ``dev`` from the start."""
+    L = s.smoothness
+    return max(
+        (26.0 * tau * s.c2) ** (1.0 / s.p),
+        2.0 * (L * dev + s.grad1_bound),
+        L * s.c1 / 6.0,
+    )
+
+
+def _accel_c(s: ScheduleInputs, n: int, tau: float) -> float:
+    """The accelerated modes' constant ``max(1e4, 4 (n+1) (26 tau/gamma)^(1/p) sigma / (gamma L r1))``."""
+    gamma, L = s.gamma, s.smoothness
+    grow = 4.0 * (n + 1) * (26.0 * tau / gamma) ** (1.0 / s.p) * s.sigma
+    return max(1e4, grow / (gamma * L * s.r1))
 
 
 def _sgd_lam(s: ScheduleInputs, tau: float) -> float:
@@ -104,6 +143,12 @@ def _sgd_lam(s: ScheduleInputs, tau: float) -> float:
         2.0 * math.sqrt(90.0 * L * d1),
         32.0 ** (1.0 / p) * sigma * tau ** (1.0 / (3 * p - 2)),
     )
+
+
+def _sgd_eta(s: ScheduleInputs, tau: float, lam: float, scale: float = 1.0) -> float:
+    """Nonconvex step size ``scale sqrt(delta1) tau^((1-p)/(3p-2)) / (8 lam sqrt(L) gamma)``."""
+    num = math.sqrt(s.delta1) * tau ** ((1.0 - s.p) / (3 * s.p - 2))
+    return scale * num / (8.0 * lam * math.sqrt(s.smoothness) * s.gamma)
 
 
 def derive_inputs(problem: Problem, x1, *, p: float, sigma: float, delta: float = 0.1,
@@ -157,7 +202,7 @@ class Schedule:
 
     def _validate(self):
         s = self.inputs
-        if self.mode in ("smd_known_t", "asmd_known_t", "sgd_known_t") and s.horizon is None:
+        if self.mode in KNOWN_T_MODES and s.horizon is None:
             raise ValueError(f"{self.mode} requires a known horizon")
         if self.mode in SMD_MODES + ASMD_MODES and self.mode != "smd_param_free":
             if s.r1 is None or s.r1 <= 0:
@@ -194,22 +239,11 @@ class Schedule:
 
     # -- per-step values ------------------------------------------------------
 
-    def alpha(self, t: int) -> float:
-        """Momentum weight ``2 / (t + 1)`` of the accelerated modes."""
+    def alpha(self, t):
+        """Momentum weight ``2 / (t + 1)`` of the accelerated modes (``t`` may be an array)."""
         if self.mode not in ASMD_MODES:
             raise ValueError("alpha is defined for accelerated modes only")
         return 2.0 / (t + 1)
-
-    def _accel_c(self, t: int) -> float:
-        s = self.inputs
-        if s.c_override is not None:
-            return float(s.c_override)
-        gamma, L = s.gamma, s.smoothness
-        if self.mode == "asmd_known_t":
-            grow = 4.0 * (s.horizon + 1) * (26.0 * s.horizon / gamma) ** (1.0 / s.p) * s.sigma
-        else:
-            grow = 4.0 * (t + 1) * (26.0 * horizon_proxy(t) / gamma) ** (1.0 / s.p) * s.sigma
-        return max(1e4, grow / (gamma * L * s.r1))
 
     def lam(self, t: int) -> float:
         return self.lambda_scale * self._raw_pair(t)[1]
@@ -225,30 +259,23 @@ class Schedule:
         """``(eta_t, lambda_t / lambda_scale)``, each per-step quantity evaluated once."""
         if t < 1:
             raise ValueError("steps are 1-based")
-        s = self.inputs
-        gamma, L, p, sigma = s.gamma, s.smoothness, s.p, s.sigma
-        if self.mode in SGD_MODES:
-            tau = float(s.horizon) if self.mode == "sgd_known_t" else horizon_proxy(t)
+        s, mode = self.inputs, self.mode
+        n, tau = _horizon_at(mode, s.horizon, t)
+        if mode in SGD_MODES:
             lam = _sgd_lam(s, tau)
-            num = math.sqrt(s.delta1) * tau ** ((1.0 - p) / (3 * p - 2))
-            return self.eta_scale * num / (8.0 * lam * math.sqrt(L) * gamma), lam
-        if self.mode in ("smd_known_t", "smd_anytime"):
-            tau = s.horizon if self.mode == "smd_known_t" else horizon_proxy(t)
-            lam = max((26.0 * tau / gamma) ** (1.0 / p) * sigma, _smd_det(s))
-            return self.eta_scale * (s.r1 / (24.0 * gamma)) / lam, lam
-        if self.mode == "smd_param_free":
+            return _sgd_eta(s, tau, lam, self.eta_scale), lam
+        if mode in ASMD_MODES:
+            c = _accel_c(s, n, tau) if s.c_override is None else float(s.c_override)
+            gamma, L, alpha = s.gamma, s.smoothness, self.alpha(t)
+            lam = c * s.r1 * gamma * L * alpha / 8.0
+            return self.eta_scale / (3.0 * c * gamma ** 2 * L * alpha), lam
+        if mode == "smd_param_free":
             if t > self._t_seen:
                 raise ValueError(f"trajectory state missing for t={t}; call observe() first")
-            lam = max(
-                (26.0 * horizon_proxy(t) * s.c2) ** (1.0 / p),
-                2.0 * (L * self._dev_max + s.grad1_bound),
-                L * s.c1 / 6.0,
-            )
-            return self.eta_scale * (s.c1 / 24.0) / lam, lam
-        # accelerated modes
-        c, alpha = self._accel_c(t), self.alpha(t)
-        lam = c * s.r1 * gamma * L * alpha / 8.0
-        return self.eta_scale / (3.0 * c * gamma ** 2 * L * alpha), lam
+            lam = _pf_lam(s, tau, self._dev_max)
+        else:
+            lam = _smd_lam(s, tau)
+        return self.eta_scale * self._c1 / lam, lam
 
     @property
     def off_guarantee(self) -> bool:
@@ -257,6 +284,16 @@ class Schedule:
 
     # -- proof-level constants -------------------------------------------------
 
+    @cached_property
+    def _c1(self) -> float:
+        """C1; for the mirror-descent modes also the product ``eta_t lambda_t`` at eta_scale 1."""
+        s = self.inputs
+        if self.mode == "smd_param_free":
+            return s.c1 / 24.0
+        if self.mode in SGD_MODES:
+            return math.sqrt(s.delta1) / (4.0 * math.sqrt(2.0) * s.gamma)
+        return s.r1 / (24.0 * s.gamma)
+
     def constants(self) -> dict:
         """The (C1, C2, C3, A, Q) pack the mode's guarantee is proved with.
 
@@ -264,56 +301,21 @@ class Schedule:
         condition checker reports the corresponding inequalities as vacuous.
         """
         s = self.inputs
-        gamma, p, sigma = s.gamma, s.p, s.sigma
-        sp = sigma ** p
+        gamma, sp = s.gamma, s.sigma ** s.p
         if self.mode == "smd_param_free":
             a_const = gamma + 2.0 * sp / s.c2
-            return {"C1": s.c1 / 24.0, "C2": 1.0 / (26.0 * s.c2), "C3": 1.0 / (52.0 * s.c2),
+            return {"C1": self._c1, "C2": 1.0 / (26.0 * s.c2), "C3": 1.0 / (52.0 * s.c2),
                     "A": a_const, "Q": a_const}
         if self.mode in SMD_MODES + ASMD_MODES:
             c2 = gamma / (26.0 * sp) if sp > 0 else math.inf
-            if self.mode in ("smd_known_t", "asmd_known_t"):
+            if self.mode in KNOWN_T_MODES:
                 c3 = gamma / (26.0 * s.horizon * sp) if sp > 0 else math.inf
             else:
                 c3 = gamma / (52.0 * sp) if sp > 0 else math.inf
-            return {"C1": s.r1 / (24.0 * gamma), "C2": c2, "C3": c3, "A": 3.0 * gamma, "Q": 3.0 * gamma}
+            return {"C1": self._c1, "C2": c2, "C3": c3, "A": 3.0 * gamma, "Q": 3.0 * gamma}
         c2 = 1.0 / sp if sp > 0 else math.inf
         c3 = s.delta1 / (2048.0 * sp * gamma) if sp > 0 else math.inf
-        return {"C1": math.sqrt(s.delta1) / (4.0 * math.sqrt(2.0) * gamma),
-                "C2": c2, "C3": c3, "A": 256.0 * gamma ** 2, "Q": None}
-
-
-def smd_known_t(inputs: ScheduleInputs) -> Schedule:
-    return Schedule("smd_known_t", inputs)
-
-
-def smd_anytime(inputs: ScheduleInputs) -> Schedule:
-    return Schedule("smd_anytime", inputs)
-
-
-def smd_param_free(inputs: ScheduleInputs, norm=None) -> Schedule:
-    return Schedule("smd_param_free", inputs, norm=norm)
-
-
-def asmd_known_t(inputs: ScheduleInputs) -> Schedule:
-    return Schedule("asmd_known_t", inputs)
-
-
-def asmd_anytime(inputs: ScheduleInputs) -> Schedule:
-    return Schedule("asmd_anytime", inputs)
-
-
-def sgd_known_t(inputs: ScheduleInputs) -> Schedule:
-    return Schedule("sgd_known_t", inputs)
-
-
-def sgd_anytime(inputs: ScheduleInputs) -> Schedule:
-    return Schedule("sgd_anytime", inputs)
-
-
-def make_schedule(mode: str, inputs: ScheduleInputs, norm=None, eta_scale: float = 1.0,
-                  lambda_scale: float = 1.0) -> Schedule:
-    return Schedule(mode, inputs, norm=norm, eta_scale=eta_scale, lambda_scale=lambda_scale)
+        return {"C1": self._c1, "C2": c2, "C3": c3, "A": 256.0 * gamma ** 2, "Q": None}
 
 
 # -- condition verification -----------------------------------------------------
@@ -337,10 +339,6 @@ class ConditionReport:
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def rows(self) -> list[dict]:
-        return [{"condition": c.name, "passed": c.passed, "margin": c.margin, "note": c.note}
-                for c in self.checks]
-
 
 def verify_schedule_conditions(schedule: Schedule, horizon: int) -> ConditionReport:
     """Numerically check the gap-recursion conditions over ``[1, horizon]``.
@@ -355,7 +353,8 @@ def verify_schedule_conditions(schedule: Schedule, horizon: int) -> ConditionRep
     """
     s = schedule.inputs
     consts = schedule.constants()
-    gamma, p, sigma, L = s.gamma, s.p, s.sigma, s.smoothness
+    c1, c2, c3, a_const = consts["C1"], consts["C2"], consts["C3"], consts["A"]
+    p, sigma, L = s.p, s.sigma, s.smoothness
     sp = sigma ** p
     report = ConditionReport(mode=schedule.mode, horizon=horizon)
     ts = np.arange(1, horizon + 1)
@@ -366,7 +365,6 @@ def verify_schedule_conditions(schedule: Schedule, horizon: int) -> ConditionRep
         report.checks.append(ConditionCheck(name, bool(passed), float(margin), note))
 
     if schedule.mode in SMD_MODES + ASMD_MODES:
-        c1, c2, c3, a_const = consts["C1"], consts["C2"], consts["C3"], consts["A"]
         prod_dev = np.max(np.abs(etas * lams - c1)) / c1
         add("eta_lambda_constant", prod_dev <= 1e-9, prod_dev,
             "max relative deviation of eta_t * lambda_t from C1")
@@ -390,7 +388,7 @@ def verify_schedule_conditions(schedule: Schedule, horizon: int) -> ConditionRep
         add("A_lower_bound", a_const >= rhs * (1 - 1e-12), a_const - rhs)
 
         if schedule.mode in ASMD_MODES:
-            alphas = 2.0 / (ts + 1)
+            alphas = schedule.alpha(ts)
             cap = float(np.max(etas * alphas * L))
             add("eta_cap", cap <= 0.5 * (1 + 1e-12), 0.5 - cap, "eta_t <= 1/(2 L alpha_t)")
             if horizon >= 2:
@@ -403,7 +401,6 @@ def verify_schedule_conditions(schedule: Schedule, horizon: int) -> ConditionRep
             cap = float(np.max(etas)) * L
             add("eta_cap", cap <= 0.25 * (1 + 1e-12), 0.25 - cap, "eta_t <= 1/(4L)")
     else:
-        c1, c2, c3, a_const = consts["C1"], consts["C2"], consts["C3"], consts["A"]
         prod = float(np.max(etas * lams)) * math.sqrt(2.0 * L)
         add("eta_lambda_sqrt2L_cap", prod <= c1 * (1 + 1e-9), c1 - prod)
 
@@ -440,42 +437,20 @@ def theorem_bound(schedule: Schedule, horizon: int) -> float:
 
     Mirror-descent modes bound the average gap over the horizon, accelerated
     modes the final gap, nonconvex modes the average squared gradient norm.
-    Pure function of the schedule inputs; no trajectory quantities enter.
+    Each bound is the mode's own level (or step) at t = T, at eta_scale and
+    lambda_scale 1 and without ``c_override``, so it is the on-guarantee
+    value.  The parameter-free level is taken at the displacement
+    ``2 r1 + c1 A / 3`` the proof bounds the trajectory by; no trajectory
+    quantities enter.
     """
-    s = schedule.inputs
-    gamma, p, sigma, L = s.gamma, s.p, s.sigma, s.smoothness
-    T = horizon
-    if schedule.mode == "smd_known_t":
-        return 48.0 * s.r1 * max(
-            26.0 ** (1.0 / p) * T ** ((1.0 - p) / p) * sigma * gamma ** ((p - 1.0) / p),
-            _smd_det(s) * gamma / T,
-        )
-    if schedule.mode == "smd_anytime":
-        return 48.0 * s.r1 * max(
-            52.0 ** (1.0 / p) * T ** ((1.0 - p) / p) * (1.0 + math.log(T)) ** (2.0 / p)
-            * sigma * gamma ** ((p - 1.0) / p),
-            _smd_det(s) * gamma / T,
-        )
-    if schedule.mode == "smd_param_free":
-        a_const = gamma + 2.0 * sigma ** p / s.c2
-        lead = (8.0 / (T * s.c1)) * (s.r1 + s.c1 / 3.0 * a_const) ** 2
-        return lead * max(
-            (52.0 * T * (1.0 + math.log(T)) ** 2 * s.c2) ** (1.0 / p),
-            4.0 * s.r1 * L + (2.0 * s.c1 / 3.0) * L * a_const + 2.0 * s.grad1_bound,
-            L * s.c1 / 6.0,
-        )
-    if schedule.mode == "asmd_known_t":
-        return 6.0 * max(
-            1e4 * L * gamma ** 2 * s.r1 ** 2 * (T + 1) ** -2,
-            4.0 * s.r1 * (26.0 * T) ** (1.0 / p) * gamma ** ((p - 1.0) / p) * sigma / (T + 1),
-        )
-    if schedule.mode == "asmd_anytime":
-        return 6.0 * max(
-            1e4 * L * gamma ** 2 * s.r1 ** 2 * (T + 1) ** -2,
-            4.0 * s.r1 * (26.0 * horizon_proxy(T)) ** (1.0 / p) * gamma ** ((p - 1.0) / p) * sigma / (T + 1),
-        )
-    d1 = s.delta1
-    tau = float(T) if schedule.mode == "sgd_known_t" else horizon_proxy(T)
-    lam_T = _sgd_lam(s, tau)
-    # 90 * delta1 / (eta_T * T) with eta_T = sqrt(delta1) tau^{(1-p)/(3p-2)} / (8 lam_T sqrt(L) gamma)
-    return 720.0 * math.sqrt(d1 * L) * gamma * lam_T * tau ** ((p - 1.0) / (3 * p - 2)) / T
+    s, mode, T = schedule.inputs, schedule.mode, horizon
+    n, tau = _horizon_at(mode, T, T)
+    if mode in SGD_MODES:
+        return 90.0 * s.delta1 / (_sgd_eta(s, tau, _sgd_lam(s, tau)) * T)
+    if mode in ASMD_MODES:
+        return 6.0 * s.gamma ** 2 * s.smoothness * s.r1 ** 2 * _accel_c(s, n, tau) / (T + 1) ** 2
+    if mode == "smd_param_free":
+        reach = s.c1 / 3.0 * schedule.constants()["A"]
+        return 8.0 / (T * s.c1) * (s.r1 + reach) ** 2 * _pf_lam(s, tau, 2.0 * s.r1 + reach)
+    # 2 r1^2 / (eta_T T) with eta_T = r1 / (24 gamma lambda_T)
+    return 48.0 * s.gamma * s.r1 * _smd_lam(s, tau) / T

@@ -59,7 +59,7 @@ def test_c01_deterministic_rate_sanity():
     def smd_sched(horizon):
         s = schedules.derive_inputs(quad, x1q, p=1.5, sigma=0.0, delta=GAMMA_ONE,
                                     horizon=horizon)
-        return schedules.smd_known_t(s)
+        return schedules.Schedule("smd_known_t", s)
 
     r = ratios(smd_sched, quad, x1q)
     announce("criterion 1 (smd ratio <= 0.6)", max(r) <= 0.6,
@@ -68,7 +68,7 @@ def test_c01_deterministic_rate_sanity():
     def asmd_scaled(horizon):
         s = schedules.derive_inputs(quad, x1q, p=1.5, sigma=0.0, delta=GAMMA_ONE,
                                     horizon=horizon, c_override=1000.0)
-        return schedules.asmd_known_t(s)
+        return schedules.Schedule("asmd_known_t", s)
 
     r = ratios(asmd_scaled, quad, x1q)
     announce("criterion 1 (asmd scaled-c ratio <= 0.35)", max(r) <= 0.35,
@@ -78,7 +78,7 @@ def test_c01_deterministic_rate_sanity():
     for horizon in (grid[0], grid[-1]):
         s = schedules.derive_inputs(quad, x1q, p=1.5, sigma=0.0, delta=GAMMA_ONE,
                                     horizon=horizon)
-        sched = schedules.asmd_known_t(s)
+        sched = schedules.Schedule("asmd_known_t", s)
         rec = algos.run_asmd(quad, noiseless_oracle(quad), sched, horizon, x1q,
                              record=False)
         bound = schedules.theorem_bound(sched, horizon)
@@ -91,7 +91,7 @@ def test_c01_deterministic_rate_sanity():
         def sgd_sched(horizon, prob=prob, x1=x1):
             s = schedules.derive_inputs(prob, x1, p=1.5, sigma=0.0, delta=GAMMA_ONE,
                                         horizon=horizon)
-            return schedules.sgd_known_t(s)
+            return schedules.Schedule("sgd_known_t", s)
 
         r = ratios(sgd_sched, prob, x1)
         announce(f"criterion 1 (sgd ratio <= 0.75, {tag})", max(r) <= 0.75,
@@ -212,7 +212,7 @@ def test_c06_pathwise_inequalities():
     violations = sum(
         len(diag.check_pathwise_smd(
             quad, Oracle(quad, TwoPointNoise(p=1.5, sigma=1.0, q=0.2), seed=s),
-            schedules.smd_known_t(sq), steps, x1, tol=tol).violations)
+            schedules.Schedule("smd_known_t", sq), steps, x1, tol=tol).violations)
         for s in seeds)
     announce("criterion 6 (smd pathwise)", violations == 0, f"{violations} violations")
 
@@ -222,7 +222,7 @@ def test_c06_pathwise_inequalities():
     violations = sum(
         len(diag.check_pathwise_asmd(
             simplex, Oracle(simplex, TwoPointNoise(p=1.5, sigma=0.5, q=0.2), seed=s),
-            schedules.asmd_known_t(sa), steps, y1, tol=tol).violations)
+            schedules.Schedule("asmd_known_t", sa), steps, y1, tol=tol).violations)
         for s in seeds)
     announce("criterion 6 (asmd pathwise)", violations == 0, f"{violations} violations")
 
@@ -232,7 +232,7 @@ def test_c06_pathwise_inequalities():
     violations = sum(
         len(diag.check_pathwise_sgd(
             ratioprob, Oracle(ratioprob, TwoPointNoise(p=1.5, sigma=1.0, q=0.2), seed=s),
-            schedules.sgd_known_t(sg), steps, xr, tol=tol).violations)
+            schedules.Schedule("sgd_known_t", sg), steps, xr, tol=tol).violations)
         for s in seeds)
     announce("criterion 6 (sgd pathwise)", violations == 0, f"{violations} violations")
 
@@ -242,7 +242,7 @@ def test_c06_pathwise_inequalities():
     violations = sum(
         len(diag.check_pathwise_smd(
             nonsmooth, Oracle(nonsmooth, TwoPointNoise(p=1.5, sigma=1.0, q=0.2), seed=s),
-            schedules.smd_known_t(sn), steps, xn, tol=tol).violations)
+            schedules.Schedule("smd_known_t", sn), steps, xn, tol=tol).violations)
         for s in seeds)
     announce("criterion 6 (nonsmooth-term pathwise, G=0.5)", violations == 0,
              f"{violations} violations")
@@ -261,7 +261,7 @@ def test_c07_supermartingale_crossing():
     x1 = np.array([4.0, 0.0])
     model = TwoPointNoise(p=1.5, sigma=1.0, q=0.1)
     s = schedules.derive_inputs(quad, x1, p=1.5, sigma=1.0, delta=delta, horizon=steps)
-    sched = schedules.smd_known_t(s)
+    sched = schedules.Schedule("smd_known_t", s)
     crossings = sum(
         diag.martingale_trace_smd(
             quad, Oracle(quad, model, seed=seed), sched, steps, x1, delta,
@@ -275,7 +275,7 @@ def test_c07_supermartingale_crossing():
     xr = np.array([1.0, 1.0])
     sr = schedules.derive_inputs(ratioprob, xr, p=1.5, sigma=1.0, delta=delta,
                                  horizon=steps)
-    schedr = schedules.sgd_known_t(sr)
+    schedr = schedules.Schedule("sgd_known_t", sr)
     crossings = sum(
         diag.martingale_trace_sgd(
             ratioprob, Oracle(ratioprob, model, seed=seed), schedr, steps, xr, delta,
@@ -299,20 +299,20 @@ def test_c08_schedule_condition_checker():
         s = schedules.derive_inputs(quad, x1, p=p, sigma=sigma, delta=0.1,
                                     horizon=horizon)
         report = schedules.verify_schedule_conditions(
-            schedules.make_schedule(mode, s), horizon)
+            schedules.Schedule(mode, s), horizon)
         announce(f"criterion 8 ({mode} p={p} sigma={sigma})", report.ok,
                  "all conditions hold")
 
     # the parameter-free mode, driven by an actual trajectory
     s = schedules.derive_inputs(quad, x1, p=1.5, sigma=1.0, delta=0.1, c1=1.0, c2=1.0)
-    sched = schedules.smd_param_free(s, norm=quad.geometry.norm)
+    sched = schedules.Schedule("smd_param_free", s, norm=quad.geometry.norm)
     algos.run_smd(quad, Oracle(quad, TwoPointNoise(p=1.5, sigma=1.0, q=0.2), seed=0),
                   sched, horizon, x1, record=False)
     report = schedules.verify_schedule_conditions(sched, horizon)
     announce("criterion 8 (parameter-free mode)", report.ok, "all conditions hold")
 
     s = schedules.derive_inputs(quad, x1, p=1.5, sigma=1.0, delta=0.1, horizon=horizon)
-    corrupted = schedules.make_schedule("smd_known_t", s, eta_scale=2.0)
+    corrupted = schedules.Schedule("smd_known_t", s, eta_scale=2.0)
     report = schedules.verify_schedule_conditions(corrupted, horizon)
     failed = {c.name for c in report.checks if not c.passed}
     announce("criterion 8 (corrupted schedule rejected)",
@@ -340,9 +340,9 @@ def test_c10_anytime_vs_known_horizon():
     model = TwoPointNoise(p=2.0, sigma=0.25, q=0.1)
     s = schedules.derive_inputs(quad, x1, p=2.0, sigma=0.25, delta=GAMMA_ONE,
                                 horizon=horizon)
-    known = algos.run_smd_batch(quad, model, schedules.smd_known_t(s), horizon, x1,
+    known = algos.run_smd_batch(quad, model, schedules.Schedule("smd_known_t", s), horizon, x1,
                                 range(n))
-    anytime = algos.run_smd_batch(quad, model, schedules.smd_anytime(s), horizon, x1,
+    anytime = algos.run_smd_batch(quad, model, schedules.Schedule("smd_anytime", s), horizon, x1,
                                   range(n))
     ratio = float(np.median(anytime.summary) / np.median(known.summary))
     limit = 3.0 * (1.0 + math.log(horizon)) ** (2.0 / 2.0)

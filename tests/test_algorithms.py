@@ -35,8 +35,8 @@ def test_smd_geometric_decay_with_forced_step():
     prob = quad()
     x1 = np.array([1.0, 0.0])
     # sigma = 0 gives eta = 1/96 and lam = 4; scaling eta by 24 forces eta = 1/4
-    sched = schedules.make_schedule("smd_known_t", smd_inputs(prob, x1, horizon=16),
-                                    eta_scale=24.0)
+    sched = schedules.Schedule("smd_known_t", smd_inputs(prob, x1, horizon=16),
+                               eta_scale=24.0)
     assert sched.eta(1) == pytest.approx(0.25)
     rec = algos.run_smd(prob, noiseless_oracle(prob), sched, 16, x1)
     gaps = np.concatenate([[prob.gap(x1)], rec.table.metric])
@@ -48,7 +48,7 @@ def test_smd_geometric_decay_with_forced_step():
 def test_smd_single_step_summary():
     prob = quad()
     x1 = np.array([1.0, 0.0])
-    sched = schedules.smd_known_t(smd_inputs(prob, x1, horizon=1))
+    sched = schedules.Schedule("smd_known_t", smd_inputs(prob, x1, horizon=1))
     rec = algos.run_smd(prob, noiseless_oracle(prob), sched, 1, x1)
     assert rec.summary == rec.table.metric[0]
     assert rec.steps == 1
@@ -58,7 +58,7 @@ def test_smd_noiseless_respects_bound():
     prob = quad()
     x1 = np.array([1.0, 0.0])
     for horizon in (64, 256, 1024):
-        sched = schedules.smd_known_t(smd_inputs(prob, x1, horizon=horizon))
+        sched = schedules.Schedule("smd_known_t", smd_inputs(prob, x1, horizon=horizon))
         rec = algos.run_smd(prob, noiseless_oracle(prob), sched, horizon, x1)
         assert rec.summary <= schedules.theorem_bound(sched, horizon)
 
@@ -66,11 +66,11 @@ def test_smd_noiseless_respects_bound():
 def test_smd_rejects_wrong_mode_and_domain():
     prob = quad()
     x1 = np.array([1.0, 0.0])
-    sgd_sched = schedules.sgd_known_t(smd_inputs(prob, x1, horizon=4))
+    sgd_sched = schedules.Schedule("sgd_known_t", smd_inputs(prob, x1, horizon=4))
     with pytest.raises(ValueError, match="mirror-descent schedule"):
         algos.run_smd(prob, noiseless_oracle(prob), sgd_sched, 4, x1)
     simplex = problems.make_simplex_quadratic([0.5, 0.5])
-    sched = schedules.smd_known_t(smd_inputs(simplex, np.array([0.2, 0.8]), horizon=4))
+    sched = schedules.Schedule("smd_known_t", smd_inputs(simplex, np.array([0.2, 0.8]), horizon=4))
     with pytest.raises(ValueError, match="domain"):
         algos.run_smd(simplex, noiseless_oracle(simplex), sched, 4, np.array([0.7, 0.7]))
 
@@ -78,7 +78,7 @@ def test_smd_rejects_wrong_mode_and_domain():
 def test_asmd_first_step_collapses_to_start():
     prob = quad()
     y1 = np.array([1.0, 0.0])
-    sched = schedules.asmd_known_t(smd_inputs(prob, y1, horizon=4))
+    sched = schedules.Schedule("asmd_known_t", smd_inputs(prob, y1, horizon=4))
     tab = algos.run_asmd(prob, noiseless_oracle(prob), sched, 1, y1).table
     assert tab.alpha[0] == 1.0
     np.testing.assert_array_equal(tab.x[0], y1)    # (1 - alpha) kills the y term
@@ -90,7 +90,7 @@ def test_asmd_noiseless_quadratic_rate_with_override():
     y1 = np.array([1.0, 0.0])
     gaps = {}
     for horizon in (64, 128, 256, 512):
-        sched = schedules.asmd_known_t(
+        sched = schedules.Schedule("asmd_known_t", 
             smd_inputs(prob, y1, horizon=horizon, c_override=1000.0))
         gaps[horizon] = algos.run_asmd(prob, noiseless_oracle(prob), sched, horizon, y1).summary
     for horizon in (64, 128, 256):
@@ -101,7 +101,7 @@ def test_asmd_noiseless_respects_bound_verbatim_constant():
     prob = quad()
     y1 = np.array([1.0, 0.0])
     for horizon in (256, 1024):
-        sched = schedules.asmd_known_t(smd_inputs(prob, y1, horizon=horizon))
+        sched = schedules.Schedule("asmd_known_t", smd_inputs(prob, y1, horizon=horizon))
         rec = algos.run_asmd(prob, noiseless_oracle(prob), sched, horizon, y1)
         assert rec.summary <= schedules.theorem_bound(sched, horizon)
 
@@ -109,9 +109,9 @@ def test_asmd_noiseless_respects_bound_verbatim_constant():
 def test_sgd_one_step_solve_of_isotropic_quadratic():
     prob = quad()
     x1 = np.array([3.0, -2.0])
-    base = schedules.sgd_known_t(smd_inputs(prob, x1, horizon=4))
-    sched = schedules.make_schedule("sgd_known_t", base.inputs,
-                                    eta_scale=1.0 / base.eta(1))
+    base = schedules.Schedule("sgd_known_t", smd_inputs(prob, x1, horizon=4))
+    sched = schedules.Schedule("sgd_known_t", base.inputs,
+                               eta_scale=1.0 / base.eta(1))
     assert sched.eta(1) == pytest.approx(1.0)
     rec = algos.run_sgd(prob, noiseless_oracle(prob), sched, 4, x1)
     # eta = 1/L lands exactly on the minimizer after one step
@@ -123,9 +123,9 @@ def test_sgd_one_step_solve_of_isotropic_quadratic():
 def test_sgd_descent_on_nonconvex_instance():
     prob = problems.make_nonconvex_ratio(1)
     x1 = np.array([1.0])
-    base = schedules.sgd_known_t(smd_inputs(prob, x1, horizon=64))
-    sched = schedules.make_schedule("sgd_known_t", base.inputs,
-                                    eta_scale=0.4 / base.eta(1))
+    base = schedules.Schedule("sgd_known_t", smd_inputs(prob, x1, horizon=64))
+    sched = schedules.Schedule("sgd_known_t", base.inputs,
+                               eta_scale=0.4 / base.eta(1))
     rec = algos.run_sgd(prob, noiseless_oracle(prob), sched, 64, x1)
     # the objective decreases every step; the gradient norm only once the
     # iterate passes the curvature peak at 1/sqrt(3)
@@ -141,7 +141,7 @@ def test_sgd_descent_on_nonconvex_instance():
 def test_sgd_single_step_summary():
     prob = quad()
     x1 = np.array([1.0, 1.0])
-    sched = schedules.sgd_known_t(smd_inputs(prob, x1, horizon=1))
+    sched = schedules.Schedule("sgd_known_t", smd_inputs(prob, x1, horizon=1))
     rec = algos.run_sgd(prob, noiseless_oracle(prob), sched, 1, x1)
     assert rec.summary == pytest.approx(float(x1 @ x1))
 
@@ -150,7 +150,7 @@ def test_sgd_noiseless_respects_bound():
     for prob, x1 in ((quad(), np.array([1.0, 0.5])),
                      (problems.make_nonconvex_ratio(2), np.array([1.0, 1.0]))):
         for horizon in (64, 512):
-            sched = schedules.sgd_known_t(smd_inputs(prob, x1, horizon=horizon))
+            sched = schedules.Schedule("sgd_known_t", smd_inputs(prob, x1, horizon=horizon))
             rec = algos.run_sgd(prob, noiseless_oracle(prob), sched, horizon, x1)
             assert rec.summary <= schedules.theorem_bound(sched, horizon)
 
@@ -158,7 +158,7 @@ def test_sgd_noiseless_respects_bound():
 def test_vanilla_matches_clipped_when_noiseless():
     prob = quad()
     x1 = np.array([1.5, -0.5])
-    sched = schedules.sgd_known_t(smd_inputs(prob, x1, horizon=32))
+    sched = schedules.Schedule("sgd_known_t", smd_inputs(prob, x1, horizon=32))
     clipped = algos.run_sgd(prob, noiseless_oracle(prob), sched, 32, x1)
     vanilla = algos.run_vanilla_sgd(prob, noiseless_oracle(prob), sched.eta(1), 32, x1)
     np.testing.assert_array_equal(clipped.final_point, vanilla.final_point)
@@ -181,7 +181,7 @@ def test_run_record_row_count_and_finiteness():
     prob = quad()
     x1 = np.array([1.0, 0.0])
     oracle = Oracle(prob, TwoPointNoise(p=1.5, sigma=1.0, q=0.3), seed=3)
-    sched = schedules.smd_known_t(smd_inputs(prob, x1, sigma=1.0, horizon=50))
+    sched = schedules.Schedule("smd_known_t", smd_inputs(prob, x1, sigma=1.0, horizon=50))
     rec = algos.run_smd(prob, oracle, sched, 50, x1)
     assert rec.table.metric.size == 50
     assert np.all(np.isfinite(rec.table.metric))
@@ -192,7 +192,7 @@ def test_run_record_row_count_and_finiteness():
 def test_reproducibility_bitwise():
     prob = quad()
     x1 = np.array([1.0, 0.0])
-    sched = schedules.smd_known_t(smd_inputs(prob, x1, sigma=1.0, horizon=64))
+    sched = schedules.Schedule("smd_known_t", smd_inputs(prob, x1, sigma=1.0, horizon=64))
 
     def one():
         oracle = Oracle(prob, TwoPointNoise(p=1.5, sigma=1.0, q=0.2), seed=11)
@@ -211,7 +211,7 @@ def test_batch_matches_single_runs_smd():
     prob = quad(diag=(1.0, 2.0))
     x1 = np.array([1.0, 0.5])
     model = TwoPointNoise(p=1.5, sigma=1.0, q=0.3)
-    sched = schedules.smd_known_t(smd_inputs(prob, x1, sigma=1.0, horizon=40))
+    sched = schedules.Schedule("smd_known_t", smd_inputs(prob, x1, sigma=1.0, horizon=40))
     batch = algos.run_smd_batch(prob, model, sched, 40, x1, SEEDS)
     for i, seed in enumerate(SEEDS):
         rec = algos.run_smd(prob, Oracle(prob, model, seed=seed), sched, 40, x1)
@@ -224,7 +224,7 @@ def test_batch_matches_single_runs_smd_simplex():
     prob = problems.make_simplex_quadratic([0.3, 0.3, 0.4])
     x1 = np.ones(3) / 3
     model = TwoPointNoise(p=1.5, sigma=0.5, q=0.3)
-    sched = schedules.smd_known_t(smd_inputs(prob, x1, sigma=0.5, horizon=40))
+    sched = schedules.Schedule("smd_known_t", smd_inputs(prob, x1, sigma=0.5, horizon=40))
     batch = algos.run_smd_batch(prob, model, sched, 40, x1, SEEDS)
     for i, seed in enumerate(SEEDS):
         rec = algos.run_smd(prob, Oracle(prob, model, seed=seed), sched, 40, x1)
@@ -235,7 +235,7 @@ def test_batch_matches_single_runs_asmd():
     prob = quad()
     y1 = np.array([1.0, 0.0])
     model = TwoPointNoise(p=1.5, sigma=1.0, q=0.3)
-    sched = schedules.asmd_known_t(smd_inputs(prob, y1, sigma=1.0, horizon=40))
+    sched = schedules.Schedule("asmd_known_t", smd_inputs(prob, y1, sigma=1.0, horizon=40))
     batch = algos.run_asmd_batch(prob, model, sched, 40, y1, SEEDS)
     for i, seed in enumerate(SEEDS):
         rec = algos.run_asmd(prob, Oracle(prob, model, seed=seed), sched, 40, y1)
@@ -246,7 +246,7 @@ def test_batch_matches_single_runs_sgd_and_vanilla():
     prob = problems.make_nonconvex_ratio(2)
     x1 = np.array([1.0, 1.0])
     model = TwoPointNoise(p=1.5, sigma=1.0, q=0.3)
-    sched = schedules.sgd_known_t(smd_inputs(prob, x1, sigma=1.0, horizon=40))
+    sched = schedules.Schedule("sgd_known_t", smd_inputs(prob, x1, sigma=1.0, horizon=40))
     batch = algos.run_sgd_batch(prob, model, sched, 40, x1, SEEDS)
     vbatch = algos.run_vanilla_sgd_batch(prob, model, sched.eta(1), 40, x1, SEEDS)
     for i, seed in enumerate(SEEDS):
@@ -286,8 +286,8 @@ def test_batch_equals_single_runs_property(algorithm, geom, radial, anytime, lam
         model = TwoPointNoise(p=1.5, sigma=1.0, q=0.3)
     family = "sgd" if algorithm == "vanilla-sgd" else algorithm
     mode = f"{family}_{'anytime' if anytime else 'known_t'}"
-    sched = schedules.make_schedule(mode, smd_inputs(prob, x1, sigma=1.0, horizon=steps),
-                                    lambda_scale=lambda_scale)
+    sched = schedules.Schedule(mode, smd_inputs(prob, x1, sigma=1.0, horizon=steps),
+                               lambda_scale=lambda_scale)
     single, batch_fn = {"smd": (algos.run_smd, algos.run_smd_batch),
                         "asmd": (algos.run_asmd, algos.run_asmd_batch),
                         "sgd": (algos.run_sgd, algos.run_sgd_batch),
@@ -312,7 +312,7 @@ def test_batch_rejects_stateful_schedule():
     prob = quad()
     x1 = np.array([1.0, 0.0])
     model = TwoPointNoise(p=1.5, sigma=1.0, q=0.3)
-    sched = schedules.smd_param_free(smd_inputs(prob, x1, sigma=1.0))
+    sched = schedules.Schedule("smd_param_free", smd_inputs(prob, x1, sigma=1.0))
     with pytest.raises(ValueError, match="stateless"):
         algos.run_smd_batch(prob, model, sched, 8, x1, [0, 1])
     # one seed is one row: the trajectory-dependent schedule drives it as a single run
@@ -328,7 +328,7 @@ def test_batch_draws_seed_streams_without_oracles(monkeypatch):
     prob = quad()
     x1 = np.array([1.0, 0.0])
     model = TwoPointNoise(p=1.5, sigma=1.0, q=0.3)
-    sched = schedules.smd_known_t(smd_inputs(prob, x1, sigma=1.0, horizon=16))
+    sched = schedules.Schedule("smd_known_t", smd_inputs(prob, x1, sigma=1.0, horizon=16))
     singles = [algos.run_smd(prob, Oracle(prob, model, seed=s), sched, 16, x1) for s in range(4)]
     guards = []
     monkeypatch.setattr(algos, "check_noise_geometry", lambda *args: guards.append(args))
@@ -347,7 +347,7 @@ def test_asmd_iterates_stay_in_domain():
     prob = problems.make_simplex_quadratic([0.2, 0.3, 0.5])
     y1 = np.ones(3) / 3
     model = TwoPointNoise(p=1.5, sigma=0.5, q=0.3)
-    sched = schedules.asmd_known_t(smd_inputs(prob, y1, sigma=0.5, p=1.5, horizon=200))
+    sched = schedules.Schedule("asmd_known_t", smd_inputs(prob, y1, sigma=0.5, p=1.5, horizon=200))
     geom = prob.geometry
     tab = algos.run_asmd(prob, Oracle(prob, model, seed=2), sched, 200, y1).table
     for t in range(200):
@@ -359,7 +359,7 @@ def test_asmd_iterates_stay_in_domain():
 def test_no_clipping_when_level_dominates():
     prob = quad()
     x1 = np.array([1.0, 0.0])
-    sched = schedules.smd_known_t(smd_inputs(prob, x1, horizon=32))
+    sched = schedules.Schedule("smd_known_t", smd_inputs(prob, x1, horizon=32))
     rec = algos.run_smd(prob, noiseless_oracle(prob), sched, 32, x1)
     assert rec.clipped_fraction == 0.0
     assert np.all(~rec.table.clipped)
@@ -375,7 +375,7 @@ def test_batch_peak_memory_is_one_noise_block():
     n, steps = 200, 1024
     prob = quad()
     x1 = np.array([4.0, 0.0])
-    sched = schedules.smd_known_t(smd_inputs(prob, x1, sigma=0.25, horizon=steps))
+    sched = schedules.Schedule("smd_known_t", smd_inputs(prob, x1, sigma=0.25, horizon=steps))
     model = TwoPointNoise(p=1.5, sigma=0.25, q=0.1)
     block = 8 * n * steps * prob.dim
     algos.run_smd_batch(prob, model, sched, 8, x1, [0])  # first-use allocations, not the block
@@ -413,7 +413,7 @@ def test_batch_state_stays_seed_contiguous(loop, start, param):
     prob, x1 = START[start]
     steps, n = 16, 5
     if isinstance(param, str):
-        param = schedules.make_schedule(param, smd_inputs(prob, x1, sigma=1.0, horizon=steps))
+        param = schedules.Schedule(param, smd_inputs(prob, x1, sigma=1.0, horizon=steps))
     model = TwoPointNoise(p=1.5, sigma=1.0, q=0.3)
     noise = np.zeros((steps, prob.dim, n))
     for k in range(n):
@@ -421,3 +421,22 @@ def test_batch_state_stays_seed_contiguous(loop, start, param):
     X = loop(prob, param, steps, x1, noise, None)[3]
     assert X.shape == (n, prob.dim)
     assert X.flags.f_contiguous and not X.flags.c_contiguous
+
+
+def test_simplex_underflow_stays_interior():
+    """Huge entropy steps underflow coordinates; the runs warn of no log(0) and stay interior."""
+    from clipopt import config, harness
+
+    cfg = config.ExperimentConfig(algorithm="asmd", mode="asmd_known_t", horizon=64, n_seeds=5,
+                                  problem="simplex_quadratic", dim=32, noise="two_point",
+                                  p=1.5, sigma=0.5, q=0.1, eta_scale=1e6)
+    config.validate_config(cfg)
+    with pytest.warns(UserWarning, match="fewer than 30 seeds"):
+        summary = harness.run_trials(cfg, write=False)  # RuntimeWarnings are errors here
+    assert summary.diverged == 0
+    problem, y1 = config.build_problem(cfg)
+    noise_model, schedule = config.build_noise(cfg), config.build_schedule(cfg, problem, y1)
+    for seed in range(5):
+        rec = algos.run_asmd(problem, Oracle(problem, noise_model, seed=seed), schedule, 64, y1,
+                             record=False)
+        assert np.all(rec.final_point > 0)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from clipopt import algorithms, cli
+from clipopt import algorithms, cli, config
 from clipopt.config import (ConfigError, apply_override, dumps_config, load_config,
                             parse_config)
 
@@ -119,6 +119,29 @@ def test_cmd_run_invalid_config_exit_2(tmp_path, capsys):
     rc = cli.main(["run", "--config", cfgfile])
     assert rc == 2
     assert "noise.p" in capsys.readouterr().err
+
+
+FLOAT_KEYS = {f"{section}.{key}": kind for (section, key), (_, kind) in config._SCHEMA.items()
+              if kind in ("float", "float_tuple")}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", list(FLOAT_KEYS))
+def test_non_finite_values_exit_2(tmp_path, capsys, key, value):
+    value = f"1.0,{value}" if FLOAT_KEYS[key] == "float_tuple" else value
+    rc = cli.main(["run", "--config", _write(tmp_path, MINIMAL), "--set", f"{key}={value}"])
+    assert rc == 2
+    assert f"config error: {key}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("assignment", ["experiment.base_seed=-1", "schedule.mu=-1",
+                                        "noise.sigma=1e200", "noise.sigma=1e300"])
+def test_out_of_range_values_exit_2(tmp_path, capsys, assignment):
+    """Negative seeds and mu, and a sigma whose 2p-th power overflows, are config errors."""
+    rc = cli.main(["diagnose", "--config", _write(tmp_path, NOISY), "--set", assignment,
+                   "--set", "experiment.t=8"])
+    assert rc == 2
+    assert f"config error: {assignment.split('=')[0]}:" in capsys.readouterr().err
 
 
 def test_cmd_run_writes_only_inside_out_dir(tmp_path):

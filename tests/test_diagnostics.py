@@ -126,7 +126,7 @@ def test_clip_error_bounds_not_applicable_branch():
 
 def _smd_setup(prob, x1, sigma, horizon, seed, q=0.2, p=1.5):
     s = schedules.derive_inputs(prob, x1, p=p, sigma=sigma, delta=0.1, horizon=horizon)
-    sched = schedules.smd_known_t(s)
+    sched = schedules.Schedule("smd_known_t", s)
     oracle = Oracle(prob, TwoPointNoise(p=p, sigma=sigma, q=q), seed=seed)
     return sched, oracle
 
@@ -154,7 +154,7 @@ def test_pathwise_asmd_simplex_run():
     prob = problems.make_simplex_quadratic([0.2, 0.3, 0.5])
     y1 = np.ones(3) / 3
     s = schedules.derive_inputs(prob, y1, p=1.5, sigma=0.5, delta=0.1, horizon=1000)
-    sched = schedules.asmd_known_t(s)
+    sched = schedules.Schedule("asmd_known_t", s)
     oracle = Oracle(prob, TwoPointNoise(p=1.5, sigma=0.5, q=0.2), seed=3)
     rep = diag.check_pathwise_asmd(prob, oracle, sched, 1000, y1)
     assert rep.passed, rep.violations[:3]
@@ -164,7 +164,7 @@ def test_pathwise_asmd_noiseless():
     prob = problems.make_quadratic([1.0, 1.0])
     y1 = np.array([1.0, 0.0])
     s = schedules.derive_inputs(prob, y1, p=1.5, sigma=0.0, delta=0.1, horizon=300)
-    sched = schedules.asmd_known_t(s)
+    sched = schedules.Schedule("asmd_known_t", s)
     oracle = Oracle(prob, TwoPointNoise(p=1.5, sigma=0.0, q=1.0), seed=0)
     assert diag.check_pathwise_asmd(prob, oracle, sched, 300, y1).passed
 
@@ -173,7 +173,7 @@ def test_pathwise_sgd_runs():
     prob = problems.make_nonconvex_ratio(2)
     x1 = np.array([1.0, 1.0])
     s = schedules.derive_inputs(prob, x1, p=1.5, sigma=1.0, delta=0.1, horizon=1000)
-    sched = schedules.sgd_known_t(s)
+    sched = schedules.Schedule("sgd_known_t", s)
     oracle = Oracle(prob, TwoPointNoise(p=1.5, sigma=1.0, q=0.2), seed=5)
     rep = diag.check_pathwise_sgd(prob, oracle, sched, 1000, x1)
     assert rep.passed, rep.violations[:3]
@@ -184,8 +184,8 @@ def test_pathwise_sgd_boundary_step_size():
     prob = problems.make_quadratic([1.0, 1.0])
     x1 = np.array([1.0, 0.0])
     s = schedules.derive_inputs(prob, x1, p=1.5, sigma=1.0, delta=0.1, horizon=100)
-    base = schedules.sgd_known_t(s)
-    sched = schedules.make_schedule("sgd_known_t", s, eta_scale=1.0 / (base.eta(1) * 1.0))
+    base = schedules.Schedule("sgd_known_t", s)
+    sched = schedules.Schedule("sgd_known_t", s, eta_scale=1.0 / (base.eta(1) * 1.0))
     assert sched.eta(1) == pytest.approx(1.0)
     oracle = Oracle(prob, TwoPointNoise(p=1.5, sigma=1.0, q=0.2), seed=6)
     rep = diag.check_pathwise_sgd(prob, oracle, sched, 100, x1)
@@ -196,7 +196,7 @@ def test_pathwise_rejects_oversized_steps():
     prob = problems.make_quadratic([1.0, 1.0])
     x1 = np.array([1.0, 0.0])
     s = schedules.derive_inputs(prob, x1, p=1.5, sigma=0.0, delta=0.1, horizon=10)
-    sched = schedules.make_schedule("smd_known_t", s, eta_scale=1000.0)
+    sched = schedules.Schedule("smd_known_t", s, eta_scale=1000.0)
     oracle = Oracle(prob, TwoPointNoise(p=1.5, sigma=0.0, q=1.0), seed=0)
     with pytest.raises(ValueError, match="1/\\(4L\\)"):
         diag.check_pathwise_smd(prob, oracle, sched, 10, x1)
@@ -233,7 +233,7 @@ def test_martingale_sgd_noiseless_never_crosses():
     prob = problems.make_nonconvex_ratio(2)
     x1 = np.array([1.0, 1.0])
     s = schedules.derive_inputs(prob, x1, p=1.5, sigma=0.0, delta=0.1, horizon=100)
-    sched = schedules.sgd_known_t(s)
+    sched = schedules.Schedule("sgd_known_t", s)
     oracle = Oracle(prob, TwoPointNoise(p=1.5, sigma=0.0, q=1.0), seed=0)
     trace = diag.martingale_trace_sgd(prob, oracle, sched, 100, x1, delta=0.1,
                                       resamples=128, rng=make_rng(3))
@@ -245,7 +245,7 @@ def test_martingale_sgd_rejects_off_guarantee_schedule():
     prob = problems.make_nonconvex_ratio(2)
     x1 = np.array([1.0, 1.0])
     s = schedules.derive_inputs(prob, x1, p=1.5, sigma=1.0, delta=0.1, horizon=100)
-    sched = schedules.make_schedule("sgd_known_t", s, eta_scale=10.0)
+    sched = schedules.Schedule("sgd_known_t", s, eta_scale=10.0)
     oracle = Oracle(prob, TwoPointNoise(p=1.5, sigma=1.0, q=0.2), seed=0)
     with pytest.raises(ValueError, match="trace undefined"):
         diag.martingale_trace_sgd(prob, oracle, sched, 100, x1, delta=0.1,
@@ -259,7 +259,7 @@ def test_martingale_smd_first_step_exponential_moment():
     x1 = np.array([4.0, 0.0])
     model = TwoPointNoise(p=1.5, sigma=1.0, q=0.3)
     s = schedules.derive_inputs(prob, x1, p=1.5, sigma=1.0, delta=0.1, horizon=64)
-    sched = schedules.smd_known_t(s)
+    sched = schedules.Schedule("smd_known_t", s)
     draws = []
     for seed in range(2000):
         trace = diag.martingale_trace_smd(prob, Oracle(prob, model, seed=seed), sched,
@@ -301,8 +301,8 @@ def test_pathwise_smd_detects_dropped_nonsmooth_term():
     oracle = lambda prob: Oracle(prob, TwoPointNoise(p=1.5, sigma=0.0, q=1.0), seed=0)
     for prob, expect_clean in ((wrong, False), (nonsmooth, True)):
         s = schedules.derive_inputs(prob, xn, p=1.5, sigma=0.0, delta=0.1, horizon=200)
-        base = schedules.smd_known_t(s)
-        sched = schedules.make_schedule("smd_known_t", s, eta_scale=0.25 / base.eta(1))
+        base = schedules.Schedule("smd_known_t", s)
+        sched = schedules.Schedule("smd_known_t", s, eta_scale=0.25 / base.eta(1))
         rep = diag.check_pathwise_smd(prob, oracle(prob), sched, 200, xn)
         assert rep.passed == expect_clean
 

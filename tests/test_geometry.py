@@ -165,6 +165,18 @@ def test_mirror_step_keeps_simplex_interior():
         assert x.sum() == pytest.approx(1.0)
 
 
+def test_entropy_step_floors_underflow_and_keeps_other_bits():
+    s = geo.simplex(4)
+    X = np.array([[0.25, 0.25, 0.25, 0.25], [0.1, 0.2, 0.3, 0.4]])
+    G = np.array([[1e6, -1e6, 0.0, 0.0], [1.0, -0.5, 0.2, 0.0]])
+    out = s.mirror_step_many(X, G, 1.0)
+    assert out[0, 0] == np.nextafter(0.0, 1.0)  # exp underflowed to 0: held at the floor
+    logits = np.log(X[1]) - G[1]
+    W = np.exp(logits - np.max(logits))
+    np.testing.assert_array_equal(out[1], W / np.sum(W))
+    assert np.all(np.isfinite(s.mirror_step_many(out, G, 1.0)))  # log of the floor is finite
+
+
 def test_ball_projection_inside_is_identity():
     b = geo.ball(2, radius=5.0)
     out = b.mirror_step(np.array([1.0, 1.0]), np.array([0.5, -0.5]), 0.1)

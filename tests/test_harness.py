@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from clipopt import harness
+from clipopt import algorithms, harness
 from clipopt.config import ExperimentConfig, validate_config
 
 
@@ -188,6 +188,28 @@ def test_compare_reports_divergence_count():
     comp = harness.compare_clipped_vanilla(c)
     assert comp.vanilla_diverged == 40  # the 3/L step is unstable on this quadratic
     assert comp.n_pairs == 40
+
+
+@pytest.mark.parametrize("vanilla_eta", [None, 0.3])
+def test_compare_is_chunked_like_run_trials(monkeypatch, vanilla_eta):
+    """Both sides of compare go through the chunked seed runner, with the same result."""
+    c = cfg(algorithm="sgd", mode="sgd_known_t", p=1.5, sigma=1.0, q=0.2, n_seeds=40,
+            vanilla_eta=vanilla_eta)
+    whole = harness.compare_clipped_vanilla(c)
+    calls = {"clipped": 0, "vanilla": 0}
+
+    def counted(side, fn):
+        def run(*args):
+            calls[side] += 1
+            return fn(*args)
+        return run
+
+    monkeypatch.setattr(algorithms, "run_sgd_batch", counted("clipped", algorithms.run_sgd_batch))
+    monkeypatch.setattr(algorithms, "run_vanilla_sgd_batch",
+                        counted("vanilla", algorithms.run_vanilla_sgd_batch))
+    monkeypatch.setattr(harness, "_CHUNK_BUDGET", 64 * 2 * 7)  # six chunks of 6-7 seeds
+    assert harness.compare_clipped_vanilla(c) == whole
+    assert calls["clipped"] >= 2 and calls["vanilla"] >= 2
 
 
 def test_upper_quantile_through_infinities():

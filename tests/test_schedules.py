@@ -24,7 +24,7 @@ def test_gamma_floor():
 
 
 def test_smd_known_horizon_example():
-    sched = schedules.smd_known_t(inputs(horizon=26))
+    sched = schedules.Schedule("smd_known_t", inputs(horizon=26))
     # sigma branch: (26 T / gamma)^(1/p) sigma = 26; deterministic branch: 2*(2 L r1) = 4
     assert sched.lam(1) == pytest.approx(26.0)
     assert sched.eta(1) == pytest.approx(1.0 / 624.0)
@@ -32,7 +32,7 @@ def test_smd_known_horizon_example():
 
 
 def test_smd_known_horizon_noiseless_branch():
-    sched = schedules.smd_known_t(inputs(sigma=0.0, horizon=100, r0=0.5))
+    sched = schedules.Schedule("smd_known_t", inputs(sigma=0.0, horizon=100, r0=0.5))
     det = 2.0 * (2.0 * 1.0 * 1.0 + 1.0 * 0.5)
     assert sched.lam(7) == pytest.approx(det)
     assert sched.eta(7) == pytest.approx(1.0 / (24.0 * det))
@@ -40,15 +40,15 @@ def test_smd_known_horizon_noiseless_branch():
 
 def test_smd_known_horizon_gamma_scaling():
     # sigma branch active: lambda scales as gamma^(-1/p)
-    lo = schedules.smd_known_t(inputs(horizon=10_000, delta=GAMMA_ONE))
-    hi = schedules.smd_known_t(inputs(horizon=10_000, delta=math.exp(-4.0)))
+    lo = schedules.Schedule("smd_known_t", inputs(horizon=10_000, delta=GAMMA_ONE))
+    hi = schedules.Schedule("smd_known_t", inputs(horizon=10_000, delta=math.exp(-4.0)))
     assert hi.lam(1) / lo.lam(1) == pytest.approx((1 / 4) ** 0.5)
     # eta carries the extra 1/gamma: ratio = gamma^(1/p) / gamma = gamma^(1/p - 1)
     assert hi.eta(1) / lo.eta(1) == pytest.approx(4 ** 0.5 / 4)
 
 
 def test_smd_anytime_first_step_and_monotone():
-    sched = schedules.smd_anytime(inputs(r1=0.1))
+    sched = schedules.Schedule("smd_anytime", inputs(r1=0.1))
     assert sched.lam(1) == pytest.approx(math.sqrt(52.0))
     lams = np.array([sched.lam(t) for t in range(1, 10_001)])
     assert np.all(np.diff(lams) >= 0)
@@ -56,7 +56,7 @@ def test_smd_anytime_first_step_and_monotone():
 
 def test_smd_anytime_matches_substitution_formula():
     s = inputs(r1=0.5, p=1.5)
-    sched = schedules.smd_anytime(s)
+    sched = schedules.Schedule("smd_anytime", s)
     det = 2.0 * (2.0 * s.smoothness * s.r1)
     for t in (1, 2, 17, 1000):
         proxy = 2.0 * t * (1.0 + math.log(t)) ** 2
@@ -74,14 +74,14 @@ def test_log_weight_series_values():
 
 
 def test_param_free_first_step():
-    sched = schedules.smd_param_free(inputs(c1=1.0, c2=1.0))
+    sched = schedules.Schedule("smd_param_free", inputs(c1=1.0, c2=1.0))
     sched.observe(1, np.zeros(2))
     assert sched.lam(1) == pytest.approx(math.sqrt(52.0))  # max(sqrt(52), 2, 1/6)
     assert sched.eta(1) * sched.lam(1) == pytest.approx(1.0 / 24.0)
 
 
 def test_param_free_level_never_decreases():
-    sched = schedules.smd_param_free(inputs())
+    sched = schedules.Schedule("smd_param_free", inputs())
     rng = np.random.default_rng(0)
     x1 = np.zeros(3)
     sched.observe(1, x1)
@@ -94,7 +94,7 @@ def test_param_free_level_never_decreases():
 
 
 def test_param_free_state_discipline():
-    sched = schedules.smd_param_free(inputs())
+    sched = schedules.Schedule("smd_param_free", inputs())
     with pytest.raises(ValueError, match="state missing"):
         sched.lam(1)
     sched.observe(1, np.zeros(2))
@@ -103,13 +103,13 @@ def test_param_free_state_discipline():
 
 
 def test_accelerated_momentum_weights():
-    sched = schedules.asmd_known_t(inputs(horizon=64))
+    sched = schedules.Schedule("asmd_known_t", inputs(horizon=64))
     assert sched.alpha(1) == 1.0
     assert sched.alpha(3) == 0.5
 
 
 def test_accelerated_noiseless_uses_floor_constant():
-    sched = schedules.asmd_known_t(inputs(sigma=0.0, horizon=64))
+    sched = schedules.Schedule("asmd_known_t", inputs(sigma=0.0, horizon=64))
     gamma, L, r1 = 1.0, 1.0, 1.0
     for t in (1, 5, 64):
         assert sched.lam(t) == pytest.approx(1e4 * r1 * gamma * L / (4.0 * (t + 1)))
@@ -117,29 +117,33 @@ def test_accelerated_noiseless_uses_floor_constant():
 
 
 def test_accelerated_anytime_constant_growth():
-    sched = schedules.asmd_anytime(inputs())
-    assert sched._accel_c(1) == 1e4  # 8 * sqrt(52) < 1e4
-    cs = np.array([sched._accel_c(t) for t in range(1, 2000)])
+    s = inputs()
+
+    def c(t):
+        return schedules._accel_c(s, t, schedules.horizon_proxy(t))
+
+    assert c(1) == 1e4  # 8 * sqrt(52) < 1e4
+    cs = np.array([c(t) for t in range(1, 2000)])
     assert np.all(np.diff(cs) >= 0)
 
 
 def test_accelerated_anytime_noiseless_matches_known_horizon():
-    anytime = schedules.asmd_anytime(inputs(sigma=0.0))
-    known = schedules.asmd_known_t(inputs(sigma=0.0, horizon=64))
+    anytime = schedules.Schedule("asmd_anytime", inputs(sigma=0.0))
+    known = schedules.Schedule("asmd_known_t", inputs(sigma=0.0, horizon=64))
     for t in (1, 7, 64):
         assert anytime.lam(t) == known.lam(t)
         assert anytime.eta(t) == known.eta(t)
 
 
 def test_accelerated_override_is_off_guarantee():
-    sched = schedules.asmd_known_t(inputs(horizon=64, c_override=300.0))
+    sched = schedules.Schedule("asmd_known_t", inputs(horizon=64, c_override=300.0))
     assert sched.off_guarantee
     assert sched.lam(3) == pytest.approx(300.0 * 1.0 * 1.0 * 1.0 * 0.5 / 8.0)
-    assert not schedules.asmd_known_t(inputs(horizon=64)).off_guarantee
+    assert not schedules.Schedule("asmd_known_t", inputs(horizon=64)).off_guarantee
 
 
 def test_sgd_known_horizon_example():
-    sched = schedules.sgd_known_t(inputs(horizon=16))
+    sched = schedules.Schedule("sgd_known_t", inputs(horizon=16))
     # branches: 8 * 16^(1/4) = 16, 2 sqrt(90) = 18.9737, 32^(1/2) * 16^(1/4) = 11.3137
     assert sched.lam(1) == pytest.approx(2.0 * math.sqrt(90.0))
     assert sched.lam(1) == pytest.approx(18.97366596, abs=1e-6)
@@ -149,12 +153,12 @@ def test_sgd_known_horizon_example():
 
 
 def test_sgd_known_horizon_noiseless_branch():
-    sched = schedules.sgd_known_t(inputs(sigma=0.0, horizon=64, delta1=2.0))
+    sched = schedules.Schedule("sgd_known_t", inputs(sigma=0.0, horizon=64, delta1=2.0))
     assert sched.lam(9) == pytest.approx(2.0 * math.sqrt(180.0))
 
 
 def test_sgd_anytime_first_step_and_monotonicity():
-    sched = schedules.sgd_anytime(inputs())
+    sched = schedules.Schedule("sgd_anytime", inputs())
     # proxy(1) = 2: branches {8 * 2^(1/4), 2 sqrt(90), sqrt(32) * 2^(1/4)}
     assert sched.lam(1) == pytest.approx(2.0 * math.sqrt(90.0))
     assert 8.0 * 2.0 ** 0.25 == pytest.approx(9.51365692)
@@ -165,7 +169,7 @@ def test_sgd_anytime_first_step_and_monotonicity():
 
 def test_sgd_anytime_matches_substitution_formula():
     s = inputs(p=1.5, delta1=2.0)
-    sched = schedules.sgd_anytime(s)
+    sched = schedules.Schedule("sgd_anytime", s)
     for t in (1, 3, 250):
         proxy = 2.0 * t * (1.0 + math.log(t)) ** 2
         lam = max(
@@ -191,7 +195,7 @@ STEP_CAP_CASES = [
 @pytest.mark.parametrize("mode,extra", STEP_CAP_CASES)
 @pytest.mark.parametrize("p,sigma,L", [(1.5, 1.0, 1.0), (2.0, 3.0, 7.0), (1.2, 0.0, 0.3)])
 def test_step_caps(mode, extra, p, sigma, L):
-    sched = schedules.make_schedule(mode, inputs(p=p, sigma=sigma, smoothness=L, **extra))
+    sched = schedules.Schedule(mode, inputs(p=p, sigma=sigma, smoothness=L, **extra))
     ts = np.unique(np.concatenate([
         np.arange(1, 10_001),
         np.logspace(4, 6, 60).astype(int),
@@ -216,7 +220,7 @@ def test_step_caps(mode, extra, p, sigma, L):
     ("asmd_anytime", dict()),
 ])
 def test_eta_lambda_product_constant(mode, extra):
-    sched = schedules.make_schedule(mode, inputs(p=1.5, **extra))
+    sched = schedules.Schedule(mode, inputs(p=1.5, **extra))
     c1 = sched.constants()["C1"]
     for t in range(1, 513):
         assert abs(sched.eta(t) * sched.lam(t) - c1) <= 1e-13 * c1
@@ -235,14 +239,14 @@ def test_eta_lambda_product_constant(mode, extra):
     ("sgd_known_t", dict(horizon=256), dict(p=2.0, sigma=0.0)),
 ])
 def test_condition_checker_passes_for_guaranteed_schedules(mode, extra, algo_inputs):
-    sched = schedules.make_schedule(mode, inputs(**algo_inputs, **extra))
+    sched = schedules.Schedule(mode, inputs(**algo_inputs, **extra))
     horizon = extra.get("horizon", 256)
     report = schedules.verify_schedule_conditions(sched, horizon)
     assert report.ok, [c for c in report.checks if not c.passed]
 
 
 def test_condition_checker_vacuous_notes_when_noiseless():
-    sched = schedules.smd_known_t(inputs(sigma=0.0, horizon=64))
+    sched = schedules.Schedule("smd_known_t", inputs(sigma=0.0, horizon=64))
     report = schedules.verify_schedule_conditions(sched, 64)
     notes = {c.name: c.note for c in report.checks}
     assert "vacuous" in notes["lambda_power_sum"]
@@ -250,7 +254,7 @@ def test_condition_checker_vacuous_notes_when_noiseless():
 
 
 def test_condition_checker_flags_corrupted_schedule():
-    sched = schedules.make_schedule("smd_known_t", inputs(horizon=256), eta_scale=2.0)
+    sched = schedules.Schedule("smd_known_t", inputs(horizon=256), eta_scale=2.0)
     report = schedules.verify_schedule_conditions(sched, 256)
     failed = {c.name for c in report.checks if not c.passed}
     assert "eta_lambda_constant" in failed
@@ -261,7 +265,7 @@ def test_condition_checker_param_free_after_run():
     prob = problems.make_quadratic([1.0, 1.0])
     s = schedules.derive_inputs(prob, np.array([1.0, 0.0]), p=1.5, sigma=1.0,
                                 delta=0.1, c1=1.0, c2=1.0)
-    sched = schedules.smd_param_free(s, norm=prob.geometry.norm)
+    sched = schedules.Schedule("smd_param_free", s, norm=prob.geometry.norm)
     oracle = Oracle(prob, TwoPointNoise(p=1.5, sigma=1.0, q=0.2), seed=1)
     run_smd(prob, oracle, sched, 128, np.array([1.0, 0.0]), record=False)
     report = schedules.verify_schedule_conditions(sched, 128)
@@ -269,39 +273,93 @@ def test_condition_checker_param_free_after_run():
 
 
 def test_condition_checker_requires_param_free_state():
-    sched = schedules.smd_param_free(inputs())
+    sched = schedules.Schedule("smd_param_free", inputs())
     with pytest.raises(ValueError, match="state missing"):
         schedules.verify_schedule_conditions(sched, 16)
 
 
 def test_theorem_bound_smd_hand_value():
-    sched = schedules.smd_known_t(inputs(horizon=26))
+    sched = schedules.Schedule("smd_known_t", inputs(horizon=26))
     # sigma branch: 26^(1/2) * 26^(-1/2) * 1 * 1 = 1 dominates 2*4/26
     assert schedules.theorem_bound(sched, 26) == pytest.approx(48.0)
 
 
 def test_theorem_bound_smd_noiseless():
-    sched = schedules.smd_known_t(inputs(sigma=0.0, horizon=64))
+    sched = schedules.Schedule("smd_known_t", inputs(sigma=0.0, horizon=64))
     # 48 r1 * det * gamma / T with det = 4
     assert schedules.theorem_bound(sched, 64) == pytest.approx(48.0 * 4.0 / 64.0)
 
 
 def test_theorem_bound_asmd_noiseless():
-    sched = schedules.asmd_known_t(inputs(sigma=0.0, horizon=64))
+    sched = schedules.Schedule("asmd_known_t", inputs(sigma=0.0, horizon=64))
     assert schedules.theorem_bound(sched, 64) == pytest.approx(6e4 / 65.0 ** 2)
 
 
 def test_theorem_bound_sgd_hand_value():
-    sched = schedules.sgd_known_t(inputs(horizon=16))
+    sched = schedules.Schedule("sgd_known_t", inputs(horizon=16))
     lam = 2.0 * math.sqrt(90.0)
     expect = 720.0 * lam * 16.0 ** (1.0 / 4.0) / 16.0
     assert schedules.theorem_bound(sched, 16) == pytest.approx(expect)
 
 
+def closed_form_bound(mode, s, T):
+    """Each mode's bound written out in closed form (reference for theorem_bound)."""
+    gamma, p, sigma, L = s.gamma, s.p, s.sigma, s.smoothness
+    det = 2.0 * (2.0 * L * s.r1 + L * s.r0 + s.mu * sigma + s.g0_norm)
+    if mode == "smd_known_t":
+        return 48.0 * s.r1 * max(
+            26.0 ** (1.0 / p) * T ** ((1.0 - p) / p) * sigma * gamma ** ((p - 1.0) / p),
+            det * gamma / T)
+    if mode == "smd_anytime":
+        return 48.0 * s.r1 * max(
+            52.0 ** (1.0 / p) * T ** ((1.0 - p) / p) * (1.0 + math.log(T)) ** (2.0 / p)
+            * sigma * gamma ** ((p - 1.0) / p),
+            det * gamma / T)
+    if mode == "smd_param_free":
+        a_const = gamma + 2.0 * sigma ** p / s.c2
+        lead = (8.0 / (T * s.c1)) * (s.r1 + s.c1 / 3.0 * a_const) ** 2
+        return lead * max(
+            (52.0 * T * (1.0 + math.log(T)) ** 2 * s.c2) ** (1.0 / p),
+            4.0 * s.r1 * L + (2.0 * s.c1 / 3.0) * L * a_const + 2.0 * s.grad1_bound,
+            L * s.c1 / 6.0)
+    if mode.startswith("asmd"):
+        tau = T if mode == "asmd_known_t" else 2.0 * T * (1.0 + math.log(T)) ** 2
+        return 6.0 * max(
+            1e4 * L * gamma ** 2 * s.r1 ** 2 * (T + 1) ** -2,
+            4.0 * s.r1 * (26.0 * tau) ** (1.0 / p) * gamma ** ((p - 1.0) / p) * sigma / (T + 1))
+    tau = float(T) if mode == "sgd_known_t" else 2.0 * T * (1.0 + math.log(T)) ** 2
+    e = 1.0 / (3 * p - 2)
+    lam_T = max(
+        (8.0 * gamma / math.sqrt(L * s.delta1)) ** (1.0 / (p - 1.0)) * tau ** e
+        * sigma ** (p / (p - 1.0)),
+        2.0 * math.sqrt(90.0 * L * s.delta1),
+        32.0 ** (1.0 / p) * sigma * tau ** e)
+    return 720.0 * math.sqrt(s.delta1 * L) * gamma * lam_T * tau ** ((p - 1.0) * e) / T
+
+
+@pytest.mark.parametrize("mode", schedules.ALL_MODES)
+def test_theorem_bound_matches_closed_forms(mode):
+    rng = np.random.default_rng(sum(map(ord, mode)))
+    for _ in range(300):
+        T = int(np.exp(rng.uniform(0.0, np.log(1e6))))
+        s = schedules.ScheduleInputs(
+            p=rng.uniform(1.05, 2.0), sigma=rng.choice([0.0, rng.uniform(0.0, 10.0)]),
+            smoothness=np.exp(rng.uniform(-3, 3)), delta=rng.uniform(0.001, 0.99), horizon=T,
+            r1=np.exp(rng.uniform(-3, 3)), r0=rng.uniform(0, 2), mu=rng.uniform(0, 2),
+            g0_norm=rng.uniform(0, 2), delta1=np.exp(rng.uniform(-3, 3)),
+            grad1_bound=np.exp(rng.uniform(-3, 3)), c1=np.exp(rng.uniform(-2, 2)),
+            c2=np.exp(rng.uniform(-2, 2)),
+            c_override=300.0 if rng.random() < 0.3 else None)
+        sched = schedules.Schedule(mode, s, eta_scale=rng.choice([1.0, 1.7]),
+                                   lambda_scale=rng.choice([1.0, 0.3]))
+        expect = closed_form_bound(mode, s, T)
+        assert schedules.theorem_bound(sched, T) == pytest.approx(expect, rel=1e-14, abs=0.0)
+
+
 def test_missing_horizon_rejected():
     for mode in ("smd_known_t", "asmd_known_t", "sgd_known_t"):
         with pytest.raises(ValueError, match="horizon"):
-            schedules.make_schedule(mode, inputs(horizon=None))
+            schedules.Schedule(mode, inputs(horizon=None))
 
 
 def test_derive_inputs_from_problem():
@@ -318,7 +376,7 @@ def test_derive_inputs_from_problem():
 @pytest.mark.parametrize("mode", schedules.ALL_MODES)
 def test_pair_equals_eta_and_lam_with_one_evaluation(mode, monkeypatch):
     s = inputs(p=1.5, sigma=0.7, delta=0.05, horizon=40, r0=0.3)
-    sched = schedules.make_schedule(mode, s, eta_scale=1.7, lambda_scale=0.3)
+    sched = schedules.Schedule(mode, s, eta_scale=1.7, lambda_scale=0.3)
     calls = []
     raw_pair = schedules.Schedule._raw_pair
     monkeypatch.setattr(schedules.Schedule, "_raw_pair",
