@@ -11,15 +11,17 @@ transpose of a C-ordered (d, n) block, so each coordinate's n values lie
 next to each other and every elementwise op, per-coordinate constant and
 per-row factor runs as one inner loop over the seeds instead of one per
 row.  Reductions over coordinates go through ``geometry.coord_sum`` and
-``geometry.coord_dot``, whose bits do not depend on the layout.  The noise
-is presampled into one time-major (steps, d, n) block, an anonymous
-mapping of its own (``_zero_block``): seed k's noise sequence is drawn
-in place into ``noise[:, :, k]`` from its own stream, and
-step t reads the contiguous slab ``noise[t - 1]`` as the (n, d) view
-``noise[t - 1].T``.  ``run_*_batch`` advances many seeds in lockstep (used
-by the experiment harness); ``run_*`` is the one-row case, a (steps, d, 1)
-block, which can also record a per-step table of the row's path (read by
-the diagnostics).
+``geometry.coord_dot``, whose bits do not depend on the layout.  Seed k's
+noise sequence is drawn from its own stream, and step t reads it as the
+(n, d) view ``noise.slab(t)`` of a draws object: the transpose of a
+C-ordered (d, n) slab.  A two-point batch keeps only its spikes
+(``SpikeDraws``, expanded a cache-sized window of steps at a time); a
+radial batch is presampled into one time-major (steps, d, n) block, an
+anonymous mapping of its own (``_zero_block``), with seed k's draw in
+``[:, :, k]`` (``DenseDraws``).  ``run_*_batch`` advances many seeds in
+lockstep (used by the experiment harness); ``run_*`` is the one-row case,
+a dense (steps, d, 1) block, which can also record a per-step table of the
+row's path (read by the diagnostics).
 Same seed, same config give bitwise-identical trajectories in either form.
 A row whose final iterate, summary or final gap is not finite is reported as
 diverged, with infinite summary and gap; the overflow and invalid-value
@@ -35,7 +37,8 @@ import numpy as np
 
 from .clipping import clip_batch
 from .geometry import coord_dot
-from .noise import Oracle, check_noise_geometry, make_rng
+from .noise import (DenseDraws, Oracle, SpikeDraws, TwoPointNoise, check_noise_geometry,
+                    make_rng)
 from .problems import Problem
 from .schedules import ASMD_MODES, SGD_MODES, SMD_MODES, Schedule
 
@@ -157,11 +160,11 @@ def run_vanilla_sgd_batch(problem: Problem, noise_model, eta: float, steps: int,
 
 
 def _single(algorithm, loop, problem, oracle, param, steps, x1, record) -> RunRecord:
-    """One row fed by the oracle's noise block; the table records row 0."""
+    """One row fed by the oracle's dense noise block; the table records row 0."""
     log = [] if record else None
+    noise = DenseDraws(oracle.noise_matrix(steps)[:, :, None])
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are flagged diverged
-        summary, final_gap, clipped, X, done = loop(
-            problem, param, steps, x1, oracle.noise_matrix(steps)[:, :, None], log)
+        summary, final_gap, clipped, X, done = loop(problem, param, steps, x1, noise, log)
     res = _result(algorithm, np.array([oracle.seed]), steps, summary, final_gap, clipped, X)
     return RunRecord(
         algorithm=algorithm, seed=oracle.seed, steps=done, summary=float(res.summary[0]),
@@ -183,12 +186,18 @@ def _table(log, x1) -> StepTable:
 
 
 def _batch(algorithm, loop, problem, noise_model, param, steps, x1, seeds) -> BatchResult:
-    """One zero-filled (steps, dim, n_seeds) block; seed k's noise is drawn into ``[:, :, k]``."""
+    """Seed k's noise drawn from ``make_rng(seed)``: two-point noise kept as its spikes,
+    radial noise into ``[:, :, k]`` of one zero-filled (steps, dim, n_seeds) block."""
     seeds = np.asarray(list(seeds), dtype=int)
     check_noise_geometry(problem, noise_model)
-    noise = _zero_block((steps, problem.dim, seeds.size))
-    for k, seed in enumerate(seeds):
-        noise_model.sample_batch(problem.dim, steps, make_rng(int(seed)), out=noise[:, :, k])
+    rngs = (make_rng(int(seed)) for seed in seeds)
+    if isinstance(noise_model, TwoPointNoise):
+        noise = SpikeDraws(noise_model, problem.dim, steps, rngs)
+    else:
+        block = _zero_block((steps, problem.dim, seeds.size))
+        for k, rng in enumerate(rngs):
+            noise_model.sample_batch(problem.dim, steps, rng, out=block[:, :, k])
+        noise = DenseDraws(block)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are flagged diverged
         out = loop(problem, param, steps, x1, noise, None)
     return _result(algorithm, seeds, steps, *out[:4])
@@ -240,14 +249,14 @@ def _prepare_schedule(schedule: Schedule, modes, needs: str, n: int):
     schedule.reset()
 
 
-# -- the loops: noise is (steps, d, n) and step t uses the (n, d) view
-# noise[t - 1].T, so the state stays seed-contiguous; a log, if given, gets
-# row 0 of each step; each returns (summary, final_gap, clip counts, final
-# rows, steps run) --
+# -- the loops: noise is a draws object whose slab(t) is step t's (n, d) noise,
+# the transpose of a C-ordered (d, n) block, so the state stays seed-contiguous;
+# a log, if given, gets row 0 of each step; each returns (summary, final_gap,
+# clip counts, final rows, steps run) --
 
 
 def _smd(problem, schedule, steps, x1, noise, log):
-    n = noise.shape[2]
+    n = noise.n
     _prepare_schedule(schedule, SMD_MODES, "smd needs a mirror-descent schedule", n)
     geom = problem.geometry
     X = _start(problem, x1, n)
@@ -257,7 +266,7 @@ def _smd(problem, schedule, steps, x1, noise, log):
     for t in range(1, steps + 1):
         schedule.observe(t, X[0])
         eta, lam = schedule.pair(t)
-        G = problem.grad_many(X) + noise[t - 1].T
+        G = problem.grad_many(X) + noise.slab(t)
         norms = geom.dual_norm_many(G)
         Gc = clip_batch(G, lam, norms)
         X = geom.mirror_step_many(X, Gc, eta)
@@ -270,7 +279,7 @@ def _smd(problem, schedule, steps, x1, noise, log):
 
 
 def _asmd(problem, schedule, steps, y1, noise, log):
-    n = noise.shape[2]
+    n = noise.n
     _prepare_schedule(schedule, ASMD_MODES, "asmd needs an accelerated schedule", n)
     geom = problem.geometry
     Y = Z = _start(problem, y1, n)
@@ -279,7 +288,7 @@ def _asmd(problem, schedule, steps, y1, noise, log):
         alpha = schedule.alpha(t)
         eta, lam = schedule.pair(t)
         Xq = (1.0 - alpha) * Y + alpha * Z
-        G = problem.grad_many(Xq) + noise[t - 1].T
+        G = problem.grad_many(Xq) + noise.slab(t)
         norms = geom.dual_norm_many(G)
         Gc = clip_batch(G, lam, norms)
         Z = geom.mirror_step_many(Z, Gc, eta)
@@ -293,7 +302,7 @@ def _asmd(problem, schedule, steps, y1, noise, log):
 
 
 def _sgd(problem, schedule, steps, x1, noise, log):
-    n = noise.shape[2]
+    n = noise.n
     _prepare_schedule(schedule, SGD_MODES, "sgd needs a gradient-descent schedule", n)
     if problem.geometry.kind != "euclidean":
         raise ValueError("clipped gradient descent runs on unconstrained l2 geometry")
@@ -306,7 +315,7 @@ def _sgd(problem, schedule, steps, x1, noise, log):
         Gt = problem.grad_many(X)
         metric = coord_dot(Gt, Gt)
         metric_sum += metric
-        G = Gt + noise[t - 1].T
+        G = Gt + noise.slab(t)
         norms = geom.dual_norm_many(G)
         Gc = clip_batch(G, lam, norms)
         X = X - eta * Gc
@@ -317,7 +326,7 @@ def _sgd(problem, schedule, steps, x1, noise, log):
 
 
 def _vanilla(problem, eta, steps, x1, noise, log):
-    n = noise.shape[2]
+    n = noise.n
     if problem.geometry.kind != "euclidean":
         raise ValueError("the baseline runs on unconstrained l2 geometry")
     X = _start(problem, x1, n)
@@ -327,7 +336,7 @@ def _vanilla(problem, eta, steps, x1, noise, log):
         Gt = problem.grad_many(X)
         metric = coord_dot(Gt, Gt)
         metric_sum += np.where(active, metric, 0.0)
-        G = Gt + noise[t - 1].T
+        G = Gt + noise.slab(t)
         X_new = X - eta * G
         active &= np.all(np.abs(X_new) <= DIVERGENCE_LIMIT, axis=1)  # NaN rows freeze too
         X = np.where(active[:, None], X_new, X)

@@ -11,10 +11,10 @@ form whose reload compares equal, so configs round-trip.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import hashlib
 import io
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,7 @@ class ConfigError(ValueError):
         super().__init__(f"{field_path}: {message}")
 
 
-@dataclass
+@dataclasses.dataclass
 class ExperimentConfig:
     # experiment
     experiment_id: str = "exp"
@@ -231,6 +231,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("experiment.base_seed", "base seed must be >= 0")
     if not (0.0 < cfg.delta < 1.0):
         raise ConfigError("experiment.delta", "delta must lie in (0, 1)")
+    if math.isinf(1.0 / cfg.delta):
+        raise ConfigError("experiment.delta", "1/delta overflows a double")
     if not (1.0 < cfg.p <= 2.0):
         raise ConfigError("noise.p", "moment order p must lie in (1, 2]")
     if cfg.sigma < 0:
@@ -260,12 +262,63 @@ def validate_config(cfg: ExperimentConfig) -> None:
     # build everything once so module-level constraints surface at load time
     try:
         problem, x1 = build_problem(cfg)
-        build_noise(cfg)
-        build_schedule(cfg, problem, x1, horizon=cfg.horizon)
+        _check_spike(cfg, build_noise(cfg))
+        for horizon in sorted({cfg.horizon, *(cfg.horizon_grid or ())}):
+            _check_schedule_values(cfg, problem, x1, horizon)
     except ConfigError:
         raise
     except (ValueError, RuntimeError) as exc:
         raise ConfigError("<config>", str(exc)) from exc
+
+
+def _check_spike(cfg: ExperimentConfig, noise_model) -> None:
+    """Reject a two-point spike magnitude sigma q^(-1/p) that overflows a double."""
+    if not isinstance(noise_model, noise_mod.TwoPointNoise):
+        return
+    try:
+        finite = math.isfinite(noise_model.spike)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ConfigError("noise.q", f"the spike sigma q^(-1/p) overflows a double at "
+                                     f"p = {cfg.p}, sigma = {cfg.sigma}, q = {cfg.q}")
+
+
+# Knobs that scale a schedule's values, with the value at which each is inert.
+_SCHEDULE_KNOBS = (("schedule.mu", "mu", 0.0), ("schedule.eta_scale", "eta_scale", 1.0),
+                   ("schedule.lambda_scale", "lambda_scale", 1.0),
+                   ("schedule.c_override", "c_override", None))
+
+
+def _schedule_values_finite(cfg: ExperimentConfig, problem, x1, horizon: int) -> bool:
+    """Whether the schedule's step and level at t = 1 and t = T (stateless modes) and its
+    bound are finite doubles; a formula that overflows raises ``OverflowError``."""
+    schedule = build_schedule(cfg, problem, x1, horizon=horizon)
+    try:
+        values = [schedules_mod.theorem_bound(schedule, horizon)]
+    except ZeroDivisionError:  # a step size that underflowed to 0
+        return False
+    if not schedule.stateful:
+        values += [*schedule.pair(1), *schedule.pair(horizon)]
+    return all(math.isfinite(v) for v in values)
+
+
+def _check_schedule_values(cfg: ExperimentConfig, problem, x1, horizon: int) -> None:
+    """Reject a config whose schedule is not finite at horizon T, naming the key behind it:
+    a knob away from its inert value whose reset makes it finite, else the moment order."""
+    at = f"at p = {cfg.p}, sigma = {cfg.sigma}, delta = {cfg.delta}"
+    try:
+        if _schedule_values_finite(cfg, problem, x1, horizon):
+            return
+    except OverflowError:
+        raise ConfigError("noise.p", f"the schedule overflows a double {at}") from None
+    for key, attr, inert in _SCHEDULE_KNOBS:
+        if getattr(cfg, attr) != inert and _schedule_values_finite(
+                dataclasses.replace(cfg, **{attr: inert}), problem, x1, horizon):
+            raise ConfigError(key, f"makes the schedule's step, clipping level or bound "
+                                   f"non-finite at T = {horizon}")
+    raise ConfigError("noise.p", f"the schedule's step, clipping level or bound is not finite "
+                                 f"at T = {horizon} {at}")
 
 
 def build_problem(cfg: ExperimentConfig):

@@ -31,7 +31,9 @@ from .config import (ConfigError, ExperimentConfig, build_noise, build_problem,
                      build_schedule, config_digest, p_tag)
 from .schedules import SGD_MODES, theorem_bound
 
-# Cap on n_seeds * horizon * dim held in memory at once; larger sweeps are chunked.
+# Cap on n_seeds * horizon * dim per lockstep batch; larger sweeps are chunked.  It
+# sizes the dense noise block of radial noise; a two-point batch holds only its
+# spikes but is chunked the same way.
 _CHUNK_BUDGET = 30_000_000
 
 

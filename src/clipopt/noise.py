@@ -16,9 +16,16 @@ indicator), one integer (coordinate), one uniform (sign); per radial draw,
 ``d`` standard normals (direction, normalized) then one uniform (inverse-CDF
 Pareto radius).  Batched draws consume the same fields in column-major
 blocks and are the stream used by the run loops; ``sample_batch`` can write
-its draw into a caller's array (``out``), which the lockstep runners use to
-fill one seed's strided slice ``noise[:, :, k]`` of their time-major
-(steps, dim, n_seeds) noise block in place, from the seed's own generator.
+its draw into a caller's array (``out``).
+
+Run noise: the loops read step t's (n, d) noise as ``slab(t)`` of a draws
+object.  ``DenseDraws`` holds a presampled time-major (steps, d, n) block;
+single runs and radial lockstep batches use it, the batch filling seed k's
+strided slice ``[:, :, k]`` in place from the seed's own generator.
+``SpikeDraws`` holds a two-point lockstep batch as its spikes only: each
+seed's generator makes the calls of ``sample_batch(d, steps, rng)``, each
+hit is kept as one int64 key, and a reused window of K steps is expanded
+from them with the dense slab's bits and layout.
 
 Block draws: ``sample_block(d, points, n, rng)`` is the stream of ``points``
 successive ``sample_batch(d, n, rng)`` calls.  It makes the same generator
@@ -97,15 +104,22 @@ class TwoPointNoise:
         U, S = np.empty((points, n)), np.empty((points, n))
         idx = np.empty((points, n), dtype=np.int64)
         for k in range(points):
-            rng.random(out=U[k])
-            idx[k] = rng.integers(0, d, size=n)
-            rng.random(out=S[k])
+            idx[k] = _spike_fields(rng, d, U[k], S[k])
         if out is None:
             out = np.zeros((points, n, d))
         hits = np.flatnonzero(U < self.q)
         k, i = np.divmod(hits, n)
         out[k, i, idx.ravel()[hits]] = np.where(S.ravel()[hits] < 0.5, self.spike, -self.spike)
         return out
+
+
+def _spike_fields(rng: np.random.Generator, d: int, U: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """One point's ``len(U)`` two-point draws in stream order: the hit uniforms into ``U``,
+    then the coordinates (returned), then the sign uniforms into ``S``."""
+    rng.random(out=U)
+    idx = rng.integers(0, d, size=U.size)
+    rng.random(out=S)
+    return idx
 
 
 @dataclass(frozen=True)
@@ -171,6 +185,84 @@ def _one_point(model, d: int, n: int, rng: np.random.Generator, out) -> np.ndarr
         return model.sample_block(d, 1, n, rng)[0]
     model.sample_block(d, 1, n, rng, out=out[None])
     return out
+
+
+# -- lockstep draws: the noise of n seeds over a run, read one (n, d) step at a time --
+
+# Byte size of a spike window: K = _WINDOW_BYTES // (8 d n) steps (at least one),
+# small enough that the window stays in cache while the loop reads it.
+_WINDOW_BYTES = 1 << 20
+
+
+class DenseDraws:
+    """Noise presampled into a time-major (steps, d, n) block.
+
+    Step t is ``block[t - 1].T``: the (n, d) view of a C-ordered (d, n) slab,
+    whose rows are the seeds and whose coordinates each hold n adjacent values.
+    """
+
+    def __init__(self, block: np.ndarray):
+        self.n = block.shape[2]
+        self._slabs = block.transpose(0, 2, 1)
+
+    def slab(self, t: int) -> np.ndarray:
+        return self._slabs[t - 1]
+
+
+class SpikeDraws:
+    """Two-point noise of many seeds kept as its spikes, expanded K steps at a time.
+
+    Seed k's generator (the k-th of ``rngs``) makes the generator calls of
+    ``model.sample_batch(d, steps, rng)``, and only its hits are kept: each as
+    one int64 key, twice the hit's flat index into the dense (steps, d, n)
+    block plus 1 for a negative spike.  The keys are sorted, so they are step
+    major.  ``slab(t)`` writes the spikes of t's window of K steps into a
+    reused zero-filled (K, d, n) block and returns the (n, d) view of its
+    C-ordered (d, n) slab: the same layout and the same +0.0 and +-M values as
+    the dense block's slab, a -0.0 spike (sigma = 0) included.
+    """
+
+    def __init__(self, model: TwoPointNoise, d: int, steps: int, rngs):
+        U, S = np.empty(steps), np.empty(steps)
+        cells, negative = [], []
+        for rng in rngs:
+            idx = _spike_fields(rng, d, U, S)
+            hits = np.flatnonzero(U < model.q)
+            cells.append(hits * d + idx[hits])  # flat index into a seed's (steps, d) draw
+            negative.append(S[hits] >= 0.5)
+        self.n = n = len(cells)
+        counts = [c.size for c in cells]
+        keys = np.concatenate(cells)
+        del cells  # the per-seed arrays go before the key arithmetic makes its temporaries
+        keys *= 2 * n
+        keys += np.repeat(np.arange(0, 2 * n, 2), counts)
+        keys += np.concatenate(negative)
+        del negative
+        keys.sort()
+        self.keys = keys
+        self.spike = model.spike
+        self._K = K = max(1, min(steps, _WINDOW_BYTES // (8 * d * n)))
+        window = np.zeros((K, d, n))
+        self._flat = window.reshape(-1)
+        self._slabs = [slab.T for slab in window]  # made once: a step costs no view
+        self._bounds = np.searchsorted(keys, 2 * window.size * np.arange(-(-steps // K) + 1))
+        self._first = -K  # first step of the window now expanded; none yet
+        self._written = np.empty(0, dtype=np.int64)
+
+    def slab(self, t: int) -> np.ndarray:
+        i = t - self._first
+        if not 0 <= i < self._K:
+            self._expand((t - 1) // self._K)
+            i = t - self._first
+        return self._slabs[i]
+
+    def _expand(self, w: int):
+        flat = self._flat
+        flat[self._written] = 0.0
+        keys = self.keys[self._bounds[w]:self._bounds[w + 1]]
+        self._written = (keys >> 1) - w * flat.size
+        flat[self._written] = np.where(keys & 1, -self.spike, self.spike)
+        self._first = w * self._K + 1
 
 
 def make_noise(kind: str, p: float, sigma: float, *, q: float = 0.1, tail_index: float = 1.75):

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from clipopt import algorithms as algos
 from clipopt import geometry, problems, schedules
-from clipopt.noise import Oracle, RadialParetoNoise, TwoPointNoise
+from clipopt.noise import (DenseDraws, Oracle, RadialParetoNoise, SpikeDraws, TwoPointNoise,
+                          make_rng)
 
 GAMMA_ONE = math.exp(-1.0)
 
@@ -366,11 +367,12 @@ def test_no_clipping_when_level_dominates():
 
 
 def test_batch_peak_memory_is_one_noise_block():
-    """The seeds' noise is drawn in place: no per-seed blocks alive beside the batch block.
+    """A two-point batch holds less than half a dense noise block, all told.
 
-    The block lives in a mapping of its own, which tracemalloc does not see, so
-    the traced peak is what the batch allocates beside it: a copy of the block
-    would be a whole block more.
+    It keeps only its spikes and one window of steps, on the heap, where
+    tracemalloc sees them: the traced peak is the batch's whole noise
+    representation and its state, so a dense block, or a copy of one, would
+    fail the bound.
     """
     n, steps = 200, 1024
     prob = quad()
@@ -409,18 +411,21 @@ def test_batch_noise_block_is_a_fresh_mapping():
     (algos._vanilla, "euclidean", 0.1),
 ])
 def test_batch_state_stays_seed_contiguous(loop, start, param):
-    """Each loop hands back a Fortran-ordered state: its numpy ops run one loop over the seeds."""
+    """Each loop hands back a Fortran-ordered state, fed by either draws object: its numpy
+    ops run one loop over the seeds."""
     prob, x1 = START[start]
     steps, n = 16, 5
     if isinstance(param, str):
         param = schedules.Schedule(param, smd_inputs(prob, x1, sigma=1.0, horizon=steps))
     model = TwoPointNoise(p=1.5, sigma=1.0, q=0.3)
-    noise = np.zeros((steps, prob.dim, n))
+    block = np.zeros((steps, prob.dim, n))
     for k in range(n):
-        Oracle(prob, model, seed=k).noise_matrix(steps, out=noise[:, :, k])
-    X = loop(prob, param, steps, x1, noise, None)[3]
-    assert X.shape == (n, prob.dim)
-    assert X.flags.f_contiguous and not X.flags.c_contiguous
+        Oracle(prob, model, seed=k).noise_matrix(steps, out=block[:, :, k])
+    for noise in (DenseDraws(block),
+                  SpikeDraws(model, prob.dim, steps, [make_rng(k) for k in range(n)])):
+        X = loop(prob, param, steps, x1, noise, None)[3]
+        assert X.shape == (n, prob.dim)
+        assert X.flags.f_contiguous and not X.flags.c_contiguous
 
 
 def test_simplex_underflow_stays_interior():

@@ -5,9 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from clipopt import algorithms, cli, config
 from clipopt.config import (ConfigError, apply_override, dumps_config, load_config,
@@ -142,6 +145,71 @@ def test_out_of_range_values_exit_2(tmp_path, capsys, assignment):
                    "--set", "experiment.t=8"])
     assert rc == 2
     assert f"config error: {assignment.split('=')[0]}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "diagnose"])
+@pytest.mark.parametrize("config_file, assignments, key", [
+    ("sgd_rates.cfg", ["noise.p=1.05", "noise.sigma=1e30"], "noise.p"),
+    ("sgd_rates.cfg", ["noise.p=1.01", "noise.sigma=1e10"], "noise.p"),
+    ("sgd_rates.cfg", ["noise.p=1.01", "experiment.delta=1e-300"], "noise.p"),
+    ("diagnose_smd.cfg", ["schedule.mu=1e308", "experiment.seeds=30", "experiment.t=16"],
+     "schedule.mu"),
+    ("sgd_rates.cfg", ["experiment.delta=5e-324"], "experiment.delta"),
+    ("smd_heavy_tail.cfg", ["noise.p=1.0000001", "noise.q=5e-324"], "noise.q"),
+])
+def test_non_finite_schedule_exit_2(tmp_path, capsys, command, config_file, assignments, key):
+    """A schedule whose level overflows as p -> 1, or whose SMD floor, level or bound is not
+    finite, is rejected at load time and the message names the key (and p, sigma, delta);
+    so are a 1/delta and a two-point spike that overflow."""
+    argv = [command, "--config", str(DEMO_CONFIGS / config_file), "--out", str(tmp_path)]
+    for assignment in assignments:
+        argv += ["--set", assignment]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {key}:" in err
+    if key == "noise.p":
+        cfg = load_config(DEMO_CONFIGS / config_file)
+        for assignment in assignments:
+            apply_override(cfg, assignment)
+        assert f"p = {cfg.p}, sigma = {cfg.sigma}, delta = {cfg.delta}" in err
+
+
+EXTREMES = {
+    "noise.p": ["1.0", "1.0000001", "1.01", "1.05", "1.5", "2.0", "2.0000001"],
+    "noise.sigma": ["-1.0", "0.0", "5e-324", "1e-300", "1.0", "1e10", "1e30", "1e154", "1e300"],
+    "noise.q": ["0.0", "5e-324", "1e-300", "1e-3", "0.5", "1.0", "1.0000001"],
+    "experiment.delta": ["0.0", "5e-324", "1e-300", "0.1", "0.9999999", "1.0"],
+    "schedule.mu": ["-1.0", "0.0", "1.0", "1e150", "1e300", "1e308"],
+    "schedule.eta_scale": ["-1.0", "0.0", "1e-300", "1.0", "1e300", "1e308"],
+    "schedule.lambda_scale": ["0.0", "5e-324", "1e-300", "1.0", "1e300", "1e308"],
+}
+
+
+@given(config_file=st.sampled_from(["smd_heavy_tail.cfg", "sgd_rates.cfg", "asmd"]),
+       values=st.fixed_dictionaries({key: st.none() | st.sampled_from(choices)
+                                     for key, choices in EXTREMES.items()}))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_extreme_values_run_or_exit_2(tmp_path, capsys, config_file, values):
+    """Boundary and extreme moment, confidence and schedule values either run or are
+    rejected with exit 2 naming a section.key; none ends in a traceback."""
+    argv = ["run", "--config", str(DEMO_CONFIGS / "smd_heavy_tail.cfg"), "--out", str(tmp_path),
+            "--set", "experiment.t=16", "--set", "experiment.seeds=3"]
+    if config_file == "asmd":
+        argv += ["--set", "experiment.algorithm=asmd", "--set", "schedule.mode=asmd_known_t"]
+    else:
+        argv[2] = str(DEMO_CONFIGS / config_file)
+    for key, value in values.items():
+        if value is not None:
+            argv += ["--set", f"{key}={value}"]
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "fewer than 30 seeds", UserWarning)
+        rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc in (0, 2), err
+    if rc == 2:
+        named = err.removeprefix("config error: ").split(":")[0]
+        assert tuple(named.split(".")) in config._SCHEMA, err
 
 
 def test_cmd_run_writes_only_inside_out_dir(tmp_path):

@@ -182,3 +182,44 @@ def test_sample_batch_into_strided_view(model, d):
     np.testing.assert_equal(rng_out.bit_generator.state, rng_fresh.bit_generator.state)
     assert not np.any(np.delete(block, k, axis=2))  # the other seeds' slices are untouched
 
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("window_steps", [None, 3])
+@pytest.mark.parametrize("n", [1, 7, 300])
+@pytest.mark.parametrize("d", [1, 2, 3, 32])
+@pytest.mark.parametrize("model", [nz.TwoPointNoise(p=1.5, sigma=1.0, q=1e-3),
+                                   nz.TwoPointNoise(p=1.5, sigma=1.0, q=0.1),
+                                   nz.TwoPointNoise(p=1.5, sigma=1.0, q=1.0),
+                                   nz.make_noise("none", 1.5, 0.0)],
+                         ids=["q1e-3", "q0.1", "q1", "none"])
+def test_spike_slabs_equal_dense_slabs(model, d, n, window_steps, monkeypatch):
+    """Every step's spike slab is the dense block's slab bit for bit, in the same layout,
+    and each seed's generator ends where its dense draw leaves it."""
+    if window_steps is not None:  # windows of 3 steps: 10 is not a multiple
+        monkeypatch.setattr(nz, "_WINDOW_BYTES", 8 * d * n * window_steps)
+    steps = 10 if window_steps is not None else 50
+    seeds = range(100, 100 + n)
+    block = np.zeros((steps, d, n))
+    dense_rngs = [nz.make_rng(s) for s in seeds]
+    for k, rng in enumerate(dense_rngs):
+        model.sample_batch(d, steps, rng, out=block[:, :, k])
+    spike_rngs = [nz.make_rng(s) for s in seeds]
+    spikes = nz.SpikeDraws(model, d, steps, spike_rngs)
+    dense = nz.DenseDraws(block)
+    assert spikes.n == dense.n == n
+    for t in range(1, steps + 1):
+        got, want = spikes.slab(t), dense.slab(t)
+        assert got.shape == want.shape == (n, d) and got.strides == want.strides
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+    for a, b in zip(spike_rngs, dense_rngs):
+        np.testing.assert_equal(a.bit_generator.state, b.bit_generator.state)
+    if model.sigma > 0:
+        assert spikes.keys.size == np.count_nonzero(block)
+    if model.q == 1.0:  # every row of every step is a hit: the worst case, 8 bytes a seed-step
+        assert spikes.keys.nbytes == 8 * n * steps
+    if model.sigma == 0.0:
+        assert np.signbit(block).any()  # the compared slabs hold negative zero spikes
