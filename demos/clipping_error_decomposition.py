@@ -35,13 +35,13 @@ def main():
           f"|theta_u|={np.linalg.norm(theta.theta_u):.4f} "
           f"|theta_b|={np.linalg.norm(theta.theta_b):.4f} (stderr {theta.stderr:.4f})")
 
-    rep = diagnostics.check_clipping_error_bounds(oracle, x, level, samples=100_000,
+    rep = diagnostics.check_clipping_error_bounds(prob, model, x, level, samples=100_000,
                                                   rng=make_rng(4))
     print(f"bias {rep.bias_norm:.4f} <= {rep.bias_bound:.4f} (+5se); "
           f"second moment {rep.second_moment:.4f} <= {rep.second_moment_bound:.1f} (+5se); "
           f"norm-bound violations: {rep.u_violations}")
 
-    g0, mu = clipping.estimate_g0(oracle, x, blocks=51, per_block=20, rng=make_rng(5))
+    g0, mu = clipping.estimate_g0(prob, model, x, blocks=51, per_block=20, rng=make_rng(5))
     print(f"\nrobust initial estimate g0={g0.round(4)} vs true {prob.grad(x)} "
           f"(observed mu={mu:.4f})")
 

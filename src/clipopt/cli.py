@@ -110,9 +110,8 @@ def cmd_diagnose(args) -> int:
 
     if cfg.error_bounds:
         rng = make_rng(cfg.base_seed + 7_000_000)
-        oracle = Oracle(problem, noise_model, seed=cfg.base_seed)
         level = schedule.lam(1) if not schedule.stateful else schedule.lam(cfg.horizon)
-        rep = diag.check_clipping_error_bounds(oracle, x1, level,
+        rep = diag.check_clipping_error_bounds(problem, noise_model, x1, level,
                                                max(cfg.resamples, 10_000), rng)
         reports.append(rep)
         print(f"check clipping_error_bounds: {'pass' if rep.passed else 'FAIL'} "

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import coord_dot
+from .geometry import coord_dot, shrink_factors
 from .noise import Oracle
-from .shrink import shrink_factors
 
 
 def clip(g, level: float, dual_norm=None) -> np.ndarray:
@@ -111,15 +110,17 @@ class ThetaEstimate:
 def estimate_theta(oracle: Oracle, x, level: float, samples: int, rng: np.random.Generator) -> ThetaEstimate:
     """Decompose one clipped-gradient error at ``x`` via resampling.
 
-    The primary draw consumes the oracle's own stream; the ``samples``
-    auxiliary draws consume ``rng`` so that attaching the estimator to a run
-    does not perturb the run's trajectory.
+    The primary draw is the next draw of the oracle's own stream; the
+    ``samples`` auxiliary draws consume ``rng`` so that attaching the
+    estimator to a run does not perturb the run's trajectory.
     """
     if samples < 100:
         raise ValueError("need at least 100 resamples for a stable conditional mean")
-    aux = resample_clipped(oracle.problem, oracle.noise, [x], level, samples, rng)
+    problem = oracle.problem
+    aux = resample_clipped(problem, oracle.noise, [x], level, samples, rng)
     g_true, theta_b = aux.grad[0], aux.cond_mean[0] - aux.grad[0]
-    theta = clip(oracle.grad(x), level, oracle.problem.geometry.dual_norm) - g_true
+    g = problem.grad(np.asarray(x, dtype=float)) + oracle.noise_matrix(1)[0]
+    theta = clip(g, level, problem.geometry.dual_norm) - g_true
     return ThetaEstimate(theta=theta, theta_u=theta - theta_b, theta_b=theta_b,
                          samples=samples, stderr=float(aux.stderr[0]))
 
@@ -172,21 +173,23 @@ def geometric_median(points: np.ndarray, tol: float = 1e-10, max_iter: int = 100
     raise RuntimeError(f"Weiszfeld iteration did not converge within {max_iter} iterations")
 
 
-def estimate_g0(oracle: Oracle, x0, blocks: int, per_block: int, rng: np.random.Generator):
+def estimate_g0(problem, noise_model, x0, blocks: int, per_block: int,
+                rng: np.random.Generator):
     """Geometric median of block means of raw stochastic gradients at ``x0``.
 
-    Returns ``(g0, mu_observed)`` where ``mu_observed`` is the realized
+    The ``blocks * per_block`` draws consume ``rng``.  Returns ``(g0,
+    mu_observed)`` where ``mu_observed`` is the realized
     ``||g0 - grad f(x0)||_* / sigma`` (zero when sigma is zero).
     """
     if blocks < 1 or per_block < 1:
         raise ValueError("blocks and per_block must be >= 1")
     x0 = np.asarray(x0, dtype=float)
-    d = oracle.problem.dim
-    g_true = oracle.problem.grad(x0)
-    draws = g_true + oracle.noise.sample_batch(d, blocks * per_block, rng)
+    d = problem.dim
+    g_true = problem.grad(x0)
+    draws = g_true + noise_model.sample_batch(d, blocks * per_block, rng)
     block_means = draws.reshape(blocks, per_block, d).mean(axis=1)
     g0 = geometric_median(block_means)
-    err = oracle.problem.geometry.dual_norm(g0 - g_true)
-    sigma = oracle.noise.sigma
+    err = problem.geometry.dual_norm(g0 - g_true)
+    sigma = noise_model.sigma
     mu = err / sigma if sigma > 0 else 0.0
     return g0, float(mu)

@@ -257,12 +257,20 @@ def validate_config(cfg: ExperimentConfig) -> None:
                           f"mode {cfg.mode!r} does not drive algorithm {cfg.algorithm!r}")
     if cfg.mu < 0:
         raise ConfigError("schedule.mu", "mu is a ratio of norms and must be >= 0")
+    for key, value in (("c1", cfg.c1), ("c2", cfg.c2), ("c_override", cfg.c_override)):
+        if value is not None and value <= 0:
+            raise ConfigError(f"schedule.{key}", "must be positive")
     if cfg.resamples < 100:
         raise ConfigError("diagnostics.resamples", "need at least 100 resamples")
     # build everything once so module-level constraints surface at load time
     try:
         problem, x1 = build_problem(cfg)
-        _check_spike(cfg, build_noise(cfg))
+        noise_model = build_noise(cfg)
+        _check_spike(cfg, noise_model)
+        try:
+            noise_mod.check_noise_geometry(problem, noise_model)
+        except ValueError as exc:
+            raise ConfigError("noise.kind", str(exc)) from exc
         for horizon in sorted({cfg.horizon, *(cfg.horizon_grid or ())}):
             _check_schedule_values(cfg, problem, x1, horizon)
     except ConfigError:
@@ -290,39 +298,43 @@ _SCHEDULE_KNOBS = (("schedule.mu", "mu", 0.0), ("schedule.eta_scale", "eta_scale
                    ("schedule.c_override", "c_override", None))
 
 
-def _schedule_values_finite(cfg: ExperimentConfig, problem, x1, horizon: int) -> bool:
+def _schedule_values_in_range(cfg: ExperimentConfig, problem, x1, horizon: int) -> bool:
     """Whether the schedule's step and level at t = 1 and t = T (stateless modes) and its
-    bound are finite doubles; a formula that overflows raises ``OverflowError``."""
+    bound are finite doubles and the levels positive; a formula that overflows raises
+    ``OverflowError``."""
     schedule = build_schedule(cfg, problem, x1, horizon=horizon)
     try:
-        values = [schedules_mod.theorem_bound(schedule, horizon)]
-    except ZeroDivisionError:  # a step size that underflowed to 0
+        bound = schedules_mod.theorem_bound(schedule, horizon)
+        pairs = [] if schedule.stateful else [schedule.pair(1), schedule.pair(horizon)]
+    except ZeroDivisionError:  # a step size, or the divisor of one, that underflowed to 0
         return False
-    if not schedule.stateful:
-        values += [*schedule.pair(1), *schedule.pair(horizon)]
-    return all(math.isfinite(v) for v in values)
+    return math.isfinite(bound) and all(math.isfinite(eta) and 0 < lam < math.inf
+                                        for eta, lam in pairs)
 
 
 def _check_schedule_values(cfg: ExperimentConfig, problem, x1, horizon: int) -> None:
-    """Reject a config whose schedule is not finite at horizon T, naming the key behind it:
-    a knob away from its inert value whose reset makes it finite, else the moment order."""
+    """Reject a config whose schedule is not finite, or whose clipping level underflows to 0,
+    at horizon T, naming the key behind it: a knob away from its inert value whose reset
+    brings it in range, else the moment order."""
     at = f"at p = {cfg.p}, sigma = {cfg.sigma}, delta = {cfg.delta}"
     try:
-        if _schedule_values_finite(cfg, problem, x1, horizon):
+        if _schedule_values_in_range(cfg, problem, x1, horizon):
             return
     except OverflowError:
         raise ConfigError("noise.p", f"the schedule overflows a double {at}") from None
     for key, attr, inert in _SCHEDULE_KNOBS:
-        if getattr(cfg, attr) != inert and _schedule_values_finite(
+        if getattr(cfg, attr) != inert and _schedule_values_in_range(
                 dataclasses.replace(cfg, **{attr: inert}), problem, x1, horizon):
             raise ConfigError(key, f"makes the schedule's step, clipping level or bound "
-                                   f"non-finite at T = {horizon}")
-    raise ConfigError("noise.p", f"the schedule's step, clipping level or bound is not finite "
-                                 f"at T = {horizon} {at}")
+                                   f"non-finite, or the level 0, at T = {horizon}")
+    raise ConfigError("noise.p", f"the schedule's step, clipping level or bound is not finite, "
+                                 f"or the level is 0, at T = {horizon} {at}")
 
 
 def build_problem(cfg: ExperimentConfig):
     """Instantiate the problem and its start point."""
+    if cfg.dim < 1:
+        raise ConfigError("problem.dim", "dimension must be >= 1")
     if cfg.problem == "quadratic":
         diag = cfg.diag if cfg.diag is not None else tuple(1.0 for _ in range(cfg.dim))
         if len(diag) != cfg.dim:
@@ -352,7 +364,10 @@ def build_problem(cfg: ExperimentConfig):
         prob = problems_mod.make_nonconvex_ratio(cfg.dim)
         x1 = np.ones(cfg.dim)
     elif cfg.problem == "quadratic_plus_norm":
-        prob = problems_mod.make_quadratic_plus_norm(cfg.dim, cfg.coef)
+        try:
+            prob = problems_mod.make_quadratic_plus_norm(cfg.dim, cfg.coef)
+        except ValueError as exc:
+            raise ConfigError("problem.coef", str(exc)) from exc
         x1 = np.ones(cfg.dim) / math.sqrt(cfg.dim)
     else:
         raise ConfigError("problem.kind", f"unknown problem {cfg.problem!r}")

@@ -107,12 +107,16 @@ class MgfReport:
                 "max_margin": worst, "stderr": self.mc_stderr_slack}
 
 
-def check_mgf_bound(radius: float, lambdas, law, mc_slack_sigmas: float = 5.0) -> MgfReport:
+# Standard errors of slack a Monte Carlo MGF comparison allows.
+_MC_SLACK_SIGMAS = 5.0
+
+
+def check_mgf_bound(radius: float, lambdas, law) -> MgfReport:
     """Verify ``E exp(l X) <= exp(0.75 l^2 E X^2)`` for ``0 <= l <= 1/radius``.
 
     ``law`` is either a :class:`DiscreteLaw` (exact expectations) or a 1-d
     array of Monte Carlo draws from a bounded zero-mean law, in which case
-    the comparison allows ``mc_slack_sigmas`` standard errors of slack.
+    the comparison allows ``_MC_SLACK_SIGMAS`` standard errors of slack.
     Grid points beyond ``1/radius`` are outside the bound's range and are
     reported as skipped.
     """
@@ -139,7 +143,7 @@ def check_mgf_bound(radius: float, lambdas, law, mc_slack_sigmas: float = 5.0) -
             vals = np.exp(lam * draws)
             lhs = float(vals.mean())
             stderr = float(vals.std(ddof=1) / math.sqrt(draws.size))
-            slack = mc_slack_sigmas * stderr
+            slack = _MC_SLACK_SIGMAS * stderr
             report.mc_stderr_slack = max(report.mc_stderr_slack, slack)
         rhs = math.exp(0.75 * lam * lam * second)
         report.entries.append(MgfEntry(float(lam), lhs, rhs, lhs <= rhs + slack + 1e-15))
@@ -183,7 +187,7 @@ class ClipErrorReport:
                 "stderr": self.bias_stderr}
 
 
-def check_clipping_error_bounds(oracle: Oracle, x, level: float, samples: int,
+def check_clipping_error_bounds(problem: Problem, noise_model, x, level: float, samples: int,
                                 rng: np.random.Generator) -> ClipErrorReport:
     """Monte Carlo check of the clipped-error bounds at a fixed point.
 
@@ -191,12 +195,12 @@ def check_clipping_error_bounds(oracle: Oracle, x, level: float, samples: int,
     clipped draw and the estimated conditional mean have norm at most the
     level), so the violation count must be zero.  The bias and second-moment
     bounds apply only when the true gradient norm is at most half the level;
-    otherwise they are reported as not applicable.
+    otherwise they are reported as not applicable.  The draws consume ``rng``.
     """
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples for the error-bound check")
-    geom, p, sigma = oracle.problem.geometry, oracle.noise.p, oracle.noise.sigma
-    res = resample_clipped(oracle.problem, oracle.noise, [x], level, samples, rng)
+    geom, p, sigma = problem.geometry, noise_model.p, noise_model.sigma
+    res = resample_clipped(problem, noise_model, [x], level, samples, rng)
     return ClipErrorReport(
         samples=samples, level=level, u_violations=int(res.u_over[0]),
         u_max_norm=float(res.u_max[0]), applicable=geom.dual_norm(res.grad[0]) <= level / 2.0,
@@ -365,8 +369,7 @@ class MartingaleTrace:
 
 
 def martingale_trace_smd(problem: Problem, oracle: Oracle, schedule: Schedule, steps: int,
-                         x1, delta: float, resamples: int, rng: np.random.Generator,
-                         q_const: float | None = None) -> MartingaleTrace:
+                         x1, delta: float, resamples: int, rng: np.random.Generator) -> MartingaleTrace:
     """Supermartingale trace of a clipped mirror-descent run.
 
     The weight ``z_t`` divides by the running maximum of the Bregman radius
@@ -376,9 +379,9 @@ def martingale_trace_smd(problem: Problem, oracle: Oracle, schedule: Schedule, s
     ``rng`` (the run's own stream is not perturbed).  A Bregman divergence
     that rounds below zero counts as zero radius.
     """
-    constants = {"Q": schedule.constants()["Q"] if q_const is None else q_const}
     tab = run_smd(problem, oracle, schedule, steps, x1).table
-    return martingale_smd(problem, oracle.noise, tab, constants, delta, resamples, rng)
+    return martingale_smd(problem, oracle.noise, tab, schedule.constants(), delta,
+                          resamples, rng)
 
 
 def martingale_smd(problem: Problem, noise_model, tab: StepTable, constants: dict,

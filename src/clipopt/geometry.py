@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shrink import shrink_factors
-
 EUCLIDEAN = "euclidean"
 BALL = "ball"
 SIMPLEX = "simplex"
@@ -47,6 +45,16 @@ def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     so a row's value does not depend on the number of rows beside it.
     """
     return (A[..., None, :] @ B[..., :, None])[..., 0, 0]
+
+
+def shrink_factors(norms: np.ndarray, level: float) -> np.ndarray:
+    """Per-row factors ``min{1, level / norm}`` for a positive ``level``.
+
+    The clip and the ball projection both rescale a vector to norm at most
+    ``level`` with this factor.  Written ``level / max{norm, level}``, it is
+    exactly 1 up to the level, and a NaN norm gives a NaN factor.
+    """
+    return level / np.maximum(norms, level)
 
 
 # Sums and dot products over coordinates.  The run loops' (n, dim) arrays are

@@ -237,6 +237,8 @@ def fit_rate(cfg: ExperimentConfig) -> RateFit:
     if cfg.horizon_grid is None or len(cfg.horizon_grid) < 4:
         raise ConfigError("experiment.t_grid",
                           "rate fitting needs a horizon grid with at least 4 points")
+    if len(set(cfg.horizon_grid)) == 1:
+        raise ConfigError("experiment.t_grid", "all horizons identical: log-log fit undefined")
     if cfg.n_seeds < 100:
         raise ConfigError("experiment.seeds", "rate fitting needs at least 100 seeds per horizon")
     problem, x1 = build_problem(cfg)

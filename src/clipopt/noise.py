@@ -10,13 +10,17 @@ while ``E r^p = a s^p / (a - p)`` stays finite, and the internal scale
 ``sigma**p`` exactly.
 
 Randomness comes from numpy's counter-based 64-bit Philox generator seeded
-through ``SeedSequence`` (``make_rng``).  Stream order is fixed and
-documented on each sampler: per two-point draw, one uniform (spike
-indicator), one integer (coordinate), one uniform (sign); per radial draw,
-``d`` standard normals (direction, normalized) then one uniform (inverse-CDF
-Pareto radius).  Batched draws consume the same fields in column-major
-blocks and are the stream used by the run loops; ``sample_batch`` can write
-its draw into a caller's array (``out``).
+through ``SeedSequence`` (``make_rng``).  Each family writes its draw once,
+in ``sample_block(d, points, n, rng)``: the stream of ``points`` successive
+``sample_batch(d, n, rng)`` calls.  It makes each point's generator calls in
+turn (two-point: n uniforms for the spike indicators, n integers for the
+coordinates, n uniforms for the signs; radial: n * d standard normals for
+the directions, n uniforms for the inverse-CDF Pareto radii) and only then
+scatters the spikes or normalizes and scales the whole (points, n, d) block.
+``sample_batch`` is its one-point case and can write its draw into a
+caller's array (``out``).  The diagnostics draw the resamples of many steps
+this way, with the stream of a per-step loop; one stochastic gradient at x
+is ``problem.grad(x) + oracle.noise_matrix(1)[0]``.
 
 Run noise: the loops read step t's (n, d) noise as ``slab(t)`` of a draws
 object.  ``DenseDraws`` holds a presampled time-major (steps, d, n) block;
@@ -26,13 +30,6 @@ strided slice ``[:, :, k]`` in place from the seed's own generator.
 seed's generator makes the calls of ``sample_batch(d, steps, rng)``, each
 hit is kept as one int64 key, and a reused window of K steps is expanded
 from them with the dense slab's bits and layout.
-
-Block draws: ``sample_block(d, points, n, rng)`` is the stream of ``points``
-successive ``sample_batch(d, n, rng)`` calls.  It makes the same generator
-calls in the same order, point by point, and only then scatters the spikes
-(two-point) or normalizes and scales (radial) the whole (points, n, d)
-block; ``sample_batch`` is its one-point case.  The diagnostics draw the
-resamples of many steps this way, with the stream of a per-step loop.
 """
 
 from __future__ import annotations
@@ -77,15 +74,6 @@ class TwoPointNoise:
     @property
     def finite_variance(self) -> bool:
         return True  # bounded support
-
-    def sample(self, d: int, rng: np.random.Generator) -> np.ndarray:
-        u = rng.random()
-        i = int(rng.integers(0, d))
-        s = rng.random()
-        xi = np.zeros(d)
-        if u < self.q:
-            xi[i] = self.spike if s < 0.5 else -self.spike
-        return xi
 
     def sample_batch(self, d: int, n: int, rng: np.random.Generator,
                      out: np.ndarray | None = None) -> np.ndarray:
@@ -148,12 +136,6 @@ class RadialParetoNoise:
     @property
     def finite_variance(self) -> bool:
         return self.tail_index > 2.0  # never true within the allowed range
-
-    def sample(self, d: int, rng: np.random.Generator) -> np.ndarray:
-        z = rng.standard_normal(d)
-        z /= np.sqrt(z @ z)
-        u = rng.random()
-        return z * (self.scale * u ** (-1.0 / self.tail_index))
 
     def sample_batch(self, d: int, n: int, rng: np.random.Generator,
                      out: np.ndarray | None = None) -> np.ndarray:
@@ -329,7 +311,7 @@ def check_noise_geometry(problem: Problem, noise) -> None:
 
 
 class Oracle:
-    """Stochastic first-order oracle: exact gradient plus fresh additive noise.
+    """One problem's seeded noise stream: the additive noise of a stochastic oracle.
 
     Carries its own mutable generator; use one instance per run (distinct
     seeds may run concurrently).  ``noise_matrix`` presamples the full noise
@@ -346,15 +328,7 @@ class Oracle:
         self.seed = seed
         self.rng = make_rng(seed)
 
-    def grad(self, x) -> np.ndarray:
-        """One stochastic gradient; history independent and unbiased."""
-        x = np.asarray(x, dtype=float)
-        return self.problem.grad(x) + self.noise.sample(self.problem.dim, self.rng)
-
-    def noise_matrix(self, steps: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Presampled (steps, dim) noise block consumed by the run loops.
-
-        ``out``, if given, is a zero-filled (steps, dim) array (a strided view
-        is fine) that receives the draw and is returned.
-        """
-        return self.noise.sample_batch(self.problem.dim, steps, self.rng, out=out)
+    def noise_matrix(self, steps: int) -> np.ndarray:
+        """The next ``steps`` draws of the stream as a (steps, dim) block; the run
+        loops presample a run's noise this way."""
+        return self.noise.sample_batch(self.problem.dim, steps, self.rng)

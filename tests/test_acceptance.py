@@ -165,10 +165,9 @@ def test_c04_clipping_error_bounds_grid():
         for j, level in enumerate((2.0, 5.0, 8.0)):
             model = TwoPointNoise(p=p, sigma=1.0, q=0.01)
             assert model.spike > level  # clipping genuinely active
-            oracle = Oracle(prob, model, seed=1000 + 10 * i + j)
             x = np.array([0.4 * level, 0.0])  # gradient norm 0.4 * level <= level/2
             rep = diag.check_clipping_error_bounds(
-                oracle, x, level, samples, make_rng(2000 + 10 * i + j))
+                prob, model, x, level, samples, make_rng(2000 + 10 * i + j))
             total_draws += samples
             total_violations += rep.u_violations
             assert rep.applicable

@@ -300,6 +300,39 @@ def test_batch_equals_single_runs_property(algorithm, geom, radial, anytime, lam
         np.testing.assert_array_equal(getattr(batch, field), [getattr(r, field) for r in recs])
 
 
+@given(algorithm=st.sampled_from(["smd", "asmd", "sgd"]), geom=st.sampled_from(list(START)),
+       radial=st.booleans(), anytime=st.booleans(), sigma=st.sampled_from([0.5, 1e3]),
+       q=st.sampled_from([0.3, 1e-3]), lambda_scale=st.sampled_from([1.0, 0.05, 20.0]),
+       eta_scale=st.sampled_from([1.0, 1e3, 1e6]), steps=st.integers(1, 64),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_clipped_iterates_stay_finite_in_domain_property(algorithm, geom, radial, anytime, sigma,
+                                                         q, lambda_scale, eta_scale, steps, seed):
+    """Every iterate of a clipped single run is finite and in the domain (the open simplex
+    for the entropy step), small or huge spikes; on the ball and the simplex whatever the
+    step size."""
+    if algorithm == "sgd" and not geom.startswith("euclidean"):
+        geom = "euclidean"  # gradient descent runs on unconstrained l2 space only
+    if geom.startswith("euclidean"):
+        eta_scale = 1.0  # unconstrained steps past the guarantee may diverge, and are flagged
+    prob, x1 = START[geom]
+    if radial and not geom.startswith("simplex"):  # radial noise is calibrated for l2 geometries
+        model = RadialParetoNoise(p=1.5, sigma=sigma, tail_index=1.8)
+    else:
+        model = TwoPointNoise(p=1.5, sigma=sigma, q=q)
+    sched = schedules.Schedule(f"{algorithm}_{'anytime' if anytime else 'known_t'}",
+                               smd_inputs(prob, x1, sigma=sigma, horizon=steps),
+                               eta_scale=eta_scale, lambda_scale=lambda_scale)
+    run = {"smd": algos.run_smd, "asmd": algos.run_asmd, "sgd": algos.run_sgd}[algorithm]
+    rec = run(prob, Oracle(prob, model, seed=seed), sched, steps, x1)
+    assert not rec.diverged
+    for path in (rec.table.x, rec.table.y, rec.table.z):
+        if path is not None:
+            assert all(prob.geometry.contains(x) for x in path), path
+            if geom.startswith("simplex"):  # the entropy step's log needs the open simplex
+                assert np.all(path > 0), path
+
+
 def test_batch_vanilla_divergence_freezes_rows():
     prob = quad()
     x1 = np.array([1.0, 0.0])
@@ -420,7 +453,7 @@ def test_batch_state_stays_seed_contiguous(loop, start, param):
     model = TwoPointNoise(p=1.5, sigma=1.0, q=0.3)
     block = np.zeros((steps, prob.dim, n))
     for k in range(n):
-        Oracle(prob, model, seed=k).noise_matrix(steps, out=block[:, :, k])
+        model.sample_batch(prob.dim, steps, make_rng(k), out=block[:, :, k])
     for noise in (DenseDraws(block),
                   SpikeDraws(model, prob.dim, steps, [make_rng(k) for k in range(n)])):
         X = loop(prob, param, steps, x1, noise, None)[3]

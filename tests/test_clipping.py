@@ -112,6 +112,29 @@ def test_estimate_theta_symmetric_spikes_at_stationary_point():
     assert np.linalg.norm(est.theta_u) == pytest.approx(lam, rel=0.02)
 
 
+@pytest.mark.parametrize("model", [noise.TwoPointNoise(p=1.5, sigma=1.0, q=0.3),
+                                   noise.RadialParetoNoise(p=1.5, sigma=1.0, tail_index=1.75)])
+@pytest.mark.parametrize("d", [2, 3, 9])
+def test_estimate_theta_primary_draw_is_the_oracles_next_draw(model, d):
+    """theta is ``clip(grad + noise_matrix(1)[0]) - grad`` bitwise, and the estimate leaves
+    the oracle's generator where one ``sample_batch(d, 1)`` draw leaves it."""
+    prob = problems.make_quadratic([1.0] * d, [0.1 * i for i in range(d)])
+    x, level = np.linspace(-1.0, 2.0, d), 1.2
+    for seed in range(20):
+        oracle, twin = (noise.Oracle(prob, model, seed=seed) for _ in range(2))
+        oracle.noise_matrix(seed % 3)  # start the stream at different positions
+        twin.noise_matrix(seed % 3)
+        est = clipping.estimate_theta(oracle, x, level, samples=100, rng=noise.make_rng(99))
+        g = prob.grad(x)
+        expected = clipping.clip(g + twin.noise_matrix(1)[0], level, prob.geometry.dual_norm) - g
+        np.testing.assert_array_equal(est.theta, expected)
+        ref = noise.make_rng(seed)
+        model.sample_batch(d, seed % 3, ref)
+        model.sample_batch(d, 1, ref)
+        np.testing.assert_array_equal(oracle.rng.bit_generator.random_raw(4),
+                                      ref.bit_generator.random_raw(4))  # the same next bits
+
+
 def test_estimate_theta_requires_enough_samples():
     _, oracle = _quadratic_oracle(sigma=1.0)
     with pytest.raises(ValueError):
@@ -141,7 +164,8 @@ def test_geometric_median_nonconvergence_error():
 def test_estimate_g0_noiseless():
     prob, oracle = _quadratic_oracle(sigma=0.0)
     x0 = np.array([2.0, 1.0])
-    g0, mu = clipping.estimate_g0(oracle, x0, blocks=5, per_block=4, rng=noise.make_rng(8))
+    g0, mu = clipping.estimate_g0(prob, oracle.noise, x0, blocks=5, per_block=4,
+                                  rng=noise.make_rng(8))
     np.testing.assert_allclose(g0, prob.grad(x0), atol=1e-9)
     assert mu == 0.0
 
@@ -150,9 +174,8 @@ def test_estimate_g0_observed_mu_quantile():
     # across 1000 meta-trials the observed error stays within 3 sigma 95% of the time
     prob = problems.make_quadratic([1.0, 1.0], [0.0, 0.0])
     model = noise.TwoPointNoise(p=1.5, sigma=1.0, q=0.1)
-    oracle = noise.Oracle(prob, model, seed=0)
     x0 = np.array([1.0, 1.0])  # gradient (1, 1)
     rng = noise.make_rng(9)
-    mus = np.array([clipping.estimate_g0(oracle, x0, blocks=51, per_block=20, rng=rng)[1]
+    mus = np.array([clipping.estimate_g0(prob, model, x0, blocks=51, per_block=20, rng=rng)[1]
                     for _ in range(1000)])
     assert np.mean(mus <= 3.0) >= 0.95

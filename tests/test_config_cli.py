@@ -137,14 +137,25 @@ def test_non_finite_values_exit_2(tmp_path, capsys, key, value):
     assert f"config error: {key}:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("assignment", ["experiment.base_seed=-1", "schedule.mu=-1",
-                                        "noise.sigma=1e200", "noise.sigma=1e300"])
+@pytest.mark.parametrize("assignment", [
+    "experiment.base_seed=-1", "schedule.mu=-1", "noise.sigma=1e200", "noise.sigma=1e300",
+    "schedule.c1=0", "schedule.c2=-1", "schedule.c_override=-1", "problem.dim=0",
+    "experiment.algorithm=asmd schedule.mode=asmd_known_t schedule.c_override=0",
+    "problem.kind=nonconvex_ratio problem.dim=0",
+    "problem.kind=quadratic_plus_norm problem.coef=-1",
+    "problem.kind=simplex_quadratic noise.kind=radial_pareto",
+])
 def test_out_of_range_values_exit_2(tmp_path, capsys, assignment):
-    """Negative seeds and mu, and a sigma whose 2p-th power overflows, are config errors."""
-    rc = cli.main(["diagnose", "--config", _write(tmp_path, NOISY), "--set", assignment,
-                   "--set", "experiment.t=8"])
-    assert rc == 2
-    assert f"config error: {assignment.split('=')[0]}:" in capsys.readouterr().err
+    """Negative seeds and mu, a sigma whose 2p-th power overflows, nonpositive schedule
+    constants, an empty dimension, a negative nonsmooth coefficient and radial noise on the
+    simplex are config errors named by their own key (the last of the space-separated
+    assignments)."""
+    argv = ["diagnose", "--config", _write(tmp_path, NOISY), "--set", "experiment.t=8"]
+    for one in assignment.split():
+        argv += ["--set", one]
+    assert cli.main(argv) == 2
+    key = assignment.split()[-1].split("=")[0]
+    assert capsys.readouterr().err.startswith(f"config error: {key}:")
 
 
 @pytest.mark.parametrize("command", ["run", "diagnose"])
@@ -156,11 +167,18 @@ def test_out_of_range_values_exit_2(tmp_path, capsys, assignment):
      "schedule.mu"),
     ("sgd_rates.cfg", ["experiment.delta=5e-324"], "experiment.delta"),
     ("smd_heavy_tail.cfg", ["noise.p=1.0000001", "noise.q=5e-324"], "noise.q"),
+    ("smd_heavy_tail.cfg", ["experiment.algorithm=asmd", "schedule.mode=asmd_known_t",
+                            "experiment.t=100000", "schedule.c_override=5e-324"],
+     "schedule.c_override"),
+    ("smd_heavy_tail.cfg", ["experiment.algorithm=asmd", "schedule.mode=asmd_known_t",
+                            "schedule.c_override=1e-10", "schedule.lambda_scale=5e-324"],
+     "schedule.lambda_scale"),
 ])
 def test_non_finite_schedule_exit_2(tmp_path, capsys, command, config_file, assignments, key):
     """A schedule whose level overflows as p -> 1, or whose SMD floor, level or bound is not
     finite, is rejected at load time and the message names the key (and p, sigma, delta);
-    so are a 1/delta and a two-point spike that overflow."""
+    so are a 1/delta and a two-point spike that overflow, and an accelerated clipping level
+    or step divisor that underflows to 0."""
     argv = [command, "--config", str(DEMO_CONFIGS / config_file), "--out", str(tmp_path)]
     for assignment in assignments:
         argv += ["--set", assignment]
@@ -183,20 +201,25 @@ EXTREMES = {
     "schedule.eta_scale": ["-1.0", "0.0", "1e-300", "1.0", "1e300", "1e308"],
     "schedule.lambda_scale": ["0.0", "5e-324", "1e-300", "1.0", "1e300", "1e308"],
 }
+# The accelerated modes' constant, which only they read.
+C_OVERRIDES = ["-1.0", "0.0", "5e-324", "1e-300", "1.0", "1e4", "1e300", "1e308"]
 
 
 @given(config_file=st.sampled_from(["smd_heavy_tail.cfg", "sgd_rates.cfg", "asmd"]),
        values=st.fixed_dictionaries({key: st.none() | st.sampled_from(choices)
-                                     for key, choices in EXTREMES.items()}))
+                                     for key, choices in EXTREMES.items()}),
+       c_override=st.none() | st.sampled_from(C_OVERRIDES))
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_extreme_values_run_or_exit_2(tmp_path, capsys, config_file, values):
+def test_extreme_values_run_or_exit_2(tmp_path, capsys, config_file, values, c_override):
     """Boundary and extreme moment, confidence and schedule values either run or are
     rejected with exit 2 naming a section.key; none ends in a traceback."""
     argv = ["run", "--config", str(DEMO_CONFIGS / "smd_heavy_tail.cfg"), "--out", str(tmp_path),
             "--set", "experiment.t=16", "--set", "experiment.seeds=3"]
     if config_file == "asmd":
         argv += ["--set", "experiment.algorithm=asmd", "--set", "schedule.mode=asmd_known_t"]
+        if c_override is not None:
+            argv += ["--set", f"schedule.c_override={c_override}"]
     else:
         argv[2] = str(DEMO_CONFIGS / config_file)
     for key, value in values.items():
@@ -236,9 +259,11 @@ def test_cmd_rates_too_few_seeds_exit_2(tmp_path, capsys):
 
 
 def test_cmd_rates_short_grid_exit_2(tmp_path, capsys):
-    cfgfile = _write(tmp_path, MINIMAL.replace("seeds = 31", "seeds = 100\nt_grid = 64,128,256"))
-    assert cli.main(["rates", "--config", cfgfile]) == 2
-    assert "experiment.t_grid" in capsys.readouterr().err
+    """Fewer than four horizons, or four identical ones, give no slope."""
+    for grid in ("64,128,256", "16,16,16,16"):
+        cfgfile = _write(tmp_path, MINIMAL.replace("seeds = 31", f"seeds = 100\nt_grid = {grid}"))
+        assert cli.main(["rates", "--config", cfgfile]) == 2
+        assert "config error: experiment.t_grid:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["run", "rates"])

@@ -89,8 +89,8 @@ def test_mgf_strict_inequality_inside_range():
 
 def test_clip_error_bounds_noiseless_pass():
     prob = problems.make_quadratic([1.0, 1.0])
-    oracle = Oracle(prob, TwoPointNoise(p=1.5, sigma=0.0, q=1.0), seed=0)
-    rep = diag.check_clipping_error_bounds(oracle, np.array([0.5, 0.0]), level=2.0,
+    model = TwoPointNoise(p=1.5, sigma=0.0, q=1.0)
+    rep = diag.check_clipping_error_bounds(prob, model, np.array([0.5, 0.0]), level=2.0,
                                            samples=10_000, rng=make_rng(1))
     assert rep.applicable
     assert rep.u_violations == 0
@@ -100,8 +100,7 @@ def test_clip_error_bounds_noiseless_pass():
 def test_clip_error_bounds_spiky_noise():
     prob = problems.make_quadratic([1.0, 1.0])
     model = TwoPointNoise(p=1.5, sigma=1.0, q=0.01)
-    oracle = Oracle(prob, model, seed=2)
-    rep = diag.check_clipping_error_bounds(oracle, prob.minimizer, level=50.0,
+    rep = diag.check_clipping_error_bounds(prob, model, prob.minimizer, level=50.0,
                                            samples=200_000, rng=make_rng(3))
     assert rep.applicable
     assert rep.u_violations == 0
@@ -112,9 +111,9 @@ def test_clip_error_bounds_spiky_noise():
 
 def test_clip_error_bounds_not_applicable_branch():
     prob = problems.make_quadratic([1.0, 1.0])
-    oracle = Oracle(prob, TwoPointNoise(p=1.5, sigma=1.0, q=0.1), seed=4)
+    model = TwoPointNoise(p=1.5, sigma=1.0, q=0.1)
     x = np.array([10.0, 0.0])  # gradient norm 10 > level/2
-    rep = diag.check_clipping_error_bounds(oracle, x, level=3.0, samples=10_000,
+    rep = diag.check_clipping_error_bounds(prob, model, x, level=3.0, samples=10_000,
                                            rng=make_rng(5))
     assert not rep.applicable
     assert rep.u_violations == 0

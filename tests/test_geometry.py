@@ -8,7 +8,7 @@ from scipy import optimize
 
 from clipopt import geometry as geo
 from clipopt.clipping import clip_batch
-from clipopt.shrink import shrink_factors
+from clipopt.geometry import shrink_factors
 
 GEOMETRIES = {
     "euclidean": geo.euclidean(3),

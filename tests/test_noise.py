@@ -23,8 +23,9 @@ def test_zero_sigma_gives_zero_noise():
     rng = nz.make_rng(0)
     for model in (nz.TwoPointNoise(p=1.5, sigma=0.0, q=0.5),
                   nz.RadialParetoNoise(p=1.5, sigma=0.0, tail_index=1.75)):
-        assert np.all(model.sample(3, rng) == 0.0)
+        assert np.all(model.sample_batch(3, 1, rng) == 0.0)
         assert np.all(model.sample_batch(3, 100, rng) == 0.0)
+        assert np.all(model.sample_block(3, 4, 25, rng) == 0.0)
 
 
 def test_invalid_parameters_rejected():
@@ -108,22 +109,25 @@ def test_sampling_is_deterministic_per_seed():
     a = model.sample_batch(4, 50, nz.make_rng(7))
     b = model.sample_batch(4, 50, nz.make_rng(7))
     np.testing.assert_array_equal(a, b)
-    r1, r2 = nz.make_rng(8), nz.make_rng(8)
-    np.testing.assert_array_equal(model.sample(4, r1), model.sample(4, r2))
+    prob = problems.make_quadratic([1.0] * 4)
+    one, two = nz.Oracle(prob, model, seed=8), nz.Oracle(prob, model, seed=8)
+    for steps in (1, 1, 7):
+        np.testing.assert_array_equal(one.noise_matrix(steps), two.noise_matrix(steps))
 
 
 def test_oracle_exact_when_noiseless():
     prob = problems.make_quadratic([1.0, 1.0])
     oracle = nz.Oracle(prob, nz.TwoPointNoise(p=1.5, sigma=0.0, q=1.0), seed=0)
     x = np.array([1.0, 2.0])
-    np.testing.assert_array_equal(oracle.grad(x), prob.grad(x))
+    np.testing.assert_array_equal(prob.grad(x) + oracle.noise_matrix(1)[0], prob.grad(x))
+    assert np.all(oracle.noise_matrix(50) == 0.0)
 
 
 def test_oracle_at_minimizer_returns_pure_noise():
     prob = problems.make_quadratic([1.0, 1.0])
     model = nz.TwoPointNoise(p=1.5, sigma=1.0, q=1.0)
     oracle = nz.Oracle(prob, model, seed=5)
-    draws = np.stack([oracle.grad(prob.minimizer) for _ in range(200)])
+    draws = prob.grad(prob.minimizer) + oracle.noise_matrix(200)
     norms = np.sqrt(np.einsum("ij,ij->i", draws, draws))
     np.testing.assert_allclose(norms, model.spike)
 
@@ -138,7 +142,7 @@ def test_oracle_unbiasedness_median_of_means():
     est, spread = nz.median_of_means(draws, blocks=50)
     assert np.all(np.abs(est - g_true) <= 5 * np.maximum(spread, 1e-9))
     # the oracle's own stream agrees with the model's distribution
-    own = np.stack([oracle.grad(x) for _ in range(1000)])
+    own = g_true + oracle.noise_matrix(1000)
     est2, spread2 = nz.median_of_means(own - g_true, blocks=50)
     assert np.all(np.abs(est2) <= 6 * np.maximum(spread2, 1e-3))
 
@@ -148,7 +152,7 @@ def test_oracle_empirical_moment_through_grad():
     model = nz.TwoPointNoise(p=1.5, sigma=1.0, q=0.1)
     oracle = nz.Oracle(prob, model, seed=11)
     x = np.zeros(2)
-    xi = np.stack([oracle.grad(x) for _ in range(20_000)]) - prob.grad(x)
+    xi = (prob.grad(x) + oracle.noise_matrix(20_000)) - prob.grad(x)
     powers = np.sqrt(np.einsum("ij,ij->i", xi, xi)) ** model.p
     stderr = powers.std(ddof=1) / np.sqrt(powers.size)
     assert abs(powers.mean() - 1.0) <= 5 * stderr
