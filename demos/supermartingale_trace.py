@@ -9,8 +9,8 @@ the empirical crossing frequency with delta.
 
 import numpy as np
 
-from clipopt import diagnostics, problems, schedules
-from clipopt.noise import Oracle, TwoPointNoise, make_rng
+from clipopt import algorithms, diagnostics, problems, schedules
+from clipopt.noise import TwoPointNoise, make_rng
 
 SEEDS = 200
 STEPS = 128
@@ -24,15 +24,13 @@ def main():
     s = schedules.derive_inputs(prob, x1, p=1.5, sigma=1.0, delta=DELTA, horizon=STEPS)
     sched = schedules.Schedule("smd_known_t", s)
 
-    peaks = []
-    crossings = 0
-    for seed in range(SEEDS):
-        trace = diagnostics.martingale_trace_smd(
-            prob, Oracle(prob, model, seed=seed), sched, STEPS, x1,
-            delta=DELTA, resamples=128, rng=make_rng(10_000 + seed))
-        peaks.append(float(np.max(trace.running_sum)))
-        crossings += trace.crossed
-    peaks = np.array(peaks)
+    # one recorded lockstep run of every seed; seed k resamples from make_rng(10_000 + k)
+    batch = algorithms.run_smd_batch(prob, model, sched, STEPS, x1, range(SEEDS), record=True)
+    traces = diagnostics.martingale_smd(prob, model, batch.table, sched.constants(), DELTA, 128,
+                                        [make_rng(10_000 + seed) for seed in range(SEEDS)])
+    peaks = np.array([np.max(trace.running_sum) for trace in traces])
+    crossings = sum(trace.crossed for trace in traces)
+    trace = traces[-1]
     print(f"threshold log(1/delta) = {trace.threshold:.3f}")
     print(f"peak running sum: median {np.median(peaks):+.4f}, "
           f"90% {np.quantile(peaks, 0.9):+.4f}, max {peaks.max():+.4f}")

@@ -14,14 +14,13 @@ row.  Reductions over coordinates go through ``geometry.coord_sum`` and
 ``geometry.coord_dot``, whose bits do not depend on the layout.  Seed k's
 noise sequence is drawn from its own stream, and step t reads it as the
 (n, d) view ``noise.slab(t)`` of a draws object: the transpose of a
-C-ordered (d, n) slab.  A two-point batch keeps only its spikes
-(``SpikeDraws``, expanded a cache-sized window of steps at a time); a
-radial batch is presampled into one time-major (steps, d, n) block, an
-anonymous mapping of its own (``_zero_block``), with seed k's draw in
-``[:, :, k]`` (``DenseDraws``).  ``run_*_batch`` advances many seeds in
-lockstep (used by the experiment harness); ``run_*`` is the one-row case,
-a dense (steps, d, 1) block, which can also record a per-step table of the
-row's path (read by the diagnostics).
+C-ordered (d, n) slab.  ``run_*_batch`` advances many seeds in lockstep
+(used by the experiment harness) on ``noise.lockstep_draws``: a two-point
+batch keeps only its spikes, a radial batch is presampled into one
+time-major (steps, d, n) block.  ``run_*`` is the one-row case, on the
+oracle's dense (steps, d, 1) block.  Both run through one helper, which can
+record the run into a preallocated ``StepTable`` with a leading seed axis
+(read by the diagnostics); a single run's table is its n = 1 case.
 Same seed, same config give bitwise-identical trajectories in either form.
 A row whose final iterate, summary or final gap is not finite is reported as
 diverged, with infinite summary and gap; the overflow and invalid-value
@@ -30,15 +29,13 @@ warnings that such a row raises on the way are silenced.
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
 
 from .clipping import clip_batch
 from .geometry import coord_dot
-from .noise import (DenseDraws, Oracle, SpikeDraws, TwoPointNoise, check_noise_geometry,
-                    make_rng)
+from .noise import DenseDraws, Oracle, check_noise_geometry, lockstep_draws
 from .problems import Problem
 from .schedules import ASMD_MODES, SGD_MODES, SMD_MODES, Schedule
 
@@ -47,14 +44,17 @@ DIVERGENCE_LIMIT = 1e12
 
 @dataclass
 class StepTable:
-    """Columnar per-step log of a single run, with its path.
+    """Columnar per-step record of n seeds run in lockstep, with their paths.
 
-    The per-step columns have one entry per step t = 1..T.  ``x`` holds
-    x_1..x_{T+1}, so step t queried the oracle at ``x[t - 1]`` and moved to
-    ``x[t]``.  The accelerated loop queries at (1 - alpha_t) y_t + alpha_t z_t:
-    its ``x`` holds those T query points, and ``y``, ``z`` hold y_1..y_{T+1}
-    and z_1..z_{T+1}.  ``grad_clipped`` is the gradient each step used (the
-    unclipped one for the baseline).
+    The per-step columns have one entry per step t = 1..T: ``t``, ``eta``,
+    ``lam`` and ``alpha`` are (T,), shared by every seed; ``clipped``,
+    ``raw_norm`` and ``metric`` are (n, T); the paths are (n, T[+1], d).
+    Seed k's ``x[k]`` holds x_1..x_{T+1}, so step t queried the oracle at
+    ``x[k, t - 1]`` and moved to ``x[k, t]``.  The accelerated loop queries at
+    (1 - alpha_t) y_t + alpha_t z_t: its ``x`` holds those T query points,
+    and ``y``, ``z`` hold y_1..y_{T+1} and z_1..z_{T+1}.  ``grad_clipped`` is
+    the gradient each step used (the unclipped one for the baseline, whose
+    ``lam`` is infinite).
     """
 
     t: np.ndarray
@@ -93,6 +93,7 @@ class BatchResult:
     final_gap: np.ndarray
     clipped_fraction: np.ndarray
     diverged: np.ndarray
+    table: StepTable | None = None
 
 
 def run_smd(problem: Problem, oracle: Oracle, schedule: Schedule, steps: int, x1,
@@ -138,98 +139,78 @@ def run_vanilla_sgd(problem: Problem, oracle: Oracle, eta: float, steps: int, x1
 
 
 def run_smd_batch(problem: Problem, noise_model, schedule: Schedule, steps: int, x1,
-                  seeds) -> BatchResult:
+                  seeds, record: bool = False) -> BatchResult:
     """All seeds advanced in lockstep; identical arithmetic to ``run_smd``."""
-    return _batch("smd", _smd, problem, noise_model, schedule, steps, x1, seeds)
+    return _batch("smd", _smd, problem, noise_model, schedule, steps, x1, seeds, record)
 
 
 def run_asmd_batch(problem: Problem, noise_model, schedule: Schedule, steps: int, y1,
-                   seeds) -> BatchResult:
-    return _batch("asmd", _asmd, problem, noise_model, schedule, steps, y1, seeds)
+                   seeds, record: bool = False) -> BatchResult:
+    return _batch("asmd", _asmd, problem, noise_model, schedule, steps, y1, seeds, record)
 
 
 def run_sgd_batch(problem: Problem, noise_model, schedule: Schedule, steps: int, x1,
-                  seeds) -> BatchResult:
-    return _batch("sgd", _sgd, problem, noise_model, schedule, steps, x1, seeds)
+                  seeds, record: bool = False) -> BatchResult:
+    return _batch("sgd", _sgd, problem, noise_model, schedule, steps, x1, seeds, record)
 
 
 def run_vanilla_sgd_batch(problem: Problem, noise_model, eta: float, steps: int, x1,
-                          seeds) -> BatchResult:
+                          seeds, record: bool = False) -> BatchResult:
     """Unclipped lockstep baseline; diverged rows freeze at their last finite iterate."""
-    return _batch("vanilla-sgd", _vanilla, problem, noise_model, eta, steps, x1, seeds)
+    return _batch("vanilla-sgd", _vanilla, problem, noise_model, eta, steps, x1, seeds, record)
 
 
 def _single(algorithm, loop, problem, oracle, param, steps, x1, record) -> RunRecord:
-    """One row fed by the oracle's dense noise block; the table records row 0."""
-    log = [] if record else None
+    """The one-seed run fed by the oracle's dense noise block, as that seed's record."""
     noise = DenseDraws(oracle.noise_matrix(steps)[:, :, None])
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are flagged diverged
-        summary, final_gap, clipped, X, done = loop(problem, param, steps, x1, noise, log)
-    res = _result(algorithm, np.array([oracle.seed]), steps, summary, final_gap, clipped, X)
-    return RunRecord(
-        algorithm=algorithm, seed=oracle.seed, steps=done, summary=float(res.summary[0]),
-        final_point=X[0], final_gap=float(res.final_gap[0]),
-        clipped_fraction=float(res.clipped_fraction[0]), diverged=bool(res.diverged[0]),
-        table=_table(log, x1) if record else None,
-    )
+    res, X, done = _run(algorithm, loop, problem, param, steps, x1, [oracle.seed], noise, record)
+    return RunRecord(algorithm, oracle.seed, done, float(res.summary[0]), X[0],
+                     float(res.final_gap[0]), float(res.clipped_fraction[0]),
+                     bool(res.diverged[0]), res.table)
 
 
-def _table(log, x1) -> StepTable:
-    """Columns of the per-step log; each path gets the start point prepended."""
-    t, eta, lam, clipped, norm, metric, grad, x_next, *accel = map(np.array, zip(*log))
-    start = np.asarray(x1, dtype=float)[None, :]
-    if not accel:
-        return StepTable(t, eta, lam, clipped, norm, metric, np.vstack([start, x_next]), grad)
-    alpha, query, z_next = accel  # the accelerated loop logs y_{t+1} as its x_next
-    return StepTable(t, eta, lam, clipped, norm, metric, query, grad, alpha,
-                     np.vstack([start, x_next]), np.vstack([start, z_next]))
-
-
-def _batch(algorithm, loop, problem, noise_model, param, steps, x1, seeds) -> BatchResult:
-    """Seed k's noise drawn from ``make_rng(seed)``: two-point noise kept as its spikes,
-    radial noise into ``[:, :, k]`` of one zero-filled (steps, dim, n_seeds) block."""
+def _batch(algorithm, loop, problem, noise_model, param, steps, x1, seeds, record) -> BatchResult:
+    """Seed k's noise drawn from ``make_rng(seeds[k])`` (``noise.lockstep_draws``)."""
     seeds = np.asarray(list(seeds), dtype=int)
     check_noise_geometry(problem, noise_model)
-    rngs = (make_rng(int(seed)) for seed in seeds)
-    if isinstance(noise_model, TwoPointNoise):
-        noise = SpikeDraws(noise_model, problem.dim, steps, rngs)
-    else:
-        block = _zero_block((steps, problem.dim, seeds.size))
-        for k, rng in enumerate(rngs):
-            noise_model.sample_batch(problem.dim, steps, rng, out=block[:, :, k])
-        noise = DenseDraws(block)
+    noise = lockstep_draws(noise_model, problem.dim, steps, seeds)
+    return _run(algorithm, loop, problem, param, steps, x1, seeds, noise, record)[0]
+
+
+def _run(algorithm, loop, problem, param, steps, x1, seeds, noise, record):
+    """The seeds' results (a row with a non-finite final iterate, summary or gap is
+    flagged diverged), their final rows and the number of steps run."""
+    tab = _step_table(steps, noise.n, x1, algorithm == "asmd") if record else None
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are flagged diverged
-        out = loop(problem, param, steps, x1, noise, None)
-    return _result(algorithm, seeds, steps, *out[:4])
-
-
-def _zero_block(shape) -> np.ndarray:
-    """A zero-filled float block on fresh pages of its own, unmapped when the array goes.
-
-    ``np.zeros`` puts a block below malloc's mmap threshold (which glibc raises
-    to the size of the last block freed, up to 32 MiB) on the heap.  Whether it
-    then reuses the resident pages of the previous batch's block or grows the
-    heap depends on what small allocations landed in between, so the peak
-    resident size of a run of batches could differ by a whole block from one
-    process to the next.  A private anonymous mapping holds only the block and
-    goes back to the system with it; like numpy for its own large blocks, it
-    asks for huge pages where the platform has them, without which the page
-    faults of a large block cost about twice as much.
-    """
-    nbytes = 8 * int(np.prod(shape))
-    if nbytes == 0:
-        return np.zeros(shape)
-    pages = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-    if hasattr(mmap, "MADV_HUGEPAGE"):
-        pages.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(pages, dtype=float).reshape(shape)
-
-
-def _result(algorithm, seeds, steps, summary, final_gap, clipped, X) -> BatchResult:
-    """Rows with a non-finite final iterate, summary or gap are flagged diverged."""
+        summary, final_gap, clipped, X, done = loop(problem, param, steps, x1, noise, tab)
+    if tab is not None and done < steps:  # the baseline stops once every row has diverged
+        tab = StepTable(tab.t[:done], tab.eta[:done], tab.lam[:done], tab.clipped[:, :done],
+                        tab.raw_norm[:, :done], tab.metric[:, :done], tab.x[:, :done + 1],
+                        tab.grad_clipped[:, :done])
     diverged = ~(np.isfinite(summary) & np.isfinite(final_gap) & np.all(np.isfinite(X), axis=1))
-    return BatchResult(algorithm, seeds, np.where(diverged, np.inf, summary),
-                       np.where(diverged, np.inf, final_gap), clipped / steps, diverged)
+    res = BatchResult(algorithm, np.asarray(seeds), np.where(diverged, np.inf, summary),
+                      np.where(diverged, np.inf, final_gap), clipped / steps, diverged, tab)
+    return res, X, done
+
+
+def _step_table(steps: int, n: int, x1, accelerated: bool) -> StepTable:
+    """An unfilled record of n seeds over ``steps`` steps; each path holds ``x1`` until written."""
+    x1 = np.asarray(x1, dtype=float)
+    rows, points, path_reps = (n, steps), (n, steps, x1.size), (n, steps + 1, 1)
+    tab = StepTable(np.arange(1, steps + 1), np.empty(steps), np.empty(steps),
+                    np.empty(rows, dtype=bool), np.empty(rows), np.empty(rows),
+                    np.tile(x1, path_reps), np.empty(points))
+    if accelerated:  # x holds the query points, y and z the paths
+        tab.alpha, tab.x, tab.y, tab.z = (np.empty(steps), np.empty(points), tab.x,
+                                          np.tile(x1, path_reps))
+    return tab
+
+
+def _log(tab: StepTable, t: int, eta, lam, norms, metric, grad):
+    """Step t's columns: the shared schedule values and every seed's clip, metric and gradient."""
+    tab.eta[t - 1], tab.lam[t - 1] = eta, lam
+    tab.clipped[:, t - 1] = norms > lam
+    tab.raw_norm[:, t - 1], tab.metric[:, t - 1], tab.grad_clipped[:, t - 1] = norms, metric, grad
 
 
 def _start(problem: Problem, x1, n: int) -> np.ndarray:
@@ -251,11 +232,11 @@ def _prepare_schedule(schedule: Schedule, modes, needs: str, n: int):
 
 # -- the loops: noise is a draws object whose slab(t) is step t's (n, d) noise,
 # the transpose of a C-ordered (d, n) block, so the state stays seed-contiguous;
-# a log, if given, gets row 0 of each step; each returns (summary, final_gap,
-# clip counts, final rows, steps run) --
+# a step table, if given, gets every row of each step; each returns (summary,
+# final_gap, clip counts, final rows, steps run) --
 
 
-def _smd(problem, schedule, steps, x1, noise, log):
+def _smd(problem, schedule, steps, x1, noise, tab):
     n = noise.n
     _prepare_schedule(schedule, SMD_MODES, "smd needs a mirror-descent schedule", n)
     geom = problem.geometry
@@ -273,12 +254,13 @@ def _smd(problem, schedule, steps, x1, noise, log):
         gaps = problem.gap_many(X)
         gap_sum += gaps
         clipped += norms > lam
-        if log is not None:
-            log.append((t, eta, lam, norms[0] > lam, norms[0], gaps[0], Gc[0], X[0]))
+        if tab is not None:
+            _log(tab, t, eta, lam, norms, gaps, Gc)
+            tab.x[:, t] = X
     return gap_sum / steps, gaps, clipped, X, steps
 
 
-def _asmd(problem, schedule, steps, y1, noise, log):
+def _asmd(problem, schedule, steps, y1, noise, tab):
     n = noise.n
     _prepare_schedule(schedule, ASMD_MODES, "asmd needs an accelerated schedule", n)
     geom = problem.geometry
@@ -294,14 +276,14 @@ def _asmd(problem, schedule, steps, y1, noise, log):
         Z = geom.mirror_step_many(Z, Gc, eta)
         Y = (1.0 - alpha) * Y + alpha * Z
         clipped += norms > lam
-        if log is not None:
-            log.append((t, eta, lam, norms[0] > lam, norms[0], problem.gap_many(Y)[0], Gc[0],
-                        Y[0], alpha, Xq[0], Z[0]))
+        if tab is not None:
+            _log(tab, t, eta, lam, norms, problem.gap_many(Y), Gc)
+            tab.alpha[t - 1], tab.x[:, t - 1], tab.y[:, t], tab.z[:, t] = alpha, Xq, Y, Z
     gaps = problem.gap_many(Y)
     return gaps, gaps, clipped, Y, steps
 
 
-def _sgd(problem, schedule, steps, x1, noise, log):
+def _sgd(problem, schedule, steps, x1, noise, tab):
     n = noise.n
     _prepare_schedule(schedule, SGD_MODES, "sgd needs a gradient-descent schedule", n)
     if problem.geometry.kind != "euclidean":
@@ -320,12 +302,13 @@ def _sgd(problem, schedule, steps, x1, noise, log):
         Gc = clip_batch(G, lam, norms)
         X = X - eta * Gc
         clipped += norms > lam
-        if log is not None:
-            log.append((t, eta, lam, norms[0] > lam, norms[0], metric[0], Gc[0], X[0]))
+        if tab is not None:
+            _log(tab, t, eta, lam, norms, metric, Gc)
+            tab.x[:, t] = X
     return metric_sum / steps, problem.gap_many(X), clipped, X, steps
 
 
-def _vanilla(problem, eta, steps, x1, noise, log):
+def _vanilla(problem, eta, steps, x1, noise, tab):
     n = noise.n
     if problem.geometry.kind != "euclidean":
         raise ValueError("the baseline runs on unconstrained l2 geometry")
@@ -340,9 +323,9 @@ def _vanilla(problem, eta, steps, x1, noise, log):
         X_new = X - eta * G
         active &= np.all(np.abs(X_new) <= DIVERGENCE_LIMIT, axis=1)  # NaN rows freeze too
         X = np.where(active[:, None], X_new, X)
-        if log is not None:
-            log.append((t, eta, np.inf, False, problem.geometry.dual_norm_many(G)[0],
-                        metric[0], G[0], X[0]))
+        if tab is not None:
+            _log(tab, t, eta, np.inf, problem.geometry.dual_norm_many(G), metric, G)
+            tab.x[:, t] = X
         if not active.any():
             break
     summary = np.where(active, metric_sum / steps, np.inf)

@@ -82,7 +82,7 @@ def cmd_diagnose(args) -> int:
 
     @functools.cache
     def table():
-        """The step table of the seed's one recorded run, shared by every check."""
+        """The n = 1 step table of the seed's one recorded run, shared by every check."""
         run = {"smd": run_smd, "asmd": run_asmd, "sgd": run_sgd}[cfg.algorithm]
         return run(problem, Oracle(problem, noise_model, seed=cfg.base_seed), schedule,
                    cfg.horizon, x1).table
@@ -102,7 +102,7 @@ def cmd_diagnose(args) -> int:
         fn = check_fns.get(cfg.algorithm)
         if fn is None:
             raise ConfigError("diagnostics.pathwise", "no pathwise check for this algorithm")
-        rep = fn(problem, table())
+        rep = fn(problem, table())[0]
         reports.append(rep)
         print(f"check {rep.name}: {'pass' if rep.passed else 'FAIL'} "
               f"violations={len(rep.violations)} min_margin={rep.min_margin:.3e}")
@@ -123,7 +123,7 @@ def cmd_diagnose(args) -> int:
         if trace_fn is None:
             raise ConfigError("diagnostics.martingale", "trace defined for smd and sgd")
         trace = trace_fn(problem, noise_model, table(), schedule.constants(), cfg.delta,
-                         cfg.resamples, make_rng(cfg.base_seed + 9_000_000))
+                         cfg.resamples, [make_rng(cfg.base_seed + 9_000_000)])[0]
         reports.append(trace)
         print(f"check martingale_{trace.algorithm}: crossed={trace.crossed} "
               f"max_sum={np.max(trace.running_sum):.4f} threshold={trace.threshold:.4f} "

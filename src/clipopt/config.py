@@ -348,6 +348,8 @@ def build_problem(cfg: ExperimentConfig):
             raise ConfigError("problem.diag", str(exc)) from exc
         x1 = np.asarray(shift) + np.ones(cfg.dim) / math.sqrt(cfg.dim)
     elif cfg.problem == "simplex_quadratic":
+        if cfg.dim < 2:  # the one-point simplex starts on its minimizer
+            raise ConfigError("problem.dim", "the simplex needs at least two coordinates")
         target = cfg.target
         if target is None:
             # interior but non-uniform, so the start point is not the minimizer

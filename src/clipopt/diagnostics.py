@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algorithms import StepTable, run_asmd, run_sgd, run_smd
-from .clipping import resample_clipped
+from .clipping import Resampled, resample_clipped
 from .geometry import row_dots
 from .noise import Oracle
 from .problems import Problem
@@ -215,15 +215,16 @@ def check_clipping_error_bounds(problem: Problem, noise_model, x, level: float, 
 # -- pathwise per-step inequalities -------------------------------------------------
 #
 # The checks and traces below evaluate the analysis' per-step expressions over
-# a recorded run, one array expression per quantity.  Each public check records
-# its own run and hands the run's ``StepTable`` to its core (``pathwise_*``,
-# ``martingale_*``); a caller that already holds the table, such as the
-# ``diagnose`` command, calls the cores directly and records the run once.  The
-# traces' conditional moments come from one ``clipping.resample_clipped`` call
-# over all steps, each step's resamples drawn from ``rng`` in step order.
-# Powers go through ``np.float_power``, which calls libm's ``pow`` as Python's
-# float ``**`` does; numpy's ``**`` squares by multiplication, which can differ
-# in the last bit.
+# a recorded run of n seeds, one array expression per quantity.  The problem's
+# and geometry's row functions reduce over the last axis only, so they take the
+# record's (n, steps, d) points whole, each point with its one-seed bits, and
+# the schedule's (steps,) columns broadcast over the seed axis.  The cores
+# (``pathwise_*``, ``martingale_*``) return one report or trace per seed; each
+# public check records one single run and is their n = 1 case.  The traces'
+# conditional moments come from one ``clipping.resample_clipped`` call per
+# seed, drawn from the seed's own generator in step order.  Powers go through
+# ``np.float_power``, which calls libm's ``pow`` as Python's float ``**`` does;
+# numpy's ``**`` squares by multiplication, which can differ in the last bit.
 
 
 @dataclass
@@ -252,15 +253,15 @@ def check_pathwise_smd(problem: Problem, oracle: Oracle, schedule: Schedule, ste
     realized clipped-gradient error and G the problem's nonsmooth constant.
     Requires ``eta <= 1/(4L)``.
     """
-    return pathwise_smd(problem, run_smd(problem, oracle, schedule, steps, x1).table, tol)
+    return pathwise_smd(problem, run_smd(problem, oracle, schedule, steps, x1).table, tol)[0]
 
 
-def pathwise_smd(problem: Problem, tab: StepTable, tol: float = 1e-8) -> PathwiseReport:
-    """``check_pathwise_smd`` over the table of a recorded ``run_smd``."""
+def pathwise_smd(problem: Problem, tab: StepTable, tol: float = 1e-8) -> list:
+    """``check_pathwise_smd`` over a recorded ``run_smd*``: one report per seed."""
     eta = tab.eta
     _step_guard(tab.t, eta > 0.25 / problem.smoothness * (1 + 1e-12), "1/(4L)")
     geom, xstar = problem.geometry, problem.minimizer
-    x, x_next = tab.x[:-1], tab.x[1:]
+    x, x_next = tab.x[:, :-1], tab.x[:, 1:]
     theta = tab.grad_clipped - problem.grad_many(x)
     eta2 = np.float_power(eta, 2)
     lhs = (eta * problem.gap_many(x_next)
@@ -268,7 +269,7 @@ def pathwise_smd(problem: Problem, tab: StepTable, tol: float = 1e-8) -> Pathwis
     rhs = (eta * row_dots(theta, xstar - x)
            + eta2 * np.float_power(geom.dual_norm_many(theta), 2)
            + 2.0 * problem.lipschitz_g ** 2 * eta2)
-    return _pathwise("pathwise_smd", tab.t, rhs - lhs, tol)
+    return [_pathwise("pathwise_smd", tab.t, margin, tol) for margin in rhs - lhs]
 
 
 def check_pathwise_asmd(problem: Problem, oracle: Oracle, schedule: Schedule, steps: int,
@@ -280,23 +281,23 @@ def check_pathwise_asmd(problem: Problem, oracle: Oracle, schedule: Schedule, st
     eta^2 ||theta||_*^2 / (2 (1 - L eta alpha))`` per step; requires
     ``eta <= 1/(2 L alpha)``.
     """
-    return pathwise_asmd(problem, run_asmd(problem, oracle, schedule, steps, y1).table, tol)
+    return pathwise_asmd(problem, run_asmd(problem, oracle, schedule, steps, y1).table, tol)[0]
 
 
-def pathwise_asmd(problem: Problem, tab: StepTable, tol: float = 1e-8) -> PathwiseReport:
-    """``check_pathwise_asmd`` over the table of a recorded ``run_asmd``."""
+def pathwise_asmd(problem: Problem, tab: StepTable, tol: float = 1e-8) -> list:
+    """``check_pathwise_asmd`` over a recorded ``run_asmd*``: one report per seed."""
     eta, alpha, L = tab.eta, tab.alpha, problem.smoothness
     _step_guard(tab.t, eta * alpha * L > 0.5 * (1 + 1e-12), "1/(2 L alpha)")
     geom, xstar = problem.geometry, problem.minimizer
     y, z = tab.y, tab.z
     theta = tab.grad_clipped - problem.grad_many(tab.x)
-    lhs = (eta / alpha * problem.gap_many(y[1:])
-           + geom.bregman_many(xstar, z[1:]) - geom.bregman_many(xstar, z[:-1]))
-    rhs = (eta * (1.0 - alpha) / alpha * problem.gap_many(y[:-1])
-           + eta * row_dots(theta, xstar - z[:-1])
+    lhs = (eta / alpha * problem.gap_many(y[:, 1:])
+           + geom.bregman_many(xstar, z[:, 1:]) - geom.bregman_many(xstar, z[:, :-1]))
+    rhs = (eta * (1.0 - alpha) / alpha * problem.gap_many(y[:, :-1])
+           + eta * row_dots(theta, xstar - z[:, :-1])
            + np.float_power(eta, 2) * np.float_power(geom.dual_norm_many(theta), 2)
            / (2.0 * (1.0 - L * eta * alpha)))
-    return _pathwise("pathwise_asmd", tab.t, rhs - lhs, tol)
+    return [_pathwise("pathwise_asmd", tab.t, margin, tol) for margin in rhs - lhs]
 
 
 def check_pathwise_sgd(problem: Problem, oracle: Oracle, schedule: Schedule, steps: int,
@@ -307,21 +308,22 @@ def check_pathwise_sgd(problem: Problem, oracle: Oracle, schedule: Schedule, ste
     (L eta^2/2)||theta||^2 + (L eta^2 - eta) <grad f(x), theta>`` per step;
     requires ``eta <= 1/L``.
     """
-    return pathwise_sgd(problem, run_sgd(problem, oracle, schedule, steps, x1).table, tol)
+    return pathwise_sgd(problem, run_sgd(problem, oracle, schedule, steps, x1).table, tol)[0]
 
 
-def pathwise_sgd(problem: Problem, tab: StepTable, tol: float = 1e-8) -> PathwiseReport:
-    """``check_pathwise_sgd`` over the table of a recorded ``run_sgd``."""
+def pathwise_sgd(problem: Problem, tab: StepTable, tol: float = 1e-8) -> list:
+    """``check_pathwise_sgd`` over a recorded ``run_sgd*``: one report per seed."""
     eta, L = tab.eta, problem.smoothness
     _step_guard(tab.t, eta * L > 1.0 + 1e-12, "1/L")
-    g = problem.grad_many(tab.x[:-1])
+    g = problem.grad_many(tab.x[:, :-1])
     theta = tab.grad_clipped - g
     gap = problem.gap_many(tab.x)
     eta2 = np.float_power(eta, 2)
     rhs = (-(eta - L * eta2 / 2.0) * row_dots(g, g)
            + (L * eta2 / 2.0) * row_dots(theta, theta)
            + (L * eta2 - eta) * row_dots(g, theta))
-    return _pathwise("pathwise_sgd", tab.t, rhs - (gap[1:] - gap[:-1]), tol)
+    margins = rhs - (gap[:, 1:] - gap[:, :-1])
+    return [_pathwise("pathwise_sgd", tab.t, margin, tol) for margin in margins]
 
 
 def _step_guard(t, too_large, bound: str):
@@ -380,32 +382,33 @@ def martingale_trace_smd(problem: Problem, oracle: Oracle, schedule: Schedule, s
     that rounds below zero counts as zero radius.
     """
     tab = run_smd(problem, oracle, schedule, steps, x1).table
-    return martingale_smd(problem, oracle.noise, tab, schedule.constants(), delta,
-                          resamples, rng)
+    return martingale_smd(problem, oracle.noise, tab, schedule.constants(), delta, resamples,
+                          [rng])[0]
 
 
 def martingale_smd(problem: Problem, noise_model, tab: StepTable, constants: dict,
-                   delta: float, resamples: int, rng: np.random.Generator) -> MartingaleTrace:
-    """``martingale_trace_smd`` over the table of a recorded ``run_smd``; reads ``constants["Q"]``."""
+                   delta: float, resamples: int, rngs) -> list:
+    """``martingale_trace_smd`` over a recorded ``run_smd*``: one trace per seed, seed k
+    resampling from ``rngs[k]``; reads ``constants["Q"]``."""
     geom = problem.geometry
     xstar = problem.minimizer
     q_val = constants["Q"]
-    x, eta, lam = tab.x[:-1], tab.eta, tab.lam
-    res = resample_clipped(problem, noise_model, x, lam, resamples, rng)
+    x, eta, lam = tab.x[:, :-1], tab.eta, tab.lam
+    res = _resampled(problem, noise_model, x, lam, resamples, rngs)
     theta_b, m2, se = res.cond_mean - res.grad, res.u_sq_mean, res.stderr
     breg = geom.bregman_many(xstar, tab.x)
-    runmax = np.maximum.accumulate(np.sqrt(2.0 * np.maximum(breg[:-1], 0.0)))
+    runmax = np.maximum.accumulate(np.sqrt(2.0 * np.maximum(breg[:, :-1], 0.0)), axis=1)
     el = eta * lam
     z = 1.0 / (2.0 * el * runmax + 16.0 * q_val * np.float_power(el, 2))
     bias = geom.dual_norm_many(theta_b)
     eta2, lam2 = np.float_power(eta, 2), np.float_power(lam, 2)
-    increments = z * (eta * problem.gap_many(tab.x[1:]) + breg[1:] - breg[:-1]
+    increments = z * (eta * problem.gap_many(tab.x[:, 1:]) + breg[:, 1:] - breg[:, :-1]
                       - eta * row_dots(xstar - x, theta_b)
                       - 2.0 * eta2 * np.float_power(bias, 2)
                       - 2.0 * eta2 * m2)
     increments -= (3.0 / (8.0 * lam2)
                    + 24.0 * np.float_power(z, 2) * np.float_power(eta, 4) * lam2) * m2
-    return _trace("smd", delta, z, increments, m2, bias, se, lam, {"Q": q_val})
+    return _traces("smd", delta, z, increments, m2, bias, se, lam, {"Q": q_val})
 
 
 def martingale_trace_sgd(problem: Problem, oracle: Oracle, schedule: Schedule, steps: int,
@@ -421,12 +424,13 @@ def martingale_trace_sgd(problem: Problem, oracle: Oracle, schedule: Schedule, s
     """
     tab = run_sgd(problem, oracle, schedule, steps, x1).table
     return martingale_sgd(problem, oracle.noise, tab, schedule.constants(), delta,
-                          resamples, rng)
+                          resamples, [rng])[0]
 
 
 def martingale_sgd(problem: Problem, noise_model, tab: StepTable, constants: dict,
-                   delta: float, resamples: int, rng: np.random.Generator) -> MartingaleTrace:
-    """``martingale_trace_sgd`` over the table of a recorded ``run_sgd``; reads ``C1`` and ``A``."""
+                   delta: float, resamples: int, rngs) -> list:
+    """``martingale_trace_sgd`` over a recorded ``run_sgd*``: one trace per seed, seed k
+    resampling from ``rngs[k]``; reads ``C1`` and ``A``."""
     c1, a_const = constants["C1"], constants["A"]
     L = problem.smoothness
     sqrt_a = math.sqrt(a_const)
@@ -435,31 +439,36 @@ def martingale_sgd(problem: Problem, noise_model, tab: StepTable, constants: dic
             raise ValueError("trace undefined: P_t < 1 for this schedule")
         if c1 ** 2 * sqrt_a / (2.0 * L * eta ** 2 * lam ** 2) < 1.0 - 1e-9:
             raise ValueError("trace undefined: Q_t < 1 for this schedule")
-    x, eta, lam = tab.x[:-1], tab.eta, tab.lam
-    res = resample_clipped(problem, noise_model, x, lam, resamples, rng)
+    x, eta, lam = tab.x[:, :-1], tab.eta, tab.lam
+    res = _resampled(problem, noise_model, x, lam, resamples, rngs)
     g, theta_b, m2, se = res.grad, res.cond_mean - res.grad, res.u_sq_mean, res.stderr
     gap = problem.gap_many(tab.x)
-    runmax = np.maximum.accumulate(np.sqrt(np.maximum(gap[:-1], 0.0)))
+    runmax = np.maximum.accumulate(np.sqrt(np.maximum(gap[:, :-1], 0.0)), axis=1)
     bias_sq = row_dots(theta_b, theta_b)
     z = 1.0 / (2.0 * c1 * runmax + 4.0 * c1 ** 2 * sqrt_a)
     z2, eta2 = np.float_power(z, 2), np.float_power(eta, 2)
-    increments = z * (0.5 * eta * row_dots(g, g) + gap[1:] - gap[:-1]
+    increments = z * (0.5 * eta * row_dots(g, g) + gap[:, 1:] - gap[:, :-1]
                       - 1.5 * eta * bias_sq - L * eta2 * m2)
-    increments -= (3.0 * z2 * L * eta2 * gap[:-1]
+    increments -= (3.0 * z2 * L * eta2 * gap[:, :-1]
                    + 6.0 * L ** 2 * z2 * np.float_power(eta, 4) * np.float_power(lam, 2)) * m2
-    return _trace("sgd", delta, z, increments, m2, np.sqrt(bias_sq), se, lam,
-                  {"C1": c1, "A": a_const})
+    return _traces("sgd", delta, z, increments, m2, np.sqrt(bias_sq), se, lam,
+                   {"C1": c1, "A": a_const})
 
 
-def _trace(algorithm, delta, z, increments, m2, bias, se, lam, constants) -> MartingaleTrace:
+def _resampled(problem, noise_model, X, levels, resamples: int, rngs) -> Resampled:
+    """Seed k's ``resample_clipped`` at ``X[k]`` from ``rngs[k]``, as (n, steps, ...) fields."""
+    per_seed = (resample_clipped(problem, noise_model, x, levels, resamples, rng)
+                for x, rng in zip(X, rngs, strict=True))
+    return Resampled._make(map(np.stack, zip(*per_seed)))
+
+
+def _traces(algorithm, delta, z, increments, m2, bias, se, lam, constants) -> list:
+    """One trace per seed's row of the (n, steps) arrays."""
     threshold = math.log(1.0 / delta)
-    running = np.cumsum(increments)
-    return MartingaleTrace(
-        algorithm=algorithm, threshold=threshold, weights=z, increments=increments,
-        running_sum=running, cond_second_moment=m2, bias_norm=bias, stderr=se,
-        crossed=bool(np.max(running) >= threshold), warned=bool(np.any(se > 0.1 * lam)),
-        constants=constants,
-    )
+    running = np.cumsum(increments, axis=1)
+    crossed, warned = np.max(running, axis=1) >= threshold, np.any(se > 0.1 * lam, axis=1)
+    return [MartingaleTrace(algorithm, threshold, *arrays, bool(c), bool(w), constants)
+            for *arrays, c, w in zip(z, increments, running, m2, bias, se, crossed, warned)]
 
 
 # -- report serialization ---------------------------------------------------------------

@@ -39,7 +39,7 @@ def _as_vector(v, dim: int) -> np.ndarray:
 
 
 def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Dot products of matching rows of (n, dim) arrays.
+    """Dot products of matching rows of (..., dim) arrays.
 
     Each row goes through the same vector dot as ``a @ b`` on two vectors,
     so a row's value does not depend on the number of rows beside it.
@@ -130,19 +130,12 @@ class Geometry:
         return float(self.dual_norm_many(v[None, :])[0])
 
     def dual_norm_many(self, V: np.ndarray) -> np.ndarray:
-        """Row-wise dual norms of an (n, dim) array."""
+        """Row-wise dual norms of an (..., dim) array."""
         if self.kind == SIMPLEX:
             return np.max(np.abs(V), axis=-1)
         return np.sqrt(coord_dot(V, V))
 
     # -- mirror map ---------------------------------------------------------
-
-    def psi(self, x) -> float:
-        x = _as_vector(x, self.dim)
-        if self.kind == SIMPLEX:
-            pos = x > 0
-            return float(np.sum(x[pos] * np.log(x[pos])))  # 0 log 0 := 0
-        return float(0.5 * (x @ x))
 
     def grad_psi(self, x) -> np.ndarray:
         x = _as_vector(x, self.dim)

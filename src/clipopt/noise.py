@@ -25,15 +25,17 @@ is ``problem.grad(x) + oracle.noise_matrix(1)[0]``.
 Run noise: the loops read step t's (n, d) noise as ``slab(t)`` of a draws
 object.  ``DenseDraws`` holds a presampled time-major (steps, d, n) block;
 single runs and radial lockstep batches use it, the batch filling seed k's
-strided slice ``[:, :, k]`` in place from the seed's own generator.
-``SpikeDraws`` holds a two-point lockstep batch as its spikes only: each
-seed's generator makes the calls of ``sample_batch(d, steps, rng)``, each
-hit is kept as one int64 key, and a reused window of K steps is expanded
-from them with the dense slab's bits and layout.
+strided slice ``[:, :, k]`` of an anonymous mapping of its own in place from
+the seed's own generator.  ``SpikeDraws`` holds a two-point lockstep batch
+as its spikes only: each seed's generator makes the calls of
+``sample_batch(d, steps, rng)``, each hit is kept as one int64 key, and a
+reused window of K steps is expanded from them with the dense slab's bits
+and layout.  ``lockstep_draws`` builds the one a batch's noise family uses.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,6 +247,41 @@ class SpikeDraws:
         self._written = (keys >> 1) - w * flat.size
         flat[self._written] = np.where(keys & 1, -self.spike, self.spike)
         self._first = w * self._K + 1
+
+
+def lockstep_draws(model, d: int, steps: int, seeds):
+    """The noise of a lockstep batch, seed k's drawn from ``make_rng(seeds[k])``: two-point
+    noise kept as its spikes, radial noise into ``[:, :, k]`` of one zero-filled (steps, d, n)
+    block."""
+    rngs = (make_rng(int(seed)) for seed in seeds)
+    if isinstance(model, TwoPointNoise):
+        return SpikeDraws(model, d, steps, rngs)
+    block = _zero_block((steps, d, len(seeds)))
+    for k, rng in enumerate(rngs):
+        model.sample_batch(d, steps, rng, out=block[:, :, k])
+    return DenseDraws(block)
+
+
+def _zero_block(shape) -> np.ndarray:
+    """A zero-filled float block on fresh pages of its own, unmapped when the array goes.
+
+    ``np.zeros`` puts a block below malloc's mmap threshold (which glibc raises
+    to the size of the last block freed, up to 32 MiB) on the heap.  Whether it
+    then reuses the resident pages of the previous batch's block or grows the
+    heap depends on what small allocations landed in between, so the peak
+    resident size of a run of batches could differ by a whole block from one
+    process to the next.  A private anonymous mapping holds only the block and
+    goes back to the system with it; like numpy for its own large blocks, it
+    asks for huge pages where the platform has them, without which the page
+    faults of a large block cost about twice as much.
+    """
+    nbytes = 8 * int(np.prod(shape))
+    if nbytes == 0:
+        return np.zeros(shape)
+    pages = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        pages.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(pages, dtype=float).reshape(shape)
 
 
 def make_noise(kind: str, p: float, sigma: float, *, q: float = 0.1, tail_index: float = 1.75):

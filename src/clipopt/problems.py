@@ -178,7 +178,7 @@ def make_quadratic_plus_norm(d: int, coef: float) -> Problem:
     def grad_many(X):
         n = np.sqrt(geo.coord_dot(X, X))
         scale = np.where(n > 0, 1.0 + coef / np.maximum(n, 1e-300), 1.0)
-        return X * scale[:, None]
+        return X * scale[..., None]
 
     value, grad = _scalars_from_many(value_many, grad_many)
     return Problem(

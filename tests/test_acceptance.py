@@ -205,46 +205,33 @@ def test_c06_pathwise_inequalities():
     t0 = time.time()
     steps, seeds, tol = 1000, range(50), 1e-8
 
+    def violations(check, run, prob, sigma, mode, x1):
+        """Violations over one recorded lockstep batch of all seeds."""
+        s = schedules.derive_inputs(prob, x1, p=1.5, sigma=sigma, delta=0.1, horizon=steps)
+        batch = run(prob, TwoPointNoise(p=1.5, sigma=sigma, q=0.2), schedules.Schedule(mode, s),
+                    steps, x1, seeds, record=True)
+        return sum(len(rep.violations) for rep in check(prob, batch.table, tol=tol))
+
     quad = problems.make_quadratic([1.0, 2.0])
-    x1 = np.array([1.0, 0.5])
-    sq = schedules.derive_inputs(quad, x1, p=1.5, sigma=1.0, delta=0.1, horizon=steps)
-    violations = sum(
-        len(diag.check_pathwise_smd(
-            quad, Oracle(quad, TwoPointNoise(p=1.5, sigma=1.0, q=0.2), seed=s),
-            schedules.Schedule("smd_known_t", sq), steps, x1, tol=tol).violations)
-        for s in seeds)
-    announce("criterion 6 (smd pathwise)", violations == 0, f"{violations} violations")
+    count = violations(diag.pathwise_smd, algos.run_smd_batch, quad, 1.0, "smd_known_t",
+                       np.array([1.0, 0.5]))
+    announce("criterion 6 (smd pathwise)", count == 0, f"{count} violations")
 
     simplex = problems.make_simplex_quadratic([0.2, 0.3, 0.5])
-    y1 = np.ones(3) / 3
-    sa = schedules.derive_inputs(simplex, y1, p=1.5, sigma=0.5, delta=0.1, horizon=steps)
-    violations = sum(
-        len(diag.check_pathwise_asmd(
-            simplex, Oracle(simplex, TwoPointNoise(p=1.5, sigma=0.5, q=0.2), seed=s),
-            schedules.Schedule("asmd_known_t", sa), steps, y1, tol=tol).violations)
-        for s in seeds)
-    announce("criterion 6 (asmd pathwise)", violations == 0, f"{violations} violations")
+    count = violations(diag.pathwise_asmd, algos.run_asmd_batch, simplex, 0.5, "asmd_known_t",
+                       np.ones(3) / 3)
+    announce("criterion 6 (asmd pathwise)", count == 0, f"{count} violations")
 
     ratioprob = problems.make_nonconvex_ratio(2)
-    xr = np.array([1.0, 1.0])
-    sg = schedules.derive_inputs(ratioprob, xr, p=1.5, sigma=1.0, delta=0.1, horizon=steps)
-    violations = sum(
-        len(diag.check_pathwise_sgd(
-            ratioprob, Oracle(ratioprob, TwoPointNoise(p=1.5, sigma=1.0, q=0.2), seed=s),
-            schedules.Schedule("sgd_known_t", sg), steps, xr, tol=tol).violations)
-        for s in seeds)
-    announce("criterion 6 (sgd pathwise)", violations == 0, f"{violations} violations")
+    count = violations(diag.pathwise_sgd, algos.run_sgd_batch, ratioprob, 1.0, "sgd_known_t",
+                       np.array([1.0, 1.0]))
+    announce("criterion 6 (sgd pathwise)", count == 0, f"{count} violations")
 
     nonsmooth = problems.make_quadratic_plus_norm(2, 0.25)  # additive constant G = 0.5
-    xn = np.array([0.7, 0.7])
-    sn = schedules.derive_inputs(nonsmooth, xn, p=1.5, sigma=1.0, delta=0.1, horizon=steps)
-    violations = sum(
-        len(diag.check_pathwise_smd(
-            nonsmooth, Oracle(nonsmooth, TwoPointNoise(p=1.5, sigma=1.0, q=0.2), seed=s),
-            schedules.Schedule("smd_known_t", sn), steps, xn, tol=tol).violations)
-        for s in seeds)
-    announce("criterion 6 (nonsmooth-term pathwise, G=0.5)", violations == 0,
-             f"{violations} violations")
+    count = violations(diag.pathwise_smd, algos.run_smd_batch, nonsmooth, 1.0, "smd_known_t",
+                       np.array([0.7, 0.7]))
+    announce("criterion 6 (nonsmooth-term pathwise, G=0.5)", count == 0,
+             f"{count} violations")
     print(f"[acceptance] criterion 6 elapsed {time.time() - t0:.1f}s")
 
 
@@ -255,32 +242,25 @@ def test_c07_supermartingale_crossing():
     t0 = time.time()
     n_seeds, steps, resamples, delta = 1000, 128, 128, 0.1
     limit = 0.128  # 0.1 + 3 binomial standard errors at 1000 seeds
-
-    quad = problems.make_quadratic([1.0, 1.0])
-    x1 = np.array([4.0, 0.0])
     model = TwoPointNoise(p=1.5, sigma=1.0, q=0.1)
-    s = schedules.derive_inputs(quad, x1, p=1.5, sigma=1.0, delta=delta, horizon=steps)
-    sched = schedules.Schedule("smd_known_t", s)
-    crossings = sum(
-        diag.martingale_trace_smd(
-            quad, Oracle(quad, model, seed=seed), sched, steps, x1, delta,
-            resamples, make_rng(10_000_000 + seed)).crossed
-        for seed in range(n_seeds))
-    freq = crossings / n_seeds
+
+    def frequency(trace, run, prob, mode, x1, rng_base):
+        """Crossing frequency over one recorded lockstep batch; seed k resamples from
+        ``make_rng(rng_base + k)``."""
+        s = schedules.derive_inputs(prob, x1, p=1.5, sigma=1.0, delta=delta, horizon=steps)
+        sched = schedules.Schedule(mode, s)
+        batch = run(prob, model, sched, steps, x1, range(n_seeds), record=True)
+        traces = trace(prob, model, batch.table, sched.constants(), delta, resamples,
+                       [make_rng(rng_base + seed) for seed in range(n_seeds)])
+        return sum(tr.crossed for tr in traces) / n_seeds
+
+    freq = frequency(diag.martingale_smd, algos.run_smd_batch, problems.make_quadratic([1.0, 1.0]),
+                     "smd_known_t", np.array([4.0, 0.0]), 10_000_000)
     announce("criterion 7 (smd trace crossing)", freq <= limit,
              f"frequency={freq:.4f} limit={limit}")
 
-    ratioprob = problems.make_nonconvex_ratio(2)
-    xr = np.array([1.0, 1.0])
-    sr = schedules.derive_inputs(ratioprob, xr, p=1.5, sigma=1.0, delta=delta,
-                                 horizon=steps)
-    schedr = schedules.Schedule("sgd_known_t", sr)
-    crossings = sum(
-        diag.martingale_trace_sgd(
-            ratioprob, Oracle(ratioprob, model, seed=seed), schedr, steps, xr, delta,
-            resamples, make_rng(20_000_000 + seed)).crossed
-        for seed in range(n_seeds))
-    freq = crossings / n_seeds
+    freq = frequency(diag.martingale_sgd, algos.run_sgd_batch, problems.make_nonconvex_ratio(2),
+                     "sgd_known_t", np.array([1.0, 1.0]), 20_000_000)
     announce("criterion 7 (sgd trace crossing)", freq <= limit,
              f"frequency={freq:.4f} limit={limit}")
     print(f"[acceptance] criterion 7 elapsed {time.time() - t0:.1f}s")

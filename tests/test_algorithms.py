@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from clipopt import algorithms as algos
 from clipopt import geometry, problems, schedules
+from clipopt import noise as nz
 from clipopt.noise import (DenseDraws, Oracle, RadialParetoNoise, SpikeDraws, TwoPointNoise,
                           make_rng)
 
@@ -40,7 +41,7 @@ def test_smd_geometric_decay_with_forced_step():
                                eta_scale=24.0)
     assert sched.eta(1) == pytest.approx(0.25)
     rec = algos.run_smd(prob, noiseless_oracle(prob), sched, 16, x1)
-    gaps = np.concatenate([[prob.gap(x1)], rec.table.metric])
+    gaps = np.concatenate([[prob.gap(x1)], rec.table.metric[0]])
     ratios = gaps[1:] / gaps[:-1]
     np.testing.assert_allclose(ratios, 0.75 ** 2, rtol=1e-12)
     assert rec.clipped_fraction == 0.0
@@ -51,7 +52,7 @@ def test_smd_single_step_summary():
     x1 = np.array([1.0, 0.0])
     sched = schedules.Schedule("smd_known_t", smd_inputs(prob, x1, horizon=1))
     rec = algos.run_smd(prob, noiseless_oracle(prob), sched, 1, x1)
-    assert rec.summary == rec.table.metric[0]
+    assert rec.summary == rec.table.metric[0, 0]
     assert rec.steps == 1
 
 
@@ -82,8 +83,8 @@ def test_asmd_first_step_collapses_to_start():
     sched = schedules.Schedule("asmd_known_t", smd_inputs(prob, y1, horizon=4))
     tab = algos.run_asmd(prob, noiseless_oracle(prob), sched, 1, y1).table
     assert tab.alpha[0] == 1.0
-    np.testing.assert_array_equal(tab.x[0], y1)    # (1 - alpha) kills the y term
-    np.testing.assert_array_equal(tab.y[1], tab.z[1])  # T = 1: y2 = z2
+    np.testing.assert_array_equal(tab.x[0, 0], y1)    # (1 - alpha) kills the y term
+    np.testing.assert_array_equal(tab.y[0, 1], tab.z[0, 1])  # T = 1: y2 = z2
 
 
 def test_asmd_noiseless_quadratic_rate_with_override():
@@ -116,9 +117,9 @@ def test_sgd_one_step_solve_of_isotropic_quadratic():
     assert sched.eta(1) == pytest.approx(1.0)
     rec = algos.run_sgd(prob, noiseless_oracle(prob), sched, 4, x1)
     # eta = 1/L lands exactly on the minimizer after one step
-    assert rec.table.metric[0] == pytest.approx(float(x1 @ x1))
+    assert rec.table.metric[0, 0] == pytest.approx(float(x1 @ x1))
     np.testing.assert_allclose(rec.final_point, np.zeros(2), atol=1e-15)
-    assert rec.table.metric[1] == 0.0
+    assert rec.table.metric[0, 1] == 0.0
 
 
 def test_sgd_descent_on_nonconvex_instance():
@@ -136,7 +137,7 @@ def test_sgd_descent_on_nonconvex_instance():
         x = x - 0.4 * prob.grad(x)
         gaps.append(prob.value(x))
     assert np.all(np.diff(np.array(gaps)) <= 1e-15)
-    assert np.all(np.diff(rec.table.metric[2:]) <= 1e-15)
+    assert np.all(np.diff(rec.table.metric[0, 2:]) <= 1e-15)
 
 
 def test_sgd_single_step_summary():
@@ -294,10 +295,21 @@ def test_batch_equals_single_runs_property(algorithm, geom, radial, anytime, lam
                         "sgd": (algos.run_sgd, algos.run_sgd_batch),
                         "vanilla-sgd": (algos.run_vanilla_sgd, algos.run_vanilla_sgd_batch)}[algorithm]
     param = sched.eta(1) if algorithm == "vanilla-sgd" else sched
-    batch = batch_fn(prob, model, param, steps, x1, seeds)
+    batch = batch_fn(prob, model, param, steps, x1, seeds, record=True)
     recs = [single(prob, Oracle(prob, model, seed=s), param, steps, x1) for s in seeds]
     for field in ("summary", "final_gap", "clipped_fraction", "diverged"):
         np.testing.assert_array_equal(getattr(batch, field), [getattr(r, field) for r in recs])
+    # seed k of the recorded batch is seed k's single-run table, bitwise; a baseline row that
+    # diverges stops its single run early, so the batch's first steps are compared
+    for k, rec in enumerate(recs):
+        for field in dataclasses.fields(algos.StepTable):
+            one, rows = getattr(rec.table, field.name), getattr(batch.table, field.name)
+            if one is None:
+                assert rows is None, field.name
+                continue
+            rows = rows[:one.shape[0]] if one.ndim == 1 else rows[k:k + 1, :one.shape[1]]
+            assert rows.dtype == one.dtype and rows.shape == one.shape, field.name
+            assert rows.tobytes() == one.tobytes(), field.name
 
 
 @given(algorithm=st.sampled_from(["smd", "asmd", "sgd"]), geom=st.sampled_from(list(START)),
@@ -328,6 +340,7 @@ def test_clipped_iterates_stay_finite_in_domain_property(algorithm, geom, radial
     assert not rec.diverged
     for path in (rec.table.x, rec.table.y, rec.table.z):
         if path is not None:
+            path = path[0]
             assert all(prob.geometry.contains(x) for x in path), path
             if geom.startswith("simplex"):  # the entropy step's log needs the open simplex
                 assert np.all(path > 0), path
@@ -385,9 +398,9 @@ def test_asmd_iterates_stay_in_domain():
     geom = prob.geometry
     tab = algos.run_asmd(prob, Oracle(prob, model, seed=2), sched, 200, y1).table
     for t in range(200):
-        assert geom.contains(tab.x[t])
-        assert geom.contains(tab.y[t + 1])
-        assert geom.contains(tab.z[t + 1])
+        assert geom.contains(tab.x[0, t])
+        assert geom.contains(tab.y[0, t + 1])
+        assert geom.contains(tab.z[0, t + 1])
 
 
 def test_no_clipping_when_level_dominates():
@@ -426,7 +439,7 @@ def test_batch_peak_memory_is_one_noise_block():
 def test_batch_noise_block_is_a_fresh_mapping():
     """Zero-filled pages of the block's own, unmapped when the array goes, so a run of
     batches does not leave its peak memory to how the heap happens to be laid out."""
-    block = algos._zero_block((16, 2, 5))
+    block = nz._zero_block((16, 2, 5))
     assert block.shape == (16, 2, 5) and block.dtype == float
     assert block.flags.writeable and block.flags.c_contiguous and not block.any()
     view = block.base.base
@@ -434,7 +447,7 @@ def test_batch_noise_block_is_a_fresh_mapping():
     released = weakref.ref(view)
     del block, view
     assert released() is None
-    assert algos._zero_block((0, 2, 3)).shape == (0, 2, 3)
+    assert nz._zero_block((0, 2, 3)).shape == (0, 2, 3)
 
 
 @pytest.mark.parametrize("loop, start, param", [

@@ -144,12 +144,13 @@ def test_non_finite_values_exit_2(tmp_path, capsys, key, value):
     "problem.kind=nonconvex_ratio problem.dim=0",
     "problem.kind=quadratic_plus_norm problem.coef=-1",
     "problem.kind=simplex_quadratic noise.kind=radial_pareto",
+    "problem.kind=simplex_quadratic problem.dim=1",
 ])
 def test_out_of_range_values_exit_2(tmp_path, capsys, assignment):
     """Negative seeds and mu, a sigma whose 2p-th power overflows, nonpositive schedule
-    constants, an empty dimension, a negative nonsmooth coefficient and radial noise on the
-    simplex are config errors named by their own key (the last of the space-separated
-    assignments)."""
+    constants, an empty dimension, a negative nonsmooth coefficient, radial noise on the
+    simplex and a one-point simplex are config errors named by their own key (the last of
+    the space-separated assignments)."""
     argv = ["diagnose", "--config", _write(tmp_path, NOISY), "--set", "experiment.t=8"]
     for one in assignment.split():
         argv += ["--set", one]
@@ -393,6 +394,24 @@ def test_cmd_diagnose_records_one_run(tmp_path, monkeypatch, overrides):
         args += ["--set", assignment]
     assert cli.main(args) == 0
     assert calls == ["sgd" if overrides == SGD_VARIANT else "smd"]
+
+
+@pytest.mark.parametrize("assignments, failed", [
+    (["experiment.algorithm=asmd", "schedule.mode=asmd_known_t", "schedule.c_override=1e-300"],
+     ["lambda_power_sum", "lambda_2p_vs_p"]),
+    (["experiment.algorithm=sgd", "schedule.mode=sgd_known_t", "schedule.lambda_scale=1e-300"],
+     ["inverse_step_moment"]),
+])
+def test_cmd_diagnose_overflowing_inverse_level_fails(tmp_path, capsys, assignments, failed):
+    """A level whose (-p)-th power overflows fails its conditions with margin -inf, and the
+    overflow saturates to inf without a RuntimeWarning (an error under this suite's filter)."""
+    argv = ["diagnose", "--config", str(DEMO_CONFIGS / "smd_heavy_tail.cfg"), "--out", str(tmp_path)]
+    for assignment in assignments:
+        argv += ["--set", assignment]
+    assert cli.main(argv) == 1
+    out = capsys.readouterr().out
+    for name in failed:
+        assert f"condition {name}: FAIL margin=-inf\n" in out
 
 
 @pytest.mark.parametrize("lambda_scale, warned", [("1", False), ("0.01", True)])

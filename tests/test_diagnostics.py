@@ -1,5 +1,6 @@
 """Diagnostics oracles: MGF bound, clipping-error bounds, pathwise checks, traces."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -9,7 +10,7 @@ import pytest
 from clipopt import algorithms
 from clipopt import diagnostics as diag
 from clipopt import problems, schedules
-from clipopt.noise import Oracle, TwoPointNoise, make_rng
+from clipopt.noise import Oracle, RadialParetoNoise, TwoPointNoise, make_rng
 
 GAMMA_ONE = math.exp(-1.0)
 
@@ -279,11 +280,11 @@ def test_martingale_resampling_memory_stays_per_chunk():
     sched, oracle = _smd_setup(prob, x1, 1.0, steps, seed=0)
     tab = algorithms.run_smd(prob, oracle, sched, steps, x1).table
     constants = {"Q": sched.constants()["Q"]}
-    diag.martingale_smd(prob, oracle.noise, tab, constants, 0.1, 100, make_rng(0))  # first use
+    diag.martingale_smd(prob, oracle.noise, tab, constants, 0.1, 100, [make_rng(0)])  # first use
     block = 8 * steps * resamples * prob.dim
     tracemalloc.start()
     try:
-        diag.martingale_smd(prob, oracle.noise, tab, constants, 0.1, resamples, make_rng(1))
+        diag.martingale_smd(prob, oracle.noise, tab, constants, 0.1, resamples, [make_rng(1)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -304,6 +305,63 @@ def test_pathwise_smd_detects_dropped_nonsmooth_term():
         sched = schedules.Schedule("smd_known_t", s, eta_scale=0.25 / base.eta(1))
         rep = diag.check_pathwise_smd(prob, oracle(prob), sched, 200, xn)
         assert rep.passed == expect_clean
+
+
+# -- seed-batched cores ----------------------------------------------------------------
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+_NONSMOOTH_NO_G = dataclasses.replace(problems.make_quadratic_plus_norm(2, 0.25), lipschitz_g=0.0)
+_RADIAL = RadialParetoNoise(p=1.5, sigma=1.0, tail_index=1.8)
+_SPIKES = TwoPointNoise(p=1.5, sigma=1.0, q=0.2)
+
+
+@pytest.mark.parametrize("core, prob, x1, model", [
+    ("pathwise_smd", problems.make_quadratic([1.0, 2.0]), [1.0, 0.5], _RADIAL),
+    ("pathwise_smd", problems.make_simplex_quadratic([0.2, 0.3, 0.5]), [1 / 3] * 3, _SPIKES),
+    ("pathwise_smd", _NONSMOOTH_NO_G, [0.05, 0.0], _SPIKES),  # violations to compare
+    ("pathwise_asmd", problems.make_simplex_quadratic([0.2, 0.3, 0.5]), [1 / 3] * 3, _SPIKES),
+    ("pathwise_asmd", problems.make_quadratic([1.0, 2.0, 0.5]), [1.0, 0.0, 2.0], _RADIAL),
+    ("pathwise_sgd", problems.make_nonconvex_ratio(3), [1.0, 1.0, -0.5], _RADIAL),
+    ("martingale_smd", problems.make_quadratic([1.0, 1.0]), [4.0, 0.0], _SPIKES),
+    ("martingale_smd", problems.make_quadratic([1.0, 1.0]), [4.0, 0.0], _RADIAL),
+    ("martingale_smd", problems.make_simplex_quadratic([0.2, 0.3, 0.5]), [0.6, 0.2, 0.2], _SPIKES),
+    ("martingale_sgd", problems.make_nonconvex_ratio(2), [1.0, 1.0], _SPIKES),
+    ("martingale_sgd", problems.make_nonconvex_ratio(2), [1.0, 1.0], _RADIAL),
+])
+def test_seed_batched_cores_equal_per_seed_checks_bitwise(core, prob, x1, model):
+    """Seed k's report or trace from one recorded batch is the per-seed public check's, bitwise."""
+    steps, seeds, family = 48, [0, 1, 2, 7, 123, 2 ** 31], core.split("_")[1]
+    x1 = np.array(x1)
+    s = schedules.derive_inputs(prob, x1, p=1.5, sigma=1.0, delta=0.1, horizon=steps)
+    sched = schedules.Schedule(f"{family}_known_t", s)
+    if prob is _NONSMOOTH_NO_G:  # steps of 1/(4L) overshoot the kink the dropped term covers
+        sched = schedules.Schedule(f"{family}_known_t", s, eta_scale=0.25 / sched.eta(1))
+    batch = getattr(algorithms, f"run_{family}_batch")(prob, model, sched, steps, x1, seeds,
+                                                       record=True)
+    if core.startswith("pathwise"):
+        reports = getattr(diag, core)(prob, batch.table)
+        for seed, rep in zip(seeds, reports, strict=True):
+            single = getattr(diag, f"check_{core}")(prob, Oracle(prob, model, seed=seed), sched,
+                                                    steps, x1)
+            assert [(t, m.hex()) for t, m in rep.violations] == [
+                (t, m.hex()) for t, m in single.violations]
+            assert rep.min_margin.hex() == single.min_margin.hex()
+        if prob is _NONSMOOTH_NO_G:
+            assert any(rep.violations for rep in reports)
+        return
+    traces = getattr(diag, core)(prob, model, batch.table, sched.constants(), 0.1, 64,
+                                 [make_rng(500 + seed) for seed in seeds])
+    trace_fn = getattr(diag, f"martingale_trace_{family}")
+    for seed, trace in zip(seeds, traces, strict=True):
+        single = trace_fn(prob, Oracle(prob, model, seed=seed), sched, steps, x1, 0.1, 64,
+                          make_rng(500 + seed))
+        for field in ("weights", "increments", "running_sum", "stderr"):
+            assert _bits(getattr(trace, field)) == _bits(getattr(single, field)), field
+        assert (trace.crossed, trace.warned) == (single.crossed, single.warned)
 
 
 # -- serialization ---------------------------------------------------------------------
