@@ -269,12 +269,12 @@ def _asmd(problem, schedule, steps, y1, noise, tab):
     for t in range(1, steps + 1):
         alpha = schedule.alpha(t)
         eta, lam = schedule.pair(t)
-        Xq = (1.0 - alpha) * Y + alpha * Z
+        Xq = geom.mix_many(Y, Z, alpha)
         G = problem.grad_many(Xq) + noise.slab(t)
         norms = geom.dual_norm_many(G)
         Gc = clip_batch(G, lam, norms)
         Z = geom.mirror_step_many(Z, Gc, eta)
-        Y = (1.0 - alpha) * Y + alpha * Z
+        Y = geom.mix_many(Y, Z, alpha)
         clipped += norms > lam
         if tab is not None:
             _log(tab, t, eta, lam, norms, problem.gap_many(Y), Gc)

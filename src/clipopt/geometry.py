@@ -200,6 +200,17 @@ class Geometry:
         # hold it at the floor so iterates stay strictly interior.  Other bits are unchanged.
         return np.maximum(W, _SIMPLEX_FLOOR, out=W)
 
+    def mix_many(self, A: np.ndarray, B: np.ndarray, alpha: float) -> np.ndarray:
+        """Row-wise convex combination ``(1 - alpha) A + alpha B`` of domain points.
+
+        On the simplex two floored coordinates mixed at ``alpha = 1/2`` round to 0; such a
+        coordinate is held at the floor, as in ``mirror_step_many``.  Other bits are unchanged.
+        """
+        M = (1.0 - alpha) * A + alpha * B
+        if self.kind == SIMPLEX:
+            np.maximum(M, _SIMPLEX_FLOOR, out=M)
+        return M
+
     def step_optimality_gap(self, x, g, eta: float, x_next, u) -> float:
         """First-order optimality residual ``<eta*g + grad_psi(x+) - grad_psi(x), u - x+>``.
 

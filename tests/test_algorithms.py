@@ -8,7 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clipopt import algorithms as algos
@@ -318,6 +318,8 @@ def test_batch_equals_single_runs_property(algorithm, geom, radial, anytime, lam
        eta_scale=st.sampled_from([1.0, 1e3, 1e6]), steps=st.integers(1, 64),
        seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=80, deadline=None)
+@example(algorithm="asmd", geom="simplex", radial=False, anytime=False, sigma=1e3, q=0.3,
+         lambda_scale=1.0, eta_scale=1e6, steps=3, seed=0)  # floored coordinates mixed at 1/2
 def test_clipped_iterates_stay_finite_in_domain_property(algorithm, geom, radial, anytime, sigma,
                                                          q, lambda_scale, eta_scale, steps, seed):
     """Every iterate of a clipped single run is finite and in the domain (the open simplex

@@ -177,6 +177,19 @@ def test_entropy_step_floors_underflow_and_keeps_other_bits():
     assert np.all(np.isfinite(s.mirror_step_many(out, G, 1.0)))  # log of the floor is finite
 
 
+def test_simplex_mix_floors_underflow_and_keeps_other_bits():
+    s = geo.simplex(3)
+    tiny = np.nextafter(0.0, 1.0)
+    A = np.array([[0.5, tiny, 0.5 - tiny], [0.2, 0.3, 0.5]])
+    B = np.array([[1.0 - tiny, tiny, tiny], [0.6, 0.1, 0.3]])
+    out = s.mix_many(A, B, 0.5)
+    assert 0.5 * A[0, 1] + 0.5 * B[0, 1] == 0.0  # the plain mix underflows
+    assert out[0, 1] == tiny
+    np.testing.assert_array_equal(out[1], 0.5 * A[1] + 0.5 * B[1])
+    e = geo.euclidean(3)
+    np.testing.assert_array_equal(e.mix_many(A, B, 0.25), 0.75 * A + 0.25 * B)
+
+
 def test_ball_projection_inside_is_identity():
     b = geo.ball(2, radius=5.0)
     out = b.mirror_step(np.array([1.0, 1.0]), np.array([0.5, -0.5]), 0.1)
