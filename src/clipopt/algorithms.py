@@ -10,8 +10,11 @@ seeds.  The state is seed-contiguous: it is stored Fortran-ordered, as the
 transpose of a C-ordered (d, n) block, so each coordinate's n values lie
 next to each other and every elementwise op, per-coordinate constant and
 per-row factor runs as one inner loop over the seeds instead of one per
-row.  Reductions over coordinates go through ``geometry.coord_sum`` and
-``geometry.coord_dot``, whose bits do not depend on the layout.  Seed k's
+row.  Reductions over coordinates go through ``geometry.coord_sum`` (numpy's
+pairwise order replayed with column adds) and ``geometry.coord_dot``, whose
+bits do not depend on the layout.  The accelerated loop keeps y, z and the
+query point in three buffers and writes each mirror step and mix into them
+(``out=``); the record copies them every step.  Seed k's
 noise sequence is drawn from its own stream, and step t reads it as the
 (n, d) view ``noise.slab(t)`` of a draws object: the transpose of a
 C-ordered (d, n) slab.  ``run_*_batch`` advances many seeds in lockstep
@@ -264,17 +267,18 @@ def _asmd(problem, schedule, steps, y1, noise, tab):
     n = noise.n
     _prepare_schedule(schedule, ASMD_MODES, "asmd needs an accelerated schedule", n)
     geom = problem.geometry
-    Y = Z = _start(problem, y1, n)
+    Y = _start(problem, y1, n)
+    Z, Xq = Y.copy(order="K"), np.empty_like(Y)  # three buffers, updated in place
     clipped = np.zeros(n)
     for t in range(1, steps + 1):
         alpha = schedule.alpha(t)
         eta, lam = schedule.pair(t)
-        Xq = geom.mix_many(Y, Z, alpha)
+        geom.mix_many(Y, Z, alpha, out=Xq)
         G = problem.grad_many(Xq) + noise.slab(t)
         norms = geom.dual_norm_many(G)
         Gc = clip_batch(G, lam, norms)
-        Z = geom.mirror_step_many(Z, Gc, eta)
-        Y = geom.mix_many(Y, Z, alpha)
+        geom.mirror_step_many(Z, Gc, eta, out=Z)
+        geom.mix_many(Y, Z, alpha, out=Y)
         clipped += norms > lam
         if tab is not None:
             _log(tab, t, eta, lam, norms, problem.gap_many(Y), Gc)

@@ -9,8 +9,9 @@ Three geometries are supported:
 
 Each mirror map is 1-strongly convex with respect to its primal norm, so the
 Bregman divergence dominates half the squared primal distance, and every
-proximal step has a closed form.  All functions are pure; ``Geometry`` values
-are immutable and safe to share across threads.
+proximal step has a closed form.  All functions are pure, except that the row
+step and mix write into a caller's ``out`` array when given one; ``Geometry``
+values are immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -60,19 +61,48 @@ def shrink_factors(norms: np.ndarray, level: float) -> np.ndarray:
 # Sums and dot products over coordinates.  The run loops' (n, dim) arrays are
 # seed-contiguous (Fortran-ordered), where numpy would reduce the last axis
 # with one inner loop per row.  Both helpers return the bits of numpy's own
-# reduction of a C-ordered array, whatever the layout and n: for up to two
-# coordinates numpy adds left to right from +0.0, which column adds repeat
-# with one inner loop over the seeds; for more, numpy's order is pairwise
-# (``np.sum``) or SIMD (``np.einsum``), so the helpers reduce a C-ordered copy.
+# reduction of a C-ordered array, whatever the layout and n.  ``coord_sum``
+# replays numpy's pairwise summation (``np.sum``) with column adds, each one
+# inner loop over the seeds: below 8 coordinates a sequential sum; up to 128,
+# 8 accumulators over blocks of 8 columns, combined as
+# ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the remaining
+# columns in turn; above 128, the two halves of the range (the split rounded
+# down to a multiple of 8) summed alone and added.  numpy adds the result to
+# its +0.0 start.  ``np.einsum``'s order is SIMD, so ``coord_dot`` reduces a
+# C-ordered copy past two coordinates.
+
+_PAIRWISE_BLOCK = 128  # numpy's PW_BLOCKSIZE
 
 
 def coord_sum(A: np.ndarray) -> np.ndarray:
     """``np.sum(A, axis=-1)``, bitwise, for any memory layout of ``A``."""
-    d = A.shape[-1]
-    if d > 2:
-        return np.sum(np.ascontiguousarray(A), axis=-1)
-    total = A[..., 0] + A[..., 1] if d == 2 else A[..., 0].copy()
+    total = _pairwise_sum(A, 0, A.shape[-1])
     total += 0.0  # numpy's sum starts from +0.0, so a sum of -0.0 terms is +0.0
+    return total
+
+
+def _pairwise_sum(A: np.ndarray, lo: int, d: int) -> np.ndarray:
+    """numpy's ``pairwise_sum`` of columns ``lo .. lo + d - 1`` as a new array."""
+    if d < 8:
+        total = A[..., lo] + A[..., lo + 1] if d > 1 else A[..., lo].copy()
+        for j in range(lo + 2, lo + d):
+            total += A[..., j]
+        return total
+    if d <= _PAIRWISE_BLOCK:
+        end = lo + d - d % 8
+        r = A[..., lo:lo + 8].copy(order="K")
+        for j in range(lo + 8, end, 8):
+            r += A[..., j:j + 8]
+        r = r[..., 0::2] + r[..., 1::2]  # r0 + r1, r2 + r3, r4 + r5, r6 + r7
+        r = r[..., 0::2] + r[..., 1::2]
+        total = r[..., 0] + r[..., 1]
+        for j in range(end, lo + d):
+            total += A[..., j]
+        return total
+    half = d // 2
+    half -= half % 8
+    total = _pairwise_sum(A, lo, half)
+    total += _pairwise_sum(A, lo + half, d - half)
     return total
 
 
@@ -184,29 +214,41 @@ class Geometry:
         g = _as_vector(g, self.dim)
         return self.mirror_step_many(x[None, :], g[None, :], eta)[0]
 
-    def mirror_step_many(self, X: np.ndarray, G: np.ndarray, eta: float) -> np.ndarray:
-        """Row-wise mirror step on (n, dim) arrays; same arithmetic as mirror_step."""
+    def mirror_step_many(self, X: np.ndarray, G: np.ndarray, eta: float,
+                         out: np.ndarray | None = None) -> np.ndarray:
+        """Row-wise mirror step on (n, dim) arrays; same arithmetic as mirror_step.
+
+        The step is written into ``out`` when it is given (``X`` or ``G`` itself may
+        be ``out``) and returned; the bits do not depend on ``out`` or the layouts.
+        """
+        step = eta * G
         if self.kind == EUCLIDEAN:
-            return X - eta * G
+            return np.subtract(X, step, out=out)
         if self.kind == BALL:
-            V = X - eta * G - self.center
-            n = np.sqrt(coord_dot(V, V))
-            return self.center + V * shrink_factors(n, self.radius)[:, None]
-        logits = np.log(X) - eta * G
-        logits -= np.max(logits, axis=1, keepdims=True)
-        W = np.exp(logits)
+            V = X - step
+            V -= self.center
+            V *= shrink_factors(np.sqrt(coord_dot(V, V)), self.radius)[:, None]
+            return np.add(self.center, V, out=out)
+        W = np.log(X, out=out)
+        W -= step
+        W -= np.maximum.reduce(W, axis=1, keepdims=True)
+        np.exp(W, out=W)
         W /= coord_sum(W)[:, None]
         # A coordinate that underflowed to 0 would make the next step's log -inf;
         # hold it at the floor so iterates stay strictly interior.  Other bits are unchanged.
         return np.maximum(W, _SIMPLEX_FLOOR, out=W)
 
-    def mix_many(self, A: np.ndarray, B: np.ndarray, alpha: float) -> np.ndarray:
+    def mix_many(self, A: np.ndarray, B: np.ndarray, alpha: float,
+                 out: np.ndarray | None = None) -> np.ndarray:
         """Row-wise convex combination ``(1 - alpha) A + alpha B`` of domain points.
 
+        Written into ``out`` when it is given (``A`` or ``B`` itself may be ``out``).
         On the simplex two floored coordinates mixed at ``alpha = 1/2`` round to 0; such a
         coordinate is held at the floor, as in ``mirror_step_many``.  Other bits are unchanged.
         """
-        M = (1.0 - alpha) * A + alpha * B
+        term = alpha * B
+        M = np.multiply(A, 1.0 - alpha, out=out)
+        M += term
         if self.kind == SIMPLEX:
             np.maximum(M, _SIMPLEX_FLOOR, out=M)
         return M

@@ -31,10 +31,11 @@ from .config import (ConfigError, ExperimentConfig, build_noise, build_problem,
                      build_schedule, config_digest, p_tag)
 from .schedules import SGD_MODES, theorem_bound
 
-# Cap on n_seeds * horizon * dim per lockstep batch; larger sweeps are chunked.  It
-# sizes the dense noise block of radial noise; a two-point batch holds only its
-# spikes but is chunked the same way.
-_CHUNK_BUDGET = 30_000_000
+# Cap on the bytes of one lockstep batch's noise draws; larger sweeps are chunked.
+# Each noise family states its draws' bytes per seed-step (``seed_step_bytes``):
+# radial noise fills a dense block of d doubles a seed-step, two-point noise keeps
+# its spikes only, so a two-point batch is chunked only when it has very many.
+_CHUNK_BYTES = 240_000_000
 
 
 @dataclass
@@ -123,23 +124,24 @@ def _batch(cfg: ExperimentConfig, problem, x1, noise_model, horizon: int,
     return runner(problem, noise_model, schedule, horizon, x1, seeds)
 
 
-def _seed_chunks(seeds: np.ndarray, horizon: int, dim: int) -> list[np.ndarray]:
-    """``ceil(n * horizon * dim / _CHUNK_BUDGET)`` chunks, at most one per seed.
+def _seed_chunks(seeds: np.ndarray, horizon: int, seed_step_bytes: float) -> list[np.ndarray]:
+    """``ceil(n * horizon * seed_step_bytes / _CHUNK_BYTES)`` chunks, at most one per seed.
 
-    Their sizes differ by at most one seed, so each noise block is within one
-    seed's block of the budget, and no chunk is left with a small remainder.
+    Their sizes differ by at most one seed, so each chunk's draws are within one
+    seed's draws of the budget, and no chunk is left with a small remainder.
     """
     n = len(seeds)
-    sections = -(-n * horizon * dim // _CHUNK_BUDGET)  # ceil
-    return np.array_split(seeds, min(n, sections))
+    sections = math.ceil(n * horizon * seed_step_bytes / _CHUNK_BYTES)
+    return np.array_split(seeds, max(1, min(n, sections)))  # a subnormal q rounds to 0 bytes
 
 
 def _run_all_seeds(cfg: ExperimentConfig, problem, x1, noise_model,
                    horizon: int) -> algos.BatchResult:
     """All seeds, chunked for memory; a seed's row does not depend on the chunk size."""
     seeds = _seed_list(cfg)
+    size = noise_model.seed_step_bytes(problem.dim)
     results = [_batch(cfg, problem, x1, noise_model, horizon, part)
-               for part in _seed_chunks(seeds, horizon, problem.dim)]
+               for part in _seed_chunks(seeds, horizon, size)]
     return algos.BatchResult(
         algorithm=results[0].algorithm,
         seeds=np.concatenate([r.seeds for r in results]),

@@ -30,7 +30,9 @@ the seed's own generator.  ``SpikeDraws`` holds a two-point lockstep batch
 as its spikes only: each seed's generator makes the calls of
 ``sample_batch(d, steps, rng)``, each hit is kept as one int64 key, and a
 reused window of K steps is expanded from them with the dense slab's bits
-and layout.  ``lockstep_draws`` builds the one a batch's noise family uses.
+and layout.  ``lockstep_draws`` builds the one a batch's noise family uses,
+and the family's ``seed_step_bytes`` states its size per seed-step, by which
+the harness sizes its seed chunks.
 """
 
 from __future__ import annotations
@@ -76,6 +78,10 @@ class TwoPointNoise:
     @property
     def finite_variance(self) -> bool:
         return True  # bounded support
+
+    def seed_step_bytes(self, d: int) -> float:
+        """Bytes per seed-step of a lockstep batch's draws: ``q`` spikes of ``_SPIKE_BYTES``."""
+        return _SPIKE_BYTES * self.q
 
     def sample_batch(self, d: int, n: int, rng: np.random.Generator,
                      out: np.ndarray | None = None) -> np.ndarray:
@@ -139,6 +145,10 @@ class RadialParetoNoise:
     def finite_variance(self) -> bool:
         return self.tail_index > 2.0  # never true within the allowed range
 
+    def seed_step_bytes(self, d: int) -> int:
+        """Bytes per seed-step of a lockstep batch's draws: d doubles of the dense block."""
+        return 8 * d
+
     def sample_batch(self, d: int, n: int, rng: np.random.Generator,
                      out: np.ndarray | None = None) -> np.ndarray:
         """``n`` draws as an (n, d) array, written into ``out`` when it is given.
@@ -159,6 +169,7 @@ class RadialParetoNoise:
             rng.random(out=U[k])
         rows = Z.reshape(points * n, d)
         rows /= np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
+        U[U == 0.0] = 1.0  # uniform on (0, 1], as 1 - U is, and every other draw keeps its bits
         r = self.scale * U ** (-1.0 / self.tail_index)
         return np.multiply(Z, r[:, :, None], out=out)
 
@@ -176,6 +187,12 @@ def _one_point(model, d: int, n: int, rng: np.random.Generator, out) -> np.ndarr
 # Byte size of a spike window: K = _WINDOW_BYTES // (8 d n) steps (at least one),
 # small enough that the window stays in cache while the loop reads it.
 _WINDOW_BYTES = 1 << 20
+
+# Bytes a spike costs a ``SpikeDraws`` build at its peak, with a margin: its int64
+# key plus the build's temporaries, which at the peak are another int64 word and a
+# sign byte (about 18 bytes in all).  The margin covers what does not grow with the
+# spikes: the window, one seed's draw buffers and each seed's array headers.
+_SPIKE_BYTES = 32
 
 
 class DenseDraws:

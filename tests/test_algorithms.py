@@ -265,7 +265,8 @@ START = {
     "ball": (dataclasses.replace(quad(diag=(1.0, 2.0)), geometry=geometry.ball(2, radius=1.5)),
              np.array([0.5, 0.5])),
     "simplex": (problems.make_simplex_quadratic([0.2, 0.3, 0.5]), np.ones(3) / 3),
-    # past two coordinates the loops' reductions take their C-ordered-copy branch
+    # past two coordinates coord_dot reduces a C-ordered copy, and coord_sum replays numpy's
+    # pairwise order: nine coordinates take its 8-accumulator block and a remainder
     "euclidean3": (problems.make_quadratic([1.0, 2.0, 0.5], [0.5, 0.0, -1.0]),
                    np.array([1.0, -0.5, 2.0])),
     "simplex9": (problems.make_simplex_quadratic(np.arange(1, 10) / 45.0), np.ones(9) / 9),

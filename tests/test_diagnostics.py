@@ -260,13 +260,11 @@ def test_martingale_smd_first_step_exponential_moment():
     model = TwoPointNoise(p=1.5, sigma=1.0, q=0.3)
     s = schedules.derive_inputs(prob, x1, p=1.5, sigma=1.0, delta=0.1, horizon=64)
     sched = schedules.Schedule("smd_known_t", s)
-    draws = []
-    for seed in range(2000):
-        trace = diag.martingale_trace_smd(prob, Oracle(prob, model, seed=seed), sched,
-                                          1, x1, delta=0.1, resamples=200,
-                                          rng=make_rng(6_000_000 + seed))
-        draws.append(trace.increments[0])
-    e = np.exp(np.array(draws))
+    seeds = range(2000)
+    tab = algorithms.run_smd_batch(prob, model, sched, 1, x1, seeds, record=True).table
+    traces = diag.martingale_smd(prob, model, tab, sched.constants(), 0.1, 200,
+                                 [make_rng(6_000_000 + seed) for seed in seeds])
+    e = np.exp(np.array([trace.increments[0] for trace in traces]))
     stderr = e.std(ddof=1) / math.sqrt(e.size)
     assert e.mean() <= 1.0 + 3.0 * stderr
     assert e.mean() < 1.0  # strictly below: the compensator leaves real slack

@@ -190,6 +190,60 @@ def test_simplex_mix_floors_underflow_and_keeps_other_bits():
     np.testing.assert_array_equal(e.mix_many(A, B, 0.25), 0.75 * A + 0.25 * B)
 
 
+def _reference_step(geom, X, G, eta):
+    """The proximal steps as numpy expressions on fresh arrays, reducing C-ordered copies."""
+    if geom.kind == "euclidean":
+        return X - eta * G
+    if geom.kind == "ball":
+        V = X - eta * G - geom.center
+        C = np.ascontiguousarray(V)
+        norms = np.sqrt(np.einsum("ij,ij->i", C, C))
+        return geom.center + V * (geom.radius / np.maximum(norms, geom.radius))[:, None]
+    logits = np.log(X) - eta * G
+    W = np.exp(logits - np.max(logits, axis=1, keepdims=True))
+    W = W / np.sum(np.ascontiguousarray(W), axis=1)[:, None]
+    return np.maximum(W, np.nextafter(0.0, 1.0))
+
+
+def _reference_mix(geom, A, B, alpha):
+    M = (1 - alpha) * A + alpha * B
+    return np.maximum(M, np.nextafter(0.0, 1.0)) if geom.kind == "simplex" else M
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "ball", "simplex"])
+@pytest.mark.parametrize("d", [3, 9, 32, 129])
+@pytest.mark.parametrize("n", [1, 7, 500])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_steps_and_mixes_match_numpy_expressions_bitwise(kind, d, n, order):
+    """``mirror_step_many`` and ``mix_many`` give the bits of the plain numpy expressions,
+    with no ``out``, into a fresh ``out`` and in place over their first argument."""
+    rng = np.random.default_rng(10_000 * d + n)
+    geom = {"euclidean": geo.euclidean(d), "simplex": geo.simplex(d),
+            "ball": geo.ball(d, radius=1.5, center=np.linspace(-0.5, 0.5, d))}[kind]
+    if kind == "simplex":  # some coordinates at the floor, steps that underflow some more
+        X = rng.dirichlet(np.full(d, 0.3), size=n)
+        X[rng.random((n, d)) < 0.05] = np.nextafter(0.0, 1.0)
+    elif kind == "ball":
+        X = geom.center + rng.standard_normal((n, d)) / np.sqrt(d)
+    else:
+        X = rng.standard_normal((n, d))
+    G = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, d))
+    X, G = np.asarray(X, order=order), np.asarray(G, order=order)
+    Z = geom.mirror_step_many(X, G, 0.7)  # a second domain point to mix with X
+    X_bits = X.copy().view(np.int64)
+    cases = ((lambda A, B, out=None: geom.mirror_step_many(A, B, 0.7, out=out),
+              _reference_step(geom, X, G, 0.7), G),
+             (lambda A, B, out=None: geom.mix_many(A, B, 0.3, out=out),
+              _reference_mix(geom, X, Z, 0.3), Z))
+    for method, ref, second in cases:
+        fresh, first = np.empty_like(X), X.copy(order="K")
+        assert method(X, second, out=fresh) is fresh and method(first, second, out=first) is first
+        for got in (method(X, second), fresh, first):
+            assert got.shape == (n, d)
+            np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+        np.testing.assert_array_equal(X.view(np.int64), X_bits)  # X itself is not written
+
+
 def test_ball_projection_inside_is_identity():
     b = geo.ball(2, radius=5.0)
     out = b.mirror_step(np.array([1.0, 1.0]), np.array([0.5, -0.5]), 0.1)
@@ -210,7 +264,7 @@ def test_shrink_factor_is_the_clip_and_the_ball_projection():
                                   clip_batch(X - 0.5 * G - b.center, level))
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 8, 9, 32])
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 15, 16, 17, 32, 128, 129, 257])
 @pytest.mark.parametrize("n", [1, 2, 1000])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_coordinate_reductions_match_numpy_bitwise(d, n, order):

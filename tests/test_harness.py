@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from clipopt import algorithms, harness
-from clipopt.config import ExperimentConfig, validate_config
+from clipopt.config import ExperimentConfig, build_noise, validate_config
+from clipopt.noise import RadialParetoNoise, TwoPointNoise
 
 
 def cfg(**kw):
@@ -110,21 +111,43 @@ def test_run_trials_matches_seed_offsets():
     np.testing.assert_array_equal(a.metrics[5:], b.metrics[:30])
 
 
+def seven_seed_budget(c) -> float:
+    """A chunk budget of seven seeds' draws: six chunks of 6-7 seeds out of 40."""
+    return 7 * c.horizon * build_noise(c).seed_step_bytes(c.dim)
+
+
+def counted(calls, side, fn):
+    def run(*args, **kwargs):
+        calls[side] += 1
+        return fn(*args, **kwargs)
+    return run
+
+
 def test_run_trials_independent_of_chunking(monkeypatch):
-    full = harness.run_trials(cfg(n_seeds=40), write=False)
-    monkeypatch.setattr(harness, "_CHUNK_BUDGET", 64 * 2 * 7)  # force tiny chunks
-    chunked = harness.run_trials(cfg(n_seeds=40), write=False)
+    c = cfg(n_seeds=40)
+    full = harness.run_trials(c, write=False)
+    calls = {"smd": 0}
+    monkeypatch.setattr(algorithms, "run_smd_batch",
+                        counted(calls, "smd", algorithms.run_smd_batch))
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", seven_seed_budget(c))
+    chunked = harness.run_trials(c, write=False)
     np.testing.assert_array_equal(full.metrics, chunked.metrics)
+    assert calls["smd"] >= 2
 
 
 def test_seed_chunks_are_balanced():
-    # the perfbench asmd sweep: n*T*d = 32.8M over the 30M budget gives two halves
-    chunks = harness._seed_chunks(np.arange(500), 2048, 32)
+    # the perfbench asmd sweep with a dense block: 500 * 2048 * 32 doubles (262 MB)
+    # over the 240 MB budget gives two halves
+    dense = RadialParetoNoise(p=1.5, sigma=0.5, tail_index=1.75).seed_step_bytes(32)
+    chunks = harness._seed_chunks(np.arange(500), 2048, dense)
     assert [len(c) for c in chunks] == [250, 250]
     np.testing.assert_array_equal(np.concatenate(chunks), np.arange(500))
-    assert [len(c) for c in harness._seed_chunks(np.arange(7), 100, 2)] == [7]
-    # a seed whose own block exceeds the budget still runs, alone
-    assert [len(c) for c in harness._seed_chunks(np.arange(3), 10 ** 8, 1)] == [1, 1, 1]
+    # the same sweep with two-point noise keeps only its spikes: one batch
+    spikes = TwoPointNoise(p=1.5, sigma=0.5, q=0.1).seed_step_bytes(32)
+    assert [len(c) for c in harness._seed_chunks(np.arange(500), 2048, spikes)] == [500]
+    assert [len(c) for c in harness._seed_chunks(np.arange(7), 100, 16)] == [7]
+    # a seed whose own draws exceed the budget still runs, alone
+    assert [len(c) for c in harness._seed_chunks(np.arange(3), 10 ** 8, 8)] == [1, 1, 1]
 
 
 def test_run_trials_writes_stable_csv(tmp_path):
@@ -197,17 +220,11 @@ def test_compare_is_chunked_like_run_trials(monkeypatch, vanilla_eta):
             vanilla_eta=vanilla_eta)
     whole = harness.compare_clipped_vanilla(c)
     calls = {"clipped": 0, "vanilla": 0}
-
-    def counted(side, fn):
-        def run(*args):
-            calls[side] += 1
-            return fn(*args)
-        return run
-
-    monkeypatch.setattr(algorithms, "run_sgd_batch", counted("clipped", algorithms.run_sgd_batch))
+    monkeypatch.setattr(algorithms, "run_sgd_batch",
+                        counted(calls, "clipped", algorithms.run_sgd_batch))
     monkeypatch.setattr(algorithms, "run_vanilla_sgd_batch",
-                        counted("vanilla", algorithms.run_vanilla_sgd_batch))
-    monkeypatch.setattr(harness, "_CHUNK_BUDGET", 64 * 2 * 7)  # six chunks of 6-7 seeds
+                        counted(calls, "vanilla", algorithms.run_vanilla_sgd_batch))
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", seven_seed_budget(c))
     assert harness.compare_clipped_vanilla(c) == whole
     assert calls["clipped"] >= 2 and calls["vanilla"] >= 2
 

@@ -1,5 +1,7 @@
 """Noise calibration oracles: closed-form scales and Monte Carlo moments."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -227,3 +229,36 @@ def test_spike_slabs_equal_dense_slabs(model, d, n, window_steps, monkeypatch):
         assert spikes.keys.nbytes == 8 * n * steps
     if model.sigma == 0.0:
         assert np.signbit(block).any()  # the compared slabs hold negative zero spikes
+
+
+class _ZeroUniforms:
+    """A generator stub whose normals are all 1 and whose uniforms are all exactly 0."""
+
+    def standard_normal(self, out):
+        out[...] = 1.0
+
+    def random(self, out):
+        out[...] = 0.0
+
+
+def test_radial_zero_uniform_gives_finite_draw():
+    """A uniform of exactly 0 is read as 1, the smallest radius, not an infinite one."""
+    model = nz.RadialParetoNoise(p=1.5, sigma=1.0, tail_index=1.75)
+    block = model.sample_block(3, 4, 5, _ZeroUniforms())
+    assert block.shape == (4, 5, 3) and np.all(np.isfinite(block))
+    np.testing.assert_allclose(np.sqrt(np.einsum("...i,...i->...", block, block)), model.scale)
+
+
+@pytest.mark.parametrize("n, steps, d, q", [(500, 2048, 32, 0.1), (200, 1024, 4, 1.0)])
+def test_spike_draws_build_within_stated_bytes(n, steps, d, q):
+    """A two-point batch's build peaks within the bytes per seed-step that its model
+    states (the harness's chunk budget counts those), so the budget is not understated."""
+    model = nz.TwoPointNoise(p=1.5, sigma=0.5, q=q)
+    tracemalloc.start()
+    try:
+        draws = nz.lockstep_draws(model, d, steps, np.arange(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(draws, nz.SpikeDraws)
+    assert peak <= n * steps * model.seed_step_bytes(d), peak / (n * steps)
