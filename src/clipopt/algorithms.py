@@ -12,22 +12,34 @@ next to each other and every elementwise op, per-coordinate constant and
 per-row factor runs as one inner loop over the seeds instead of one per
 row.  Reductions over coordinates go through ``geometry.coord_sum`` (numpy's
 pairwise order replayed with column adds) and ``geometry.coord_dot``, whose
-bits do not depend on the layout.  The accelerated loop keeps y, z and the
-query point in three buffers and writes each mirror step and mix into them
-(``out=``); the record copies them every step.  Seed k's
-noise sequence is drawn from its own stream, and step t reads it as the
-(n, d) view ``noise.slab(t)`` of a draws object: the transpose of a
-C-ordered (d, n) slab.  ``run_*_batch`` advances many seeds in lockstep
-(used by the experiment harness) on ``noise.lockstep_draws``: a two-point
-batch keeps only its spikes, a radial batch is presampled into one
-time-major (steps, d, n) block.  ``run_*`` is the one-row case, on the
-oracle's dense (steps, d, 1) block.  Both run through one helper, which can
-record the run into a preallocated ``StepTable`` with a leading seed axis
-(read by the diagnostics); a single run's table is its n = 1 case.
-Same seed, same config give bitwise-identical trajectories in either form.
-A row whose final iterate, summary or final gap is not finite is reported as
-diverged, with infinite summary and gap; the overflow and invalid-value
-warnings that such a row raises on the way are silenced.
+bits do not depend on the layout.  Seed k's noise sequence is drawn from its
+own stream, and step t reads it as the (n, d) view ``noise.slab(t)`` of a
+draws object: the transpose of a C-ordered (d, n) slab.
+
+A step does only the work the next iterate depends on.  Its step size,
+level and momentum weight come from the schedule's table
+(``Schedule.table``), made once before the loop; the parameter-free mode
+fills each step's entry as ``observe`` reaches it.  The step forms the
+gradient, its dual norms and, only when some row's norm is over the level
+(or NaN), the clip, and writes the step into the state (the accelerated
+loop's y, z and query point are three buffers updated in place) or into a
+slot of a seed-contiguous window buffer.  Everything else is done once per
+window of K steps (``noise.window_steps``, the spike window's byte rule):
+the metrics over the window's iterates or gradients, the running sums,
+added in time order (``_running_sum``), the clip counts, and the copy of
+the window into the record.  Window sizes do not change a bit.
+
+``run_*_batch`` advances many seeds in lockstep (used by the experiment
+harness) on ``noise.lockstep_draws``: a two-point batch keeps only its
+spikes, a radial batch is presampled into one time-major (steps, d, n)
+block.  ``run_*`` is the one-row case, on the oracle's dense (steps, d, 1)
+block.  Both run through one helper, which can record the run into a
+preallocated ``StepTable`` with a leading seed axis (read by the
+diagnostics); a single run's table is its n = 1 case.  Same seed, same
+config give bitwise-identical trajectories in either form.  A row whose
+final iterate, summary or final gap is not finite is reported as diverged,
+with infinite summary and gap; the overflow and invalid-value warnings that
+such a row raises on the way are silenced.
 """
 
 from __future__ import annotations
@@ -38,11 +50,16 @@ import numpy as np
 
 from .clipping import clip_batch
 from .geometry import coord_dot
-from .noise import DenseDraws, Oracle, check_noise_geometry, lockstep_draws
+from .noise import DenseDraws, Oracle, check_noise_geometry, lockstep_draws, window_steps
 from .problems import Problem
 from .schedules import ASMD_MODES, SGD_MODES, SMD_MODES, Schedule
 
 DIVERGENCE_LIMIT = 1e12
+
+# Below this many seeds a window's running sums take one np.add.accumulate, above it
+# one vector add per step: measured on 2 vCPUs, the two cost the same near 128 seeds
+# at windows of 8 to 81 steps.
+_ACCUMULATE_SEEDS = 128
 
 
 @dataclass
@@ -209,13 +226,6 @@ def _step_table(steps: int, n: int, x1, accelerated: bool) -> StepTable:
     return tab
 
 
-def _log(tab: StepTable, t: int, eta, lam, norms, metric, grad):
-    """Step t's columns: the shared schedule values and every seed's clip, metric and gradient."""
-    tab.eta[t - 1], tab.lam[t - 1] = eta, lam
-    tab.clipped[:, t - 1] = norms > lam
-    tab.raw_norm[:, t - 1], tab.metric[:, t - 1], tab.grad_clipped[:, t - 1] = norms, metric, grad
-
-
 def _start(problem: Problem, x1, n: int) -> np.ndarray:
     """n copies of ``x1`` as seed-contiguous rows: the transpose of a C-ordered (d, n) block."""
     x1 = np.asarray(x1, dtype=float)
@@ -224,92 +234,173 @@ def _start(problem: Problem, x1, n: int) -> np.ndarray:
     return np.repeat(x1[:, None], n, axis=1).T
 
 
-def _prepare_schedule(schedule: Schedule, modes, needs: str, n: int):
+def _levels(schedule: Schedule, modes, needs: str, n: int, steps: int):
+    """The run's schedule table; its clipping levels are checked once, before the loop."""
     if schedule.mode not in modes:
         raise ValueError(f"{needs}, got {schedule.mode!r}")
     if schedule.stateful and n != 1:
         raise ValueError("batch runners support stateless schedules only; "
                          "run the trajectory-dependent mode per seed")
     schedule.reset()
+    table = schedule.table(steps)
+    if np.any(table.lam <= 0):
+        raise ValueError("clipping level must be positive")
+    return table
+
+
+def _slots(K: int, n: int, d: int, keep: bool, state=None):
+    """Where K steps write an (n, d) array: the (K, n, d) view of a C-ordered (K, d, n)
+    window and its K seed-contiguous step views, or, when the steps are not kept, no
+    window and ``state`` at every step (an array updated in place, or None for a new
+    array each step)."""
+    if not keep:
+        return None, [state] * K
+    window = np.empty((K, d, n)).transpose(0, 2, 1)
+    return window, list(window)
+
+
+def _running_sum(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``total`` plus each of ``rows`` in turn, the bits of a ``+=`` loop over them.
+
+    A reduction would not give them: numpy sums a column pairwise when n = 1.
+    ``np.add.accumulate`` adds along time in sequence, but one element after
+    another (about 10 ns each), so past ``_ACCUMULATE_SEEDS`` seeds one vector
+    add per row is the cheaper.
+    """
+    if total.size < _ACCUMULATE_SEEDS:
+        return np.add.accumulate(np.concatenate((total[None], rows)), axis=0)[-1]
+    total = total.copy()
+    for row in rows:
+        total += row
+    return total
+
+
+def _record(tab: StepTable, lo: int, k: int, eta, lam, over, norms, metric, grad):
+    """Steps lo + 1 .. lo + k of the columns every loop records, from its window's rows."""
+    rows = slice(lo, lo + k)
+    tab.eta[rows], tab.lam[rows] = eta, lam
+    tab.clipped[:, rows], tab.raw_norm[:, rows], tab.metric[:, rows] = over.T, norms.T, metric.T
+    tab.grad_clipped[:, rows] = grad.transpose(1, 0, 2)
 
 
 # -- the loops: noise is a draws object whose slab(t) is step t's (n, d) noise,
 # the transpose of a C-ordered (d, n) block, so the state stays seed-contiguous;
-# a step table, if given, gets every row of each step; each returns (summary,
+# the clip runs when the largest norm is over the level or NaN (``argmax`` takes the
+# first NaN as the largest, and is cheaper than a reduction); a row it leaves alone
+# gets the factor 1, so skipping the clip keeps the bits;
+# a step table, if given, gets each window's rows; each returns (summary,
 # final_gap, clip counts, final rows, steps run) --
 
 
 def _smd(problem, schedule, steps, x1, noise, tab):
     n = noise.n
-    _prepare_schedule(schedule, SMD_MODES, "smd needs a mirror-descent schedule", n)
+    etas, lams, _ = _levels(schedule, SMD_MODES, "smd needs a mirror-descent schedule", n, steps)
     geom = problem.geometry
     X = _start(problem, x1, n)
-    gap_sum = np.zeros(n)
-    clipped = np.zeros(n)
-    gaps = problem.gap_many(X)
-    for t in range(1, steps + 1):
-        schedule.observe(t, X[0])
-        eta, lam = schedule.pair(t)
-        G = problem.grad_many(X) + noise.slab(t)
-        norms = geom.dual_norm_many(G)
-        Gc = clip_batch(G, lam, norms)
-        X = geom.mirror_step_many(X, Gc, eta)
-        gaps = problem.gap_many(X)
-        gap_sum += gaps
-        clipped += norms > lam
+    d = X.shape[1]
+    K = window_steps(steps, d, n)
+    xw, xs = _slots(K, n, d, True)
+    gw, gs = _slots(K, n, d, tab is not None)
+    norms = np.empty((K, n))
+    gap_sum, clipped = np.zeros(n), np.zeros(n)
+    gaps = problem.gap_many(X)[None]
+    for lo in range(0, steps, K):  # windows of K steps, then the rest
+        k = min(K, steps - lo)
+        for i in range(k):
+            t = lo + i + 1
+            schedule.observe(t, X[0])  # the stateful mode fills its table entry for step t
+            eta, lam = etas[t - 1], lams[t - 1]
+            G = np.add(problem.grad_many(X), noise.slab(t), out=gs[i])
+            nrm = norms[i] = geom.dual_norm_many(G)
+            if not (nrm[nrm.argmax()] <= lam):
+                G = clip_batch(G, lam, nrm, out=G)
+            X = geom.mirror_step_many(X, G, eta, out=xs[i])
+        level = lams[lo:lo + k]
+        over = norms[:k] > level[:, None]
+        gaps = problem.gap_many(xw[:k])
+        gap_sum = _running_sum(gap_sum, gaps)
+        clipped += np.count_nonzero(over, axis=0)
         if tab is not None:
-            _log(tab, t, eta, lam, norms, gaps, Gc)
-            tab.x[:, t] = X
-    return gap_sum / steps, gaps, clipped, X, steps
+            _record(tab, lo, k, etas[lo:lo + k], level, over, norms[:k], gaps, gw[:k])
+            tab.x[:, lo + 1:lo + k + 1] = xw[:k].transpose(1, 0, 2)
+    return gap_sum / steps, gaps[-1], clipped, X.copy(order="K"), steps
 
 
 def _asmd(problem, schedule, steps, y1, noise, tab):
     n = noise.n
-    _prepare_schedule(schedule, ASMD_MODES, "asmd needs an accelerated schedule", n)
+    etas, lams, alphas = _levels(schedule, ASMD_MODES, "asmd needs an accelerated schedule", n,
+                                 steps)
     geom = problem.geometry
     Y = _start(problem, y1, n)
-    Z, Xq = Y.copy(order="K"), np.empty_like(Y)  # three buffers, updated in place
+    d = Y.shape[1]
+    K = window_steps(steps, d, n)
+    keep = tab is not None  # else y, z and the query point are updated in place
+    Z = Y.copy(order="K")
+    yw, ys = _slots(K, n, d, keep, Y)
+    zw, zs = _slots(K, n, d, keep, Z)
+    xw, xs = _slots(K, n, d, keep, np.empty_like(Y))
+    gw, gs = _slots(K, n, d, keep)
+    norms = np.empty((K, n))
     clipped = np.zeros(n)
-    for t in range(1, steps + 1):
-        alpha = schedule.alpha(t)
-        eta, lam = schedule.pair(t)
-        geom.mix_many(Y, Z, alpha, out=Xq)
-        G = problem.grad_many(Xq) + noise.slab(t)
-        norms = geom.dual_norm_many(G)
-        Gc = clip_batch(G, lam, norms)
-        geom.mirror_step_many(Z, Gc, eta, out=Z)
-        geom.mix_many(Y, Z, alpha, out=Y)
-        clipped += norms > lam
+    for lo in range(0, steps, K):
+        k = min(K, steps - lo)
+        for i in range(k):
+            t = lo + i + 1
+            alpha, eta, lam = alphas[t - 1], etas[t - 1], lams[t - 1]
+            Xq = geom.mix_many(Y, Z, alpha, out=xs[i])
+            G = np.add(problem.grad_many(Xq), noise.slab(t), out=gs[i])
+            nrm = norms[i] = geom.dual_norm_many(G)
+            if not (nrm[nrm.argmax()] <= lam):
+                G = clip_batch(G, lam, nrm, out=G)
+            Z = geom.mirror_step_many(Z, G, eta, out=zs[i])
+            Y = geom.mix_many(Y, Z, alpha, out=ys[i])
+        level = lams[lo:lo + k]
+        over = norms[:k] > level[:, None]
+        clipped += np.count_nonzero(over, axis=0)
         if tab is not None:
-            _log(tab, t, eta, lam, norms, problem.gap_many(Y), Gc)
-            tab.alpha[t - 1], tab.x[:, t - 1], tab.y[:, t], tab.z[:, t] = alpha, Xq, Y, Z
+            _record(tab, lo, k, etas[lo:lo + k], level, over, norms[:k],
+                    problem.gap_many(yw[:k]), gw[:k])
+            tab.alpha[lo:lo + k], tab.x[:, lo:lo + k] = alphas[lo:lo + k], xw[:k].transpose(1, 0, 2)
+            tab.y[:, lo + 1:lo + k + 1] = yw[:k].transpose(1, 0, 2)
+            tab.z[:, lo + 1:lo + k + 1] = zw[:k].transpose(1, 0, 2)
     gaps = problem.gap_many(Y)
-    return gaps, gaps, clipped, Y, steps
+    return gaps, gaps, clipped, Y.copy(order="K"), steps
 
 
 def _sgd(problem, schedule, steps, x1, noise, tab):
     n = noise.n
-    _prepare_schedule(schedule, SGD_MODES, "sgd needs a gradient-descent schedule", n)
+    etas, lams, _ = _levels(schedule, SGD_MODES, "sgd needs a gradient-descent schedule", n, steps)
     if problem.geometry.kind != "euclidean":
         raise ValueError("clipped gradient descent runs on unconstrained l2 geometry")
     geom = problem.geometry
     X = _start(problem, x1, n)
-    metric_sum = np.zeros(n)
-    clipped = np.zeros(n)
-    for t in range(1, steps + 1):
-        eta, lam = schedule.pair(t)
-        Gt = problem.grad_many(X)
-        metric = coord_dot(Gt, Gt)
-        metric_sum += metric
-        G = Gt + noise.slab(t)
-        norms = geom.dual_norm_many(G)
-        Gc = clip_batch(G, lam, norms)
-        X = X - eta * Gc
-        clipped += norms > lam
+    d = X.shape[1]
+    K = window_steps(steps, d, n)
+    xw, xs = _slots(K, n, d, tab is not None, X)
+    fw, fs = _slots(K, n, d, True)  # the gradient each step's metric is taken of
+    gw, gs = _slots(K, n, d, tab is not None)
+    norms = np.empty((K, n))
+    metric_sum, clipped = np.zeros(n), np.zeros(n)
+    for lo in range(0, steps, K):
+        k = min(K, steps - lo)
+        for i in range(k):
+            t = lo + i + 1
+            eta, lam = etas[t - 1], lams[t - 1]
+            np.copyto(fs[i], problem.grad_many(X))
+            G = np.add(fs[i], noise.slab(t), out=gs[i])
+            nrm = norms[i] = geom.dual_norm_many(G)
+            if not (nrm[nrm.argmax()] <= lam):
+                G = clip_batch(G, lam, nrm, out=G)
+            X = np.subtract(X, eta * G, out=xs[i])
+        level = lams[lo:lo + k]
+        over = norms[:k] > level[:, None]
+        metric = coord_dot(fw[:k], fw[:k])
+        metric_sum = _running_sum(metric_sum, metric)
+        clipped += np.count_nonzero(over, axis=0)
         if tab is not None:
-            _log(tab, t, eta, lam, norms, metric, Gc)
-            tab.x[:, t] = X
-    return metric_sum / steps, problem.gap_many(X), clipped, X, steps
+            _record(tab, lo, k, etas[lo:lo + k], level, over, norms[:k], metric, gw[:k])
+            tab.x[:, lo + 1:lo + k + 1] = xw[:k].transpose(1, 0, 2)
+    return metric_sum / steps, problem.gap_many(X), clipped, X.copy(order="K"), steps
 
 
 def _vanilla(problem, eta, steps, x1, noise, tab):
@@ -317,19 +408,34 @@ def _vanilla(problem, eta, steps, x1, noise, tab):
     if problem.geometry.kind != "euclidean":
         raise ValueError("the baseline runs on unconstrained l2 geometry")
     X = _start(problem, x1, n)
-    metric_sum = np.zeros(n)
+    d = X.shape[1]
+    K = window_steps(steps, d, n)
+    paths = [None] * K  # each step's rows: a frozen row needs the rows before the step
+    fw, fs = _slots(K, n, d, True)
+    gw, gs = _slots(K, n, d, tab is not None)
+    live = np.empty((K + 1, n), dtype=bool)  # row i: the rows active before step lo + i + 1
     active = np.ones(n, dtype=bool)
-    for t in range(1, steps + 1):
-        Gt = problem.grad_many(X)
-        metric = coord_dot(Gt, Gt)
-        metric_sum += np.where(active, metric, 0.0)
-        G = Gt + noise.slab(t)
-        X_new = X - eta * G
-        active &= np.all(np.abs(X_new) <= DIVERGENCE_LIMIT, axis=1)  # NaN rows freeze too
-        X = np.where(active[:, None], X_new, X)
+    metric_sum = np.zeros(n)
+    for lo in range(0, steps, K):
+        k = min(K, steps - lo)
+        live[0] = active
+        for i in range(k):
+            t = lo + i + 1
+            np.copyto(fs[i], problem.grad_many(X))
+            G = np.add(fs[i], noise.slab(t), out=gs[i])
+            X_new = X - eta * G
+            active = np.logical_and(live[i], np.all(np.abs(X_new) <= DIVERGENCE_LIMIT, axis=1),
+                                    out=live[i + 1])  # NaN rows freeze too
+            X = paths[i] = np.where(active[:, None], X_new, X)
+            if not active.any():
+                break
+        k = i + 1
+        metric = coord_dot(fw[:k], fw[:k])
+        metric_sum = _running_sum(metric_sum, np.where(live[:k], metric, 0.0))
         if tab is not None:
-            _log(tab, t, eta, np.inf, problem.geometry.dual_norm_many(G), metric, G)
-            tab.x[:, t] = X
+            _record(tab, lo, k, eta, np.inf, np.zeros((k, n), dtype=bool),
+                    problem.geometry.dual_norm_many(gw[:k]), metric, gw[:k])
+            tab.x[:, lo + 1:lo + k + 1] = np.stack(paths[:k], axis=1)
         if not active.any():
             break
     summary = np.where(active, metric_sum / steps, np.inf)

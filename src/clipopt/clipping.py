@@ -30,13 +30,17 @@ def clip(g, level: float, dual_norm=None) -> np.ndarray:
     return clip_batch(g[None, :], level, norms)[0]
 
 
-def clip_batch(G: np.ndarray, level: float, dual_norms: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise clip of an (n, d) array; ``dual_norms`` may be precomputed."""
+def clip_batch(G: np.ndarray, level: float, dual_norms: np.ndarray | None = None,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise clip of an (n, d) array; ``dual_norms`` may be precomputed.
+
+    The clip is written into ``out`` when it is given (``G`` itself may be ``out``).
+    """
     if level <= 0:
         raise ValueError("clipping level must be positive")
     if dual_norms is None:
         dual_norms = np.sqrt(coord_dot(G, G))
-    return G * shrink_factors(dual_norms, level)[:, None]
+    return np.multiply(G, shrink_factors(dual_norms, level)[:, None], out=out)
 
 
 # Points per chunk of the resampling kernel: a chunk's (points, resamples, d)

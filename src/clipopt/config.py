@@ -265,6 +265,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     # build everything once so module-level constraints surface at load time
     try:
         problem, x1 = build_problem(cfg)
+        _check_start(cfg)
         noise_model = build_noise(cfg)
         _check_spike(cfg, noise_model)
         try:
@@ -290,6 +291,29 @@ def _check_spike(cfg: ExperimentConfig, noise_model) -> None:
     if not finite:
         raise ConfigError("noise.q", f"the spike sigma q^(-1/p) overflows a double at "
                                      f"p = {cfg.p}, sigma = {cfg.sigma}, q = {cfg.q}")
+
+
+def _start_in_range(cfg: ExperimentConfig) -> bool:
+    """Whether the start's value gap, gradient norm and distance to the minimizer, the
+    inputs every schedule is derived from, are finite doubles."""
+    problem, x1 = build_problem(cfg)
+    s = schedules_mod.derive_inputs(problem, x1, p=cfg.p, sigma=cfg.sigma, delta=cfg.delta)
+    return all(math.isfinite(v) for v in (s.delta1, s.grad1_bound, s.r1 or 0.0))
+
+
+def _check_start(cfg: ExperimentConfig) -> None:
+    """Reject a start whose schedule inputs overflow a double, naming the problem vector
+    whose default brings them in range (else the start)."""
+    if _start_in_range(cfg):
+        return
+    for attr in ("x1", "diag", "shift"):
+        if (getattr(cfg, attr) is not None
+                and _start_in_range(dataclasses.replace(cfg, **{attr: None}))):
+            break
+    else:
+        attr = "x1"
+    raise ConfigError(f"problem.{attr}", "the value gap, gradient or distance to the minimizer "
+                                         "at the start overflows a double")
 
 
 # Knobs that scale a schedule's values, with the value at which each is inert.

@@ -184,9 +184,19 @@ def _one_point(model, d: int, n: int, rng: np.random.Generator, out) -> np.ndarr
 
 # -- lockstep draws: the noise of n seeds over a run, read one (n, d) step at a time --
 
-# Byte size of a spike window: K = _WINDOW_BYTES // (8 d n) steps (at least one),
-# small enough that the window stays in cache while the loop reads it.
-_WINDOW_BYTES = 1 << 20
+# A window of steps holds K = _WINDOW_BYTES // (8 d n) steps of (n, d) doubles, so that
+# the spike window, a run loop's window buffers and the temporaries of its per-window
+# metrics (a few such blocks in all) stay in cache.  A spike window holds at least
+# _WINDOW_MIN_STEPS steps: its expansion's fixed cost, a handful of numpy calls, would
+# otherwise weigh on every step where one step's slab alone fills the budget.
+_WINDOW_BYTES = 1 << 17
+_WINDOW_MIN_STEPS = 8
+
+
+def window_steps(steps: int, d: int, n: int) -> int:
+    """K: the steps of one (K, d, n) window of doubles, at least one and at most ``steps``."""
+    return max(1, min(steps, _WINDOW_BYTES // (8 * d * n)))
+
 
 # Bytes a spike costs a ``SpikeDraws`` build at its peak, with a margin: its int64
 # key plus the build's temporaries, which at the peak are another int64 word and a
@@ -242,7 +252,7 @@ class SpikeDraws:
         keys.sort()
         self.keys = keys
         self.spike = model.spike
-        self._K = K = max(1, min(steps, _WINDOW_BYTES // (8 * d * n)))
+        self._K = K = max(window_steps(steps, d, n), min(steps, _WINDOW_MIN_STEPS))
         window = np.zeros((K, d, n))
         self._flat = window.reshape(-1)
         self._slabs = [slab.T for slab in window]  # made once: a step costs no view

@@ -13,8 +13,10 @@ Seven modes are provided, one per convergence guarantee, each built as
 
 Each clipping level and step size is written once, as a function of the
 inputs and a horizon term ``tau`` (:func:`_horizon_at`: the known horizon,
-or the anytime substitution at step t).  A schedule evaluates it at every
-step; :func:`theorem_bound` evaluates the same level at t = T.  Every
+or the anytime substitution at step t).  A schedule evaluates it at one
+step (``pair``) or at steps 1..T as arrays with the same bits (``table``,
+which the run loops and the condition checker read);
+:func:`theorem_bound` evaluates the same level at t = T.  Every
 schedule exposes the proof-level constants (C1, C2, C3, A, Q) that its
 guarantee is built on, and :func:`verify_schedule_conditions` checks the
 corresponding inequalities numerically over a horizon.  Logarithms are
@@ -28,6 +30,7 @@ below the guarantee level, and is equally off-guarantee.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -40,6 +43,11 @@ ASMD_MODES = ("asmd_known_t", "asmd_anytime")
 SGD_MODES = ("sgd_known_t", "sgd_anytime")
 ALL_MODES = SMD_MODES + ASMD_MODES + SGD_MODES
 KNOWN_T_MODES = ("smd_known_t", "asmd_known_t", "sgd_known_t")
+
+
+# A schedule's values for steps 1..T: (T,) arrays of eta_t and lambda_t, and of alpha_t
+# for the accelerated modes (None for the others).
+ScheduleTable = namedtuple("ScheduleTable", "eta lam alpha")
 
 
 def horizon_proxy(t: int) -> float:
@@ -159,22 +167,25 @@ def derive_inputs(problem: Problem, x1, *, p: float, sigma: float, delta: float 
     Defaults take the reference point ``x0`` at the minimizer with ``g0 = 0``
     and ``mu = 0``, which is exact for instances whose minimizer has zero
     gradient.  Convex quantities (r1, r0) require a known minimizer; the
-    value gap ``delta1`` and gradient bound are always available.
+    value gap ``delta1`` and gradient bound are always available.  A start
+    far enough out overflows a double on the way; the quantities it makes
+    infinite are returned as they are, without a warning.
     """
     x1 = np.asarray(x1, dtype=float)
     geom = problem.geometry
     r1 = r0 = None
-    if problem.minimizer is not None:
-        r1 = math.sqrt(2.0 * geom.bregman(problem.minimizer, x1))
-        if x0 is None:
-            x0 = problem.minimizer
-        r0 = math.sqrt(2.0 * geom.bregman(problem.minimizer, np.asarray(x0, dtype=float)))
-    g0_norm = 0.0 if g0 is None else geom.dual_norm(np.asarray(g0, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if problem.minimizer is not None:
+            r1 = math.sqrt(2.0 * geom.bregman(problem.minimizer, x1))
+            if x0 is None:
+                x0 = problem.minimizer
+            r0 = math.sqrt(2.0 * geom.bregman(problem.minimizer, np.asarray(x0, dtype=float)))
+        g0_norm = 0.0 if g0 is None else geom.dual_norm(np.asarray(g0, dtype=float))
+        delta1, grad1_bound = problem.gap(x1), geom.dual_norm(problem.grad(x1))
     return ScheduleInputs(
         p=p, sigma=sigma, smoothness=problem.smoothness, delta=delta, horizon=horizon,
         r1=r1, r0=0.0 if r0 is None else r0, mu=mu, g0_norm=g0_norm,
-        delta1=problem.gap(x1), grad1_bound=geom.dual_norm(problem.grad(x1)),
-        c1=c1, c2=c2, c_override=c_override,
+        delta1=delta1, grad1_bound=grad1_bound, c1=c1, c2=c2, c_override=c_override,
     )
 
 
@@ -218,6 +229,7 @@ class Schedule:
         self._t_seen = 0
         self._x1 = None
         self._dev_max = 0.0
+        self._table = None  # the stateful mode's table, filled by observe
 
     @property
     def stateful(self) -> bool:
@@ -236,6 +248,9 @@ class Schedule:
             nrm = self._norm if self._norm is not None else (lambda v: float(np.linalg.norm(v)))
             self._dev_max = max(self._dev_max, float(nrm(x - self._x1)))
         self._t_seen = t
+        tab = self._table
+        if tab is not None and t <= tab.eta.size:
+            tab.eta[t - 1], tab.lam[t - 1] = self.pair(t)
 
     # -- per-step values ------------------------------------------------------
 
@@ -244,6 +259,38 @@ class Schedule:
         if self.mode not in ASMD_MODES:
             raise ValueError("alpha is defined for accelerated modes only")
         return 2.0 / (t + 1)
+
+    def table(self, steps: int) -> ScheduleTable:
+        """``pair(t)`` and ``alpha(t)`` for t = 1..steps as arrays, bitwise.
+
+        The levels and steps go through ``pair``'s scalar helpers, once for a
+        known horizon and once per step otherwise (``pow`` and ``log`` stay
+        scalar: vectorized ones may differ in the last ulp).  The accelerated
+        modes' alpha, level and step are formed elementwise from the constant
+        with ``pair``'s products and quotients in ``pair``'s order.  The stateful
+        mode fills the steps observed so far, and each later step when
+        ``observe`` reaches it; until then its entries are NaN.
+        """
+        s, mode = self.inputs, self.mode
+        if self.stateful:
+            eta, lam = np.full(steps, math.nan), np.full(steps, math.nan)
+            for t in range(1, min(steps, self._t_seen) + 1):
+                eta[t - 1], lam[t - 1] = self.pair(t)
+            self._table = ScheduleTable(eta, lam, None)
+            return self._table
+        points = [1] if mode in KNOWN_T_MODES else range(1, steps + 1)
+        if mode in ASMD_MODES:
+            alpha = self.alpha(np.arange(1, steps + 1))
+            c = (float(s.c_override) if s.c_override is not None else
+                 np.array([_accel_c(s, *_horizon_at(mode, s.horizon, t)) for t in points]))
+            gamma, L = s.gamma, s.smoothness
+            lam = c * s.r1 * gamma * L * alpha / 8.0
+            eta = self.eta_scale / (3.0 * c * gamma ** 2 * L * alpha)
+            return ScheduleTable(eta, self.lambda_scale * lam, alpha)
+        eta, lam = np.array([self._raw_pair(t) for t in points]).reshape(-1, 2).T
+        if mode in KNOWN_T_MODES:
+            eta, lam = np.full(steps, eta[0]), np.full(steps, lam[0])
+        return ScheduleTable(eta, self.lambda_scale * lam, None)
 
     def lam(self, t: int) -> float:
         return self.lambda_scale * self._raw_pair(t)[1]
@@ -348,8 +395,9 @@ def verify_schedule_conditions(schedule: Schedule, horizon: int) -> ConditionRep
     power bound against C3, the lower bound defining A, and the step-size
     cap.  Nonconvex modes use their own condition set (product cap against
     C1, the inverse-step moment bound, the weighted power sum, the squared-A
-    lower bound, and the cap ``eta <= 1/L``).  Noiseless runs make the
-    sigma-scaled conditions vacuous; they are reported as passed with a note.
+    lower bound, and the cap ``eta <= 1/L``).  A zero sigma^p (no noise, or a
+    sigma so small that its power underflows) makes the sigma-scaled
+    conditions vacuous; they are reported as passed with a note saying which.
     """
     s = schedule.inputs
     consts = schedule.constants()
@@ -357,9 +405,13 @@ def verify_schedule_conditions(schedule: Schedule, horizon: int) -> ConditionRep
     p, sigma, L = s.p, s.sigma, s.smoothness
     sp = sigma ** p
     report = ConditionReport(mode=schedule.mode, horizon=horizon)
-    ts = np.arange(1, horizon + 1)
-    etas, lams = np.array([schedule.pair(int(t)) for t in ts]).T
+    if schedule.stateful:
+        schedule.pair(horizon)  # raises unless the observed trajectory reaches the horizon
+    etas, lams, alphas = schedule.table(horizon)
     log_term = math.log(1.0 / s.delta)
+    # sigma-scaled conditions are vacuous when sigma^p is 0, which a tiny sigma > 0 underflows to
+    vacuous = ("vacuous: sigma = 0" if sigma == 0 else
+               f"vacuous: sigma ** p underflows to 0 at sigma = {sigma:.3g}, p = {p:.6g}")
 
     def add(name, passed, margin, note=""):
         report.checks.append(ConditionCheck(name, bool(passed), float(margin), note))
@@ -373,13 +425,13 @@ def verify_schedule_conditions(schedule: Schedule, horizon: int) -> ConditionRep
             inv_powers = lams ** (-p)
         power_sum = float(np.sum(inv_powers))
         if math.isinf(c2):
-            add("lambda_power_sum", True, math.inf, "vacuous: sigma = 0")
+            add("lambda_power_sum", True, math.inf, vacuous)
         else:
             add("lambda_power_sum", power_sum <= c2 * (1 + 1e-12), c2 - power_sum)
 
         max_inv = float(np.max(inv_powers))
         if math.isinf(c3):
-            add("lambda_2p_vs_p", True, math.inf, "vacuous: sigma = 0")
+            add("lambda_2p_vs_p", True, math.inf, vacuous)
         else:
             add("lambda_2p_vs_p", max_inv <= c3 * (1 + 1e-12), c3 - max_inv)
 
@@ -390,7 +442,6 @@ def verify_schedule_conditions(schedule: Schedule, horizon: int) -> ConditionRep
         add("A_lower_bound", a_const >= rhs * (1 - 1e-12), a_const - rhs)
 
         if schedule.mode in ASMD_MODES:
-            alphas = schedule.alpha(ts)
             cap = float(np.max(etas * alphas * L))
             add("eta_cap", cap <= 0.5 * (1 + 1e-12), 0.5 - cap, "eta_t <= 1/(2 L alpha_t)")
             if horizon >= 2:
@@ -409,13 +460,13 @@ def verify_schedule_conditions(schedule: Schedule, horizon: int) -> ConditionRep
         with np.errstate(over="ignore"):  # a tiny level saturates to inf: FAIL, margin -inf
             stat = float(np.max(lams ** (-p) / (L * etas)))
         if math.isinf(c2):
-            add("inverse_step_moment", True, math.inf, "vacuous: sigma = 0")
+            add("inverse_step_moment", True, math.inf, vacuous)
         else:
             add("inverse_step_moment", stat <= c2 * (1 + 1e-9), c2 - stat)
 
         wsum = float(np.sum(L * lams ** (2.0 - p) * etas ** 2))
         if math.isinf(c3):
-            add("weighted_power_sum", True, math.inf, "vacuous: sigma = 0")
+            add("weighted_power_sum", True, math.inf, vacuous)
         else:
             add("weighted_power_sum", wsum <= c3 * (1 + 1e-9), c3 - wsum)
 

@@ -494,3 +494,99 @@ def test_simplex_underflow_stays_interior():
         rec = algos.run_asmd(problem, Oracle(problem, noise_model, seed=seed), schedule, 64, y1,
                              record=False)
         assert np.all(rec.final_point > 0)
+
+
+LOOPS = {"smd": algos._smd, "asmd": algos._asmd, "sgd": algos._sgd, "vanilla-sgd": algos._vanilla}
+
+
+@pytest.mark.parametrize("algorithm, start, param", [
+    ("smd", "euclidean", "smd_known_t"), ("smd", "ball", "smd_anytime"),
+    ("smd", "simplex9", "smd_known_t"), ("asmd", "euclidean", "asmd_known_t"),
+    ("asmd", "simplex9", "asmd_anytime"), ("sgd", "euclidean3", "sgd_known_t"),
+    ("sgd", "euclidean", "sgd_anytime"),
+    ("vanilla-sgd", "euclidean", 0.1),  # no row diverges
+    ("vanilla-sgd", "euclidean", 1.1),  # rows diverge mid-window, some (at n = 5) survive
+    ("vanilla-sgd", "euclidean", 1.2),  # every row diverges: the loop stops early
+])
+@pytest.mark.parametrize("n", [1, 5, algos._ACCUMULATE_SEEDS + 2])
+def test_window_size_changes_no_bit(monkeypatch, algorithm, start, param, n):
+    """Windows of 1 step, of 7 (a ragged tail) and of the default size give the same
+    summaries, final rows and step tables, bit for bit, recorded or not."""
+    prob, x1 = START[start]
+    baseline = algorithm == "vanilla-sgd"
+    steps = 120 if baseline else 40
+    # spikes far above the schedule's sigma = 1, so some steps clip a row and some none
+    model = TwoPointNoise(p=1.5, sigma=1e3 if baseline else 300.0, q=0.3)
+    if not baseline:
+        param = schedules.Schedule(param, smd_inputs(prob, x1, sigma=1.0, horizon=steps),
+                                   lambda_scale=0.3)
+    runs = []
+    for window in (None, 1, 7):
+        if window is not None:
+            monkeypatch.setattr(nz, "_WINDOW_BYTES", 8 * prob.dim * n * window)
+            monkeypatch.setattr(nz, "_WINDOW_MIN_STEPS", 1)
+        for record in (True, False):
+            noise = nz.lockstep_draws(model, prob.dim, steps, range(n))
+            res, X, done = algos._run(algorithm, LOOPS[algorithm], prob, param, steps, x1,
+                                      range(n), noise, record)
+            runs.append((res, X, done))
+    res, X, done = runs[0]
+    if baseline and param > 1.0:
+        assert res.diverged.any()
+        assert (done < steps) == (param == 1.2 or n == 1)
+    elif not baseline:
+        over = res.table.clipped.any(axis=0)  # steps with and without a clipped row; with
+        assert over.any() and (n > 5 or not over.all())  # many seeds each step clips one
+    for other, X_other, done_other in runs[1:]:
+        assert done_other == done and X_other.tobytes() == X.tobytes()
+        for field in ("summary", "final_gap", "clipped_fraction", "diverged"):
+            assert getattr(other, field).tobytes() == getattr(res, field).tobytes(), field
+        if other.table is None:
+            continue
+        for field in dataclasses.fields(algos.StepTable):
+            one, rows = getattr(res.table, field.name), getattr(other.table, field.name)
+            if one is None:
+                assert rows is None, field.name
+            else:
+                assert rows.shape == one.shape and rows.tobytes() == one.tobytes(), field.name
+
+
+@pytest.mark.parametrize("n", [1, 4, algos._ACCUMULATE_SEEDS + 1])
+def test_running_sum_adds_in_time_order(n):
+    """The per-window sum is the bits of a ``+=`` loop over the steps, on values whose sum
+    depends on the order of the additions: in time order each 1 is lost against 2^53, in
+    any order that adds the -2^53 first it is kept."""
+    rng = np.random.default_rng(n)
+    rows = rng.uniform(0.0, 1.0, (40, n)).round()  # zeros and ones
+    rows[3], rows[-2] = 2.0 ** 53, -(2.0 ** 53)
+    total = rng.uniform(0.0, 0.5, n)
+    expect = total.copy()
+    for row in rows:
+        expect += row
+    assert algos._running_sum(total, rows).tobytes() == expect.tobytes()
+    for k in range(n):  # another order of the same additions gives other bits
+        backwards = total[k]
+        for value in rows[::-1, k]:
+            backwards += value
+        assert backwards != expect[k]
+
+
+@pytest.mark.parametrize("algorithm", ["smd", "asmd", "sgd"])
+def test_infinite_or_nan_norm_takes_the_clip(algorithm):
+    """A step whose largest norm is infinite or NaN runs the clip: an infinite row is
+    scaled by 0, a NaN row by NaN, and a row under the level by exactly 1."""
+    prob, x1 = START["euclidean"]
+    n, steps = 3, 4
+    block = np.zeros((steps, prob.dim, n))
+    block[1, 0, 0], block[2, 0, 1] = np.inf, np.nan  # seed 0 at step 2, seed 1 at step 3
+    sched = schedules.Schedule(f"{algorithm}_known_t",
+                               smd_inputs(prob, x1, sigma=1.0, horizon=steps))
+    res = algos._run(algorithm, LOOPS[algorithm], prob, sched, steps, x1, range(n),
+                     DenseDraws(block), True)[0]
+    grads = res.table.grad_clipped
+    assert np.isnan(grads[0, 1, 0]) and grads[0, 1, 1] == 0.0
+    assert np.isnan(grads[1, 2]).all()
+    assert not res.table.clipped[2].any()  # the noiseless seed's gradients, bit for bit
+    assert grads[2].tobytes() == (prob.grad_many(res.table.x[2, :steps]) + 0.0).tobytes()
+    assert res.table.clipped[0, 1] and not res.table.clipped[1, 2]  # a NaN norm is not over
+    assert list(res.diverged) == [True, True, False]

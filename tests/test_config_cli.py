@@ -201,21 +201,37 @@ EXTREMES = {
     "schedule.mu": ["-1.0", "0.0", "1.0", "1e150", "1e300", "1e308"],
     "schedule.eta_scale": ["-1.0", "0.0", "1e-300", "1.0", "1e300", "1e308"],
     "schedule.lambda_scale": ["0.0", "5e-324", "1e-300", "1.0", "1e300", "1e308"],
+    # the start and the quadratic's vectors (dim = 2 in every config); a wrong length too
+    "problem.x1": ["0,0", "5e-324,0", "1e-300,-1e-300", "1e150,0", "1e300,-1e300", "1e308,1e308",
+                   "1,2,3"],
+    "problem.diag": ["-1,1", "0,1", "5e-324,1", "1e-300,1", "1,1", "1e150,1", "1e300,1e300", "1"],
+    "problem.shift": ["0,0", "5e-324,0", "-1e150,1e150", "1e300,0", "1e308,-1e308", "1,2,3"],
+    # the tail index is read by the radial family only
+    "noise.kind": ["two_point", "radial_pareto"],
+    "noise.tail_index": ["-1.0", "1.0", "1.0000001", "1.5", "1.75", "2.0", "2.0000001", "1e300"],
+    # read by diagnose only
+    "diagnostics.resamples": ["-1", "0", "99", "100", "101", "1000"],
+    "diagnostics.pathwise": ["true", "false", "maybe"],
+    "diagnostics.error_bounds": ["true", "false", "maybe"],
+    "diagnostics.martingale": ["true", "false", "maybe"],
 }
 # The accelerated modes' constant, which only they read.
 C_OVERRIDES = ["-1.0", "0.0", "5e-324", "1e-300", "1.0", "1e4", "1e300", "1e308"]
 
 
-@given(config_file=st.sampled_from(["smd_heavy_tail.cfg", "sgd_rates.cfg", "asmd"]),
+@given(config_file=st.sampled_from(["smd_heavy_tail.cfg", "sgd_rates.cfg", "asmd",
+                                    "diagnose_smd.cfg"]),
        values=st.fixed_dictionaries({key: st.none() | st.sampled_from(choices)
                                      for key, choices in EXTREMES.items()}),
        c_override=st.none() | st.sampled_from(C_OVERRIDES))
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_extreme_values_run_or_exit_2(tmp_path, capsys, config_file, values, c_override):
-    """Boundary and extreme moment, confidence and schedule values either run or are
-    rejected with exit 2 naming a section.key; none ends in a traceback."""
-    argv = ["run", "--config", str(DEMO_CONFIGS / "smd_heavy_tail.cfg"), "--out", str(tmp_path),
+    """Boundary and extreme moment, confidence, schedule, problem and diagnostics values
+    either run or are rejected with exit 2 naming a section.key; none ends in a traceback.
+    ``diagnose`` may also exit 1 for a check that fails, with nothing on stderr."""
+    command = "diagnose" if config_file == "diagnose_smd.cfg" else "run"
+    argv = [command, "--config", str(DEMO_CONFIGS / "smd_heavy_tail.cfg"), "--out", str(tmp_path),
             "--set", "experiment.t=16", "--set", "experiment.seeds=3"]
     if config_file == "asmd":
         argv += ["--set", "experiment.algorithm=asmd", "--set", "schedule.mode=asmd_known_t"]
@@ -230,7 +246,7 @@ def test_extreme_values_run_or_exit_2(tmp_path, capsys, config_file, values, c_o
         warnings.filterwarnings("ignore", "fewer than 30 seeds", UserWarning)
         rc = cli.main(argv)
     err = capsys.readouterr().err
-    assert rc in (0, 2), err
+    assert rc in (0, 2) or (command == "diagnose" and rc == 1 and not err), err
     if rc == 2:
         named = err.removeprefix("config error: ").split(":")[0]
         assert tuple(named.split(".")) in config._SCHEMA, err

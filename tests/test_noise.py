@@ -207,6 +207,7 @@ def test_spike_slabs_equal_dense_slabs(model, d, n, window_steps, monkeypatch):
     and each seed's generator ends where its dense draw leaves it."""
     if window_steps is not None:  # windows of 3 steps: 10 is not a multiple
         monkeypatch.setattr(nz, "_WINDOW_BYTES", 8 * d * n * window_steps)
+        monkeypatch.setattr(nz, "_WINDOW_MIN_STEPS", 1)
     steps = 10 if window_steps is not None else 50
     seeds = range(100, 100 + n)
     block = np.zeros((steps, d, n))

@@ -387,3 +387,58 @@ def test_pair_equals_eta_and_lam_with_one_evaluation(mode, monkeypatch):
         eta, lam = sched.pair(t)
         assert calls == [t]  # one evaluation of the step's formulas per pair
         assert (eta, lam) == (sched.eta(t), sched.lam(t))
+
+
+@pytest.mark.parametrize("mode", schedules.ALL_MODES)
+@pytest.mark.parametrize("eta_scale, lambda_scale, c_override",
+                         [(1.0, 1.0, None), (1.7, 0.3, None), (1.0, 1.0, 300.0), (0.4, 2.5, 3e4)])
+def test_table_equals_pair_and_alpha_bitwise(mode, eta_scale, lambda_scale, c_override):
+    """``table(T)`` holds ``pair(t)`` and ``alpha(t)`` for t = 1..T with the same bits, for
+    every mode and knob; the stateful mode's table is taken after observing the horizon."""
+    for T in (1, 2, 257, 4096):
+        s = inputs(p=1.5, sigma=0.7, delta=0.05, horizon=T, r0=0.3, mu=0.2, g0_norm=0.1,
+                   c_override=c_override)
+        sched = schedules.Schedule(mode, s, eta_scale=eta_scale, lambda_scale=lambda_scale)
+        for t in range(1, T + 1):
+            sched.observe(t, np.array([0.05 * t, -0.02 * t]))
+        tab = sched.table(T)
+        pairs = np.array([sched.pair(t) for t in range(1, T + 1)])
+        assert tab.eta.shape == tab.lam.shape == (T,)
+        assert tab.eta.tobytes() == pairs[:, 0].tobytes()
+        assert tab.lam.tobytes() == pairs[:, 1].tobytes()
+        if mode in schedules.ASMD_MODES:
+            alphas = np.array([sched.alpha(t) for t in range(1, T + 1)])
+            assert tab.alpha.tobytes() == alphas.tobytes()
+        else:
+            assert tab.alpha is None
+
+
+def test_param_free_table_fills_as_observed():
+    """The stateful mode's table holds NaN past the observed steps; ``observe`` fills each
+    step's entry with that step's pair, before later steps move the running maximum."""
+    sched = schedules.Schedule("smd_param_free", inputs())
+    tab = sched.table(5)
+    assert np.isnan(tab.eta).all() and np.isnan(tab.lam).all()
+    expect = []
+    for t in range(1, 6):
+        sched.observe(t, np.array([float(t * t), 0.0]))
+        expect.append(sched.pair(t))
+        assert np.isnan(tab.lam[t:]).all()
+    assert np.array(expect).T.tobytes() == np.array([tab.eta, tab.lam]).tobytes()
+
+
+@pytest.mark.parametrize("mode, names", [
+    ("smd_known_t", ("lambda_power_sum", "lambda_2p_vs_p")),
+    ("asmd_known_t", ("lambda_power_sum", "lambda_2p_vs_p")),
+    ("sgd_known_t", ("inverse_step_moment", "weighted_power_sum")),
+])
+def test_condition_notes_name_an_underflowed_sigma_power(mode, names):
+    """A sigma > 0 whose p-th power underflows to 0 makes the sigma-scaled conditions vacuous;
+    the note says so, and keeps ``sigma = 0`` for the noiseless case."""
+    for sigma, note in ((1e-300, "vacuous: sigma ** p underflows to 0 at sigma = 1e-300, p = 1.5"),
+                        (0.0, "vacuous: sigma = 0")):
+        sched = schedules.Schedule(mode, inputs(p=1.5, sigma=sigma, horizon=64))
+        checks = {c.name: c for c in schedules.verify_schedule_conditions(sched, 64).checks}
+        for name in names:
+            assert checks[name].passed and checks[name].margin == math.inf
+            assert checks[name].note == note, (sigma, name)
