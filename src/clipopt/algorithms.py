@@ -8,26 +8,32 @@ an unclipped baseline that may diverge under heavy-tailed noise.
 Each algorithm has one loop over an (n, d) state whose rows are independent
 seeds.  The state is seed-contiguous: it is stored Fortran-ordered, as the
 transpose of a C-ordered (d, n) block, so each coordinate's n values lie
-next to each other and every elementwise op, per-coordinate constant and
-per-row factor runs as one inner loop over the seeds instead of one per
-row.  Reductions over coordinates go through ``geometry.coord_sum`` (numpy's
+next to each other and every elementwise op between such arrays, or with a
+per-row factor, runs as one inner loop over the seeds instead of one per
+row (the problems lay their per-coordinate constants out the same way).
+Reductions over coordinates go through ``geometry.coord_sum`` (numpy's
 pairwise order replayed with column adds) and ``geometry.coord_dot``, whose
 bits do not depend on the layout.  Seed k's noise sequence is drawn from its
 own stream, and step t reads it as the (n, d) view ``noise.slab(t)`` of a
 draws object: the transpose of a C-ordered (d, n) slab.
 
-A step does only the work the next iterate depends on.  Its step size,
-level and momentum weight come from the schedule's table
-(``Schedule.table``), made once before the loop; the parameter-free mode
-fills each step's entry as ``observe`` reaches it.  The step forms the
-gradient, its dual norms and, only when some row's norm is over the level
-(or NaN), the clip, and writes the step into the state (the accelerated
-loop's y, z and query point are three buffers updated in place) or into a
-slot of a seed-contiguous window buffer.  Everything else is done once per
-window of K steps (``noise.window_steps``, the spike window's byte rule):
-the metrics over the window's iterates or gradients, the running sums,
-added in time order (``_running_sum``), the clip counts, and the copy of
-the window into the record.  Window sizes do not change a bit.
+A step does only the work the next iterate depends on, in buffers the loop
+makes before its first step, so no step allocates an (n, d) result.  Its
+step size, level and momentum weight are Python floats, read from the
+schedule's table (``Schedule.table``, made once before the loop) one window
+at a time; the parameter-free mode fills each step's entry when ``observe``
+reaches it, so its windows are one step long.  The step writes the gradient
+(``grad_many(X, out=...)``) and the noise into the step's gradient slot, its
+dual norms into a row of the window's norms (``dual_norm_many(G, out=...)``)
+and, only when some row's norm is over the level (or NaN), the clip over the
+gradient and the count of the rows it clipped; eta * G (and the accelerated
+mixes' alpha * z) go into one scratch array, and the step into the state (the
+accelerated loop's y, z and query point are three buffers updated in place)
+or into a slot of a seed-contiguous window buffer.  Everything else is done
+once per window of K steps (``noise.window_steps``, the spike window's byte
+rule): the metrics over the window's iterates or gradients, the running sums,
+added in time order (``_running_sum``), and the copy of the window into the
+record.  Window sizes do not change a bit.
 
 ``run_*_batch`` advances many seeds in lockstep (used by the experiment
 harness) on ``noise.lockstep_draws``: a two-point batch keeps only its
@@ -248,13 +254,17 @@ def _levels(schedule: Schedule, modes, needs: str, n: int, steps: int):
     return table
 
 
+def _rows(n: int, d: int) -> np.ndarray:
+    """An (n, d) buffer of seed-contiguous rows: the transpose of a C-ordered (d, n) block."""
+    return np.empty((d, n)).T
+
+
 def _slots(K: int, n: int, d: int, keep: bool, state=None):
     """Where K steps write an (n, d) array: the (K, n, d) view of a C-ordered (K, d, n)
     window and its K seed-contiguous step views, or, when the steps are not kept, no
-    window and ``state`` at every step (an array updated in place, or None for a new
-    array each step)."""
+    window and ``state`` (an array updated in place, else one new buffer) at every step."""
     if not keep:
-        return None, [state] * K
+        return None, [_rows(n, d) if state is None else state] * K
     window = np.empty((K, d, n)).transpose(0, 2, 1)
     return window, list(window)
 
@@ -275,19 +285,24 @@ def _running_sum(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return total
 
 
-def _record(tab: StepTable, lo: int, k: int, eta, lam, over, norms, metric, grad):
-    """Steps lo + 1 .. lo + k of the columns every loop records, from its window's rows."""
+def _record(tab: StepTable, lo: int, k: int, eta, lam, norms, metric, grad):
+    """Steps lo + 1 .. lo + k of the columns every loop records, from its window's rows;
+    a step clipped the rows whose norm is over its level."""
     rows = slice(lo, lo + k)
     tab.eta[rows], tab.lam[rows] = eta, lam
-    tab.clipped[:, rows], tab.raw_norm[:, rows], tab.metric[:, rows] = over.T, norms.T, metric.T
+    tab.clipped[:, rows] = (norms > lam[:, None]).T
+    tab.raw_norm[:, rows], tab.metric[:, rows] = norms.T, metric.T
     tab.grad_clipped[:, rows] = grad.transpose(1, 0, 2)
 
 
 # -- the loops: noise is a draws object whose slab(t) is step t's (n, d) noise,
 # the transpose of a C-ordered (d, n) block, so the state stays seed-contiguous;
+# every step writes into buffers made before the loop (``S`` holds eta * G and
+# alpha * Z); a window's step sizes, levels and weights are Python floats;
 # the clip runs when the largest norm is over the level or NaN (``argmax`` takes the
 # first NaN as the largest, and is cheaper than a reduction); a row it leaves alone
-# gets the factor 1, so skipping the clip keeps the bits;
+# gets the factor 1, so skipping the clip keeps the bits; a row is counted clipped
+# when its norm is over the level;
 # a step table, if given, gets each window's rows; each returns (summary,
 # final_gap, clip counts, final rows, steps run) --
 
@@ -298,30 +313,31 @@ def _smd(problem, schedule, steps, x1, noise, tab):
     geom = problem.geometry
     X = _start(problem, x1, n)
     d = X.shape[1]
-    K = window_steps(steps, d, n)
+    # the stateful mode fills step t's table entry when it observes x_t: one-step windows
+    K = 1 if schedule.stateful else window_steps(steps, d, n)
     xw, xs = _slots(K, n, d, True)
     gw, gs = _slots(K, n, d, tab is not None)
-    norms = np.empty((K, n))
+    S = _rows(n, d)
+    norms, gap_rows = np.empty((K, n)), np.empty((K, n))
+    norm_rows = list(norms)
     gap_sum, clipped = np.zeros(n), np.zeros(n)
     gaps = problem.gap_many(X)[None]
     for lo in range(0, steps, K):  # windows of K steps, then the rest
         k = min(K, steps - lo)
-        for i in range(k):
-            t = lo + i + 1
-            schedule.observe(t, X[0])  # the stateful mode fills its table entry for step t
-            eta, lam = etas[t - 1], lams[t - 1]
-            G = np.add(problem.grad_many(X), noise.slab(t), out=gs[i])
-            nrm = norms[i] = geom.dual_norm_many(G)
-            if not (nrm[nrm.argmax()] <= lam):
-                G = clip_batch(G, lam, nrm, out=G)
-            X = geom.mirror_step_many(X, G, eta, out=xs[i])
+        schedule.observe(lo + 1, X[0])  # x_{lo+1}: fills the stateful mode's entry for step lo + 1
         level = lams[lo:lo + k]
-        over = norms[:k] > level[:, None]
-        gaps = problem.gap_many(xw[:k])
+        for i, (eta, lam) in enumerate(zip(etas[lo:lo + k].tolist(), level.tolist())):
+            G = problem.grad_many(X, out=gs[i])
+            G += noise.slab(lo + i + 1)
+            nrm = geom.dual_norm_many(G, out=norm_rows[i])
+            if not (nrm[nrm.argmax()] <= lam):
+                clip_batch(G, lam, nrm, out=G)
+                clipped += nrm > lam
+            X = geom.mirror_step_many(X, G, eta, out=xs[i], scratch=S)
+        gaps = problem.gap_many(xw[:k], out=gap_rows[:k])
         gap_sum = _running_sum(gap_sum, gaps)
-        clipped += np.count_nonzero(over, axis=0)
         if tab is not None:
-            _record(tab, lo, k, etas[lo:lo + k], level, over, norms[:k], gaps, gw[:k])
+            _record(tab, lo, k, etas[lo:lo + k], level, norms[:k], gaps, gw[:k])
             tab.x[:, lo + 1:lo + k + 1] = xw[:k].transpose(1, 0, 2)
     return gap_sum / steps, gaps[-1], clipped, X.copy(order="K"), steps
 
@@ -338,28 +354,28 @@ def _asmd(problem, schedule, steps, y1, noise, tab):
     Z = Y.copy(order="K")
     yw, ys = _slots(K, n, d, keep, Y)
     zw, zs = _slots(K, n, d, keep, Z)
-    xw, xs = _slots(K, n, d, keep, np.empty_like(Y))
+    xw, xs = _slots(K, n, d, keep)
     gw, gs = _slots(K, n, d, keep)
+    S = _rows(n, d)
     norms = np.empty((K, n))
-    clipped = np.zeros(n)
+    norm_rows, clipped = list(norms), np.zeros(n)
     for lo in range(0, steps, K):
         k = min(K, steps - lo)
-        for i in range(k):
-            t = lo + i + 1
-            alpha, eta, lam = alphas[t - 1], etas[t - 1], lams[t - 1]
-            Xq = geom.mix_many(Y, Z, alpha, out=xs[i])
-            G = np.add(problem.grad_many(Xq), noise.slab(t), out=gs[i])
-            nrm = norms[i] = geom.dual_norm_many(G)
-            if not (nrm[nrm.argmax()] <= lam):
-                G = clip_batch(G, lam, nrm, out=G)
-            Z = geom.mirror_step_many(Z, G, eta, out=zs[i])
-            Y = geom.mix_many(Y, Z, alpha, out=ys[i])
         level = lams[lo:lo + k]
-        over = norms[:k] > level[:, None]
-        clipped += np.count_nonzero(over, axis=0)
+        for i, (alpha, eta, lam) in enumerate(zip(alphas[lo:lo + k].tolist(),
+                                                  etas[lo:lo + k].tolist(), level.tolist())):
+            Xq = geom.mix_many(Y, Z, alpha, out=xs[i], scratch=S)
+            G = problem.grad_many(Xq, out=gs[i])
+            G += noise.slab(lo + i + 1)
+            nrm = geom.dual_norm_many(G, out=norm_rows[i])
+            if not (nrm[nrm.argmax()] <= lam):
+                clip_batch(G, lam, nrm, out=G)
+                clipped += nrm > lam
+            Z = geom.mirror_step_many(Z, G, eta, out=zs[i], scratch=S)
+            Y = geom.mix_many(Y, Z, alpha, out=ys[i], scratch=S)
         if tab is not None:
-            _record(tab, lo, k, etas[lo:lo + k], level, over, norms[:k],
-                    problem.gap_many(yw[:k]), gw[:k])
+            _record(tab, lo, k, etas[lo:lo + k], level, norms[:k], problem.gap_many(yw[:k]),
+                    gw[:k])
             tab.alpha[lo:lo + k], tab.x[:, lo:lo + k] = alphas[lo:lo + k], xw[:k].transpose(1, 0, 2)
             tab.y[:, lo + 1:lo + k + 1] = yw[:k].transpose(1, 0, 2)
             tab.z[:, lo + 1:lo + k + 1] = zw[:k].transpose(1, 0, 2)
@@ -379,26 +395,25 @@ def _sgd(problem, schedule, steps, x1, noise, tab):
     xw, xs = _slots(K, n, d, tab is not None, X)
     fw, fs = _slots(K, n, d, True)  # the gradient each step's metric is taken of
     gw, gs = _slots(K, n, d, tab is not None)
+    S = _rows(n, d)
     norms = np.empty((K, n))
+    norm_rows = list(norms)
     metric_sum, clipped = np.zeros(n), np.zeros(n)
     for lo in range(0, steps, K):
         k = min(K, steps - lo)
-        for i in range(k):
-            t = lo + i + 1
-            eta, lam = etas[t - 1], lams[t - 1]
-            np.copyto(fs[i], problem.grad_many(X))
-            G = np.add(fs[i], noise.slab(t), out=gs[i])
-            nrm = norms[i] = geom.dual_norm_many(G)
-            if not (nrm[nrm.argmax()] <= lam):
-                G = clip_batch(G, lam, nrm, out=G)
-            X = np.subtract(X, eta * G, out=xs[i])
         level = lams[lo:lo + k]
-        over = norms[:k] > level[:, None]
+        for i, (eta, lam) in enumerate(zip(etas[lo:lo + k].tolist(), level.tolist())):
+            F = problem.grad_many(X, out=fs[i])
+            G = np.add(F, noise.slab(lo + i + 1), out=gs[i])
+            nrm = geom.dual_norm_many(G, out=norm_rows[i])
+            if not (nrm[nrm.argmax()] <= lam):
+                clip_batch(G, lam, nrm, out=G)
+                clipped += nrm > lam
+            X = np.subtract(X, np.multiply(eta, G, out=S), out=xs[i])
         metric = coord_dot(fw[:k], fw[:k])
         metric_sum = _running_sum(metric_sum, metric)
-        clipped += np.count_nonzero(over, axis=0)
         if tab is not None:
-            _record(tab, lo, k, etas[lo:lo + k], level, over, norms[:k], metric, gw[:k])
+            _record(tab, lo, k, etas[lo:lo + k], level, norms[:k], metric, gw[:k])
             tab.x[:, lo + 1:lo + k + 1] = xw[:k].transpose(1, 0, 2)
     return metric_sum / steps, problem.gap_many(X), clipped, X.copy(order="K"), steps
 
@@ -407,10 +422,10 @@ def _vanilla(problem, eta, steps, x1, noise, tab):
     n = noise.n
     if problem.geometry.kind != "euclidean":
         raise ValueError("the baseline runs on unconstrained l2 geometry")
-    X = _start(problem, x1, n)
+    X = _start(problem, x1, n)  # updated in place: a frozen row keeps its last finite iterate
     d = X.shape[1]
     K = window_steps(steps, d, n)
-    paths = [None] * K  # each step's rows: a frozen row needs the rows before the step
+    pw, ps = _slots(K, n, d, tab is not None)  # each step's proposed rows
     fw, fs = _slots(K, n, d, True)
     gw, gs = _slots(K, n, d, tab is not None)
     live = np.empty((K + 1, n), dtype=bool)  # row i: the rows active before step lo + i + 1
@@ -421,21 +436,23 @@ def _vanilla(problem, eta, steps, x1, noise, tab):
         live[0] = active
         for i in range(k):
             t = lo + i + 1
-            np.copyto(fs[i], problem.grad_many(X))
-            G = np.add(fs[i], noise.slab(t), out=gs[i])
-            X_new = X - eta * G
+            F = problem.grad_many(X, out=fs[i])
+            G = np.add(F, noise.slab(t), out=gs[i])
+            X_new = np.subtract(X, np.multiply(eta, G, out=ps[i]), out=ps[i])
             active = np.logical_and(live[i], np.all(np.abs(X_new) <= DIVERGENCE_LIMIT, axis=1),
                                     out=live[i + 1])  # NaN rows freeze too
-            X = paths[i] = np.where(active[:, None], X_new, X)
+            np.copyto(X, X_new, where=active[:, None])
             if not active.any():
                 break
         k = i + 1
         metric = coord_dot(fw[:k], fw[:k])
         metric_sum = _running_sum(metric_sum, np.where(live[:k], metric, 0.0))
         if tab is not None:
-            _record(tab, lo, k, eta, np.inf, np.zeros((k, n), dtype=bool),
-                    problem.geometry.dual_norm_many(gw[:k]), metric, gw[:k])
-            tab.x[:, lo + 1:lo + k + 1] = np.stack(paths[:k], axis=1)
+            _record(tab, lo, k, eta, np.full(k, np.inf), problem.geometry.dual_norm_many(gw[:k]),
+                    metric, gw[:k])
+            # a row frozen by step lo + i + 1 keeps its final iterate from then on
+            tab.x[:, lo + 1:lo + k + 1] = np.where(live[1:k + 1, :, None], pw[:k], X).transpose(
+                1, 0, 2)
         if not active.any():
             break
     summary = np.where(active, metric_sum / steps, np.inf)

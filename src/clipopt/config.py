@@ -322,9 +322,16 @@ _SCHEDULE_KNOBS = (("schedule.mu", "mu", 0.0), ("schedule.eta_scale", "eta_scale
                    ("schedule.c_override", "c_override", None))
 
 
+def _invertible(x: float) -> bool:
+    """Whether ``x`` and ``1 / x`` are positive finite doubles."""
+    return 0 < x < math.inf and 1.0 / x < math.inf
+
+
 def _schedule_values_in_range(cfg: ExperimentConfig, problem, x1, horizon: int) -> bool:
     """Whether the schedule's step and level at t = 1 and t = T (stateless modes) and its
-    bound are finite doubles and the levels positive; a formula that overflows raises
+    bound are finite doubles and the levels positive, and, when the martingale trace is on,
+    the steps positive and the squares lambda_t^2 and (eta_t lambda_t)^2 it divides by
+    positive finite doubles with finite reciprocals; a formula that overflows raises
     ``OverflowError``."""
     schedule = build_schedule(cfg, problem, x1, horizon=horizon)
     try:
@@ -332,14 +339,22 @@ def _schedule_values_in_range(cfg: ExperimentConfig, problem, x1, horizon: int) 
         pairs = [] if schedule.stateful else [schedule.pair(1), schedule.pair(horizon)]
     except ZeroDivisionError:  # a step size, or the divisor of one, that underflowed to 0
         return False
-    return math.isfinite(bound) and all(math.isfinite(eta) and 0 < lam < math.inf
-                                        for eta, lam in pairs)
+
+    def in_range(eta, lam):
+        if not (math.isfinite(eta) and 0 < lam < math.inf):
+            return False
+        return not cfg.martingale or (eta > 0 and _invertible(lam * lam)
+                                      and _invertible((eta * lam) * (eta * lam)))
+
+    return math.isfinite(bound) and all(in_range(eta, lam) for eta, lam in pairs)
 
 
 def _check_schedule_values(cfg: ExperimentConfig, problem, x1, horizon: int) -> None:
     """Reject a config whose schedule is not finite, or whose clipping level underflows to 0,
-    at horizon T, naming the key behind it: a knob away from its inert value whose reset
-    brings it in range, else the moment order."""
+    or, with the martingale trace on, whose step is not positive or whose lambda_t^2 or
+    (eta_t lambda_t)^2 is 0, infinite or too small to invert, at horizon T, naming the key
+    behind it: a knob away from its inert value whose reset brings it in range, else the
+    moment order."""
     at = f"at p = {cfg.p}, sigma = {cfg.sigma}, delta = {cfg.delta}"
     try:
         if _schedule_values_in_range(cfg, problem, x1, horizon):
@@ -350,9 +365,14 @@ def _check_schedule_values(cfg: ExperimentConfig, problem, x1, horizon: int) -> 
         if getattr(cfg, attr) != inert and _schedule_values_in_range(
                 dataclasses.replace(cfg, **{attr: inert}), problem, x1, horizon):
             raise ConfigError(key, f"makes the schedule's step, clipping level or bound "
-                                   f"non-finite, or the level 0, at T = {horizon}")
+                                   f"non-finite, or the level 0 (or, for the martingale trace, "
+                                   f"the step not positive, or the square of the level or of "
+                                   f"step times level 0 or too small to invert), at T = "
+                                   f"{horizon}")
     raise ConfigError("noise.p", f"the schedule's step, clipping level or bound is not finite, "
-                                 f"or the level is 0, at T = {horizon} {at}")
+                                 f"or the level is 0 (or, for the martingale trace, the step is not "
+                                 f"positive, or the square of the level or of step times level "
+                                 f"is 0 or too small to invert), at T = {horizon} {at}")
 
 
 def build_problem(cfg: ExperimentConfig):

@@ -10,7 +10,8 @@ Three geometries are supported:
 Each mirror map is 1-strongly convex with respect to its primal norm, so the
 Bregman divergence dominates half the squared primal distance, and every
 proximal step has a closed form.  All functions are pure, except that the row
-step and mix write into a caller's ``out`` array when given one; ``Geometry``
+norms, step and mix write into a caller's ``out`` array when given one, and the
+step and mix their scaled term into a caller's ``scratch`` array; ``Geometry``
 values are immutable and safe to share across threads.
 """
 
@@ -74,11 +75,11 @@ def shrink_factors(norms: np.ndarray, level: float) -> np.ndarray:
 _PAIRWISE_BLOCK = 128  # numpy's PW_BLOCKSIZE
 
 
-def coord_sum(A: np.ndarray) -> np.ndarray:
-    """``np.sum(A, axis=-1)``, bitwise, for any memory layout of ``A``."""
-    total = _pairwise_sum(A, 0, A.shape[-1])
-    total += 0.0  # numpy's sum starts from +0.0, so a sum of -0.0 terms is +0.0
-    return total
+def coord_sum(A: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.sum(A, axis=-1)``, bitwise, for any memory layout of ``A``; written into
+    ``out`` when it is given."""
+    # numpy's sum starts from +0.0, so a sum of -0.0 terms is +0.0
+    return np.add(_pairwise_sum(A, 0, A.shape[-1]), 0.0, out=out)
 
 
 def _pairwise_sum(A: np.ndarray, lo: int, d: int) -> np.ndarray:
@@ -106,12 +107,17 @@ def _pairwise_sum(A: np.ndarray, lo: int, d: int) -> np.ndarray:
     return total
 
 
-def coord_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``np.einsum("...i,...i->...", A, B)``, bitwise, for any memory layout."""
+def coord_dot(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.einsum("...i,...i->...", A, B)``, bitwise, for any memory layout; written into
+    ``out`` when it is given."""
     if A.shape[-1] > 2:
         C = np.ascontiguousarray(A)
-        return np.einsum("...i,...i->...", C, C if B is A else np.ascontiguousarray(B))
-    return coord_sum(A * B)
+        return np.einsum("...i,...i->...", C, C if B is A else np.ascontiguousarray(B),
+                         out=out)
+    if B is A and A.shape[-1] == 2:  # a sum of squares is never -0.0: coord_sum's + 0.0 is moot
+        sq = np.square(A)
+        return np.add(sq[..., 0], sq[..., 1], out=out)
+    return coord_sum(A * B, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,11 +165,16 @@ class Geometry:
         v = _as_vector(v, self.dim)
         return float(self.dual_norm_many(v[None, :])[0])
 
-    def dual_norm_many(self, V: np.ndarray) -> np.ndarray:
-        """Row-wise dual norms of an (..., dim) array."""
+    def dual_norm_many(self, V: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Row-wise dual norms of an (..., dim) array, written into ``out`` when it is given."""
         if self.kind == SIMPLEX:
-            return np.max(np.abs(V), axis=-1)
-        return np.sqrt(coord_dot(V, V))
+            return np.maximum.reduce(np.abs(V), axis=-1, out=out)
+        if self.dim == 2:  # coord_dot's sum of two squares, inline: the loops call this per step
+            sq = np.square(V)
+            sq = np.add(sq[..., 0], sq[..., 1], out=out)
+        else:
+            sq = coord_dot(V, V, out=out)
+        return np.sqrt(sq, out=sq)
 
     # -- mirror map ---------------------------------------------------------
 
@@ -215,17 +226,20 @@ class Geometry:
         return self.mirror_step_many(x[None, :], g[None, :], eta)[0]
 
     def mirror_step_many(self, X: np.ndarray, G: np.ndarray, eta: float,
-                         out: np.ndarray | None = None) -> np.ndarray:
+                         out: np.ndarray | None = None,
+                         scratch: np.ndarray | None = None) -> np.ndarray:
         """Row-wise mirror step on (n, dim) arrays; same arithmetic as mirror_step.
 
         The step is written into ``out`` when it is given (``X`` or ``G`` itself may
-        be ``out``) and returned; the bits do not depend on ``out`` or the layouts.
+        be ``out``) and returned, and ``eta * G`` into ``scratch`` (an array shaped
+        like ``G``, distinct from ``X`` and ``out``) when it is given; the bits do not
+        depend on ``out``, ``scratch`` or the layouts.
         """
-        step = eta * G
+        step = np.multiply(eta, G, out=scratch)
         if self.kind == EUCLIDEAN:
             return np.subtract(X, step, out=out)
         if self.kind == BALL:
-            V = X - step
+            V = np.subtract(X, step, out=step)
             V -= self.center
             V *= shrink_factors(np.sqrt(coord_dot(V, V)), self.radius)[:, None]
             return np.add(self.center, V, out=out)
@@ -239,14 +253,16 @@ class Geometry:
         return np.maximum(W, _SIMPLEX_FLOOR, out=W)
 
     def mix_many(self, A: np.ndarray, B: np.ndarray, alpha: float,
-                 out: np.ndarray | None = None) -> np.ndarray:
+                 out: np.ndarray | None = None,
+                 scratch: np.ndarray | None = None) -> np.ndarray:
         """Row-wise convex combination ``(1 - alpha) A + alpha B`` of domain points.
 
-        Written into ``out`` when it is given (``A`` or ``B`` itself may be ``out``).
+        Written into ``out`` when it is given (``A`` or ``B`` itself may be ``out``), and
+        ``alpha * B`` into ``scratch`` (distinct from the others) when it is given.
         On the simplex two floored coordinates mixed at ``alpha = 1/2`` round to 0; such a
         coordinate is held at the floor, as in ``mirror_step_many``.  Other bits are unchanged.
         """
-        term = alpha * B
+        term = np.multiply(alpha, B, out=scratch)
         M = np.multiply(A, 1.0 - alpha, out=out)
         M += term
         if self.kind == SIMPLEX:

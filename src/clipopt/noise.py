@@ -199,10 +199,14 @@ def window_steps(steps: int, d: int, n: int) -> int:
 
 
 # Bytes a spike costs a ``SpikeDraws`` build at its peak, with a margin: its int64
-# key plus the build's temporaries, which at the peak are another int64 word and a
-# sign byte (about 18 bytes in all).  The margin covers what does not grow with the
-# spikes: the window, one seed's draw buffers and each seed's array headers.
+# key, written straight into one array (about 8 bytes in all, 16 while that array
+# grows by a copy).  The margin covers what does not grow with the spikes: the
+# window, one seed's draw buffers and the key array's slack.
 _SPIKE_BYTES = 32
+
+# Slack of a ``SpikeDraws`` key array past the mean spike count, in binomial standard
+# deviations: the array grows by a copy only when a batch draws more spikes than that.
+_SPIKE_SLACK_SD = 6
 
 
 class DenseDraws:
@@ -223,32 +227,37 @@ class DenseDraws:
 class SpikeDraws:
     """Two-point noise of many seeds kept as its spikes, expanded K steps at a time.
 
-    Seed k's generator (the k-th of ``rngs``) makes the generator calls of
-    ``model.sample_batch(d, steps, rng)``, and only its hits are kept: each as
-    one int64 key, twice the hit's flat index into the dense (steps, d, n)
-    block plus 1 for a negative spike.  The keys are sorted, so they are step
-    major.  ``slab(t)`` writes the spikes of t's window of K steps into a
-    reused zero-filled (K, d, n) block and returns the (n, d) view of its
-    C-ordered (d, n) slab: the same layout and the same +0.0 and +-M values as
-    the dense block's slab, a -0.0 spike (sigma = 0) included.
+    Seed k's generator (the k-th of the n ``rngs``; ``n`` defaults to
+    ``len(rngs)``) makes the generator calls of ``model.sample_batch(d, steps,
+    rng)``, and only its hits are kept: each as one int64 key, twice the hit's
+    flat index into the dense (steps, d, n) block plus 1 for a negative spike,
+    written straight into one array sized for the mean spike count and a
+    margin.  The keys are sorted, so they are step major.  ``slab(t)`` writes
+    the spikes of t's window of K steps into a reused zero-filled (K, d, n)
+    block and returns the (n, d) view of its C-ordered (d, n) slab: the same
+    layout and the same +0.0 and +-M values as the dense block's slab, a -0.0
+    spike (sigma = 0) included.
     """
 
-    def __init__(self, model: TwoPointNoise, d: int, steps: int, rngs):
+    def __init__(self, model: TwoPointNoise, d: int, steps: int, rngs, n: int | None = None):
+        self.n = n = len(rngs) if n is None else n
         U, S = np.empty(steps), np.empty(steps)
-        cells, negative = [], []
-        for rng in rngs:
+        mean = n * steps * model.q
+        keys = np.empty(int(mean + _SPIKE_SLACK_SD * np.sqrt(mean * (1.0 - model.q))) + 1,
+                        dtype=np.int64)
+        size = 0
+        for k, rng in enumerate(rngs):
             idx = _spike_fields(rng, d, U, S)
             hits = np.flatnonzero(U < model.q)
-            cells.append(hits * d + idx[hits])  # flat index into a seed's (steps, d) draw
-            negative.append(S[hits] >= 0.5)
-        self.n = n = len(cells)
-        counts = [c.size for c in cells]
-        keys = np.concatenate(cells)
-        del cells  # the per-seed arrays go before the key arithmetic makes its temporaries
-        keys *= 2 * n
-        keys += np.repeat(np.arange(0, 2 * n, 2), counts)
-        keys += np.concatenate(negative)
-        del negative
+            if size + hits.size > keys.size:
+                keys = np.concatenate((keys[:size], np.empty(max(keys.size, hits.size), np.int64)))
+            seed_keys = np.multiply(hits, d, out=keys[size:size + hits.size])
+            seed_keys += idx[hits]  # flat index into a seed's (steps, d) draw
+            seed_keys *= 2 * n
+            seed_keys += 2 * k
+            seed_keys += S[hits] >= 0.5
+            size += hits.size
+        keys = keys[:size]
         keys.sort()
         self.keys = keys
         self.spike = model.spike
@@ -282,7 +291,7 @@ def lockstep_draws(model, d: int, steps: int, seeds):
     block."""
     rngs = (make_rng(int(seed)) for seed in seeds)
     if isinstance(model, TwoPointNoise):
-        return SpikeDraws(model, d, steps, rngs)
+        return SpikeDraws(model, d, steps, rngs, len(seeds))
     block = _zero_block((steps, d, len(seeds)))
     for k, rng in enumerate(rngs):
         model.sample_batch(d, steps, rng, out=block[:, :, k])

@@ -3,6 +3,16 @@
 Every factory returns a :class:`Problem` whose smoothness constant, optimal
 value and (for convex instances) minimizer are known in closed form, so
 convergence metrics and schedule inputs carry no estimation error.
+
+The row forms ``value_many(X, out=None)`` and ``grad_many(X, out=None)`` take
+an (..., n, d) array of any layout and write into ``out`` when it is given,
+with the bits of the allocating form.  A per-coordinate constant (a
+quadratic's curvature and shift, the simplex target) enters as an array laid
+out like the trailing (n, d) axes of ``X``, built once per shape and strides
+and kept read-only: numpy runs an op of two arrays that share a layout as one
+inner loop over the seeds, but a (d,) vector broadcast against seed-contiguous
+rows costs nearly twice as much (one subtract at 1000 x 2 rows: 2.8 against 1.6 us
+on 2 vCPUs with numpy 2.4).
 """
 
 from __future__ import annotations
@@ -34,15 +44,38 @@ class Problem:
     optimal_value: float
     minimizer: np.ndarray | None = None
     lipschitz_g: float = 0.0
-    value_many: Callable[[np.ndarray], np.ndarray] | None = None
-    grad_many: Callable[[np.ndarray], np.ndarray] | None = None
+    value_many: Callable[..., np.ndarray] | None = None
+    grad_many: Callable[..., np.ndarray] | None = None
 
     def gap(self, x) -> float:
         """Function value gap ``f(x) - f*``."""
         return float(self.value(np.asarray(x, dtype=float)) - self.optimal_value)
 
-    def gap_many(self, X: np.ndarray) -> np.ndarray:
-        return self.value_many(X) - self.optimal_value
+    def gap_many(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Row-wise value gaps, written into ``out`` when it is given."""
+        return np.subtract(self.value_many(X, out=out), self.optimal_value, out=out)
+
+
+def _laid_out(*vecs: np.ndarray):
+    """``like(X)``: the (d,) constants ``vecs``, each repeated over the trailing (n, d)
+    axes of ``X`` and laid out as they are, made once per shape and strides, read-only."""
+    cache = {}
+
+    def like(X: np.ndarray) -> tuple:
+        key = X.shape[-2:] + X.strides[-2:]
+        consts = cache.get(key)
+        if consts is None:
+            shape = X.shape[-2:]
+            seed_major = X.ndim > 1 and X.strides[-2] < X.strides[-1]
+            consts = tuple(np.empty(shape[::-1]).T if seed_major else np.empty(shape)
+                           for _ in vecs)
+            for const, vec in zip(consts, vecs):
+                const[...] = vec
+                const.flags.writeable = False
+            cache[key] = consts
+        return consts
+
+    return like
 
 
 def _scalars_from_many(value_many, grad_many):
@@ -71,12 +104,19 @@ def make_quadratic(diag, shift=None) -> Problem:
     if shift.shape != (d,):
         raise ValueError("shift must match the curvature dimension")
 
-    def value_many(X):
-        R = X - shift
-        return 0.5 * geo.coord_sum(diag * R * R)
+    like = _laid_out(diag, shift)
 
-    def grad_many(X):
-        return diag * (X - shift)
+    def value_many(X, out=None):
+        diag_x, shift_x = like(X)
+        R = np.subtract(X, shift_x)
+        S = np.multiply(diag_x, R)
+        S *= R
+        return np.multiply(0.5, geo.coord_sum(S), out=out)
+
+    def grad_many(X, out=None):
+        diag_x, shift_x = like(X)
+        R = np.subtract(X, shift_x, out=out)
+        return np.multiply(diag_x, R, out=R)
 
     value, grad = _scalars_from_many(value_many, grad_many)
     return Problem(
@@ -106,12 +146,14 @@ def make_simplex_quadratic(target) -> Problem:
     if abs(np.sum(target) - 1.0) > 1e-9 or np.any(target <= 0):
         raise ValueError("target must lie strictly inside the probability simplex")
 
-    def value_many(X):
-        R = X - target
-        return 0.5 * geo.coord_dot(R, R)
+    like = _laid_out(target)
 
-    def grad_many(X):
-        return X - target
+    def value_many(X, out=None):
+        R = np.subtract(X, like(X)[0])
+        return np.multiply(0.5, geo.coord_dot(R, R), out=out)
+
+    def grad_many(X, out=None):
+        return np.subtract(X, like(X)[0], out=out)
 
     value, grad = _scalars_from_many(value_many, grad_many)
     return Problem(
@@ -137,12 +179,16 @@ def make_nonconvex_ratio(d: int) -> Problem:
     if d < 1:
         raise ValueError("dimension must be >= 1")
 
-    def value_many(X):
-        S = X * X
-        return geo.coord_sum(S / (1.0 + S))
+    def value_many(X, out=None):
+        S = np.square(X)
+        R = np.add(1.0, S)
+        return geo.coord_sum(np.divide(S, R, out=R), out=out)
 
-    def grad_many(X):
-        return 2.0 * X / (1.0 + X * X) ** 2
+    def grad_many(X, out=None):
+        D = np.multiply(X, X, out=out)
+        np.add(1.0, D, out=D)
+        np.square(D, out=D)
+        return np.divide(2.0 * X, D, out=D)
 
     value, grad = _scalars_from_many(value_many, grad_many)
     return Problem(
@@ -171,14 +217,14 @@ def make_quadratic_plus_norm(d: int, coef: float) -> Problem:
     if coef < 0:
         raise ValueError("nonsmooth coefficient must be >= 0")
 
-    def value_many(X):
+    def value_many(X, out=None):
         sq = geo.coord_dot(X, X)
-        return 0.5 * sq + coef * np.sqrt(sq)
+        return np.add(0.5 * sq, coef * np.sqrt(sq), out=out)
 
-    def grad_many(X):
+    def grad_many(X, out=None):
         n = np.sqrt(geo.coord_dot(X, X))
         scale = np.where(n > 0, 1.0 + coef / np.maximum(n, 1e-300), 1.0)
-        return X * scale[..., None]
+        return np.multiply(X, scale[..., None], out=out)
 
     value, grad = _scalars_from_many(value_many, grad_many)
     return Problem(

@@ -174,12 +174,19 @@ def test_out_of_range_values_exit_2(tmp_path, capsys, assignment):
     ("smd_heavy_tail.cfg", ["experiment.algorithm=asmd", "schedule.mode=asmd_known_t",
                             "schedule.c_override=1e-10", "schedule.lambda_scale=5e-324"],
      "schedule.lambda_scale"),
+    ("diagnose_smd.cfg", ["schedule.lambda_scale=5e-324"], "schedule.lambda_scale"),
+    ("diagnose_smd.cfg", ["schedule.lambda_scale=1e-160"], "schedule.lambda_scale"),
+    ("diagnose_smd.cfg", ["schedule.lambda_scale=1e300"], "schedule.lambda_scale"),
+    ("diagnose_smd.cfg", ["schedule.eta_scale=1e-300"], "schedule.eta_scale"),
+    ("diagnose_smd.cfg", ["schedule.eta_scale=-1.0"], "schedule.eta_scale"),
 ])
 def test_non_finite_schedule_exit_2(tmp_path, capsys, command, config_file, assignments, key):
     """A schedule whose level overflows as p -> 1, or whose SMD floor, level or bound is not
     finite, is rejected at load time and the message names the key (and p, sigma, delta);
-    so are a 1/delta and a two-point spike that overflow, and an accelerated clipping level
-    or step divisor that underflows to 0."""
+    so are a 1/delta and a two-point spike that overflow, an accelerated clipping level
+    or step divisor that underflows to 0, and, with the martingale trace on, a step that is
+    not positive or a level whose square, or that of the step times the level, the trace
+    would divide by but is 0, infinite or too small to invert."""
     argv = [command, "--config", str(DEMO_CONFIGS / config_file), "--out", str(tmp_path)]
     for assignment in assignments:
         argv += ["--set", assignment]

@@ -216,7 +216,8 @@ def _reference_mix(geom, A, B, alpha):
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_steps_and_mixes_match_numpy_expressions_bitwise(kind, d, n, order):
     """``mirror_step_many`` and ``mix_many`` give the bits of the plain numpy expressions,
-    with no ``out``, into a fresh ``out`` and in place over their first argument."""
+    with no ``out``, into a fresh ``out``, in place over their first argument, and with
+    their scaled term written into a ``scratch`` array."""
     rng = np.random.default_rng(10_000 * d + n)
     geom = {"euclidean": geo.euclidean(d), "simplex": geo.simplex(d),
             "ball": geo.ball(d, radius=1.5, center=np.linspace(-0.5, 0.5, d))}[kind]
@@ -231,14 +232,17 @@ def test_steps_and_mixes_match_numpy_expressions_bitwise(kind, d, n, order):
     X, G = np.asarray(X, order=order), np.asarray(G, order=order)
     Z = geom.mirror_step_many(X, G, 0.7)  # a second domain point to mix with X
     X_bits = X.copy().view(np.int64)
-    cases = ((lambda A, B, out=None: geom.mirror_step_many(A, B, 0.7, out=out),
+    cases = ((lambda A, B, **kw: geom.mirror_step_many(A, B, 0.7, **kw),
               _reference_step(geom, X, G, 0.7), G),
-             (lambda A, B, out=None: geom.mix_many(A, B, 0.3, out=out),
+             (lambda A, B, **kw: geom.mix_many(A, B, 0.3, **kw),
               _reference_mix(geom, X, Z, 0.3), Z))
     for method, ref, second in cases:
         fresh, first = np.empty_like(X), X.copy(order="K")
         assert method(X, second, out=fresh) is fresh and method(first, second, out=first) is first
-        for got in (method(X, second), fresh, first):
+        scratched = method(X, second, scratch=np.empty_like(X))
+        in_place = X.copy(order="K")
+        assert method(in_place, second, out=in_place, scratch=np.empty_like(X)) is in_place
+        for got in (method(X, second), fresh, first, scratched, in_place):
             assert got.shape == (n, d)
             np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
         np.testing.assert_array_equal(X.view(np.int64), X_bits)  # X itself is not written

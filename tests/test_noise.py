@@ -72,23 +72,39 @@ def test_radial_pareto_moment_by_quadrature():
     assert val == pytest.approx(model.sigma ** model.p, rel=1e-9)
 
 
+def _cdf_misses(r, scale, a, levels=(0.1, 0.5, 0.9, 0.99)):
+    """The levels at which the empirical CDF of the radii ``r`` at the Pareto(scale, a)
+    quantile is more than 5 binomial standard deviations from the level."""
+    n = r.size
+    return [level for level in levels
+            if abs(np.count_nonzero(r <= scale * (1.0 - level) ** (-1.0 / a)) / n - level)
+            > 5.0 * np.sqrt(level * (1.0 - level) / n)]
+
+
 def test_radial_pareto_sampler_matches_law():
     # the p-th power has tail index a/p = 7/6 here, so every location estimate
     # of its mean concentrates below the truth at any feasible sample size;
-    # the sampler is verified distributionally instead: quantiles and the
-    # finite-variance log-radius moments pin down (scale, tail index), and the
-    # closed-form identity (tested above) then fixes the p-th moment.
+    # the sampler is verified distributionally instead: the CDF at exact quantiles
+    # and the finite-variance log-radius moments pin down (scale, tail index), and
+    # the closed-form identity (tested above) then fixes the p-th moment.
     model = nz.RadialParetoNoise(p=1.5, sigma=1.0, tail_index=1.75)
     a, s = model.tail_index, model.scale
     xi = model.sample_batch(2, 1_000_000, nz.make_rng(3))
     r = np.sqrt(np.einsum("ij,ij->i", xi, xi))
-    for level in (0.1, 0.5, 0.9, 0.99):
-        exact = s * (1.0 - level) ** (-1.0 / a)
-        assert np.quantile(r, level) == pytest.approx(exact, rel=5e-3)
+    assert _cdf_misses(r, s, a) == []
     logs = np.log(r)
     stderr = logs.std(ddof=1) / np.sqrt(logs.size)
     assert abs(logs.mean() - (np.log(s) + 1.0 / a)) <= 5 * stderr  # E log r
     assert logs.std(ddof=1) == pytest.approx(1.0 / a, rel=0.01)    # sd log r
+
+
+def test_radial_pareto_cdf_check_catches_a_one_percent_scale_error():
+    """The CDF check is sharp enough to see a sampler whose scale is 1% off."""
+    law = nz.RadialParetoNoise(p=1.5, sigma=1.0, tail_index=1.75)
+    off = nz.RadialParetoNoise(p=1.5, sigma=1.01, tail_index=1.75)  # the scale is linear in sigma
+    xi = off.sample_batch(2, 1_000_000, nz.make_rng(3))
+    r = np.sqrt(np.einsum("ij,ij->i", xi, xi))
+    assert _cdf_misses(r, law.scale, law.tail_index) != []
 
 
 def test_radial_pareto_moment_check_reports_block_spread():
@@ -263,3 +279,18 @@ def test_spike_draws_build_within_stated_bytes(n, steps, d, q):
         tracemalloc.stop()
     assert isinstance(draws, nz.SpikeDraws)
     assert peak <= n * steps * model.seed_step_bytes(d), peak / (n * steps)
+
+
+def test_spike_draws_build_peaks_near_its_keys():
+    """Each seed's keys go straight into one array, so the build peaks at its 8-byte keys
+    and little else."""
+    model = nz.TwoPointNoise(p=1.5, sigma=0.5, q=1.0)
+    nz.lockstep_draws(model, 4, 16, np.arange(3))  # first-use allocations
+    tracemalloc.start()
+    try:
+        draws = nz.lockstep_draws(model, 4, 1024, np.arange(200))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert draws.keys.size == 200 * 1024
+    assert peak <= 10 * draws.keys.size, peak / draws.keys.size

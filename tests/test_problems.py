@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from clipopt import geometry as geo
 from clipopt import problems
 
 
@@ -125,3 +128,82 @@ def test_many_variants_match_scalar():
                                       np.array([prob.value(x) for x in X]))
         np.testing.assert_array_equal(prob.grad_many(X),
                                       np.stack([prob.grad(x) for x in X]))
+
+
+# Row forms at every dimension numpy's pairwise sum and the loops' reductions branch on.
+DIAG, SHIFT = np.array([1.0, 4.0, 0.5]), np.array([0.5, -0.5, 2.0])
+OUT_PROBLEMS = [problems.make_quadratic(DIAG[:d], SHIFT[:d]) for d in (1, 2, 3)] + [
+    problems.make_simplex_quadratic(np.arange(1, d + 1) / (d * (d + 1) / 2)) for d in (2, 3, 9)] + [
+    problems.make_nonconvex_ratio(d) for d in (1, 2, 9)] + [
+    problems.make_quadratic_plus_norm(d, 0.25) for d in (1, 2, 9)]
+OUT_GEOMETRIES = [make(d) for d in (1, 2, 3, 9)
+                  for make in (geo.euclidean, geo.simplex, lambda d: geo.ball(d, 2.0))]
+SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, np.inf, -np.inf, np.nan])
+
+
+def _bits(A):
+    return np.ascontiguousarray(A).view(np.int64)
+
+
+def _reference(prob, X):
+    """The row forms as they were written before ``out``: numpy expressions with the (d,)
+    constants broadcast, reducing over coordinates through ``coord_sum`` and ``coord_dot``."""
+    name, d = prob.name, prob.dim
+    if name == "quadratic":
+        diag, shift = DIAG[:d], SHIFT[:d]
+        R = X - shift
+        return 0.5 * geo.coord_sum(diag * R * R), diag * (X - shift)
+    if name == "simplex_quadratic":
+        R = X - prob.minimizer
+        return 0.5 * geo.coord_dot(R, R), X - prob.minimizer
+    if name == "nonconvex_ratio":
+        S = X * X
+        return geo.coord_sum(S / (1.0 + S)), 2.0 * X / (1.0 + X * X) ** 2
+    coef = prob.lipschitz_g / 2.0
+    sq = geo.coord_dot(X, X)
+    n = np.sqrt(sq)
+    scale = np.where(n > 0, 1.0 + coef / np.maximum(n, 1e-300), 1.0)
+    return 0.5 * sq + coef * np.sqrt(sq), X * scale[..., None]
+
+
+def _rows(rng, shape, special: float, layout: str):
+    """Rows of wide-range finite values, a share ``special`` of them replaced by signed
+    zeros, subnormals, 1e300, infinities and NaN, in the layout the loops use or C order."""
+    A = rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 6, size=shape)
+    picked = rng.random(shape) < special
+    A[picked] = rng.choice(SPECIAL, size=np.count_nonzero(picked))
+    if layout == "F":  # seed-contiguous rows, as the loops hold their state
+        return np.asfortranarray(A)
+    if layout == "window":  # a (2, n, d) view of a C-ordered (2, d, n) window buffer
+        return np.ascontiguousarray(np.stack([A, A[::-1]]).transpose(0, 2, 1)).transpose(0, 2, 1)
+    return A
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "window"])
+@pytest.mark.parametrize("n", [1, 2, 130])
+@given(seed=st.integers(0, 2 ** 32 - 1), special=st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+@settings(max_examples=15, deadline=None)
+def test_out_forms_equal_allocating_forms_bitwise(layout, n, seed, special):
+    """``grad_many``, ``value_many``, ``gap_many`` and ``dual_norm_many`` give the same bits
+    written into ``out`` as allocating, and those of the expressions they replace, for any
+    layout and for signed zeros, subnormals, huge, infinite and NaN entries."""
+    rng = np.random.default_rng(seed)
+    with np.errstate(all="ignore"):
+        for prob in OUT_PROBLEMS:
+            X = _rows(rng, (n, prob.dim), special, layout)
+            value, grad = prob.value_many(X), prob.grad_many(X)
+            for got, ref in zip((value, grad), _reference(prob, X)):
+                assert got.shape == ref.shape and _bits(got).tobytes() == _bits(ref).tobytes()
+            for method, want in ((prob.value_many, value), (prob.gap_many, value),
+                                 (prob.grad_many, grad)):
+                out = np.empty_like(want)
+                assert method(X, out=out) is out
+                assert _bits(out).tobytes() == _bits(want).tobytes()
+        for geom in OUT_GEOMETRIES:
+            V = _rows(rng, (n, geom.dim), special, layout)
+            norms = geom.dual_norm_many(V)
+            ref = (np.max(np.abs(V), axis=-1) if geom.kind == "simplex"
+                   else np.sqrt(geo.coord_dot(V, V)))
+            out = np.empty_like(norms)
+            assert geom.dual_norm_many(V, out=out) is out
+            assert _bits(out).tobytes() == _bits(norms).tobytes() == _bits(ref).tobytes()
