@@ -1,9 +1,11 @@
 """Clipped first-order optimization loops and their trajectory records.
 
-Three loops: clipped mirror descent (average-gap metric), clipped
-accelerated mirror descent (final-gap metric, three-sequence update), and
-clipped gradient descent on l2 space (average squared gradient norm), plus
-an unclipped baseline that may diverge under heavy-tailed noise.
+Two clipped loops: mirror descent, and accelerated mirror descent
+(final-gap metric, three-sequence update), plus an unclipped baseline that
+may diverge under heavy-tailed noise.  The mirror-descent loop runs clipped
+SMD (average-gap metric) and clipped gradient descent on l2 space (average
+squared gradient norm), whose l2 mirror step is x - eta * G; the two differ
+only in the per-window metric they pass it.
 
 Each algorithm has one loop over an (n, d) state whose rows are independent
 seeds.  The state is seed-contiguous: it is stored Fortran-ordered, as the
@@ -22,18 +24,19 @@ makes before its first step, so no step allocates an (n, d) result.  Its
 step size, level and momentum weight are Python floats, read from the
 schedule's table (``Schedule.table``, made once before the loop) one window
 at a time; the parameter-free mode fills each step's entry when ``observe``
-reaches it, so its windows are one step long.  The step writes the gradient
-(``grad_many(X, out=...)``) and the noise into the step's gradient slot, its
-dual norms into a row of the window's norms (``dual_norm_many(G, out=...)``)
-and, only when some row's norm is over the level (or NaN), the clip over the
-gradient and the count of the rows it clipped; eta * G (and the accelerated
-mixes' alpha * z) go into one scratch array, and the step into the state (the
-accelerated loop's y, z and query point are three buffers updated in place)
-or into a slot of a seed-contiguous window buffer.  Everything else is done
-once per window of K steps (``noise.window_steps``, the spike window's byte
-rule): the metrics over the window's iterates or gradients, the running sums,
-added in time order (``_running_sum``), and the copy of the window into the
-record.  Window sizes do not change a bit.
+reaches it, so its windows are one step long.  Each (n, d) array a step
+makes goes into that step's slot of a seed-contiguous window buffer, whether
+or not the run is recorded: the gradient (``grad_many(X, out=...)``), the
+gradient plus noise, the new iterate (the accelerated loop's query point, y
+and z each have a window).  Its dual norms go into a row of the window's
+norms (``dual_norm_many(G, out=...)``) and, only when some row's norm is over
+the level (or NaN), the clip over the noisy gradient and the count of the rows
+it clipped; eta * G (and the accelerated mixes' alpha * z) go into one scratch
+array.  Everything else is done once per window of K steps
+(``noise.window_steps``, the spike window's byte rule): the metrics over the
+window's iterates or gradients, the running sums, added in time order
+(``_running_sum``), and the copy of the window into the record.  Window sizes
+do not change a bit.
 
 ``run_*_batch`` advances many seeds in lockstep (used by the experiment
 harness) on ``noise.lockstep_draws``: a two-point batch keeps only its
@@ -61,11 +64,6 @@ from .problems import Problem
 from .schedules import ASMD_MODES, SGD_MODES, SMD_MODES, Schedule
 
 DIVERGENCE_LIMIT = 1e12
-
-# Below this many seeds a window's running sums take one np.add.accumulate, above it
-# one vector add per step: measured on 2 vCPUs, the two cost the same near 128 seeds
-# at windows of 8 to 81 steps.
-_ACCUMULATE_SEEDS = 128
 
 
 @dataclass
@@ -259,12 +257,9 @@ def _rows(n: int, d: int) -> np.ndarray:
     return np.empty((d, n)).T
 
 
-def _slots(K: int, n: int, d: int, keep: bool, state=None):
+def _slots(K: int, n: int, d: int):
     """Where K steps write an (n, d) array: the (K, n, d) view of a C-ordered (K, d, n)
-    window and its K seed-contiguous step views, or, when the steps are not kept, no
-    window and ``state`` (an array updated in place, else one new buffer) at every step."""
-    if not keep:
-        return None, [_rows(n, d) if state is None else state] * K
+    window and its K seed-contiguous step views."""
     window = np.empty((K, d, n)).transpose(0, 2, 1)
     return window, list(window)
 
@@ -272,17 +267,14 @@ def _slots(K: int, n: int, d: int, keep: bool, state=None):
 def _running_sum(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``total`` plus each of ``rows`` in turn, the bits of a ``+=`` loop over them.
 
-    A reduction would not give them: numpy sums a column pairwise when n = 1.
-    ``np.add.accumulate`` adds along time in sequence, but one element after
-    another (about 10 ns each), so past ``_ACCUMULATE_SEEDS`` seeds one vector
-    add per row is the cheaper.
+    ``np.add.reduce`` over the slow axis of the C-ordered (k + 1, n) block adds
+    one row after another, in time order.  A one-seed block it would sum
+    pairwise, so there ``np.add.accumulate`` adds in sequence.
     """
-    if total.size < _ACCUMULATE_SEEDS:
-        return np.add.accumulate(np.concatenate((total[None], rows)), axis=0)[-1]
-    total = total.copy()
-    for row in rows:
-        total += row
-    return total
+    block = np.concatenate((total[None], rows))
+    if total.size == 1:
+        return np.add.accumulate(block, axis=0)[-1]
+    return np.add.reduce(block, axis=0)
 
 
 def _record(tab: StepTable, lo: int, k: int, eta, lam, norms, metric, grad):
@@ -297,7 +289,7 @@ def _record(tab: StepTable, lo: int, k: int, eta, lam, norms, metric, grad):
 
 # -- the loops: noise is a draws object whose slab(t) is step t's (n, d) noise,
 # the transpose of a C-ordered (d, n) block, so the state stays seed-contiguous;
-# every step writes into buffers made before the loop (``S`` holds eta * G and
+# every step writes into window slots made before the loop (``S`` holds eta * G and
 # alpha * Z); a window's step sizes, levels and weights are Python floats;
 # the clip runs when the largest norm is over the level or NaN (``argmax`` takes the
 # first NaN as the largest, and is cheaper than a reduction); a row it leaves alone
@@ -308,38 +300,54 @@ def _record(tab: StepTable, lo: int, k: int, eta, lam, norms, metric, grad):
 
 
 def _smd(problem, schedule, steps, x1, noise, tab):
+    levels = _levels(schedule, SMD_MODES, "smd needs a mirror-descent schedule", noise.n, steps)
+    return _descent(problem, schedule, levels, steps, x1, noise, tab,
+                    lambda xw, fw, out: problem.gap_many(xw, out=out))
+
+
+def _sgd(problem, schedule, steps, x1, noise, tab):
+    levels = _levels(schedule, SGD_MODES, "sgd needs a gradient-descent schedule", noise.n, steps)
+    if problem.geometry.kind != "euclidean":
+        raise ValueError("clipped gradient descent runs on unconstrained l2 geometry")
+    return _descent(problem, schedule, levels, steps, x1, noise, tab,
+                    lambda xw, fw, out: coord_dot(fw, fw, out=out))
+
+
+def _descent(problem, schedule, levels, steps, x1, noise, tab, metric):
+    """Clipped mirror descent, whose summary is the average of ``metric(xw, fw, out)``:
+    the per-step metric of a window, from its new iterates ``xw`` and the gradients
+    ``fw`` its steps were queried at (the value gap for SMD, the squared gradient
+    norm for SGD, where the l2 mirror step is x - eta * G)."""
     n = noise.n
-    etas, lams, _ = _levels(schedule, SMD_MODES, "smd needs a mirror-descent schedule", n, steps)
+    etas, lams, _ = levels
     geom = problem.geometry
     X = _start(problem, x1, n)
     d = X.shape[1]
     # the stateful mode fills step t's table entry when it observes x_t: one-step windows
     K = 1 if schedule.stateful else window_steps(steps, d, n)
-    xw, xs = _slots(K, n, d, True)
-    gw, gs = _slots(K, n, d, tab is not None)
+    (xw, xs), (fw, fs), (gw, gs) = (_slots(K, n, d) for _ in range(3))
     S = _rows(n, d)
-    norms, gap_rows = np.empty((K, n)), np.empty((K, n))
+    norms, metric_rows = np.empty((K, n)), np.empty((K, n))
     norm_rows = list(norms)
-    gap_sum, clipped = np.zeros(n), np.zeros(n)
-    gaps = problem.gap_many(X)[None]
+    metric_sum, clipped = np.zeros(n), np.zeros(n)
     for lo in range(0, steps, K):  # windows of K steps, then the rest
         k = min(K, steps - lo)
         schedule.observe(lo + 1, X[0])  # x_{lo+1}: fills the stateful mode's entry for step lo + 1
         level = lams[lo:lo + k]
         for i, (eta, lam) in enumerate(zip(etas[lo:lo + k].tolist(), level.tolist())):
-            G = problem.grad_many(X, out=gs[i])
-            G += noise.slab(lo + i + 1)
+            F = problem.grad_many(X, out=fs[i])
+            G = np.add(F, noise.slab(lo + i + 1), out=gs[i])
             nrm = geom.dual_norm_many(G, out=norm_rows[i])
             if not (nrm[nrm.argmax()] <= lam):
                 clip_batch(G, lam, nrm, out=G)
                 clipped += nrm > lam
             X = geom.mirror_step_many(X, G, eta, out=xs[i], scratch=S)
-        gaps = problem.gap_many(xw[:k], out=gap_rows[:k])
-        gap_sum = _running_sum(gap_sum, gaps)
+        window = metric(xw[:k], fw[:k], metric_rows[:k])
+        metric_sum = _running_sum(metric_sum, window)
         if tab is not None:
-            _record(tab, lo, k, etas[lo:lo + k], level, norms[:k], gaps, gw[:k])
+            _record(tab, lo, k, etas[lo:lo + k], level, norms[:k], window, gw[:k])
             tab.x[:, lo + 1:lo + k + 1] = xw[:k].transpose(1, 0, 2)
-    return gap_sum / steps, gaps[-1], clipped, X.copy(order="K"), steps
+    return metric_sum / steps, problem.gap_many(X), clipped, X.copy(order="K"), steps
 
 
 def _asmd(problem, schedule, steps, y1, noise, tab):
@@ -347,15 +355,10 @@ def _asmd(problem, schedule, steps, y1, noise, tab):
     etas, lams, alphas = _levels(schedule, ASMD_MODES, "asmd needs an accelerated schedule", n,
                                  steps)
     geom = problem.geometry
-    Y = _start(problem, y1, n)
+    Y = Z = _start(problem, y1, n)  # z_1 = y_1; steps write into slots, never into the start
     d = Y.shape[1]
     K = window_steps(steps, d, n)
-    keep = tab is not None  # else y, z and the query point are updated in place
-    Z = Y.copy(order="K")
-    yw, ys = _slots(K, n, d, keep, Y)
-    zw, zs = _slots(K, n, d, keep, Z)
-    xw, xs = _slots(K, n, d, keep)
-    gw, gs = _slots(K, n, d, keep)
+    (yw, ys), (zw, zs), (xw, xs), (gw, gs) = (_slots(K, n, d) for _ in range(4))
     S = _rows(n, d)
     norms = np.empty((K, n))
     norm_rows, clipped = list(norms), np.zeros(n)
@@ -383,41 +386,6 @@ def _asmd(problem, schedule, steps, y1, noise, tab):
     return gaps, gaps, clipped, Y.copy(order="K"), steps
 
 
-def _sgd(problem, schedule, steps, x1, noise, tab):
-    n = noise.n
-    etas, lams, _ = _levels(schedule, SGD_MODES, "sgd needs a gradient-descent schedule", n, steps)
-    if problem.geometry.kind != "euclidean":
-        raise ValueError("clipped gradient descent runs on unconstrained l2 geometry")
-    geom = problem.geometry
-    X = _start(problem, x1, n)
-    d = X.shape[1]
-    K = window_steps(steps, d, n)
-    xw, xs = _slots(K, n, d, tab is not None, X)
-    fw, fs = _slots(K, n, d, True)  # the gradient each step's metric is taken of
-    gw, gs = _slots(K, n, d, tab is not None)
-    S = _rows(n, d)
-    norms = np.empty((K, n))
-    norm_rows = list(norms)
-    metric_sum, clipped = np.zeros(n), np.zeros(n)
-    for lo in range(0, steps, K):
-        k = min(K, steps - lo)
-        level = lams[lo:lo + k]
-        for i, (eta, lam) in enumerate(zip(etas[lo:lo + k].tolist(), level.tolist())):
-            F = problem.grad_many(X, out=fs[i])
-            G = np.add(F, noise.slab(lo + i + 1), out=gs[i])
-            nrm = geom.dual_norm_many(G, out=norm_rows[i])
-            if not (nrm[nrm.argmax()] <= lam):
-                clip_batch(G, lam, nrm, out=G)
-                clipped += nrm > lam
-            X = np.subtract(X, np.multiply(eta, G, out=S), out=xs[i])
-        metric = coord_dot(fw[:k], fw[:k])
-        metric_sum = _running_sum(metric_sum, metric)
-        if tab is not None:
-            _record(tab, lo, k, etas[lo:lo + k], level, norms[:k], metric, gw[:k])
-            tab.x[:, lo + 1:lo + k + 1] = xw[:k].transpose(1, 0, 2)
-    return metric_sum / steps, problem.gap_many(X), clipped, X.copy(order="K"), steps
-
-
 def _vanilla(problem, eta, steps, x1, noise, tab):
     n = noise.n
     if problem.geometry.kind != "euclidean":
@@ -425,9 +393,7 @@ def _vanilla(problem, eta, steps, x1, noise, tab):
     X = _start(problem, x1, n)  # updated in place: a frozen row keeps its last finite iterate
     d = X.shape[1]
     K = window_steps(steps, d, n)
-    pw, ps = _slots(K, n, d, tab is not None)  # each step's proposed rows
-    fw, fs = _slots(K, n, d, True)
-    gw, gs = _slots(K, n, d, tab is not None)
+    (pw, ps), (fw, fs), (gw, gs) = (_slots(K, n, d) for _ in range(3))  # pw: proposed rows
     live = np.empty((K + 1, n), dtype=bool)  # row i: the rows active before step lo + i + 1
     active = np.ones(n, dtype=bool)
     metric_sum = np.zeros(n)

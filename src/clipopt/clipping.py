@@ -30,13 +30,14 @@ def clip(g, level: float, dual_norm=None) -> np.ndarray:
     return clip_batch(g[None, :], level, norms)[0]
 
 
-def clip_batch(G: np.ndarray, level: float, dual_norms: np.ndarray | None = None,
+def clip_batch(G: np.ndarray, level, dual_norms: np.ndarray | None = None,
                out: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise clip of an (n, d) array; ``dual_norms`` may be precomputed.
+    """Row-wise clip of an (n, d) array at ``level``, a float or an (n,) array of
+    per-row levels; ``dual_norms`` may be precomputed.
 
     The clip is written into ``out`` when it is given (``G`` itself may be ``out``).
     """
-    if level <= 0:
+    if np.less_equal(level, 0).any():
         raise ValueError("clipping level must be positive")
     if dual_norms is None:
         dual_norms = np.sqrt(coord_dot(G, G))
@@ -65,8 +66,6 @@ def resample_clipped(problem, noise_model, X, levels, resamples: int,
     grad = problem.grad_many(np.asarray(X, dtype=float))
     points, d = grad.shape
     levels = np.broadcast_to(np.asarray(levels, dtype=float), (points,))
-    if np.any(levels <= 0):
-        raise ValueError("clipping level must be positive")
     geom = problem.geometry
     step = max(1, _RESAMPLE_BLOCK // (resamples * d))
     chunks = []
@@ -78,7 +77,7 @@ def resample_clipped(problem, noise_model, X, levels, resamples: int,
         block += grad[lo:lo + n]
         rows = block.reshape(-1, d)
         level = np.tile(levels[lo:lo + n], resamples)
-        rows *= shrink_factors(geom.dual_norm_many(rows), level)[:, None]
+        clip_batch(rows, level, geom.dual_norm_many(rows), out=rows)
         mean = block.mean(axis=0)
         u = block - mean
         var = np.add.reduce(u * u, axis=0) / (resamples - 1)  # numpy's var(ddof=1)

@@ -269,7 +269,8 @@ def compare_clipped_vanilla(cfg: ExperimentConfig) -> VanillaComparison:
     the noise is switched off entirely.
     """
     if cfg.sigma > 0 and cfg.p >= 2.0:
-        raise ValueError("the comparison targets heavy tails: configure p < 2 (or sigma = 0)")
+        raise ConfigError("noise.p", "the comparison targets heavy tails: configure p < 2 "
+                                     "(or sigma = 0)")
     if cfg.mode not in SGD_MODES:
         raise ConfigError("schedule.mode", f"compare runs clipped gradient descent; {cfg.mode} "
                           f"is not one of {SGD_MODES}")

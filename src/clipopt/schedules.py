@@ -266,12 +266,11 @@ class Schedule:
         The levels and steps go through ``pair``'s scalar helpers, once for a
         known horizon and once per step otherwise (``pow`` and ``log`` stay
         scalar: vectorized ones may differ in the last ulp).  The accelerated
-        modes' alpha, level and step are formed elementwise from the constant
-        with ``pair``'s products and quotients in ``pair``'s order.  The stateful
-        mode fills the steps observed so far, and each later step when
-        ``observe`` reaches it; until then its entries are NaN.
+        modes' level and step come elementwise from ``_accel_pair``, as
+        ``pair``'s do.  The stateful mode fills the steps observed so far, and
+        each later step when ``observe`` reaches it; until then its entries are NaN.
         """
-        s, mode = self.inputs, self.mode
+        mode = self.mode
         if self.stateful:
             eta, lam = np.full(steps, math.nan), np.full(steps, math.nan)
             for t in range(1, min(steps, self._t_seen) + 1):
@@ -281,11 +280,7 @@ class Schedule:
         points = [1] if mode in KNOWN_T_MODES else range(1, steps + 1)
         if mode in ASMD_MODES:
             alpha = self.alpha(np.arange(1, steps + 1))
-            c = (float(s.c_override) if s.c_override is not None else
-                 np.array([_accel_c(s, *_horizon_at(mode, s.horizon, t)) for t in points]))
-            gamma, L = s.gamma, s.smoothness
-            lam = c * s.r1 * gamma * L * alpha / 8.0
-            eta = self.eta_scale / (3.0 * c * gamma ** 2 * L * alpha)
+            eta, lam = self._accel_pair(points, alpha)
             return ScheduleTable(eta, self.lambda_scale * lam, alpha)
         eta, lam = np.array([self._raw_pair(t) for t in points]).reshape(-1, 2).T
         if mode in KNOWN_T_MODES:
@@ -307,15 +302,12 @@ class Schedule:
         if t < 1:
             raise ValueError("steps are 1-based")
         s, mode = self.inputs, self.mode
-        n, tau = _horizon_at(mode, s.horizon, t)
+        _, tau = _horizon_at(mode, s.horizon, t)
         if mode in SGD_MODES:
             lam = _sgd_lam(s, tau)
             return _sgd_eta(s, tau, lam, self.eta_scale), lam
         if mode in ASMD_MODES:
-            c = _accel_c(s, n, tau) if s.c_override is None else float(s.c_override)
-            gamma, L, alpha = s.gamma, s.smoothness, self.alpha(t)
-            lam = c * s.r1 * gamma * L * alpha / 8.0
-            return self.eta_scale / (3.0 * c * gamma ** 2 * L * alpha), lam
+            return self._accel_pair([t], self.alpha(t))
         if mode == "smd_param_free":
             if t > self._t_seen:
                 raise ValueError(f"trajectory state missing for t={t}; call observe() first")
@@ -323,6 +315,18 @@ class Schedule:
         else:
             lam = _smd_lam(s, tau)
         return self.eta_scale * self._c1 / lam, lam
+
+    def _accel_pair(self, points, alpha):
+        """The accelerated ``(eta, lambda / lambda_scale)`` at weight ``alpha``, with ``c`` the
+        override or ``_accel_c`` at each step of ``points``: Python floats for a float
+        ``alpha`` (one step), else arrays over ``alpha`` (one step broadcasts)."""
+        s = self.inputs
+        c = [_accel_c(s, *_horizon_at(self.mode, s.horizon, t)) if s.c_override is None
+             else float(s.c_override) for t in points]
+        c = c[0] if isinstance(alpha, float) else np.array(c)
+        gamma, L = s.gamma, s.smoothness
+        return (self.eta_scale / (3.0 * c * gamma ** 2 * L * alpha),
+                c * s.r1 * gamma * L * alpha / 8.0)
 
     @property
     def off_guarantee(self) -> bool:

@@ -55,6 +55,21 @@ def test_clip_batch_matches_scalar():
     np.testing.assert_array_equal(batch, single)
 
 
+def test_clip_batch_takes_per_row_levels():
+    """An (n,) array of levels clips each row at its own level, bitwise the scalar clip,
+    and a nonpositive level in any row is rejected."""
+    rng = np.random.default_rng(1)
+    G = rng.standard_normal((50, 3)) * 10
+    lam = rng.uniform(0.5, 20.0, 50)
+    batch = clipping.clip_batch(G, lam)
+    single = np.stack([clipping.clip(g, level) for g, level in zip(G, lam)])
+    assert batch.tobytes() == single.tobytes()
+    for bad in (0.0, -1.0):
+        lam[37] = bad
+        with pytest.raises(ValueError, match="positive"):
+            clipping.clip_batch(G, lam)
+
+
 def test_clip_respects_linf_dual_norm():
     s = geometry.simplex(3)
     v = np.array([1.0, -4.0, 0.5])

@@ -345,8 +345,9 @@ def test_cmd_compare_heavy_tail_guard(tmp_path, capsys):
                 .replace("p = 1.5", "p = 2.0")
     cfgfile = _write(tmp_path, text)
     rc = cli.main(["compare", "--config", cfgfile])
-    assert rc == 1
-    assert "p < 2" in capsys.readouterr().err
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "noise.p" in err and "p < 2" in err
 
 
 def test_cmd_compare_non_sgd_mode_exit_2(tmp_path, capsys):

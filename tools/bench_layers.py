@@ -11,7 +11,11 @@ Prints, one line each:
 * nproc, the Python version and the numpy version.
 
 Each time is the minimum over ``--repeat`` runs, which on a shared machine is
-the least disturbed one.  Run from the repository root::
+the least disturbed one.  The rows time the one tree the script is run from,
+with each case's repeats back to back, so a slow spell of a shared host lands
+on one tree's rows: to compare two trees, alternate whole runs between their
+checkouts (parent, change, parent, ...) and compare each row over the runs,
+never one run of each.  Run from the repository root::
 
     PYTHONPATH=src python tools/bench_layers.py            # about a minute
     PYTHONPATH=src python tools/bench_layers.py --tiny     # smoke sizes, well under 1 s
