@@ -1,8 +1,8 @@
 """Anatomy of the clipped-gradient error at a fixed point.
 
 Draws spiky noise at a point with a known gradient, splits the clipped
-error into its zero-mean part and the clipping bias by resampling, and
-compares both against their closed-form bounds (2*level for the zero-mean
+error into its zero-mean part and the clipping bias (exact for two-point
+noise, whose law has 2d + 1 support points), and compares both against their closed-form bounds (2*level for the zero-mean
 part; 4 sigma^p level^(1-p) and 40 sigma^p level^(2-p) for bias and second
 moment when the gradient is small enough).  Also shows the calibrated noise
 moments and the robust initial gradient estimate.

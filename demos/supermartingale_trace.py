@@ -24,7 +24,8 @@ def main():
     s = schedules.derive_inputs(prob, x1, p=1.5, sigma=1.0, delta=DELTA, horizon=STEPS)
     sched = schedules.Schedule("smd_known_t", s)
 
-    # one recorded lockstep run of every seed; seed k resamples from make_rng(10_000 + k)
+    # one recorded lockstep run of every seed; two-point moments are exact, so seed k's
+    # resampling generator make_rng(10_000 + k) draws nothing
     batch = algorithms.run_smd_batch(prob, model, sched, STEPS, x1, range(SEEDS), record=True)
     traces = diagnostics.martingale_smd(prob, model, batch.table, sched.constants(), DELTA, 128,
                                         [make_rng(10_000 + seed) for seed in range(SEEDS)])

@@ -4,8 +4,11 @@
 zero vector is defined as 1, which makes the operator continuous across the
 below-threshold region.  The error of a clipped stochastic gradient against
 the true gradient splits into a zero-conditional-mean part and a clipping
-bias; since the oracle is history independent, both parts can be estimated by
-resampling at a fixed point, which is what :func:`estimate_theta` does.
+bias; since the oracle is history independent, the bias and the moments of
+the zero-mean part are conditional moments at a fixed point.
+:func:`conditional_moments` states them: exactly for two-point noise, whose
+law has 2d + 1 support points (``TwoPointNoise.clipped_moments``), and by
+resampling (:func:`resample_clipped`) for radial noise.  :func:`estimate_theta` decomposes one error with them.
 
 ``estimate_g0`` implements the robust initial gradient estimate: block means
 of raw stochastic gradients combined by their geometric median (Weiszfeld
@@ -16,11 +19,14 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .geometry import coord_dot, shrink_factors
-from .noise import Oracle
+
+if TYPE_CHECKING:
+    from .noise import Oracle
 
 
 def clip(g, level: float, dual_norm=None) -> np.ndarray:
@@ -36,8 +42,11 @@ def clip_batch(G: np.ndarray, level, dual_norms: np.ndarray | None = None,
     per-row levels; ``dual_norms`` may be precomputed.
 
     The clip is written into ``out`` when it is given (``G`` itself may be ``out``).
+    A level that is not positive is rejected (a NaN one is not).
     """
-    if np.less_equal(level, 0).any():
+    # a plain comparison for a float: the ufunc costs ~2.8 us on one, 80 times as much
+    nonpositive = level <= 0 if isinstance(level, float) else np.less_equal(level, 0).any()
+    if nonpositive:
         raise ValueError("clipping level must be positive")
     if dual_norms is None:
         dual_norms = np.sqrt(coord_dot(G, G))
@@ -51,7 +60,24 @@ _RESAMPLE_BLOCK = 1 << 15
 # Per-point (P, d) or (P,) summaries of clipped resamples; ``u`` is a draw minus
 # ``cond_mean``, ``u_over`` counts ``||u||_* > 2 level`` (ruled out by clipping up
 # to roundoff), ``var`` and ``u_sq_sd`` use ddof=1, ``stderr`` is cond_mean's l2 s.e.
+# ``TwoPointNoise.clipped_moments`` fills the same fields exactly, over its support:
+# ``var`` and ``u_sq_sd`` are then the law's own spreads, and ``stderr`` is 0.
 Resampled = namedtuple("Resampled", "grad cond_mean var stderr u_sq_mean u_sq_sd u_max u_over")
+
+
+def conditional_moments(problem, noise_model, X, levels, resamples: int,
+                        rng: np.random.Generator) -> Resampled:
+    """The moments of the clipped draws at each row of ``X``, clipped at that row's level.
+
+    A noise family that states them (two-point noise, ``clipped_moments``) gives
+    them exactly, with every standard error 0; ``resamples`` and ``rng`` then go
+    unused, and nothing is drawn.  Any other (radial noise) is resampled by
+    ``resample_clipped`` from ``resamples`` draws of ``rng`` per row.
+    """
+    exact = getattr(noise_model, "clipped_moments", None)
+    if exact is not None:
+        return exact(problem, X, levels)
+    return resample_clipped(problem, noise_model, X, levels, resamples, rng)
 
 
 def resample_clipped(problem, noise_model, X, levels, resamples: int,
@@ -94,13 +120,14 @@ def resample_clipped(problem, noise_model, X, levels, resamples: int,
 
 @dataclass(frozen=True)
 class ThetaEstimate:
-    """Realized clipped-gradient error and its resampled decomposition.
+    """Realized clipped-gradient error and its decomposition.
 
     ``theta`` is the realized error of one clipped sample against the true
-    gradient; ``theta_b`` estimates the conditional-mean bias from ``samples``
-    auxiliary clipped draws at the same point, and ``theta_u = theta -
-    theta_b`` so the decomposition is exact by construction.  ``stderr`` is
-    the l2 standard error of the estimated conditional mean.
+    gradient; ``theta_b`` is the conditional-mean bias at the same point,
+    exact for two-point noise and estimated from ``samples`` auxiliary
+    clipped draws for radial noise, and ``theta_u = theta - theta_b`` so the
+    decomposition is exact by construction.  ``stderr`` is the l2 standard
+    error of the conditional mean (0 when it is exact).
     """
 
     theta: np.ndarray
@@ -111,16 +138,18 @@ class ThetaEstimate:
 
 
 def estimate_theta(oracle: Oracle, x, level: float, samples: int, rng: np.random.Generator) -> ThetaEstimate:
-    """Decompose one clipped-gradient error at ``x`` via resampling.
+    """Decompose one clipped-gradient error at ``x`` by its conditional moments.
 
-    The primary draw is the next draw of the oracle's own stream; the
-    ``samples`` auxiliary draws consume ``rng`` so that attaching the
-    estimator to a run does not perturb the run's trajectory.
+    The primary draw is the next draw of the oracle's own stream.  The bias
+    comes from ``conditional_moments``: exact for two-point noise, which draws
+    nothing from ``rng``; for radial noise, ``samples`` auxiliary draws that
+    consume ``rng``, so that attaching the estimator to a run does not perturb
+    the run's trajectory.
     """
     if samples < 100:
         raise ValueError("need at least 100 resamples for a stable conditional mean")
     problem = oracle.problem
-    aux = resample_clipped(problem, oracle.noise, [x], level, samples, rng)
+    aux = conditional_moments(problem, oracle.noise, [x], level, samples, rng)
     g_true, theta_b = aux.grad[0], aux.cond_mean[0] - aux.grad[0]
     g = problem.grad(np.asarray(x, dtype=float)) + oracle.noise_matrix(1)[0]
     theta = clip(g, level, problem.geometry.dual_norm) - g_true

@@ -7,12 +7,18 @@ Four layers of checks:
 * clipping-error bounds: the zero-mean part of the clipped-gradient error is
   never larger than twice the clipping level (exact), and when the true
   gradient is at most half the level, the bias and second moment obey
-  explicit powers of the level (Monte Carlo with stated slack);
+  explicit powers of the level (exact for two-point noise; Monte Carlo with
+  stated slack for radial noise);
 * deterministic per-step descent inequalities for each algorithm, which hold
   pathwise for every realization, so any violation beyond roundoff is an
   implementation bug;
 * the supermartingale trace whose threshold-crossing frequency across seeds
   is what the high-probability guarantees bound.
+
+The conditional moments of the clipped error come from
+``clipping.conditional_moments``: exact weighted sums over the support of
+two-point noise, which draw nothing, and resampled estimates for radial
+noise.
 
 Reports serialize to flat rows for CSV / JSON-lines output.
 """
@@ -27,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algorithms import StepTable, run_asmd, run_sgd, run_smd
-from .clipping import Resampled, resample_clipped
+from .clipping import Resampled, conditional_moments
 from .geometry import row_dots
 from .noise import Oracle
 from .problems import Problem
@@ -173,7 +179,7 @@ class ClipErrorReport:
             return False
         if not self.applicable:
             return True
-        # the epsilon absorbs float rounding of the resampled mean in the
+        # the epsilon absorbs float rounding of the conditional mean in the
         # degenerate noiseless case, where both sides are exactly zero
         eps = 1e-12 * max(self.level, 1.0)
         return (self.bias_norm <= self.bias_bound + 5.0 * self.bias_stderr + eps
@@ -189,18 +195,23 @@ class ClipErrorReport:
 
 def check_clipping_error_bounds(problem: Problem, noise_model, x, level: float, samples: int,
                                 rng: np.random.Generator) -> ClipErrorReport:
-    """Monte Carlo check of the clipped-error bounds at a fixed point.
+    """Check of the clipped-error bounds at a fixed point.
 
     The zero-mean error part is bounded by twice the level exactly (both the
-    clipped draw and the estimated conditional mean have norm at most the
-    level), so the violation count must be zero.  The bias and second-moment
-    bounds apply only when the true gradient norm is at most half the level;
-    otherwise they are reported as not applicable.  The draws consume ``rng``.
+    clipped draw and the conditional mean have norm at most the level), so
+    the violation count must be zero.  The bias and second-moment bounds
+    apply only when the true gradient norm is at most half the level;
+    otherwise they are reported as not applicable.  Two-point moments are
+    exact, with standard errors 0, and draw nothing from ``rng``; radial ones
+    are resampled from ``samples`` draws, which consume ``rng``.
     """
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples for the error-bound check")
     geom, p, sigma = problem.geometry, noise_model.p, noise_model.sigma
-    res = resample_clipped(problem, noise_model, [x], level, samples, rng)
+    res = conditional_moments(problem, noise_model, [x], level, samples, rng)
+    # exact moments (stderr 0) have no second-moment s.e. either; a resampled stderr
+    # of 0 means every clipped draw was the same, so its u_sq_sd is 0 already
+    m2_stderr = res.u_sq_sd[0] / math.sqrt(samples) if res.stderr[0] > 0 else 0.0
     return ClipErrorReport(
         samples=samples, level=level, u_violations=int(res.u_over[0]),
         u_max_norm=float(res.u_max[0]), applicable=geom.dual_norm(res.grad[0]) <= level / 2.0,
@@ -208,7 +219,7 @@ def check_clipping_error_bounds(problem: Problem, noise_model, x, level: float, 
         bias_bound=4.0 * sigma ** p * level ** (1.0 - p), bias_stderr=float(res.stderr[0]),
         second_moment=float(res.u_sq_mean[0]),
         second_moment_bound=40.0 * sigma ** p * level ** (2.0 - p),
-        second_moment_stderr=float(res.u_sq_sd[0] / math.sqrt(samples)),
+        second_moment_stderr=float(m2_stderr),
     )
 
 
@@ -221,8 +232,9 @@ def check_clipping_error_bounds(problem: Problem, noise_model, x, level: float, 
 # the schedule's (steps,) columns broadcast over the seed axis.  The cores
 # (``pathwise_*``, ``martingale_*``) return one report or trace per seed; each
 # public check records one single run and is their n = 1 case.  The traces'
-# conditional moments come from one ``clipping.resample_clipped`` call per
-# seed, drawn from the seed's own generator in step order.  Powers go through
+# conditional moments come from one ``clipping.conditional_moments`` call per
+# seed: exact for two-point noise, and for radial noise resampled from the
+# seed's own generator in step order.  Powers go through
 # ``np.float_power``, which calls libm's ``pow`` as Python's float ``**`` does;
 # numpy's ``**`` squares by multiplication, which can differ in the last bit.
 
@@ -346,9 +358,11 @@ class MartingaleTrace:
     """Per-step supermartingale increments and their running sum.
 
     ``crossed`` flags whether the running sum ever reached ``log(1/delta)``;
-    across independent seeds the crossing frequency is at most delta (up to
-    the Monte Carlo error of the resampled conditional moments, whose scale
-    ``stderr`` records).
+    across independent seeds the crossing frequency is at most delta.  The
+    conditional moments are exact for two-point noise (``stderr`` 0); for
+    radial noise they are resampled, the frequency holds up to their Monte
+    Carlo error, whose scale ``stderr`` records, and ``warned`` flags a step
+    where it exceeds a tenth of the level.
     """
 
     algorithm: str
@@ -376,10 +390,11 @@ def martingale_trace_smd(problem: Problem, oracle: Oracle, schedule: Schedule, s
 
     The weight ``z_t`` divides by the running maximum of the Bregman radius
     seen so far plus a ``16 Q (eta lambda)^2`` floor, which is exactly what
-    keeps the exponential increments integrable; conditional moments of the
-    clipped error are estimated by ``resamples`` fresh draws per step from
-    ``rng`` (the run's own stream is not perturbed).  A Bregman divergence
-    that rounds below zero counts as zero radius.
+    keeps the exponential increments integrable.  The conditional moments of
+    the clipped error are exact for two-point noise, which draws nothing from
+    ``rng``; for radial noise they are estimated by ``resamples`` fresh draws
+    per step from ``rng`` (the run's own stream is not perturbed).  A Bregman
+    divergence that rounds below zero counts as zero radius.
     """
     tab = run_smd(problem, oracle, schedule, steps, x1).table
     return martingale_smd(problem, oracle.noise, tab, schedule.constants(), delta, resamples,
@@ -389,12 +404,12 @@ def martingale_trace_smd(problem: Problem, oracle: Oracle, schedule: Schedule, s
 def martingale_smd(problem: Problem, noise_model, tab: StepTable, constants: dict,
                    delta: float, resamples: int, rngs) -> list:
     """``martingale_trace_smd`` over a recorded ``run_smd*``: one trace per seed, seed k
-    resampling from ``rngs[k]``; reads ``constants["Q"]``."""
+    resampling radial noise from ``rngs[k]``; reads ``constants["Q"]``."""
     geom = problem.geometry
     xstar = problem.minimizer
     q_val = constants["Q"]
     x, eta, lam = tab.x[:, :-1], tab.eta, tab.lam
-    res = _resampled(problem, noise_model, x, lam, resamples, rngs)
+    res = _moments(problem, noise_model, x, lam, resamples, rngs)
     theta_b, m2, se = res.cond_mean - res.grad, res.u_sq_mean, res.stderr
     breg = geom.bregman_many(xstar, tab.x)
     runmax = np.maximum.accumulate(np.sqrt(2.0 * np.maximum(breg[:, :-1], 0.0)), axis=1)
@@ -421,6 +436,7 @@ def martingale_trace_sgd(problem: Problem, oracle: Oracle, schedule: Schedule, s
     denominator to ``2 C1 max sqrt(gap) + 4 C1^2 sqrt(A)``.  Both multipliers
     must be at least 1, so the trace is defined only for schedules meeting
     their guarantee conditions (checked at the first and the last step).
+    Conditional moments come as for ``martingale_trace_smd``.
     """
     tab = run_sgd(problem, oracle, schedule, steps, x1).table
     return martingale_sgd(problem, oracle.noise, tab, schedule.constants(), delta,
@@ -430,7 +446,7 @@ def martingale_trace_sgd(problem: Problem, oracle: Oracle, schedule: Schedule, s
 def martingale_sgd(problem: Problem, noise_model, tab: StepTable, constants: dict,
                    delta: float, resamples: int, rngs) -> list:
     """``martingale_trace_sgd`` over a recorded ``run_sgd*``: one trace per seed, seed k
-    resampling from ``rngs[k]``; reads ``C1`` and ``A``."""
+    resampling radial noise from ``rngs[k]``; reads ``C1`` and ``A``."""
     c1, a_const = constants["C1"], constants["A"]
     L = problem.smoothness
     sqrt_a = math.sqrt(a_const)
@@ -440,7 +456,7 @@ def martingale_sgd(problem: Problem, noise_model, tab: StepTable, constants: dic
         if c1 ** 2 * sqrt_a / (2.0 * L * eta ** 2 * lam ** 2) < 1.0 - 1e-9:
             raise ValueError("trace undefined: Q_t < 1 for this schedule")
     x, eta, lam = tab.x[:, :-1], tab.eta, tab.lam
-    res = _resampled(problem, noise_model, x, lam, resamples, rngs)
+    res = _moments(problem, noise_model, x, lam, resamples, rngs)
     g, theta_b, m2, se = res.grad, res.cond_mean - res.grad, res.u_sq_mean, res.stderr
     gap = problem.gap_many(tab.x)
     runmax = np.maximum.accumulate(np.sqrt(np.maximum(gap[:, :-1], 0.0)), axis=1)
@@ -455,9 +471,10 @@ def martingale_sgd(problem: Problem, noise_model, tab: StepTable, constants: dic
                    {"C1": c1, "A": a_const})
 
 
-def _resampled(problem, noise_model, X, levels, resamples: int, rngs) -> Resampled:
-    """Seed k's ``resample_clipped`` at ``X[k]`` from ``rngs[k]``, as (n, steps, ...) fields."""
-    per_seed = (resample_clipped(problem, noise_model, x, levels, resamples, rng)
+def _moments(problem, noise_model, X, levels, resamples: int, rngs) -> Resampled:
+    """Seed k's ``conditional_moments`` at ``X[k]`` (resampled radial noise draws from
+    ``rngs[k]``), as (n, steps, ...) fields."""
+    per_seed = (conditional_moments(problem, noise_model, x, levels, resamples, rng)
                 for x, rng in zip(X, rngs, strict=True))
     return Resampled._make(map(np.stack, zip(*per_seed)))
 

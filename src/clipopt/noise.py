@@ -18,9 +18,11 @@ coordinates, n uniforms for the signs; radial: n * d standard normals for
 the directions, n uniforms for the inverse-CDF Pareto radii) and only then
 scatters the spikes or normalizes and scales the whole (points, n, d) block.
 ``sample_batch`` is its one-point case and can write its draw into a
-caller's array (``out``).  The diagnostics draw the resamples of many steps
-this way, with the stream of a per-step loop; one stochastic gradient at x
-is ``problem.grad(x) + oracle.noise_matrix(1)[0]``.
+caller's array (``out``).  The diagnostics draw the resamples of radial
+noise at many steps this way, with the stream of a per-step loop; two-point
+noise states the moments of its clipped draws exactly (``clipped_moments``),
+as a weighted sum over its 2d + 1 support points, and is not resampled.  One
+stochastic gradient at x is ``problem.grad(x) + oracle.noise_matrix(1)[0]``.
 
 Run noise: the loops read step t's (n, d) noise as ``slab(t)`` of a draws
 object.  ``DenseDraws`` holds a presampled time-major (steps, d, n) block;
@@ -42,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clipping import Resampled, clip_batch
 from .problems import Problem
 
 
@@ -107,6 +110,59 @@ class TwoPointNoise:
         k, i = np.divmod(hits, n)
         out[k, i, idx.ravel()[hits]] = np.where(S.ravel()[hits] < 0.5, self.spike, -self.spike)
         return out
+
+    def clipped_moments(self, problem: Problem, X, levels) -> Resampled:
+        """The ``Resampled`` fields of the clipped draws at each row of ``X``, exactly.
+
+        A draw at x is one of 2d + 1 support points: grad f(x) with weight 1 - q,
+        and grad f(x) +- M e_i with weight q / (2d) each.  Each point is clipped by
+        ``clip_batch`` at its row's level, and every field is a weighted sum over
+        them: ``var`` and ``u_sq_sd`` are the law's own spreads, ``u_max`` and
+        ``u_over`` range over the points of positive weight only (q = 1 gives the
+        centre weight 0), and ``stderr`` is 0.  Nothing is drawn.
+        """
+        grad = problem.grad_many(np.asarray(X, dtype=float))
+        points, d = grad.shape
+        levels = np.broadcast_to(np.asarray(levels, dtype=float), (points,))
+        offsets = self.spike * np.concatenate((np.zeros((1, d)), np.eye(d), -np.eye(d)))
+        weight = np.full(2 * d + 1, self.q / (2 * d))
+        weight[0] = 1.0 - self.q
+        step = max(1, _MOMENT_BLOCK // (weight.size * d))
+        chunks = [_support_moments(problem.geometry, grad[lo:lo + step, None, :] + offsets,
+                                   weight, levels[lo:lo + step])
+                  for lo in range(0, points, step)]
+        return Resampled(grad, *map(np.concatenate, zip(*chunks)))
+
+
+# Points per chunk of ``TwoPointNoise.clipped_moments``: a chunk's (points, 2d + 1, d)
+# support holds about this many doubles, so its temporaries stay in cache.
+_MOMENT_BLOCK = 1 << 15
+
+
+def _support_moments(geom, support: np.ndarray, weight: np.ndarray, levels: np.ndarray):
+    """``Resampled``'s fields after ``grad`` over a (points, k, d) ``support`` of ``weight``,
+    clipped in place at each point's level.  The weighted sums reduce each point's own
+    rows, so a point's bits do not depend on the chunk around it (a BLAS product's do)."""
+    k, d = support.shape[1:]
+    rows = support.reshape(-1, d)
+    with np.errstate(over="ignore"):  # a norm past the doubles is inf: that point clips to 0,
+        norms = geom.dual_norm_many(rows)  # as the run loops clip such a draw
+    clip_batch(rows, np.repeat(levels, k), norms, out=rows)
+    mean = np.sum(support * weight[:, None], axis=1)
+    u = support - mean[:, None, :]
+    # a weighted square is the square of a root-weighted value, so a tiny weight on a
+    # huge spike overflows nothing whose weighted value is finite
+    root = np.sqrt(weight)
+    scaled = u * root[:, None]
+    r = geom.dual_norm_many(scaled)  # sqrt(w) ||u||
+    u_sq_mean = np.sum(r * r, axis=1)
+    norms = geom.dual_norm_many(u)
+    # sqrt(sum w (||u||^2 - m)^2), as the quadrature sum of sqrt(w) (||u||^2 - m)
+    u_sq_sd = np.hypot.reduce(r * norms - root * u_sq_mean[:, None], axis=1)
+    norms = norms[:, weight > 0]
+    over = np.count_nonzero(norms > 2.0 * levels[:, None] * (1 + 1e-12), axis=1)
+    return (mean, np.sum(scaled * scaled, axis=1), np.zeros(len(levels)), u_sq_mean, u_sq_sd,
+            norms.max(axis=1), over)
 
 
 def _spike_fields(rng: np.random.Generator, d: int, U: np.ndarray, S: np.ndarray) -> np.ndarray:

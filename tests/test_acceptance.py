@@ -157,8 +157,7 @@ def test_c03_high_probability_validation():
 
 def test_c04_clipping_error_bounds_grid():
     t0 = time.time()
-    samples = 112_000  # 9 grid points -> just over 1e6 total draws
-    total_draws = 0
+    samples = 112_000  # the draws a resampled check would take; two-point moments are exact
     total_violations = 0
     prob = problems.make_quadratic([1.0, 1.0])
     for i, p in enumerate((1.2, 1.5, 2.0)):
@@ -168,7 +167,6 @@ def test_c04_clipping_error_bounds_grid():
             x = np.array([0.4 * level, 0.0])  # gradient norm 0.4 * level <= level/2
             rep = diag.check_clipping_error_bounds(
                 prob, model, x, level, samples, make_rng(2000 + 10 * i + j))
-            total_draws += samples
             total_violations += rep.u_violations
             assert rep.applicable
             ok = rep.passed
@@ -176,7 +174,7 @@ def test_c04_clipping_error_bounds_grid():
                      f"bias={rep.bias_norm:.4f}<={rep.bias_bound:.4f}+5se "
                      f"m2={rep.second_moment:.3f}<={rep.second_moment_bound:.1f}+5se")
     announce("criterion 4 (zero norm-bound violations)", total_violations == 0,
-             f"{total_violations} violations over {total_draws} draws")
+             f"{total_violations} violations at 9 grid points (exact two-point moments)")
     print(f"[acceptance] criterion 4 elapsed {time.time() - t0:.1f}s")
 
 
@@ -245,8 +243,8 @@ def test_c07_supermartingale_crossing():
     model = TwoPointNoise(p=1.5, sigma=1.0, q=0.1)
 
     def frequency(trace, run, prob, mode, x1, rng_base):
-        """Crossing frequency over one recorded lockstep batch; seed k resamples from
-        ``make_rng(rng_base + k)``."""
+        """Crossing frequency over one recorded lockstep batch.  Two-point moments are
+        exact, so seed k's generator ``make_rng(rng_base + k)`` draws nothing."""
         s = schedules.derive_inputs(prob, x1, p=1.5, sigma=1.0, delta=delta, horizon=steps)
         sched = schedules.Schedule(mode, s)
         batch = run(prob, model, sched, steps, x1, range(n_seeds), record=True)

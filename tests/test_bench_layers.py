@@ -18,6 +18,12 @@ def test_bench_layers_tiny_prints_every_layer(capsys):
     steps = [line for line in lines if line.startswith("step ")]
     assert len(steps) == len(bench.TINY_SIZES) * len(bench.CASES)
     assert all(line.endswith("ns/seed-step") and float(line.split()[-2]) > 0 for line in steps)
+    clipsteps = [line.split() for line in lines if line.startswith("clipstep ")]
+    assert len(clipsteps) == 1 and float(clipsteps[0][-3]) > 0
+    assert float(clipsteps[0][-1].removeprefix("clipped=")) > 0.5  # the step really clips
+    moments = [line.split() for line in lines if line.startswith("moments ")]
+    assert len(moments) == 1 and moments[0][-1].endswith("x")
+    assert float(moments[0][5]) > 0 and float(moments[0][8]) > 0  # exact, resampled ms
     tables = [line for line in lines if line.startswith("schedule ")]
     assert len(tables) == len(bench.TABLE_MODES) and all(" table " in line for line in tables)
     assert len([line for line in lines if line.startswith("draws ")]) == len(bench.TINY_SIZES)

@@ -70,6 +70,27 @@ def test_clip_batch_takes_per_row_levels():
             clipping.clip_batch(G, lam)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, -0.0, np.float64(0.0), 0, -1])
+def test_clip_batch_rejects_a_nonpositive_float_or_array_level(bad):
+    """A level of 0 or -1 raises as a float and as an (n,) array, which take separate checks."""
+    G = np.ones((4, 2))
+    with pytest.raises(ValueError, match="positive"):
+        clipping.clip_batch(G, bad)
+    with pytest.raises(ValueError, match="positive"):
+        clipping.clip_batch(G, np.full(4, bad, dtype=float))
+
+
+@pytest.mark.parametrize("level", [np.nan, 1e-300])
+def test_clip_batch_level_check_lets_nan_and_tiny_through(level):
+    """The set of rejected levels is exactly the nonpositive ones, for a float and an array:
+    a NaN level is not rejected and clips every row to NaN."""
+    G = np.array([[3.0, 4.0], [0.0, 0.0]])
+    as_float = clipping.clip_batch(G, level)
+    as_array = clipping.clip_batch(G, np.full(2, level))
+    assert as_float.tobytes() == as_array.tobytes()
+    assert np.isnan(as_float).all() == np.isnan(level)
+
+
 def test_clip_respects_linf_dual_norm():
     s = geometry.simplex(3)
     v = np.array([1.0, -4.0, 0.5])

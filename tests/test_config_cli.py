@@ -371,16 +371,17 @@ def test_divergent_run_flagged_under_optimize(tmp_path):
     assert "RuntimeWarning" not in proc.stderr
 
 
-# report rows of the diagnose demo and of its gradient-descent variant
+# report rows of the diagnose demo and of its gradient-descent variant; their two-point
+# moments are exact, so every stderr is 0
 SGD_VARIANT = ["experiment.algorithm=sgd", "problem.kind=nonconvex_ratio", "problem.x1=1,1",
                "schedule.mode=sgd_known_t"]
 DIAGNOSE_ROWS = {
     "smd": [("pathwise_smd", 256, 0, 0.0003262677263162761, None),
-            ("clipping_error_bounds", 10000, 0, 0.3368355277520125, 0.013054026950263382),
-            ("martingale_smd", 256, 0, 2.303806148621715, 0.08201755393622726)],
+            ("clipping_error_bounds", 10000, 0, 0.2807980687202168, 0.0),
+            ("martingale_smd", 256, 0, 2.303832804594543, 0.0)],
     "sgd": [("pathwise_sgd", 256, 0, 4.1229006565726635e-11, None),
-            ("clipping_error_bounds", 10000, 0, 0.1573402289463254, 0.013054026950263382),
-            ("martingale_sgd", 256, 0, 2.3025987101072216, 0.08201755393622726)],
+            ("clipping_error_bounds", 10000, 0, 0.10130276991452962, 0.0),
+            ("martingale_sgd", 256, 0, 2.302598697586676, 0.0)],
 }
 
 
@@ -440,15 +441,37 @@ def test_cmd_diagnose_overflowing_inverse_level_fails(tmp_path, capsys, assignme
 
 @pytest.mark.parametrize("lambda_scale, warned", [("1", False), ("0.01", True)])
 def test_cmd_diagnose_prints_resample_warning(tmp_path, capsys, lambda_scale, warned):
-    """A clipping level small against every spike leaves the resampled mean too noisy."""
+    """A clipping level below every radial draw leaves the resampled mean too noisy.
+
+    Radial noise is the family whose moments are resampled; two-point moments are
+    exact, with standard error 0, and never warn.  At tail index 2 the smallest
+    radius is 0.40 sigma, above the scaled level of 0.32."""
     rc = cli.main(["diagnose", "--config", str(DEMO_CONFIGS / "diagnose_smd.cfg"),
                    "--out", str(tmp_path), "--set", "experiment.t=16",
-                   "--set", "diagnostics.resamples=100", "--set", "noise.q=1",
+                   "--set", "diagnostics.resamples=100", "--set", "noise.kind=radial_pareto",
+                   "--set", "noise.tail_index=2",
                    "--set", "problem.x1=0.01,0", "--set", f"schedule.lambda_scale={lambda_scale}",
                    "--set", "diagnostics.pathwise=false", "--set", "diagnostics.error_bounds=false"])
     out = capsys.readouterr().out
     assert rc == (0 if lambda_scale == "1" else 1)  # the scaled schedule fails its conditions
     assert f"warned={warned}\n" in out
+
+
+@pytest.mark.parametrize("assignments", [
+    ["noise.q=5e-324"],  # spikes of 3e215, clipped: their norms overflow to inf
+    ["noise.q=1e-300", "noise.p=2", "schedule.lambda_scale=1e300",  # 1e150, unclipped
+     "diagnostics.martingale=false"],
+])
+def test_cmd_diagnose_exact_moments_of_huge_spikes(tmp_path, capsys, assignments):
+    """Spikes whose squares overflow a double run their exact moments without a warning
+    (the scaled schedule fails its conditions, so that diagnose exits 1)."""
+    argv = ["diagnose", "--config", str(DEMO_CONFIGS / "diagnose_smd.cfg"), "--out", str(tmp_path),
+            "--set", "experiment.t=16"]
+    for assignment in assignments:
+        argv += ["--set", assignment]
+    assert cli.main(argv) == (1 if "schedule.lambda_scale=1e300" in assignments else 0)
+    out, err = capsys.readouterr()
+    assert "check clipping_error_bounds: pass" in out and not err
 
 
 def test_cmd_run_golden_digest(tmp_path):

@@ -6,6 +6,12 @@ Prints, one line each:
   the seed counts and dimensions of the run-smd (1000 seeds, d = 2),
   rates-sgd (100, d = 2) and asmd-simplex (500, d = 32) workloads; the loop
   runs on draws built beforehand, so the time is the loop's alone;
+* the same for a Euclidean SMD step that clips: its level is scaled down to
+  1, below the spikes, so nearly every step calls ``clip_batch`` (the share of
+  seed-steps clipped is printed);
+* the clipped moments of two-point noise at 256 points (d = 2), exact
+  (``clipped_moments``) against resampled (``resample_clipped``, 256 draws a
+  point);
 * the time of ``Schedule.table(T)`` and of one ``Schedule.pair`` call, per mode;
 * the time of ``noise.lockstep_draws`` at each workload's full size;
 * nproc, the Python version and the numpy version.
@@ -31,7 +37,7 @@ import time
 
 import numpy as np
 
-from clipopt import algorithms, geometry, noise, problems, schedules
+from clipopt import algorithms, clipping, geometry, noise, problems, schedules
 
 # (name, seeds, dimension, horizon of the draws build); one step is timed over LOOP_STEPS
 SIZES = [("run-smd", 1000, 2, 4096), ("rates-sgd", 100, 2, 16384),
@@ -45,6 +51,11 @@ CASES = ([("smd", algorithms._smd, g, "smd_known_t") for g in GEOMETRIES]
          + [("asmd", algorithms._asmd, g, "asmd_known_t") for g in GEOMETRIES]
          + [("sgd", algorithms._sgd, "euclidean", "sgd_known_t"),
             ("vanilla-sgd", algorithms._vanilla, "euclidean", 0.01)])
+# the clipping step: (name, seeds, dimension) and the level its schedule is scaled to
+CLIP_SIZE, TINY_CLIP_SIZE = ("rates-sgd", 100, 2), ("tiny", 3, 2)
+CLIP_LEVEL = 1.0
+# the moments: query points and resamples per point (d = 2)
+MOMENTS, TINY_MOMENTS = (256, 256), (16, 100)
 TABLE_MODES = ["smd_known_t", "smd_anytime", "asmd_known_t", "asmd_anytime", "sgd_known_t",
                "sgd_anytime"]
 
@@ -71,9 +82,14 @@ def _problem(kind: str, d: int):
     return quad, 4.0 * x1
 
 
-def _schedule(mode: str, problem, x1, sigma: float, horizon: int) -> schedules.Schedule:
+def _schedule(mode: str, problem, x1, sigma: float, horizon: int,
+              level: float | None = None) -> schedules.Schedule:
+    """The mode's schedule; with ``level``, its first clipping level scaled to that value."""
     inputs = schedules.derive_inputs(problem, x1, p=1.5, sigma=sigma, delta=0.1, horizon=horizon)
-    return schedules.Schedule(mode, inputs)
+    sched = schedules.Schedule(mode, inputs)
+    if level is None:
+        return sched
+    return schedules.Schedule(mode, inputs, lambda_scale=level / sched.lam(1))
 
 
 def step_lines(sizes, steps: int, repeat: int):
@@ -95,6 +111,31 @@ def step_lines(sizes, steps: int, repeat: int):
             ns = _best(run, repeat) / (n * steps) * 1e9
             print(f"step {name:<13} n={n:<5} d={d:<3} {algorithm}/{kind:<10} "
                   f"{ns:9.1f} ns/seed-step")
+
+
+def clip_line(size, steps: int, repeat: int):
+    name, n, d = size
+    problem, x1 = _problem("euclidean", d)
+    sched = _schedule("smd_known_t", problem, x1, 0.25, steps, level=CLIP_LEVEL)
+    model = noise.TwoPointNoise(p=1.5, sigma=0.25, q=0.1)
+    draws = noise.lockstep_draws(model, d, steps, np.arange(n))
+    clipped = algorithms._smd(problem, sched, steps, x1, draws, None)[2]
+    ns = _best(lambda: algorithms._smd(problem, sched, steps, x1, draws, None),
+               repeat) / (n * steps) * 1e9
+    print(f"clipstep {name:<13} n={n:<5} d={d:<3} smd/euclidean  {ns:9.1f} ns/seed-step "
+          f"clipped={clipped.sum() / (n * steps):.3f}")
+
+
+def moments_line(points: int, resamples: int, repeat: int):
+    problem, d = problems.make_quadratic(np.ones(2), np.zeros(2)), 2
+    X = np.random.default_rng(0).standard_normal((points, d))
+    model = noise.TwoPointNoise(p=1.5, sigma=1.0, q=0.2)
+    exact = _best(lambda: model.clipped_moments(problem, X, 1.0), repeat)
+    resampled = _best(lambda: clipping.resample_clipped(problem, model, X, 1.0, resamples,
+                                                        noise.make_rng(0)), repeat)
+    print(f"moments points={points:<5} d={d:<3} resamples={resamples:<5} exact "
+          f"{exact * 1e3:8.3f} ms  resampled {resampled * 1e3:8.3f} ms  "
+          f"{resampled / exact:6.1f}x")
 
 
 def schedule_lines(horizon: int, repeat: int):
@@ -132,7 +173,10 @@ def main(argv=None) -> int:
     sizes = TINY_SIZES if args.tiny else SIZES
     print(f"machine nproc={len(os.sched_getaffinity(0))} python={platform.python_version()} "
           f"numpy={np.__version__}")
-    step_lines(sizes, TINY_LOOP_STEPS if args.tiny else LOOP_STEPS, repeat)
+    steps = TINY_LOOP_STEPS if args.tiny else LOOP_STEPS
+    step_lines(sizes, steps, repeat)
+    clip_line(TINY_CLIP_SIZE if args.tiny else CLIP_SIZE, steps, repeat)
+    moments_line(*(TINY_MOMENTS if args.tiny else MOMENTS), repeat)
     schedule_lines(TINY_TABLE_T if args.tiny else TABLE_T, repeat)
     draws_lines(sizes, repeat)
     return 0
