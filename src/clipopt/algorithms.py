@@ -23,20 +23,21 @@ A step does only the work the next iterate depends on, in buffers the loop
 makes before its first step, so no step allocates an (n, d) result.  Its
 step size, level and momentum weight are Python floats, read from the
 schedule's table (``Schedule.table``, made once before the loop) one window
-at a time; the parameter-free mode fills each step's entry when ``observe``
-reaches it, so its windows are one step long.  Each (n, d) array a step
-makes goes into that step's slot of a seed-contiguous window buffer, whether
-or not the run is recorded: the gradient (``grad_many(X, out=...)``), the
-gradient plus noise, the new iterate (the accelerated loop's query point, y
-and z each have a window).  Its dual norms go into a row of the window's
-norms (``dual_norm_many(G, out=...)``) and, only when some row's norm is over
-the level (or NaN), the clip over the noisy gradient and the count of the rows
-it clipped; eta * G (and the accelerated mixes' alpha * z) go into one scratch
-array.  Everything else is done once per window of K steps
-(``noise.window_steps``, the spike window's byte rule): the metrics over the
-window's iterates or gradients, the running sums, added in time order
-(``_running_sum``), and the copy of the window into the record.  Window sizes
-do not change a bit.
+at a time.  The parameter-free mode's are per row instead: the loop keeps
+each row's largest displacement ``||x_t - x_1||`` so far (``norm_many``),
+and each step takes the schedule's (n,) levels and steps at it.  Each (n, d)
+array a step makes goes into that step's slot of a seed-contiguous window
+buffer, whether or not the run is recorded: the gradient
+(``grad_many(X, out=...)``), the gradient plus noise, the new iterate (the
+accelerated loop's query point, y and z each have a window).  Its dual norms
+go into a row of the window's norms (``dual_norm_many(G, out=...)``) and,
+only when some row's norm is over the level (or NaN), the clip over the
+noisy gradient and the count of the rows it clipped; eta * G (and the
+accelerated mixes' alpha * z) go into one scratch array.  Everything else is
+done once per window of K steps (``noise.window_steps``, the spike window's
+byte rule): the metrics over the window's iterates or gradients, the running
+sums, added in time order (``_running_sum``), and the copy of the window
+into the record.  Window sizes do not change a bit.
 
 ``run_*_batch`` advances many seeds in lockstep (used by the experiment
 harness) on ``noise.lockstep_draws``: a two-point batch keeps only its
@@ -70,9 +71,9 @@ DIVERGENCE_LIMIT = 1e12
 class StepTable:
     """Columnar per-step record of n seeds run in lockstep, with their paths.
 
-    The per-step columns have one entry per step t = 1..T: ``t``, ``eta``,
-    ``lam`` and ``alpha`` are (T,), shared by every seed; ``clipped``,
-    ``raw_norm`` and ``metric`` are (n, T); the paths are (n, T[+1], d).
+    The per-step columns have one entry per step t = 1..T: ``t`` and ``alpha``
+    are (T,), shared by every seed; ``eta``, ``lam``, ``clipped``, ``raw_norm``
+    and ``metric`` are (n, T); the paths are (n, T[+1], d).
     Seed k's ``x[k]`` holds x_1..x_{T+1}, so step t queried the oracle at
     ``x[k, t - 1]`` and moved to ``x[k, t]``.  The accelerated loop queries at
     (1 - alpha_t) y_t + alpha_t z_t: its ``x`` holds those T query points,
@@ -208,7 +209,7 @@ def _run(algorithm, loop, problem, param, steps, x1, seeds, noise, record):
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are flagged diverged
         summary, final_gap, clipped, X, done = loop(problem, param, steps, x1, noise, tab)
     if tab is not None and done < steps:  # the baseline stops once every row has diverged
-        tab = StepTable(tab.t[:done], tab.eta[:done], tab.lam[:done], tab.clipped[:, :done],
+        tab = StepTable(tab.t[:done], tab.eta[:, :done], tab.lam[:, :done], tab.clipped[:, :done],
                         tab.raw_norm[:, :done], tab.metric[:, :done], tab.x[:, :done + 1],
                         tab.grad_clipped[:, :done])
     diverged = ~(np.isfinite(summary) & np.isfinite(final_gap) & np.all(np.isfinite(X), axis=1))
@@ -221,7 +222,7 @@ def _step_table(steps: int, n: int, x1, accelerated: bool) -> StepTable:
     """An unfilled record of n seeds over ``steps`` steps; each path holds ``x1`` until written."""
     x1 = np.asarray(x1, dtype=float)
     rows, points, path_reps = (n, steps), (n, steps, x1.size), (n, steps + 1, 1)
-    tab = StepTable(np.arange(1, steps + 1), np.empty(steps), np.empty(steps),
+    tab = StepTable(np.arange(1, steps + 1), np.empty(rows), np.empty(rows),
                     np.empty(rows, dtype=bool), np.empty(rows), np.empty(rows),
                     np.tile(x1, path_reps), np.empty(points))
     if accelerated:  # x holds the query points, y and z the paths
@@ -238,14 +239,11 @@ def _start(problem: Problem, x1, n: int) -> np.ndarray:
     return np.repeat(x1[:, None], n, axis=1).T
 
 
-def _levels(schedule: Schedule, modes, needs: str, n: int, steps: int):
-    """The run's schedule table; its clipping levels are checked once, before the loop."""
+def _levels(schedule: Schedule, modes, needs: str, steps: int):
+    """The run's schedule table; its clipping levels are checked once, before the loop (the
+    parameter-free mode's, at displacement 0, are the smallest it can take)."""
     if schedule.mode not in modes:
         raise ValueError(f"{needs}, got {schedule.mode!r}")
-    if schedule.stateful and n != 1:
-        raise ValueError("batch runners support stateless schedules only; "
-                         "run the trajectory-dependent mode per seed")
-    schedule.reset()
     table = schedule.table(steps)
     if np.any(table.lam <= 0):
         raise ValueError("clipping level must be positive")
@@ -278,11 +276,12 @@ def _running_sum(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _record(tab: StepTable, lo: int, k: int, eta, lam, norms, metric, grad):
-    """Steps lo + 1 .. lo + k of the columns every loop records, from its window's rows;
-    a step clipped the rows whose norm is over its level."""
+    """Steps lo + 1 .. lo + k of the columns every loop records, from its window's rows
+    (``eta`` and ``lam`` are (k, n), or (k, 1) for every row); a step clipped the rows
+    whose norm is over its level."""
     rows = slice(lo, lo + k)
-    tab.eta[rows], tab.lam[rows] = eta, lam
-    tab.clipped[:, rows] = (norms > lam[:, None]).T
+    tab.eta[:, rows], tab.lam[:, rows] = eta.T, lam.T
+    tab.clipped[:, rows] = (norms > lam).T
     tab.raw_norm[:, rows], tab.metric[:, rows] = norms.T, metric.T
     tab.grad_clipped[:, rows] = grad.transpose(1, 0, 2)
 
@@ -290,7 +289,8 @@ def _record(tab: StepTable, lo: int, k: int, eta, lam, norms, metric, grad):
 # -- the loops: noise is a draws object whose slab(t) is step t's (n, d) noise,
 # the transpose of a C-ordered (d, n) block, so the state stays seed-contiguous;
 # every step writes into window slots made before the loop (``S`` holds eta * G and
-# alpha * Z); a window's step sizes, levels and weights are Python floats;
+# alpha * Z); a window's step sizes, levels and weights are Python floats (the
+# parameter-free mode's are per row, and its skip test takes the smallest level);
 # the clip runs when the largest norm is over the level or NaN (``argmax`` takes the
 # first NaN as the largest, and is cheaper than a reduction); a row it leaves alone
 # gets the factor 1, so skipping the clip keeps the bits; a row is counted clipped
@@ -300,13 +300,13 @@ def _record(tab: StepTable, lo: int, k: int, eta, lam, norms, metric, grad):
 
 
 def _smd(problem, schedule, steps, x1, noise, tab):
-    levels = _levels(schedule, SMD_MODES, "smd needs a mirror-descent schedule", noise.n, steps)
+    levels = _levels(schedule, SMD_MODES, "smd needs a mirror-descent schedule", steps)
     return _descent(problem, schedule, levels, steps, x1, noise, tab,
                     lambda xw, fw, out: problem.gap_many(xw, out=out))
 
 
 def _sgd(problem, schedule, steps, x1, noise, tab):
-    levels = _levels(schedule, SGD_MODES, "sgd needs a gradient-descent schedule", noise.n, steps)
+    levels = _levels(schedule, SGD_MODES, "sgd needs a gradient-descent schedule", steps)
     if problem.geometry.kind != "euclidean":
         raise ValueError("clipped gradient descent runs on unconstrained l2 geometry")
     return _descent(problem, schedule, levels, steps, x1, noise, tab,
@@ -323,37 +323,50 @@ def _descent(problem, schedule, levels, steps, x1, noise, tab, metric):
     geom = problem.geometry
     X = _start(problem, x1, n)
     d = X.shape[1]
-    # the stateful mode fills step t's table entry when it observes x_t: one-step windows
-    K = 1 if schedule.stateful else window_steps(steps, d, n)
+    K = window_steps(steps, d, n)
     (xw, xs), (fw, fs), (gw, gs) = (_slots(K, n, d) for _ in range(3))
     S = _rows(n, d)
     norms, metric_rows = np.empty((K, n)), np.empty((K, n))
     norm_rows = list(norms)
     metric_sum, clipped = np.zeros(n), np.zeros(n)
+    per_row = schedule.mode == "smd_param_free"
+    if per_row:
+        start, D, dev = np.asarray(x1, dtype=float), np.empty((n, d)), np.zeros(n)
+        eta_w, lam_w = np.empty((K, n)), np.empty((K, n))
+
+        def row_pairs(lo, k):  # (n, 1) steps, (n,) levels, the least; X as each step starts
+            for i in range(k):
+                np.fmax(dev, geom.norm_many(np.subtract(X, start, out=D)), out=dev)
+                eta_w[i], lam_w[i] = schedule.pair(lo + i + 1, dev)
+                yield eta_w[i, :, None], lam_w[i], lam_w[i].min()
+
     for lo in range(0, steps, K):  # windows of K steps, then the rest
         k = min(K, steps - lo)
-        schedule.observe(lo + 1, X[0])  # x_{lo+1}: fills the stateful mode's entry for step lo + 1
-        level = lams[lo:lo + k]
-        for i, (eta, lam) in enumerate(zip(etas[lo:lo + k].tolist(), level.tolist())):
+        if per_row:
+            pairs, eta_k, lam_k = row_pairs(lo, k), eta_w[:k], lam_w[:k]
+        else:
+            eta_k, lam_k = etas[lo:lo + k, None], lams[lo:lo + k, None]
+            level = lams[lo:lo + k].tolist()
+            pairs = zip(etas[lo:lo + k].tolist(), level, level)
+        for i, (eta, lam, lowest) in enumerate(pairs):
             F = problem.grad_many(X, out=fs[i])
             G = np.add(F, noise.slab(lo + i + 1), out=gs[i])
             nrm = geom.dual_norm_many(G, out=norm_rows[i])
-            if not (nrm[nrm.argmax()] <= lam):
+            if not (nrm[nrm.argmax()] <= lowest):
                 clip_batch(G, lam, nrm, out=G)
                 clipped += nrm > lam
             X = geom.mirror_step_many(X, G, eta, out=xs[i], scratch=S)
         window = metric(xw[:k], fw[:k], metric_rows[:k])
         metric_sum = _running_sum(metric_sum, window)
         if tab is not None:
-            _record(tab, lo, k, etas[lo:lo + k], level, norms[:k], window, gw[:k])
+            _record(tab, lo, k, eta_k, lam_k, norms[:k], window, gw[:k])
             tab.x[:, lo + 1:lo + k + 1] = xw[:k].transpose(1, 0, 2)
     return metric_sum / steps, problem.gap_many(X), clipped, X.copy(order="K"), steps
 
 
 def _asmd(problem, schedule, steps, y1, noise, tab):
     n = noise.n
-    etas, lams, alphas = _levels(schedule, ASMD_MODES, "asmd needs an accelerated schedule", n,
-                                 steps)
+    etas, lams, alphas = _levels(schedule, ASMD_MODES, "asmd needs an accelerated schedule", steps)
     geom = problem.geometry
     Y = Z = _start(problem, y1, n)  # z_1 = y_1; steps write into slots, never into the start
     d = Y.shape[1]
@@ -377,8 +390,8 @@ def _asmd(problem, schedule, steps, y1, noise, tab):
             Z = geom.mirror_step_many(Z, G, eta, out=zs[i], scratch=S)
             Y = geom.mix_many(Y, Z, alpha, out=ys[i], scratch=S)
         if tab is not None:
-            _record(tab, lo, k, etas[lo:lo + k], level, norms[:k], problem.gap_many(yw[:k]),
-                    gw[:k])
+            _record(tab, lo, k, etas[lo:lo + k, None], level[:, None], norms[:k],
+                    problem.gap_many(yw[:k]), gw[:k])
             tab.alpha[lo:lo + k], tab.x[:, lo:lo + k] = alphas[lo:lo + k], xw[:k].transpose(1, 0, 2)
             tab.y[:, lo + 1:lo + k + 1] = yw[:k].transpose(1, 0, 2)
             tab.z[:, lo + 1:lo + k + 1] = zw[:k].transpose(1, 0, 2)
@@ -414,8 +427,8 @@ def _vanilla(problem, eta, steps, x1, noise, tab):
         metric = coord_dot(fw[:k], fw[:k])
         metric_sum = _running_sum(metric_sum, np.where(live[:k], metric, 0.0))
         if tab is not None:
-            _record(tab, lo, k, eta, np.full(k, np.inf), problem.geometry.dual_norm_many(gw[:k]),
-                    metric, gw[:k])
+            _record(tab, lo, k, np.full((k, 1), eta), np.full((k, 1), np.inf),
+                    problem.geometry.dual_norm_many(gw[:k]), metric, gw[:k])
             # a row frozen by step lo + i + 1 keeps its final iterate from then on
             tab.x[:, lo + 1:lo + k + 1] = np.where(live[1:k + 1, :, None], pw[:k], X).transpose(
                 1, 0, 2)

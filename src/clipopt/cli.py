@@ -87,9 +87,10 @@ def cmd_diagnose(args) -> int:
         return run(problem, Oracle(problem, noise_model, seed=cfg.base_seed), schedule,
                    cfg.horizon, x1).table
 
-    if schedule.stateful:
-        table()  # drive the trajectory state so the conditions are defined over the horizon
-    cond = verify_schedule_conditions(schedule, cfg.horizon)
+    # the parameter-free steps and levels follow the run: its conditions and error-bound level
+    # are read from the recorded ones
+    recorded = table() if cfg.mode == "smd_param_free" else None
+    cond = verify_schedule_conditions(schedule, cfg.horizon, recorded)
     for check in cond.checks:
         status = "pass" if check.passed else "FAIL"
         note = f" ({check.note})" if check.note else ""
@@ -110,7 +111,7 @@ def cmd_diagnose(args) -> int:
 
     if cfg.error_bounds:
         rng = make_rng(cfg.base_seed + 7_000_000)
-        level = schedule.lam(1) if not schedule.stateful else schedule.lam(cfg.horizon)
+        level = schedule.lam(1) if recorded is None else float(recorded.lam[0, -1])
         rep = diag.check_clipping_error_bounds(problem, noise_model, x1, level,
                                                max(cfg.resamples, 10_000), rng)
         reports.append(rep)

@@ -42,7 +42,8 @@ def clip_batch(G: np.ndarray, level, dual_norms: np.ndarray | None = None,
     per-row levels; ``dual_norms`` may be precomputed.
 
     The clip is written into ``out`` when it is given (``G`` itself may be ``out``).
-    A level that is not positive is rejected (a NaN one is not).
+    A level that is not positive is rejected (a NaN one is not).  A row under its level
+    keeps the factor 1, an infinite level's too (unless the norm is NaN).
     """
     # a plain comparison for a float: the ufunc costs ~2.8 us on one, 80 times as much
     nonpositive = level <= 0 if isinstance(level, float) else np.less_equal(level, 0).any()
@@ -50,7 +51,13 @@ def clip_batch(G: np.ndarray, level, dual_norms: np.ndarray | None = None,
         raise ValueError("clipping level must be positive")
     if dual_norms is None:
         dual_norms = np.sqrt(coord_dot(G, G))
-    return np.multiply(G, shrink_factors(dual_norms, level)[:, None], out=out)
+    if isinstance(level, float):
+        factors = shrink_factors(dual_norms, level)
+    else:
+        with np.errstate(invalid="ignore"):  # inf / inf, set to 1 below
+            factors = shrink_factors(dual_norms, level)
+        factors[np.isinf(level) & ~np.isnan(dual_norms)] = 1.0
+    return np.multiply(G, factors[:, None], out=out)
 
 
 # Points per chunk of the resampling kernel: a chunk's (points, resamples, d)
@@ -209,9 +216,9 @@ def estimate_g0(problem, noise_model, x0, blocks: int, per_block: int,
                 rng: np.random.Generator):
     """Geometric median of block means of raw stochastic gradients at ``x0``.
 
-    The ``blocks * per_block`` draws consume ``rng``.  Returns ``(g0,
-    mu_observed)`` where ``mu_observed`` is the realized
-    ``||g0 - grad f(x0)||_* / sigma`` (zero when sigma is zero).
+    The ``blocks * per_block`` draws consume ``rng``.  Returns ``(g0, mu)``
+    where ``mu`` is the realized ``||g0 - grad f(x0)||_* / sigma`` (zero
+    when sigma is zero).
     """
     if blocks < 1 or per_block < 1:
         raise ValueError("blocks and per_block must be >= 1")

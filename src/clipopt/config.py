@@ -328,7 +328,8 @@ def _invertible(x: float) -> bool:
 
 
 def _schedule_values_in_range(cfg: ExperimentConfig, problem, x1, horizon: int) -> bool:
-    """Whether the schedule's step and level at t = 1 and t = T (stateless modes) and its
+    """Whether the schedule's step and level at t = 1 and t = T (the parameter-free mode's at
+    displacement 0: each row's first step, its largest step and smallest level) and its
     bound are finite doubles and the levels positive, and, when the martingale trace is on,
     the steps positive and the squares lambda_t^2 and (eta_t lambda_t)^2 it divides by
     positive finite doubles with finite reciprocals; a formula that overflows raises
@@ -336,7 +337,7 @@ def _schedule_values_in_range(cfg: ExperimentConfig, problem, x1, horizon: int) 
     schedule = build_schedule(cfg, problem, x1, horizon=horizon)
     try:
         bound = schedules_mod.theorem_bound(schedule, horizon)
-        pairs = [] if schedule.stateful else [schedule.pair(1), schedule.pair(horizon)]
+        pairs = [schedule.pair(1), schedule.pair(horizon)]
     except ZeroDivisionError:  # a step size, or the divisor of one, that underflowed to 0
         return False
 
@@ -442,7 +443,7 @@ def build_schedule(cfg: ExperimentConfig, problem, x1, horizon: int | None = Non
             horizon=horizon if horizon is not None else cfg.horizon,
             mu=cfg.mu, c1=cfg.c1, c2=cfg.c2, c_override=cfg.c_override,
         )
-        return schedules_mod.Schedule(cfg.mode, inputs, norm=problem.geometry.norm,
-                                      eta_scale=cfg.eta_scale, lambda_scale=cfg.lambda_scale)
+        return schedules_mod.Schedule(cfg.mode, inputs, eta_scale=cfg.eta_scale,
+                                      lambda_scale=cfg.lambda_scale)
     except ValueError as exc:
         raise ConfigError("schedule.mode", str(exc)) from exc

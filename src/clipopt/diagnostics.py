@@ -228,8 +228,8 @@ def check_clipping_error_bounds(problem: Problem, noise_model, x, level: float, 
 # The checks and traces below evaluate the analysis' per-step expressions over
 # a recorded run of n seeds, one array expression per quantity.  The problem's
 # and geometry's row functions reduce over the last axis only, so they take the
-# record's (n, steps, d) points whole, each point with its one-seed bits, and
-# the schedule's (steps,) columns broadcast over the seed axis.  The cores
+# record's (n, steps, d) points whole, each point with its one-seed bits, as
+# they take its (n, steps) steps and levels.  The cores
 # (``pathwise_*``, ``martingale_*``) return one report or trace per seed; each
 # public check records one single run and is their n = 1 case.  The traces'
 # conditional moments come from one ``clipping.conditional_moments`` call per
@@ -263,15 +263,15 @@ def check_pathwise_smd(problem: Problem, oracle: Oracle, schedule: Schedule, ste
     Checks ``eta*gap(x+) + D(x*,x+) - D(x*,x) <= eta*<theta, x*-x> +
     eta^2 ||theta||_*^2 + 2 G^2 eta^2`` at every step, where theta is the
     realized clipped-gradient error and G the problem's nonsmooth constant.
-    Requires ``eta <= 1/(4L)``.
+    Requires ``eta <= 1/(4L)``; a step past it fails.
     """
     return pathwise_smd(problem, run_smd(problem, oracle, schedule, steps, x1).table, tol)[0]
 
 
+@np.errstate(all="ignore")
 def pathwise_smd(problem: Problem, tab: StepTable, tol: float = 1e-8) -> list:
     """``check_pathwise_smd`` over a recorded ``run_smd*``: one report per seed."""
     eta = tab.eta
-    _step_guard(tab.t, eta > 0.25 / problem.smoothness * (1 + 1e-12), "1/(4L)")
     geom, xstar = problem.geometry, problem.minimizer
     x, x_next = tab.x[:, :-1], tab.x[:, 1:]
     theta = tab.grad_clipped - problem.grad_many(x)
@@ -281,7 +281,8 @@ def pathwise_smd(problem: Problem, tab: StepTable, tol: float = 1e-8) -> list:
     rhs = (eta * row_dots(theta, xstar - x)
            + eta2 * np.float_power(geom.dual_norm_many(theta), 2)
            + 2.0 * problem.lipschitz_g ** 2 * eta2)
-    return [_pathwise("pathwise_smd", tab.t, margin, tol) for margin in rhs - lhs]
+    too_large = eta > 0.25 / problem.smoothness * (1 + 1e-12)
+    return _pathwise("pathwise_smd", tab.t, rhs - lhs, too_large, tol)
 
 
 def check_pathwise_asmd(problem: Problem, oracle: Oracle, schedule: Schedule, steps: int,
@@ -291,15 +292,15 @@ def check_pathwise_asmd(problem: Problem, oracle: Oracle, schedule: Schedule, st
     Checks ``(eta/alpha) gap(y+) + D(x*,z+) - D(x*,z) <=
     (eta(1-alpha)/alpha) gap(y) + eta <theta, x*-z> +
     eta^2 ||theta||_*^2 / (2 (1 - L eta alpha))`` per step; requires
-    ``eta <= 1/(2 L alpha)``.
+    ``eta <= 1/(2 L alpha)``; a step past it fails.
     """
     return pathwise_asmd(problem, run_asmd(problem, oracle, schedule, steps, y1).table, tol)[0]
 
 
+@np.errstate(all="ignore")
 def pathwise_asmd(problem: Problem, tab: StepTable, tol: float = 1e-8) -> list:
     """``check_pathwise_asmd`` over a recorded ``run_asmd*``: one report per seed."""
     eta, alpha, L = tab.eta, tab.alpha, problem.smoothness
-    _step_guard(tab.t, eta * alpha * L > 0.5 * (1 + 1e-12), "1/(2 L alpha)")
     geom, xstar = problem.geometry, problem.minimizer
     y, z = tab.y, tab.z
     theta = tab.grad_clipped - problem.grad_many(tab.x)
@@ -309,7 +310,8 @@ def pathwise_asmd(problem: Problem, tab: StepTable, tol: float = 1e-8) -> list:
            + eta * row_dots(theta, xstar - z[:, :-1])
            + np.float_power(eta, 2) * np.float_power(geom.dual_norm_many(theta), 2)
            / (2.0 * (1.0 - L * eta * alpha)))
-    return [_pathwise("pathwise_asmd", tab.t, margin, tol) for margin in rhs - lhs]
+    return _pathwise("pathwise_asmd", tab.t, rhs - lhs, eta * alpha * L > 0.5 * (1 + 1e-12),
+                     tol)
 
 
 def check_pathwise_sgd(problem: Problem, oracle: Oracle, schedule: Schedule, steps: int,
@@ -318,15 +320,15 @@ def check_pathwise_sgd(problem: Problem, oracle: Oracle, schedule: Schedule, ste
 
     Checks ``gap(x+) - gap(x) <= -(eta - L eta^2/2)||grad f(x)||^2 +
     (L eta^2/2)||theta||^2 + (L eta^2 - eta) <grad f(x), theta>`` per step;
-    requires ``eta <= 1/L``.
+    requires ``eta <= 1/L``; a step past it fails.
     """
     return pathwise_sgd(problem, run_sgd(problem, oracle, schedule, steps, x1).table, tol)[0]
 
 
+@np.errstate(all="ignore")
 def pathwise_sgd(problem: Problem, tab: StepTable, tol: float = 1e-8) -> list:
     """``check_pathwise_sgd`` over a recorded ``run_sgd*``: one report per seed."""
     eta, L = tab.eta, problem.smoothness
-    _step_guard(tab.t, eta * L > 1.0 + 1e-12, "1/L")
     g = problem.grad_many(tab.x[:, :-1])
     theta = tab.grad_clipped - g
     gap = problem.gap_many(tab.x)
@@ -335,19 +337,17 @@ def pathwise_sgd(problem: Problem, tab: StepTable, tol: float = 1e-8) -> list:
            + (L * eta2 / 2.0) * row_dots(theta, theta)
            + (L * eta2 - eta) * row_dots(g, theta))
     margins = rhs - (gap[:, 1:] - gap[:, :-1])
-    return [_pathwise("pathwise_sgd", tab.t, margin, tol) for margin in margins]
+    return _pathwise("pathwise_sgd", tab.t, margins, eta * L > 1.0 + 1e-12, tol)
 
 
-def _step_guard(t, too_large, bound: str):
-    """Raise at the first step whose step size exceeds the inequality's range."""
-    if np.any(too_large):
-        raise ValueError(f"step size exceeds {bound} at t={int(t[np.argmax(too_large)])}")
-
-
-def _pathwise(name: str, t, margin, tol: float) -> PathwiseReport:
-    bad = margin < -tol
-    violations = [(int(s), float(m)) for s, m in zip(t[bad], margin[bad])]
-    return PathwiseReport(name, t.size, violations, float(np.min(margin)), tol)
+def _pathwise(name: str, t, margins, out_of_range, tol: float) -> list:
+    """One report per seed's row of the (n, steps) ``margins``; a step ``out_of_range`` (its
+    step size past the inequality's range, whose overflow the cores leave unwarned) has
+    margin -inf, and a NaN margin fails."""
+    margins = np.where(out_of_range, -np.inf, margins)
+    return [PathwiseReport(name, t.size, [(int(s), float(m)) for s, m in zip(t[bad], row[bad])],
+                           float(np.min(row)), tol)
+            for row, bad in zip(margins, ~(margins >= -tol))]
 
 
 # -- supermartingale trace ------------------------------------------------------------
@@ -401,10 +401,12 @@ def martingale_trace_smd(problem: Problem, oracle: Oracle, schedule: Schedule, s
                           [rng])[0]
 
 
+@np.errstate(over="ignore")
 def martingale_smd(problem: Problem, noise_model, tab: StepTable, constants: dict,
                    delta: float, resamples: int, rngs) -> list:
     """``martingale_trace_smd`` over a recorded ``run_smd*``: one trace per seed, seed k
-    resampling radial noise from ``rngs[k]``; reads ``constants["Q"]``."""
+    resampling radial noise from ``rngs[k]``; reads ``constants["Q"]``.  A step past
+    ``eta <= 1/(4L)`` can overflow a power of eta; it saturates to inf, unwarned."""
     geom = problem.geometry
     xstar = problem.minimizer
     q_val = constants["Q"]
@@ -450,7 +452,8 @@ def martingale_sgd(problem: Problem, noise_model, tab: StepTable, constants: dic
     c1, a_const = constants["C1"], constants["A"]
     L = problem.smoothness
     sqrt_a = math.sqrt(a_const)
-    for eta, lam in zip(tab.eta[[0, -1]].tolist(), tab.lam[[0, -1]].tolist()):
+    for eta, lam in zip(tab.eta[:, [0, -1]].ravel().tolist(),
+                        tab.lam[:, [0, -1]].ravel().tolist()):
         if c1 / (lam * eta * math.sqrt(2.0 * L)) < 1.0 - 1e-9:
             raise ValueError("trace undefined: P_t < 1 for this schedule")
         if c1 ** 2 * sqrt_a / (2.0 * L * eta ** 2 * lam ** 2) < 1.0 - 1e-9:
@@ -472,10 +475,10 @@ def martingale_sgd(problem: Problem, noise_model, tab: StepTable, constants: dic
 
 
 def _moments(problem, noise_model, X, levels, resamples: int, rngs) -> Resampled:
-    """Seed k's ``conditional_moments`` at ``X[k]`` (resampled radial noise draws from
-    ``rngs[k]``), as (n, steps, ...) fields."""
-    per_seed = (conditional_moments(problem, noise_model, x, levels, resamples, rng)
-                for x, rng in zip(X, rngs, strict=True))
+    """Seed k's ``conditional_moments`` at ``X[k]`` and ``levels[k]`` (resampled radial noise
+    draws from ``rngs[k]``), as (n, steps, ...) fields."""
+    per_seed = (conditional_moments(problem, noise_model, x, level, resamples, rng)
+                for x, level, rng in zip(X, levels, rngs, strict=True))
     return Resampled._make(map(np.stack, zip(*per_seed)))
 
 

@@ -43,8 +43,8 @@ def _as_vector(v, dim: int) -> np.ndarray:
 def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Dot products of matching rows of (..., dim) arrays.
 
-    Each row goes through the same vector dot as ``a @ b`` on two vectors,
-    so a row's value does not depend on the number of rows beside it.
+    Each row of C-ordered arrays goes through the same vector dot as ``a @ b``
+    on two vectors, so a row's value does not depend on the rows beside it.
     """
     return (A[..., None, :] @ B[..., :, None])[..., 0, 0]
 
@@ -150,11 +150,16 @@ class Geometry:
     # -- norms ------------------------------------------------------------
 
     def norm(self, v) -> float:
-        """Primal norm: l2 for Euclidean geometries, l1 on the simplex."""
+        """Primal norm: l2 for Euclidean geometries (the root of ``v @ v``), l1 on the simplex."""
         v = _as_vector(v, self.dim)
+        return float(self.norm_many(v[None, :])[0])
+
+    def norm_many(self, V: np.ndarray) -> np.ndarray:
+        """Row-wise primal norms of an (..., dim) array, each with ``norm``'s bits."""
         if self.kind == SIMPLEX:
-            return float(np.sum(np.abs(v)))
-        return float(np.sqrt(v @ v))
+            return coord_sum(np.abs(V))
+        C = np.ascontiguousarray(V)  # a strided row's dot takes another order past 6 coordinates
+        return np.sqrt(row_dots(C, C))
 
     def dual_norm(self, v) -> float:
         """Dual norm: l2 for Euclidean geometries, l-infinity on the simplex.

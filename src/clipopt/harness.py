@@ -116,9 +116,6 @@ def _batch(cfg: ExperimentConfig, problem, x1, noise_model, horizon: int,
             eta = build_schedule(cfg, problem, x1, horizon=horizon).eta(1)
         return algos.run_vanilla_sgd_batch(problem, noise_model, eta, horizon, x1, seeds)
     schedule = build_schedule(cfg, problem, x1, horizon=horizon)
-    if schedule.stateful:
-        raise ConfigError("schedule.mode", f"{cfg.mode} is trajectory-dependent and runs "
-                          "one seed at a time; only diagnose accepts it")
     runner = {"smd": algos.run_smd_batch, "asmd": algos.run_asmd_batch,
               "sgd": algos.run_sgd_batch}[cfg.algorithm]
     return runner(problem, noise_model, schedule, horizon, x1, seeds)

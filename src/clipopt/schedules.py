@@ -6,16 +6,17 @@ Seven modes are provided, one per convergence guarantee, each built as
 * ``smd_known_t`` / ``smd_anytime``: mirror descent with a horizon-dependent
   constant pair or the horizon-free substitution ``T -> 2t(1+log t)^2``;
 * ``smd_param_free``: mirror descent without knowledge of sigma, delta or the
-  initial distance, driven online by the running maximum of the trajectory's
-  displacement from the start;
+  initial distance; its level is also a function of the trajectory's largest
+  displacement from the start so far, which the run loop keeps per row;
 * ``asmd_known_t`` / ``asmd_anytime``: the accelerated three-sequence method;
 * ``sgd_known_t`` / ``sgd_anytime``: nonconvex gradient descent on l2 space.
 
 Each clipping level and step size is written once, as a function of the
 inputs and a horizon term ``tau`` (:func:`_horizon_at`: the known horizon,
-or the anytime substitution at step t).  A schedule evaluates it at one
-step (``pair``) or at steps 1..T as arrays with the same bits (``table``,
-which the run loops and the condition checker read);
+or the anytime substitution at step t).  A schedule is pure: it evaluates
+them at one step (``pair``, for the parameter-free mode at a displacement,
+one per row) or at steps 1..T as arrays with the same bits (``table``, at
+displacement 0, which the run loops and the condition checker read);
 :func:`theorem_bound` evaluates the same level at t = T.  Every
 schedule exposes the proof-level constants (C1, C2, C3, A, Q) that its
 guarantee is built on, and :func:`verify_schedule_conditions` checks the
@@ -126,14 +127,14 @@ def _smd_lam(s: ScheduleInputs, tau: float) -> float:
     return max((26.0 * tau / s.gamma) ** (1.0 / s.p) * s.sigma, _smd_det(s))
 
 
-def _pf_lam(s: ScheduleInputs, tau: float, dev: float) -> float:
-    """Parameter-free clipping level for displacement ``dev`` from the start."""
+def _pf_lam(s: ScheduleInputs, tau: float, dev):
+    """Parameter-free clipping level ``max((26 tau c2)^(1/p), 2 (L dev + g1), L c1 / 6)`` at
+    displacement ``dev`` from the start: a float, or an (n,) array with one value per row.
+    The max skips a NaN, as Python's ``max`` after its first argument does."""
     L = s.smoothness
-    return max(
-        (26.0 * tau * s.c2) ** (1.0 / s.p),
-        2.0 * (L * dev + s.grad1_bound),
-        L * s.c1 / 6.0,
-    )
+    lam = np.fmax(np.fmax((26.0 * tau * s.c2) ** (1.0 / s.p), 2.0 * (L * dev + s.grad1_bound)),
+                  L * s.c1 / 6.0)
+    return lam if isinstance(dev, np.ndarray) else float(lam)
 
 
 def _accel_c(s: ScheduleInputs, n: int, tau: float) -> float:
@@ -157,6 +158,15 @@ def _sgd_eta(s: ScheduleInputs, tau: float, lam: float, scale: float = 1.0) -> f
     """Nonconvex step size ``scale sqrt(delta1) tau^((1-p)/(3p-2)) / (8 lam sqrt(L) gamma)``."""
     num = math.sqrt(s.delta1) * tau ** ((1.0 - s.p) / (3 * s.p - 2))
     return scale * num / (8.0 * lam * math.sqrt(s.smoothness) * s.gamma)
+
+
+def _c1(mode: str, s: ScheduleInputs) -> float:
+    """C1; for the mirror-descent modes also the product ``eta_t lambda_t`` at eta_scale 1."""
+    if mode == "smd_param_free":
+        return s.c1 / 24.0
+    if mode in SGD_MODES:
+        return math.sqrt(s.delta1) / (4.0 * math.sqrt(2.0) * s.gamma)
+    return s.r1 / (24.0 * s.gamma)
 
 
 def derive_inputs(problem: Problem, x1, *, p: float, sigma: float, delta: float = 0.1,
@@ -190,14 +200,16 @@ def derive_inputs(problem: Problem, x1, *, p: float, sigma: float, delta: float 
 
 
 class Schedule:
-    """Per-iteration ``(eta_t, lambda_t)`` generator for one mode.
+    """Per-iteration ``(eta_t, lambda_t)`` generator for one mode; pure, and safe to share.
 
-    Known-horizon and anytime modes are pure; the parameter-free mode carries
-    trajectory state and must be fed each iterate through :meth:`observe`
-    before its pair for that step is requested (one instance per run).
+    The parameter-free mode's pair is also a function of the displacement
+    ``dev`` of the trajectory from its start (the running maximum of
+    ``||x_s - x_1||`` over s <= t, which its run loop keeps per row); at
+    displacement 0, the default, it is each row's first step: the largest
+    step and the smallest level the mode can take at ``t``.
     """
 
-    def __init__(self, mode: str, inputs: ScheduleInputs, norm=None, eta_scale: float = 1.0,
+    def __init__(self, mode: str, inputs: ScheduleInputs, eta_scale: float = 1.0,
                  lambda_scale: float = 1.0):
         if mode not in ALL_MODES:
             raise ValueError(f"unknown schedule mode {mode!r}")
@@ -207,9 +219,8 @@ class Schedule:
         self.inputs = inputs
         self.eta_scale = eta_scale
         self.lambda_scale = lambda_scale
-        self._norm = norm  # primal norm for the parameter-free displacement
         self._validate()
-        self.reset()
+        self._c1 = _c1(mode, inputs)
 
     def _validate(self):
         s = self.inputs
@@ -222,35 +233,6 @@ class Schedule:
             raise ValueError("parameter-free mode needs an upper bound on the initial gradient norm")
         if self.mode in SGD_MODES and (s.delta1 is None or s.delta1 <= 0):
             raise ValueError("nonconvex modes need a positive initial value gap delta1")
-
-    # -- trajectory state (parameter-free mode) -----------------------------
-
-    def reset(self):
-        self._t_seen = 0
-        self._x1 = None
-        self._dev_max = 0.0
-        self._table = None  # the stateful mode's table, filled by observe
-
-    @property
-    def stateful(self) -> bool:
-        return self.mode == "smd_param_free"
-
-    def observe(self, t: int, x) -> None:
-        """Record iterate ``x_t``; required before ``pair(t)`` in stateful mode."""
-        if not self.stateful:
-            return
-        if t != self._t_seen + 1:
-            raise ValueError(f"trajectory state not updated monotonically: got t={t} after t={self._t_seen}")
-        x = np.asarray(x, dtype=float)
-        if t == 1:
-            self._x1 = x.copy()
-        else:
-            nrm = self._norm if self._norm is not None else (lambda v: float(np.linalg.norm(v)))
-            self._dev_max = max(self._dev_max, float(nrm(x - self._x1)))
-        self._t_seen = t
-        tab = self._table
-        if tab is not None and t <= tab.eta.size:
-            tab.eta[t - 1], tab.lam[t - 1] = self.pair(t)
 
     # -- per-step values ------------------------------------------------------
 
@@ -267,16 +249,9 @@ class Schedule:
         known horizon and once per step otherwise (``pow`` and ``log`` stay
         scalar: vectorized ones may differ in the last ulp).  The accelerated
         modes' level and step come elementwise from ``_accel_pair``, as
-        ``pair``'s do.  The stateful mode fills the steps observed so far, and
-        each later step when ``observe`` reaches it; until then its entries are NaN.
+        ``pair``'s do.  The parameter-free mode's are at displacement 0.
         """
         mode = self.mode
-        if self.stateful:
-            eta, lam = np.full(steps, math.nan), np.full(steps, math.nan)
-            for t in range(1, min(steps, self._t_seen) + 1):
-                eta[t - 1], lam[t - 1] = self.pair(t)
-            self._table = ScheduleTable(eta, lam, None)
-            return self._table
         points = [1] if mode in KNOWN_T_MODES else range(1, steps + 1)
         if mode in ASMD_MODES:
             alpha = self.alpha(np.arange(1, steps + 1))
@@ -293,11 +268,13 @@ class Schedule:
     def eta(self, t: int) -> float:
         return self._raw_pair(t)[0]
 
-    def pair(self, t: int) -> tuple[float, float]:
-        eta, lam_raw = self._raw_pair(t)
+    def pair(self, t: int, dev=0.0):
+        """``(eta_t, lambda_t)``; the parameter-free mode's at displacement ``dev`` (a float, or
+        an (n,) array giving (n,) arrays), which the other modes ignore."""
+        eta, lam_raw = self._raw_pair(t, dev)
         return eta, self.lambda_scale * lam_raw
 
-    def _raw_pair(self, t: int) -> tuple[float, float]:
+    def _raw_pair(self, t: int, dev=0.0):
         """``(eta_t, lambda_t / lambda_scale)``, each per-step quantity evaluated once."""
         if t < 1:
             raise ValueError("steps are 1-based")
@@ -308,12 +285,7 @@ class Schedule:
             return _sgd_eta(s, tau, lam, self.eta_scale), lam
         if mode in ASMD_MODES:
             return self._accel_pair([t], self.alpha(t))
-        if mode == "smd_param_free":
-            if t > self._t_seen:
-                raise ValueError(f"trajectory state missing for t={t}; call observe() first")
-            lam = _pf_lam(s, tau, self._dev_max)
-        else:
-            lam = _smd_lam(s, tau)
+        lam = _pf_lam(s, tau, dev) if mode == "smd_param_free" else _smd_lam(s, tau)
         return self.eta_scale * self._c1 / lam, lam
 
     def _accel_pair(self, points, alpha):
@@ -334,16 +306,6 @@ class Schedule:
                 or (self.mode in ASMD_MODES and self.inputs.c_override is not None))
 
     # -- proof-level constants -------------------------------------------------
-
-    @cached_property
-    def _c1(self) -> float:
-        """C1; for the mirror-descent modes also the product ``eta_t lambda_t`` at eta_scale 1."""
-        s = self.inputs
-        if self.mode == "smd_param_free":
-            return s.c1 / 24.0
-        if self.mode in SGD_MODES:
-            return math.sqrt(s.delta1) / (4.0 * math.sqrt(2.0) * s.gamma)
-        return s.r1 / (24.0 * s.gamma)
 
     def constants(self) -> dict:
         """The (C1, C2, C3, A, Q) pack the mode's guarantee is proved with.
@@ -391,8 +353,14 @@ class ConditionReport:
         return all(c.passed for c in self.checks)
 
 
-def verify_schedule_conditions(schedule: Schedule, horizon: int) -> ConditionReport:
+def verify_schedule_conditions(schedule: Schedule, horizon: int, run=None) -> ConditionReport:
     """Numerically check the gap-recursion conditions over ``[1, horizon]``.
+
+    The steps and levels checked are the schedule's table, or, given ``run``
+    (a recorded run's ``StepTable``), the ones its first seed used.  The
+    parameter-free mode's depend on the trajectory; its table, at
+    displacement 0, holds the largest steps and smallest levels any
+    trajectory can take, so it is the worst case.
 
     Mirror-descent modes are checked against: a constant ``eta*lambda``
     product, the summed inverse clipping levels against C2, the 2p-versus-p
@@ -409,9 +377,8 @@ def verify_schedule_conditions(schedule: Schedule, horizon: int) -> ConditionRep
     p, sigma, L = s.p, s.sigma, s.smoothness
     sp = sigma ** p
     report = ConditionReport(mode=schedule.mode, horizon=horizon)
-    if schedule.stateful:
-        schedule.pair(horizon)  # raises unless the observed trajectory reaches the horizon
-    etas, lams, alphas = schedule.table(horizon)
+    etas, lams, alphas = (schedule.table(horizon) if run is None
+                          else (run.eta[0], run.lam[0], run.alpha))
     log_term = math.log(1.0 / s.delta)
     # sigma-scaled conditions are vacuous when sigma^p is 0, which a tiny sigma > 0 underflows to
     vacuous = ("vacuous: sigma = 0" if sigma == 0 else
@@ -421,7 +388,9 @@ def verify_schedule_conditions(schedule: Schedule, horizon: int) -> ConditionRep
         report.checks.append(ConditionCheck(name, bool(passed), float(margin), note))
 
     if schedule.mode in SMD_MODES + ASMD_MODES:
-        prod_dev = np.max(np.abs(etas * lams - c1)) / c1
+        # a product past the doubles, or a run stopped by an infinite level: FAIL, inf or NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            prod_dev = np.max(np.abs(etas * lams - c1)) / c1
         add("eta_lambda_constant", prod_dev <= 1e-9, prod_dev,
             "max relative deviation of eta_t * lambda_t from C1")
 

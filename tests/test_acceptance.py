@@ -282,10 +282,10 @@ def test_c08_schedule_condition_checker():
 
     # the parameter-free mode, driven by an actual trajectory
     s = schedules.derive_inputs(quad, x1, p=1.5, sigma=1.0, delta=0.1, c1=1.0, c2=1.0)
-    sched = schedules.Schedule("smd_param_free", s, norm=quad.geometry.norm)
-    algos.run_smd(quad, Oracle(quad, TwoPointNoise(p=1.5, sigma=1.0, q=0.2), seed=0),
-                  sched, horizon, x1, record=False)
-    report = schedules.verify_schedule_conditions(sched, horizon)
+    sched = schedules.Schedule("smd_param_free", s)
+    tab = algos.run_smd(quad, Oracle(quad, TwoPointNoise(p=1.5, sigma=1.0, q=0.2), seed=0),
+                        sched, horizon, x1).table
+    report = schedules.verify_schedule_conditions(sched, horizon, tab)
     announce("criterion 8 (parameter-free mode)", report.ok, "all conditions hold")
 
     s = schedules.derive_inputs(quad, x1, p=1.5, sigma=1.0, delta=0.1, horizon=horizon)

@@ -275,11 +275,18 @@ START = {
 
 @given(algorithm=st.sampled_from(["smd", "asmd", "sgd", "vanilla-sgd"]),
        geom=st.sampled_from(list(START)), radial=st.booleans(), anytime=st.booleans(),
-       lambda_scale=st.sampled_from([1.0, 0.05]), steps=st.integers(1, 64),
-       seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=8))
+       param_free=st.booleans(), lambda_scale=st.sampled_from([1.0, 0.05]),
+       steps=st.integers(1, 64), seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1,
+                                                max_size=8))
 @settings(max_examples=30, deadline=None)
-def test_batch_equals_single_runs_property(algorithm, geom, radial, anytime, lambda_scale,
-                                           steps, seeds):
+@example(algorithm="smd", geom="euclidean3", radial=True, anytime=True, param_free=True,
+         lambda_scale=0.05, steps=40, seeds=list(range(8)))
+@example(algorithm="smd", geom="simplex9", radial=False, anytime=True, param_free=True,
+         lambda_scale=1.0, steps=40, seeds=list(range(8)))
+def test_batch_equals_single_runs_property(algorithm, geom, radial, anytime, param_free,
+                                           lambda_scale, steps, seeds):
+    """``param_free`` runs SMD on the parameter-free schedule, with a small ``c2`` so that
+    each row's displacement leads its level."""
     if algorithm in ("sgd", "vanilla-sgd") and not geom.startswith("euclidean"):
         geom = "euclidean"  # gradient descent runs on unconstrained l2 space only
     prob, x1 = START[geom]
@@ -288,8 +295,10 @@ def test_batch_equals_single_runs_property(algorithm, geom, radial, anytime, lam
     else:
         model = TwoPointNoise(p=1.5, sigma=1.0, q=0.3)
     family = "sgd" if algorithm == "vanilla-sgd" else algorithm
-    mode = f"{family}_{'anytime' if anytime else 'known_t'}"
-    sched = schedules.Schedule(mode, smd_inputs(prob, x1, sigma=1.0, horizon=steps),
+    param_free = param_free and algorithm == "smd"
+    mode = "smd_param_free" if param_free else f"{family}_{'anytime' if anytime else 'known_t'}"
+    c2 = 1e-8 if param_free else 1.0
+    sched = schedules.Schedule(mode, smd_inputs(prob, x1, sigma=1.0, horizon=steps, c2=c2),
                                lambda_scale=lambda_scale)
     single, batch_fn = {"smd": (algos.run_smd, algos.run_smd_batch),
                         "asmd": (algos.run_asmd, algos.run_asmd_batch),
@@ -358,19 +367,33 @@ def test_batch_vanilla_divergence_freezes_rows():
     assert np.all(np.isinf(res.summary))
 
 
-def test_batch_rejects_stateful_schedule():
-    prob = quad()
-    x1 = np.array([1.0, 0.0])
+@pytest.mark.parametrize("start", ["euclidean", "ball", "simplex9", "euclidean9"])
+def test_batch_param_free_rows_equal_single_runs(monkeypatch, start):
+    """A parameter-free batch keeps each row's own displacement and level: row k's results
+    and step table are seed k's single run, bitwise, over windows of 7 steps; the rows'
+    levels differ.  Nine l2 coordinates take the row norm's contiguous dot."""
+    if start == "euclidean9":
+        prob = problems.make_quadratic(np.linspace(0.5, 2.0, 9), np.zeros(9))
+        x1 = np.linspace(-1.0, 1.0, 9)
+    else:
+        prob, x1 = START[start]
+    monkeypatch.setattr(nz, "_WINDOW_BYTES", 8 * prob.dim * 6 * 7)
+    monkeypatch.setattr(nz, "_WINDOW_MIN_STEPS", 1)
     model = TwoPointNoise(p=1.5, sigma=1.0, q=0.3)
-    sched = schedules.Schedule("smd_param_free", smd_inputs(prob, x1, sigma=1.0))
-    with pytest.raises(ValueError, match="stateless"):
-        algos.run_smd_batch(prob, model, sched, 8, x1, [0, 1])
-    # one seed is one row: the trajectory-dependent schedule drives it as a single run
-    batch = algos.run_smd_batch(prob, model, sched, 8, x1, [5])
-    rec = algos.run_smd(prob, Oracle(prob, model, seed=5), sched, 8, x1)
-    assert batch.summary[0] == rec.summary
-    assert batch.final_gap[0] == rec.final_gap
-    assert batch.clipped_fraction[0] == rec.clipped_fraction
+    sched = schedules.Schedule("smd_param_free", smd_inputs(prob, x1, sigma=1.0, c2=1e-8),
+                               lambda_scale=0.5)
+    seeds = [3, 1, 4, 1, 5, 9]
+    batch = algos.run_smd_batch(prob, model, sched, 60, x1, seeds, record=True)
+    for k, seed in enumerate(seeds):
+        rec = algos.run_smd(prob, Oracle(prob, model, seed=seed), sched, 60, x1)
+        for field in ("summary", "final_gap", "clipped_fraction", "diverged"):
+            assert getattr(batch, field)[k] == getattr(rec, field), field
+        for field in dataclasses.fields(algos.StepTable):
+            one, rows = getattr(rec.table, field.name), getattr(batch.table, field.name)
+            if one is not None:
+                rows = rows if one.ndim == 1 else rows[k:k + 1]
+                assert rows.shape == one.shape and rows.tobytes() == one.tobytes(), field.name
+    assert len(set(batch.table.lam[:, -1].tolist())) > 1
 
 
 def test_batch_draws_seed_streams_without_oracles(monkeypatch):
@@ -501,7 +524,8 @@ LOOPS = {"smd": algos._smd, "asmd": algos._asmd, "sgd": algos._sgd, "vanilla-sgd
 
 @pytest.mark.parametrize("algorithm, start, param", [
     ("smd", "euclidean", "smd_known_t"), ("smd", "ball", "smd_anytime"),
-    ("smd", "simplex9", "smd_known_t"), ("asmd", "euclidean", "asmd_known_t"),
+    ("smd", "simplex9", "smd_known_t"), ("smd", "euclidean3", "smd_param_free"),
+    ("asmd", "euclidean", "asmd_known_t"),
     ("asmd", "simplex9", "asmd_anytime"), ("sgd", "euclidean3", "sgd_known_t"),
     ("sgd", "euclidean", "sgd_anytime"),
     ("vanilla-sgd", "euclidean", 0.1),  # no row diverges

@@ -18,6 +18,9 @@ def test_bench_layers_tiny_prints_every_layer(capsys):
     steps = [line for line in lines if line.startswith("step ")]
     assert len(steps) == len(bench.TINY_SIZES) * len(bench.CASES)
     assert all(line.endswith("ns/seed-step") and float(line.split()[-2]) > 0 for line in steps)
+    param_free = [line.split() for line in steps if " smd_param_free/euclidean " in line]
+    assert [row[1:4] for row in param_free] == [[name, f"n={n}", f"d={d}"]
+                                                for name, n, d, _ in bench.TINY_SIZES]
     clipsteps = [line.split() for line in lines if line.startswith("clipstep ")]
     assert len(clipsteps) == 1 and float(clipsteps[0][-3]) > 0
     assert float(clipsteps[0][-1].removeprefix("clipped=")) > 0.5  # the step really clips

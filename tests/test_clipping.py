@@ -70,6 +70,17 @@ def test_clip_batch_takes_per_row_levels():
             clipping.clip_batch(G, lam)
 
 
+def test_clip_batch_infinite_row_level_keeps_the_row():
+    """A row under an infinite level keeps the factor 1, an infinite norm too, as a run that
+    skips the clip keeps it; a NaN norm still gives NaN, and nothing warns."""
+    G = np.array([[3.0, 4.0], [3.0, 4.0], [np.inf, 0.0], [np.nan, 1.0]])
+    lam = np.array([1.0, np.inf, np.inf, np.inf])
+    norms = np.sqrt(np.sum(G * G, axis=1))
+    out = clipping.clip_batch(G, lam, norms)
+    assert out[0].tolist() == [0.6000000000000001, 0.8] and out[1:3].tolist() == G[1:3].tolist()
+    assert np.isnan(out[3]).all()
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, -0.0, np.float64(0.0), 0, -1])
 def test_clip_batch_rejects_a_nonpositive_float_or_array_level(bad):
     """A level of 0 or -1 raises as a float and as an (n,) array, which take separate checks."""

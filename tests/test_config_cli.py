@@ -179,6 +179,13 @@ def test_out_of_range_values_exit_2(tmp_path, capsys, assignment):
     ("diagnose_smd.cfg", ["schedule.lambda_scale=1e300"], "schedule.lambda_scale"),
     ("diagnose_smd.cfg", ["schedule.eta_scale=1e-300"], "schedule.eta_scale"),
     ("diagnose_smd.cfg", ["schedule.eta_scale=-1.0"], "schedule.eta_scale"),
+    # the parameter-free mode's first step, at displacement 0: its largest step, smallest level
+    ("diagnose_smd.cfg", ["schedule.mode=smd_param_free", "experiment.t=16",
+                          "schedule.lambda_scale=1e-300"], "schedule.lambda_scale"),
+    ("diagnose_smd.cfg", ["schedule.mode=smd_param_free", "experiment.t=16",
+                          "schedule.eta_scale=1e300"], "schedule.eta_scale"),
+    ("diagnose_smd.cfg", ["schedule.mode=smd_param_free", "experiment.t=16",
+                          "schedule.lambda_scale=1e300"], "schedule.lambda_scale"),
 ])
 def test_non_finite_schedule_exit_2(tmp_path, capsys, command, config_file, assignments, key):
     """A schedule whose level overflows as p -> 1, or whose SMD floor, level or bound is not
@@ -208,6 +215,8 @@ EXTREMES = {
     "schedule.mu": ["-1.0", "0.0", "1.0", "1e150", "1e300", "1e308"],
     "schedule.eta_scale": ["-1.0", "0.0", "1e-300", "1.0", "1e300", "1e308"],
     "schedule.lambda_scale": ["0.0", "5e-324", "1e-300", "1.0", "1e300", "1e308"],
+    # the one mode whose level follows the run; unset, each config keeps its own mode
+    "schedule.mode": ["smd_param_free"],
     # the start and the quadratic's vectors (dim = 2 in every config); a wrong length too
     "problem.x1": ["0,0", "5e-324,0", "1e-300,-1e-300", "1e150,0", "1e300,-1e300", "1e308,1e308",
                    "1,2,3"],
@@ -291,11 +300,16 @@ def test_cmd_rates_short_grid_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "rates"])
-def test_batch_commands_reject_param_free_exit_2(tmp_path, capsys, command):
-    text = MINIMAL.replace("seeds = 31", "seeds = 100\nt_grid = 64,128,256,512") \
-                  .replace("mode = smd_known_t", "mode = smd_param_free")
-    assert cli.main([command, "--config", _write(tmp_path, text)]) == 2
-    assert "schedule.mode" in capsys.readouterr().err
+def test_batch_commands_run_param_free(tmp_path, capsys, command):
+    """The parameter-free mode runs in batches: ``run`` writes its failure rate against the
+    bound, ``rates`` its slope."""
+    text = NOISY.replace("seeds = 31", "seeds = 100\nt_grid = 64,128,256,512") \
+                .replace("mode = smd_known_t", "mode = smd_param_free")
+    assert cli.main([command, "--config", _write(tmp_path, text), "--out", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert not err
+    assert ("smd/smd_param_free T=64 seeds=100" in out and "failure_rate=" in out
+            if command == "run" else "slope=" in out and "target=" in out)
 
 
 def test_cmd_rates_noiseless_fixture(tmp_path, capsys):
@@ -405,7 +419,8 @@ def test_cmd_diagnose_demo_report_values(tmp_path, capsys, algorithm):
 
 @pytest.mark.parametrize("overrides", [[], ["schedule.mode=smd_param_free"], SGD_VARIANT])
 def test_cmd_diagnose_records_one_run(tmp_path, monkeypatch, overrides):
-    """The schedule's state, the pathwise check and the martingale trace share one run."""
+    """The pathwise check, the martingale trace and (parameter-free) the conditions and the
+    error-bound level share one run."""
     calls = []
     single = algorithms._single
 
@@ -419,6 +434,17 @@ def test_cmd_diagnose_records_one_run(tmp_path, monkeypatch, overrides):
         args += ["--set", assignment]
     assert cli.main(args) == 0
     assert calls == ["sgd" if overrides == SGD_VARIANT else "smd"]
+
+
+def test_cmd_diagnose_baseline_checks_conditions_without_a_run(tmp_path, capsys, monkeypatch):
+    """The unclipped baseline has no clipped run to record: its schedule's conditions come
+    from the schedule's table."""
+    monkeypatch.setattr(algorithms, "_single", None)  # a run would fail
+    argv = ["diagnose", "--config", str(DEMO_CONFIGS / "sgd_rates.cfg"), "--out", str(tmp_path),
+            "--set", "experiment.algorithm=vanilla-sgd", "--set", "experiment.t=16"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert "condition eta_cap: pass" in out and not err
 
 
 @pytest.mark.parametrize("assignments, failed", [
@@ -472,6 +498,20 @@ def test_cmd_diagnose_exact_moments_of_huge_spikes(tmp_path, capsys, assignments
     assert cli.main(argv) == (1 if "schedule.lambda_scale=1e300" in assignments else 0)
     out, err = capsys.readouterr()
     assert "check clipping_error_bounds: pass" in out and not err
+
+
+def test_cmd_diagnose_reports_out_of_range_steps(tmp_path, capsys):
+    """Steps past the pathwise inequality's range fail that check as a report (margin -inf):
+    exit 1 with nothing on stderr, with every warning an error."""
+    argv = ["diagnose", "--config", str(DEMO_CONFIGS / "diagnose_smd.cfg"), "--out", str(tmp_path)]
+    for assignment in ("noise.p=1.0000001", "noise.sigma=1e154", "schedule.lambda_scale=1e-300",
+                       "schedule.eta_scale=1e300"):
+        argv += ["--set", assignment]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert "check pathwise_smd: FAIL violations=256 min_margin=-inf\n" in out and not err
 
 
 def test_cmd_run_golden_digest(tmp_path):

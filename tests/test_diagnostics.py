@@ -198,8 +198,18 @@ def test_pathwise_rejects_oversized_steps():
     s = schedules.derive_inputs(prob, x1, p=1.5, sigma=0.0, delta=0.1, horizon=10)
     sched = schedules.Schedule("smd_known_t", s, eta_scale=1000.0)
     oracle = Oracle(prob, TwoPointNoise(p=1.5, sigma=0.0, q=1.0), seed=0)
-    with pytest.raises(ValueError, match="1/\\(4L\\)"):
-        diag.check_pathwise_smd(prob, oracle, sched, 10, x1)
+    rep = diag.check_pathwise_smd(prob, oracle, sched, 10, x1)
+    assert not rep.passed and rep.min_margin == -math.inf
+    assert rep.violations == [(t, -math.inf) for t in range(1, 11)]  # every step is past 1/(4L)
+
+
+def test_pathwise_nan_margin_fails():
+    """A NaN margin is a violation, as is a step out of range (margin -inf)."""
+    t, margins = np.arange(1, 5), np.array([[0.0, np.nan, -1.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
+    out_of_range = np.array([[False, False, False, True], [False] * 4])
+    bad, good = diag._pathwise("pathwise_smd", t, margins, out_of_range, 1e-8)
+    assert [s for s, _ in bad.violations] == [2, 3, 4] and bad.violations[2][1] == -math.inf
+    assert good.passed and good.min_margin == 0.0
 
 
 # -- martingale traces ----------------------------------------------------------------

@@ -75,31 +75,44 @@ def test_log_weight_series_values():
 
 def test_param_free_first_step():
     sched = schedules.Schedule("smd_param_free", inputs(c1=1.0, c2=1.0))
-    sched.observe(1, np.zeros(2))
-    assert sched.lam(1) == pytest.approx(math.sqrt(52.0))  # max(sqrt(52), 2, 1/6)
-    assert sched.eta(1) * sched.lam(1) == pytest.approx(1.0 / 24.0)
+    eta, lam = sched.pair(1, 0.0)  # the first step is at displacement 0
+    assert lam == sched.lam(1) == pytest.approx(math.sqrt(52.0))  # max(sqrt(52), 2, 1/6)
+    assert eta * lam == pytest.approx(1.0 / 24.0)
 
 
 def test_param_free_level_never_decreases():
+    """Along a trajectory's running largest displacement, and in the displacement at each t."""
     sched = schedules.Schedule("smd_param_free", inputs())
     rng = np.random.default_rng(0)
-    x1 = np.zeros(3)
-    sched.observe(1, x1)
-    prev = sched.lam(1)
+    dev, prev = 0.0, sched.lam(1)
     for t in range(2, 200):
-        sched.observe(t, x1 + rng.standard_normal(3))
-        lam = sched.lam(t)
+        dev = max(dev, float(np.linalg.norm(rng.standard_normal(3))))  # ||x_t - x_1||
+        lam = sched.pair(t, dev)[1]
         assert lam >= prev - 1e-15
         prev = lam
+    devs = np.sort(rng.exponential(3.0, 50))
+    for t in (1, 7, 4096):
+        lams = sched.pair(t, devs)[1]
+        assert np.all(np.diff(lams) >= 0) and lams[0] >= sched.lam(t)
 
 
 def test_param_free_state_discipline():
-    sched = schedules.Schedule("smd_param_free", inputs())
-    with pytest.raises(ValueError, match="state missing"):
-        sched.lam(1)
-    sched.observe(1, np.zeros(2))
-    with pytest.raises(ValueError, match="monotonically"):
-        sched.observe(3, np.zeros(2))
+    """The schedule keeps no trajectory state: a pair depends only on (t, dev), whatever was
+    asked before, and an (n,) array of displacements gives each row's float pair, bitwise;
+    a NaN displacement is skipped by the level's max, as Python's max skips it."""
+    sched = schedules.Schedule("smd_param_free", inputs(p=1.5), eta_scale=1.7, lambda_scale=0.3)
+    attributes = dict(vars(sched))
+    devs = np.array([0.0, 0.25, 3.0, 1e3, np.nan])
+    first = [sched.pair(t, dev) for t in (1, 5, 2) for dev in devs.tolist()]
+    assert [sched.pair(t, dev) for t in (1, 5, 2) for dev in devs.tolist()] == first
+    for t in (1, 5, 2):
+        eta, lam = sched.pair(t, devs)
+        assert eta.shape == lam.shape == devs.shape
+        for k, dev in enumerate(devs.tolist()):
+            assert (eta[k], lam[k]) == sched.pair(t, dev)
+            assert type(sched.pair(t, dev)[1]) is float
+    assert sched.pair(3, math.nan) == sched.pair(3, 0.0) == sched.pair(3)
+    assert vars(sched) == attributes
 
 
 def test_accelerated_momentum_weights():
@@ -265,17 +278,29 @@ def test_condition_checker_param_free_after_run():
     prob = problems.make_quadratic([1.0, 1.0])
     s = schedules.derive_inputs(prob, np.array([1.0, 0.0]), p=1.5, sigma=1.0,
                                 delta=0.1, c1=1.0, c2=1.0)
-    sched = schedules.Schedule("smd_param_free", s, norm=prob.geometry.norm)
+    sched = schedules.Schedule("smd_param_free", s)
     oracle = Oracle(prob, TwoPointNoise(p=1.5, sigma=1.0, q=0.2), seed=1)
-    run_smd(prob, oracle, sched, 128, np.array([1.0, 0.0]), record=False)
-    report = schedules.verify_schedule_conditions(sched, 128)
+    tab = run_smd(prob, oracle, sched, 128, np.array([1.0, 0.0])).table
+    report = schedules.verify_schedule_conditions(sched, 128, tab)
     assert report.ok, [c for c in report.checks if not c.passed]
 
 
-def test_condition_checker_requires_param_free_state():
-    sched = schedules.Schedule("smd_param_free", inputs())
-    with pytest.raises(ValueError, match="state missing"):
-        schedules.verify_schedule_conditions(sched, 16)
+def test_condition_checker_param_free_without_run():
+    """Without a run the checker reads the table at displacement 0: the largest steps and
+    smallest levels any run can take, so a run's own margins are no smaller."""
+    from clipopt.algorithms import run_smd
+    prob = problems.make_quadratic([1.0, 1.0])
+    x1 = np.array([1.0, 0.0])
+    s = schedules.derive_inputs(prob, x1, p=1.5, sigma=1.0, delta=0.1, c1=1.0, c2=1.0)
+    sched = schedules.Schedule("smd_param_free", s)
+    worst = schedules.verify_schedule_conditions(sched, 64)
+    assert worst.ok, [c for c in worst.checks if not c.passed]
+    tab = run_smd(prob, Oracle(prob, TwoPointNoise(p=1.5, sigma=1.0, q=0.2), seed=1), sched,
+                  64, x1).table
+    run = {c.name: c.margin for c in schedules.verify_schedule_conditions(sched, 64, tab).checks}
+    for check in worst.checks:
+        if check.name != "eta_lambda_constant":
+            assert run[check.name] >= check.margin, check.name
 
 
 def test_theorem_bound_smd_hand_value():
@@ -380,13 +405,18 @@ def test_pair_equals_eta_and_lam_with_one_evaluation(mode, monkeypatch):
     calls = []
     raw_pair = schedules.Schedule._raw_pair
     monkeypatch.setattr(schedules.Schedule, "_raw_pair",
-                        lambda self, t: calls.append(t) or raw_pair(self, t))
+                        lambda self, t, dev=0.0: calls.append(t) or raw_pair(self, t, dev))
     for t in range(1, 41):
-        sched.observe(t, np.array([0.05 * t, -0.02 * t]))
         calls.clear()
         eta, lam = sched.pair(t)
         assert calls == [t]  # one evaluation of the step's formulas per pair
         assert (eta, lam) == (sched.eta(t), sched.lam(t))
+        calls.clear()
+        dev = float(np.hypot(0.05 * t, 0.02 * t))  # the parameter-free pair at a displacement
+        eta, lam = sched.pair(t, dev)
+        assert calls == [t]
+        if mode != "smd_param_free":
+            assert (eta, lam) == (sched.eta(t), sched.lam(t))
 
 
 @pytest.mark.parametrize("mode", schedules.ALL_MODES)
@@ -394,13 +424,11 @@ def test_pair_equals_eta_and_lam_with_one_evaluation(mode, monkeypatch):
                          [(1.0, 1.0, None), (1.7, 0.3, None), (1.0, 1.0, 300.0), (0.4, 2.5, 3e4)])
 def test_table_equals_pair_and_alpha_bitwise(mode, eta_scale, lambda_scale, c_override):
     """``table(T)`` holds ``pair(t)`` and ``alpha(t)`` for t = 1..T with the same bits, for
-    every mode and knob; the stateful mode's table is taken after observing the horizon."""
+    every mode and knob; the parameter-free mode's at displacement 0."""
     for T in (1, 2, 257, 4096):
         s = inputs(p=1.5, sigma=0.7, delta=0.05, horizon=T, r0=0.3, mu=0.2, g0_norm=0.1,
                    c_override=c_override)
         sched = schedules.Schedule(mode, s, eta_scale=eta_scale, lambda_scale=lambda_scale)
-        for t in range(1, T + 1):
-            sched.observe(t, np.array([0.05 * t, -0.02 * t]))
         tab = sched.table(T)
         pairs = np.array([sched.pair(t) for t in range(1, T + 1)])
         assert tab.eta.shape == tab.lam.shape == (T,)
@@ -414,17 +442,24 @@ def test_table_equals_pair_and_alpha_bitwise(mode, eta_scale, lambda_scale, c_ov
 
 
 def test_param_free_table_fills_as_observed():
-    """The stateful mode's table holds NaN past the observed steps; ``observe`` fills each
-    step's entry with that step's pair, before later steps move the running maximum."""
-    sched = schedules.Schedule("smd_param_free", inputs())
-    tab = sched.table(5)
-    assert np.isnan(tab.eta).all() and np.isnan(tab.lam).all()
-    expect = []
-    for t in range(1, 6):
-        sched.observe(t, np.array([float(t * t), 0.0]))
-        expect.append(sched.pair(t))
-        assert np.isnan(tab.lam[t:]).all()
-    assert np.array(expect).T.tobytes() == np.array([tab.eta, tab.lam]).tobytes()
+    """A recorded run's (n, T) step and level columns hold, at each step, the pair at the
+    largest displacement ``geometry.norm(x_s - x_1)`` its row has reached by then (s <= t),
+    on l2 and on the simplex."""
+    from clipopt.algorithms import run_smd_batch
+    for prob, x1 in ((problems.make_quadratic([1.0, 2.0]), np.array([3.0, -1.0])),
+                     (problems.make_simplex_quadratic([0.1, 0.2, 0.3, 0.4]), np.full(4, 0.25))):
+        # a small c2 lets the displacement term lead the level
+        s = schedules.derive_inputs(prob, x1, p=1.5, sigma=1.0, c1=0.2, c2=1e-6)
+        sched = schedules.Schedule("smd_param_free", s)
+        tab = run_smd_batch(prob, TwoPointNoise(p=1.5, sigma=1.0, q=0.2), sched, 50, x1,
+                            range(3), record=True).table
+        assert tab.eta.shape == tab.lam.shape == (3, 50)
+        for k in range(3):
+            dev = 0.0
+            for t in range(1, 51):
+                dev = max(dev, prob.geometry.norm(tab.x[k, t - 1] - x1))
+                assert (tab.eta[k, t - 1], tab.lam[k, t - 1]) == sched.pair(t, dev)
+        assert len(set(tab.lam[:, -1].tolist())) == 3  # every row's own trajectory
 
 
 @pytest.mark.parametrize("mode, names", [

@@ -5,7 +5,9 @@ Prints, one line each:
 * ns per seed-step of one lockstep step, for each algorithm and geometry, at
   the seed counts and dimensions of the run-smd (1000 seeds, d = 2),
   rates-sgd (100, d = 2) and asmd-simplex (500, d = 32) workloads; the loop
-  runs on draws built beforehand, so the time is the loop's alone;
+  runs on draws built beforehand, so the time is the loop's alone; the
+  ``smd_param_free`` row is Euclidean SMD on the parameter-free schedule,
+  whose steps keep each row's displacement and take per-row levels;
 * the same for a Euclidean SMD step that clips: its level is scaled down to
   1, below the spikes, so nearly every step calls ``clip_batch`` (the share of
   seed-steps clipped is printed);
@@ -45,9 +47,10 @@ SIZES = [("run-smd", 1000, 2, 4096), ("rates-sgd", 100, 2, 16384),
 TINY_SIZES = [("tiny", 3, 2, 16), ("tiny-simplex", 2, 4, 16)]
 LOOP_STEPS, TINY_LOOP_STEPS = 512, 8
 TABLE_T, TINY_TABLE_T = 16384, 64
-# (algorithm, loop, geometry, schedule mode or the baseline's step)
+# (row name, loop, geometry, schedule mode or the baseline's step)
 GEOMETRIES = ("euclidean", "ball", "simplex")
 CASES = ([("smd", algorithms._smd, g, "smd_known_t") for g in GEOMETRIES]
+         + [("smd_param_free", algorithms._smd, "euclidean", "smd_param_free")]
          + [("asmd", algorithms._asmd, g, "asmd_known_t") for g in GEOMETRIES]
          + [("sgd", algorithms._sgd, "euclidean", "sgd_known_t"),
             ("vanilla-sgd", algorithms._vanilla, "euclidean", 0.01)])
@@ -56,8 +59,8 @@ CLIP_SIZE, TINY_CLIP_SIZE = ("rates-sgd", 100, 2), ("tiny", 3, 2)
 CLIP_LEVEL = 1.0
 # the moments: query points and resamples per point (d = 2)
 MOMENTS, TINY_MOMENTS = (256, 256), (16, 100)
-TABLE_MODES = ["smd_known_t", "smd_anytime", "asmd_known_t", "asmd_anytime", "sgd_known_t",
-               "sgd_anytime"]
+TABLE_MODES = ["smd_known_t", "smd_anytime", "smd_param_free", "asmd_known_t", "asmd_anytime",
+               "sgd_known_t", "sgd_anytime"]
 
 
 def _best(fn, repeat: int) -> float:
