@@ -4,20 +4,20 @@ Pairs a clipped gradient-descent run against vanilla on identical noise
 (per-seed streams match exactly), with rare spikes a hundred times the
 noise scale.  The clipping level here is deliberately set below the spike
 size (off-guarantee knob), since the guarantee levels are calibrated so
-generously that this bounded noise never trips them.
+generously that this bounded noise never trips them.  The settings are
+``configs/sgd_vs_vanilla.cfg``, the config ``clipopt compare`` runs.
 """
 
+from pathlib import Path
+
 from clipopt import harness
-from clipopt.config import ExperimentConfig, validate_config
+from clipopt.config import load_config
+
+CONFIG = Path(__file__).resolve().parent / "configs" / "sgd_vs_vanilla.cfg"
 
 
 def main():
-    cfg = ExperimentConfig(
-        experiment_id="vs-demo", algorithm="sgd", mode="sgd_known_t", horizon=4096,
-        n_seeds=200, base_seed=0, delta=0.1, problem="quadratic", dim=2,
-        x1=(1.0, 1.0), noise="two_point", p=1.5, sigma=0.1, q=1e-3,
-        eta_scale=8.0, lambda_scale=0.1)
-    validate_config(cfg)
+    cfg = load_config(CONFIG)
     comp = harness.compare_clipped_vanilla(cfg)
     print(f"paired seeds: {comp.n_pairs}")
     print(f"final gap median: clipped {comp.clipped_median:.3e} "

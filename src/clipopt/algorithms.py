@@ -1,11 +1,12 @@
 """Clipped first-order optimization loops and their trajectory records.
 
-Two clipped loops: mirror descent, and accelerated mirror descent
-(final-gap metric, three-sequence update), plus an unclipped baseline that
-may diverge under heavy-tailed noise.  The mirror-descent loop runs clipped
-SMD (average-gap metric) and clipped gradient descent on l2 space (average
-squared gradient norm), whose l2 mirror step is x - eta * G; the two differ
-only in the per-window metric they pass it.
+Two loops: mirror descent, and accelerated mirror descent (final-gap
+metric, three-sequence update).  The mirror-descent loop runs clipped SMD
+(average-gap metric), clipped gradient descent on l2 space (average squared
+gradient norm), whose l2 mirror step is x - eta * G, and the unclipped
+baseline, which is that l2 step at the level lambda_t = +inf and may diverge
+under heavy-tailed noise; they differ only in the levels and the per-window
+metric they pass it.
 
 Each algorithm has one loop over an (n, d) state whose rows are independent
 seeds.  The state is seed-contiguous: it is stored Fortran-ordered, as the
@@ -49,7 +50,9 @@ diagnostics); a single run's table is its n = 1 case.  Same seed, same
 config give bitwise-identical trajectories in either form.  A row whose
 final iterate, summary or final gap is not finite is reported as diverged,
 with infinite summary and gap; the overflow and invalid-value warnings that
-such a row raises on the way are silenced.
+such a row raises on the way are silenced.  The baseline's metric is +inf at a
+step whose new iterate has a coordinate beyond ``DIVERGENCE_LIMIT`` in
+magnitude (or a NaN), so a row that escapes is flagged even if it comes back.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from .clipping import clip_batch
 from .geometry import coord_dot
 from .noise import DenseDraws, Oracle, check_noise_geometry, lockstep_draws, window_steps
 from .problems import Problem
-from .schedules import ASMD_MODES, SGD_MODES, SMD_MODES, Schedule
+from .schedules import ASMD_MODES, SGD_MODES, SMD_MODES, Schedule, ScheduleTable
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -154,11 +157,11 @@ def run_sgd(problem: Problem, oracle: Oracle, schedule: Schedule, steps: int, x1
 
 def run_vanilla_sgd(problem: Problem, oracle: Oracle, eta: float, steps: int, x1,
                     record: bool = True) -> RunRecord:
-    """Unclipped baseline with a fixed step; terminates early on divergence.
+    """Unclipped baseline with a fixed step: clipped gradient descent at an infinite level.
 
-    A run is flagged diverged once any coordinate exceeds 1e12 in magnitude
-    (or goes non-finite); the final point is the last finite iterate and the
-    summary is reported as infinity.
+    A run is flagged diverged, with infinite summary and final gap, if any
+    iterate has a coordinate beyond 1e12 in magnitude (or a NaN); it still runs
+    all ``steps``, and its final point and record hold its actual iterates.
     """
     return _single("vanilla-sgd", _vanilla, problem, oracle, eta, steps, x1, record)
 
@@ -181,15 +184,15 @@ def run_sgd_batch(problem: Problem, noise_model, schedule: Schedule, steps: int,
 
 def run_vanilla_sgd_batch(problem: Problem, noise_model, eta: float, steps: int, x1,
                           seeds, record: bool = False) -> BatchResult:
-    """Unclipped lockstep baseline; diverged rows freeze at their last finite iterate."""
+    """Unclipped lockstep baseline; identical arithmetic to ``run_vanilla_sgd``."""
     return _batch("vanilla-sgd", _vanilla, problem, noise_model, eta, steps, x1, seeds, record)
 
 
 def _single(algorithm, loop, problem, oracle, param, steps, x1, record) -> RunRecord:
     """The one-seed run fed by the oracle's dense noise block, as that seed's record."""
     noise = DenseDraws(oracle.noise_matrix(steps)[:, :, None])
-    res, X, done = _run(algorithm, loop, problem, param, steps, x1, [oracle.seed], noise, record)
-    return RunRecord(algorithm, oracle.seed, done, float(res.summary[0]), X[0],
+    res, X = _run(algorithm, loop, problem, param, steps, x1, [oracle.seed], noise, record)
+    return RunRecord(algorithm, oracle.seed, steps, float(res.summary[0]), X[0],
                      float(res.final_gap[0]), float(res.clipped_fraction[0]),
                      bool(res.diverged[0]), res.table)
 
@@ -204,18 +207,14 @@ def _batch(algorithm, loop, problem, noise_model, param, steps, x1, seeds, recor
 
 def _run(algorithm, loop, problem, param, steps, x1, seeds, noise, record):
     """The seeds' results (a row with a non-finite final iterate, summary or gap is
-    flagged diverged), their final rows and the number of steps run."""
+    flagged diverged) and their final rows."""
     tab = _step_table(steps, noise.n, x1, algorithm == "asmd") if record else None
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are flagged diverged
-        summary, final_gap, clipped, X, done = loop(problem, param, steps, x1, noise, tab)
-    if tab is not None and done < steps:  # the baseline stops once every row has diverged
-        tab = StepTable(tab.t[:done], tab.eta[:, :done], tab.lam[:, :done], tab.clipped[:, :done],
-                        tab.raw_norm[:, :done], tab.metric[:, :done], tab.x[:, :done + 1],
-                        tab.grad_clipped[:, :done])
+        summary, final_gap, clipped, X = loop(problem, param, steps, x1, noise, tab)
     diverged = ~(np.isfinite(summary) & np.isfinite(final_gap) & np.all(np.isfinite(X), axis=1))
     res = BatchResult(algorithm, np.asarray(seeds), np.where(diverged, np.inf, summary),
                       np.where(diverged, np.inf, final_gap), clipped / steps, diverged, tab)
-    return res, X, done
+    return res, X
 
 
 def _step_table(steps: int, n: int, x1, accelerated: bool) -> StepTable:
@@ -240,10 +239,16 @@ def _start(problem: Problem, x1, n: int) -> np.ndarray:
 
 
 def _levels(schedule: Schedule, modes, needs: str, steps: int):
-    """The run's schedule table; its clipping levels are checked once, before the loop (the
-    parameter-free mode's, at displacement 0, are the smallest it can take)."""
+    """The run's schedule table, or the parameter-free mode's per-row pair source
+    ``schedule.pair``; the clipping levels are checked once, before the loop."""
     if schedule.mode not in modes:
         raise ValueError(f"{needs}, got {schedule.mode!r}")
+    if schedule.mode == "smd_param_free":
+        # the smallest level the mode takes is t = 1's at displacement 0: the level grows
+        # with the displacement, and at a fixed one with t (tau = 2t(1 + log t)^2 grows)
+        if schedule.pair(1)[1] <= 0:
+            raise ValueError("clipping level must be positive")
+        return schedule.pair
     table = schedule.table(steps)
     if np.any(table.lam <= 0):
         raise ValueError("clipping level must be positive")
@@ -293,15 +298,16 @@ def _record(tab: StepTable, lo: int, k: int, eta, lam, norms, metric, grad):
 # parameter-free mode's are per row, and its skip test takes the smallest level);
 # the clip runs when the largest norm is over the level or NaN (``argmax`` takes the
 # first NaN as the largest, and is cheaper than a reduction); a row it leaves alone
-# gets the factor 1, so skipping the clip keeps the bits; a row is counted clipped
-# when its norm is over the level;
+# gets the factor 1, so skipping the clip keeps the bits (the baseline's level is
+# +inf: it runs the clip only at a NaN norm); a row is counted clipped when its norm
+# is over the level;
 # a step table, if given, gets each window's rows; each returns (summary,
-# final_gap, clip counts, final rows, steps run) --
+# final_gap, clip counts, final rows) --
 
 
 def _smd(problem, schedule, steps, x1, noise, tab):
     levels = _levels(schedule, SMD_MODES, "smd needs a mirror-descent schedule", steps)
-    return _descent(problem, schedule, levels, steps, x1, noise, tab,
+    return _descent(problem, levels, steps, x1, noise, tab,
                     lambda xw, fw, out: problem.gap_many(xw, out=out))
 
 
@@ -309,17 +315,30 @@ def _sgd(problem, schedule, steps, x1, noise, tab):
     levels = _levels(schedule, SGD_MODES, "sgd needs a gradient-descent schedule", steps)
     if problem.geometry.kind != "euclidean":
         raise ValueError("clipped gradient descent runs on unconstrained l2 geometry")
-    return _descent(problem, schedule, levels, steps, x1, noise, tab,
+    return _descent(problem, levels, steps, x1, noise, tab,
                     lambda xw, fw, out: coord_dot(fw, fw, out=out))
 
 
-def _descent(problem, schedule, levels, steps, x1, noise, tab, metric):
+def _vanilla(problem, eta, steps, x1, noise, tab):
+    if problem.geometry.kind != "euclidean":
+        raise ValueError("the baseline runs on unconstrained l2 geometry")
+
+    def metric(xw, fw, out):  # SGD's, +inf where the new iterate escapes or is NaN
+        coord_dot(fw, fw, out=out)
+        out[~np.all(np.abs(xw) <= DIVERGENCE_LIMIT, axis=2)] = np.inf
+        return out
+
+    levels = ScheduleTable(np.full(steps, float(eta)), np.full(steps, np.inf), None)
+    return _descent(problem, levels, steps, x1, noise, tab, metric)
+
+
+def _descent(problem, levels, steps, x1, noise, tab, metric):
     """Clipped mirror descent, whose summary is the average of ``metric(xw, fw, out)``:
     the per-step metric of a window, from its new iterates ``xw`` and the gradients
     ``fw`` its steps were queried at (the value gap for SMD, the squared gradient
-    norm for SGD, where the l2 mirror step is x - eta * G)."""
+    norm for SGD, where the l2 mirror step is x - eta * G).  ``levels`` is a schedule
+    table (its step sizes and levels), or the parameter-free mode's ``pair(t, dev)``."""
     n = noise.n
-    etas, lams, _ = levels
     geom = problem.geometry
     X = _start(problem, x1, n)
     d = X.shape[1]
@@ -329,7 +348,7 @@ def _descent(problem, schedule, levels, steps, x1, noise, tab, metric):
     norms, metric_rows = np.empty((K, n)), np.empty((K, n))
     norm_rows = list(norms)
     metric_sum, clipped = np.zeros(n), np.zeros(n)
-    per_row = schedule.mode == "smd_param_free"
+    per_row = callable(levels)
     if per_row:
         start, D, dev = np.asarray(x1, dtype=float), np.empty((n, d)), np.zeros(n)
         eta_w, lam_w = np.empty((K, n)), np.empty((K, n))
@@ -337,9 +356,10 @@ def _descent(problem, schedule, levels, steps, x1, noise, tab, metric):
         def row_pairs(lo, k):  # (n, 1) steps, (n,) levels, the least; X as each step starts
             for i in range(k):
                 np.fmax(dev, geom.norm_many(np.subtract(X, start, out=D)), out=dev)
-                eta_w[i], lam_w[i] = schedule.pair(lo + i + 1, dev)
+                eta_w[i], lam_w[i] = levels(lo + i + 1, dev)
                 yield eta_w[i, :, None], lam_w[i], lam_w[i].min()
-
+    else:
+        etas, lams, _ = levels
     for lo in range(0, steps, K):  # windows of K steps, then the rest
         k = min(K, steps - lo)
         if per_row:
@@ -361,7 +381,7 @@ def _descent(problem, schedule, levels, steps, x1, noise, tab, metric):
         if tab is not None:
             _record(tab, lo, k, eta_k, lam_k, norms[:k], window, gw[:k])
             tab.x[:, lo + 1:lo + k + 1] = xw[:k].transpose(1, 0, 2)
-    return metric_sum / steps, problem.gap_many(X), clipped, X.copy(order="K"), steps
+    return metric_sum / steps, problem.gap_many(X), clipped, X.copy(order="K")
 
 
 def _asmd(problem, schedule, steps, y1, noise, tab):
@@ -396,44 +416,4 @@ def _asmd(problem, schedule, steps, y1, noise, tab):
             tab.y[:, lo + 1:lo + k + 1] = yw[:k].transpose(1, 0, 2)
             tab.z[:, lo + 1:lo + k + 1] = zw[:k].transpose(1, 0, 2)
     gaps = problem.gap_many(Y)
-    return gaps, gaps, clipped, Y.copy(order="K"), steps
-
-
-def _vanilla(problem, eta, steps, x1, noise, tab):
-    n = noise.n
-    if problem.geometry.kind != "euclidean":
-        raise ValueError("the baseline runs on unconstrained l2 geometry")
-    X = _start(problem, x1, n)  # updated in place: a frozen row keeps its last finite iterate
-    d = X.shape[1]
-    K = window_steps(steps, d, n)
-    (pw, ps), (fw, fs), (gw, gs) = (_slots(K, n, d) for _ in range(3))  # pw: proposed rows
-    live = np.empty((K + 1, n), dtype=bool)  # row i: the rows active before step lo + i + 1
-    active = np.ones(n, dtype=bool)
-    metric_sum = np.zeros(n)
-    for lo in range(0, steps, K):
-        k = min(K, steps - lo)
-        live[0] = active
-        for i in range(k):
-            t = lo + i + 1
-            F = problem.grad_many(X, out=fs[i])
-            G = np.add(F, noise.slab(t), out=gs[i])
-            X_new = np.subtract(X, np.multiply(eta, G, out=ps[i]), out=ps[i])
-            active = np.logical_and(live[i], np.all(np.abs(X_new) <= DIVERGENCE_LIMIT, axis=1),
-                                    out=live[i + 1])  # NaN rows freeze too
-            np.copyto(X, X_new, where=active[:, None])
-            if not active.any():
-                break
-        k = i + 1
-        metric = coord_dot(fw[:k], fw[:k])
-        metric_sum = _running_sum(metric_sum, np.where(live[:k], metric, 0.0))
-        if tab is not None:
-            _record(tab, lo, k, np.full((k, 1), eta), np.full((k, 1), np.inf),
-                    problem.geometry.dual_norm_many(gw[:k]), metric, gw[:k])
-            # a row frozen by step lo + i + 1 keeps its final iterate from then on
-            tab.x[:, lo + 1:lo + k + 1] = np.where(live[1:k + 1, :, None], pw[:k], X).transpose(
-                1, 0, 2)
-        if not active.any():
-            break
-    summary = np.where(active, metric_sum / steps, np.inf)
-    final_gap = np.where(active, problem.gap_many(X), np.inf)
-    return summary, final_gap, np.zeros(n), X, t
+    return gaps, gaps, clipped, Y.copy(order="K")

@@ -43,15 +43,17 @@ def clip_batch(G: np.ndarray, level, dual_norms: np.ndarray | None = None,
 
     The clip is written into ``out`` when it is given (``G`` itself may be ``out``).
     A level that is not positive is rejected (a NaN one is not).  A row under its level
-    keeps the factor 1, an infinite level's too (unless the norm is NaN).
+    keeps the factor 1, and so does a row at an infinite level, a float or a row's own,
+    unless its norm is NaN.
     """
-    # a plain comparison for a float: the ufunc costs ~2.8 us on one, 80 times as much
-    nonpositive = level <= 0 if isinstance(level, float) else np.less_equal(level, 0).any()
+    # plain comparisons for a finite float: the ufunc costs ~2.8 us on one, 80 times as much
+    scalar = isinstance(level, float)
+    nonpositive = level <= 0 if scalar else np.less_equal(level, 0).any()
     if nonpositive:
         raise ValueError("clipping level must be positive")
     if dual_norms is None:
         dual_norms = np.sqrt(coord_dot(G, G))
-    if isinstance(level, float):
+    if scalar and level < np.inf:
         factors = shrink_factors(dual_norms, level)
     else:
         with np.errstate(invalid="ignore"):  # inf / inf, set to 1 below

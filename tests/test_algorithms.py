@@ -169,14 +169,45 @@ def test_vanilla_matches_clipped_when_noiseless():
 
 
 def test_vanilla_divergence_flag():
+    """The 3/L step is unstable: the run is flagged diverged, with infinite summary and gap,
+    and runs all its steps."""
     prob = quad()
     x1 = np.array([1.0, 0.0])
     rec = algos.run_vanilla_sgd(prob, noiseless_oracle(prob), 3.0, 500, x1)
     assert rec.diverged
     assert rec.summary == np.inf
     assert rec.final_gap == np.inf
-    assert np.all(np.isfinite(rec.final_point))
-    assert rec.steps < 500
+    assert rec.steps == 500 and rec.table.metric.shape == (1, 500)
+
+
+def test_vanilla_row_that_escapes_and_comes_back_is_diverged():
+    """A 1e13 spike at step 1 sends the row past 1e12 (to -1e13), and the noiseless step
+    after brings it back to the minimizer: it is still flagged diverged."""
+    prob = problems.make_quadratic([1.0, 1.0])
+    x1 = np.array([1.0, 0.0])
+    block = np.zeros((6, 2, 1))
+    block[0, 0, 0] = 1e13
+    res = algos._run("vanilla-sgd", algos._vanilla, prob, 1.0, 6, x1, [0], DenseDraws(block),
+                     False)[0]
+    assert res.diverged.tolist() == [True]
+    assert res.summary[0] == np.inf and res.final_gap[0] == np.inf
+
+
+def test_vanilla_nan_row_leaves_the_other_rows_alone():
+    """A NaN draw runs the clip at the baseline's infinite level, which keeps every other
+    row's bits: each row of the batch is its own one-row run, and only the NaN row diverges."""
+    prob, x1 = quad(), np.array([1.0, 0.5])
+    steps, n = 8, 3
+    block = np.random.default_rng(0).standard_normal((steps, 2, n))
+    block[2, 0, 1] = np.nan
+    batch = algos._run("vanilla-sgd", algos._vanilla, prob, 0.1, steps, x1, range(n),
+                       DenseDraws(block), True)[0]
+    assert batch.diverged.tolist() == [False, True, False]
+    for k in (0, 2):
+        one = algos._run("vanilla-sgd", algos._vanilla, prob, 0.1, steps, x1, [k],
+                         DenseDraws(block[:, :, k:k + 1].copy()), True)[0]
+        assert batch.summary[k] == one.summary[0] and batch.final_gap[k] == one.final_gap[0]
+        assert batch.table.x[k].tobytes() == one.table.x[0].tobytes()
 
 
 def test_run_record_row_count_and_finiteness():
@@ -309,15 +340,14 @@ def test_batch_equals_single_runs_property(algorithm, geom, radial, anytime, par
     recs = [single(prob, Oracle(prob, model, seed=s), param, steps, x1) for s in seeds]
     for field in ("summary", "final_gap", "clipped_fraction", "diverged"):
         np.testing.assert_array_equal(getattr(batch, field), [getattr(r, field) for r in recs])
-    # seed k of the recorded batch is seed k's single-run table, bitwise; a baseline row that
-    # diverges stops its single run early, so the batch's first steps are compared
+    # seed k of the recorded batch is seed k's single-run table, bitwise
     for k, rec in enumerate(recs):
         for field in dataclasses.fields(algos.StepTable):
             one, rows = getattr(rec.table, field.name), getattr(batch.table, field.name)
             if one is None:
                 assert rows is None, field.name
                 continue
-            rows = rows[:one.shape[0]] if one.ndim == 1 else rows[k:k + 1, :one.shape[1]]
+            rows = rows if one.ndim == 1 else rows[k:k + 1]
             assert rows.dtype == one.dtype and rows.shape == one.shape, field.name
             assert rows.tobytes() == one.tobytes(), field.name
 
@@ -358,13 +388,16 @@ def test_clipped_iterates_stay_finite_in_domain_property(algorithm, geom, radial
                 assert np.all(path > 0), path
 
 
-def test_batch_vanilla_divergence_freezes_rows():
+def test_batch_vanilla_divergence_flags_rows():
+    """Rows that diverge are flagged, with infinite summary and gap, and are not frozen:
+    the record holds their actual iterates."""
     prob = quad()
     x1 = np.array([1.0, 0.0])
     model = TwoPointNoise(p=1.5, sigma=0.0, q=1.0)
-    res = algos.run_vanilla_sgd_batch(prob, model, 3.0, 500, x1, [0, 1])
+    res = algos.run_vanilla_sgd_batch(prob, model, 3.0, 500, x1, [0, 1], record=True)
     assert np.all(res.diverged)
-    assert np.all(np.isinf(res.summary))
+    assert np.all(np.isinf(res.summary)) and np.all(np.isinf(res.final_gap))
+    assert res.table.x[:, -1, 0].tolist() == [2.0 ** 500] * 2  # x_{t+1} = -2 x_t, exactly
 
 
 @pytest.mark.parametrize("start", ["euclidean", "ball", "simplex9", "euclidean9"])
@@ -530,7 +563,7 @@ LOOPS = {"smd": algos._smd, "asmd": algos._asmd, "sgd": algos._sgd, "vanilla-sgd
     ("sgd", "euclidean", "sgd_anytime"),
     ("vanilla-sgd", "euclidean", 0.1),  # no row diverges
     ("vanilla-sgd", "euclidean", 1.1),  # rows diverge mid-window, some (at n = 5) survive
-    ("vanilla-sgd", "euclidean", 1.2),  # every row diverges: the loop stops early
+    ("vanilla-sgd", "euclidean", 1.2),  # every row diverges
 ])
 @pytest.mark.parametrize("n", [1, 5, 130])
 def test_window_size_changes_no_bit(monkeypatch, algorithm, start, param, n):
@@ -551,18 +584,19 @@ def test_window_size_changes_no_bit(monkeypatch, algorithm, start, param, n):
             monkeypatch.setattr(nz, "_WINDOW_MIN_STEPS", 1)
         for record in (True, False):
             noise = nz.lockstep_draws(model, prob.dim, steps, range(n))
-            res, X, done = algos._run(algorithm, LOOPS[algorithm], prob, param, steps, x1,
-                                      range(n), noise, record)
-            runs.append((res, X, done))
-    res, X, done = runs[0]
-    if baseline and param > 1.0:
-        assert res.diverged.any()
-        assert (done < steps) == (param == 1.2 or n == 1)
+            runs.append(algos._run(algorithm, LOOPS[algorithm], prob, param, steps, x1,
+                                   range(n), noise, record))
+    res, X = runs[0]
+    if baseline and param > 1.0:  # diverged rows run every step, with infinite results
+        assert res.diverged.any() and res.table.metric.shape == (n, steps)
+        assert res.diverged.all() == (param == 1.2 or n == 1)
+        assert np.isinf(res.summary[res.diverged]).all()
+        assert np.isinf(res.final_gap[res.diverged]).all()
     elif not baseline:
         over = res.table.clipped.any(axis=0)  # steps with and without a clipped row; with
         assert over.any() and (n > 5 or not over.all())  # many seeds each step clips one
-    for other, X_other, done_other in runs[1:]:
-        assert done_other == done and X_other.tobytes() == X.tobytes()
+    for other, X_other in runs[1:]:
+        assert X_other.tobytes() == X.tobytes()
         for field in ("summary", "final_gap", "clipped_fraction", "diverged"):
             assert getattr(other, field).tobytes() == getattr(res, field).tobytes(), field
         if other.table is None:

@@ -1,5 +1,7 @@
 """Clipping operator properties and the error-decomposition estimators."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,6 +81,20 @@ def test_clip_batch_infinite_row_level_keeps_the_row():
     out = clipping.clip_batch(G, lam, norms)
     assert out[0].tolist() == [0.6000000000000001, 0.8] and out[1:3].tolist() == G[1:3].tolist()
     assert np.isnan(out[3]).all()
+
+
+@pytest.mark.parametrize("per_row", [False, True])
+def test_clip_at_an_infinite_level_keeps_every_row_but_a_nan_one(per_row):
+    """An infinite level, a float or one per row, gives each row the factor 1 (its bits,
+    an infinite row's too) and a NaN-norm row NaN, with no warning."""
+    G = np.array([[3.0, 4.0], [-0.0, 1e150], [np.inf, 0.0], [np.nan, 1.0]])
+    level = np.full(4, np.inf) if per_row else float("inf")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = clipping.clip_batch(G, level)
+        one = clipping.clip(np.array([3.0, 4.0]), float("inf"))
+    assert out[:3].tobytes() == G[:3].tobytes() and np.isnan(out[3]).all()
+    assert one.tobytes() == np.array([3.0, 4.0]).tobytes()
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, -0.0, np.float64(0.0), 0, -1])

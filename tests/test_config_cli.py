@@ -369,6 +369,17 @@ def test_cmd_compare_non_sgd_mode_exit_2(tmp_path, capsys):
     assert "schedule.mode" in capsys.readouterr().err
 
 
+def test_shipped_compare_config_holds_criterion_11():
+    """``clipopt compare`` on ``sgd_vs_vanilla.cfg`` runs acceptance criterion 11's contrast
+    (and ``demos/clipped_vs_vanilla.py`` loads the same file)."""
+    criterion_11 = config.ExperimentConfig(
+        experiment_id="sgd-vs-vanilla", algorithm="sgd", mode="sgd_known_t", horizon=4096,
+        n_seeds=200, base_seed=0, delta=0.1, problem="quadratic", dim=2,
+        x1=(1.0, 1.0), noise="two_point", p=1.5, sigma=0.1, q=1e-3,
+        eta_scale=8.0, lambda_scale=0.1)
+    assert load_config(DEMO_CONFIGS / "sgd_vs_vanilla.cfg") == criterion_11
+
+
 def test_divergent_run_flagged_under_optimize(tmp_path):
     """Non-finite rows are flagged diverged by a check that ``python -O`` keeps."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

@@ -21,7 +21,7 @@ A change that claims to keep every output byte diffs the output of the two
 checkouts, each run from its own root::
 
     PYTHONPATH=src python tools/output_digest.py > digests.txt     # a few seconds
-    PYTHONPATH=src python tools/output_digest.py --tiny            # 16 steps, 3 seeds
+    PYTHONPATH=src python tools/output_digest.py --tiny            # 16 steps, 3 seeds (rates: 100)
 """
 
 from __future__ import annotations
@@ -45,6 +45,9 @@ CONFIG_DIRS = ("demos/configs", "perfbench/configs")
 COMMANDS = ("run", "rates", "diagnose", "compare")
 TINY = ("experiment.t=16", "experiment.seeds=3", "experiment.t_grid=16,32",
         "diagnostics.resamples=100")
+# ``rates`` fits a slope only from at least 100 seeds and four horizons (TINY's grid stays
+# for the other commands: the config digest in their outputs covers it)
+TINY_RATES = ("experiment.seeds=100", "experiment.t_grid=16,32,64,128")
 
 
 def configs() -> list[str]:
@@ -79,16 +82,23 @@ def invoke(argv: list[str]) -> tuple[int, str, str]:
     return rc, out.getvalue(), err.getvalue()
 
 
+def _overrides(command: str, tiny: bool) -> list[str]:
+    """The ``--set`` arguments of one call: none, or the tiny sizes (``rates``' own)."""
+    if not tiny:
+        return []
+    assignments = TINY + TINY_RATES if command == "rates" else TINY
+    return [arg for assignment in assignments for arg in ("--set", assignment)]
+
+
 def digest_lines(tiny: bool):
     """One digest line per command and config."""
-    overrides = [arg for assignment in TINY for arg in ("--set", assignment)] if tiny else []
     out_dir = WORK / "out"
     try:
         for config in configs():
             for command in COMMANDS:
                 shutil.rmtree(out_dir, ignore_errors=True)
                 rc, stdout, stderr = invoke([command, "--config", str(ROOT / config),
-                                             *overrides, "--out", str(out_dir)])
+                                             *_overrides(command, tiny), "--out", str(out_dir)])
                 files = sorted(p for p in out_dir.rglob("*") if p.is_file())
                 written = "".join(f" {p.relative_to(out_dir).as_posix()}={_sha(p.read_bytes())}"
                                   for p in files)
@@ -102,7 +112,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--tiny", action="store_true",
-                        help="16 steps, 3 seeds, horizons 16 and 32 (a few seconds)")
+                        help="16 steps and 3 seeds; rates: 100 seeds, horizons 16 to 128 "
+                             "(a few seconds)")
     args = parser.parse_args(argv)
     for line in digest_lines(args.tiny):
         print(line, flush=True)
