@@ -27,8 +27,9 @@ def main():
     # one recorded lockstep run of every seed; two-point moments are exact, so seed k's
     # resampling generator make_rng(10_000 + k) draws nothing
     batch = algorithms.run_smd_batch(prob, model, sched, STEPS, x1, range(SEEDS), record=True)
-    traces = diagnostics.martingale_smd(prob, model, batch.table, sched.constants(), DELTA, 128,
-                                        [make_rng(10_000 + seed) for seed in range(SEEDS)])
+    traces = diagnostics.martingale_trace_smd(prob, model, batch.table, sched.constants(),
+                                              DELTA, 128,
+                                              [make_rng(10_000 + seed) for seed in range(SEEDS)])
     peaks = np.array([np.max(trace.running_sum) for trace in traces])
     crossings = sum(trace.crossed for trace in traces)
     trace = traces[-1]

@@ -98,8 +98,8 @@ def cmd_diagnose(args) -> int:
     failed |= not cond.ok
 
     if cfg.pathwise:
-        check_fns = {"smd": diag.pathwise_smd, "asmd": diag.pathwise_asmd,
-                     "sgd": diag.pathwise_sgd}
+        check_fns = {"smd": diag.check_pathwise_smd, "asmd": diag.check_pathwise_asmd,
+                     "sgd": diag.check_pathwise_sgd}
         fn = check_fns.get(cfg.algorithm)
         if fn is None:
             raise ConfigError("diagnostics.pathwise", "no pathwise check for this algorithm")
@@ -120,7 +120,8 @@ def cmd_diagnose(args) -> int:
         failed |= not rep.passed
 
     if cfg.martingale:
-        trace_fn = {"smd": diag.martingale_smd, "sgd": diag.martingale_sgd}.get(cfg.algorithm)
+        trace_fn = {"smd": diag.martingale_trace_smd,
+                    "sgd": diag.martingale_trace_sgd}.get(cfg.algorithm)
         if trace_fn is None:
             raise ConfigError("diagnostics.martingale", "trace defined for smd and sgd")
         trace = trace_fn(problem, noise_model, table(), schedule.constants(), cfg.delta,

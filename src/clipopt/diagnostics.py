@@ -32,12 +32,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algorithms import StepTable, run_asmd, run_sgd, run_smd
+from .algorithms import StepTable
 from .clipping import Resampled, conditional_moments
 from .geometry import row_dots
-from .noise import Oracle
 from .problems import Problem
-from .schedules import Schedule, log_weight_tail_sum
+from .schedules import log_weight_tail_sum
 
 
 # -- series bound ----------------------------------------------------------------
@@ -226,15 +225,15 @@ def check_clipping_error_bounds(problem: Problem, noise_model, x, level: float, 
 # -- pathwise per-step inequalities -------------------------------------------------
 #
 # The checks and traces below evaluate the analysis' per-step expressions over
-# a recorded run of n seeds, one array expression per quantity.  The problem's
-# and geometry's row functions reduce over the last axis only, so they take the
+# a recorded run of n seeds (the ``StepTable`` of a ``run_*`` or a recording
+# ``run_*_batch``), one array expression per quantity.  The problem's and
+# geometry's row functions reduce over the last axis only, so they take the
 # record's (n, steps, d) points whole, each point with its one-seed bits, as
-# they take its (n, steps) steps and levels.  The cores
-# (``pathwise_*``, ``martingale_*``) return one report or trace per seed; each
-# public check records one single run and is their n = 1 case.  The traces'
-# conditional moments come from one ``clipping.conditional_moments`` call per
-# seed: exact for two-point noise, and for radial noise resampled from the
-# seed's own generator in step order.  Powers go through
+# they take its (n, steps) steps and levels.  Each check returns one report or
+# trace per seed, and seed k's is bitwise that of seed k's own one-seed record.
+# The traces' conditional moments come from one ``clipping.conditional_moments``
+# call per seed: exact for two-point noise, and for radial noise resampled from
+# the seed's own generator in step order.  Powers go through
 # ``np.float_power``, which calls libm's ``pow`` as Python's float ``**`` does;
 # numpy's ``**`` squares by multiplication, which can differ in the last bit.
 
@@ -256,21 +255,16 @@ class PathwiseReport:
                 "max_margin": self.min_margin, "stderr": None}
 
 
-def check_pathwise_smd(problem: Problem, oracle: Oracle, schedule: Schedule, steps: int,
-                       x1, tol: float = 1e-8) -> PathwiseReport:
-    """Per-step mirror-descent inequality, deterministic given the realized noise.
+@np.errstate(all="ignore")
+def check_pathwise_smd(problem: Problem, tab: StepTable, tol: float = 1e-8) -> list:
+    """Per-step mirror-descent inequality over a recorded ``run_smd*``: one report per seed.
 
     Checks ``eta*gap(x+) + D(x*,x+) - D(x*,x) <= eta*<theta, x*-x> +
     eta^2 ||theta||_*^2 + 2 G^2 eta^2`` at every step, where theta is the
-    realized clipped-gradient error and G the problem's nonsmooth constant.
-    Requires ``eta <= 1/(4L)``; a step past it fails.
+    realized clipped-gradient error and G the problem's nonsmooth constant;
+    it holds deterministically given the realized noise.  Requires
+    ``eta <= 1/(4L)``; a step past it fails.
     """
-    return pathwise_smd(problem, run_smd(problem, oracle, schedule, steps, x1).table, tol)[0]
-
-
-@np.errstate(all="ignore")
-def pathwise_smd(problem: Problem, tab: StepTable, tol: float = 1e-8) -> list:
-    """``check_pathwise_smd`` over a recorded ``run_smd*``: one report per seed."""
     eta = tab.eta
     geom, xstar = problem.geometry, problem.minimizer
     x, x_next = tab.x[:, :-1], tab.x[:, 1:]
@@ -285,21 +279,16 @@ def pathwise_smd(problem: Problem, tab: StepTable, tol: float = 1e-8) -> list:
     return _pathwise("pathwise_smd", tab.t, rhs - lhs, too_large, tol)
 
 
-def check_pathwise_asmd(problem: Problem, oracle: Oracle, schedule: Schedule, steps: int,
-                        y1, tol: float = 1e-8) -> PathwiseReport:
-    """Per-step accelerated-descent inequality with the momentum-weighted gaps.
+@np.errstate(all="ignore")
+def check_pathwise_asmd(problem: Problem, tab: StepTable, tol: float = 1e-8) -> list:
+    """Per-step accelerated-descent inequality over a recorded ``run_asmd*``: one report per
+    seed, with the momentum-weighted gaps.
 
     Checks ``(eta/alpha) gap(y+) + D(x*,z+) - D(x*,z) <=
     (eta(1-alpha)/alpha) gap(y) + eta <theta, x*-z> +
     eta^2 ||theta||_*^2 / (2 (1 - L eta alpha))`` per step; requires
     ``eta <= 1/(2 L alpha)``; a step past it fails.
     """
-    return pathwise_asmd(problem, run_asmd(problem, oracle, schedule, steps, y1).table, tol)[0]
-
-
-@np.errstate(all="ignore")
-def pathwise_asmd(problem: Problem, tab: StepTable, tol: float = 1e-8) -> list:
-    """``check_pathwise_asmd`` over a recorded ``run_asmd*``: one report per seed."""
     eta, alpha, L = tab.eta, tab.alpha, problem.smoothness
     geom, xstar = problem.geometry, problem.minimizer
     y, z = tab.y, tab.z
@@ -314,20 +303,15 @@ def pathwise_asmd(problem: Problem, tab: StepTable, tol: float = 1e-8) -> list:
                      tol)
 
 
-def check_pathwise_sgd(problem: Problem, oracle: Oracle, schedule: Schedule, steps: int,
-                       x1, tol: float = 1e-8) -> PathwiseReport:
-    """Per-step smoothness inequality of the clipped gradient step.
+@np.errstate(all="ignore")
+def check_pathwise_sgd(problem: Problem, tab: StepTable, tol: float = 1e-8) -> list:
+    """Per-step smoothness inequality of the clipped gradient step over a recorded
+    ``run_sgd*``: one report per seed.
 
     Checks ``gap(x+) - gap(x) <= -(eta - L eta^2/2)||grad f(x)||^2 +
     (L eta^2/2)||theta||^2 + (L eta^2 - eta) <grad f(x), theta>`` per step;
     requires ``eta <= 1/L``; a step past it fails.
     """
-    return pathwise_sgd(problem, run_sgd(problem, oracle, schedule, steps, x1).table, tol)[0]
-
-
-@np.errstate(all="ignore")
-def pathwise_sgd(problem: Problem, tab: StepTable, tol: float = 1e-8) -> list:
-    """``check_pathwise_sgd`` over a recorded ``run_sgd*``: one report per seed."""
     eta, L = tab.eta, problem.smoothness
     g = problem.grad_many(tab.x[:, :-1])
     theta = tab.grad_clipped - g
@@ -342,7 +326,7 @@ def pathwise_sgd(problem: Problem, tab: StepTable, tol: float = 1e-8) -> list:
 
 def _pathwise(name: str, t, margins, out_of_range, tol: float) -> list:
     """One report per seed's row of the (n, steps) ``margins``; a step ``out_of_range`` (its
-    step size past the inequality's range, whose overflow the cores leave unwarned) has
+    step size past the inequality's range, whose overflow the checks leave unwarned) has
     margin -inf, and a NaN margin fails."""
     margins = np.where(out_of_range, -np.inf, margins)
     return [PathwiseReport(name, t.size, [(int(s), float(m)) for s, m in zip(t[bad], row[bad])],
@@ -384,29 +368,21 @@ class MartingaleTrace:
                 "stderr": float(np.mean(self.stderr))}
 
 
-def martingale_trace_smd(problem: Problem, oracle: Oracle, schedule: Schedule, steps: int,
-                         x1, delta: float, resamples: int, rng: np.random.Generator) -> MartingaleTrace:
-    """Supermartingale trace of a clipped mirror-descent run.
+@np.errstate(over="ignore")
+def martingale_trace_smd(problem: Problem, noise_model, tab: StepTable, constants: dict,
+                         delta: float, resamples: int, rngs) -> list:
+    """Supermartingale trace of a recorded clipped mirror-descent run: one trace per seed.
 
     The weight ``z_t`` divides by the running maximum of the Bregman radius
     seen so far plus a ``16 Q (eta lambda)^2`` floor, which is exactly what
-    keeps the exponential increments integrable.  The conditional moments of
-    the clipped error are exact for two-point noise, which draws nothing from
-    ``rng``; for radial noise they are estimated by ``resamples`` fresh draws
-    per step from ``rng`` (the run's own stream is not perturbed).  A Bregman
-    divergence that rounds below zero counts as zero radius.
+    keeps the exponential increments integrable; ``Q`` is read from
+    ``constants``.  The conditional moments of the clipped error are exact
+    for two-point noise, which draws nothing; for radial noise seed k's are
+    estimated by ``resamples`` fresh draws per step from ``rngs[k]`` (the
+    run's own stream is not perturbed).  A Bregman divergence that rounds
+    below zero counts as zero radius.  A step past ``eta <= 1/(4L)`` can
+    overflow a power of eta; it saturates to inf, unwarned.
     """
-    tab = run_smd(problem, oracle, schedule, steps, x1).table
-    return martingale_smd(problem, oracle.noise, tab, schedule.constants(), delta, resamples,
-                          [rng])[0]
-
-
-@np.errstate(over="ignore")
-def martingale_smd(problem: Problem, noise_model, tab: StepTable, constants: dict,
-                   delta: float, resamples: int, rngs) -> list:
-    """``martingale_trace_smd`` over a recorded ``run_smd*``: one trace per seed, seed k
-    resampling radial noise from ``rngs[k]``; reads ``constants["Q"]``.  A step past
-    ``eta <= 1/(4L)`` can overflow a power of eta; it saturates to inf, unwarned."""
     geom = problem.geometry
     xstar = problem.minimizer
     q_val = constants["Q"]
@@ -428,27 +404,19 @@ def martingale_smd(problem: Problem, noise_model, tab: StepTable, constants: dic
     return _traces("smd", delta, z, increments, m2, bias, se, lam, {"Q": q_val})
 
 
-def martingale_trace_sgd(problem: Problem, oracle: Oracle, schedule: Schedule, steps: int,
-                         x1, delta: float, resamples: int, rng: np.random.Generator) -> MartingaleTrace:
-    """Supermartingale trace of a clipped gradient-descent run.
+def martingale_trace_sgd(problem: Problem, noise_model, tab: StepTable, constants: dict,
+                         delta: float, resamples: int, rngs) -> list:
+    """Supermartingale trace of a recorded clipped gradient-descent run: one trace per seed.
 
     The weight uses the running maximum of the value gap with the
     schedule-level multipliers ``P_t = C1/(lambda_t eta_t sqrt(2L))`` and
     ``Q_t = C1^2 sqrt(A)/(2 L eta_t^2 lambda_t^2)``, which collapse the
-    denominator to ``2 C1 max sqrt(gap) + 4 C1^2 sqrt(A)``.  Both multipliers
-    must be at least 1, so the trace is defined only for schedules meeting
-    their guarantee conditions (checked at the first and the last step).
-    Conditional moments come as for ``martingale_trace_smd``.
+    denominator to ``2 C1 max sqrt(gap) + 4 C1^2 sqrt(A)``; ``C1`` and ``A``
+    are read from ``constants``.  Both multipliers must be at least 1, so the
+    trace is defined only for schedules meeting their guarantee conditions
+    (checked at every seed's first and last step).  Conditional moments come
+    as for ``martingale_trace_smd``.
     """
-    tab = run_sgd(problem, oracle, schedule, steps, x1).table
-    return martingale_sgd(problem, oracle.noise, tab, schedule.constants(), delta,
-                          resamples, [rng])[0]
-
-
-def martingale_sgd(problem: Problem, noise_model, tab: StepTable, constants: dict,
-                   delta: float, resamples: int, rngs) -> list:
-    """``martingale_trace_sgd`` over a recorded ``run_sgd*``: one trace per seed, seed k
-    resampling radial noise from ``rngs[k]``; reads ``C1`` and ``A``."""
     c1, a_const = constants["C1"], constants["A"]
     L = problem.smoothness
     sqrt_a = math.sqrt(a_const)

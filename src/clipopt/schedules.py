@@ -245,60 +245,57 @@ class Schedule:
     def table(self, steps: int) -> ScheduleTable:
         """``pair(t)`` and ``alpha(t)`` for t = 1..steps as arrays, bitwise.
 
-        The levels and steps go through ``pair``'s scalar helpers, once for a
-        known horizon and once per step otherwise (``pow`` and ``log`` stay
-        scalar: vectorized ones may differ in the last ulp).  The accelerated
-        modes' level and step come elementwise from ``_accel_pair``, as
-        ``pair``'s do.  The parameter-free mode's are at displacement 0.
+        The levels and steps come from ``pair``, once for a known horizon and
+        once per step otherwise (``pow`` and ``log`` stay scalar: vectorized
+        ones may differ in the last ulp).  The accelerated modes' level and
+        step come elementwise from ``_accel_pair``, as ``pair``'s do.  The
+        parameter-free mode's are at displacement 0.
         """
         mode = self.mode
         points = [1] if mode in KNOWN_T_MODES else range(1, steps + 1)
         if mode in ASMD_MODES:
             alpha = self.alpha(np.arange(1, steps + 1))
-            eta, lam = self._accel_pair(points, alpha)
-            return ScheduleTable(eta, self.lambda_scale * lam, alpha)
-        eta, lam = np.array([self._raw_pair(t) for t in points]).reshape(-1, 2).T
+            return ScheduleTable(*self._accel_pair(points, alpha), alpha)
+        eta, lam = np.array([self.pair(t) for t in points]).reshape(-1, 2).T
         if mode in KNOWN_T_MODES:
             eta, lam = np.full(steps, eta[0]), np.full(steps, lam[0])
-        return ScheduleTable(eta, self.lambda_scale * lam, None)
+        return ScheduleTable(eta, lam, None)
 
     def lam(self, t: int) -> float:
-        return self.lambda_scale * self._raw_pair(t)[1]
+        return self.pair(t)[1]
 
     def eta(self, t: int) -> float:
-        return self._raw_pair(t)[0]
+        return self.pair(t)[0]
 
     def pair(self, t: int, dev=0.0):
-        """``(eta_t, lambda_t)``; the parameter-free mode's at displacement ``dev`` (a float, or
-        an (n,) array giving (n,) arrays), which the other modes ignore."""
-        eta, lam_raw = self._raw_pair(t, dev)
-        return eta, self.lambda_scale * lam_raw
-
-    def _raw_pair(self, t: int, dev=0.0):
-        """``(eta_t, lambda_t / lambda_scale)``, each per-step quantity evaluated once."""
+        """``(eta_t, lambda_t)``, each per-step quantity evaluated once; the parameter-free
+        mode's at displacement ``dev`` (a float, or an (n,) array giving (n,) arrays), which
+        the other modes ignore.  The step sizes follow the level before ``lambda_scale``."""
         if t < 1:
             raise ValueError("steps are 1-based")
         s, mode = self.inputs, self.mode
         _, tau = _horizon_at(mode, s.horizon, t)
-        if mode in SGD_MODES:
-            lam = _sgd_lam(s, tau)
-            return _sgd_eta(s, tau, lam, self.eta_scale), lam
         if mode in ASMD_MODES:
             return self._accel_pair([t], self.alpha(t))
-        lam = _pf_lam(s, tau, dev) if mode == "smd_param_free" else _smd_lam(s, tau)
-        return self.eta_scale * self._c1 / lam, lam
+        if mode in SGD_MODES:
+            lam = _sgd_lam(s, tau)
+            eta = _sgd_eta(s, tau, lam, self.eta_scale)
+        else:
+            lam = _pf_lam(s, tau, dev) if mode == "smd_param_free" else _smd_lam(s, tau)
+            eta = self.eta_scale * self._c1 / lam
+        return eta, self.lambda_scale * lam
 
     def _accel_pair(self, points, alpha):
-        """The accelerated ``(eta, lambda / lambda_scale)`` at weight ``alpha``, with ``c`` the
-        override or ``_accel_c`` at each step of ``points``: Python floats for a float
-        ``alpha`` (one step), else arrays over ``alpha`` (one step broadcasts)."""
+        """The accelerated ``(eta, lambda)`` at weight ``alpha``, with ``c`` the override or
+        ``_accel_c`` at each step of ``points``: Python floats for a float ``alpha`` (one
+        step), else arrays over ``alpha`` (one step broadcasts)."""
         s = self.inputs
         c = [_accel_c(s, *_horizon_at(self.mode, s.horizon, t)) if s.c_override is None
              else float(s.c_override) for t in points]
         c = c[0] if isinstance(alpha, float) else np.array(c)
         gamma, L = s.gamma, s.smoothness
         return (self.eta_scale / (3.0 * c * gamma ** 2 * L * alpha),
-                c * s.r1 * gamma * L * alpha / 8.0)
+                self.lambda_scale * (c * s.r1 * gamma * L * alpha / 8.0))
 
     @property
     def off_guarantee(self) -> bool:
@@ -387,6 +384,13 @@ def verify_schedule_conditions(schedule: Schedule, horizon: int, run=None) -> Co
     def add(name, passed, margin, note=""):
         report.checks.append(ConditionCheck(name, bool(passed), float(margin), note))
 
+    def capped(name, stat, cap, rtol):
+        """``stat <= cap`` up to relative slack ``rtol``; vacuous if the sigma-scaled cap is inf."""
+        if math.isinf(cap):
+            add(name, True, math.inf, vacuous)
+        else:
+            add(name, stat <= cap * (1 + rtol), cap - stat)
+
     if schedule.mode in SMD_MODES + ASMD_MODES:
         # a product past the doubles, or a run stopped by an infinite level: FAIL, inf or NaN
         with np.errstate(over="ignore", invalid="ignore"):
@@ -396,17 +400,8 @@ def verify_schedule_conditions(schedule: Schedule, horizon: int, run=None) -> Co
 
         with np.errstate(over="ignore"):  # a tiny level saturates to inf: FAIL, margin -inf
             inv_powers = lams ** (-p)
-        power_sum = float(np.sum(inv_powers))
-        if math.isinf(c2):
-            add("lambda_power_sum", True, math.inf, vacuous)
-        else:
-            add("lambda_power_sum", power_sum <= c2 * (1 + 1e-12), c2 - power_sum)
-
-        max_inv = float(np.max(inv_powers))
-        if math.isinf(c3):
-            add("lambda_2p_vs_p", True, math.inf, vacuous)
-        else:
-            add("lambda_2p_vs_p", max_inv <= c3 * (1 + 1e-12), c3 - max_inv)
+        capped("lambda_power_sum", float(np.sum(inv_powers)), c2, 1e-12)
+        capped("lambda_2p_vs_p", float(np.max(inv_powers)), c3, 1e-12)
 
         if sp == 0:
             rhs = max(log_term, 1.0)
@@ -431,17 +426,8 @@ def verify_schedule_conditions(schedule: Schedule, horizon: int, run=None) -> Co
         add("eta_lambda_sqrt2L_cap", prod <= c1 * (1 + 1e-9), c1 - prod)
 
         with np.errstate(over="ignore"):  # a tiny level saturates to inf: FAIL, margin -inf
-            stat = float(np.max(lams ** (-p) / (L * etas)))
-        if math.isinf(c2):
-            add("inverse_step_moment", True, math.inf, vacuous)
-        else:
-            add("inverse_step_moment", stat <= c2 * (1 + 1e-9), c2 - stat)
-
-        wsum = float(np.sum(L * lams ** (2.0 - p) * etas ** 2))
-        if math.isinf(c3):
-            add("weighted_power_sum", True, math.inf, vacuous)
-        else:
-            add("weighted_power_sum", wsum <= c3 * (1 + 1e-9), c3 - wsum)
+            capped("inverse_step_moment", float(np.max(lams ** (-p) / (L * etas))), c2, 1e-9)
+        capped("weighted_power_sum", float(np.sum(L * lams ** (2.0 - p) * etas ** 2)), c3, 1e-9)
 
         if sp == 0:
             rhs = max(64.0 * log_term ** 2, 1.0)

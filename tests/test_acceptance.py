@@ -211,23 +211,23 @@ def test_c06_pathwise_inequalities():
         return sum(len(rep.violations) for rep in check(prob, batch.table, tol=tol))
 
     quad = problems.make_quadratic([1.0, 2.0])
-    count = violations(diag.pathwise_smd, algos.run_smd_batch, quad, 1.0, "smd_known_t",
-                       np.array([1.0, 0.5]))
+    count = violations(diag.check_pathwise_smd, algos.run_smd_batch, quad, 1.0,
+                       "smd_known_t", np.array([1.0, 0.5]))
     announce("criterion 6 (smd pathwise)", count == 0, f"{count} violations")
 
     simplex = problems.make_simplex_quadratic([0.2, 0.3, 0.5])
-    count = violations(diag.pathwise_asmd, algos.run_asmd_batch, simplex, 0.5, "asmd_known_t",
-                       np.ones(3) / 3)
+    count = violations(diag.check_pathwise_asmd, algos.run_asmd_batch, simplex, 0.5,
+                       "asmd_known_t", np.ones(3) / 3)
     announce("criterion 6 (asmd pathwise)", count == 0, f"{count} violations")
 
     ratioprob = problems.make_nonconvex_ratio(2)
-    count = violations(diag.pathwise_sgd, algos.run_sgd_batch, ratioprob, 1.0, "sgd_known_t",
-                       np.array([1.0, 1.0]))
+    count = violations(diag.check_pathwise_sgd, algos.run_sgd_batch, ratioprob, 1.0,
+                       "sgd_known_t", np.array([1.0, 1.0]))
     announce("criterion 6 (sgd pathwise)", count == 0, f"{count} violations")
 
     nonsmooth = problems.make_quadratic_plus_norm(2, 0.25)  # additive constant G = 0.5
-    count = violations(diag.pathwise_smd, algos.run_smd_batch, nonsmooth, 1.0, "smd_known_t",
-                       np.array([0.7, 0.7]))
+    count = violations(diag.check_pathwise_smd, algos.run_smd_batch, nonsmooth, 1.0,
+                       "smd_known_t", np.array([0.7, 0.7]))
     announce("criterion 6 (nonsmooth-term pathwise, G=0.5)", count == 0,
              f"{count} violations")
     print(f"[acceptance] criterion 6 elapsed {time.time() - t0:.1f}s")
@@ -252,13 +252,15 @@ def test_c07_supermartingale_crossing():
                        [make_rng(rng_base + seed) for seed in range(n_seeds)])
         return sum(tr.crossed for tr in traces) / n_seeds
 
-    freq = frequency(diag.martingale_smd, algos.run_smd_batch, problems.make_quadratic([1.0, 1.0]),
-                     "smd_known_t", np.array([4.0, 0.0]), 10_000_000)
+    freq = frequency(diag.martingale_trace_smd, algos.run_smd_batch,
+                     problems.make_quadratic([1.0, 1.0]), "smd_known_t", np.array([4.0, 0.0]),
+                     10_000_000)
     announce("criterion 7 (smd trace crossing)", freq <= limit,
              f"frequency={freq:.4f} limit={limit}")
 
-    freq = frequency(diag.martingale_sgd, algos.run_sgd_batch, problems.make_nonconvex_ratio(2),
-                     "sgd_known_t", np.array([1.0, 1.0]), 20_000_000)
+    freq = frequency(diag.martingale_trace_sgd, algos.run_sgd_batch,
+                     problems.make_nonconvex_ratio(2), "sgd_known_t", np.array([1.0, 1.0]),
+                     20_000_000)
     announce("criterion 7 (sgd trace crossing)", freq <= limit,
              f"frequency={freq:.4f} limit={limit}")
     print(f"[acceptance] criterion 7 elapsed {time.time() - t0:.1f}s")

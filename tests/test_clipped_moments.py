@@ -109,7 +109,7 @@ def test_exact_path_draws_nothing_from_rng():
     estimate_theta(Oracle(prob, model, seed=1), X[0], 2.0, 100, rng)
     tab = run_smd(prob, Oracle(prob, model, seed=2), _smd_schedule(prob, X[0], 16), 16,
                   X[0]).table
-    diag.martingale_smd(prob, model, tab, {"Q": 1.0}, 0.1, 128, [rng])
+    diag.martingale_trace_smd(prob, model, tab, {"Q": 1.0}, 0.1, 128, [rng])
     np.testing.assert_equal(rng.bit_generator.state, untouched.bit_generator.state)
 
 
@@ -136,7 +136,7 @@ def test_exact_traces_and_error_bounds_carry_no_standard_error():
     x1 = np.array([0.01, 0.0])
     tab = run_smd(prob, Oracle(prob, model, seed=0), _smd_schedule(prob, x1, 32, 0.01), 32,
                   x1).table
-    trace = diag.martingale_smd(prob, model, tab, {"Q": 1.0}, 0.1, 100, [make_rng(1)])[0]
+    trace = diag.martingale_trace_smd(prob, model, tab, {"Q": 1.0}, 0.1, 100, [make_rng(1)])[0]
     assert not trace.warned and not trace.stderr.any()
     rep = diag.check_clipping_error_bounds(prob, model, x1, 0.5, 10_000, make_rng(2))
     assert rep.bias_stderr == 0.0 and rep.second_moment_stderr == 0.0 and rep.passed

@@ -110,11 +110,11 @@ def test_cmd_run_noiseless(tmp_path, capsys):
     assert rc == 0
     printed = capsys.readouterr().out
     assert "failure_rate=0.0000" in printed
-    csv_path = os.path.join(out, "demo", "smd", "p15", "seed-results.csv")
-    first = open(csv_path, "rb").read()
+    csv_path = Path(out, "demo", "smd", "p15", "seed-results.csv")
+    first = csv_path.read_bytes()
     rc = cli.main(["run", "--config", cfgfile, "--out", out])
     assert rc == 0
-    assert open(csv_path, "rb").read() == first  # byte-identical rerun
+    assert csv_path.read_bytes() == first  # byte-identical rerun
 
 
 def test_cmd_run_invalid_config_exit_2(tmp_path, capsys):

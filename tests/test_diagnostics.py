@@ -131,13 +131,26 @@ def _smd_setup(prob, x1, sigma, horizon, seed, q=0.2, p=1.5):
     return sched, oracle
 
 
+def _pathwise_smd(prob, oracle, sched, steps, x1):
+    """The pathwise report of one recorded single run."""
+    tab = algorithms.run_smd(prob, oracle, sched, steps, x1).table
+    return diag.check_pathwise_smd(prob, tab)[0]
+
+
+def _trace_smd(prob, oracle, sched, steps, x1, resamples, rng):
+    """The supermartingale trace (delta = 0.1) of one recorded single run."""
+    tab = algorithms.run_smd(prob, oracle, sched, steps, x1).table
+    return diag.martingale_trace_smd(prob, oracle.noise, tab, sched.constants(), 0.1, resamples,
+                                     [rng])[0]
+
+
 def test_pathwise_smd_noiseless_and_noisy():
     prob = problems.make_quadratic([1.0, 2.0])
     x1 = np.array([1.0, 0.5])
     sched, oracle = _smd_setup(prob, x1, 0.0, 200, seed=0)
-    assert diag.check_pathwise_smd(prob, oracle, sched, 200, x1).passed
+    assert _pathwise_smd(prob, oracle, sched, 200, x1).passed
     sched, oracle = _smd_setup(prob, x1, 1.0, 1000, seed=1)
-    rep = diag.check_pathwise_smd(prob, oracle, sched, 1000, x1)
+    rep = _pathwise_smd(prob, oracle, sched, 1000, x1)
     assert rep.passed, rep.violations[:3]
 
 
@@ -146,7 +159,7 @@ def test_pathwise_smd_nonsmooth_term():
     x1 = np.array([0.7, 0.7])
     for sigma, seed in ((0.0, 0), (1.0, 7)):
         sched, oracle = _smd_setup(prob, x1, sigma, 1000, seed=seed)
-        rep = diag.check_pathwise_smd(prob, oracle, sched, 1000, x1)
+        rep = _pathwise_smd(prob, oracle, sched, 1000, x1)
         assert rep.passed, rep.violations[:3]
 
 
@@ -156,7 +169,8 @@ def test_pathwise_asmd_simplex_run():
     s = schedules.derive_inputs(prob, y1, p=1.5, sigma=0.5, delta=0.1, horizon=1000)
     sched = schedules.Schedule("asmd_known_t", s)
     oracle = Oracle(prob, TwoPointNoise(p=1.5, sigma=0.5, q=0.2), seed=3)
-    rep = diag.check_pathwise_asmd(prob, oracle, sched, 1000, y1)
+    tab = algorithms.run_asmd(prob, oracle, sched, 1000, y1).table
+    rep = diag.check_pathwise_asmd(prob, tab)[0]
     assert rep.passed, rep.violations[:3]
 
 
@@ -166,7 +180,8 @@ def test_pathwise_asmd_noiseless():
     s = schedules.derive_inputs(prob, y1, p=1.5, sigma=0.0, delta=0.1, horizon=300)
     sched = schedules.Schedule("asmd_known_t", s)
     oracle = Oracle(prob, TwoPointNoise(p=1.5, sigma=0.0, q=1.0), seed=0)
-    assert diag.check_pathwise_asmd(prob, oracle, sched, 300, y1).passed
+    tab = algorithms.run_asmd(prob, oracle, sched, 300, y1).table
+    assert diag.check_pathwise_asmd(prob, tab)[0].passed
 
 
 def test_pathwise_sgd_runs():
@@ -175,7 +190,7 @@ def test_pathwise_sgd_runs():
     s = schedules.derive_inputs(prob, x1, p=1.5, sigma=1.0, delta=0.1, horizon=1000)
     sched = schedules.Schedule("sgd_known_t", s)
     oracle = Oracle(prob, TwoPointNoise(p=1.5, sigma=1.0, q=0.2), seed=5)
-    rep = diag.check_pathwise_sgd(prob, oracle, sched, 1000, x1)
+    rep = diag.check_pathwise_sgd(prob, algorithms.run_sgd(prob, oracle, sched, 1000, x1).table)[0]
     assert rep.passed, rep.violations[:3]
 
 
@@ -188,7 +203,7 @@ def test_pathwise_sgd_boundary_step_size():
     sched = schedules.Schedule("sgd_known_t", s, eta_scale=1.0 / (base.eta(1) * 1.0))
     assert sched.eta(1) == pytest.approx(1.0)
     oracle = Oracle(prob, TwoPointNoise(p=1.5, sigma=1.0, q=0.2), seed=6)
-    rep = diag.check_pathwise_sgd(prob, oracle, sched, 100, x1)
+    rep = diag.check_pathwise_sgd(prob, algorithms.run_sgd(prob, oracle, sched, 100, x1).table)[0]
     assert rep.passed, rep.violations[:3]
 
 
@@ -198,7 +213,7 @@ def test_pathwise_rejects_oversized_steps():
     s = schedules.derive_inputs(prob, x1, p=1.5, sigma=0.0, delta=0.1, horizon=10)
     sched = schedules.Schedule("smd_known_t", s, eta_scale=1000.0)
     oracle = Oracle(prob, TwoPointNoise(p=1.5, sigma=0.0, q=1.0), seed=0)
-    rep = diag.check_pathwise_smd(prob, oracle, sched, 10, x1)
+    rep = _pathwise_smd(prob, oracle, sched, 10, x1)
     assert not rep.passed and rep.min_margin == -math.inf
     assert rep.violations == [(t, -math.inf) for t in range(1, 11)]  # every step is past 1/(4L)
 
@@ -219,8 +234,7 @@ def test_martingale_smd_noiseless_never_crosses():
     prob = problems.make_quadratic([1.0, 1.0])
     x1 = np.array([1.0, 0.0])
     sched, oracle = _smd_setup(prob, x1, 0.0, 100, seed=0)
-    trace = diag.martingale_trace_smd(prob, oracle, sched, 100, x1, delta=0.1,
-                                      resamples=128, rng=make_rng(1))
+    trace = _trace_smd(prob, oracle, sched, 100, x1, resamples=128, rng=make_rng(1))
     assert not trace.crossed
     assert np.max(trace.running_sum) <= 1e-12
     assert np.all(np.diff(trace.weights) <= 1e-15)  # z_t nonincreasing
@@ -231,8 +245,7 @@ def test_martingale_smd_noisy_trace_fields():
     prob = problems.make_quadratic([1.0, 1.0])
     x1 = np.array([1.0, 0.0])
     sched, oracle = _smd_setup(prob, x1, 1.0, 150, seed=9)
-    trace = diag.martingale_trace_smd(prob, oracle, sched, 150, x1, delta=0.1,
-                                      resamples=200, rng=make_rng(2))
+    trace = _trace_smd(prob, oracle, sched, 150, x1, resamples=200, rng=make_rng(2))
     assert trace.threshold == pytest.approx(math.log(10.0))
     assert trace.weights.size == 150
     assert np.all(trace.cond_second_moment >= 0)
@@ -245,8 +258,9 @@ def test_martingale_sgd_noiseless_never_crosses():
     s = schedules.derive_inputs(prob, x1, p=1.5, sigma=0.0, delta=0.1, horizon=100)
     sched = schedules.Schedule("sgd_known_t", s)
     oracle = Oracle(prob, TwoPointNoise(p=1.5, sigma=0.0, q=1.0), seed=0)
-    trace = diag.martingale_trace_sgd(prob, oracle, sched, 100, x1, delta=0.1,
-                                      resamples=128, rng=make_rng(3))
+    tab = algorithms.run_sgd(prob, oracle, sched, 100, x1).table
+    trace = diag.martingale_trace_sgd(prob, oracle.noise, tab, sched.constants(), 0.1, 128,
+                                      [make_rng(3)])[0]
     assert not trace.crossed
     assert np.max(trace.running_sum) <= 1e-12
 
@@ -257,9 +271,10 @@ def test_martingale_sgd_rejects_off_guarantee_schedule():
     s = schedules.derive_inputs(prob, x1, p=1.5, sigma=1.0, delta=0.1, horizon=100)
     sched = schedules.Schedule("sgd_known_t", s, eta_scale=10.0)
     oracle = Oracle(prob, TwoPointNoise(p=1.5, sigma=1.0, q=0.2), seed=0)
+    tab = algorithms.run_sgd(prob, oracle, sched, 100, x1).table
     with pytest.raises(ValueError, match="trace undefined"):
-        diag.martingale_trace_sgd(prob, oracle, sched, 100, x1, delta=0.1,
-                                  resamples=128, rng=make_rng(4))
+        diag.martingale_trace_sgd(prob, oracle.noise, tab, sched.constants(), 0.1, 128,
+                                  [make_rng(4)])
 
 
 def test_martingale_smd_first_step_exponential_moment():
@@ -272,8 +287,8 @@ def test_martingale_smd_first_step_exponential_moment():
     sched = schedules.Schedule("smd_known_t", s)
     seeds = range(2000)
     tab = algorithms.run_smd_batch(prob, model, sched, 1, x1, seeds, record=True).table
-    traces = diag.martingale_smd(prob, model, tab, sched.constants(), 0.1, 200,
-                                 [make_rng(6_000_000 + seed) for seed in seeds])
+    traces = diag.martingale_trace_smd(prob, model, tab, sched.constants(), 0.1, 200,
+                                       [make_rng(6_000_000 + seed) for seed in seeds])
     e = np.exp(np.array([trace.increments[0] for trace in traces]))
     stderr = e.std(ddof=1) / math.sqrt(e.size)
     assert e.mean() <= 1.0 + 3.0 * stderr
@@ -291,11 +306,13 @@ def test_martingale_resampling_memory_stays_per_chunk():
     oracle = Oracle(prob, RadialParetoNoise(p=1.5, sigma=1.0, tail_index=1.75), seed=0)
     tab = algorithms.run_smd(prob, oracle, sched, steps, x1).table
     constants = {"Q": sched.constants()["Q"]}
-    diag.martingale_smd(prob, oracle.noise, tab, constants, 0.1, 100, [make_rng(0)])  # first use
+    diag.martingale_trace_smd(prob, oracle.noise, tab, constants, 0.1, 100,
+                              [make_rng(0)])  # first use
     block = 8 * steps * resamples * prob.dim
     tracemalloc.start()
     try:
-        diag.martingale_smd(prob, oracle.noise, tab, constants, 0.1, resamples, [make_rng(1)])
+        diag.martingale_trace_smd(prob, oracle.noise, tab, constants, 0.1, resamples,
+                                  [make_rng(1)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -314,7 +331,7 @@ def test_pathwise_smd_detects_dropped_nonsmooth_term():
         s = schedules.derive_inputs(prob, xn, p=1.5, sigma=0.0, delta=0.1, horizon=200)
         base = schedules.Schedule("smd_known_t", s)
         sched = schedules.Schedule("smd_known_t", s, eta_scale=0.25 / base.eta(1))
-        rep = diag.check_pathwise_smd(prob, oracle(prob), sched, 200, xn)
+        rep = _pathwise_smd(prob, oracle(prob), sched, 200, xn)
         assert rep.passed == expect_clean
 
 
@@ -330,7 +347,7 @@ _RADIAL = RadialParetoNoise(p=1.5, sigma=1.0, tail_index=1.8)
 _SPIKES = TwoPointNoise(p=1.5, sigma=1.0, q=0.2)
 
 
-@pytest.mark.parametrize("core, prob, x1, model", [
+@pytest.mark.parametrize("name, prob, x1, model", [
     ("pathwise_smd", problems.make_quadratic([1.0, 2.0]), [1.0, 0.5], _RADIAL),
     ("pathwise_smd", problems.make_simplex_quadratic([0.2, 0.3, 0.5]), [1 / 3] * 3, _SPIKES),
     ("pathwise_smd", _NONSMOOTH_NO_G, [0.05, 0.0], _SPIKES),  # violations to compare
@@ -343,9 +360,12 @@ _SPIKES = TwoPointNoise(p=1.5, sigma=1.0, q=0.2)
     ("martingale_sgd", problems.make_nonconvex_ratio(2), [1.0, 1.0], _SPIKES),
     ("martingale_sgd", problems.make_nonconvex_ratio(2), [1.0, 1.0], _RADIAL),
 ])
-def test_seed_batched_cores_equal_per_seed_checks_bitwise(core, prob, x1, model):
-    """Seed k's report or trace from one recorded batch is the per-seed public check's, bitwise."""
-    steps, seeds, family = 48, [0, 1, 2, 7, 123, 2 ** 31], core.split("_")[1]
+def test_seed_batched_cores_equal_per_seed_checks_bitwise(name, prob, x1, model):
+    """Seed k's report or trace from one recorded batch is, bitwise, the same check's on seed
+    k's one-seed ``run_*`` record."""
+    steps, seeds = 48, [0, 1, 2, 7, 123, 2 ** 31]
+    kind, family = name.split("_")
+    check = getattr(diag, f"check_{name}" if kind == "pathwise" else f"martingale_trace_{family}")
     x1 = np.array(x1)
     s = schedules.derive_inputs(prob, x1, p=1.5, sigma=1.0, delta=0.1, horizon=steps)
     sched = schedules.Schedule(f"{family}_known_t", s)
@@ -353,23 +373,24 @@ def test_seed_batched_cores_equal_per_seed_checks_bitwise(core, prob, x1, model)
         sched = schedules.Schedule(f"{family}_known_t", s, eta_scale=0.25 / sched.eta(1))
     batch = getattr(algorithms, f"run_{family}_batch")(prob, model, sched, steps, x1, seeds,
                                                        record=True)
-    if core.startswith("pathwise"):
-        reports = getattr(diag, core)(prob, batch.table)
-        for seed, rep in zip(seeds, reports, strict=True):
-            single = getattr(diag, f"check_{core}")(prob, Oracle(prob, model, seed=seed), sched,
-                                                    steps, x1)
+    run = getattr(algorithms, f"run_{family}")
+    tables = [run(prob, Oracle(prob, model, seed=seed), sched, steps, x1).table for seed in seeds]
+    if kind == "pathwise":
+        reports = check(prob, batch.table)
+        for tab, rep in zip(tables, reports, strict=True):
+            single, = check(prob, tab)
+            assert rep.name == single.name == name
             assert [(t, m.hex()) for t, m in rep.violations] == [
                 (t, m.hex()) for t, m in single.violations]
             assert rep.min_margin.hex() == single.min_margin.hex()
         if prob is _NONSMOOTH_NO_G:
             assert any(rep.violations for rep in reports)
         return
-    traces = getattr(diag, core)(prob, model, batch.table, sched.constants(), 0.1, 64,
-                                 [make_rng(500 + seed) for seed in seeds])
-    trace_fn = getattr(diag, f"martingale_trace_{family}")
-    for seed, trace in zip(seeds, traces, strict=True):
-        single = trace_fn(prob, Oracle(prob, model, seed=seed), sched, steps, x1, 0.1, 64,
-                          make_rng(500 + seed))
+    traces = check(prob, model, batch.table, sched.constants(), 0.1, 64,
+                   [make_rng(500 + seed) for seed in seeds])
+    for seed, tab, trace in zip(seeds, tables, traces, strict=True):
+        single, = check(prob, model, tab, sched.constants(), 0.1, 64, [make_rng(500 + seed)])
+        assert trace.row()["name"] == single.row()["name"] == name
         for field in ("weights", "increments", "running_sum", "stderr"):
             assert _bits(getattr(trace, field)) == _bits(getattr(single, field)), field
         assert (trace.crossed, trace.warned) == (single.crossed, single.warned)
@@ -383,7 +404,7 @@ def test_report_serialization(tmp_path):
     x1 = np.array([1.0, 0.0])
     sched, oracle = _smd_setup(prob, x1, 1.0, 50, seed=0)
     reports = [
-        diag.check_pathwise_smd(prob, oracle, sched, 50, x1),
+        _pathwise_smd(prob, oracle, sched, 50, x1),
         diag.check_mgf_bound(1.0, [0.0, 0.5, 1.0], diag.rademacher(1.0)),
     ]
     csv_path = tmp_path / "reports.csv"

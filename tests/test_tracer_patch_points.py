@@ -51,3 +51,23 @@ def test_tracer_install_and_uninstall_without_an_op():
     after = _package_bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_traced_diagnose_attributes_its_checks(tmp_path, capsys):
+    """A traced ``diagnose`` times the checks it runs: one pathwise check and one trace, both
+    fed by the seed's one recorded single run."""
+    from clipopt import cli
+
+    cfg = Path(__file__).resolve().parent.parent / "demos" / "configs" / "diagnose_smd.cfg"
+    tracer = _load_tracer().Tracer()
+    tracer.install(0)
+    try:
+        rc = cli.main(["diagnose", "--config", str(cfg), "--set", "experiment.t=16",
+                       "--out", str(tmp_path)])
+    finally:
+        tracer.uninstall()
+    assert rc == 0, capsys.readouterr()
+    row = tracer.per_op([0])[0]
+    assert row["diagnostics.pathwise:calls"] == 1
+    assert row["diagnostics.martingale:calls"] == 1
+    assert row["algorithms.single:calls"] == 1
