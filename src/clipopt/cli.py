@@ -24,8 +24,8 @@ import numpy as np
 from . import diagnostics as diag
 from . import harness
 from .algorithms import run_asmd, run_sgd, run_smd
-from .config import (ConfigError, ExperimentConfig, apply_override, build_noise,
-                     build_problem, build_schedule, load_config, validate_config)
+from .config import (ConfigError, ExperimentConfig, build_noise, build_problem,
+                     build_schedule, load_config)
 from .noise import Oracle, make_rng
 from .schedules import verify_schedule_conditions
 
@@ -39,15 +39,11 @@ def _add_common(parser: argparse.ArgumentParser):
 
 
 def _load(args) -> ExperimentConfig:
-    cfg = load_config(args.config)
-    for assignment in args.set:
-        apply_override(cfg, assignment)
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.seeds is not None:
-        cfg.n_seeds = args.seeds
-    validate_config(cfg)  # overrides can invalidate a previously valid file
-    return cfg
+    """The config file with ``--set``, then ``--out`` and ``--seeds``, applied in that order (so
+    a flag wins over a ``--set`` of its key), validated once."""
+    flags = [f"experiment.{key}={value}"
+             for key, value in (("out", args.out), ("seeds", args.seeds)) if value is not None]
+    return load_config(args.config, [*args.set, *flags])
 
 
 def cmd_run(args) -> int:

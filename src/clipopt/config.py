@@ -1,11 +1,12 @@
 """Experiment configuration: a flat, sectioned key = value format.
 
 Sections are ``[experiment]``, ``[problem]``, ``[noise]``, ``[schedule]`` and
-``[diagnostics]``; ``#`` starts a comment.  Loading is parse-then-validate:
-every constraint of the underlying modules (moment order range, tail index,
-step-size caps, mode/algorithm compatibility) is re-checked at load time and
-reported with the offending section.key.  ``dumps_config`` writes a canonical
-form whose reload compares equal, so configs round-trip.
+``[diagnostics]``; ``#`` starts a comment.  Loading parses the file, applies
+any ``section.key=value`` overrides in order, then validates once: every
+constraint of the underlying modules (moment order range, tail index, step-size
+caps, mode/algorithm compatibility) is re-checked and reported with the
+offending section.key.  ``dumps_config`` writes a canonical form whose reload
+compares equal, so configs round-trip.
 """
 
 from __future__ import annotations
@@ -150,8 +151,9 @@ def _format_value(value, kind: str) -> str:
     return str(value)
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a config document; raises ConfigError on any problem."""
+def parse_config(text: str, overrides=()) -> ExperimentConfig:
+    """Parse a config document, apply the ``section.key=value`` ``overrides`` in order, then
+    validate once; raises ConfigError on any problem."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         parser.read_string(text)
@@ -160,18 +162,16 @@ def parse_config(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
     for section in parser.sections():
         for key, raw in parser.items(section):
-            path = f"{section}.{key}"
-            if (section, key.lower()) not in _SCHEMA:
-                raise ConfigError(path, "unknown configuration key")
-            attr, kind = _SCHEMA[(section, key.lower())]
-            setattr(cfg, attr, _parse_value(raw, kind, path))
+            _assign(cfg, f"{section}.{key}", raw)
+    for assignment in overrides:
+        apply_override(cfg, assignment)
     validate_config(cfg)
     return cfg
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, overrides=()) -> ExperimentConfig:
     with open(path) as fh:
-        return parse_config(fh.read())
+        return parse_config(fh.read(), overrides)
 
 
 def dumps_config(cfg: ExperimentConfig) -> str:
@@ -189,19 +189,24 @@ def dumps_config(cfg: ExperimentConfig) -> str:
     return buf.getvalue()
 
 
-def apply_override(cfg: ExperimentConfig, assignment: str) -> ExperimentConfig:
-    """Apply one ``section.key=value`` override string."""
-    if "=" not in assignment:
-        raise ConfigError("<override>", f"expected section.key=value, got {assignment!r}")
-    path, raw = assignment.split("=", 1)
-    path = path.strip()
-    if "." not in path:
-        raise ConfigError(path, "override key must be section.key")
-    section, key = path.split(".", 1)
+def _assign(cfg: ExperimentConfig, path: str, raw: str) -> None:
+    """Parse ``raw`` as the value of the ``section.key`` at ``path`` and set it on ``cfg``."""
+    section, _, key = path.partition(".")
     if (section, key.lower()) not in _SCHEMA:
         raise ConfigError(path, "unknown configuration key")
     attr, kind = _SCHEMA[(section, key.lower())]
     setattr(cfg, attr, _parse_value(raw, kind, path))
+
+
+def apply_override(cfg: ExperimentConfig, assignment: str) -> ExperimentConfig:
+    """Apply one ``section.key=value`` override string."""
+    path, eq, raw = assignment.partition("=")
+    if not eq:
+        raise ConfigError("<override>", f"expected section.key=value, got {assignment!r}")
+    path = path.strip()
+    if "." not in path:
+        raise ConfigError(path, "override key must be section.key")
+    _assign(cfg, path, raw)
     return cfg
 
 

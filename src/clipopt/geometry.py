@@ -159,7 +159,15 @@ class Geometry:
         if self.kind == SIMPLEX:
             return coord_sum(np.abs(V))
         C = np.ascontiguousarray(V)  # a strided row's dot takes another order past 6 coordinates
-        return np.sqrt(row_dots(C, C))
+        with np.errstate(over="ignore"):
+            norms = np.sqrt(row_dots(C, C))
+            big = np.isinf(norms)
+            if big.any():  # a finite row whose square overflows: divide out its largest coordinate
+                big &= np.isfinite(C).all(axis=-1)
+                m = np.abs(C[big]).max(axis=-1)
+                W = C[big] / m[:, None]
+                norms[big] = m * np.sqrt(row_dots(W, W))
+        return norms
 
     def dual_norm(self, v) -> float:
         """Dual norm: l2 for Euclidean geometries, l-infinity on the simplex.

@@ -1,13 +1,15 @@
 """Multi-seed experiment orchestration and guarantee validation.
 
-``run_trials`` fans a config out over independent seeds (seed i = base_seed
-+ i), evaluates the schedule's explicit high-probability bound from the same
-constants the schedule itself used, and reports the fraction of seeds whose
-summary exceeds it.  ``fit_rate`` sweeps a horizon grid and fits a log-log
-slope to the per-horizon median metric; medians rather than means because
-the noise may have infinite variance and the guarantees are quantile
-statements.  ``compare_clipped_vanilla`` runs the clipped and unclipped
-gradient loops on identical per-seed noise and compares final gaps.
+Every seed sweep is one ``_sweep``: it builds the problem, the noise and the
+schedule once, runs the independent seeds (seed i = base_seed + i) in
+memory-bounded lockstep chunks, and hands back the schedule it ran.
+``run_trials`` makes one sweep, evaluates that schedule's explicit
+high-probability bound, and reports the fraction of seeds whose summary
+exceeds it.  ``fit_rate`` makes one sweep per horizon of the grid and fits a
+log-log slope to the per-horizon median metric; medians rather than means
+because the noise may have infinite variance and the guarantees are quantile
+statements.  ``compare_clipped_vanilla`` makes one clipped and one unclipped
+sweep on identical per-seed noise and compares final gaps.
 
 Outputs: one CSV per experiment (row per seed) under
 ``<out>/<id>/<algorithm>/<pXX>/seed-results.csv`` plus a JSON-lines summary;
@@ -17,7 +19,6 @@ rows are deterministic so a rerun of the same config is byte-identical.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -29,7 +30,7 @@ import numpy as np
 from . import algorithms as algos
 from .config import (ConfigError, ExperimentConfig, build_noise, build_problem,
                      build_schedule, config_digest, p_tag)
-from .schedules import SGD_MODES, theorem_bound
+from .schedules import SGD_MODES, Schedule, theorem_bound
 
 # Cap on the bytes of one lockstep batch's noise draws; larger sweeps are chunked.
 # Each noise family states its draws' bytes per seed-step (``seed_step_bytes``):
@@ -103,24 +104,6 @@ def upper_quantile(values: np.ndarray, q: float) -> float:
     return float(np.sort(values)[math.ceil((len(values) - 1) * q)])
 
 
-def _seed_list(cfg: ExperimentConfig) -> np.ndarray:
-    return cfg.base_seed + np.arange(cfg.n_seeds)
-
-
-def _batch(cfg: ExperimentConfig, problem, x1, noise_model, horizon: int,
-           seeds: np.ndarray) -> algos.BatchResult:
-    """One lockstep batch for a seed chunk, dispatched on the algorithm."""
-    if cfg.algorithm == "vanilla-sgd":
-        eta = cfg.vanilla_eta
-        if eta is None:
-            eta = build_schedule(cfg, problem, x1, horizon=horizon).eta(1)
-        return algos.run_vanilla_sgd_batch(problem, noise_model, eta, horizon, x1, seeds)
-    schedule = build_schedule(cfg, problem, x1, horizon=horizon)
-    runner = {"smd": algos.run_smd_batch, "asmd": algos.run_asmd_batch,
-              "sgd": algos.run_sgd_batch}[cfg.algorithm]
-    return runner(problem, noise_model, schedule, horizon, x1, seeds)
-
-
 def _seed_chunks(seeds: np.ndarray, horizon: int, seed_step_bytes: float) -> list[np.ndarray]:
     """``ceil(n * horizon * seed_step_bytes / _CHUNK_BYTES)`` chunks, at most one per seed.
 
@@ -132,21 +115,32 @@ def _seed_chunks(seeds: np.ndarray, horizon: int, seed_step_bytes: float) -> lis
     return np.array_split(seeds, max(1, min(n, sections)))  # a subnormal q rounds to 0 bytes
 
 
-def _run_all_seeds(cfg: ExperimentConfig, problem, x1, noise_model,
-                   horizon: int) -> algos.BatchResult:
-    """All seeds, chunked for memory; a seed's row does not depend on the chunk size."""
-    seeds = _seed_list(cfg)
-    size = noise_model.seed_step_bytes(problem.dim)
-    results = [_batch(cfg, problem, x1, noise_model, horizon, part)
-               for part in _seed_chunks(seeds, horizon, size)]
-    return algos.BatchResult(
-        algorithm=results[0].algorithm,
-        seeds=np.concatenate([r.seeds for r in results]),
-        summary=np.concatenate([r.summary for r in results]),
-        final_gap=np.concatenate([r.final_gap for r in results]),
-        clipped_fraction=np.concatenate([r.clipped_fraction for r in results]),
-        diverged=np.concatenate([r.diverged for r in results]),
+def _sweep(cfg: ExperimentConfig, horizon: int,
+           algorithm: str) -> tuple[algos.BatchResult, Schedule]:
+    """Every seed of ``cfg`` through ``algorithm``'s lockstep batch at ``horizon``, chunked for
+    memory (a seed's row does not depend on the chunk size); returns ``(result, schedule)``."""
+    problem, x1 = build_problem(cfg)
+    noise_model = build_noise(cfg)
+    schedule = build_schedule(cfg, problem, x1, horizon=horizon)
+    if algorithm == "vanilla-sgd":
+        runner = algos.run_vanilla_sgd_batch
+        rule = schedule.eta(1) if cfg.vanilla_eta is None else cfg.vanilla_eta
+    else:  # looked up per call, so a patched runner is the one that runs
+        runner = {"smd": algos.run_smd_batch, "asmd": algos.run_asmd_batch,
+                  "sgd": algos.run_sgd_batch}[algorithm]
+        rule = schedule
+    seeds = cfg.base_seed + np.arange(cfg.n_seeds)
+    parts = [runner(problem, noise_model, rule, horizon, x1, chunk)
+             for chunk in _seed_chunks(seeds, horizon, noise_model.seed_step_bytes(problem.dim))]
+    result = algos.BatchResult(
+        algorithm=parts[0].algorithm,
+        seeds=np.concatenate([r.seeds for r in parts]),
+        summary=np.concatenate([r.summary for r in parts]),
+        final_gap=np.concatenate([r.final_gap for r in parts]),
+        clipped_fraction=np.concatenate([r.clipped_fraction for r in parts]),
+        diverged=np.concatenate([r.diverged for r in parts]),
     )
+    return result, schedule
 
 
 def run_trials(cfg: ExperimentConfig, write: bool = True) -> TrialSummary:
@@ -154,14 +148,9 @@ def run_trials(cfg: ExperimentConfig, write: bool = True) -> TrialSummary:
     if cfg.n_seeds < 30:
         warnings.warn("fewer than 30 seeds: the binomial failure-rate interval is wide",
                       stacklevel=2)
-    problem, x1 = build_problem(cfg)
-    noise_model = build_noise(cfg)
-    result = _run_all_seeds(cfg, problem, x1, noise_model, cfg.horizon)
-    if cfg.algorithm == "vanilla-sgd":
-        bound = math.inf  # the baseline carries no guarantee
-    else:
-        schedule = build_schedule(cfg, problem, x1, horizon=cfg.horizon)
-        bound = theorem_bound(schedule, cfg.horizon)
+    result, schedule = _sweep(cfg, cfg.horizon, cfg.algorithm)
+    # the baseline carries no guarantee
+    bound = math.inf if cfg.algorithm == "vanilla-sgd" else theorem_bound(schedule, cfg.horizon)
     metrics = result.summary
     failures = float(np.mean(metrics > bound))
     stderr = math.sqrt(max(failures * (1 - failures), 1e-12) / cfg.n_seeds)
@@ -240,12 +229,8 @@ def fit_rate(cfg: ExperimentConfig) -> RateFit:
         raise ConfigError("experiment.t_grid", "all horizons identical: log-log fit undefined")
     if cfg.n_seeds < 100:
         raise ConfigError("experiment.seeds", "rate fitting needs at least 100 seeds per horizon")
-    problem, x1 = build_problem(cfg)
-    noise_model = build_noise(cfg)
-    medians = []
-    for horizon in cfg.horizon_grid:
-        result = _run_all_seeds(cfg, problem, x1, noise_model, horizon)
-        medians.append(float(np.median(result.summary)))
+    medians = [float(np.median(_sweep(cfg, horizon, cfg.algorithm)[0].summary))
+               for horizon in cfg.horizon_grid]
     slope, intercept, r2 = fit_power_law(cfg.horizon_grid, medians)
     exponent = theoretical_exponent(cfg)
     return RateFit(
@@ -261,8 +246,9 @@ def fit_rate(cfg: ExperimentConfig) -> RateFit:
 def compare_clipped_vanilla(cfg: ExperimentConfig) -> VanillaComparison:
     """Paired-seed comparison of final gaps; identical noise per seed.
 
-    The baseline reuses the clipped schedule's step size, so clipping is the
-    only difference.  Requires a heavy-tailed configuration (p < 2) unless
+    The baseline takes the constant step ``schedule.vanilla_eta`` when it is set,
+    else the clipped schedule's first step size eta_1; under ``sgd_known_t``, whose
+    step is constant, clipping is then the only difference.  Requires a heavy-tailed configuration (p < 2) unless
     the noise is switched off entirely.
     """
     if cfg.sigma > 0 and cfg.p >= 2.0:
@@ -271,12 +257,8 @@ def compare_clipped_vanilla(cfg: ExperimentConfig) -> VanillaComparison:
     if cfg.mode not in SGD_MODES:
         raise ConfigError("schedule.mode", f"compare runs clipped gradient descent; {cfg.mode} "
                           f"is not one of {SGD_MODES}")
-    problem, x1 = build_problem(cfg)
-    noise_model = build_noise(cfg)
-    clipped, vanilla = (
-        _run_all_seeds(dataclasses.replace(cfg, algorithm=algorithm), problem, x1, noise_model,
-                       cfg.horizon)
-        for algorithm in ("sgd", "vanilla-sgd"))
+    clipped, vanilla = (_sweep(cfg, cfg.horizon, algorithm)[0]
+                        for algorithm in ("sgd", "vanilla-sgd"))
     up = 1.0 - cfg.delta
     clipped_upper = upper_quantile(clipped.final_gap, up)
     vanilla_upper = upper_quantile(vanilla.final_gap, up)

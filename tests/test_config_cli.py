@@ -117,6 +117,47 @@ def test_cmd_run_noiseless(tmp_path, capsys):
     assert csv_path.read_bytes() == first  # byte-identical rerun
 
 
+ONE_PER_COMMAND = {
+    "run": MINIMAL,
+    "rates": MINIMAL.replace("seeds = 31", "seeds = 100\nt_grid = 16,32,64,128"),
+    "diagnose": MINIMAL + "\n[diagnostics]\npathwise = true\n",
+    "compare": MINIMAL.replace("algorithm = smd", "algorithm = sgd")
+                      .replace("mode = smd_known_t", "mode = sgd_known_t"),
+}
+
+
+@pytest.mark.parametrize("command", list(ONE_PER_COMMAND))
+def test_each_command_validates_its_config_once(tmp_path, monkeypatch, capsys, command):
+    """The file, ``--set``, ``--out`` and ``--seeds`` are applied first and checked once."""
+    calls = []
+    original = config.validate_config
+
+    def counted(cfg):
+        calls.append(cfg)
+        return original(cfg)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("clipopt") and vars(module).get("validate_config") is original:
+            monkeypatch.setattr(module, "validate_config", counted)
+    argv = [command, "--config", _write(tmp_path, ONE_PER_COMMAND[command]), "--set",
+            "experiment.t=16", "--out", str(tmp_path / "out"), "--seeds", "100"]
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    assert len(calls) == 1
+
+
+def test_a_flag_repairs_a_file_value(tmp_path, capsys):
+    """``--seeds`` replaces the file's seed count before validation, and wins over a ``--set``
+    of the same key; a bad file value that nothing repairs still exits 2 naming its key."""
+    cfgfile = _write(tmp_path, MINIMAL.replace("seeds = 31", "seeds = 0"))
+    assert cli.main(["run", "--config", cfgfile, "--seeds", "30"]) == 0
+    assert "seeds=30 " in capsys.readouterr().out
+    assert cli.main(["run", "--config", cfgfile, "--set", "experiment.seeds=40",
+                     "--seeds", "30"]) == 0
+    assert "seeds=30 " in capsys.readouterr().out
+    assert cli.main(["run", "--config", cfgfile]) == 2
+    assert capsys.readouterr().err.startswith("config error: experiment.seeds:")
+
+
 def test_cmd_run_invalid_config_exit_2(tmp_path, capsys):
     cfgfile = _write(tmp_path, MINIMAL.replace("p = 1.5", "p = 2.5"))
     rc = cli.main(["run", "--config", cfgfile])

@@ -1,6 +1,7 @@
 """Geometry oracles: norms, divergences, closed-form proximal steps."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,22 @@ def test_norm_values():
     g1 = geo.simplex(3)
     assert g1.norm([1.0, -2.0, 0.5]) == pytest.approx(3.5)
     assert g1.dual_norm([1.0, -2.0, 0.5]) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("v", [[1e200, 1e200], [1e300, -3e299, 2.0], [1.2e308, 1e308],
+                               [-1e160] * 9, [5e200, 0.0, 0.0, 1e-300], [1.7e308, 1e308]])
+def test_norm_of_a_large_finite_vector_is_finite(v):
+    """A finite vector whose square overflows keeps its l2 norm (``math.hypot``'s: finite but
+    for the last, whose norm is past the largest double), with no overflow warning; the rows
+    beside it keep their bits."""
+    g = geo.euclidean(len(v))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert g.norm(v) == pytest.approx(math.hypot(*v), rel=1e-15)
+        V = np.array([v, [1.0] * len(v), [np.inf] + [0.0] * (len(v) - 1)])
+        norms = g.norm_many(V)
+    assert norms[0] == g.norm(v)
+    assert norms[1] == np.sqrt(V[1] @ V[1]) and norms[2] == np.inf
 
 
 def test_norm_dimension_mismatch():

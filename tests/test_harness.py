@@ -135,6 +135,19 @@ def test_run_trials_independent_of_chunking(monkeypatch):
     assert calls["smd"] >= 2
 
 
+def test_run_trials_builds_one_schedule(monkeypatch):
+    """A chunked sweep builds its schedule once, for every chunk and for the bound."""
+    c = cfg(n_seeds=40)
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", seven_seed_budget(c))
+    calls = {"schedule": 0, "smd": 0}
+    monkeypatch.setattr(harness, "build_schedule",
+                        counted(calls, "schedule", harness.build_schedule))
+    monkeypatch.setattr(algorithms, "run_smd_batch",
+                        counted(calls, "smd", algorithms.run_smd_batch))
+    harness.run_trials(c, write=False)
+    assert calls == {"schedule": 1, "smd": 6}
+
+
 def test_seed_chunks_are_balanced():
     # the perfbench asmd sweep with a dense block: 500 * 2048 * 32 doubles (262 MB)
     # over the 240 MB budget gives two halves
