@@ -10,7 +10,7 @@ the empirical crossing frequency with delta.
 import numpy as np
 
 from clipopt import algorithms, diagnostics, problems, schedules
-from clipopt.noise import TwoPointNoise, make_rng
+from clipopt.noise import TwoPointNoise
 
 SEEDS = 200
 STEPS = 128
@@ -24,12 +24,9 @@ def main():
     s = schedules.derive_inputs(prob, x1, p=1.5, sigma=1.0, delta=DELTA, horizon=STEPS)
     sched = schedules.Schedule("smd_known_t", s)
 
-    # one recorded lockstep run of every seed; two-point moments are exact, so seed k's
-    # resampling generator make_rng(10_000 + k) draws nothing
+    # one recorded lockstep run of every seed; the traces' conditional moments are exact
     batch = algorithms.run_smd_batch(prob, model, sched, STEPS, x1, range(SEEDS), record=True)
-    traces = diagnostics.martingale_trace_smd(prob, model, batch.table, sched.constants(),
-                                              DELTA, 128,
-                                              [make_rng(10_000 + seed) for seed in range(SEEDS)])
+    traces = diagnostics.martingale_trace_smd(prob, model, batch.table, sched.constants(), DELTA)
     peaks = np.array([np.max(trace.running_sum) for trace in traces])
     crossings = sum(trace.crossed for trace in traces)
     trace = traces[-1]

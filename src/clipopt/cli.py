@@ -26,7 +26,7 @@ from . import harness
 from .algorithms import run_asmd, run_sgd, run_smd
 from .config import (ConfigError, ExperimentConfig, build_noise, build_problem,
                      build_schedule, load_config)
-from .noise import Oracle, make_rng
+from .noise import Oracle
 from .schedules import verify_schedule_conditions
 
 
@@ -106,10 +106,8 @@ def cmd_diagnose(args) -> int:
         failed |= not rep.passed
 
     if cfg.error_bounds:
-        rng = make_rng(cfg.base_seed + 7_000_000)
         level = schedule.lam(1) if recorded is None else float(recorded.lam[0, -1])
-        rep = diag.check_clipping_error_bounds(problem, noise_model, x1, level,
-                                               max(cfg.resamples, 10_000), rng)
+        rep = diag.check_clipping_error_bounds(problem, noise_model, x1, level)
         reports.append(rep)
         print(f"check clipping_error_bounds: {'pass' if rep.passed else 'FAIL'} "
               f"violations={rep.u_violations} applicable={rep.applicable}")
@@ -120,12 +118,10 @@ def cmd_diagnose(args) -> int:
                     "sgd": diag.martingale_trace_sgd}.get(cfg.algorithm)
         if trace_fn is None:
             raise ConfigError("diagnostics.martingale", "trace defined for smd and sgd")
-        trace = trace_fn(problem, noise_model, table(), schedule.constants(), cfg.delta,
-                         cfg.resamples, [make_rng(cfg.base_seed + 9_000_000)])[0]
+        trace = trace_fn(problem, noise_model, table(), schedule.constants(), cfg.delta)[0]
         reports.append(trace)
         print(f"check martingale_{trace.algorithm}: crossed={trace.crossed} "
-              f"max_sum={np.max(trace.running_sum):.4f} threshold={trace.threshold:.4f} "
-              f"warned={trace.warned}")
+              f"max_sum={np.max(trace.running_sum):.4f} threshold={trace.threshold:.4f}")
 
     if cfg.out_dir and reports:
         out = harness.experiment_dir(cfg)

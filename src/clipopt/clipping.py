@@ -5,10 +5,9 @@ zero vector is defined as 1, which makes the operator continuous across the
 below-threshold region.  The error of a clipped stochastic gradient against
 the true gradient splits into a zero-conditional-mean part and a clipping
 bias; since the oracle is history independent, the bias and the moments of
-the zero-mean part are conditional moments at a fixed point.
-:func:`conditional_moments` states them: exactly for two-point noise, whose
-law has 2d + 1 support points (``TwoPointNoise.clipped_moments``), and by
-resampling (:func:`resample_clipped`) for radial noise.  :func:`estimate_theta` decomposes one error with them.
+the zero-mean part are conditional moments at a fixed point, which each noise
+family states exactly (``clipped_moments``).  :func:`estimate_theta`
+decomposes one error with them.
 
 ``estimate_g0`` implements the robust initial gradient estimate: block means
 of raw stochastic gradients combined by their geometric median (Weiszfeld
@@ -17,7 +16,6 @@ iteration).
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -62,108 +60,33 @@ def clip_batch(G: np.ndarray, level, dual_norms: np.ndarray | None = None,
     return np.multiply(G, factors[:, None], out=out)
 
 
-# Points per chunk of the resampling kernel: a chunk's (points, resamples, d)
-# block holds about this many doubles, so its temporaries stay in cache.
-_RESAMPLE_BLOCK = 1 << 15
-
-# Per-point (P, d) or (P,) summaries of clipped resamples; ``u`` is a draw minus
-# ``cond_mean``, ``u_over`` counts ``||u||_* > 2 level`` (ruled out by clipping up
-# to roundoff), ``var`` and ``u_sq_sd`` use ddof=1, ``stderr`` is cond_mean's l2 s.e.
-# ``TwoPointNoise.clipped_moments`` fills the same fields exactly, over its support:
-# ``var`` and ``u_sq_sd`` are then the law's own spreads, and ``stderr`` is 0.
-Resampled = namedtuple("Resampled", "grad cond_mean var stderr u_sq_mean u_sq_sd u_max u_over")
-
-
-def conditional_moments(problem, noise_model, X, levels, resamples: int,
-                        rng: np.random.Generator) -> Resampled:
-    """The moments of the clipped draws at each row of ``X``, clipped at that row's level.
-
-    A noise family that states them (two-point noise, ``clipped_moments``) gives
-    them exactly, with every standard error 0; ``resamples`` and ``rng`` then go
-    unused, and nothing is drawn.  Any other (radial noise) is resampled by
-    ``resample_clipped`` from ``resamples`` draws of ``rng`` per row.
-    """
-    exact = getattr(noise_model, "clipped_moments", None)
-    if exact is not None:
-        return exact(problem, X, levels)
-    return resample_clipped(problem, noise_model, X, levels, resamples, rng)
-
-
-def resample_clipped(problem, noise_model, X, levels, resamples: int,
-                     rng: np.random.Generator) -> Resampled:
-    """Clip ``resamples`` fresh draws at each row of ``X`` with that row's level.
-
-    Row k's draws are the k-th of successive ``noise_model.sample_batch(d,
-    resamples, rng)`` calls, and its numbers are bitwise numpy's ``mean``,
-    ``var`` and ``std`` over its own draws.  Rows go in chunks of about
-    ``_RESAMPLE_BLOCK`` doubles, each clipped and reduced as one block.
-    """
-    grad = problem.grad_many(np.asarray(X, dtype=float))
-    points, d = grad.shape
-    levels = np.broadcast_to(np.asarray(levels, dtype=float), (points,))
-    geom = problem.geometry
-    step = max(1, _RESAMPLE_BLOCK // (resamples * d))
-    chunks = []
-    for lo in range(0, points, step):
-        n = min(step, points - lo)
-        # resample-major: a sum over resamples adds (n, d) slabs in numpy's per-point order
-        block = np.zeros((resamples, n, d))
-        noise_model.sample_block(d, n, resamples, rng, out=block.transpose(1, 0, 2))
-        block += grad[lo:lo + n]
-        rows = block.reshape(-1, d)
-        level = np.tile(levels[lo:lo + n], resamples)
-        clip_batch(rows, level, geom.dual_norm_many(rows), out=rows)
-        mean = block.mean(axis=0)
-        u = block - mean
-        var = np.add.reduce(u * u, axis=0) / (resamples - 1)  # numpy's var(ddof=1)
-        norms = geom.dual_norm_many(u.reshape(-1, d))
-        over = np.count_nonzero((norms > 2.0 * level * (1 + 1e-12)).reshape(resamples, n), axis=0)
-        norms = np.ascontiguousarray(norms.reshape(resamples, n).T)  # pairwise sums per point
-        u_sq = norms ** 2
-        chunks.append((mean, var, u_sq.mean(axis=1), u_sq.std(axis=1, ddof=1),
-                       norms.max(axis=1), over))
-    mean, var, u_sq_mean, u_sq_sd, u_max, over = map(np.concatenate, zip(*chunks))
-    return Resampled(grad, mean, var, np.sqrt(np.sum(var, axis=1) / resamples),
-                     u_sq_mean, u_sq_sd, u_max, over)
-
-
 @dataclass(frozen=True)
 class ThetaEstimate:
     """Realized clipped-gradient error and its decomposition.
 
     ``theta`` is the realized error of one clipped sample against the true
-    gradient; ``theta_b`` is the conditional-mean bias at the same point,
-    exact for two-point noise and estimated from ``samples`` auxiliary
-    clipped draws for radial noise, and ``theta_u = theta - theta_b`` so the
-    decomposition is exact by construction.  ``stderr`` is the l2 standard
-    error of the conditional mean (0 when it is exact).
+    gradient; ``theta_b`` is the conditional-mean bias at the same point, from
+    the noise family's exact ``clipped_moments``, and ``theta_u = theta -
+    theta_b``, so the decomposition is exact by construction.
     """
 
     theta: np.ndarray
     theta_u: np.ndarray
     theta_b: np.ndarray
-    samples: int
-    stderr: float
 
 
-def estimate_theta(oracle: Oracle, x, level: float, samples: int, rng: np.random.Generator) -> ThetaEstimate:
+def estimate_theta(oracle: Oracle, x, level: float) -> ThetaEstimate:
     """Decompose one clipped-gradient error at ``x`` by its conditional moments.
 
-    The primary draw is the next draw of the oracle's own stream.  The bias
-    comes from ``conditional_moments``: exact for two-point noise, which draws
-    nothing from ``rng``; for radial noise, ``samples`` auxiliary draws that
-    consume ``rng``, so that attaching the estimator to a run does not perturb
-    the run's trajectory.
+    The primary draw is the next draw of the oracle's own stream; the bias is
+    exact, so nothing else is drawn.
     """
-    if samples < 100:
-        raise ValueError("need at least 100 resamples for a stable conditional mean")
     problem = oracle.problem
-    aux = conditional_moments(problem, oracle.noise, [x], level, samples, rng)
+    aux = oracle.noise.clipped_moments(problem, [x], level)
     g_true, theta_b = aux.grad[0], aux.cond_mean[0] - aux.grad[0]
     g = problem.grad(np.asarray(x, dtype=float)) + oracle.noise_matrix(1)[0]
     theta = clip(g, level, problem.geometry.dual_norm) - g_true
-    return ThetaEstimate(theta=theta, theta_u=theta - theta_b, theta_b=theta_b,
-                         samples=samples, stderr=float(aux.stderr[0]))
+    return ThetaEstimate(theta=theta, theta_u=theta - theta_b, theta_b=theta_b)
 
 
 def geometric_median(points: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> np.ndarray:

@@ -78,6 +78,8 @@ class ExperimentConfig:
     pathwise: bool = False
     error_bounds: bool = False
     martingale: bool = False
+    # no computation reads it (the diagnostics' moments are exact); it stays valid so that
+    # the configs that set it keep loading, and keep their digests
     resamples: int = 128
 
 

@@ -7,18 +7,16 @@ Four layers of checks:
 * clipping-error bounds: the zero-mean part of the clipped-gradient error is
   never larger than twice the clipping level (exact), and when the true
   gradient is at most half the level, the bias and second moment obey
-  explicit powers of the level (exact for two-point noise; Monte Carlo with
-  stated slack for radial noise);
+  explicit powers of the level;
 * deterministic per-step descent inequalities for each algorithm, which hold
   pathwise for every realization, so any violation beyond roundoff is an
   implementation bug;
 * the supermartingale trace whose threshold-crossing frequency across seeds
   is what the high-probability guarantees bound.
 
-The conditional moments of the clipped error come from
-``clipping.conditional_moments``: exact weighted sums over the support of
-two-point noise, which draw nothing, and resampled estimates for radial
-noise.
+The conditional moments of the clipped error are exact, and nothing is
+drawn: the noise family states them (``clipped_moments``), as weighted sums
+over the support of two-point noise and by quadrature for radial noise.
 
 Reports serialize to flat rows for CSV / JSON-lines output.
 """
@@ -33,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algorithms import StepTable
-from .clipping import Resampled, conditional_moments
 from .geometry import row_dots
+from .noise import ClippedMoments
 from .problems import Problem
 from .schedules import log_weight_tail_sum
 
@@ -160,17 +158,14 @@ def check_mgf_bound(radius: float, lambdas, law) -> MgfReport:
 
 @dataclass
 class ClipErrorReport:
-    samples: int
     level: float
     u_violations: int
     u_max_norm: float
     applicable: bool
     bias_norm: float
     bias_bound: float
-    bias_stderr: float
     second_moment: float
     second_moment_bound: float
-    second_moment_stderr: float
 
     @property
     def passed(self) -> bool:
@@ -181,44 +176,33 @@ class ClipErrorReport:
         # the epsilon absorbs float rounding of the conditional mean in the
         # degenerate noiseless case, where both sides are exactly zero
         eps = 1e-12 * max(self.level, 1.0)
-        return (self.bias_norm <= self.bias_bound + 5.0 * self.bias_stderr + eps
-                and self.second_moment <= self.second_moment_bound
-                + 5.0 * self.second_moment_stderr + eps)
+        return (self.bias_norm <= self.bias_bound + eps
+                and self.second_moment <= self.second_moment_bound + eps)
 
     def row(self) -> dict:
-        return {"name": "clipping_error_bounds", "steps": self.samples,
+        return {"name": "clipping_error_bounds", "steps": 1,  # the one point checked
                 "violations": self.u_violations,
-                "max_margin": self.bias_bound + 5 * self.bias_stderr - self.bias_norm,
-                "stderr": self.bias_stderr}
+                "max_margin": self.bias_bound - self.bias_norm, "stderr": 0.0}
 
 
-def check_clipping_error_bounds(problem: Problem, noise_model, x, level: float, samples: int,
-                                rng: np.random.Generator) -> ClipErrorReport:
-    """Check of the clipped-error bounds at a fixed point.
+def check_clipping_error_bounds(problem: Problem, noise_model, x, level: float) -> ClipErrorReport:
+    """Check of the clipped-error bounds at a fixed point, from exact moments.
 
     The zero-mean error part is bounded by twice the level exactly (both the
     clipped draw and the conditional mean have norm at most the level), so
     the violation count must be zero.  The bias and second-moment bounds
     apply only when the true gradient norm is at most half the level;
-    otherwise they are reported as not applicable.  Two-point moments are
-    exact, with standard errors 0, and draw nothing from ``rng``; radial ones
-    are resampled from ``samples`` draws, which consume ``rng``.
+    otherwise they are reported as not applicable.
     """
-    if samples < 10_000:
-        raise ValueError("need at least 1e4 samples for the error-bound check")
     geom, p, sigma = problem.geometry, noise_model.p, noise_model.sigma
-    res = conditional_moments(problem, noise_model, [x], level, samples, rng)
-    # exact moments (stderr 0) have no second-moment s.e. either; a resampled stderr
-    # of 0 means every clipped draw was the same, so its u_sq_sd is 0 already
-    m2_stderr = res.u_sq_sd[0] / math.sqrt(samples) if res.stderr[0] > 0 else 0.0
+    res = noise_model.clipped_moments(problem, [x], level)
     return ClipErrorReport(
-        samples=samples, level=level, u_violations=int(res.u_over[0]),
-        u_max_norm=float(res.u_max[0]), applicable=geom.dual_norm(res.grad[0]) <= level / 2.0,
+        level=level, u_violations=int(res.u_over[0]), u_max_norm=float(res.u_max[0]),
+        applicable=geom.dual_norm(res.grad[0]) <= level / 2.0,
         bias_norm=geom.dual_norm(res.cond_mean[0] - res.grad[0]),
-        bias_bound=4.0 * sigma ** p * level ** (1.0 - p), bias_stderr=float(res.stderr[0]),
+        bias_bound=4.0 * sigma ** p * level ** (1.0 - p),
         second_moment=float(res.u_sq_mean[0]),
         second_moment_bound=40.0 * sigma ** p * level ** (2.0 - p),
-        second_moment_stderr=float(m2_stderr),
     )
 
 
@@ -231,9 +215,8 @@ def check_clipping_error_bounds(problem: Problem, noise_model, x, level: float, 
 # record's (n, steps, d) points whole, each point with its one-seed bits, as
 # they take its (n, steps) steps and levels.  Each check returns one report or
 # trace per seed, and seed k's is bitwise that of seed k's own one-seed record.
-# The traces' conditional moments come from one ``clipping.conditional_moments``
-# call per seed: exact for two-point noise, and for radial noise resampled from
-# the seed's own generator in step order.  Powers go through
+# The traces' conditional moments come from one exact ``clipped_moments`` call
+# over every seed's points.  Powers go through
 # ``np.float_power``, which calls libm's ``pow`` as Python's float ``**`` does;
 # numpy's ``**`` squares by multiplication, which can differ in the last bit.
 
@@ -343,10 +326,7 @@ class MartingaleTrace:
 
     ``crossed`` flags whether the running sum ever reached ``log(1/delta)``;
     across independent seeds the crossing frequency is at most delta.  The
-    conditional moments are exact for two-point noise (``stderr`` 0); for
-    radial noise they are resampled, the frequency holds up to their Monte
-    Carlo error, whose scale ``stderr`` records, and ``warned`` flags a step
-    where it exceeds a tenth of the level.
+    conditional moments are exact, so the row's ``stderr`` is 0.
     """
 
     algorithm: str
@@ -356,30 +336,25 @@ class MartingaleTrace:
     running_sum: np.ndarray    # S_t
     cond_second_moment: np.ndarray
     bias_norm: np.ndarray
-    stderr: np.ndarray
     crossed: bool
-    warned: bool
     constants: dict
 
     def row(self) -> dict:
         return {"name": f"martingale_{self.algorithm}", "steps": self.weights.size,
                 "violations": int(self.crossed), "max_margin":
-                float(self.threshold - np.max(self.running_sum)),
-                "stderr": float(np.mean(self.stderr))}
+                float(self.threshold - np.max(self.running_sum)), "stderr": 0.0}
 
 
 @np.errstate(over="ignore")
 def martingale_trace_smd(problem: Problem, noise_model, tab: StepTable, constants: dict,
-                         delta: float, resamples: int, rngs) -> list:
+                         delta: float) -> list:
     """Supermartingale trace of a recorded clipped mirror-descent run: one trace per seed.
 
     The weight ``z_t`` divides by the running maximum of the Bregman radius
     seen so far plus a ``16 Q (eta lambda)^2`` floor, which is exactly what
     keeps the exponential increments integrable; ``Q`` is read from
-    ``constants``.  The conditional moments of the clipped error are exact
-    for two-point noise, which draws nothing; for radial noise seed k's are
-    estimated by ``resamples`` fresh draws per step from ``rngs[k]`` (the
-    run's own stream is not perturbed).  A Bregman divergence that rounds
+    ``constants``.  The conditional moments of the clipped error are exact,
+    and nothing is drawn.  A Bregman divergence that rounds
     below zero counts as zero radius.  A step past ``eta <= 1/(4L)`` can
     overflow a power of eta; it saturates to inf, unwarned.
     """
@@ -387,8 +362,8 @@ def martingale_trace_smd(problem: Problem, noise_model, tab: StepTable, constant
     xstar = problem.minimizer
     q_val = constants["Q"]
     x, eta, lam = tab.x[:, :-1], tab.eta, tab.lam
-    res = _moments(problem, noise_model, x, lam, resamples, rngs)
-    theta_b, m2, se = res.cond_mean - res.grad, res.u_sq_mean, res.stderr
+    res = _moments(problem, noise_model, x, lam)
+    theta_b, m2 = res.cond_mean - res.grad, res.u_sq_mean
     breg = geom.bregman_many(xstar, tab.x)
     runmax = np.maximum.accumulate(np.sqrt(2.0 * np.maximum(breg[:, :-1], 0.0)), axis=1)
     el = eta * lam
@@ -401,11 +376,11 @@ def martingale_trace_smd(problem: Problem, noise_model, tab: StepTable, constant
                       - 2.0 * eta2 * m2)
     increments -= (3.0 / (8.0 * lam2)
                    + 24.0 * np.float_power(z, 2) * np.float_power(eta, 4) * lam2) * m2
-    return _traces("smd", delta, z, increments, m2, bias, se, lam, {"Q": q_val})
+    return _traces("smd", delta, z, increments, m2, bias, {"Q": q_val})
 
 
 def martingale_trace_sgd(problem: Problem, noise_model, tab: StepTable, constants: dict,
-                         delta: float, resamples: int, rngs) -> list:
+                         delta: float) -> list:
     """Supermartingale trace of a recorded clipped gradient-descent run: one trace per seed.
 
     The weight uses the running maximum of the value gap with the
@@ -414,8 +389,8 @@ def martingale_trace_sgd(problem: Problem, noise_model, tab: StepTable, constant
     denominator to ``2 C1 max sqrt(gap) + 4 C1^2 sqrt(A)``; ``C1`` and ``A``
     are read from ``constants``.  Both multipliers must be at least 1, so the
     trace is defined only for schedules meeting their guarantee conditions
-    (checked at every seed's first and last step).  Conditional moments come
-    as for ``martingale_trace_smd``.
+    (checked at every seed's first and last step).  The conditional moments
+    are exact, as for ``martingale_trace_smd``.
     """
     c1, a_const = constants["C1"], constants["A"]
     L = problem.smoothness
@@ -427,8 +402,8 @@ def martingale_trace_sgd(problem: Problem, noise_model, tab: StepTable, constant
         if c1 ** 2 * sqrt_a / (2.0 * L * eta ** 2 * lam ** 2) < 1.0 - 1e-9:
             raise ValueError("trace undefined: Q_t < 1 for this schedule")
     x, eta, lam = tab.x[:, :-1], tab.eta, tab.lam
-    res = _moments(problem, noise_model, x, lam, resamples, rngs)
-    g, theta_b, m2, se = res.grad, res.cond_mean - res.grad, res.u_sq_mean, res.stderr
+    res = _moments(problem, noise_model, x, lam)
+    g, theta_b, m2 = res.grad, res.cond_mean - res.grad, res.u_sq_mean
     gap = problem.gap_many(tab.x)
     runmax = np.maximum.accumulate(np.sqrt(np.maximum(gap[:, :-1], 0.0)), axis=1)
     bias_sq = row_dots(theta_b, theta_b)
@@ -438,25 +413,25 @@ def martingale_trace_sgd(problem: Problem, noise_model, tab: StepTable, constant
                       - 1.5 * eta * bias_sq - L * eta2 * m2)
     increments -= (3.0 * z2 * L * eta2 * gap[:, :-1]
                    + 6.0 * L ** 2 * z2 * np.float_power(eta, 4) * np.float_power(lam, 2)) * m2
-    return _traces("sgd", delta, z, increments, m2, np.sqrt(bias_sq), se, lam,
-                   {"C1": c1, "A": a_const})
+    return _traces("sgd", delta, z, increments, m2, np.sqrt(bias_sq), {"C1": c1, "A": a_const})
 
 
-def _moments(problem, noise_model, X, levels, resamples: int, rngs) -> Resampled:
-    """Seed k's ``conditional_moments`` at ``X[k]`` and ``levels[k]`` (resampled radial noise
-    draws from ``rngs[k]``), as (n, steps, ...) fields."""
-    per_seed = (conditional_moments(problem, noise_model, x, level, resamples, rng)
-                for x, level, rng in zip(X, levels, rngs, strict=True))
-    return Resampled._make(map(np.stack, zip(*per_seed)))
+def _moments(problem, noise_model, X, levels) -> ClippedMoments:
+    """The ``clipped_moments`` at the (n, steps, d) points ``X``, each clipped at its entry
+    of the (n, steps) ``levels``, as (n, steps, ...) fields: one call over every seed's
+    points, whose bits do not depend on the points beside them."""
+    n, steps, d = X.shape
+    res = noise_model.clipped_moments(problem, X.reshape(-1, d), levels.reshape(-1))
+    return ClippedMoments._make(f.reshape(n, steps, *f.shape[1:]) for f in res)
 
 
-def _traces(algorithm, delta, z, increments, m2, bias, se, lam, constants) -> list:
+def _traces(algorithm, delta, z, increments, m2, bias, constants) -> list:
     """One trace per seed's row of the (n, steps) arrays."""
     threshold = math.log(1.0 / delta)
     running = np.cumsum(increments, axis=1)
-    crossed, warned = np.max(running, axis=1) >= threshold, np.any(se > 0.1 * lam, axis=1)
-    return [MartingaleTrace(algorithm, threshold, *arrays, bool(c), bool(w), constants)
-            for *arrays, c, w in zip(z, increments, running, m2, bias, se, crossed, warned)]
+    crossed = np.max(running, axis=1) >= threshold
+    return [MartingaleTrace(algorithm, threshold, *arrays, bool(c), constants)
+            for *arrays, c in zip(z, increments, running, m2, bias, crossed)]
 
 
 # -- report serialization ---------------------------------------------------------------

@@ -173,10 +173,14 @@ class Geometry:
         """Dual norm: l2 for Euclidean geometries, l-infinity on the simplex.
 
         Shares its arithmetic with the row variant so that single-run and
-        batched trajectories agree bitwise.
+        batched trajectories agree bitwise, except that a finite vector whose
+        square overflows keeps its finite l2 norm, ``norm``'s (the row variant,
+        which the run loops call, gives it inf, and such a draw clips to 0).
         """
         v = _as_vector(v, self.dim)
-        return float(self.dual_norm_many(v[None, :])[0])
+        with np.errstate(over="ignore"):
+            norm = float(self.dual_norm_many(v[None, :])[0])
+        return self.norm(v) if norm == np.inf and self.kind != SIMPLEX else norm
 
     def dual_norm_many(self, V: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Row-wise dual norms of an (..., dim) array, written into ``out`` when it is given."""

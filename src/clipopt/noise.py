@@ -11,18 +11,18 @@ while ``E r^p = a s^p / (a - p)`` stays finite, and the internal scale
 
 Randomness comes from numpy's counter-based 64-bit Philox generator seeded
 through ``SeedSequence`` (``make_rng``).  Each family writes its draw once,
-in ``sample_block(d, points, n, rng)``: the stream of ``points`` successive
-``sample_batch(d, n, rng)`` calls.  It makes each point's generator calls in
-turn (two-point: n uniforms for the spike indicators, n integers for the
-coordinates, n uniforms for the signs; radial: n * d standard normals for
-the directions, n uniforms for the inverse-CDF Pareto radii) and only then
-scatters the spikes or normalizes and scales the whole (points, n, d) block.
-``sample_batch`` is its one-point case and can write its draw into a
-caller's array (``out``).  The diagnostics draw the resamples of radial
-noise at many steps this way, with the stream of a per-step loop; two-point
-noise states the moments of its clipped draws exactly (``clipped_moments``),
-as a weighted sum over its 2d + 1 support points, and is not resampled.  One
+in ``sample_batch(d, n, rng)``, which can write it into a caller's array
+(``out``): two-point noise draws n uniforms for the spike indicators, n
+integers for the coordinates and n uniforms for the signs, then scatters the
+spikes; radial noise draws n * d standard normals for the directions and n
+uniforms for the inverse-CDF Pareto radii, then normalizes and scales.  One
 stochastic gradient at x is ``problem.grad(x) + oracle.noise_matrix(1)[0]``.
+
+Each family also states the moments of its clipped draws at many points
+exactly (``clipped_moments``), so the diagnostics draw nothing: two-point
+noise as a weighted sum over its 2d + 1 support points, radial noise as a
+fixed-node Gauss-Legendre sum over the draw's radius and its angle to the
+gradient.
 
 Run noise: the loops read step t's (n, d) noise as ``slab(t)`` of a draws
 object.  ``DenseDraws`` holds a presampled time-major (steps, d, n) block;
@@ -40,11 +40,12 @@ the harness sizes its seed chunks.
 from __future__ import annotations
 
 import mmap
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .clipping import Resampled, clip_batch
+from .clipping import clip_batch
 from .problems import Problem
 
 
@@ -89,37 +90,24 @@ class TwoPointNoise:
     def sample_batch(self, d: int, n: int, rng: np.random.Generator,
                      out: np.ndarray | None = None) -> np.ndarray:
         """``n`` draws as an (n, d) array; only the spikes are written into ``out``,
-        which must therefore hold zeros.  The one-point case of ``sample_block``."""
-        return _one_point(self, d, n, rng, out)
-
-    def sample_block(self, d: int, points: int, n: int, rng: np.random.Generator,
-                     out: np.ndarray | None = None) -> np.ndarray:
-        """``points`` successive ``sample_batch(d, n, rng)`` draws as a (points, n, d) block.
-
-        Each point's three fields are drawn in turn, so the stream is that of
-        the successive calls; the spikes of the whole block are then written
-        with one scatter into ``out``, which must hold zeros.
-        """
-        U, S = np.empty((points, n)), np.empty((points, n))
-        idx = np.empty((points, n), dtype=np.int64)
-        for k in range(points):
-            idx[k] = _spike_fields(rng, d, U[k], S[k])
+        which must therefore hold zeros."""
+        U, S = np.empty(n), np.empty(n)
+        idx = _spike_fields(rng, d, U, S)
         if out is None:
-            out = np.zeros((points, n, d))
+            out = np.zeros((n, d))
         hits = np.flatnonzero(U < self.q)
-        k, i = np.divmod(hits, n)
-        out[k, i, idx.ravel()[hits]] = np.where(S.ravel()[hits] < 0.5, self.spike, -self.spike)
+        out[hits, idx[hits]] = np.where(S[hits] < 0.5, self.spike, -self.spike)
         return out
 
-    def clipped_moments(self, problem: Problem, X, levels) -> Resampled:
-        """The ``Resampled`` fields of the clipped draws at each row of ``X``, exactly.
+    def clipped_moments(self, problem: Problem, X, levels) -> ClippedMoments:
+        """The ``ClippedMoments`` of the clipped draws at each row of ``X``, exactly.
 
         A draw at x is one of 2d + 1 support points: grad f(x) with weight 1 - q,
         and grad f(x) +- M e_i with weight q / (2d) each.  Each point is clipped by
         ``clip_batch`` at its row's level, and every field is a weighted sum over
-        them: ``var`` and ``u_sq_sd`` are the law's own spreads, ``u_max`` and
+        them: ``var`` and ``u_sq_sd`` are the law's own spreads, and ``u_max`` and
         ``u_over`` range over the points of positive weight only (q = 1 gives the
-        centre weight 0), and ``stderr`` is 0.  Nothing is drawn.
+        centre weight 0).  Nothing is drawn.
         """
         grad = problem.grad_many(np.asarray(X, dtype=float))
         points, d = grad.shape
@@ -131,18 +119,31 @@ class TwoPointNoise:
         chunks = [_support_moments(problem.geometry, grad[lo:lo + step, None, :] + offsets,
                                    weight, levels[lo:lo + step])
                   for lo in range(0, points, step)]
-        return Resampled(grad, *map(np.concatenate, zip(*chunks)))
+        return ClippedMoments(grad, *map(np.concatenate, zip(*chunks)))
 
 
-# Points per chunk of ``TwoPointNoise.clipped_moments``: a chunk's (points, 2d + 1, d)
-# support holds about this many doubles, so its temporaries stay in cache.
+# The moments of the clipped draws at each of P points, as (P, d) or (P,) fields:
+# ``u`` is a clipped draw minus ``cond_mean``, ``var`` the variance of each coordinate,
+# ``u_sq_mean`` and ``u_sq_sd`` the mean and the spread of ||u||_*^2, ``u_max`` the
+# supremum of ||u||_* over the support, and ``u_over`` the support points with
+# ||u||_* > 2 level, which clipping rules out up to roundoff.
+ClippedMoments = namedtuple("ClippedMoments",
+                            "grad cond_mean var u_sq_mean u_sq_sd u_max u_over")
+
+# Points per chunk of either family's ``clipped_moments``: a chunk's nodes (the 2d + 1
+# support points of a two-point draw, of d doubles each, or a radial draw's quadrature
+# nodes) hold about this many doubles, so their temporaries stay in cache.
 _MOMENT_BLOCK = 1 << 15
+
+# Gauss-Legendre nodes per panel of the radial quadrature, in the angle and in the radius.
+_QUAD_NODES = 18
 
 
 def _support_moments(geom, support: np.ndarray, weight: np.ndarray, levels: np.ndarray):
-    """``Resampled``'s fields after ``grad`` over a (points, k, d) ``support`` of ``weight``,
-    clipped in place at each point's level.  The weighted sums reduce each point's own
-    rows, so a point's bits do not depend on the chunk around it (a BLAS product's do)."""
+    """``ClippedMoments``' fields after ``grad`` over a (points, k, d) ``support`` of
+    ``weight``, clipped in place at each point's level.  The weighted sums reduce each
+    point's own rows, so a point's bits do not depend on the chunk around it (a BLAS
+    product's do)."""
     k, d = support.shape[1:]
     rows = support.reshape(-1, d)
     with np.errstate(over="ignore"):  # a norm past the doubles is inf: that point clips to 0,
@@ -161,13 +162,13 @@ def _support_moments(geom, support: np.ndarray, weight: np.ndarray, levels: np.n
     u_sq_sd = np.hypot.reduce(r * norms - root * u_sq_mean[:, None], axis=1)
     norms = norms[:, weight > 0]
     over = np.count_nonzero(norms > 2.0 * levels[:, None] * (1 + 1e-12), axis=1)
-    return (mean, np.sum(scaled * scaled, axis=1), np.zeros(len(levels)), u_sq_mean, u_sq_sd,
-            norms.max(axis=1), over)
+    return (mean, np.sum(scaled * scaled, axis=1), u_sq_mean, u_sq_sd, norms.max(axis=1),
+            over)
 
 
 def _spike_fields(rng: np.random.Generator, d: int, U: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """One point's ``len(U)`` two-point draws in stream order: the hit uniforms into ``U``,
-    then the coordinates (returned), then the sign uniforms into ``S``."""
+    """One ``sample_batch``'s ``len(U)`` two-point draws in stream order: the hit uniforms
+    into ``U``, then the coordinates (returned), then the sign uniforms into ``S``."""
     rng.random(out=U)
     idx = rng.integers(0, d, size=U.size)
     rng.random(out=S)
@@ -207,35 +208,132 @@ class RadialParetoNoise:
 
     def sample_batch(self, d: int, n: int, rng: np.random.Generator,
                      out: np.ndarray | None = None) -> np.ndarray:
-        """``n`` draws as an (n, d) array, written into ``out`` when it is given.
-        The one-point case of ``sample_block``."""
-        return _one_point(self, d, n, rng, out)
-
-    def sample_block(self, d: int, points: int, n: int, rng: np.random.Generator,
-                     out: np.ndarray | None = None) -> np.ndarray:
-        """``points`` successive ``sample_batch(d, n, rng)`` draws as a (points, n, d) block.
-
-        Each point's normals and uniforms are drawn in turn, so the stream is
-        that of the successive calls; the whole block is then normalized and
-        scaled at once.
-        """
-        Z, U = np.empty((points, n, d)), np.empty((points, n))
-        for k in range(points):
-            rng.standard_normal(out=Z[k])
-            rng.random(out=U[k])
-        rows = Z.reshape(points * n, d)
-        rows /= np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
+        """``n`` draws as an (n, d) array, written into ``out`` when it is given."""
+        Z, U = np.empty((n, d)), np.empty(n)
+        rng.standard_normal(out=Z)
+        rng.random(out=U)
+        Z /= np.sqrt(np.einsum("ij,ij->i", Z, Z))[:, None]
         U[U == 0.0] = 1.0  # uniform on (0, 1], as 1 - U is, and every other draw keeps its bits
         r = self.scale * U ** (-1.0 / self.tail_index)
-        return np.multiply(Z, r[:, :, None], out=out)
+        return np.multiply(Z, r[:, None], out=out)
+
+    def clipped_moments(self, problem: Problem, X, levels) -> ClippedMoments:
+        """The ``ClippedMoments`` of the clipped draws at each row of ``X``, by quadrature.
+
+        A draw at x is g + r u, g = grad f(x), whose clip depends only on r and the angle
+        between u and g: the mean lies along g, and the covariance is a part along g and
+        a part shared by the d - 1 directions across it, each summed by ``_radial_moments``
+        in units of the level.  ``u_max`` is level + ||cond_mean|| (the radius reaches the
+        whole clip sphere; 0 at sigma = 0), and ``u_over`` flags a mean outside the ball.
+        An infinite level leaves the draw unclipped: mean g, infinite second moments and
+        ``u_max``.  A point's bits do not depend on its chunk.  Nothing is drawn.
+        """
+        check_noise_geometry(problem, self)
+        grad = problem.grad_many(np.asarray(X, dtype=float))
+        points, d = grad.shape
+        levels = np.broadcast_to(np.asarray(levels, dtype=float), (points,))
+        if not np.all(levels > 0):
+            raise ValueError("clipping level must be positive")
+        unclipped = levels == np.inf
+        levels = np.where(unclipped, 1.0, levels)  # a stand-in, overwritten below
+        norms = problem.geometry.norm_many(grad)
+        # Past 1e300 levels every draw clips to its direction, set by |g| / scale alone; a
+        # floor s / level that underflows (or sigma = 0) is the least double, weighing nothing
+        summed_at = np.maximum(levels, np.maximum(norms, self.scale) / 1e300)
+        ratio, floor = norms / summed_at, np.maximum(self.scale / summed_at, 5e-324)
+        nodes = _legendre(_QUAD_NODES)
+        step = max(1, _MOMENT_BLOCK // ((2 if d == 1 else 3 * _QUAD_NODES) * 4 * _QUAD_NODES))
+        along, var_along, var_across, u_sq_mean, u_sq_sd = map(np.concatenate, zip(*(
+            _radial_moments(ratio[lo:lo + step], floor[lo:lo + step], self.tail_index, d, nodes)
+            for lo in range(0, points, step))))
+        unit = grad / np.where(norms > 0, norms, 1.0)[:, None]
+        mean = (levels * along)[:, None] * unit
+        unit[norms == 0, 0] = 1.0  # the law is isotropic about g = 0: any axis serves
+        sq = unit * unit
+        var = var_along[:, None] * sq + (var_across / max(d - 1, 1))[:, None] * (1.0 - sq)
+        spread = problem.geometry.norm_many(mean)  # u_max - level
+        with np.errstate(over="ignore"):  # level^2 v as (level sqrt(v))^2: inf past the doubles
+            var = (levels[:, None] * np.sqrt(var)) ** 2
+            u_sq_mean, u_sq_sd = ((levels * np.sqrt(v)) ** 2 for v in (u_sq_mean, u_sq_sd))
+            u_max = levels + spread if self.sigma > 0 else np.zeros(points)
+        u_over = (spread > levels * (1 + 2e-12)).astype(np.intp)  # u_max > 2 level (1 + 1e-12)
+        mean[unclipped] = grad[unclipped]
+        for field in (var, u_sq_mean, u_sq_sd, u_max):
+            field[unclipped] = np.inf if self.sigma > 0 else 0.0
+        return ClippedMoments(grad, mean, var, u_sq_mean, u_sq_sd, u_max, u_over)
 
 
-def _one_point(model, d: int, n: int, rng: np.random.Generator, out) -> np.ndarray:
-    """``sample_batch`` through ``sample_block``: ``out`` (any strided (n, d) view) is returned."""
-    if out is None:
-        return model.sample_block(d, 1, n, rng)[0]
-    model.sample_block(d, 1, n, rng, out=out[None])
-    return out
+def _legendre(n: int):
+    """n Gauss-Legendre nodes and weights on [0, 1], and the same nodes and weights through
+    x -> (1 - cos(pi x)) / 2, which crowds them toward both ends."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = (x + 1.0) / 2.0, w / 2.0
+    return x, w, (1.0 - np.cos(np.pi * x)) / 2.0, np.pi / 2.0 * np.sin(np.pi * x) * w
+
+
+def _radial_moments(G: np.ndarray, s: np.ndarray, a: float, d: int, nodes):
+    """The clip at level 1 of g + r u, for ||g|| = G, u uniform on the unit sphere of R^d and
+    r Pareto(a) above s, at the (P,) points ``G`` and ``s`` (finite, s > 0): its mean and
+    variance along g, its variance across g (summed over the d - 1 directions), and the
+    mean and spread of ||u||^2, u the clip minus its mean.
+
+    A Gauss-Legendre sum on the ``_legendre`` ``nodes`` over the angle phi between u and g
+    (weight sin^(d-2) phi; the points 0 and pi at d = 1) and over log r.  The angle's
+    panels end at the tangent angle pi - arcsin(1/G) (pi/2 for G <= 1), past which a window
+    [r_-, r_+] of radii goes unclipped (its share grows as (phi - tangent)^(3/2), so that
+    panel takes its nodes squared), and where the window meets the floor r = s (else at
+    tangent / 2).  The radius's panels, nodes crowded to their ends, end at s, r_-, r_+
+    (s when absent) and G, near which the clip is nearly singular for phi near pi; the
+    tail past them takes w = w_last t^4 of the Pareto uniform w = (s/r)^a.  The clip is
+    taken in units of M = max(G, s, 1), so that no product overflows.
+    """
+    x, wx, xc, wc = nodes
+    n, G, s = G.size, G[:, None], s[:, None]
+    if d == 1:
+        phi, w_phi = np.tile([0.0, np.pi], (n, 1)), np.full((n, 2), 0.5)
+    else:
+        tangent = np.pi - np.arcsin(1.0 / np.maximum(G, 1.0))
+        # |g + s u| = 1 at cos phi = (1 - (G - s)^2) / (2 G s) - 1 if |G - s| < 1 < G + s
+        gap = np.clip(G - s, -1.0, 1.0)
+        meets = (np.abs(gap) < 1.0) & (G + s > 1.0)
+        half = np.divide((1.0 - gap) * (1.0 + gap) / 2.0, G, out=np.zeros_like(G), where=meets)
+        floor_angle = np.where(meets, np.arccos(np.clip(half / s - 1.0, -1.0, 1.0)), tangent / 2)
+        edges = np.sort(np.hstack([np.zeros_like(G), floor_angle, tangent,
+                                   np.full_like(G, np.pi)]), axis=1)
+        lo, width = edges[:, :-1, None], np.diff(edges, axis=1)[:, :, None]
+        past = lo == tangent[:, :, None]
+        phi = (lo + width * np.where(past, x * x, x)).reshape(n, -1)
+        w_phi = (width * np.where(past, 2.0 * x * wx, wx)).reshape(n, -1) * np.sin(phi) ** (d - 2)
+        w_phi /= np.sum(w_phi, axis=1, keepdims=True)
+    cos, sin = np.cos(phi), np.sin(phi)
+    h = np.minimum(G * sin, 1.0)  # a window of unclipped radii needs G sin phi <= 1
+    r_plus = np.sqrt((1.0 - h) * (1.0 + h)) - G * cos
+    window = (G * sin <= 1.0) & (r_plus > 0.0)
+    # r_- r_+ = G^2 - 1, and |G - 1| <= r_+ inside the window
+    r_minus = np.divide(G - 1.0, r_plus, out=np.zeros_like(r_plus), where=window) * (G + 1.0)
+    edges = np.stack(np.broadcast_arrays(s, r_minus, np.where(window, r_plus, 0.0), G), axis=-1)
+    log_edges = np.log(np.sort(np.maximum(edges, s[..., None]), axis=-1))  # absent: s
+    log_lo, log_width = log_edges[..., :-1, None], np.diff(log_edges, axis=-1)[..., None]
+    log_r = (log_lo + log_width * xc).reshape(*phi.shape, -1)
+    log_s = np.log(s)[..., None]
+    w_panels = (log_width * wc).reshape(*phi.shape, -1) * a * np.exp(a * (log_s - log_r))
+    w_last = np.exp(a * (log_s - log_edges[..., -1:]))  # the Pareto mass past them
+    log_r = np.concatenate((log_r, log_edges[..., -1:] - 4.0 / a * np.log(xc)), axis=-1)
+    W = w_phi[..., None] * np.concatenate((w_panels, w_last * (4.0 * xc ** 3 * wc)), axis=-1)
+    # the clip of v = M v' at level 1 is v' / max(1/M, |v'|)
+    M = np.maximum(np.maximum(G, s), 1.0)[..., None]
+    r = np.exp(log_r - np.log(M))
+    along, across = G[..., None] / M + r * cos[..., None], r * sin[..., None]
+    shrink = np.maximum(1.0 / M, np.hypot(along, across))
+    W, along, across = (v.reshape(n, -1) for v in (W, along / shrink, across / shrink))
+    clip_g = np.minimum(G, 1.0)
+    mean = clip_g[:, 0] + np.sum(W * (along - clip_g), axis=1)
+    along -= mean[:, None]
+    along_sq, across_sq = along * along, across * across
+    var_along, var_across = np.sum(W * along_sq, axis=1), np.sum(W * across_sq, axis=1)
+    u_sq_mean = var_along + var_across
+    dev = along_sq + across_sq - u_sq_mean[:, None]
+    return mean, var_along, var_across, u_sq_mean, np.sqrt(np.sum(W * dev * dev, axis=1))
 
 
 # -- lockstep draws: the noise of n seeds over a run, read one (n, d) step at a time --
@@ -283,8 +381,8 @@ class DenseDraws:
 class SpikeDraws:
     """Two-point noise of many seeds kept as its spikes, expanded K steps at a time.
 
-    Seed k's generator (the k-th of the n ``rngs``; ``n`` defaults to
-    ``len(rngs)``) makes the generator calls of ``model.sample_batch(d, steps,
+    Seed k's generator (the k-th of the n ``generators``; ``n`` defaults to
+    ``len(generators)``) makes the generator calls of ``model.sample_batch(d, steps,
     rng)``, and only its hits are kept: each as one int64 key, twice the hit's
     flat index into the dense (steps, d, n) block plus 1 for a negative spike,
     written straight into one array sized for the mean spike count and a
@@ -295,14 +393,15 @@ class SpikeDraws:
     spike (sigma = 0) included.
     """
 
-    def __init__(self, model: TwoPointNoise, d: int, steps: int, rngs, n: int | None = None):
-        self.n = n = len(rngs) if n is None else n
+    def __init__(self, model: TwoPointNoise, d: int, steps: int, generators,
+                 n: int | None = None):
+        self.n = n = len(generators) if n is None else n
         U, S = np.empty(steps), np.empty(steps)
         mean = n * steps * model.q
         keys = np.empty(int(mean + _SPIKE_SLACK_SD * np.sqrt(mean * (1.0 - model.q))) + 1,
                         dtype=np.int64)
         size = 0
-        for k, rng in enumerate(rngs):
+        for k, rng in enumerate(generators):
             idx = _spike_fields(rng, d, U, S)
             hits = np.flatnonzero(U < model.q)
             if size + hits.size > keys.size:
@@ -345,11 +444,11 @@ def lockstep_draws(model, d: int, steps: int, seeds):
     """The noise of a lockstep batch, seed k's drawn from ``make_rng(seeds[k])``: two-point
     noise kept as its spikes, radial noise into ``[:, :, k]`` of one zero-filled (steps, d, n)
     block."""
-    rngs = (make_rng(int(seed)) for seed in seeds)
+    generators = (make_rng(int(seed)) for seed in seeds)
     if isinstance(model, TwoPointNoise):
-        return SpikeDraws(model, d, steps, rngs, len(seeds))
+        return SpikeDraws(model, d, steps, generators, len(seeds))
     block = _zero_block((steps, d, len(seeds)))
-    for k, rng in enumerate(rngs):
+    for k, rng in enumerate(generators):
         model.sample_batch(d, steps, rng, out=block[:, :, k])
     return DenseDraws(block)
 

@@ -25,8 +25,9 @@ def test_bench_layers_tiny_prints_every_layer(capsys):
     assert len(clipsteps) == 1 and float(clipsteps[0][-3]) > 0
     assert float(clipsteps[0][-1].removeprefix("clipped=")) > 0.5  # the step really clips
     moments = [line.split() for line in lines if line.startswith("moments ")]
-    assert len(moments) == 1 and moments[0][-1].endswith("x")
-    assert float(moments[0][5]) > 0 and float(moments[0][8]) > 0  # exact, resampled ms
+    assert len(moments) == 1 and moments[0][3::5] == ["two_point", "radial"]
+    assert moments[0][5::5] == ["ms", "ms"] and moments[0][7::5] == ["us/point", "us/point"]
+    assert all(float(moments[0][i]) > 0 for i in (4, 6, 9, 11))  # ms and us per point
     tables = [line for line in lines if line.startswith("schedule ")]
     assert len(tables) == len(bench.TABLE_MODES) and all(" table " in line for line in tables)
     assert len([line for line in lines if line.startswith("draws ")]) == len(bench.TINY_SIZES)

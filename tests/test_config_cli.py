@@ -1,5 +1,6 @@
 """Config parsing/round-trip and CLI command contracts."""
 
+import csv
 import hashlib
 import json
 import os
@@ -9,10 +10,11 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from clipopt import algorithms, cli, config
+from clipopt import diagnostics as diag
 from clipopt.config import (ConfigError, apply_override, dumps_config, load_config,
                             parse_config)
 
@@ -281,6 +283,15 @@ C_OVERRIDES = ["-1.0", "0.0", "5e-324", "1e-300", "1.0", "1e4", "1e300", "1e308"
        values=st.fixed_dictionaries({key: st.none() | st.sampled_from(choices)
                                      for key, choices in EXTREMES.items()}),
        c_override=st.none() | st.sampled_from(C_OVERRIDES))
+# radial moments where |grad f| and the noise scale are ~1e299 levels, and at an infinite
+# level (a parameter-free level that overflows)
+@example(config_file="diagnose_smd.cfg", c_override=None,
+         values={**dict.fromkeys(EXTREMES), "noise.kind": "radial_pareto",
+                 "schedule.lambda_scale": "1e-300", "diagnostics.martingale": "false"})
+@example(config_file="diagnose_smd.cfg", c_override=None,
+         values={**dict.fromkeys(EXTREMES), "noise.kind": "radial_pareto", "noise.sigma": "1e30",
+                 "schedule.lambda_scale": "1e300", "schedule.mode": "smd_param_free",
+                 "diagnostics.martingale": "false"})
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_extreme_values_run_or_exit_2(tmp_path, capsys, config_file, values, c_override):
@@ -443,10 +454,10 @@ SGD_VARIANT = ["experiment.algorithm=sgd", "problem.kind=nonconvex_ratio", "prob
                "schedule.mode=sgd_known_t"]
 DIAGNOSE_ROWS = {
     "smd": [("pathwise_smd", 256, 0, 0.0003262677263162761, None),
-            ("clipping_error_bounds", 10000, 0, 0.2807980687202168, 0.0),
+            ("clipping_error_bounds", 1, 0, 0.2807980687202168, 0.0),
             ("martingale_smd", 256, 0, 2.303832804594543, 0.0)],
     "sgd": [("pathwise_sgd", 256, 0, 4.1229006565726635e-11, None),
-            ("clipping_error_bounds", 10000, 0, 0.10130276991452962, 0.0),
+            ("clipping_error_bounds", 1, 0, 0.10130276991452962, 0.0),
             ("martingale_sgd", 256, 0, 2.302598697586676, 0.0)],
 }
 
@@ -517,22 +528,54 @@ def test_cmd_diagnose_overflowing_inverse_level_fails(tmp_path, capsys, assignme
         assert f"condition {name}: FAIL margin=-inf\n" in out
 
 
-@pytest.mark.parametrize("lambda_scale, warned", [("1", False), ("0.01", True)])
-def test_cmd_diagnose_prints_resample_warning(tmp_path, capsys, lambda_scale, warned):
-    """A clipping level below every radial draw leaves the resampled mean too noisy.
+_RADIAL_DIAGNOSE = ["--set", "experiment.t=16", "--set", "noise.kind=radial_pareto",
+                    "--set", "noise.tail_index=2", "--set", "problem.x1=0.01,0"]
 
-    Radial noise is the family whose moments are resampled; two-point moments are
-    exact, with standard error 0, and never warn.  At tail index 2 the smallest
-    radius is 0.40 sigma, above the scaled level of 0.32."""
+
+@pytest.mark.parametrize("lambda_scale", ["1", "0.01"])
+def test_cmd_diagnose_radial_prints_no_warning(tmp_path, capsys, lambda_scale):
+    """Radial moments are exact, so no line flags a noisy estimate, even at a level below
+    every radial draw: at tail index 2 the smallest radius is 0.40 sigma, above the scaled
+    level of 0.32."""
     rc = cli.main(["diagnose", "--config", str(DEMO_CONFIGS / "diagnose_smd.cfg"),
-                   "--out", str(tmp_path), "--set", "experiment.t=16",
-                   "--set", "diagnostics.resamples=100", "--set", "noise.kind=radial_pareto",
-                   "--set", "noise.tail_index=2",
-                   "--set", "problem.x1=0.01,0", "--set", f"schedule.lambda_scale={lambda_scale}",
+                   "--out", str(tmp_path), *_RADIAL_DIAGNOSE,
+                   "--set", f"schedule.lambda_scale={lambda_scale}",
                    "--set", "diagnostics.pathwise=false", "--set", "diagnostics.error_bounds=false"])
     out = capsys.readouterr().out
     assert rc == (0 if lambda_scale == "1" else 1)  # the scaled schedule fails its conditions
-    assert f"warned={warned}\n" in out
+    assert "check martingale_smd: crossed=False " in out and "warned" not in out
+
+
+def test_cmd_diagnose_radial_rows_read_a_standard_error_of_zero(tmp_path, capsys):
+    rc = cli.main(["diagnose", "--config", str(DEMO_CONFIGS / "diagnose_smd.cfg"),
+                   "--out", str(tmp_path), *_RADIAL_DIAGNOSE])
+    assert rc == 0, capsys.readouterr()
+    csv_path, = tmp_path.glob("*/*/*/diagnostics.csv")
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "# schema=1" and lines[1] == ",".join(diag.REPORT_COLUMNS)
+    rows = {row["name"]: row for row in csv.DictReader(lines[1:])}
+    assert rows.keys() == {"pathwise_smd", "clipping_error_bounds", "martingale_smd"}
+    assert rows["clipping_error_bounds"]["stderr"] == rows["martingale_smd"]["stderr"] == "0.0"
+    assert rows["clipping_error_bounds"]["steps"] == "1"  # the one point checked
+
+
+def test_cmd_diagnose_ignores_the_resample_count(tmp_path, capsys):
+    """``diagnostics.resamples`` no longer changes a byte of the output.  The key still
+    loads with its old bound, so that every config that sets it keeps its meaning until
+    the key goes together with the benchmark configs that set it."""
+    outputs = []
+    for count in ("100", "5000"):
+        out = tmp_path / count
+        assert cli.main(["diagnose", "--config", str(DEMO_CONFIGS / "diagnose_smd.cfg"),
+                         "--out", str(out), *_RADIAL_DIAGNOSE,
+                         "--set", f"diagnostics.resamples={count}"]) == 0
+        outputs.append([path.read_bytes() for path in sorted(out.glob("*/*/*/diagnostics.*"))])
+    assert len(outputs[0]) == 2 and outputs[0] == outputs[1]
+    assert capsys.readouterr().out.count("check martingale_smd") == 2
+    rc = cli.main(["diagnose", "--config", str(DEMO_CONFIGS / "diagnose_smd.cfg"),
+                   "--out", str(tmp_path / "99"), "--set", "diagnostics.resamples=99"])
+    assert rc == 2 and "diagnostics.resamples" in capsys.readouterr().err
+    assert not (tmp_path / "99").exists()
 
 
 @pytest.mark.parametrize("assignments", [

@@ -42,6 +42,24 @@ def test_norm_of_a_large_finite_vector_is_finite(v):
     assert norms[1] == np.sqrt(V[1] @ V[1]) and norms[2] == np.inf
 
 
+@pytest.mark.parametrize("v", [[1e200, 1e200], [1e300, -3e299, 2.0], [1.2e308, 1e308],
+                               [-1e160] * 9, [5e200, 0.0, 0.0, 1e-300], [1.7e308, 1e308]])
+@pytest.mark.parametrize("make", [geo.euclidean, lambda d: geo.ball(d, 1.0)])
+def test_dual_norm_of_a_large_finite_vector_is_finite(v, make):
+    """The public l2 dual norm rescues a finite vector whose square overflows, as ``norm``
+    does, with no overflow warning; the row variant, which the run loops call, still reads
+    inf there, and every finite result keeps the row variant's bits."""
+    g = make(len(v))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert g.dual_norm(v) == g.norm(v) == pytest.approx(math.hypot(*v), rel=1e-15)
+        with np.errstate(over="ignore"):
+            assert g.dual_norm_many(np.array([v]))[0] == np.inf
+        for w in ([3.0, 4.0] + [0.0] * (len(v) - 2), np.linspace(-2.0, 7.0, len(v)),
+                  [np.inf] + [0.0] * (len(v) - 1)):
+            assert g.dual_norm(w) == g.dual_norm_many(np.array([w]))[0]
+
+
 def test_norm_dimension_mismatch():
     with pytest.raises(geo.GeometryError):
         geo.euclidean(2).norm([1.0, 2.0, 3.0])

@@ -27,7 +27,6 @@ def test_zero_sigma_gives_zero_noise():
                   nz.RadialParetoNoise(p=1.5, sigma=0.0, tail_index=1.75)):
         assert np.all(model.sample_batch(3, 1, rng) == 0.0)
         assert np.all(model.sample_batch(3, 100, rng) == 0.0)
-        assert np.all(model.sample_block(3, 4, 25, rng) == 0.0)
 
 
 def test_invalid_parameters_rejected():
@@ -261,8 +260,8 @@ class _ZeroUniforms:
 def test_radial_zero_uniform_gives_finite_draw():
     """A uniform of exactly 0 is read as 1, the smallest radius, not an infinite one."""
     model = nz.RadialParetoNoise(p=1.5, sigma=1.0, tail_index=1.75)
-    block = model.sample_block(3, 4, 5, _ZeroUniforms())
-    assert block.shape == (4, 5, 3) and np.all(np.isfinite(block))
+    block = model.sample_batch(3, 5, _ZeroUniforms())
+    assert block.shape == (5, 3) and np.all(np.isfinite(block))
     np.testing.assert_allclose(np.sqrt(np.einsum("...i,...i->...", block, block)), model.scale)
 
 

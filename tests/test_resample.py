@@ -1,20 +1,18 @@
-"""The resampling kernel against the per-point loop it replaced.
+"""Resampled references for the exact clipped moments, and the documented draw stream.
 
-``reference_point`` is that loop's body: one ``sample_batch`` draw at one
-point (``reference_draw``, the documented stream), clipped and reduced with
-numpy's own ``mean``/``var``/``std``.  The
-kernel draws every point's resamples from the same stream in the same order
-and reduces a whole (points, resamples, d) block at once; its numbers must
-equal the loop's bit for bit.
+``reference_draw`` writes out the documented stream of each family's
+``sample_batch`` as the samplers had it.  ``reference_point`` clips
+``resamples`` such draws at one point and reduces them with numpy's own
+``mean``/``var``/``std``.  ``reference_moments`` does the same for a million
+draws or more at many points, in chunks, and gives each estimate's standard
+error.  The exact moments of either family must lie within a few standard
+errors of them.
 """
-
-import itertools
 
 import numpy as np
 import pytest
 
-from clipopt import clipping, problems
-from clipopt.clipping import clip_batch, resample_clipped
+from clipopt.clipping import clip_batch
 from clipopt.noise import RadialParetoNoise, TwoPointNoise, make_rng
 
 MODELS = {"two_point": TwoPointNoise(p=1.5, sigma=1.0, q=0.2),
@@ -34,7 +32,8 @@ def reference_draw(model, d, n, rng):
 
 
 def reference_point(problem, noise_model, x, level, resamples, rng):
-    """Per-point resampled estimates, as the diagnostics computed them step by step."""
+    """Resampled estimates at one point from ``resamples`` draws of ``rng``, reduced with
+    numpy's own ``mean``/``var``/``std``."""
     geom = problem.geometry
     g_true = problem.grad(x)
     raw = g_true + reference_draw(noise_model, problem.dim, resamples, rng)
@@ -49,83 +48,74 @@ def reference_point(problem, noise_model, x, level, resamples, rng):
             "u_over": int(np.sum(u_norms > 2.0 * level * (1 + 1e-12)))}
 
 
-def instance(geometry, d, points):
-    """A problem, ``points`` query points and their clipping levels (some below the noise)."""
-    rng = np.random.default_rng(100 * d + points)
-    if geometry == "euclidean":
-        prob = problems.make_quadratic(np.linspace(0.5, 2.0, d), np.linspace(-1.0, 1.0, d))
-        X = 3.0 * rng.standard_normal((points, d))
-    else:
-        prob = problems.make_simplex_quadratic(np.full(d, 1.0 / d))
-        X = rng.dirichlet(np.ones(d), size=points)
-    return prob, X, 0.1 + 3.0 * np.abs(rng.standard_normal(points))
+def reference_moments(problem, noise_model, X, levels, draws, seed, chunk=100_000):
+    """Resampled estimates of the moments at each row of ``X``, and their standard errors.
 
+    Every row clips the same ``draws`` draws of ``reference_draw`` from
+    ``make_rng(seed)``, made ``chunk`` at a time, twice: once for the
+    conditional mean and once for the moments about it.  Returns two dicts of
+    (rows, ...) arrays keyed by field: the estimates and their standard errors
+    (the spread's by the delta method)."""
+    geom, d = problem.geometry, problem.dim
+    grad = problem.grad_many(np.asarray(X, dtype=float))
+    rows = len(grad)
 
-def assert_matches_reference(res, ref):
-    for name in ("grad", "cond_mean", "var", "stderr", "u_sq_mean", "u_sq_sd",
-                 "u_max", "u_over"):
-        got = getattr(res, name)
-        want = np.array([r[name] for r in ref], dtype=np.asarray(got).dtype)
-        assert np.asarray(got).tobytes() == want.tobytes(), name
+    def clipped_chunks():
+        rng = make_rng(seed)
+        for lo in range(0, draws, chunk):
+            noise = reference_draw(noise_model, d, min(chunk, draws - lo), rng)
+            for k in range(rows):
+                raw = grad[k] + noise
+                factor = levels[k] / np.maximum(geom.dual_norm_many(raw), levels[k])
+                yield k, raw, factor
 
-
-@pytest.mark.parametrize("resamples, d, noise, geometry", list(itertools.product(
-    (100, 128, 1000, 10_000), (2, 3, 9), MODELS, ("euclidean", "simplex"))))
-def test_kernel_equals_per_point_loop(resamples, d, noise, geometry):
-    points = max(2, 40_000 // resamples)
-    prob, X, lam = instance(geometry, d, points)
-    model = MODELS[noise]
-    rng_kernel, rng_ref = make_rng(5), make_rng(5)
-    res = resample_clipped(prob, model, X, lam, resamples, rng_kernel)
-    ref = [reference_point(prob, model, x, level, resamples, rng_ref) for x, level in zip(X, lam)]
-    assert_matches_reference(res, ref)
-    np.testing.assert_equal(rng_kernel.bit_generator.state, rng_ref.bit_generator.state)
+    total, total_sq = np.zeros((rows, d)), np.zeros((rows, d))
+    for k, raw, factor in clipped_chunks():  # column sums as matrix-vector products
+        total[k] += factor @ raw
+        total_sq[k] += (factor * factor) @ (raw * raw)
+    mean = total / draws
+    mean_se = np.sqrt(np.maximum(total_sq / draws - mean * mean, 0.0) / draws)
+    dev_sum, dev_sq_sum = np.zeros((rows, d)), np.zeros((rows, d))
+    u_sq = np.empty((rows, draws))
+    u_max, over = np.zeros(rows), np.zeros(rows, dtype=int)
+    filled = np.zeros(rows, dtype=int)
+    for k, raw, factor in clipped_chunks():
+        u = raw * factor[:, None] - mean[k]
+        dev = u * u
+        ones = np.ones(len(u))
+        dev_sum[k] += ones @ dev
+        dev_sq_sum[k] += ones @ (dev * dev)
+        norms = geom.dual_norm_many(u)
+        u_sq[k, filled[k]:filled[k] + len(u)] = norms * norms
+        filled[k] += len(u)
+        u_max[k] = max(u_max[k], norms.max())
+        over[k] += np.count_nonzero(norms > 2.0 * levels[k] * (1 + 1e-12))
+    var = dev_sum / draws
+    var_se = np.sqrt(np.maximum(dev_sq_sum / draws - var * var, 0.0) / draws)
+    u_sq_mean = u_sq.mean(axis=1)
+    spread_sq = (u_sq - u_sq_mean[:, None]) ** 2
+    u_sq_sd = np.sqrt(spread_sq.mean(axis=1))
+    sd_se = spread_sq.std(axis=1) / np.sqrt(draws) / np.maximum(2.0 * u_sq_sd, 1e-300)
+    estimates = {"grad": grad, "cond_mean": mean, "var": var, "u_sq_mean": u_sq_mean,
+                 "u_sq_sd": u_sq_sd, "u_max": u_max, "u_over": over}
+    stderr = {"cond_mean": mean_se, "var": var_se, "u_sq_mean": u_sq_sd / np.sqrt(draws),
+              "u_sq_sd": sd_se}
+    return estimates, stderr
 
 
 @pytest.mark.parametrize("noise", MODELS)
 @pytest.mark.parametrize("d", [2, 9])
-def test_block_draw_is_successive_sample_batch_calls(noise, d):
-    """``sample_block`` leaves the values and the rng state of P ``sample_batch`` calls."""
+def test_sample_batch_is_the_documented_stream(noise, d):
+    """P successive ``sample_batch`` calls leave the values and the rng state of the
+    documented stream, and write the same bits into a caller's strided array."""
     model, points, n = MODELS[noise], 7, 130
     rngs = [make_rng(3) for _ in range(3)]
-    block = model.sample_block(d, points, n, rngs[0])
-    calls = np.stack([model.sample_batch(d, n, rngs[1]) for _ in range(points)])
-    reference = np.stack([reference_draw(model, d, n, rngs[2]) for _ in range(points)])
-    assert block.shape == (points, n, d)
-    assert block.tobytes() == calls.tobytes() == reference.tobytes()
+    calls = np.stack([model.sample_batch(d, n, rngs[0]) for _ in range(points)])
+    reference = np.stack([reference_draw(model, d, n, rngs[1]) for _ in range(points)])
+    written = np.zeros((points, d, n)).transpose(0, 2, 1)  # (n, d) views, seed-strided
+    for k in range(points):
+        model.sample_batch(d, n, rngs[2], out=written[k])
+    assert calls.shape == (points, n, d)
+    assert calls.tobytes() == reference.tobytes() == np.ascontiguousarray(written).tobytes()
     for rng in rngs[1:]:
         np.testing.assert_equal(rngs[0].bit_generator.state, rng.bit_generator.state)
-
-
-@pytest.mark.parametrize("noise", MODELS)
-def test_kernel_leaves_rng_as_per_point_draws(noise):
-    prob, X, lam = instance("euclidean", 3, 50)
-    model = MODELS[noise]
-    rng_kernel, rng_calls = make_rng(8), make_rng(8)
-    resample_clipped(prob, model, X, lam, 128, rng_kernel)
-    for _ in range(len(X)):
-        model.sample_batch(3, 128, rng_calls)
-    np.testing.assert_equal(rng_kernel.bit_generator.state, rng_calls.bit_generator.state)
-
-
-@pytest.mark.parametrize("noise", MODELS)
-@pytest.mark.parametrize("geometry", ["euclidean", "simplex"])
-def test_kernel_independent_of_chunk_size(monkeypatch, noise, geometry):
-    prob, X, lam = instance(geometry, 3, 60)
-    model = MODELS[noise]
-    whole = resample_clipped(prob, model, X, lam, 128, make_rng(4))
-    monkeypatch.setattr(clipping, "_RESAMPLE_BLOCK", 1)  # one point per chunk
-    single = resample_clipped(prob, model, X, lam, 128, make_rng(4))
-    monkeypatch.setattr(clipping, "_RESAMPLE_BLOCK", 7 * 128 * 3)  # 7 points, ragged tail
-    ragged = resample_clipped(prob, model, X, lam, 128, make_rng(4))
-    for name in ("cond_mean", "var", "u_sq_mean", "u_sq_sd", "u_max", "u_over"):
-        assert getattr(single, name).tobytes() == getattr(whole, name).tobytes(), name
-        assert getattr(ragged, name).tobytes() == getattr(whole, name).tobytes(), name
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0])
-def test_kernel_rejects_nonpositive_level_at_any_step(bad):
-    prob, X, lam = instance("euclidean", 2, 20)
-    lam[13] = bad
-    with pytest.raises(ValueError, match="positive"):
-        resample_clipped(prob, MODELS["two_point"], X, lam, 100, make_rng(0))

@@ -11,9 +11,9 @@ Prints, one line each:
 * the same for a Euclidean SMD step that clips: its level is scaled down to
   1, below the spikes, so nearly every step calls ``clip_batch`` (the share of
   seed-steps clipped is printed);
-* the clipped moments of two-point noise at 256 points (d = 2), exact
-  (``clipped_moments``) against resampled (``resample_clipped``, 256 draws a
-  point);
+* the exact clipped moments of each noise family at the same 256 points
+  (d = 2): ``TwoPointNoise.clipped_moments``, a sum over the support, and
+  ``RadialParetoNoise.clipped_moments``, a quadrature; in ms and in us per point;
 * the time of ``Schedule.table(T)`` and of one ``Schedule.pair`` call, per mode;
 * the time of ``noise.lockstep_draws`` at each workload's full size;
 * nproc, the Python version and the numpy version.
@@ -39,7 +39,7 @@ import time
 
 import numpy as np
 
-from clipopt import algorithms, clipping, geometry, noise, problems, schedules
+from clipopt import algorithms, geometry, noise, problems, schedules
 
 # (name, seeds, dimension, horizon of the draws build); one step is timed over LOOP_STEPS
 SIZES = [("run-smd", 1000, 2, 4096), ("rates-sgd", 100, 2, 16384),
@@ -57,8 +57,8 @@ CASES = ([("smd", algorithms._smd, g, "smd_known_t") for g in GEOMETRIES]
 # the clipping step: (name, seeds, dimension) and the level its schedule is scaled to
 CLIP_SIZE, TINY_CLIP_SIZE = ("rates-sgd", 100, 2), ("tiny", 3, 2)
 CLIP_LEVEL = 1.0
-# the moments: query points and resamples per point (d = 2)
-MOMENTS, TINY_MOMENTS = (256, 256), (16, 100)
+# the moments: query points (d = 2)
+MOMENTS, TINY_MOMENTS = 256, 16
 TABLE_MODES = ["smd_known_t", "smd_anytime", "smd_param_free", "asmd_known_t", "asmd_anytime",
                "sgd_known_t", "sgd_anytime"]
 
@@ -129,16 +129,15 @@ def clip_line(size, steps: int, repeat: int):
           f"clipped={clipped.sum() / (n * steps):.3f}")
 
 
-def moments_line(points: int, resamples: int, repeat: int):
+def moments_line(points: int, repeat: int):
     problem, d = problems.make_quadratic(np.ones(2), np.zeros(2)), 2
     X = np.random.default_rng(0).standard_normal((points, d))
-    model = noise.TwoPointNoise(p=1.5, sigma=1.0, q=0.2)
-    exact = _best(lambda: model.clipped_moments(problem, X, 1.0), repeat)
-    resampled = _best(lambda: clipping.resample_clipped(problem, model, X, 1.0, resamples,
-                                                        noise.make_rng(0)), repeat)
-    print(f"moments points={points:<5} d={d:<3} resamples={resamples:<5} exact "
-          f"{exact * 1e3:8.3f} ms  resampled {resampled * 1e3:8.3f} ms  "
-          f"{resampled / exact:6.1f}x")
+    line = f"moments points={points:<5} d={d:<3}"
+    for name, model in (("two_point", noise.TwoPointNoise(p=1.5, sigma=1.0, q=0.2)),
+                        ("radial", noise.RadialParetoNoise(p=1.5, sigma=1.0, tail_index=1.75))):
+        seconds = _best(lambda: model.clipped_moments(problem, X, 1.0), repeat)
+        line += f"  {name} {seconds * 1e3:8.3f} ms {seconds / points * 1e6:8.2f} us/point"
+    print(line)
 
 
 def schedule_lines(horizon: int, repeat: int):
@@ -179,7 +178,7 @@ def main(argv=None) -> int:
     steps = TINY_LOOP_STEPS if args.tiny else LOOP_STEPS
     step_lines(sizes, steps, repeat)
     clip_line(TINY_CLIP_SIZE if args.tiny else CLIP_SIZE, steps, repeat)
-    moments_line(*(TINY_MOMENTS if args.tiny else MOMENTS), repeat)
+    moments_line(TINY_MOMENTS if args.tiny else MOMENTS, repeat)
     schedule_lines(TINY_TABLE_T if args.tiny else TABLE_T, repeat)
     draws_lines(sizes, repeat)
     return 0
