@@ -70,6 +70,13 @@ def cmd_rates(args) -> int:
 
 def cmd_diagnose(args) -> int:
     cfg = _load(args)
+    check_fns = {"smd": diag.check_pathwise_smd, "asmd": diag.check_pathwise_asmd,
+                 "sgd": diag.check_pathwise_sgd}
+    trace_fns = {"smd": diag.martingale_trace_smd, "sgd": diag.martingale_trace_sgd}
+    if cfg.pathwise and cfg.algorithm not in check_fns:
+        raise ConfigError("diagnostics.pathwise", "no pathwise check for this algorithm")
+    if cfg.martingale and cfg.algorithm not in trace_fns:
+        raise ConfigError("diagnostics.martingale", "trace defined for smd and sgd")
     problem, x1 = build_problem(cfg)
     noise_model = build_noise(cfg)
     schedule = build_schedule(cfg, problem, x1, horizon=cfg.horizon)
@@ -94,12 +101,7 @@ def cmd_diagnose(args) -> int:
     failed |= not cond.ok
 
     if cfg.pathwise:
-        check_fns = {"smd": diag.check_pathwise_smd, "asmd": diag.check_pathwise_asmd,
-                     "sgd": diag.check_pathwise_sgd}
-        fn = check_fns.get(cfg.algorithm)
-        if fn is None:
-            raise ConfigError("diagnostics.pathwise", "no pathwise check for this algorithm")
-        rep = fn(problem, table())[0]
+        rep = check_fns[cfg.algorithm](problem, table())[0]
         reports.append(rep)
         print(f"check {rep.name}: {'pass' if rep.passed else 'FAIL'} "
               f"violations={len(rep.violations)} min_margin={rep.min_margin:.3e}")
@@ -114,11 +116,8 @@ def cmd_diagnose(args) -> int:
         failed |= not rep.passed
 
     if cfg.martingale:
-        trace_fn = {"smd": diag.martingale_trace_smd,
-                    "sgd": diag.martingale_trace_sgd}.get(cfg.algorithm)
-        if trace_fn is None:
-            raise ConfigError("diagnostics.martingale", "trace defined for smd and sgd")
-        trace = trace_fn(problem, noise_model, table(), schedule.constants(), cfg.delta)[0]
+        trace = trace_fns[cfg.algorithm](problem, noise_model, table(), schedule.constants(),
+                                         cfg.delta)[0]
         reports.append(trace)
         print(f"check martingale_{trace.algorithm}: crossed={trace.crossed} "
               f"max_sum={np.max(trace.running_sum):.4f} threshold={trace.threshold:.4f}")

@@ -7,6 +7,11 @@ constraint of the underlying modules (moment order range, tail index, step-size
 caps, mode/algorithm compatibility) is re-checked and reported with the
 offending section.key.  ``dumps_config`` writes a canonical form whose reload
 compares equal, so configs round-trip.
+
+Each key is declared once, as an ``ExperimentConfig`` field that carries its
+section.key and value kind.  The field's default is the value of a key no config
+sets, and the value validation resets a key to when it looks for the key to blame:
+the first suspect whose reset brings the config back in range is the one named.
 """
 
 from __future__ import annotations
@@ -40,84 +45,56 @@ class ConfigError(ValueError):
         super().__init__(f"{field_path}: {message}")
 
 
+def _key(path: str, kind: str, default):
+    """A field read from the config key ``path`` (``section.key``) as a value of ``kind``;
+    ``default`` is its value when no config sets it, and the value a rejection resets it to
+    when looking for the key to blame."""
+    return dataclasses.field(default=default, metadata={"key": path, "kind": kind})
+
+
 @dataclasses.dataclass
 class ExperimentConfig:
-    # experiment
-    experiment_id: str = "exp"
-    algorithm: str = "smd"
-    horizon: int = 1024
-    horizon_grid: tuple[int, ...] | None = None
-    n_seeds: int = 100
-    base_seed: int = 0
-    delta: float = 0.1
-    out_dir: str | None = None
-    # problem
-    problem: str = "quadratic"
-    dim: int = 2
-    diag: tuple[float, ...] | None = None
-    shift: tuple[float, ...] | None = None
-    target: tuple[float, ...] | None = None
-    coef: float = 0.25
-    x1: tuple[float, ...] | None = None
-    # noise
-    noise: str = "two_point"
-    p: float = 2.0
-    sigma: float = 1.0
-    q: float = 0.1
-    tail_index: float = 1.75
-    # schedule
-    mode: str = "smd_known_t"
-    c1: float = 1.0
-    c2: float = 1.0
-    c_override: float | None = None
-    eta_scale: float = 1.0
-    lambda_scale: float = 1.0
-    vanilla_eta: float | None = None
-    mu: float = 0.0
-    # diagnostics
-    pathwise: bool = False
-    error_bounds: bool = False
-    martingale: bool = False
+    experiment_id: str = _key("experiment.id", "str", "exp")
+    algorithm: str = _key("experiment.algorithm", "str", "smd")
+    horizon: int = _key("experiment.t", "int", 1024)
+    horizon_grid: tuple[int, ...] | None = _key("experiment.t_grid", "int_tuple", None)
+    n_seeds: int = _key("experiment.seeds", "int", 100)
+    base_seed: int = _key("experiment.base_seed", "int", 0)
+    delta: float = _key("experiment.delta", "float", 0.1)
+    out_dir: str | None = _key("experiment.out", "str", None)
+    problem: str = _key("problem.kind", "str", "quadratic")
+    dim: int = _key("problem.dim", "int", 2)
+    diag: tuple[float, ...] | None = _key("problem.diag", "float_tuple", None)
+    shift: tuple[float, ...] | None = _key("problem.shift", "float_tuple", None)
+    target: tuple[float, ...] | None = _key("problem.target", "float_tuple", None)
+    coef: float = _key("problem.coef", "float", 0.25)
+    x1: tuple[float, ...] | None = _key("problem.x1", "float_tuple", None)
+    noise: str = _key("noise.kind", "str", "two_point")
+    p: float = _key("noise.p", "float", 2.0)
+    sigma: float = _key("noise.sigma", "float", 1.0)
+    q: float = _key("noise.q", "float", 0.1)
+    tail_index: float = _key("noise.tail_index", "float", 1.75)
+    mode: str = _key("schedule.mode", "str", "smd_known_t")
+    c1: float = _key("schedule.c1", "float", 1.0)
+    c2: float = _key("schedule.c2", "float", 1.0)
+    c_override: float | None = _key("schedule.c_override", "float", None)
+    eta_scale: float = _key("schedule.eta_scale", "float", 1.0)
+    lambda_scale: float = _key("schedule.lambda_scale", "float", 1.0)
+    vanilla_eta: float | None = _key("schedule.vanilla_eta", "float", None)
+    mu: float = _key("schedule.mu", "float", 0.0)
+    pathwise: bool = _key("diagnostics.pathwise", "bool", False)
+    error_bounds: bool = _key("diagnostics.error_bounds", "bool", False)
+    martingale: bool = _key("diagnostics.martingale", "bool", False)
     # no computation reads it (the diagnostics' moments are exact); it stays valid so that
     # the configs that set it keep loading, and keep their digests
-    resamples: int = 128
+    resamples: int = _key("diagnostics.resamples", "int", 128)
 
 
-# (section, key) -> (attribute, type tag)
-_SCHEMA = {
-    ("experiment", "id"): ("experiment_id", "str"),
-    ("experiment", "algorithm"): ("algorithm", "str"),
-    ("experiment", "t"): ("horizon", "int"),
-    ("experiment", "t_grid"): ("horizon_grid", "int_tuple"),
-    ("experiment", "seeds"): ("n_seeds", "int"),
-    ("experiment", "base_seed"): ("base_seed", "int"),
-    ("experiment", "delta"): ("delta", "float"),
-    ("experiment", "out"): ("out_dir", "str"),
-    ("problem", "kind"): ("problem", "str"),
-    ("problem", "dim"): ("dim", "int"),
-    ("problem", "diag"): ("diag", "float_tuple"),
-    ("problem", "shift"): ("shift", "float_tuple"),
-    ("problem", "target"): ("target", "float_tuple"),
-    ("problem", "coef"): ("coef", "float"),
-    ("problem", "x1"): ("x1", "float_tuple"),
-    ("noise", "kind"): ("noise", "str"),
-    ("noise", "p"): ("p", "float"),
-    ("noise", "sigma"): ("sigma", "float"),
-    ("noise", "q"): ("q", "float"),
-    ("noise", "tail_index"): ("tail_index", "float"),
-    ("schedule", "mode"): ("mode", "str"),
-    ("schedule", "c1"): ("c1", "float"),
-    ("schedule", "c2"): ("c2", "float"),
-    ("schedule", "c_override"): ("c_override", "float"),
-    ("schedule", "eta_scale"): ("eta_scale", "float"),
-    ("schedule", "lambda_scale"): ("lambda_scale", "float"),
-    ("schedule", "vanilla_eta"): ("vanilla_eta", "float"),
-    ("schedule", "mu"): ("mu", "float"),
-    ("diagnostics", "pathwise"): ("pathwise", "bool"),
-    ("diagnostics", "error_bounds"): ("error_bounds", "bool"),
-    ("diagnostics", "martingale"): ("martingale", "bool"),
-    ("diagnostics", "resamples"): ("resamples", "int"),
-}
+_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+# (section, key) -> (attribute, type tag), in declaration order
+_SCHEMA = {tuple(f.metadata["key"].split(".")): (attr, f.metadata["kind"])
+           for attr, f in _FIELDS.items()}
+
 
 def _parse_value(raw: str, kind: str, path: str):
     raw = raw.strip()
@@ -136,11 +113,9 @@ def _parse_value(raw: str, kind: str, path: str):
             raise ValueError("expected a boolean")
         if kind == "int_tuple":
             return tuple(int(s) for s in raw.split(",") if s.strip())
-        if kind == "float_tuple":
-            return tuple(float(s) for s in raw.split(",") if s.strip())
+        return tuple(float(s) for s in raw.split(",") if s.strip())  # float_tuple
     except ValueError as exc:
         raise ConfigError(path, f"cannot parse {raw!r} as {kind}") from exc
-    raise ConfigError(path, f"unknown value kind {kind}")
 
 
 def _format_value(value, kind: str) -> str:
@@ -179,13 +154,12 @@ def load_config(path, overrides=()) -> ExperimentConfig:
 def dumps_config(cfg: ExperimentConfig) -> str:
     """Canonical serialization; reloading it yields an equal config."""
     out = configparser.ConfigParser()
-    for section in ("experiment", "problem", "noise", "schedule", "diagnostics"):
-        out.add_section(section)
     for (section, key), (attr, kind) in _SCHEMA.items():
+        if not out.has_section(section):
+            out.add_section(section)
         value = getattr(cfg, attr)
-        if value is None:
-            continue
-        out.set(section, key, _format_value(value, kind))
+        if value is not None:
+            out.set(section, key, _format_value(value, kind))
     buf = io.StringIO()
     out.write(buf)
     return buf.getvalue()
@@ -308,25 +282,24 @@ def _start_in_range(cfg: ExperimentConfig) -> bool:
     return all(math.isfinite(v) for v in (s.delta1, s.grad1_bound, s.r1 or 0.0))
 
 
+def _first_reset(cfg: ExperimentConfig, attrs, in_range) -> str | None:
+    """The ``section.key`` of the first attribute in ``attrs`` away from its default whose
+    reset to the default makes ``in_range`` hold for the config, else None."""
+    for attr in attrs:
+        default = _FIELDS[attr].default
+        if getattr(cfg, attr) != default and in_range(
+                dataclasses.replace(cfg, **{attr: default})):
+            return _FIELDS[attr].metadata["key"]
+    return None
+
+
 def _check_start(cfg: ExperimentConfig) -> None:
     """Reject a start whose schedule inputs overflow a double, naming the problem vector
     whose default brings them in range (else the start)."""
-    if _start_in_range(cfg):
-        return
-    for attr in ("x1", "diag", "shift"):
-        if (getattr(cfg, attr) is not None
-                and _start_in_range(dataclasses.replace(cfg, **{attr: None}))):
-            break
-    else:
-        attr = "x1"
-    raise ConfigError(f"problem.{attr}", "the value gap, gradient or distance to the minimizer "
-                                         "at the start overflows a double")
-
-
-# Knobs that scale a schedule's values, with the value at which each is inert.
-_SCHEDULE_KNOBS = (("schedule.mu", "mu", 0.0), ("schedule.eta_scale", "eta_scale", 1.0),
-                   ("schedule.lambda_scale", "lambda_scale", 1.0),
-                   ("schedule.c_override", "c_override", None))
+    if not _start_in_range(cfg):
+        key = _first_reset(cfg, ("x1", "diag", "shift"), _start_in_range) or "problem.x1"
+        raise ConfigError(key, "the value gap, gradient or distance to the minimizer at the "
+                               "start overflows a double")
 
 
 def _invertible(x: float) -> bool:
@@ -361,7 +334,7 @@ def _check_schedule_values(cfg: ExperimentConfig, problem, x1, horizon: int) -> 
     """Reject a config whose schedule is not finite, or whose clipping level underflows to 0,
     or, with the martingale trace on, whose step is not positive or whose lambda_t^2 or
     (eta_t lambda_t)^2 is 0, infinite or too small to invert, at horizon T, naming the key
-    behind it: a knob away from its inert value whose reset brings it in range, else the
+    behind it: a knob away from its default whose reset brings it in range, else the
     moment order."""
     at = f"at p = {cfg.p}, sigma = {cfg.sigma}, delta = {cfg.delta}"
     try:
@@ -369,14 +342,13 @@ def _check_schedule_values(cfg: ExperimentConfig, problem, x1, horizon: int) -> 
             return
     except OverflowError:
         raise ConfigError("noise.p", f"the schedule overflows a double {at}") from None
-    for key, attr, inert in _SCHEDULE_KNOBS:
-        if getattr(cfg, attr) != inert and _schedule_values_in_range(
-                dataclasses.replace(cfg, **{attr: inert}), problem, x1, horizon):
-            raise ConfigError(key, f"makes the schedule's step, clipping level or bound "
-                                   f"non-finite, or the level 0 (or, for the martingale trace, "
-                                   f"the step not positive, or the square of the level or of "
-                                   f"step times level 0 or too small to invert), at T = "
-                                   f"{horizon}")
+    key = _first_reset(cfg, ("mu", "eta_scale", "lambda_scale", "c_override"),
+                       lambda c: _schedule_values_in_range(c, problem, x1, horizon))
+    if key is not None:
+        raise ConfigError(key, f"makes the schedule's step, clipping level or bound "
+                               f"non-finite, or the level 0 (or, for the martingale trace, the "
+                               f"step not positive, or the square of the level or of step times "
+                               f"level 0 or too small to invert), at T = {horizon}")
     raise ConfigError("noise.p", f"the schedule's step, clipping level or bound is not finite, "
                                  f"or the level is 0 (or, for the martingale trace, the step is not "
                                  f"positive, or the square of the level or of step times level "

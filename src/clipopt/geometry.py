@@ -27,6 +27,8 @@ SIMPLEX = "simplex"
 
 # Floor of an entropy mirror step's coordinates: the smallest positive double.
 _SIMPLEX_FLOOR = np.nextafter(0.0, 1.0)
+# below this l2 norm a row's sum of squares is not a normal double
+_SQRT_TINY = np.sqrt(np.finfo(float).tiny)
 
 
 class GeometryError(ValueError):
@@ -161,12 +163,13 @@ class Geometry:
         C = np.ascontiguousarray(V)  # a strided row's dot takes another order past 6 coordinates
         with np.errstate(over="ignore"):
             norms = np.sqrt(row_dots(C, C))
-            big = np.isinf(norms)
-            if big.any():  # a finite row whose square overflows: divide out its largest coordinate
-                big &= np.isfinite(C).all(axis=-1)
-                m = np.abs(C[big]).max(axis=-1)
-                W = C[big] / m[:, None]
-                norms[big] = m * np.sqrt(row_dots(W, W))
+            rescue = np.isinf(norms) | (norms < _SQRT_TINY)
+            if rescue.any():  # a finite nonzero row whose square over- or underflows:
+                m = np.abs(C[rescue]).max(axis=-1)  # divide out its largest coordinate
+                fix = np.isfinite(m) & (m > 0)
+                rescue[rescue] = fix
+                W = C[rescue] / m[fix, None]
+                norms[rescue] = m[fix] * np.sqrt(row_dots(W, W))
         return norms
 
     def dual_norm(self, v) -> float:

@@ -60,6 +60,23 @@ def test_dual_norm_of_a_large_finite_vector_is_finite(v, make):
             assert g.dual_norm(w) == g.dual_norm_many(np.array([w]))[0]
 
 
+def test_norm_of_a_tiny_nonzero_vector_does_not_underflow():
+    """A finite nonzero row whose sum of squares is not a normal double keeps its l2 norm
+    (within 1 ulp of ``np.hypot``) with no warning; a zero row stays 0 and every other row
+    keeps the bits of the root of its dot product."""
+    g = geo.euclidean(2)
+    rows = np.array([[1e-300, 1e-300], [3e-160, 4e-160], [0.0, 0.0], [-5e-324, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = g.norm_many(rows)
+        assert g.norm(rows[1]) == norms[1]
+    hypot = np.hypot(rows[:, 0], rows[:, 1])
+    assert np.all(np.abs(norms - hypot) <= np.spacing(hypot))
+    assert norms[2] == 0.0 and norms[3] == 5e-324
+    V = np.random.default_rng(7).normal(size=(4096, 2))
+    assert np.array_equal(g.norm_many(V), np.sqrt(geo.row_dots(V, V)))
+
+
 def test_norm_dimension_mismatch():
     with pytest.raises(geo.GeometryError):
         geo.euclidean(2).norm([1.0, 2.0, 3.0])
