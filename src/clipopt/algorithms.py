@@ -75,8 +75,8 @@ class StepTable:
     """Columnar per-step record of n seeds run in lockstep, with their paths.
 
     The per-step columns have one entry per step t = 1..T: ``t`` and ``alpha``
-    are (T,), shared by every seed; ``eta``, ``lam``, ``clipped``, ``raw_norm``
-    and ``metric`` are (n, T); the paths are (n, T[+1], d).
+    are (T,), shared by every seed; ``eta``, ``lam``, ``clipped`` and ``metric``
+    are (n, T); the paths are (n, T[+1], d).
     Seed k's ``x[k]`` holds x_1..x_{T+1}, so step t queried the oracle at
     ``x[k, t - 1]`` and moved to ``x[k, t]``.  The accelerated loop queries at
     (1 - alpha_t) y_t + alpha_t z_t: its ``x`` holds those T query points,
@@ -89,7 +89,6 @@ class StepTable:
     eta: np.ndarray
     lam: np.ndarray
     clipped: np.ndarray
-    raw_norm: np.ndarray
     metric: np.ndarray
     x: np.ndarray
     grad_clipped: np.ndarray
@@ -222,8 +221,8 @@ def _step_table(steps: int, n: int, x1, accelerated: bool) -> StepTable:
     x1 = np.asarray(x1, dtype=float)
     rows, points, path_reps = (n, steps), (n, steps, x1.size), (n, steps + 1, 1)
     tab = StepTable(np.arange(1, steps + 1), np.empty(rows), np.empty(rows),
-                    np.empty(rows, dtype=bool), np.empty(rows), np.empty(rows),
-                    np.tile(x1, path_reps), np.empty(points))
+                    np.empty(rows, dtype=bool), np.empty(rows), np.tile(x1, path_reps),
+                    np.empty(points))
     if accelerated:  # x holds the query points, y and z the paths
         tab.alpha, tab.x, tab.y, tab.z = (np.empty(steps), np.empty(points), tab.x,
                                           np.tile(x1, path_reps))
@@ -286,8 +285,7 @@ def _record(tab: StepTable, lo: int, k: int, eta, lam, norms, metric, grad):
     whose norm is over its level."""
     rows = slice(lo, lo + k)
     tab.eta[:, rows], tab.lam[:, rows] = eta.T, lam.T
-    tab.clipped[:, rows] = (norms > lam).T
-    tab.raw_norm[:, rows], tab.metric[:, rows] = norms.T, metric.T
+    tab.clipped[:, rows], tab.metric[:, rows] = (norms > lam).T, metric.T
     tab.grad_clipped[:, rows] = grad.transpose(1, 0, 2)
 
 

@@ -160,7 +160,6 @@ def check_mgf_bound(radius: float, lambdas, law) -> MgfReport:
 class ClipErrorReport:
     level: float
     u_violations: int
-    u_max_norm: float
     applicable: bool
     bias_norm: float
     bias_bound: float
@@ -197,7 +196,7 @@ def check_clipping_error_bounds(problem: Problem, noise_model, x, level: float) 
     geom, p, sigma = problem.geometry, noise_model.p, noise_model.sigma
     res = noise_model.clipped_moments(problem, [x], level)
     return ClipErrorReport(
-        level=level, u_violations=int(res.u_over[0]), u_max_norm=float(res.u_max[0]),
+        level=level, u_violations=int(res.u_over[0]),
         applicable=geom.dual_norm(res.grad[0]) <= level / 2.0,
         bias_norm=geom.dual_norm(res.cond_mean[0] - res.grad[0]),
         bias_bound=4.0 * sigma ** p * level ** (1.0 - p),

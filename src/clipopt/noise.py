@@ -18,11 +18,12 @@ spikes; radial noise draws n * d standard normals for the directions and n
 uniforms for the inverse-CDF Pareto radii, then normalizes and scales.  One
 stochastic gradient at x is ``problem.grad(x) + oracle.noise_matrix(1)[0]``.
 
-Each family also states the moments of its clipped draws at many points
-exactly (``clipped_moments``), so the diagnostics draw nothing: two-point
-noise as a weighted sum over its 2d + 1 support points, radial noise as a
-fixed-node Gauss-Legendre sum over the draw's radius and its angle to the
-gradient.
+Each family also states exactly, at many points, what the clipping-error
+analysis reads of its clipped draws (``clipped_moments``): their mean, their
+second moment about it, and the support points past twice the level.  So the
+diagnostics draw nothing: two-point noise sums over its 2d + 1 support points,
+radial noise is a fixed-node Gauss-Legendre sum over the draw's radius and
+its angle to the gradient.
 
 Run noise: the loops read step t's (n, d) noise as ``slab(t)`` of a draws
 object.  ``DenseDraws`` holds a presampled time-major (steps, d, n) block;
@@ -79,10 +80,6 @@ class TwoPointNoise:
         """Spike magnitude M = sigma * q**(-1/p), so E||xi||^p = q M^p = sigma^p."""
         return self.sigma * self.q ** (-1.0 / self.p)
 
-    @property
-    def finite_variance(self) -> bool:
-        return True  # bounded support
-
     def seed_step_bytes(self, d: int) -> float:
         """Bytes per seed-step of a lockstep batch's draws: ``q`` spikes of ``_SPIKE_BYTES``."""
         return _SPIKE_BYTES * self.q
@@ -104,10 +101,9 @@ class TwoPointNoise:
 
         A draw at x is one of 2d + 1 support points: grad f(x) with weight 1 - q,
         and grad f(x) +- M e_i with weight q / (2d) each.  Each point is clipped by
-        ``clip_batch`` at its row's level, and every field is a weighted sum over
-        them: ``var`` and ``u_sq_sd`` are the law's own spreads, and ``u_max`` and
-        ``u_over`` range over the points of positive weight only (q = 1 gives the
-        centre weight 0).  Nothing is drawn.
+        ``clip_batch`` at its row's level: ``cond_mean`` and ``u_sq_mean`` are weighted
+        sums over them, and ``u_over`` counts over the points of positive weight only
+        (q = 1 gives the centre weight 0).  Nothing is drawn.
         """
         grad = problem.grad_many(np.asarray(X, dtype=float))
         points, d = grad.shape
@@ -122,13 +118,13 @@ class TwoPointNoise:
         return ClippedMoments(grad, *map(np.concatenate, zip(*chunks)))
 
 
-# The moments of the clipped draws at each of P points, as (P, d) or (P,) fields:
-# ``u`` is a clipped draw minus ``cond_mean``, ``var`` the variance of each coordinate,
-# ``u_sq_mean`` and ``u_sq_sd`` the mean and the spread of ||u||_*^2, ``u_max`` the
-# supremum of ||u||_* over the support, and ``u_over`` the support points with
-# ||u||_* > 2 level, which clipping rules out up to roundoff.
-ClippedMoments = namedtuple("ClippedMoments",
-                            "grad cond_mean var u_sq_mean u_sq_sd u_max u_over")
+# The moments of the clipped draws at each of P points, as (P, d) or (P,) fields: the
+# gradient, the clipped draw's mean ``cond_mean``, the mean ``u_sq_mean`` of ||u||_*^2,
+# u a clipped draw minus ``cond_mean``, and ``u_over``, the support points with
+# ||u||_* > 2 level, which clipping rules out up to roundoff.  The clipping-error
+# check reads the bias, the second moment and ``u_over``; the supermartingale weights
+# read the first two.
+ClippedMoments = namedtuple("ClippedMoments", "grad cond_mean u_sq_mean u_over")
 
 # Points per chunk of either family's ``clipped_moments``: a chunk's nodes (the 2d + 1
 # support points of a two-point draw, of d doubles each, or a radial draw's quadrature
@@ -140,10 +136,10 @@ _QUAD_NODES = 18
 
 
 def _support_moments(geom, support: np.ndarray, weight: np.ndarray, levels: np.ndarray):
-    """``ClippedMoments``' fields after ``grad`` over a (points, k, d) ``support`` of
-    ``weight``, clipped in place at each point's level.  The weighted sums reduce each
-    point's own rows, so a point's bits do not depend on the chunk around it (a BLAS
-    product's do)."""
+    """``ClippedMoments``' fields after ``grad`` (``cond_mean``, ``u_sq_mean`` and
+    ``u_over``) over a (points, k, d) ``support`` of ``weight``, clipped in place at each
+    point's level.  The weighted sums reduce each point's own rows, so a point's bits do
+    not depend on the chunk around it (a BLAS product's do)."""
     k, d = support.shape[1:]
     rows = support.reshape(-1, d)
     with np.errstate(over="ignore"):  # a norm past the doubles is inf: that point clips to 0,
@@ -153,17 +149,10 @@ def _support_moments(geom, support: np.ndarray, weight: np.ndarray, levels: np.n
     u = support - mean[:, None, :]
     # a weighted square is the square of a root-weighted value, so a tiny weight on a
     # huge spike overflows nothing whose weighted value is finite
-    root = np.sqrt(weight)
-    scaled = u * root[:, None]
-    r = geom.dual_norm_many(scaled)  # sqrt(w) ||u||
-    u_sq_mean = np.sum(r * r, axis=1)
-    norms = geom.dual_norm_many(u)
-    # sqrt(sum w (||u||^2 - m)^2), as the quadrature sum of sqrt(w) (||u||^2 - m)
-    u_sq_sd = np.hypot.reduce(r * norms - root * u_sq_mean[:, None], axis=1)
-    norms = norms[:, weight > 0]
+    r = geom.dual_norm_many(u * np.sqrt(weight)[:, None])  # sqrt(w) ||u||
+    norms = geom.dual_norm_many(u)[:, weight > 0]
     over = np.count_nonzero(norms > 2.0 * levels[:, None] * (1 + 1e-12), axis=1)
-    return (mean, np.sum(scaled * scaled, axis=1), u_sq_mean, u_sq_sd, norms.max(axis=1),
-            over)
+    return mean, np.sum(r * r, axis=1), over
 
 
 def _spike_fields(rng: np.random.Generator, d: int, U: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -198,10 +187,6 @@ class RadialParetoNoise:
         a = self.tail_index
         return self.sigma * ((a - self.p) / a) ** (1.0 / self.p)
 
-    @property
-    def finite_variance(self) -> bool:
-        return self.tail_index > 2.0  # never true within the allowed range
-
     def seed_step_bytes(self, d: int) -> int:
         """Bytes per seed-step of a lockstep batch's draws: d doubles of the dense block."""
         return 8 * d
@@ -221,12 +206,12 @@ class RadialParetoNoise:
         """The ``ClippedMoments`` of the clipped draws at each row of ``X``, by quadrature.
 
         A draw at x is g + r u, g = grad f(x), whose clip depends only on r and the angle
-        between u and g: the mean lies along g, and the covariance is a part along g and
-        a part shared by the d - 1 directions across it, each summed by ``_radial_moments``
-        in units of the level.  ``u_max`` is level + ||cond_mean|| (the radius reaches the
-        whole clip sphere; 0 at sigma = 0), and ``u_over`` flags a mean outside the ball.
-        An infinite level leaves the draw unclipped: mean g, infinite second moments and
-        ``u_max``.  A point's bits do not depend on its chunk.  Nothing is drawn.
+        between u and g: the mean lies along g, and ``_radial_moments`` sums it and the
+        second moment in units of the level.  ``u_over`` flags a mean outside the ball:
+        the radius reaches the whole clip sphere, so the largest ||u|| is level +
+        ||cond_mean||, past twice the level there.  An infinite level leaves the draw
+        unclipped: mean g and an infinite second moment (0 at sigma = 0).  A point's bits
+        do not depend on its chunk.  Nothing is drawn.
         """
         check_noise_geometry(problem, self)
         grad = problem.grad_many(np.asarray(X, dtype=float))
@@ -243,24 +228,16 @@ class RadialParetoNoise:
         ratio, floor = norms / summed_at, np.maximum(self.scale / summed_at, 5e-324)
         nodes = _legendre(_QUAD_NODES)
         step = max(1, _MOMENT_BLOCK // ((2 if d == 1 else 3 * _QUAD_NODES) * 4 * _QUAD_NODES))
-        along, var_along, var_across, u_sq_mean, u_sq_sd = map(np.concatenate, zip(*(
+        along, root = map(np.concatenate, zip(*(
             _radial_moments(ratio[lo:lo + step], floor[lo:lo + step], self.tail_index, d, nodes)
             for lo in range(0, points, step))))
-        unit = grad / np.where(norms > 0, norms, 1.0)[:, None]
-        mean = (levels * along)[:, None] * unit
-        unit[norms == 0, 0] = 1.0  # the law is isotropic about g = 0: any axis serves
-        sq = unit * unit
-        var = var_along[:, None] * sq + (var_across / max(d - 1, 1))[:, None] * (1.0 - sq)
-        spread = problem.geometry.norm_many(mean)  # u_max - level
+        mean = (levels * along)[:, None] * (grad / np.where(norms > 0, norms, 1.0)[:, None])
         with np.errstate(over="ignore"):  # level^2 v as (level sqrt(v))^2: inf past the doubles
-            var = (levels[:, None] * np.sqrt(var)) ** 2
-            u_sq_mean, u_sq_sd = ((levels * np.sqrt(v)) ** 2 for v in (u_sq_mean, u_sq_sd))
-            u_max = levels + spread if self.sigma > 0 else np.zeros(points)
-        u_over = (spread > levels * (1 + 2e-12)).astype(np.intp)  # u_max > 2 level (1 + 1e-12)
+            u_sq_mean = (levels * root) ** 2
+        u_over = (problem.geometry.norm_many(mean) > levels * (1 + 2e-12)).astype(np.intp)
         mean[unclipped] = grad[unclipped]
-        for field in (var, u_sq_mean, u_sq_sd, u_max):
-            field[unclipped] = np.inf if self.sigma > 0 else 0.0
-        return ClippedMoments(grad, mean, var, u_sq_mean, u_sq_sd, u_max, u_over)
+        u_sq_mean[unclipped] = np.inf if self.sigma > 0 else 0.0
+        return ClippedMoments(grad, mean, u_sq_mean, u_over)
 
 
 def _legendre(n: int):
@@ -273,9 +250,9 @@ def _legendre(n: int):
 
 def _radial_moments(G: np.ndarray, s: np.ndarray, a: float, d: int, nodes):
     """The clip at level 1 of g + r u, for ||g|| = G, u uniform on the unit sphere of R^d and
-    r Pareto(a) above s, at the (P,) points ``G`` and ``s`` (finite, s > 0): its mean and
-    variance along g, its variance across g (summed over the d - 1 directions), and the
-    mean and spread of ||u||^2, u the clip minus its mean.
+    r Pareto(a) above s, at the (P,) points ``G`` and ``s`` (finite, s > 0; a floor of the
+    least double is a point without noise): its mean along g, and the root of E||v||^2,
+    v the clip minus its mean.
 
     A Gauss-Legendre sum on the ``_legendre`` ``nodes`` over the angle phi between u and g
     (weight sin^(d-2) phi; the points 0 and pi at d = 1) and over log r.  The angle's
@@ -285,7 +262,12 @@ def _radial_moments(G: np.ndarray, s: np.ndarray, a: float, d: int, nodes):
     tangent / 2).  The radius's panels, nodes crowded to their ends, end at s, r_-, r_+
     (s when absent) and G, near which the clip is nearly singular for phi near pi; the
     tail past them takes w = w_last t^4 of the Pareto uniform w = (s/r)^a.  The clip is
-    taken in units of M = max(G, s, 1), so that no product overflows.
+    taken in units of M = max(G, s, 1), so that no product overflows.  The weights w, and
+    the second moment, which gathers where w is about s^a, lose bits to underflow once s^a
+    nears the doubles' floor: a point with noise and s^a < e^-600 has its weights divided
+    by s^a (by at most e^690, so that none overflows) and its sums multiplied back.  Each
+    deviation is weighed before it is squared, as one below 1e-154 has a square that
+    underflows where its rescued weight is large.
     """
     x, wx, xc, wc = nodes
     n, G, s = G.size, G[:, None], s[:, None]
@@ -316,6 +298,9 @@ def _radial_moments(G: np.ndarray, s: np.ndarray, a: float, d: int, nodes):
     log_lo, log_width = log_edges[..., :-1, None], np.diff(log_edges, axis=-1)[..., None]
     log_r = (log_lo + log_width * xc).reshape(*phi.shape, -1)
     log_s = np.log(s)[..., None]
+    shift = np.where((a * log_s < -600.0) & (s[..., None] > 5e-324),
+                     np.maximum(a * log_s, -690.0), 0.0)
+    log_s -= shift / a  # (s/r)^a e^-shift = (s e^(-shift/a) / r)^a
     w_panels = (log_width * wc).reshape(*phi.shape, -1) * a * np.exp(a * (log_s - log_r))
     w_last = np.exp(a * (log_s - log_edges[..., -1:]))  # the Pareto mass past them
     log_r = np.concatenate((log_r, log_edges[..., -1:] - 4.0 / a * np.log(xc)), axis=-1)
@@ -326,14 +311,11 @@ def _radial_moments(G: np.ndarray, s: np.ndarray, a: float, d: int, nodes):
     along, across = G[..., None] / M + r * cos[..., None], r * sin[..., None]
     shrink = np.maximum(1.0 / M, np.hypot(along, across))
     W, along, across = (v.reshape(n, -1) for v in (W, along / shrink, across / shrink))
-    clip_g = np.minimum(G, 1.0)
-    mean = clip_g[:, 0] + np.sum(W * (along - clip_g), axis=1)
+    clip_g, scale = np.minimum(G, 1.0), np.exp(shift.reshape(n))
+    mean = clip_g[:, 0] + np.sum(W * (along - clip_g), axis=1) * scale
     along -= mean[:, None]
-    along_sq, across_sq = along * along, across * across
-    var_along, var_across = np.sum(W * along_sq, axis=1), np.sum(W * across_sq, axis=1)
-    u_sq_mean = var_along + var_across
-    dev = along_sq + across_sq - u_sq_mean[:, None]
-    return mean, var_along, var_across, u_sq_mean, np.sqrt(np.sum(W * dev * dev, axis=1))
+    m2 = np.sum(W * along * along, axis=1) + np.sum(W * across * across, axis=1)
+    return mean, np.sqrt(m2) * np.sqrt(scale)
 
 
 # -- lockstep draws: the noise of n seeds over a run, read one (n, d) step at a time --
@@ -526,7 +508,7 @@ def moment_check(model, d: int, n: int, rng: np.random.Generator, blocks: int = 
         raise ValueError("need at least 1e3 samples for a moment check")
     xi = model.sample_batch(d, n, rng)
     powers = np.sqrt(np.einsum("ij,ij->i", xi, xi)) ** model.p
-    if model.finite_variance:
+    if isinstance(model, TwoPointNoise):  # bounded support: the power's variance is finite
         return float(powers.mean()), float(powers.std(ddof=1) / np.sqrt(n))
     est, spread = median_of_means(powers, blocks=blocks)
     return float(est), float(spread)

@@ -22,7 +22,7 @@ from clipopt.algorithms import run_smd
 from clipopt.clipping import clip
 from clipopt.noise import Oracle, RadialParetoNoise, TwoPointNoise, make_rng
 
-FIELDS = ("grad", "cond_mean", "var", "u_sq_mean", "u_sq_sd", "u_max", "u_over")
+FIELDS = ("grad", "cond_mean", "u_sq_mean", "u_over")
 
 
 def instance(geometry, d, points, seed=0):
@@ -49,13 +49,9 @@ def brute_force(problem, model, x, level):
             support.append((q / (2 * d), g + e))
     clipped = [(w, clip(s, level, geom.dual_norm)) for w, s in support]
     mean = sum(w * c for w, c in clipped)
-    var = sum(w * (c - mean) ** 2 for w, c in clipped)
     norms = [(w, geom.dual_norm(c - mean)) for w, c in clipped]
-    u_sq_mean = sum(w * n ** 2 for w, n in norms)
-    u_sq_sd = math.sqrt(sum(w * (n ** 2 - u_sq_mean) ** 2 for w, n in norms))
     positive = [n for w, n in norms if w > 0]
-    return {"grad": g, "cond_mean": mean, "var": var, "u_sq_mean": u_sq_mean,
-            "u_sq_sd": u_sq_sd, "u_max": max(positive),
+    return {"grad": g, "cond_mean": mean, "u_sq_mean": sum(w * n ** 2 for w, n in norms),
             "u_over": sum(n > 2.0 * level * (1 + 1e-12) for n in positive)}
 
 
@@ -84,11 +80,11 @@ def test_resampling_lies_within_five_standard_errors(geometry, d, q):
     exact = model.clipped_moments(prob, X, lam)
     rng = make_rng(11)
     est = [reference_point(prob, model, x, level, resamples, rng) for x, level in zip(X, lam)]
-    mean_se = np.sqrt(exact.var / resamples)
-    cond_mean = np.array([e["cond_mean"] for e in est])
+    cond_mean, var, u_sq_mean, u_sq_sd = (np.array([e[name] for e in est])
+                                          for name in ("cond_mean", "var", "u_sq_mean", "u_sq_sd"))
+    mean_se = np.sqrt(var / resamples)  # the sample's own standard errors
     assert np.all(np.abs(cond_mean - exact.cond_mean) <= 5.0 * mean_se + 1e-12)
-    m2_se = exact.u_sq_sd / math.sqrt(resamples)
-    u_sq_mean = np.array([e["u_sq_mean"] for e in est])
+    m2_se = u_sq_sd / math.sqrt(resamples)
     assert np.all(np.abs(u_sq_mean - exact.u_sq_mean) <= 5.0 * m2_se + 1e-12)
 
 
@@ -172,19 +168,18 @@ RATIOS = (0.0, 0.5, 1.0, 2.0, 8.0)
 
 def radial_points(d, level):
     """A quadratic with grad f(x) = x, and one point at each of ``RATIOS``, its gradient
-    along a direction off the axes (at d > 1) so that the variance splits over them."""
+    along a direction off the axes (at d > 1)."""
     direction = np.arange(1.0, d + 1.0)
     direction /= np.linalg.norm(direction)
     return problems.make_quadratic(np.ones(d)), level * np.outer(RATIOS, direction)
 
 
 def _scales(res):
-    """Each field's scale: the clipped draw's for the mean, the second moment's for the
-    variances and the second moment, and its own (or the second moment's) for the spread."""
-    m2 = res.u_sq_mean[:, None]
-    return {"cond_mean": np.linalg.norm(res.cond_mean, axis=1)[:, None] + np.sqrt(m2),
-            "var": m2, "u_sq_mean": m2[:, 0],
-            "u_sq_sd": np.maximum(res.u_sq_sd, res.u_sq_mean)}
+    """Each field's scale: the clipped draw's for the mean, and its own for the second
+    moment."""
+    m2 = res.u_sq_mean
+    return {"cond_mean": np.linalg.norm(res.cond_mean, axis=1)[:, None] + np.sqrt(m2)[:, None],
+            "u_sq_mean": m2}
 
 
 @pytest.mark.parametrize("d", [1, 2, 8])
@@ -195,13 +190,11 @@ def test_radial_moments_lie_within_four_standard_errors_of_a_million_draws(d):
     exact = _RADIAL.clipped_moments(prob, X, levels)
     est, stderr = reference_moments(prob, _RADIAL, X, levels, 1_000_000, seed=21 + d)
     np.testing.assert_array_equal(exact.grad, est["grad"])
-    for name, se in stderr.items():
+    for name in ("cond_mean", "u_sq_mean"):  # the draws' own standard errors
         got = getattr(exact, name)
-        assert np.all(np.abs(got - est[name]) <= 4.0 * se + 1e-12 * level ** 2), name
+        assert np.all(np.abs(got - est[name]) <= 4.0 * stderr[name] + 1e-12 * level ** 2), name
     # no clipped draw lies farther than the level from 0, so none farther than level + |mean|
-    # from the mean: the radial u_max is that bound, which the far radii reach
-    np.testing.assert_allclose(exact.u_max, level + np.linalg.norm(exact.cond_mean, axis=1),
-                               rtol=1e-15)
+    # from the mean
     bound = level + np.linalg.norm(est["cond_mean"], axis=1)
     assert np.all(est["u_max"] <= bound * (1 + 1e-12))
     assert not exact.u_over.any() and not est["u_over"].any()
@@ -212,7 +205,7 @@ def test_radial_moments_of_zero_noise_are_the_clipped_gradient(d):
     prob, X = radial_points(d, 1.3)
     res = RadialParetoNoise(p=1.5, sigma=0.0, tail_index=1.75).clipped_moments(prob, X, 1.3)
     np.testing.assert_allclose(res.cond_mean, [clip(x, 1.3) for x in X], rtol=1e-15)
-    for name in ("var", "u_sq_mean", "u_sq_sd", "u_max", "u_over"):
+    for name in ("u_sq_mean", "u_over"):
         assert not getattr(res, name).any(), name
 
 
@@ -268,8 +261,33 @@ def test_radial_moments_of_a_point_without_noise_leave_its_chunk_alone():
         for name in FIELDS:
             assert getattr(alone, name).tobytes() == getattr(whole, name)[i:i + 1].tobytes(), name
     np.testing.assert_allclose(whole.cond_mean[[0, 4]], X[[0, 4]], rtol=1e-15)  # unclipped
-    assert not whole.var[[0, 4]].any()
-    assert whole.var[1:4].all()  # the others keep their variance
+    assert not whole.u_sq_mean[[0, 4]].any()
+    assert whole.u_sq_mean[1:4].all()  # the others keep their second moment
+
+
+def test_radial_second_moment_far_below_the_level_does_not_underflow():
+    """The second moment in units of the level is about s^a, s = scale / level, so its
+    weights underflowed once the level passed ~1e176 times sigma, and it read 0.0 from
+    1e200 on.  Rescaled, u_sq_mean level^-0.25 (constant in law once s is small) stays
+    near its value at 1e100: within 1e-3, the drift of the quadrature itself over these
+    levels (3.5e-4 at 1e300).  The rescaling is exact: the weights are rescaled where
+    s^a < e^-600, here at levels above 2.1755e148, and levels on either side of that
+    agree to 1e-9.  At a = 2 and grad f = 0 in one dimension the quadrature is exact:
+    E||u||^2 = E min(r, level)^2 = scale^2 (2 log(level / scale) + 1), to 1e-12 at every
+    level, though the squares of radii below 1e-154 level underflow."""
+    prob = problems.make_quadratic([1.0, 1.0])
+
+    def ratio(level):
+        return _RADIAL.clipped_moments(prob, [[0.5, 0.0]], level).u_sq_mean[0] * level ** -0.25
+
+    far = np.array([ratio(level) for level in (1e175, 1e200, 1e250, 1e300)])
+    np.testing.assert_allclose(far, ratio(1e100), rtol=1e-3)
+    np.testing.assert_allclose(ratio(2.176e148), ratio(2.175e148), rtol=1e-9)
+    model, levels = RadialParetoNoise(p=1.5, sigma=1.0, tail_index=2.0), [1e100, 1e200, 1e300]
+    line = problems.make_quadratic([1.0])
+    got = [model.clipped_moments(line, [[0.0]], level).u_sq_mean[0] for level in levels]
+    want = model.scale ** 2 * (2.0 * np.log(np.array(levels) / model.scale) + 1.0)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_radial_u_over_flags_a_mean_outside_the_ball(monkeypatch):
@@ -286,16 +304,15 @@ def test_radial_u_over_flags_a_mean_outside_the_ball(monkeypatch):
 @pytest.mark.parametrize("sigma", [0.0, 1.0])
 def test_radial_moments_at_an_infinite_level_are_the_unclipped_draws(sigma):
     """A level that follows the run can reach inf: there the draw is g + r u whole, whose
-    variance is infinite, and the points at finite levels keep their bits."""
+    second moment is infinite, and the points at finite levels keep their bits."""
     model = RadialParetoNoise(p=1.5, sigma=sigma, tail_index=1.75)
     prob, X = radial_points(2, 1.3)
     levels = np.array([np.inf, 1.3, np.inf, 1.3, np.inf])
     res = model.clipped_moments(prob, X, levels)
     finite = model.clipped_moments(prob, X[1::2], 1.3)
     np.testing.assert_array_equal(res.cond_mean[::2], X[::2])
-    for name in ("var", "u_sq_mean", "u_sq_sd", "u_max"):
-        assert np.all(getattr(res, name)[::2] == (np.inf if sigma else 0.0)), name
-        assert getattr(res, name)[1::2].tobytes() == getattr(finite, name).tobytes(), name
+    assert np.all(res.u_sq_mean[::2] == (np.inf if sigma else 0.0))
+    assert res.u_sq_mean[1::2].tobytes() == finite.u_sq_mean.tobytes()
     assert not res.u_over.any()
 
 
