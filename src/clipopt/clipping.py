@@ -28,7 +28,8 @@ if TYPE_CHECKING:
 
 
 def clip(g, level: float, dual_norm=None) -> np.ndarray:
-    """``min{1, level / ||g||_*} * g``; unchanged when the norm is below level."""
+    """``min{1, level / ||g||_*} * g``; unchanged when the norm is below level.  Without
+    ``dual_norm`` it clips in the l2 norm."""
     g = np.asarray(g, dtype=float)
     norms = None if dual_norm is None else np.array([dual_norm(g)])
     return clip_batch(g[None, :], level, norms)[0]
@@ -37,7 +38,8 @@ def clip(g, level: float, dual_norm=None) -> np.ndarray:
 def clip_batch(G: np.ndarray, level, dual_norms: np.ndarray | None = None,
                out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise clip of an (n, d) array at ``level``, a float or an (n,) array of
-    per-row levels; ``dual_norms`` may be precomputed.
+    per-row levels; ``dual_norms`` may be precomputed, and without them the rows clip
+    in the l2 norm.
 
     The clip is written into ``out`` when it is given (``G`` itself may be ``out``).
     A level that is not positive is rejected (a NaN one is not).  A row under its level

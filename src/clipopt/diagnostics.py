@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algorithms import StepTable
-from .geometry import row_dots
+from .geometry import coord_dot
 from .noise import ClippedMoments
 from .problems import Problem
 from .schedules import log_weight_tail_sum
@@ -65,7 +65,7 @@ class DiscreteLaw:
             raise ValueError("values and probs must be matching 1-d arrays")
         if abs(p.sum() - 1.0) > 1e-12 or np.any(p < 0):
             raise ValueError("probs must be a distribution")
-        if abs(float(v @ p)) > 1e-12:
+        if abs(v @ p) > 1e-12 * (np.abs(v) @ p):  # relative to E|X|, so a law at any scale passes
             raise ValueError("law must have zero mean")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "probs", p)
@@ -210,14 +210,15 @@ def check_clipping_error_bounds(problem: Problem, noise_model, x, level: float) 
 # The checks and traces below evaluate the analysis' per-step expressions over
 # a recorded run of n seeds (the ``StepTable`` of a ``run_*`` or a recording
 # ``run_*_batch``), one array expression per quantity.  The problem's and
-# geometry's row functions reduce over the last axis only, so they take the
-# record's (n, steps, d) points whole, each point with its one-seed bits, as
-# they take its (n, steps) steps and levels.  Each check returns one report or
-# trace per seed, and seed k's is bitwise that of seed k's own one-seed record.
-# The traces' conditional moments come from one exact ``clipped_moments`` call
-# over every seed's points.  Powers go through
-# ``np.float_power``, which calls libm's ``pow`` as Python's float ``**`` does;
-# numpy's ``**`` squares by multiplication, which can differ in the last bit.
+# geometry's row functions and the dot products, through ``coord_dot``, reduce
+# over the last axis only, so they take the record's (n, steps, d) points
+# whole, each point with its one-seed bits in any layout, as they take its
+# (n, steps) steps and levels.  Each check returns one report or trace per seed,
+# and seed k's is bitwise that of seed k's own one-seed record.  The traces'
+# conditional moments come from one exact ``clipped_moments`` call over every
+# seed's points.  Powers go through ``np.float_power``, which calls libm's
+# ``pow`` as Python's float ``**`` does; numpy's ``**`` squares by
+# multiplication, which can differ in the last bit.
 
 
 @dataclass
@@ -254,7 +255,7 @@ def check_pathwise_smd(problem: Problem, tab: StepTable, tol: float = 1e-8) -> l
     eta2 = np.float_power(eta, 2)
     lhs = (eta * problem.gap_many(x_next)
            + geom.bregman_many(xstar, x_next) - geom.bregman_many(xstar, x))
-    rhs = (eta * row_dots(theta, xstar - x)
+    rhs = (eta * coord_dot(theta, xstar - x)
            + eta2 * np.float_power(geom.dual_norm_many(theta), 2)
            + 2.0 * problem.lipschitz_g ** 2 * eta2)
     too_large = eta > 0.25 / problem.smoothness * (1 + 1e-12)
@@ -278,7 +279,7 @@ def check_pathwise_asmd(problem: Problem, tab: StepTable, tol: float = 1e-8) -> 
     lhs = (eta / alpha * problem.gap_many(y[:, 1:])
            + geom.bregman_many(xstar, z[:, 1:]) - geom.bregman_many(xstar, z[:, :-1]))
     rhs = (eta * (1.0 - alpha) / alpha * problem.gap_many(y[:, :-1])
-           + eta * row_dots(theta, xstar - z[:, :-1])
+           + eta * coord_dot(theta, xstar - z[:, :-1])
            + np.float_power(eta, 2) * np.float_power(geom.dual_norm_many(theta), 2)
            / (2.0 * (1.0 - L * eta * alpha)))
     return _pathwise("pathwise_asmd", tab.t, rhs - lhs, eta * alpha * L > 0.5 * (1 + 1e-12),
@@ -299,9 +300,9 @@ def check_pathwise_sgd(problem: Problem, tab: StepTable, tol: float = 1e-8) -> l
     theta = tab.grad_clipped - g
     gap = problem.gap_many(tab.x)
     eta2 = np.float_power(eta, 2)
-    rhs = (-(eta - L * eta2 / 2.0) * row_dots(g, g)
-           + (L * eta2 / 2.0) * row_dots(theta, theta)
-           + (L * eta2 - eta) * row_dots(g, theta))
+    rhs = (-(eta - L * eta2 / 2.0) * coord_dot(g, g)
+           + (L * eta2 / 2.0) * coord_dot(theta, theta)
+           + (L * eta2 - eta) * coord_dot(g, theta))
     margins = rhs - (gap[:, 1:] - gap[:, :-1])
     return _pathwise("pathwise_sgd", tab.t, margins, eta * L > 1.0 + 1e-12, tol)
 
@@ -370,7 +371,7 @@ def martingale_trace_smd(problem: Problem, noise_model, tab: StepTable, constant
     bias = geom.dual_norm_many(theta_b)
     eta2, lam2 = np.float_power(eta, 2), np.float_power(lam, 2)
     increments = z * (eta * problem.gap_many(tab.x[:, 1:]) + breg[:, 1:] - breg[:, :-1]
-                      - eta * row_dots(xstar - x, theta_b)
+                      - eta * coord_dot(xstar - x, theta_b)
                       - 2.0 * eta2 * np.float_power(bias, 2)
                       - 2.0 * eta2 * m2)
     increments -= (3.0 / (8.0 * lam2)
@@ -405,10 +406,10 @@ def martingale_trace_sgd(problem: Problem, noise_model, tab: StepTable, constant
     g, theta_b, m2 = res.grad, res.cond_mean - res.grad, res.u_sq_mean
     gap = problem.gap_many(tab.x)
     runmax = np.maximum.accumulate(np.sqrt(np.maximum(gap[:, :-1], 0.0)), axis=1)
-    bias_sq = row_dots(theta_b, theta_b)
+    bias_sq = coord_dot(theta_b, theta_b)
     z = 1.0 / (2.0 * c1 * runmax + 4.0 * c1 ** 2 * sqrt_a)
     z2, eta2 = np.float_power(z, 2), np.float_power(eta, 2)
-    increments = z * (0.5 * eta * row_dots(g, g) + gap[:, 1:] - gap[:, :-1]
+    increments = z * (0.5 * eta * coord_dot(g, g) + gap[:, 1:] - gap[:, :-1]
                       - 1.5 * eta * bias_sq - L * eta2 * m2)
     increments -= (3.0 * z2 * L * eta2 * gap[:, :-1]
                    + 6.0 * L ** 2 * z2 * np.float_power(eta, 4) * np.float_power(lam, 2)) * m2

@@ -42,15 +42,6 @@ def _as_vector(v, dim: int) -> np.ndarray:
     return v
 
 
-def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Dot products of matching rows of (..., dim) arrays.
-
-    Each row of C-ordered arrays goes through the same vector dot as ``a @ b``
-    on two vectors, so a row's value does not depend on the rows beside it.
-    """
-    return (A[..., None, :] @ B[..., :, None])[..., 0, 0]
-
-
 def shrink_factors(norms: np.ndarray, level: float) -> np.ndarray:
     """Per-row factors ``min{1, level / norm}`` for a positive ``level``.
 
@@ -72,7 +63,8 @@ def shrink_factors(norms: np.ndarray, level: float) -> np.ndarray:
 # columns in turn; above 128, the two halves of the range (the split rounded
 # down to a multiple of 8) summed alone and added.  numpy adds the result to
 # its +0.0 start.  ``np.einsum``'s order is SIMD, so ``coord_dot`` reduces a
-# C-ordered copy past two coordinates.
+# C-ordered copy past two coordinates.  Every l2 norm, dual norm, Bregman
+# divergence and diagnostic dot product reduces through ``coord_dot``.
 
 _PAIRWISE_BLOCK = 128  # numpy's PW_BLOCKSIZE
 
@@ -116,9 +108,6 @@ def coord_dot(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np
         C = np.ascontiguousarray(A)
         return np.einsum("...i,...i->...", C, C if B is A else np.ascontiguousarray(B),
                          out=out)
-    if B is A and A.shape[-1] == 2:  # a sum of squares is never -0.0: coord_sum's + 0.0 is moot
-        sq = np.square(A)
-        return np.add(sq[..., 0], sq[..., 1], out=out)
     return coord_sum(A * B, out=out)
 
 
@@ -144,7 +133,7 @@ class Geometry:
         if self.dim < 1:
             raise GeometryError("dimension must be >= 1")
         if self.kind == BALL:
-            if self.radius <= 0:
+            if not self.radius > 0:
                 raise GeometryError("ball radius must be positive")
             c = np.zeros(self.dim) if self.center is None else _as_vector(self.center, self.dim)
             object.__setattr__(self, "center", c)
@@ -152,38 +141,32 @@ class Geometry:
     # -- norms ------------------------------------------------------------
 
     def norm(self, v) -> float:
-        """Primal norm: l2 for Euclidean geometries (the root of ``v @ v``), l1 on the simplex."""
+        """Primal norm: l2 for Euclidean geometries, l1 on the simplex; see ``norm_many``."""
         v = _as_vector(v, self.dim)
         return float(self.norm_many(v[None, :])[0])
 
     def norm_many(self, V: np.ndarray) -> np.ndarray:
-        """Row-wise primal norms of an (..., dim) array, each with ``norm``'s bits."""
+        """Row-wise primal norms of an (..., dim) array, each with ``norm``'s bits; an l2 row
+        whose squares are normal has ``dual_norm_many``'s bits."""
         if self.kind == SIMPLEX:
             return coord_sum(np.abs(V))
-        C = np.ascontiguousarray(V)  # a strided row's dot takes another order past 6 coordinates
         with np.errstate(over="ignore"):
-            norms = np.sqrt(row_dots(C, C))
+            norms = np.sqrt(coord_dot(V, V))
             rescue = np.isinf(norms) | (norms < _SQRT_TINY)
             if rescue.any():  # a finite nonzero row whose square over- or underflows:
-                m = np.abs(C[rescue]).max(axis=-1)  # divide out its largest coordinate
+                m = np.abs(V[rescue]).max(axis=-1)  # divide out its largest coordinate
                 fix = np.isfinite(m) & (m > 0)
                 rescue[rescue] = fix
-                W = C[rescue] / m[fix, None]
-                norms[rescue] = m[fix] * np.sqrt(row_dots(W, W))
+                W = V[rescue] / m[fix, None]
+                norms[rescue] = m[fix] * np.sqrt(coord_dot(W, W))
         return norms
 
     def dual_norm(self, v) -> float:
-        """Dual norm: l2 for Euclidean geometries, l-infinity on the simplex.
-
-        Shares its arithmetic with the row variant so that single-run and
-        batched trajectories agree bitwise, except that a finite vector whose
-        square overflows keeps its finite l2 norm, ``norm``'s (the row variant,
-        which the run loops call, gives it inf, and such a draw clips to 0).
-        """
+        """Dual norm: l2 for Euclidean geometries (``norm`` itself), l-infinity on the simplex."""
+        if self.kind != SIMPLEX:
+            return self.norm(v)
         v = _as_vector(v, self.dim)
-        with np.errstate(over="ignore"):
-            norm = float(self.dual_norm_many(v[None, :])[0])
-        return self.norm(v) if norm == np.inf and self.kind != SIMPLEX else norm
+        return float(self.dual_norm_many(v[None, :])[0])
 
     def dual_norm_many(self, V: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Row-wise dual norms of an (..., dim) array, written into ``out`` when it is given."""
@@ -232,7 +215,7 @@ class Geometry:
             terms = np.where(pos, Xp * (np.log(Xp) - np.log(Yp)), 0.0)
             return coord_sum(terms) + coord_sum(Y) - coord_sum(X)
         D = X - Y
-        return 0.5 * row_dots(D, D)
+        return 0.5 * coord_dot(D, D)
 
     # -- proximal step --------------------------------------------------------
 
@@ -309,7 +292,7 @@ class Geometry:
         if self.kind == EUCLIDEAN:
             return True
         if self.kind == BALL:
-            return bool(np.linalg.norm(x - self.center) <= self.radius + tol)
+            return bool(self.norm(x - self.center) <= self.radius + tol)
         return bool(np.all(x >= -tol) and abs(np.sum(x) - 1.0) <= tol)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:

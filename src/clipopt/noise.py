@@ -70,7 +70,7 @@ class TwoPointNoise:
 
     def __post_init__(self):
         _check_p(self.p)
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise ValueError("sigma must be >= 0")
         if not (0.0 < self.q <= 1.0):
             raise ValueError("spike probability q must lie in (0, 1]")
@@ -174,9 +174,9 @@ class RadialParetoNoise:
 
     def __post_init__(self):
         _check_p(self.p)
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise ValueError("sigma must be >= 0")
-        if self.tail_index <= self.p:
+        if not self.tail_index > self.p:
             raise ValueError("p-th moment would be infinite: tail index must exceed p")
         if self.tail_index > 2.0:
             raise ValueError("tail index must lie in (p, 2]")

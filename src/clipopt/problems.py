@@ -98,7 +98,7 @@ def make_quadratic(diag, shift=None) -> Problem:
     """
     diag = np.asarray(diag, dtype=float)
     d = diag.size
-    if np.any(diag <= 0):
+    if not np.all(diag > 0):
         raise ValueError("quadratic requires strictly positive curvature entries")
     shift = np.zeros(d) if shift is None else np.asarray(shift, dtype=float)
     if shift.shape != (d,):
@@ -143,7 +143,7 @@ def make_simplex_quadratic(target) -> Problem:
     """
     target = np.asarray(target, dtype=float)
     d = target.size
-    if abs(np.sum(target) - 1.0) > 1e-9 or np.any(target <= 0):
+    if not (abs(np.sum(target) - 1.0) <= 1e-9 and np.all(target > 0)):
         raise ValueError("target must lie strictly inside the probability simplex")
 
     like = _laid_out(target)
@@ -214,7 +214,7 @@ def make_quadratic_plus_norm(d: int, coef: float) -> Problem:
     G = 2*coef; the factor 2 is required, the same-constant variant fails when
     a step overshoots across the origin.
     """
-    if coef < 0:
+    if not coef >= 0:
         raise ValueError("nonsmooth coefficient must be >= 0")
 
     def value_many(X, out=None):

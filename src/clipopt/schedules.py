@@ -92,11 +92,11 @@ class ScheduleInputs:
     def __post_init__(self):
         if not (1.0 < self.p <= 2.0):
             raise ValueError("p must lie in (1, 2]")
-        if self.sigma < 0 or self.smoothness <= 0:
+        if not (self.sigma >= 0 and self.smoothness > 0):
             raise ValueError("sigma must be >= 0 and the smoothness constant positive")
         if not (0.0 < self.delta < 1.0):
             raise ValueError("failure probability delta must lie in (0, 1)")
-        if self.c1 <= 0 or self.c2 <= 0:
+        if not (self.c1 > 0 and self.c2 > 0):
             raise ValueError("dimension constants c1, c2 must be positive")
 
     @cached_property
@@ -213,7 +213,7 @@ class Schedule:
                  lambda_scale: float = 1.0):
         if mode not in ALL_MODES:
             raise ValueError(f"unknown schedule mode {mode!r}")
-        if lambda_scale <= 0:
+        if not lambda_scale > 0:
             raise ValueError("lambda_scale must be positive")
         self.mode = mode
         self.inputs = inputs

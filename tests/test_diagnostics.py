@@ -62,6 +62,19 @@ def test_mgf_grid_discrete_laws():
         assert all(not e.skipped for e in rep.entries)
 
 
+def test_discrete_law_zero_mean_check_is_relative_to_the_scale():
+    """The zero-mean check is relative to E|X|: the library's own asymmetric laws pass at any
+    radius, and the MGF bound holds for them, while a law whose mean is large against its
+    scale is rejected however small its values are; a point mass at 0 stays valid."""
+    for radius in np.geomspace(1e-9, 1e9, 19):
+        for p_up in (0.01, 0.3, 0.5):
+            law = diag.asymmetric_two_point(radius, p_up)
+            assert diag.check_mgf_bound(radius, np.linspace(0.0, 1.0 / radius, 9), law).passed
+    with pytest.raises(ValueError, match="zero mean"):
+        diag.DiscreteLaw(np.array([1e-12, 0.0]), np.array([0.5, 0.5]))
+    diag.DiscreteLaw(np.array([0.0]), np.array([1.0]))
+
+
 def test_mgf_out_of_range_grid_points_skipped():
     rep = diag.check_mgf_bound(1.0, [0.5, 2.0], diag.rademacher(1.0))
     assert not rep.entries[0].skipped

@@ -74,7 +74,20 @@ def test_norm_of_a_tiny_nonzero_vector_does_not_underflow():
     assert np.all(np.abs(norms - hypot) <= np.spacing(hypot))
     assert norms[2] == 0.0 and norms[3] == 5e-324
     V = np.random.default_rng(7).normal(size=(4096, 2))
-    assert np.array_equal(g.norm_many(V), np.sqrt(geo.row_dots(V, V)))
+    assert np.array_equal(g.norm_many(V), g.dual_norm_many(V))
+
+
+@pytest.mark.parametrize("make", [geo.euclidean, lambda d: geo.ball(d, 1.0)])
+def test_l2_dual_norm_is_the_norm_and_does_not_underflow(make):
+    """On the l2 kinds the public dual norm is ``norm`` bit for bit, on tiny, ordinary and
+    overflowing vectors alike, so a tiny nonzero vector keeps its norm (within 1 ulp of
+    ``np.hypot``); the suite turns any floating-point warning into an error."""
+    g = make(2)
+    for v in ([1e-300, 1e-300], [3e-160, 4e-160], [-5e-324, 0.0], [0.0, 0.0], [3.0, 4.0],
+              [0.1, -0.7], [1e200, 1e200], [1.2e308, 1e308]):
+        assert g.dual_norm(v) == g.norm(v)
+    hypot = np.hypot(1e-300, 1e-300)
+    assert abs(g.dual_norm([1e-300, 1e-300]) - hypot) <= np.spacing(hypot)
 
 
 def test_norm_dimension_mismatch():
@@ -298,6 +311,27 @@ def test_steps_and_mixes_match_numpy_expressions_bitwise(kind, d, n, order):
             assert got.shape == (n, d)
             np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
         np.testing.assert_array_equal(X.view(np.int64), X_bits)  # X itself is not written
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 7, 8, 9, 33, 130])
+def test_l2_row_reductions_are_layout_free_and_shared(d):
+    """Row norms, dual norms and divergences have the same bits on C- and Fortran-ordered
+    rows, and on the l2 kinds the primal and dual row norms agree bitwise where the squares
+    are normal: every l2 row reduction goes through ``coord_dot``."""
+    rng = np.random.default_rng(d)
+    X, Y = rng.standard_normal((2, 300, d))
+    P, Q = rng.dirichlet(np.ones(d), size=(2, 300))
+    for g in (geo.euclidean(d), geo.ball(d, 1.0), geo.simplex(d)):
+        A, B = (P, Q) if g.kind == geo.SIMPLEX else (X, Y)
+        Af, Bf = np.asfortranarray(A), np.asfortranarray(B)
+        assert A.flags.c_contiguous and (d == 1 or not Af.flags.c_contiguous)
+        for got, ref in ((g.norm_many(Af), g.norm_many(A)),
+                         (g.dual_norm_many(Af), g.dual_norm_many(A)),
+                         (g.bregman_many(Af, Bf), g.bregman_many(A, B))):
+            np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+        if g.kind != geo.SIMPLEX:
+            np.testing.assert_array_equal(g.dual_norm_many(A).view(np.int64),
+                                          g.norm_many(A).view(np.int64))
 
 
 def test_ball_projection_inside_is_identity():

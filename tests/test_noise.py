@@ -1,12 +1,14 @@
 """Noise calibration oracles: closed-form scales and Monte Carlo moments."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from clipopt import geometry as geo
 from clipopt import noise as nz
-from clipopt import problems
+from clipopt import problems, schedules
 
 
 def test_two_point_spike_magnitude():
@@ -38,6 +40,34 @@ def test_invalid_parameters_rejected():
         nz.TwoPointNoise(p=1.5, sigma=1.0, q=0.0)
     with pytest.raises(ValueError):
         nz.make_noise("bogus", 1.5, 1.0)
+
+
+def _inputs(**kw):
+    return schedules.ScheduleInputs(**{"p": 1.5, "sigma": 1.0, "smoothness": 1.0, **kw})
+
+
+NAN_PARAMETERS = {
+    "two_point_sigma": lambda: nz.TwoPointNoise(p=1.5, sigma=math.nan, q=0.5),
+    "radial_sigma": lambda: nz.RadialParetoNoise(p=1.5, sigma=math.nan, tail_index=1.75),
+    "radial_tail_index": lambda: nz.RadialParetoNoise(p=1.5, sigma=1.0, tail_index=math.nan),
+    "inputs_sigma": lambda: _inputs(sigma=math.nan),
+    "inputs_smoothness": lambda: _inputs(smoothness=math.nan),
+    "inputs_c1": lambda: _inputs(c1=math.nan),
+    "inputs_c2": lambda: _inputs(c2=math.nan),
+    "schedule_lambda_scale": lambda: schedules.Schedule("smd_known_t", _inputs(horizon=10, r1=1.0),
+                                                        lambda_scale=math.nan),
+    "ball_radius": lambda: geo.ball(2, math.nan),
+    "quadratic_diag": lambda: problems.make_quadratic([1.0, math.nan]),
+    "quadratic_plus_norm_coef": lambda: problems.make_quadratic_plus_norm(2, math.nan),
+    "simplex_target": lambda: problems.make_simplex_quadratic([0.5, math.nan]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_PARAMETERS))
+def test_nan_parameters_rejected(name):
+    """Each library range check rejects NaN, as the config layer does before it."""
+    with pytest.raises(ValueError):
+        NAN_PARAMETERS[name]()
 
 
 def test_two_point_moment_exact_at_q_one():
