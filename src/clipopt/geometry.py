@@ -104,6 +104,9 @@ def _pairwise_sum(A: np.ndarray, lo: int, d: int) -> np.ndarray:
 def coord_dot(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``np.einsum("...i,...i->...", A, B)``, bitwise, for any memory layout; written into
     ``out`` when it is given."""
+    if B is A and A.shape[-1] == 2:  # a sum of squares is never -0.0: coord_sum's + 0.0 is moot
+        sq = np.square(A)
+        return np.add(sq[..., 0], sq[..., 1], out=out)
     if A.shape[-1] > 2:
         C = np.ascontiguousarray(A)
         return np.einsum("...i,...i->...", C, C if B is A else np.ascontiguousarray(B),
@@ -172,11 +175,7 @@ class Geometry:
         """Row-wise dual norms of an (..., dim) array, written into ``out`` when it is given."""
         if self.kind == SIMPLEX:
             return np.maximum.reduce(np.abs(V), axis=-1, out=out)
-        if self.dim == 2:  # coord_dot's sum of two squares, inline: the loops call this per step
-            sq = np.square(V)
-            sq = np.add(sq[..., 0], sq[..., 1], out=out)
-        else:
-            sq = coord_dot(V, V, out=out)
+        sq = coord_dot(V, V, out=out)
         return np.sqrt(sq, out=sq)
 
     # -- mirror map ---------------------------------------------------------
@@ -222,7 +221,7 @@ class Geometry:
     def mirror_step(self, x, g, eta: float) -> np.ndarray:
         """Exact minimizer of ``eta*<g, u> + bregman(u, x)`` over the domain.
 
-        Same arithmetic as the row variant (bitwise), see ``dual_norm``.
+        Same arithmetic as ``mirror_step_many`` (bitwise).
         """
         x = _as_vector(x, self.dim)
         g = _as_vector(g, self.dim)
