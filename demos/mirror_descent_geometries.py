@@ -35,10 +35,9 @@ def main():
 
     # same objective restricted to a ball around its minimizer
     boxed = problems.Problem(
-        name="ball_quadratic", dim=2, geometry=ball(2, radius=2.0, center=quad.minimizer),
-        value=quad.value, grad=quad.grad, smoothness=quad.smoothness,
-        optimal_value=quad.optimal_value, minimizer=quad.minimizer,
-        value_many=quad.value_many, grad_many=quad.grad_many)
+        name="ball_quadratic", geometry=ball(2, radius=2.0, center=quad.minimizer),
+        value_many=quad.value_many, grad_many=quad.grad_many, smoothness=quad.smoothness,
+        optimal_value=quad.optimal_value, minimizer=quad.minimizer)
     for sigma in (0.0, 0.5):
         run(boxed, x1, sigma, "ball-constrained quadratic")
 

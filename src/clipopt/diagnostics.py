@@ -63,9 +63,12 @@ class DiscreteLaw:
         p = np.asarray(self.probs, dtype=float)
         if v.shape != p.shape or v.ndim != 1:
             raise ValueError("values and probs must be matching 1-d arrays")
-        if abs(p.sum() - 1.0) > 1e-12 or np.any(p < 0):
+        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(p))):
+            raise ValueError("values and probs must be finite")
+        # written so that a NaN (an overflowing sum) fails each check
+        if not (abs(p.sum() - 1.0) <= 1e-12 and np.all(p >= 0)):
             raise ValueError("probs must be a distribution")
-        if abs(v @ p) > 1e-12 * (np.abs(v) @ p):  # relative to E|X|, so a law at any scale passes
+        if not abs(v @ p) <= 1e-12 * (np.abs(v) @ p):  # relative to E|X|: any scale passes
             raise ValueError("law must have zero mean")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "probs", p)
@@ -123,6 +126,11 @@ def check_mgf_bound(radius: float, lambdas, law) -> MgfReport:
     Grid points beyond ``1/radius`` are outside the bound's range and are
     reported as skipped.
     """
+    if not 0.0 < radius < math.inf:
+        raise ValueError("radius must be a positive finite number")
+    lambdas = np.asarray(lambdas, dtype=float)
+    if np.any(np.isnan(lambdas)):
+        raise ValueError("lambdas must not be NaN")
     report = MgfReport(radius=radius)
     exact = isinstance(law, DiscreteLaw)
     if exact:
@@ -131,11 +139,11 @@ def check_mgf_bound(radius: float, lambdas, law) -> MgfReport:
         second = float(law.probs @ law.values ** 2)
     else:
         draws = np.asarray(law, dtype=float)
-        if np.any(np.abs(draws) > radius * (1 + 1e-12)):
+        if not np.all(np.abs(draws) <= radius * (1 + 1e-12)):  # a NaN draw fails too
             raise ValueError("draws exceed the stated radius")
         second = float(np.mean(draws ** 2))
         report.mc_samples = draws.size
-    for lam in np.asarray(lambdas, dtype=float):
+    for lam in lambdas:
         if lam < 0 or lam * radius > 1.0 + 1e-12:
             report.entries.append(MgfEntry(float(lam), math.nan, math.nan, True, skipped=True))
             continue
@@ -227,7 +235,6 @@ class PathwiseReport:
     steps: int
     violations: list
     min_margin: float
-    tol: float
 
     @property
     def passed(self) -> bool:
@@ -313,7 +320,7 @@ def _pathwise(name: str, t, margins, out_of_range, tol: float) -> list:
     margin -inf, and a NaN margin fails."""
     margins = np.where(out_of_range, -np.inf, margins)
     return [PathwiseReport(name, t.size, [(int(s), float(m)) for s, m in zip(t[bad], row[bad])],
-                           float(np.min(row)), tol)
+                           float(np.min(row)))
             for row, bad in zip(margins, ~(margins >= -tol))]
 
 

@@ -48,7 +48,6 @@ class TrialSummary:
     horizon: int
     n_seeds: int
     metrics: np.ndarray
-    final_gaps: np.ndarray
     median: float
     upper_quantile: float
     bound: float
@@ -157,9 +156,8 @@ def run_trials(cfg: ExperimentConfig, write: bool = True) -> TrialSummary:
     summary = TrialSummary(
         digest=config_digest(cfg), algorithm=cfg.algorithm, mode=cfg.mode, p=cfg.p,
         horizon=cfg.horizon, n_seeds=cfg.n_seeds, metrics=metrics,
-        final_gaps=result.final_gap, median=float(np.median(metrics)),
-        upper_quantile=upper_quantile(metrics, 1.0 - cfg.delta), bound=bound,
-        failure_rate=failures, failure_stderr=stderr,
+        median=float(np.median(metrics)), upper_quantile=upper_quantile(metrics, 1.0 - cfg.delta),
+        bound=bound, failure_rate=failures, failure_stderr=stderr,
         diverged=int(np.sum(result.diverged)),
     )
     if write and cfg.out_dir:
@@ -208,8 +206,8 @@ def fit_power_law(horizons, values) -> tuple[float, float, float]:
     """OLS slope/intercept/R^2 of log(values) against log(horizons)."""
     horizons = np.asarray(horizons, dtype=float)
     values = np.asarray(values, dtype=float)
-    if np.any(values <= 0):
-        raise ValueError("nonpositive metric: log-log fit undefined")
+    if not np.all((values > 0) & np.isfinite(values)):
+        raise ValueError("nonpositive or non-finite metric: log-log fit undefined")
     x, y = np.log(horizons), np.log(values)
     if np.amax(x) == np.amin(x):
         raise ValueError("all horizons identical: log-log fit undefined")

@@ -33,19 +33,33 @@ class Problem:
     geometry's norm pair.  ``lipschitz_g`` is the constant of the additive
     nonsmooth upper-bound term (zero for smooth instances).  ``minimizer`` is
     None for nonconvex instances without a known unique minimizer location.
+    ``value`` and ``grad`` default to the row forms at one row, so a point's
+    value and gradient share the rows' arithmetic bitwise.
     """
 
     name: str
-    dim: int
     geometry: geo.Geometry
-    value: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
+    value_many: Callable[..., np.ndarray]
+    grad_many: Callable[..., np.ndarray]
     smoothness: float
     optimal_value: float
     minimizer: np.ndarray | None = None
     lipschitz_g: float = 0.0
-    value_many: Callable[..., np.ndarray] | None = None
-    grad_many: Callable[..., np.ndarray] | None = None
+    value: Callable[[np.ndarray], float] | None = None
+    grad: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self):
+        value_many, grad_many = self.value_many, self.grad_many
+        if self.value is None:
+            object.__setattr__(self, "value", lambda x: float(
+                value_many(np.asarray(x, dtype=float)[None, :])[0]))
+        if self.grad is None:
+            object.__setattr__(self, "grad", lambda x: grad_many(
+                np.asarray(x, dtype=float)[None, :])[0])
+
+    @property
+    def dim(self) -> int:
+        return self.geometry.dim
 
     def gap(self, x) -> float:
         """Function value gap ``f(x) - f*``."""
@@ -78,18 +92,6 @@ def _laid_out(*vecs: np.ndarray):
     return like
 
 
-def _scalars_from_many(value_many, grad_many):
-    """Scalar value/grad sharing the row implementations' arithmetic bitwise."""
-
-    def value(x):
-        return float(value_many(np.asarray(x, dtype=float)[None, :])[0])
-
-    def grad(x):
-        return grad_many(np.asarray(x, dtype=float)[None, :])[0]
-
-    return value, grad
-
-
 def make_quadratic(diag, shift=None) -> Problem:
     """Diagonal quadratic ``0.5 * sum_i diag_i (x_i - shift_i)^2`` on l2 space.
 
@@ -118,13 +120,9 @@ def make_quadratic(diag, shift=None) -> Problem:
         R = np.subtract(X, shift_x, out=out)
         return np.multiply(diag_x, R, out=R)
 
-    value, grad = _scalars_from_many(value_many, grad_many)
     return Problem(
         name="quadratic",
-        dim=d,
         geometry=geo.euclidean(d),
-        value=value,
-        grad=grad,
         smoothness=float(np.max(diag)),
         optimal_value=0.0,
         minimizer=shift.copy(),
@@ -155,13 +153,9 @@ def make_simplex_quadratic(target) -> Problem:
     def grad_many(X, out=None):
         return np.subtract(X, like(X)[0], out=out)
 
-    value, grad = _scalars_from_many(value_many, grad_many)
     return Problem(
         name="simplex_quadratic",
-        dim=d,
         geometry=geo.simplex(d),
-        value=value,
-        grad=grad,
         smoothness=1.0,
         optimal_value=0.0,
         minimizer=target.copy(),
@@ -176,9 +170,6 @@ def make_nonconvex_ratio(d: int) -> Problem:
     The second derivative of ``u^2/(1+u^2)`` is ``(2 - 6u^2)/(1+u^2)^3``,
     maximal in absolute value at u = 0 where it equals 2, so L = 2.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-
     def value_many(X, out=None):
         S = np.square(X)
         R = np.add(1.0, S)
@@ -190,13 +181,9 @@ def make_nonconvex_ratio(d: int) -> Problem:
         np.square(D, out=D)
         return np.divide(2.0 * X, D, out=D)
 
-    value, grad = _scalars_from_many(value_many, grad_many)
     return Problem(
         name="nonconvex_ratio",
-        dim=d,
         geometry=geo.euclidean(d),
-        value=value,
-        grad=grad,
         smoothness=2.0,
         optimal_value=0.0,
         minimizer=np.zeros(d),
@@ -226,13 +213,9 @@ def make_quadratic_plus_norm(d: int, coef: float) -> Problem:
         scale = np.where(n > 0, 1.0 + coef / np.maximum(n, 1e-300), 1.0)
         return np.multiply(X, scale[..., None], out=out)
 
-    value, grad = _scalars_from_many(value_many, grad_many)
     return Problem(
         name="quadratic_plus_norm",
-        dim=d,
         geometry=geo.euclidean(d),
-        value=value,
-        grad=grad,
         smoothness=1.0,
         optimal_value=0.0,
         minimizer=np.zeros(d),

@@ -279,7 +279,7 @@ C_OVERRIDES = ["-1.0", "0.0", "5e-324", "1e-300", "1.0", "1e4", "1e300", "1e308"
 
 
 @given(config_file=st.sampled_from(["smd_heavy_tail.cfg", "sgd_rates.cfg", "asmd",
-                                    "diagnose_smd.cfg"]),
+                                    "diagnose_smd.cfg", "rates"]),
        values=st.fixed_dictionaries({key: st.none() | st.sampled_from(choices)
                                      for key, choices in EXTREMES.items()}),
        c_override=st.none() | st.sampled_from(C_OVERRIDES))
@@ -297,11 +297,15 @@ C_OVERRIDES = ["-1.0", "0.0", "5e-324", "1e-300", "1.0", "1e4", "1e300", "1e308"
 def test_extreme_values_run_or_exit_2(tmp_path, capsys, config_file, values, c_override):
     """Boundary and extreme moment, confidence, schedule, problem and diagnostics values
     either run or are rejected with exit 2 naming a section.key; none ends in a traceback.
-    ``diagnose`` may also exit 1 for a check that fails, with nothing on stderr."""
-    command = "diagnose" if config_file == "diagnose_smd.cfg" else "run"
+    ``diagnose`` may also exit 1 for a check that fails, with nothing on stderr, and
+    ``rates`` for a median that has no logarithm; a slope it prints is finite."""
+    command = {"diagnose_smd.cfg": "diagnose", "rates": "rates"}.get(config_file, "run")
     argv = [command, "--config", str(DEMO_CONFIGS / "smd_heavy_tail.cfg"), "--out", str(tmp_path),
             "--set", "experiment.t=16", "--set", "experiment.seeds=3"]
-    if config_file == "asmd":
+    if config_file == "rates":
+        argv[2] = str(DEMO_CONFIGS / "sgd_rates.cfg")
+        argv += ["--set", "experiment.seeds=100", "--set", "experiment.t_grid=16,32,64,128"]
+    elif config_file == "asmd":
         argv += ["--set", "experiment.algorithm=asmd", "--set", "schedule.mode=asmd_known_t"]
         if c_override is not None:
             argv += ["--set", f"schedule.c_override={c_override}"]
@@ -313,8 +317,12 @@ def test_extreme_values_run_or_exit_2(tmp_path, capsys, config_file, values, c_o
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "fewer than 30 seeds", UserWarning)
         rc = cli.main(argv)
-    err = capsys.readouterr().err
-    assert rc in (0, 2) or (command == "diagnose" and rc == 1 and not err), err
+    out, err = capsys.readouterr()
+    assert rc in (0, 2) or (command == "diagnose" and rc == 1 and not err) \
+        or (command == "rates" and rc == 1 and "log-log fit undefined" in err), err
+    if command == "rates" and rc == 0:
+        last = out.splitlines()[-1]
+        assert "nan" not in last and "inf" not in last, out
     if rc == 2:
         named = err.removeprefix("config error: ").split(":")[0]
         assert tuple(named.split(".")) in config._SCHEMA, err
@@ -349,6 +357,15 @@ def test_cmd_rates_short_grid_exit_2(tmp_path, capsys):
         cfgfile = _write(tmp_path, MINIMAL.replace("seeds = 31", f"seeds = 100\nt_grid = {grid}"))
         assert cli.main(["rates", "--config", cfgfile]) == 2
         assert "config error: experiment.t_grid:" in capsys.readouterr().err
+
+
+def test_cmd_rates_diverged_medians_exit_1(capsys):
+    """Every seed diverges at every horizon: no slope is printed, and no warning leaks."""
+    rc = cli.main(["rates", "--config", str(DEMO_CONFIGS / "sgd_rates.cfg"),
+                   "--set", "schedule.eta_scale=1e200", "--set", "experiment.t_grid=16,32,64,128"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and not out
+    assert err.startswith("error: ") and "log-log fit undefined" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["run", "rates"])

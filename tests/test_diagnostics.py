@@ -75,6 +75,27 @@ def test_discrete_law_zero_mean_check_is_relative_to_the_scale():
     diag.DiscreteLaw(np.array([0.0]), np.array([1.0]))
 
 
+_NAN, _INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("values, probs, radius, lam, match", [
+    ([_NAN, 0.0], [0.5, 0.5], 1.0, 0.5, "finite"),
+    ([1.0, -1.0], [_NAN, 0.5], 1.0, 0.5, "finite"),
+    ([_INF, -_INF], [0.5, 0.5], 1.0, 0.5, "finite"),
+    ([1.0, -1.0], [_INF, 0.5], 1.0, 0.5, "finite"),
+    ([1.0, -1.0], [0.5, 0.5], _NAN, 0.5, "positive finite"),
+    ([1.0, -1.0], [0.5, 0.5], _INF, 0.5, "positive finite"),
+    ([1.0, -1.0], [0.5, 0.5], 0.0, 0.5, "positive finite"),
+    ([1.0, -1.0], [0.5, 0.5], 1.0, _NAN, "NaN"),
+], ids=["nan-value", "nan-prob", "inf-values", "inf-prob", "nan-radius", "inf-radius",
+        "zero-radius", "nan-lambda"])
+def test_non_finite_law_or_radius_rejected(values, probs, radius, lam, match):
+    """A NaN or infinite value, probability or radius, or a NaN lambda, raises a ValueError
+    naming the input, before any arithmetic warns (warnings are errors here)."""
+    with pytest.raises(ValueError, match=match):
+        diag.check_mgf_bound(radius, [lam], diag.DiscreteLaw(np.array(values), np.array(probs)))
+
+
 def test_mgf_out_of_range_grid_points_skipped():
     rep = diag.check_mgf_bound(1.0, [0.5, 2.0], diag.rademacher(1.0))
     assert not rep.entries[0].skipped

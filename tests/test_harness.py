@@ -33,8 +33,10 @@ def test_fit_power_law_exact():
 
 
 def test_fit_power_law_rejects_nonpositive():
-    with pytest.raises(ValueError, match="log-log"):
-        harness.fit_power_law([1, 2, 4, 8], [1.0, 0.0, 0.1, 0.1])
+    """A zero, infinite or NaN median has no logarithm to fit; warnings are errors here."""
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="log-log fit undefined"):
+            harness.fit_power_law([1, 2, 4, 8], [1.0, bad, 0.1, 0.1])
 
 
 def test_fit_power_law_equals_linregress_bitwise():

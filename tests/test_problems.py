@@ -1,5 +1,7 @@
 """Problem factory oracles: values, gradients, constants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,9 +122,20 @@ def test_convex_minimizer_is_stationary(name):
     assert prob.geometry.dual_norm(prob.grad(prob.minimizer)) <= 1e-10
 
 
+# A problem built from its row forms only, as the geometry demo builds its ball quadratic.
+_QUAD = ALL_PROBLEMS["quadratic"]
+BALL_QUADRATIC = problems.Problem(
+    "ball_quadratic", geometry=geo.ball(2, 2.0, center=_QUAD.minimizer),
+    value_many=_QUAD.value_many, grad_many=_QUAD.grad_many, smoothness=_QUAD.smoothness,
+    optimal_value=_QUAD.optimal_value, minimizer=_QUAD.minimizer)
+
+
 def test_many_variants_match_scalar():
+    """A point's value and gradient are the row forms' bits at one row, and a problem's
+    dimension is its geometry's."""
     rng = np.random.default_rng(13)
-    for prob in ALL_PROBLEMS.values():
+    for prob in [*ALL_PROBLEMS.values(), BALL_QUADRATIC]:
+        assert prob.dim == prob.geometry.dim
         X = np.stack([prob.geometry.sample(rng) for _ in range(8)])
         np.testing.assert_array_equal(prob.value_many(X),
                                       np.array([prob.value(x) for x in X]))
@@ -207,3 +220,19 @@ def test_out_forms_equal_allocating_forms_bitwise(layout, n, seed, special):
             out = np.empty_like(norms)
             assert geom.dual_norm_many(V, out=out) is out
             assert _bits(out).tobytes() == _bits(norms).tobytes() == _bits(ref).tobytes()
+
+
+def test_problem_fields_keep_what_they_are_given():
+    """``dim`` is no field; a replace keeps the gradient callables it is given, as the
+    benchmark's tracer wraps them, and a factory refuses dimension 0 through its geometry."""
+    assert "dim" not in {f.name for f in dataclasses.fields(problems.Problem)}
+    prob = ALL_PROBLEMS["quadratic"]
+    with pytest.raises(TypeError):
+        dataclasses.replace(prob, dim=3)
+    f, g = (lambda x: prob.grad(x)), (lambda X, out=None: prob.grad_many(X, out=out))
+    wrapped = dataclasses.replace(prob, grad=f, grad_many=g)
+    assert wrapped.grad is f and wrapped.grad_many is g and wrapped.value is prob.value
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        problems.make_nonconvex_ratio(0)
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        problems.make_quadratic_plus_norm(0, 0.25)
