@@ -3,7 +3,7 @@
 A small laboratory: geometries and mirror steps, calibrated heavy-tailed
 noise oracles, the clipping operator and its error decomposition, the
 schedules behind the high-probability guarantees, the three optimization
-loops, pathwise and Monte Carlo diagnostics for the analysis inequalities,
+loops, exact and pathwise diagnostics for the analysis inequalities,
 and a seeded experiment harness.
 """
 

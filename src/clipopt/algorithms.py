@@ -99,8 +99,6 @@ class StepTable:
 
 @dataclass
 class RunRecord:
-    algorithm: str
-    seed: int
     steps: int
     summary: float
     final_point: np.ndarray
@@ -114,7 +112,6 @@ class RunRecord:
 class BatchResult:
     """Per-seed summary arrays from a lockstep multi-seed run."""
 
-    algorithm: str
     seeds: np.ndarray
     summary: np.ndarray
     final_gap: np.ndarray
@@ -130,7 +127,7 @@ def run_smd(problem: Problem, oracle: Oracle, schedule: Schedule, steps: int, x1
     The per-step metric is the value gap at the new iterate; the summary is
     the average of those gaps, matching the average-gap guarantee.
     """
-    return _single("smd", _smd, problem, oracle, schedule, steps, x1, record)
+    return _single(_smd, problem, oracle, schedule, steps, x1, record)
 
 
 def run_asmd(problem: Problem, oracle: Oracle, schedule: Schedule, steps: int, y1,
@@ -141,7 +138,7 @@ def run_asmd(problem: Problem, oracle: Oracle, schedule: Schedule, steps: int, y
     momentum weight is 1, so the first query point coincides with the start.
     The summary is the final-iterate gap.
     """
-    return _single("asmd", _asmd, problem, oracle, schedule, steps, y1, record)
+    return _single(_asmd, problem, oracle, schedule, steps, y1, record)
 
 
 def run_sgd(problem: Problem, oracle: Oracle, schedule: Schedule, steps: int, x1,
@@ -151,7 +148,7 @@ def run_sgd(problem: Problem, oracle: Oracle, schedule: Schedule, steps: int, x1
     The per-step metric is the squared gradient norm at the visited point;
     the summary is its average over the run (the stationarity guarantee).
     """
-    return _single("sgd", _sgd, problem, oracle, schedule, steps, x1, record)
+    return _single(_sgd, problem, oracle, schedule, steps, x1, record)
 
 
 def run_vanilla_sgd(problem: Problem, oracle: Oracle, eta: float, steps: int, x1,
@@ -162,56 +159,55 @@ def run_vanilla_sgd(problem: Problem, oracle: Oracle, eta: float, steps: int, x1
     iterate has a coordinate beyond 1e12 in magnitude (or a NaN); it still runs
     all ``steps``, and its final point and record hold its actual iterates.
     """
-    return _single("vanilla-sgd", _vanilla, problem, oracle, eta, steps, x1, record)
+    return _single(_vanilla, problem, oracle, eta, steps, x1, record)
 
 
 def run_smd_batch(problem: Problem, noise_model, schedule: Schedule, steps: int, x1,
                   seeds, record: bool = False) -> BatchResult:
     """All seeds advanced in lockstep; identical arithmetic to ``run_smd``."""
-    return _batch("smd", _smd, problem, noise_model, schedule, steps, x1, seeds, record)
+    return _batch(_smd, problem, noise_model, schedule, steps, x1, seeds, record)
 
 
 def run_asmd_batch(problem: Problem, noise_model, schedule: Schedule, steps: int, y1,
                    seeds, record: bool = False) -> BatchResult:
-    return _batch("asmd", _asmd, problem, noise_model, schedule, steps, y1, seeds, record)
+    return _batch(_asmd, problem, noise_model, schedule, steps, y1, seeds, record)
 
 
 def run_sgd_batch(problem: Problem, noise_model, schedule: Schedule, steps: int, x1,
                   seeds, record: bool = False) -> BatchResult:
-    return _batch("sgd", _sgd, problem, noise_model, schedule, steps, x1, seeds, record)
+    return _batch(_sgd, problem, noise_model, schedule, steps, x1, seeds, record)
 
 
 def run_vanilla_sgd_batch(problem: Problem, noise_model, eta: float, steps: int, x1,
                           seeds, record: bool = False) -> BatchResult:
     """Unclipped lockstep baseline; identical arithmetic to ``run_vanilla_sgd``."""
-    return _batch("vanilla-sgd", _vanilla, problem, noise_model, eta, steps, x1, seeds, record)
+    return _batch(_vanilla, problem, noise_model, eta, steps, x1, seeds, record)
 
 
-def _single(algorithm, loop, problem, oracle, param, steps, x1, record) -> RunRecord:
+def _single(loop, problem, oracle, param, steps, x1, record) -> RunRecord:
     """The one-seed run fed by the oracle's dense noise block, as that seed's record."""
     noise = DenseDraws(oracle.noise_matrix(steps)[:, :, None])
-    res, X = _run(algorithm, loop, problem, param, steps, x1, [oracle.seed], noise, record)
-    return RunRecord(algorithm, oracle.seed, steps, float(res.summary[0]), X[0],
-                     float(res.final_gap[0]), float(res.clipped_fraction[0]),
-                     bool(res.diverged[0]), res.table)
+    res, X = _run(loop, problem, param, steps, x1, [oracle.seed], noise, record)
+    return RunRecord(steps, float(res.summary[0]), X[0], float(res.final_gap[0]),
+                     float(res.clipped_fraction[0]), bool(res.diverged[0]), res.table)
 
 
-def _batch(algorithm, loop, problem, noise_model, param, steps, x1, seeds, record) -> BatchResult:
+def _batch(loop, problem, noise_model, param, steps, x1, seeds, record) -> BatchResult:
     """Seed k's noise drawn from ``make_rng(seeds[k])`` (``noise.lockstep_draws``)."""
     seeds = np.asarray(list(seeds), dtype=int)
     check_noise_geometry(problem, noise_model)
     noise = lockstep_draws(noise_model, problem.dim, steps, seeds)
-    return _run(algorithm, loop, problem, param, steps, x1, seeds, noise, record)[0]
+    return _run(loop, problem, param, steps, x1, seeds, noise, record)[0]
 
 
-def _run(algorithm, loop, problem, param, steps, x1, seeds, noise, record):
+def _run(loop, problem, param, steps, x1, seeds, noise, record):
     """The seeds' results (a row with a non-finite final iterate, summary or gap is
     flagged diverged) and their final rows."""
-    tab = _step_table(steps, noise.n, x1, algorithm == "asmd") if record else None
+    tab = _step_table(steps, noise.n, x1, loop is _asmd) if record else None
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are flagged diverged
         summary, final_gap, clipped, X = loop(problem, param, steps, x1, noise, tab)
     diverged = ~(np.isfinite(summary) & np.isfinite(final_gap) & np.all(np.isfinite(X), axis=1))
-    res = BatchResult(algorithm, np.asarray(seeds), np.where(diverged, np.inf, summary),
+    res = BatchResult(np.asarray(seeds), np.where(diverged, np.inf, summary),
                       np.where(diverged, np.inf, final_gap), clipped / steps, diverged, tab)
     return res, X
 

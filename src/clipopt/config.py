@@ -238,7 +238,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
                           f"mode {cfg.mode!r} does not drive algorithm {cfg.algorithm!r}")
     if cfg.mu < 0:
         raise ConfigError("schedule.mu", "mu is a ratio of norms and must be >= 0")
-    for key, value in (("c1", cfg.c1), ("c2", cfg.c2), ("c_override", cfg.c_override)):
+    for key, value in (("c1", cfg.c1), ("c2", cfg.c2), ("c_override", cfg.c_override),
+                       ("lambda_scale", cfg.lambda_scale)):
         if value is not None and value <= 0:
             raise ConfigError(f"schedule.{key}", "must be positive")
     if cfg.resamples < 100:
@@ -293,11 +294,15 @@ def _first_reset(cfg: ExperimentConfig, attrs, in_range) -> str | None:
     return None
 
 
+# The problem vectors that place the start relative to the minimizer, in the order blamed.
+_START_VECTORS = ("x1", "diag", "shift")
+
+
 def _check_start(cfg: ExperimentConfig) -> None:
     """Reject a start whose schedule inputs overflow a double, naming the problem vector
     whose default brings them in range (else the start)."""
     if not _start_in_range(cfg):
-        key = _first_reset(cfg, ("x1", "diag", "shift"), _start_in_range) or "problem.x1"
+        key = _first_reset(cfg, _START_VECTORS, _start_in_range) or "problem.x1"
         raise ConfigError(key, "the value gap, gradient or distance to the minimizer at the "
                                "start overflows a double")
 
@@ -330,29 +335,38 @@ def _schedule_values_in_range(cfg: ExperimentConfig, problem, x1, horizon: int) 
     return math.isfinite(bound) and all(in_range(eta, lam) for eta, lam in pairs)
 
 
+def _schedule_builds(cfg: ExperimentConfig) -> bool:
+    """Whether the schedule takes the config's start (a convex mode needs r1 > 0, a
+    nonconvex one delta1 > 0)."""
+    try:
+        build_schedule(cfg, *build_problem(cfg))
+    except ConfigError:
+        return False
+    return True
+
+
 def _check_schedule_values(cfg: ExperimentConfig, problem, x1, horizon: int) -> None:
-    """Reject a config whose schedule is not finite, or whose clipping level underflows to 0,
-    or, with the martingale trace on, whose step is not positive or whose lambda_t^2 or
-    (eta_t lambda_t)^2 is 0, infinite or too small to invert, at horizon T, naming the key
-    behind it: a knob away from its default whose reset brings it in range, else the
-    moment order."""
+    """Reject a config whose schedule cannot take its start, naming the problem vector whose
+    default it takes (else the start); or whose schedule is not finite, or whose clipping
+    level underflows to 0, or, with the martingale trace on, whose step is not positive or
+    whose lambda_t^2 or (eta_t lambda_t)^2 is 0, infinite or too small to invert, at horizon
+    T, naming the key behind it: a knob or the curvature away from its default whose reset
+    brings it in range, else the moment order."""
     at = f"at p = {cfg.p}, sigma = {cfg.sigma}, delta = {cfg.delta}"
     try:
         if _schedule_values_in_range(cfg, problem, x1, horizon):
             return
     except OverflowError:
         raise ConfigError("noise.p", f"the schedule overflows a double {at}") from None
-    key = _first_reset(cfg, ("mu", "eta_scale", "lambda_scale", "c_override"),
-                       lambda c: _schedule_values_in_range(c, problem, x1, horizon))
-    if key is not None:
-        raise ConfigError(key, f"makes the schedule's step, clipping level or bound "
-                               f"non-finite, or the level 0 (or, for the martingale trace, the "
-                               f"step not positive, or the square of the level or of step times "
-                               f"level 0 or too small to invert), at T = {horizon}")
-    raise ConfigError("noise.p", f"the schedule's step, clipping level or bound is not finite, "
-                                 f"or the level is 0 (or, for the martingale trace, the step is not "
-                                 f"positive, or the square of the level or of step times level "
-                                 f"is 0 or too small to invert), at T = {horizon} {at}")
+    except ConfigError as exc:  # the schedule refuses the start (r1 or delta1 is 0)
+        key = _first_reset(cfg, _START_VECTORS, _schedule_builds) or "problem.x1"
+        raise ConfigError(key, str(exc.__cause__)) from None
+    condition = (f"the schedule's step, clipping level or bound is not finite, or the level is "
+                 f"0 (or, for the martingale trace, the step is not positive, or the square of "
+                 f"the level or of step times level is 0 or too small to invert), at T = {horizon}")
+    key = _first_reset(cfg, ("mu", "eta_scale", "lambda_scale", "c_override", "diag"),
+                       lambda c: _schedule_values_in_range(c, *build_problem(c), horizon))
+    raise ConfigError(key or "noise.p", condition if key else f"{condition} {at}")
 
 
 def build_problem(cfg: ExperimentConfig):

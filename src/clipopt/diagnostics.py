@@ -3,7 +3,7 @@
 Four layers of checks:
 
 * a moment-generating-function bound for bounded zero-mean variables,
-  verified exactly on discrete laws and by Monte Carlo on sampled ones;
+  verified exactly on discrete laws;
 * clipping-error bounds: the zero-mean part of the clipped-gradient error is
   never larger than twice the clipping level (exact), and when the true
   gradient is at most half the level, the bias and second moment obey
@@ -97,10 +97,7 @@ class MgfEntry:
 
 @dataclass
 class MgfReport:
-    radius: float
     entries: list = field(default_factory=list)
-    mc_samples: int = 0
-    mc_stderr_slack: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -110,54 +107,34 @@ class MgfReport:
         worst = min((e.rhs - e.lhs for e in self.entries if not e.skipped), default=math.inf)
         return {"name": "mgf_bound", "steps": len(self.entries), "violations":
                 sum(not e.passed for e in self.entries if not e.skipped),
-                "max_margin": worst, "stderr": self.mc_stderr_slack}
+                "max_margin": worst, "stderr": 0.0}
 
 
-# Standard errors of slack a Monte Carlo MGF comparison allows.
-_MC_SLACK_SIGMAS = 5.0
+def check_mgf_bound(radius: float, lambdas, law: DiscreteLaw) -> MgfReport:
+    """Verify ``E exp(l X) <= exp(0.75 l^2 E X^2)`` for ``0 <= l <= 1/radius``, exactly.
 
-
-def check_mgf_bound(radius: float, lambdas, law) -> MgfReport:
-    """Verify ``E exp(l X) <= exp(0.75 l^2 E X^2)`` for ``0 <= l <= 1/radius``.
-
-    ``law`` is either a :class:`DiscreteLaw` (exact expectations) or a 1-d
-    array of Monte Carlo draws from a bounded zero-mean law, in which case
-    the comparison allows ``_MC_SLACK_SIGMAS`` standard errors of slack.
+    ``law`` is a :class:`DiscreteLaw` whose support lies within ``radius``.
     Grid points beyond ``1/radius`` are outside the bound's range and are
     reported as skipped.
     """
+    if not isinstance(law, DiscreteLaw):
+        raise TypeError(f"law must be a DiscreteLaw, got {type(law).__name__}")
     if not 0.0 < radius < math.inf:
         raise ValueError("radius must be a positive finite number")
     lambdas = np.asarray(lambdas, dtype=float)
     if np.any(np.isnan(lambdas)):
         raise ValueError("lambdas must not be NaN")
-    report = MgfReport(radius=radius)
-    exact = isinstance(law, DiscreteLaw)
-    if exact:
-        if np.any(np.abs(law.values) > radius * (1 + 1e-12)):
-            raise ValueError("law support exceeds the stated radius")
-        second = float(law.probs @ law.values ** 2)
-    else:
-        draws = np.asarray(law, dtype=float)
-        if not np.all(np.abs(draws) <= radius * (1 + 1e-12)):  # a NaN draw fails too
-            raise ValueError("draws exceed the stated radius")
-        second = float(np.mean(draws ** 2))
-        report.mc_samples = draws.size
+    if np.any(np.abs(law.values) > radius * (1 + 1e-12)):
+        raise ValueError("law support exceeds the stated radius")
+    second = float(law.probs @ law.values ** 2)
+    report = MgfReport()
     for lam in lambdas:
         if lam < 0 or lam * radius > 1.0 + 1e-12:
             report.entries.append(MgfEntry(float(lam), math.nan, math.nan, True, skipped=True))
             continue
-        if exact:
-            lhs = float(law.probs @ np.exp(lam * law.values))
-            slack = 0.0
-        else:
-            vals = np.exp(lam * draws)
-            lhs = float(vals.mean())
-            stderr = float(vals.std(ddof=1) / math.sqrt(draws.size))
-            slack = _MC_SLACK_SIGMAS * stderr
-            report.mc_stderr_slack = max(report.mc_stderr_slack, slack)
+        lhs = float(law.probs @ np.exp(lam * law.values))
         rhs = math.exp(0.75 * lam * lam * second)
-        report.entries.append(MgfEntry(float(lam), lhs, rhs, lhs <= rhs + slack + 1e-15))
+        report.entries.append(MgfEntry(float(lam), lhs, rhs, lhs <= rhs + 1e-15))
     return report
 
 
@@ -344,7 +321,6 @@ class MartingaleTrace:
     cond_second_moment: np.ndarray
     bias_norm: np.ndarray
     crossed: bool
-    constants: dict
 
     def row(self) -> dict:
         return {"name": f"martingale_{self.algorithm}", "steps": self.weights.size,
@@ -383,7 +359,7 @@ def martingale_trace_smd(problem: Problem, noise_model, tab: StepTable, constant
                       - 2.0 * eta2 * m2)
     increments -= (3.0 / (8.0 * lam2)
                    + 24.0 * np.float_power(z, 2) * np.float_power(eta, 4) * lam2) * m2
-    return _traces("smd", delta, z, increments, m2, bias, {"Q": q_val})
+    return _traces("smd", delta, z, increments, m2, bias)
 
 
 def martingale_trace_sgd(problem: Problem, noise_model, tab: StepTable, constants: dict,
@@ -420,7 +396,7 @@ def martingale_trace_sgd(problem: Problem, noise_model, tab: StepTable, constant
                       - 1.5 * eta * bias_sq - L * eta2 * m2)
     increments -= (3.0 * z2 * L * eta2 * gap[:, :-1]
                    + 6.0 * L ** 2 * z2 * np.float_power(eta, 4) * np.float_power(lam, 2)) * m2
-    return _traces("sgd", delta, z, increments, m2, np.sqrt(bias_sq), {"C1": c1, "A": a_const})
+    return _traces("sgd", delta, z, increments, m2, np.sqrt(bias_sq))
 
 
 def _moments(problem, noise_model, X, levels) -> ClippedMoments:
@@ -432,12 +408,12 @@ def _moments(problem, noise_model, X, levels) -> ClippedMoments:
     return ClippedMoments._make(f.reshape(n, steps, *f.shape[1:]) for f in res)
 
 
-def _traces(algorithm, delta, z, increments, m2, bias, constants) -> list:
+def _traces(algorithm, delta, z, increments, m2, bias) -> list:
     """One trace per seed's row of the (n, steps) arrays."""
     threshold = math.log(1.0 / delta)
     running = np.cumsum(increments, axis=1)
     crossed = np.max(running, axis=1) >= threshold
-    return [MartingaleTrace(algorithm, threshold, *arrays, bool(c), constants)
+    return [MartingaleTrace(algorithm, threshold, *arrays, bool(c))
             for *arrays, c in zip(z, increments, running, m2, bias, crossed)]
 
 

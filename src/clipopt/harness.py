@@ -70,7 +70,6 @@ class RateFit:
     horizons: np.ndarray
     medians: np.ndarray
     slope: float
-    intercept: float
     r_squared: float
     exponent: float
     deviation: float
@@ -132,7 +131,6 @@ def _sweep(cfg: ExperimentConfig, horizon: int,
     parts = [runner(problem, noise_model, rule, horizon, x1, chunk)
              for chunk in _seed_chunks(seeds, horizon, noise_model.seed_step_bytes(problem.dim))]
     result = algos.BatchResult(
-        algorithm=parts[0].algorithm,
         seeds=np.concatenate([r.seeds for r in parts]),
         summary=np.concatenate([r.summary for r in parts]),
         final_gap=np.concatenate([r.final_gap for r in parts]),
@@ -229,12 +227,11 @@ def fit_rate(cfg: ExperimentConfig) -> RateFit:
         raise ConfigError("experiment.seeds", "rate fitting needs at least 100 seeds per horizon")
     medians = [float(np.median(_sweep(cfg, horizon, cfg.algorithm)[0].summary))
                for horizon in cfg.horizon_grid]
-    slope, intercept, r2 = fit_power_law(cfg.horizon_grid, medians)
+    slope, _, r2 = fit_power_law(cfg.horizon_grid, medians)
     exponent = theoretical_exponent(cfg)
     return RateFit(
         horizons=np.asarray(cfg.horizon_grid), medians=np.asarray(medians),
-        slope=slope, intercept=intercept, r_squared=r2, exponent=exponent,
-        deviation=slope - exponent,
+        slope=slope, r_squared=r2, exponent=exponent, deviation=slope - exponent,
     )
 
 

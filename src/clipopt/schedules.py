@@ -341,8 +341,6 @@ class ConditionCheck:
 
 @dataclass
 class ConditionReport:
-    mode: str
-    horizon: int
     checks: list = field(default_factory=list)
 
     @property
@@ -373,7 +371,7 @@ def verify_schedule_conditions(schedule: Schedule, horizon: int, run=None) -> Co
     c1, c2, c3, a_const = consts["C1"], consts["C2"], consts["C3"], consts["A"]
     p, sigma, L = s.p, s.sigma, s.smoothness
     sp = sigma ** p
-    report = ConditionReport(mode=schedule.mode, horizon=horizon)
+    report = ConditionReport()
     etas, lams, alphas = (schedule.table(horizon) if run is None
                           else (run.eta[0], run.lam[0], run.alpha))
     log_term = math.log(1.0 / s.delta)

@@ -187,8 +187,7 @@ def test_vanilla_row_that_escapes_and_comes_back_is_diverged():
     x1 = np.array([1.0, 0.0])
     block = np.zeros((6, 2, 1))
     block[0, 0, 0] = 1e13
-    res = algos._run("vanilla-sgd", algos._vanilla, prob, 1.0, 6, x1, [0], DenseDraws(block),
-                     False)[0]
+    res = algos._run(algos._vanilla, prob, 1.0, 6, x1, [0], DenseDraws(block), False)[0]
     assert res.diverged.tolist() == [True]
     assert res.summary[0] == np.inf and res.final_gap[0] == np.inf
 
@@ -200,11 +199,11 @@ def test_vanilla_nan_row_leaves_the_other_rows_alone():
     steps, n = 8, 3
     block = np.random.default_rng(0).standard_normal((steps, 2, n))
     block[2, 0, 1] = np.nan
-    batch = algos._run("vanilla-sgd", algos._vanilla, prob, 0.1, steps, x1, range(n),
+    batch = algos._run(algos._vanilla, prob, 0.1, steps, x1, range(n),
                        DenseDraws(block), True)[0]
     assert batch.diverged.tolist() == [False, True, False]
     for k in (0, 2):
-        one = algos._run("vanilla-sgd", algos._vanilla, prob, 0.1, steps, x1, [k],
+        one = algos._run(algos._vanilla, prob, 0.1, steps, x1, [k],
                          DenseDraws(block[:, :, k:k + 1].copy()), True)[0]
         assert batch.summary[k] == one.summary[0] and batch.final_gap[k] == one.final_gap[0]
         assert batch.table.x[k].tobytes() == one.table.x[0].tobytes()
@@ -584,8 +583,8 @@ def test_window_size_changes_no_bit(monkeypatch, algorithm, start, param, n):
             monkeypatch.setattr(nz, "_WINDOW_MIN_STEPS", 1)
         for record in (True, False):
             noise = nz.lockstep_draws(model, prob.dim, steps, range(n))
-            runs.append(algos._run(algorithm, LOOPS[algorithm], prob, param, steps, x1,
-                                   range(n), noise, record))
+            runs.append(algos._run(LOOPS[algorithm], prob, param, steps, x1, range(n), noise,
+                                   record))
     res, X = runs[0]
     if baseline and param > 1.0:  # diverged rows run every step, with infinite results
         assert res.diverged.any() and res.table.metric.shape == (n, steps)
@@ -639,7 +638,7 @@ def test_infinite_or_nan_norm_takes_the_clip(algorithm):
     block[1, 0, 0], block[2, 0, 1] = np.inf, np.nan  # seed 0 at step 2, seed 1 at step 3
     sched = schedules.Schedule(f"{algorithm}_known_t",
                                smd_inputs(prob, x1, sigma=1.0, horizon=steps))
-    res = algos._run(algorithm, LOOPS[algorithm], prob, sched, steps, x1, range(n),
+    res = algos._run(LOOPS[algorithm], prob, sched, steps, x1, range(n),
                      DenseDraws(block), True)[0]
     grads = res.table.grad_clipped
     assert np.isnan(grads[0, 1, 0]) and grads[0, 1, 1] == 0.0

@@ -278,6 +278,23 @@ EXTREMES = {
 C_OVERRIDES = ["-1.0", "0.0", "5e-324", "1e-300", "1.0", "1e4", "1e300", "1e308"]
 
 
+def _extremes_argv(config_file: str, out) -> list:
+    """The short run of ``config_file`` that the extreme values are set on: ``asmd`` is
+    ``smd_heavy_tail.cfg`` with the accelerated loop, ``diagnose_smd.cfg`` runs ``diagnose``
+    and ``rates`` runs ``rates`` on ``sgd_rates.cfg``."""
+    command = {"diagnose_smd.cfg": "diagnose", "rates": "rates"}.get(config_file, "run")
+    argv = [command, "--config", str(DEMO_CONFIGS / "smd_heavy_tail.cfg"), "--out", str(out),
+            "--set", "experiment.t=16", "--set", "experiment.seeds=3"]
+    if config_file == "rates":
+        argv[2] = str(DEMO_CONFIGS / "sgd_rates.cfg")
+        argv += ["--set", "experiment.seeds=100", "--set", "experiment.t_grid=16,32,64,128"]
+    elif config_file == "asmd":
+        argv += ["--set", "experiment.algorithm=asmd", "--set", "schedule.mode=asmd_known_t"]
+    else:
+        argv[2] = str(DEMO_CONFIGS / config_file)
+    return argv
+
+
 @given(config_file=st.sampled_from(["smd_heavy_tail.cfg", "sgd_rates.cfg", "asmd",
                                     "diagnose_smd.cfg", "rates"]),
        values=st.fixed_dictionaries({key: st.none() | st.sampled_from(choices)
@@ -299,18 +316,10 @@ def test_extreme_values_run_or_exit_2(tmp_path, capsys, config_file, values, c_o
     either run or are rejected with exit 2 naming a section.key; none ends in a traceback.
     ``diagnose`` may also exit 1 for a check that fails, with nothing on stderr, and
     ``rates`` for a median that has no logarithm; a slope it prints is finite."""
-    command = {"diagnose_smd.cfg": "diagnose", "rates": "rates"}.get(config_file, "run")
-    argv = [command, "--config", str(DEMO_CONFIGS / "smd_heavy_tail.cfg"), "--out", str(tmp_path),
-            "--set", "experiment.t=16", "--set", "experiment.seeds=3"]
-    if config_file == "rates":
-        argv[2] = str(DEMO_CONFIGS / "sgd_rates.cfg")
-        argv += ["--set", "experiment.seeds=100", "--set", "experiment.t_grid=16,32,64,128"]
-    elif config_file == "asmd":
-        argv += ["--set", "experiment.algorithm=asmd", "--set", "schedule.mode=asmd_known_t"]
-        if c_override is not None:
-            argv += ["--set", f"schedule.c_override={c_override}"]
-    else:
-        argv[2] = str(DEMO_CONFIGS / config_file)
+    argv = _extremes_argv(config_file, tmp_path)
+    command = argv[0]
+    if config_file == "asmd" and c_override is not None:
+        argv += ["--set", f"schedule.c_override={c_override}"]
     for key, value in values.items():
         if value is not None:
             argv += ["--set", f"{key}={value}"]
@@ -326,6 +335,34 @@ def test_extreme_values_run_or_exit_2(tmp_path, capsys, config_file, values, c_o
     if rc == 2:
         named = err.removeprefix("config error: ").split(":")[0]
         assert tuple(named.split(".")) in config._SCHEMA, err
+
+
+# The single values whose rejection names another key, each for its reason: with the file's
+# x1 = 4,0, a far-out shift puts the start out of range, and the start is the first suspect;
+# on sgd_rates.cfg (p = 2), radial noise needs a tail index above its default 1.75.
+OTHER_KEY = {("problem.shift", "1e300,0"): "problem.x1",
+             ("problem.shift", "1e308,-1e308"): "problem.x1",
+             ("noise.kind", "radial_pareto"): "noise.tail_index"}
+
+
+def test_single_extreme_value_names_its_key(tmp_path, capsys):
+    """Each extreme value set alone (and, on the accelerated run, each accelerated constant)
+    either runs or is rejected with exit 2 naming the key that was set, or its listed
+    alternate."""
+    wrong = []
+    for config_file in ("smd_heavy_tail.cfg", "asmd", "diagnose_smd.cfg", "rates"):
+        argv = _extremes_argv(config_file, tmp_path)
+        table = {**EXTREMES, "schedule.c_override": C_OVERRIDES if config_file == "asmd" else []}
+        for key, values in table.items():
+            for value in values:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "fewer than 30 seeds", UserWarning)
+                    rc = cli.main([*argv, "--set", f"{key}={value}"])
+                err = capsys.readouterr().err
+                named = OTHER_KEY.get((key, value), key)
+                if rc == 2 and not err.startswith(f"config error: {named}: "):
+                    wrong.append((config_file, key, value, err))
+    assert not wrong
 
 
 def test_cmd_run_writes_only_inside_out_dir(tmp_path):
@@ -504,16 +541,16 @@ def test_cmd_diagnose_records_one_run(tmp_path, monkeypatch, overrides):
     calls = []
     single = algorithms._single
 
-    def counting(algorithm, *args):
-        calls.append(algorithm)
-        return single(algorithm, *args)
+    def counting(loop, *args):
+        calls.append(loop)
+        return single(loop, *args)
 
     monkeypatch.setattr(algorithms, "_single", counting)
     args = ["diagnose", "--config", str(DEMO_CONFIGS / "diagnose_smd.cfg"), "--out", str(tmp_path)]
     for assignment in overrides:
         args += ["--set", assignment]
     assert cli.main(args) == 0
-    assert calls == ["sgd" if overrides == SGD_VARIANT else "smd"]
+    assert calls == [algorithms._sgd if overrides == SGD_VARIANT else algorithms._smd]
 
 
 def test_cmd_diagnose_baseline_checks_conditions_without_a_run(tmp_path, capsys, monkeypatch):

@@ -103,13 +103,11 @@ def test_mgf_out_of_range_grid_points_skipped():
     assert rep.passed
 
 
-def test_mgf_monte_carlo_law():
-    rng = make_rng(0)
-    draws = rng.uniform(-1.0, 1.0, size=1_000_000)
-    draws -= draws.mean()  # re-center so the sample is exactly zero-mean
-    rep = diag.check_mgf_bound(1.01, np.linspace(0, 1.0 / 1.01, 10), draws)
-    assert rep.passed
-    assert rep.mc_samples == 1_000_000
+def test_mgf_rejects_an_array_of_draws():
+    """The check is exact: a sample of a law is not a law, and is refused."""
+    draws = make_rng(0).uniform(-1.0, 1.0, size=1000)
+    with pytest.raises(TypeError, match="DiscreteLaw"):
+        diag.check_mgf_bound(1.0, [0.5], draws)
 
 
 def test_mgf_strict_inequality_inside_range():
