@@ -10,8 +10,14 @@ compares equal, so configs round-trip.
 
 Each key is declared once, as an ``ExperimentConfig`` field that carries its
 section.key and value kind.  The field's default is the value of a key no config
-sets, and the value validation resets a key to when it looks for the key to blame:
-the first suspect whose reset brings the config back in range is the one named.
+sets, and the value validation resets a key to when it looks for the key to blame.
+
+The start and the schedule are checked by one fault check (``_fault``): the
+start's schedule inputs must be finite doubles the schedule takes, and at each
+horizon the schedule's formulas, bound, steps and levels must stay in range.
+A fault is blamed on the first suspect, in the order x1, diag, shift, target,
+mu, eta_scale, lambda_scale, c_override, whose reset makes the whole config
+valid; with none, on the fault's own key (problem.x1 or noise.p).
 """
 
 from __future__ import annotations
@@ -239,23 +245,25 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.mu < 0:
         raise ConfigError("schedule.mu", "mu is a ratio of norms and must be >= 0")
     for key, value in (("c1", cfg.c1), ("c2", cfg.c2), ("c_override", cfg.c_override),
-                       ("lambda_scale", cfg.lambda_scale)):
+                       ("lambda_scale", cfg.lambda_scale), ("vanilla_eta", cfg.vanilla_eta)):
         if value is not None and value <= 0:
             raise ConfigError(f"schedule.{key}", "must be positive")
     if cfg.resamples < 100:
         raise ConfigError("diagnostics.resamples", "need at least 100 resamples")
     # build everything once so module-level constraints surface at load time
     try:
-        problem, x1 = build_problem(cfg)
-        _check_start(cfg)
+        problem, _ = build_problem(cfg)
         noise_model = build_noise(cfg)
         _check_spike(cfg, noise_model)
         try:
             noise_mod.check_noise_geometry(problem, noise_model)
         except ValueError as exc:
             raise ConfigError("noise.kind", str(exc)) from exc
-        for horizon in sorted({cfg.horizon, *(cfg.horizon_grid or ())}):
-            _check_schedule_values(cfg, problem, x1, horizon)
+        fault = _fault(cfg)
+        if fault is not None:
+            fallback, message, detail = fault
+            key = _first_reset(cfg, lambda c: _fault(c) is None)
+            raise ConfigError(key or fallback, message if key else message + detail)
     except ConfigError:
         raise
     except (ValueError, RuntimeError) as exc:
@@ -275,98 +283,65 @@ def _check_spike(cfg: ExperimentConfig, noise_model) -> None:
                                      f"p = {cfg.p}, sigma = {cfg.sigma}, q = {cfg.q}")
 
 
-def _start_in_range(cfg: ExperimentConfig) -> bool:
-    """Whether the start's value gap, gradient norm and distance to the minimizer, the
-    inputs every schedule is derived from, are finite doubles."""
-    problem, x1 = build_problem(cfg)
-    s = schedules_mod.derive_inputs(problem, x1, p=cfg.p, sigma=cfg.sigma, delta=cfg.delta)
-    return all(math.isfinite(v) for v in (s.delta1, s.grad1_bound, s.r1 or 0.0))
-
-
-def _first_reset(cfg: ExperimentConfig, attrs, in_range) -> str | None:
-    """The ``section.key`` of the first attribute in ``attrs`` away from its default whose
-    reset to the default makes ``in_range`` hold for the config, else None."""
-    for attr in attrs:
-        default = _FIELDS[attr].default
-        if getattr(cfg, attr) != default and in_range(
-                dataclasses.replace(cfg, **{attr: default})):
-            return _FIELDS[attr].metadata["key"]
-    return None
-
-
-# The problem vectors that place the start relative to the minimizer, in the order blamed.
-_START_VECTORS = ("x1", "diag", "shift")
-
-
-def _check_start(cfg: ExperimentConfig) -> None:
-    """Reject a start whose schedule inputs overflow a double, naming the problem vector
-    whose default brings them in range (else the start)."""
-    if not _start_in_range(cfg):
-        key = _first_reset(cfg, _START_VECTORS, _start_in_range) or "problem.x1"
-        raise ConfigError(key, "the value gap, gradient or distance to the minimizer at the "
-                               "start overflows a double")
-
-
 def _invertible(x: float) -> bool:
     """Whether ``x`` and ``1 / x`` are positive finite doubles."""
     return 0 < x < math.inf and 1.0 / x < math.inf
 
 
-def _schedule_values_in_range(cfg: ExperimentConfig, problem, x1, horizon: int) -> bool:
-    """Whether the schedule's step and level at t = 1 and t = T (the parameter-free mode's at
-    displacement 0: each row's first step, its largest step and smallest level) and its
-    bound are finite doubles and the levels positive, and, when the martingale trace is on,
-    the steps positive and the squares lambda_t^2 and (eta_t lambda_t)^2 it divides by
-    positive finite doubles with finite reciprocals; a formula that overflows raises
-    ``OverflowError``."""
-    schedule = build_schedule(cfg, problem, x1, horizon=horizon)
-    try:
-        bound = schedules_mod.theorem_bound(schedule, horizon)
-        pairs = [schedule.pair(1), schedule.pair(horizon)]
-    except ZeroDivisionError:  # a step size, or the divisor of one, that underflowed to 0
-        return False
+def _fault(cfg: ExperimentConfig):
+    """The first fault of the config's start or schedule as ``(key, message, detail)``, else
+    None: ``key`` is named when no suspect's reset mends the config, and its message then
+    gains ``detail``.  The faults, in order: the start's value gap, gradient norm or
+    distance to the minimizer is not a finite double; the schedule refuses the start (a
+    convex mode needs r1 > 0, a nonconvex one delta1 > 0); and, at each horizon T, a
+    schedule formula overflows, or the bound or the step and level at t = 1 and t = T (the
+    parameter-free mode's at displacement 0: each row's first step, its largest step and
+    smallest level) are not finite doubles, or a level is 0, or, when the martingale trace
+    is on, a step is not positive or the squares lambda_t^2 and (eta_t lambda_t)^2 it
+    divides by are not positive finite doubles with finite reciprocals."""
+    problem, x1 = build_problem(cfg)
+    s = schedules_mod.derive_inputs(problem, x1, p=cfg.p, sigma=cfg.sigma, delta=cfg.delta)
+    if not all(math.isfinite(v) for v in (s.delta1, s.grad1_bound, s.r1 or 0.0)):
+        return ("problem.x1", "the value gap, gradient or distance to the minimizer at the "
+                              "start overflows a double", "")
+    at = f" at p = {cfg.p}, sigma = {cfg.sigma}, delta = {cfg.delta}"
+    for horizon in sorted({cfg.horizon, *(cfg.horizon_grid or ())}):
+        try:
+            schedule = build_schedule(cfg, problem, x1, horizon=horizon)
+            bound = schedules_mod.theorem_bound(schedule, horizon)
+            pairs = [schedule.pair(1), schedule.pair(horizon)]
+        except ConfigError as exc:  # the schedule refuses the start
+            return "problem.x1", str(exc.__cause__), ""
+        except OverflowError:
+            return "noise.p", "the schedule overflows a double", at
+        except ZeroDivisionError:  # a step size, or the divisor of one, that underflowed to 0
+            bound, pairs = math.nan, []
+        if not (math.isfinite(bound) and all(
+                math.isfinite(eta) and 0 < lam < math.inf
+                and (not cfg.martingale or (eta > 0 and _invertible(lam * lam)
+                                            and _invertible((eta * lam) * (eta * lam))))
+                for eta, lam in pairs)):
+            return ("noise.p", "the schedule's step, clipping level or bound is not finite, or "
+                               "the level is 0 (or, for the martingale trace, the step is not "
+                               "positive, or the square of the level or of step times level "
+                               f"is 0 or too small to invert), at T = {horizon}", at)
+    return None
 
-    def in_range(eta, lam):
-        if not (math.isfinite(eta) and 0 < lam < math.inf):
-            return False
-        return not cfg.martingale or (eta > 0 and _invertible(lam * lam)
-                                      and _invertible((eta * lam) * (eta * lam)))
 
-    return math.isfinite(bound) and all(in_range(eta, lam) for eta, lam in pairs)
+# The keys a fault of the start or schedule is blamed on, in the order tried: the problem
+# vectors that place the start relative to the minimizer, then the schedule's knobs.
+_SUSPECTS = ("x1", "diag", "shift", "target", "mu", "eta_scale", "lambda_scale", "c_override")
 
 
-def _schedule_builds(cfg: ExperimentConfig) -> bool:
-    """Whether the schedule takes the config's start (a convex mode needs r1 > 0, a
-    nonconvex one delta1 > 0)."""
-    try:
-        build_schedule(cfg, *build_problem(cfg))
-    except ConfigError:
-        return False
-    return True
-
-
-def _check_schedule_values(cfg: ExperimentConfig, problem, x1, horizon: int) -> None:
-    """Reject a config whose schedule cannot take its start, naming the problem vector whose
-    default it takes (else the start); or whose schedule is not finite, or whose clipping
-    level underflows to 0, or, with the martingale trace on, whose step is not positive or
-    whose lambda_t^2 or (eta_t lambda_t)^2 is 0, infinite or too small to invert, at horizon
-    T, naming the key behind it: a knob or the curvature away from its default whose reset
-    brings it in range, else the moment order."""
-    at = f"at p = {cfg.p}, sigma = {cfg.sigma}, delta = {cfg.delta}"
-    try:
-        if _schedule_values_in_range(cfg, problem, x1, horizon):
-            return
-    except OverflowError:
-        raise ConfigError("noise.p", f"the schedule overflows a double {at}") from None
-    except ConfigError as exc:  # the schedule refuses the start (r1 or delta1 is 0)
-        key = _first_reset(cfg, _START_VECTORS, _schedule_builds) or "problem.x1"
-        raise ConfigError(key, str(exc.__cause__)) from None
-    condition = (f"the schedule's step, clipping level or bound is not finite, or the level is "
-                 f"0 (or, for the martingale trace, the step is not positive, or the square of "
-                 f"the level or of step times level is 0 or too small to invert), at T = {horizon}")
-    key = _first_reset(cfg, ("mu", "eta_scale", "lambda_scale", "c_override", "diag"),
-                       lambda c: _schedule_values_in_range(c, *build_problem(c), horizon))
-    raise ConfigError(key or "noise.p", condition if key else f"{condition} {at}")
+def _first_reset(cfg: ExperimentConfig, in_range) -> str | None:
+    """The ``section.key`` of the first suspect away from its default whose reset to the
+    default makes ``in_range`` hold for the config, else None."""
+    for attr in _SUSPECTS:
+        default = _FIELDS[attr].default
+        if getattr(cfg, attr) != default and in_range(
+                dataclasses.replace(cfg, **{attr: default})):
+            return _FIELDS[attr].metadata["key"]
+    return None
 
 
 def build_problem(cfg: ExperimentConfig):

@@ -28,8 +28,8 @@ its angle to the gradient.
 Run noise: the loops read step t's (n, d) noise as ``slab(t)`` of a draws
 object.  ``DenseDraws`` holds a presampled time-major (steps, d, n) block;
 single runs and radial lockstep batches use it, the batch filling seed k's
-strided slice ``[:, :, k]`` of an anonymous mapping of its own in place from
-the seed's own generator.  ``SpikeDraws`` holds a two-point lockstep batch
+strided slice ``[:, :, k]`` of one zero-filled block in place from the
+seed's own generator.  ``SpikeDraws`` holds a two-point lockstep batch
 as its spikes only: each seed's generator makes the calls of
 ``sample_batch(d, steps, rng)``, each hit is kept as one int64 key, and a
 reused window of K steps is expanded from them with the dense slab's bits
@@ -40,7 +40,6 @@ the harness sizes its seed chunks.
 
 from __future__ import annotations
 
-import mmap
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -429,32 +428,10 @@ def lockstep_draws(model, d: int, steps: int, seeds):
     generators = (make_rng(int(seed)) for seed in seeds)
     if isinstance(model, TwoPointNoise):
         return SpikeDraws(model, d, steps, generators, len(seeds))
-    block = _zero_block((steps, d, len(seeds)))
+    block = np.zeros((steps, d, len(seeds)))
     for k, rng in enumerate(generators):
         model.sample_batch(d, steps, rng, out=block[:, :, k])
     return DenseDraws(block)
-
-
-def _zero_block(shape) -> np.ndarray:
-    """A zero-filled float block on fresh pages of its own, unmapped when the array goes.
-
-    ``np.zeros`` puts a block below malloc's mmap threshold (which glibc raises
-    to the size of the last block freed, up to 32 MiB) on the heap.  Whether it
-    then reuses the resident pages of the previous batch's block or grows the
-    heap depends on what small allocations landed in between, so the peak
-    resident size of a run of batches could differ by a whole block from one
-    process to the next.  A private anonymous mapping holds only the block and
-    goes back to the system with it; like numpy for its own large blocks, it
-    asks for huge pages where the platform has them, without which the page
-    faults of a large block cost about twice as much.
-    """
-    nbytes = 8 * int(np.prod(shape))
-    if nbytes == 0:
-        return np.zeros(shape)
-    pages = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-    if hasattr(mmap, "MADV_HUGEPAGE"):
-        pages.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(pages, dtype=float).reshape(shape)
 
 
 def make_noise(kind: str, p: float, sigma: float, *, q: float = 0.1, tail_index: float = 1.75):

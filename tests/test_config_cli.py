@@ -188,12 +188,15 @@ def test_non_finite_values_exit_2(tmp_path, capsys, key, value):
     "problem.kind=quadratic_plus_norm problem.coef=-1",
     "problem.kind=simplex_quadratic noise.kind=radial_pareto",
     "problem.kind=simplex_quadratic problem.dim=1",
+    "problem.kind=simplex_quadratic problem.x1=0.5,0.5 problem.target=0.5,0.5",
+    "schedule.vanilla_eta=-1", "schedule.vanilla_eta=0",
 ])
 def test_out_of_range_values_exit_2(tmp_path, capsys, assignment):
     """Negative seeds and mu, a sigma whose 2p-th power overflows, nonpositive schedule
     constants, an empty dimension, a negative nonsmooth coefficient, radial noise on the
-    simplex and a one-point simplex are config errors named by their own key (the last of
-    the space-separated assignments)."""
+    simplex, a one-point simplex, a simplex whose target is its start and a nonpositive
+    baseline step are config errors named by their own key (the last of the
+    space-separated assignments)."""
     argv = ["diagnose", "--config", _write(tmp_path, NOISY), "--set", "experiment.t=8"]
     for one in assignment.split():
         argv += ["--set", one]
@@ -338,10 +341,10 @@ def test_extreme_values_run_or_exit_2(tmp_path, capsys, config_file, values, c_o
 
 
 # The single values whose rejection names another key, each for its reason: with the file's
-# x1 = 4,0, a far-out shift puts the start out of range, and the start is the first suspect;
+# x1 = 4,0, the shift 1e300,0 puts the start out of range, and the start is the first suspect
+# whose reset (to a default start that follows the shift) mends the config;
 # on sgd_rates.cfg (p = 2), radial noise needs a tail index above its default 1.75.
 OTHER_KEY = {("problem.shift", "1e300,0"): "problem.x1",
-             ("problem.shift", "1e308,-1e308"): "problem.x1",
              ("noise.kind", "radial_pareto"): "noise.tail_index"}
 
 
