@@ -12,7 +12,7 @@ moments and the robust initial gradient estimate.
 import numpy as np
 
 from clipopt import clipping, diagnostics, problems
-from clipopt.noise import Oracle, RadialParetoNoise, TwoPointNoise, make_rng, moment_check
+from clipopt.noise import RadialParetoNoise, TwoPointNoise, make_rng, moment_check
 
 
 def main():
@@ -28,10 +28,9 @@ def main():
     print(f"radial pareto p-th moment {est:.4f} +- {spread:.4f} "
           f"(scale {pareto.scale:.4f}, infinite variance)")
 
-    oracle = Oracle(prob, model, seed=3)
     x = np.array([2.0, 0.0])
     level = 8.0
-    theta = clipping.estimate_theta(oracle, x, level)
+    theta = clipping.estimate_theta(prob, model, x, level, make_rng(3))
     print(f"\nat x={x} with level {level}: |theta|={np.linalg.norm(theta.theta):.4f} "
           f"|theta_u|={np.linalg.norm(theta.theta_u):.4f} "
           f"|theta_b|={np.linalg.norm(theta.theta_b):.4f}")

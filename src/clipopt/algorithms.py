@@ -41,12 +41,11 @@ sums, added in time order (``_running_sum``), and the copy of the window
 into the record.  Window sizes do not change a bit.
 
 ``run_*_batch`` advances many seeds in lockstep (used by the experiment
-harness) on ``noise.lockstep_draws``: a two-point batch keeps only its
-spikes, a radial batch is presampled into one time-major (steps, d, n)
-block.  ``run_*`` is the one-row case, on the oracle's dense (steps, d, 1)
-block.  Both run through one helper, which can record the run into a
-preallocated ``StepTable`` with a leading seed axis (read by the
-diagnostics); a single run's table is its n = 1 case.  Same seed, same
+harness and ``diagnose``); ``run_*`` is the one-seed batch on its oracle's
+generator.  Both draw their noise through ``noise.lockstep_draws``, the one
+place that knows its layout, and run through one helper, which can record
+the run into a preallocated ``StepTable`` with a leading seed axis (read by
+the diagnostics); a single run's table is its n = 1 case.  Same seed, same
 config give bitwise-identical trajectories in either form.  A row whose
 final iterate, summary or final gap is not finite is reported as diverged,
 with infinite summary and gap; the overflow and invalid-value warnings that
@@ -63,7 +62,7 @@ import numpy as np
 
 from .clipping import clip_batch
 from .geometry import coord_dot
-from .noise import DenseDraws, Oracle, check_noise_geometry, lockstep_draws, window_steps
+from .noise import Oracle, check_noise_geometry, lockstep_draws, make_rng, window_steps
 from .problems import Problem
 from .schedules import ASMD_MODES, SGD_MODES, SMD_MODES, Schedule, ScheduleTable
 
@@ -185,8 +184,8 @@ def run_vanilla_sgd_batch(problem: Problem, noise_model, eta: float, steps: int,
 
 
 def _single(loop, problem, oracle, param, steps, x1, record) -> RunRecord:
-    """The one-seed run fed by the oracle's dense noise block, as that seed's record."""
-    noise = DenseDraws(oracle.noise_matrix(steps)[:, :, None])
+    """The one-seed batch on the oracle's generator, as that seed's record."""
+    noise = lockstep_draws(oracle.noise, problem.dim, steps, [oracle.rng], 1)
     res, X = _run(loop, problem, param, steps, x1, [oracle.seed], noise, record)
     return RunRecord(steps, float(res.summary[0]), X[0], float(res.final_gap[0]),
                      float(res.clipped_fraction[0]), bool(res.diverged[0]), res.table)
@@ -196,7 +195,8 @@ def _batch(loop, problem, noise_model, param, steps, x1, seeds, record) -> Batch
     """Seed k's noise drawn from ``make_rng(seeds[k])`` (``noise.lockstep_draws``)."""
     seeds = np.asarray(list(seeds), dtype=int)
     check_noise_geometry(problem, noise_model)
-    noise = lockstep_draws(noise_model, problem.dim, steps, seeds)
+    noise = lockstep_draws(noise_model, problem.dim, steps,
+                           (make_rng(int(s)) for s in seeds), len(seeds))
     return _run(loop, problem, param, steps, x1, seeds, noise, record)[0]
 
 

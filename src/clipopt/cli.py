@@ -21,12 +21,11 @@ import sys
 
 import numpy as np
 
+from . import algorithms as algos
 from . import diagnostics as diag
 from . import harness
-from .algorithms import run_asmd, run_sgd, run_smd
 from .config import (ConfigError, ExperimentConfig, build_noise, build_problem,
                      build_schedule, load_config)
-from .noise import Oracle
 from .schedules import verify_schedule_conditions
 
 
@@ -84,9 +83,11 @@ def cmd_diagnose(args) -> int:
     @functools.cache
     def table():
         """The n = 1 step table of the seed's one recorded run, shared by every check."""
-        run = {"smd": run_smd, "asmd": run_asmd, "sgd": run_sgd}[cfg.algorithm]
-        return run(problem, Oracle(problem, noise_model, seed=cfg.base_seed), schedule,
-                   cfg.horizon, x1).table
+        # looked up per call, so a patched runner is the one that runs
+        run = {"smd": algos.run_smd_batch, "asmd": algos.run_asmd_batch,
+               "sgd": algos.run_sgd_batch}[cfg.algorithm]
+        return run(problem, noise_model, schedule, cfg.horizon, x1, [cfg.base_seed],
+                   record=True).table
 
     # the parameter-free steps and levels follow the run: its conditions and error-bound level
     # are read from the recorded ones

@@ -7,7 +7,8 @@ the true gradient splits into a zero-conditional-mean part and a clipping
 bias; since the oracle is history independent, the bias and the moments of
 the zero-mean part are conditional moments at a fixed point, which each noise
 family states exactly (``clipped_moments``).  :func:`estimate_theta`
-decomposes one error with them.
+decomposes one error with them, drawing the sample from a noise model and a
+generator.
 
 ``estimate_g0`` implements the robust initial gradient estimate: block means
 of raw stochastic gradients combined by their geometric median (Weiszfeld
@@ -17,14 +18,10 @@ iteration).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .geometry import coord_dot, shrink_factors
-
-if TYPE_CHECKING:
-    from .noise import Oracle
 
 
 def clip(g, level: float, dual_norm=None) -> np.ndarray:
@@ -77,16 +74,16 @@ class ThetaEstimate:
     theta_b: np.ndarray
 
 
-def estimate_theta(oracle: Oracle, x, level: float) -> ThetaEstimate:
+def estimate_theta(problem, noise_model, x, level: float,
+                   rng: np.random.Generator) -> ThetaEstimate:
     """Decompose one clipped-gradient error at ``x`` by its conditional moments.
 
-    The primary draw is the next draw of the oracle's own stream; the bias is
+    The primary draw is ``noise_model``'s next draw from ``rng``; the bias is
     exact, so nothing else is drawn.
     """
-    problem = oracle.problem
-    aux = oracle.noise.clipped_moments(problem, [x], level)
+    aux = noise_model.clipped_moments(problem, [x], level)
     g_true, theta_b = aux.grad[0], aux.cond_mean[0] - aux.grad[0]
-    g = problem.grad(np.asarray(x, dtype=float)) + oracle.noise_matrix(1)[0]
+    g = problem.grad(np.asarray(x, dtype=float)) + noise_model.sample_batch(problem.dim, 1, rng)[0]
     theta = clip(g, level, problem.geometry.dual_norm) - g_true
     return ThetaEstimate(theta=theta, theta_u=theta - theta_b, theta_b=theta_b)
 

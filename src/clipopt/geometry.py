@@ -292,7 +292,7 @@ class Geometry:
             return True
         if self.kind == BALL:
             return bool(self.norm(x - self.center) <= self.radius + tol)
-        return bool(np.all(x >= -tol) and abs(np.sum(x) - 1.0) <= tol)
+        return bool(np.all(x > 0) and abs(np.sum(x) - 1.0) <= tol)  # the entropy map's open simplex
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """Random domain point (strictly interior for the simplex); test helper."""

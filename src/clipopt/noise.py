@@ -16,7 +16,7 @@ in ``sample_batch(d, n, rng)``, which can write it into a caller's array
 integers for the coordinates and n uniforms for the signs, then scatters the
 spikes; radial noise draws n * d standard normals for the directions and n
 uniforms for the inverse-CDF Pareto radii, then normalizes and scales.  One
-stochastic gradient at x is ``problem.grad(x) + oracle.noise_matrix(1)[0]``.
+stochastic gradient at x is ``problem.grad(x) + model.sample_batch(d, 1, rng)[0]``.
 
 Each family also states exactly, at many points, what the clipping-error
 analysis reads of its clipped draws (``clipped_moments``): their mean, their
@@ -26,16 +26,16 @@ radial noise is a fixed-node Gauss-Legendre sum over the draw's radius and
 its angle to the gradient.
 
 Run noise: the loops read step t's (n, d) noise as ``slab(t)`` of a draws
-object.  ``DenseDraws`` holds a presampled time-major (steps, d, n) block;
-single runs and radial lockstep batches use it, the batch filling seed k's
-strided slice ``[:, :, k]`` of one zero-filled block in place from the
-seed's own generator.  ``SpikeDraws`` holds a two-point lockstep batch
+object, and ``lockstep_draws`` is the one builder of a run's draws, from one
+generator per seed; a single run is its n = 1 case, on its oracle's generator.
+``DenseDraws`` holds a presampled time-major (steps, d, n) block; radial runs
+use it, seed k's strided slice ``[:, :, k]`` of one zero-filled block filled
+in place from the seed's own generator.  ``SpikeDraws`` holds a two-point run
 as its spikes only: each seed's generator makes the calls of
 ``sample_batch(d, steps, rng)``, each hit is kept as one int64 key, and a
 reused window of K steps is expanded from them with the dense slab's bits
-and layout.  ``lockstep_draws`` builds the one a batch's noise family uses,
-and the family's ``seed_step_bytes`` states its size per seed-step, by which
-the harness sizes its seed chunks.
+and layout.  The family's ``seed_step_bytes`` states the draws' size per
+seed-step, by which the harness sizes its seed chunks.
 """
 
 from __future__ import annotations
@@ -362,21 +362,19 @@ class DenseDraws:
 class SpikeDraws:
     """Two-point noise of many seeds kept as its spikes, expanded K steps at a time.
 
-    Seed k's generator (the k-th of the n ``generators``; ``n`` defaults to
-    ``len(generators)``) makes the generator calls of ``model.sample_batch(d, steps,
-    rng)``, and only its hits are kept: each as one int64 key, twice the hit's
-    flat index into the dense (steps, d, n) block plus 1 for a negative spike,
-    written straight into one array sized for the mean spike count and a
-    margin.  The keys are sorted, so they are step major.  ``slab(t)`` writes
+    Seed k's generator (the k-th of the n ``generators``) makes the generator
+    calls of ``model.sample_batch(d, steps, rng)``, and only its hits are kept:
+    each as one int64 key, twice the hit's flat index into the dense (steps, d,
+    n) block plus 1 for a negative spike, written straight into one array sized
+    for the mean spike count and a margin.  The keys are sorted, so they are step major.  ``slab(t)`` writes
     the spikes of t's window of K steps into a reused zero-filled (K, d, n)
     block and returns the (n, d) view of its C-ordered (d, n) slab: the same
     layout and the same +0.0 and +-M values as the dense block's slab, a -0.0
     spike (sigma = 0) included.
     """
 
-    def __init__(self, model: TwoPointNoise, d: int, steps: int, generators,
-                 n: int | None = None):
-        self.n = n = len(generators) if n is None else n
+    def __init__(self, model: TwoPointNoise, d: int, steps: int, generators, n: int):
+        self.n = n
         U, S = np.empty(steps), np.empty(steps)
         mean = n * steps * model.q
         keys = np.empty(int(mean + _SPIKE_SLACK_SD * np.sqrt(mean * (1.0 - model.q))) + 1,
@@ -421,14 +419,13 @@ class SpikeDraws:
         self._first = w * self._K + 1
 
 
-def lockstep_draws(model, d: int, steps: int, seeds):
-    """The noise of a lockstep batch, seed k's drawn from ``make_rng(seeds[k])``: two-point
-    noise kept as its spikes, radial noise into ``[:, :, k]`` of one zero-filled (steps, d, n)
-    block."""
-    generators = (make_rng(int(seed)) for seed in seeds)
+def lockstep_draws(model, d: int, steps: int, generators, n: int):
+    """The noise of n seeds run in lockstep, seed k's drawn from the k-th of ``generators``
+    (the calls of ``model.sample_batch(d, steps, rng)``): two-point noise kept as its spikes,
+    radial noise into ``[:, :, k]`` of one zero-filled (steps, d, n) block."""
     if isinstance(model, TwoPointNoise):
-        return SpikeDraws(model, d, steps, generators, len(seeds))
-    block = np.zeros((steps, d, len(seeds)))
+        return SpikeDraws(model, d, steps, generators, n)
+    block = np.zeros((steps, d, n))
     for k, rng in enumerate(generators):
         model.sample_batch(d, steps, rng, out=block[:, :, k])
     return DenseDraws(block)
@@ -500,12 +497,12 @@ def check_noise_geometry(problem: Problem, noise) -> None:
 class Oracle:
     """One problem's seeded noise stream: the additive noise of a stochastic oracle.
 
-    Carries its own mutable generator; use one instance per run (distinct
-    seeds may run concurrently).  ``noise_matrix`` presamples the full noise
-    sequence of a run in one batched draw, which the single-run loops use.
-    The lockstep runners make the same ``sample_batch`` draw from
-    ``make_rng(seed)`` for each seed, so a single-run trajectory and a
-    vectorized multi-seed sweep see identical noise for identical seeds.
+    Carries its own mutable generator ``rng``, ``make_rng(seed)``; use one instance
+    per run (distinct seeds may run concurrently).  A single run draws its noise
+    from ``rng`` as the one-seed case of ``lockstep_draws``, and a lockstep batch
+    draws seed k's from ``make_rng(seeds[k])`` with the same calls, so a single-run
+    trajectory and a multi-seed sweep see identical noise for identical seeds.
+    ``noise_matrix`` is a one-off draw of the stream's next steps.
     """
 
     def __init__(self, problem: Problem, noise, seed: int = 0):
@@ -516,6 +513,5 @@ class Oracle:
         self.rng = make_rng(seed)
 
     def noise_matrix(self, steps: int) -> np.ndarray:
-        """The next ``steps`` draws of the stream as a (steps, dim) block; the run
-        loops presample a run's noise this way."""
+        """The next ``steps`` draws of the stream as a (steps, dim) block."""
         return self.noise.sample_batch(self.problem.dim, steps, self.rng)

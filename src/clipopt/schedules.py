@@ -170,31 +170,27 @@ def _c1(mode: str, s: ScheduleInputs) -> float:
 
 
 def derive_inputs(problem: Problem, x1, *, p: float, sigma: float, delta: float = 0.1,
-                  horizon: int | None = None, x0=None, g0=None, mu: float = 0.0,
+                  horizon: int | None = None, mu: float = 0.0,
                   c1: float = 1.0, c2: float = 1.0, c_override: float | None = None) -> ScheduleInputs:
     """Compute schedule inputs from a problem instance and a start point.
 
-    Defaults take the reference point ``x0`` at the minimizer with ``g0 = 0``
-    and ``mu = 0``, which is exact for instances whose minimizer has zero
-    gradient.  Convex quantities (r1, r0) require a known minimizer; the
+    The reference point x0 is the minimizer, with ``g0 = 0`` (``r0 = g0_norm = 0``)
+    and by default ``mu = 0``, which is exact for instances whose minimizer has zero
+    gradient.  The convex radius r1 requires a known minimizer; the
     value gap ``delta1`` and gradient bound are always available.  A start
     far enough out overflows a double on the way; the quantities it makes
     infinite are returned as they are, without a warning.
     """
     x1 = np.asarray(x1, dtype=float)
     geom = problem.geometry
-    r1 = r0 = None
+    r1 = None
     with np.errstate(over="ignore", invalid="ignore"):
         if problem.minimizer is not None:
             r1 = math.sqrt(2.0 * geom.bregman(problem.minimizer, x1))
-            if x0 is None:
-                x0 = problem.minimizer
-            r0 = math.sqrt(2.0 * geom.bregman(problem.minimizer, np.asarray(x0, dtype=float)))
-        g0_norm = 0.0 if g0 is None else geom.dual_norm(np.asarray(g0, dtype=float))
         delta1, grad1_bound = problem.gap(x1), geom.dual_norm(problem.grad(x1))
     return ScheduleInputs(
         p=p, sigma=sigma, smoothness=problem.smoothness, delta=delta, horizon=horizon,
-        r1=r1, r0=0.0 if r0 is None else r0, mu=mu, g0_norm=g0_norm,
+        r1=r1, mu=mu,
         delta1=delta1, grad1_bound=grad1_bound, c1=c1, c2=c2, c_override=c_override,
     )
 

@@ -492,6 +492,39 @@ def test_batch_peak_memory_is_one_noise_block():
     assert peak < 0.5 * block, peak / block
 
 
+def test_single_run_peak_memory_is_its_spikes():
+    """A single two-point run is the one-seed batch: it holds its spikes and one window of
+    steps, not a dense (steps, d) noise block.  At d = 64 and T = 16384 the traced peak is
+    about 0.16 of that block; a run on a dense block peaks above the whole block."""
+    d, steps = 64, 16384
+    prob = problems.make_quadratic(np.ones(d), np.zeros(d))
+    x1 = np.full(d, 0.5)
+    sched = schedules.Schedule("smd_known_t", smd_inputs(prob, x1, sigma=0.25, horizon=steps))
+    model = TwoPointNoise(p=1.5, sigma=0.25, q=0.1)
+    algos.run_smd(prob, Oracle(prob, model, seed=1), sched, 8, x1, record=False)  # first use
+    tracemalloc.start()
+    try:
+        algos.run_smd(prob, Oracle(prob, model, seed=0), sched, steps, x1, record=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 8 * steps * d, peak / (8 * steps * d)
+
+
+@pytest.mark.parametrize("x1", [[1.0, 0.0], [1.0 + 1e-10, -1e-10]])
+def test_simplex_start_on_or_past_the_boundary_is_rejected(x1):
+    """The entropy map's domain is the open simplex: a start with a zero coordinate, or one
+    just below zero that the sum's tolerance would admit, is outside it, and a run from it
+    raises before its first step (no log(0) warning, no row flagged diverged)."""
+    prob = problems.make_simplex_quadratic([0.25, 0.75])
+    sched = schedules.Schedule("smd_known_t", smd_inputs(prob, np.array([0.5, 0.5]), sigma=1.0,
+                                                         horizon=8))
+    assert not prob.geometry.contains(x1)
+    with pytest.raises(ValueError, match="initial point outside the domain"):
+        algos.run_smd_batch(prob, TwoPointNoise(p=1.5, sigma=1.0, q=0.1), sched, 8,
+                            np.array(x1), range(3))
+
+
 @pytest.mark.parametrize("loop, start, param", [
     (algos._smd, "euclidean", "smd_known_t"), (algos._smd, "ball", "smd_known_t"),
     (algos._smd, "simplex9", "smd_known_t"), (algos._asmd, "euclidean", "asmd_known_t"),
@@ -510,7 +543,7 @@ def test_batch_state_stays_seed_contiguous(loop, start, param):
     for k in range(n):
         model.sample_batch(prob.dim, steps, make_rng(k), out=block[:, :, k])
     for noise in (DenseDraws(block),
-                  SpikeDraws(model, prob.dim, steps, [make_rng(k) for k in range(n)])):
+                  SpikeDraws(model, prob.dim, steps, map(make_rng, range(n)), n)):
         X = loop(prob, param, steps, x1, noise, None)[3]
         assert X.shape == (n, prob.dim)
         assert X.flags.f_contiguous and not X.flags.c_contiguous
@@ -566,7 +599,7 @@ def test_window_size_changes_no_bit(monkeypatch, algorithm, start, param, n):
             monkeypatch.setattr(nz, "_WINDOW_BYTES", 8 * prob.dim * n * window)
             monkeypatch.setattr(nz, "_WINDOW_MIN_STEPS", 1)
         for record in (True, False):
-            noise = nz.lockstep_draws(model, prob.dim, steps, range(n))
+            noise = nz.lockstep_draws(model, prob.dim, steps, map(make_rng, range(n)), n)
             runs.append(algos._run(LOOPS[algorithm], prob, param, steps, x1, range(n), noise,
                                    record))
     res, X = runs[0]

@@ -189,13 +189,16 @@ def test_non_finite_values_exit_2(tmp_path, capsys, key, value):
     "problem.kind=simplex_quadratic noise.kind=radial_pareto",
     "problem.kind=simplex_quadratic problem.dim=1",
     "problem.kind=simplex_quadratic problem.x1=0.5,0.5 problem.target=0.5,0.5",
+    "problem.kind=simplex_quadratic problem.x1=1,0",
+    "problem.kind=simplex_quadratic problem.x1=1.0000000001,-1e-10",
     "schedule.vanilla_eta=-1", "schedule.vanilla_eta=0",
 ])
 def test_out_of_range_values_exit_2(tmp_path, capsys, assignment):
     """Negative seeds and mu, a sigma whose 2p-th power overflows, nonpositive schedule
     constants, an empty dimension, a negative nonsmooth coefficient, radial noise on the
-    simplex, a one-point simplex, a simplex whose target is its start and a nonpositive
-    baseline step are config errors named by their own key (the last of the
+    simplex, a one-point simplex, a simplex whose target is its start, a simplex start on
+    the boundary or just past it (the entropy map's domain is the open simplex) and a
+    nonpositive baseline step are config errors named by their own key (the last of the
     space-separated assignments)."""
     argv = ["diagnose", "--config", _write(tmp_path, NOISY), "--set", "experiment.t=8"]
     for one in assignment.split():
@@ -542,13 +545,13 @@ def test_cmd_diagnose_records_one_run(tmp_path, monkeypatch, overrides):
     """The pathwise check, the martingale trace and (parameter-free) the conditions and the
     error-bound level share one run."""
     calls = []
-    single = algorithms._single
+    run = algorithms._run
 
     def counting(loop, *args):
         calls.append(loop)
-        return single(loop, *args)
+        return run(loop, *args)
 
-    monkeypatch.setattr(algorithms, "_single", counting)
+    monkeypatch.setattr(algorithms, "_run", counting)
     args = ["diagnose", "--config", str(DEMO_CONFIGS / "diagnose_smd.cfg"), "--out", str(tmp_path)]
     for assignment in overrides:
         args += ["--set", assignment]
@@ -559,7 +562,7 @@ def test_cmd_diagnose_records_one_run(tmp_path, monkeypatch, overrides):
 def test_cmd_diagnose_baseline_checks_conditions_without_a_run(tmp_path, capsys, monkeypatch):
     """The unclipped baseline has no clipped run to record: its schedule's conditions come
     from the schedule's table."""
-    monkeypatch.setattr(algorithms, "_single", None)  # a run would fail
+    monkeypatch.setattr(algorithms, "_run", None)  # a run would fail
     argv = ["diagnose", "--config", str(DEMO_CONFIGS / "sgd_rates.cfg"), "--out", str(tmp_path),
             "--set", "experiment.algorithm=vanilla-sgd", "--set", "experiment.t=16"]
     assert cli.main(argv) == 0

@@ -88,7 +88,7 @@ def test_diagnose_rejects_a_check_it_cannot_run_before_printing(tmp_path, capsys
                                                                  assignments, key):
     """A toggled check with no form for the algorithm is a config error up front: nothing on
     stdout, and no run recorded."""
-    monkeypatch.setattr(algorithms, "_single", None)  # a run would fail
+    monkeypatch.setattr(algorithms, "_run", None)  # a run would fail
     argv = ["diagnose", "--config", str(DEMO_CONFIGS / "diagnose_smd.cfg"), "--out", str(tmp_path)]
     for assignment in assignments:
         argv += ["--set", assignment]

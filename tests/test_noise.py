@@ -260,7 +260,7 @@ def test_spike_slabs_equal_dense_slabs(model, d, n, window_steps, monkeypatch):
     for k, rng in enumerate(dense_rngs):
         model.sample_batch(d, steps, rng, out=block[:, :, k])
     spike_rngs = [nz.make_rng(s) for s in seeds]
-    spikes = nz.SpikeDraws(model, d, steps, spike_rngs)
+    spikes = nz.SpikeDraws(model, d, steps, spike_rngs, n)
     dense = nz.DenseDraws(block)
     assert spikes.n == dense.n == n
     for t in range(1, steps + 1):
@@ -302,7 +302,7 @@ def test_spike_draws_build_within_stated_bytes(n, steps, d, q):
     model = nz.TwoPointNoise(p=1.5, sigma=0.5, q=q)
     tracemalloc.start()
     try:
-        draws = nz.lockstep_draws(model, d, steps, np.arange(n))
+        draws = nz.lockstep_draws(model, d, steps, map(nz.make_rng, range(n)), n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -314,10 +314,10 @@ def test_spike_draws_build_peaks_near_its_keys():
     """Each seed's keys go straight into one array, so the build peaks at its 8-byte keys
     and little else."""
     model = nz.TwoPointNoise(p=1.5, sigma=0.5, q=1.0)
-    nz.lockstep_draws(model, 4, 16, np.arange(3))  # first-use allocations
+    nz.lockstep_draws(model, 4, 16, map(nz.make_rng, range(3)), 3)  # first-use allocations
     tracemalloc.start()
     try:
-        draws = nz.lockstep_draws(model, 4, 1024, np.arange(200))
+        draws = nz.lockstep_draws(model, 4, 1024, map(nz.make_rng, range(200)), 200)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -55,7 +55,7 @@ def test_tracer_install_and_uninstall_without_an_op():
 
 def test_traced_diagnose_attributes_its_checks(tmp_path, capsys):
     """A traced ``diagnose`` times the checks it runs: one pathwise check and one trace, both
-    fed by the seed's one recorded single run."""
+    fed by the seed's one recorded one-seed batch."""
     from clipopt import cli
 
     cfg = Path(__file__).resolve().parent.parent / "demos" / "configs" / "diagnose_smd.cfg"
@@ -70,4 +70,4 @@ def test_traced_diagnose_attributes_its_checks(tmp_path, capsys):
     row = tracer.per_op([0])[0]
     assert row["diagnostics.pathwise:calls"] == 1
     assert row["diagnostics.martingale:calls"] == 1
-    assert row["algorithms.single:calls"] == 1
+    assert row["algorithms.batch:calls"] == 1

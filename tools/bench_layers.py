@@ -4,8 +4,9 @@ Prints, one line each:
 
 * ns per seed-step of one lockstep step, for each algorithm and geometry, at
   the seed counts and dimensions of the run-smd (1000 seeds, d = 2),
-  rates-sgd (100, d = 2) and asmd-simplex (500, d = 32) workloads; the loop
-  runs on draws built beforehand, so the time is the loop's alone; the
+  rates-sgd (100, d = 2), asmd-simplex (500, d = 32) and diagnose (one seed,
+  d = 2: a single run is the one-seed batch) workloads; the loop runs on
+  draws built beforehand, so the time is the loop's alone; the
   ``smd_param_free`` row is Euclidean SMD on the parameter-free schedule,
   whose steps keep each row's displacement and take per-row levels;
 * the same for a Euclidean SMD step that clips: its level is scaled down to
@@ -43,7 +44,7 @@ from clipopt import algorithms, geometry, noise, problems, schedules
 
 # (name, seeds, dimension, horizon of the draws build); one step is timed over LOOP_STEPS
 SIZES = [("run-smd", 1000, 2, 4096), ("rates-sgd", 100, 2, 16384),
-         ("asmd-simplex", 500, 32, 2048)]
+         ("asmd-simplex", 500, 32, 2048), ("diagnose", 1, 2, 256)]
 TINY_SIZES = [("tiny", 3, 2, 16), ("tiny-simplex", 2, 4, 16)]
 LOOP_STEPS, TINY_LOOP_STEPS = 512, 8
 TABLE_T, TINY_TABLE_T = 16384, 64
@@ -85,6 +86,11 @@ def _problem(kind: str, d: int):
     return quad, 4.0 * x1
 
 
+def _draws(model, d: int, steps: int, n: int):
+    """The lockstep draws of seeds 0..n-1, as a batch run makes them."""
+    return noise.lockstep_draws(model, d, steps, (noise.make_rng(k) for k in range(n)), n)
+
+
 def _schedule(mode: str, problem, x1, sigma: float, horizon: int,
               level: float | None = None) -> schedules.Schedule:
     """The mode's schedule; with ``level``, its first clipping level scaled to that value."""
@@ -105,7 +111,7 @@ def step_lines(sizes, steps: int, repeat: int):
             model = noise.TwoPointNoise(p=1.5, sigma=sigma, q=0.1)
             if isinstance(param, str):
                 param = _schedule(param, problem, x1, sigma, steps)
-            draws = noise.lockstep_draws(model, d, steps, np.arange(n))
+            draws = _draws(model, d, steps, n)
 
             def run():
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -121,7 +127,7 @@ def clip_line(size, steps: int, repeat: int):
     problem, x1 = _problem("euclidean", d)
     sched = _schedule("smd_known_t", problem, x1, 0.25, steps, level=CLIP_LEVEL)
     model = noise.TwoPointNoise(p=1.5, sigma=0.25, q=0.1)
-    draws = noise.lockstep_draws(model, d, steps, np.arange(n))
+    draws = _draws(model, d, steps, n)
     clipped = algorithms._smd(problem, sched, steps, x1, draws, None)[2]
     ns = _best(lambda: algorithms._smd(problem, sched, steps, x1, draws, None),
                repeat) / (n * steps) * 1e9
@@ -150,17 +156,15 @@ def schedule_lines(horizon: int, repeat: int):
             sched = _schedule(mode, problem, x1, 0.25, horizon)
         calls = min(horizon, 1000)
         pair_ns = _best(lambda: [sched.pair(t) for t in range(1, calls + 1)], repeat) / calls * 1e9
-        if hasattr(sched, "table"):
-            table = f"{_best(lambda: sched.table(horizon), repeat) * 1e3:9.3f} ms"
-        else:
-            table = "      n/a   "
-        print(f"schedule {mode:<13} T={horizon:<6} table {table}   pair {pair_ns:8.1f} ns/call")
+        table_ms = _best(lambda: sched.table(horizon), repeat) * 1e3
+        print(f"schedule {mode:<13} T={horizon:<6} table {table_ms:9.3f} ms   "
+              f"pair {pair_ns:8.1f} ns/call")
 
 
 def draws_lines(sizes, repeat: int):
     for name, n, d, steps in sizes:
         model = noise.TwoPointNoise(p=1.5, sigma=0.25, q=0.1)
-        seconds = _best(lambda: noise.lockstep_draws(model, d, steps, np.arange(n)), repeat)
+        seconds = _best(lambda: _draws(model, d, steps, n), repeat)
         print(f"draws {name:<13} n={n:<5} d={d:<3} T={steps:<6} {seconds * 1e3:9.1f} ms")
 
 
