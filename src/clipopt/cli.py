@@ -138,7 +138,10 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (``--set`` appends to a copy of its
+    default, so one parse leaves nothing in it for the next)."""
     parser = argparse.ArgumentParser(prog="clipopt", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -147,7 +150,11 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name)
         _add_common(sp)
         sp.set_defaults(func=fn)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

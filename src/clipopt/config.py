@@ -50,6 +50,9 @@ class ConfigError(ValueError):
         self.field_path = field_path
         super().__init__(f"{field_path}: {message}")
 
+    def __reduce__(self):  # ``args`` holds the joined text only, so rebuild from both parts
+        return type(self), (self.field_path, str(self).removeprefix(f"{self.field_path}: "))
+
 
 def _key(path: str, kind: str, default):
     """A field read from the config key ``path`` (``section.key``) as a value of ``kind``;

@@ -11,6 +11,17 @@ because the noise may have infinite variance and the guarantees are quantile
 statements.  ``compare_clipped_vanilla`` makes one clipped and one unclipped
 sweep on identical per-seed noise and compares final gaps.
 
+A sweep of at least ``_FORK_SEED_STEPS`` seed-steps (n * T) runs on W worker
+processes, one per CPU this process may run on and at most one per seed: chunk i
+runs on worker i % W, worker 0 is this process, and the others are children
+forked from it that send their results back through pipes, to be put back in
+seed order.  The chunks in flight at once share the ``_CHUNK_BYTES`` budget, each
+holding ``_CHUNK_BYTES / W``.  A seed's row depends neither on its chunk nor on
+the process that ran it, so every output is the same bit for bit at any W.  A
+child's exception is raised again here with its type and message, and its
+warnings are issued again here, in order.  A process running more than one
+thread, or a platform without ``os.fork``, runs every sweep in-process.
+
 Outputs: one CSV per experiment (row per seed) under
 ``<out>/<id>/<algorithm>/<pXX>/seed-results.csv`` plus a JSON-lines summary;
 rows are deterministic so a rerun of the same config is byte-identical.
@@ -22,6 +33,8 @@ import csv
 import json
 import math
 import os
+import pickle
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -37,6 +50,12 @@ from .schedules import SGD_MODES, Schedule, theorem_bound
 # radial noise fills a dense block of d doubles a seed-step, two-point noise keeps
 # its spikes only, so a two-point batch is chunked only when it has very many.
 _CHUNK_BYTES = 240_000_000
+# A sweep of at least this many seed-steps (n * T) runs on every CPU (``_workers``).  A fork
+# and its pipe round trip take ~1.5 ms at 100 MB resident.  On 2 vCPUs (Python 3.11, numpy
+# 2.4; SMD and SGD, two-point noise, d = 2) two workers break even with one near 1.5e5
+# seed-steps at 100 seeds (~10 ms a sweep) and run 1.1x at 2^18; at 1000 seeds, whose
+# per-seed set-up is split too, they already run 1.6x at 1.3e5.
+_FORK_SEED_STEPS = 1 << 18
 
 
 @dataclass
@@ -102,21 +121,118 @@ def upper_quantile(values: np.ndarray, q: float) -> float:
     return float(np.sort(values)[math.ceil((len(values) - 1) * q)])
 
 
-def _seed_chunks(seeds: np.ndarray, horizon: int, seed_step_bytes: float) -> list[np.ndarray]:
-    """``ceil(n * horizon * seed_step_bytes / _CHUNK_BYTES)`` chunks, at most one per seed.
+def _workers(n_seeds: int, horizon: int) -> int:
+    """W: the processes a sweep runs on, this one and W - 1 forked children.
 
-    Their sizes differ by at most one seed, so each chunk's draws are within one
-    seed's draws of the budget, and no chunk is left with a small remainder.
+    One per CPU this process may run on, at most one per seed, when the sweep holds at
+    least ``_FORK_SEED_STEPS`` seed-steps, the platform can fork and this process runs a
+    single thread (a child forked from a threaded process can wait forever on a lock that
+    another thread held); else 1.
+    """
+    if (n_seeds * horizon < _FORK_SEED_STEPS or not hasattr(os, "fork")
+            or threading.active_count() > 1):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_seeds)
+
+
+def _seed_chunks(seeds: np.ndarray, horizon: int, seed_step_bytes: float,
+                 workers: int) -> list[np.ndarray]:
+    """``workers * ceil(n * horizon * seed_step_bytes / _CHUNK_BYTES)`` chunks, at most one
+    per seed.
+
+    Their sizes differ by at most one seed, so each chunk's draws are within one seed's
+    draws of ``_CHUNK_BYTES / workers``: the chunks the workers run at once hold the budget
+    between them.  No chunk is left with a small remainder, and when every seed gets its
+    own chunk the workers get equal counts of them.
     """
     n = len(seeds)
-    sections = math.ceil(n * horizon * seed_step_bytes / _CHUNK_BYTES)
+    sections = workers * math.ceil(n * horizon * seed_step_bytes / _CHUNK_BYTES)
     return np.array_split(seeds, max(1, min(n, sections)))  # a subnormal q rounds to 0 bytes
+
+
+def _portable(exc: BaseException) -> BaseException:
+    """``exc`` when it survives a pickle round trip, else a ``RuntimeError`` with its repr."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:  # pickling can fail in any way an exception's state allows
+        return RuntimeError(repr(exc))
+    return exc
+
+
+def _child(run, share, write_fd: int):
+    """In a forked child: ``run(share)``, sent down ``write_fd`` as ``("ok", result,
+    warnings)`` or ``("err", exception, warnings)``.  Never returns: it leaves through
+    ``os._exit``, so it flushes no output buffer and runs no exit hook it inherited."""
+    code = 1
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                reply = ("ok", run(share))
+            except BaseException as exc:  # raised again by the calling process
+                reply = ("err", _portable(exc))
+        caught = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps((*reply, caught)))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _in_workers(run, shares: list) -> list:
+    """``[run(share) for share in shares]``: the first share runs in this process, each other
+    one in a child forked from it.
+
+    The children's warnings are issued again here, in share order, and the first child
+    exception is raised again here (type and message kept).  Every child is reaped, also
+    when this process's own share raises; it is then killed first, since its result has no
+    reader.
+    """
+    children = []  # (pid, read end of its pipe)
+    replies = None
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                _child(run, share, write_fd)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        own = run(shares[0])
+        # to EOF before any wait: a pipe holds 64 KB, and a child blocks on a larger reply
+        replies = [pipe.read() for _, pipe in children]
+    finally:
+        if replies is None and children:
+            import signal  # loaded only on this path
+            for pid, _ in children:
+                os.kill(pid, signal.SIGKILL)
+        codes = []
+        for pid, pipe in children:
+            pipe.close()
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    results = [own]
+    for reply, code in zip(replies, codes):
+        if code != 0:  # its reply is missing or cut short
+            raise RuntimeError(f"a sweep worker process exited with code {code} before "
+                               "sending its result")
+        status, value, caught = pickle.loads(reply)
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno)
+        if status == "err":
+            raise value
+        results.append(value)
+    return results
 
 
 def _sweep(cfg: ExperimentConfig, horizon: int,
            algorithm: str) -> tuple[algos.BatchResult, Schedule]:
     """Every seed of ``cfg`` through ``algorithm``'s lockstep batch at ``horizon``, chunked for
-    memory (a seed's row does not depend on the chunk size); returns ``(result, schedule)``."""
+    memory and run on ``_workers`` processes (a seed's row depends on neither); returns
+    ``(result, schedule)``."""
     problem, x1 = build_problem(cfg)
     noise_model = build_noise(cfg)
     schedule = build_schedule(cfg, problem, x1, horizon=horizon)
@@ -128,8 +244,13 @@ def _sweep(cfg: ExperimentConfig, horizon: int,
                   "sgd": algos.run_sgd_batch}[algorithm]
         rule = schedule
     seeds = cfg.base_seed + np.arange(cfg.n_seeds)
-    parts = [runner(problem, noise_model, rule, horizon, x1, chunk)
-             for chunk in _seed_chunks(seeds, horizon, noise_model.seed_step_bytes(problem.dim))]
+    workers = _workers(cfg.n_seeds, horizon)
+    chunks = _seed_chunks(seeds, horizon, noise_model.seed_step_bytes(problem.dim), workers)
+    # chunk i runs on worker i % W, so the workers' shares differ by at most one chunk
+    done = _in_workers(lambda share: [runner(problem, noise_model, rule, horizon, x1, chunk)
+                                      for chunk in share],
+                       [chunks[w::workers] for w in range(workers)])
+    parts = [done[i % workers][i // workers] for i in range(len(chunks))]
     result = algos.BatchResult(
         seeds=np.concatenate([r.seeds for r in parts]),
         summary=np.concatenate([r.summary for r in parts]),
@@ -225,8 +346,10 @@ def fit_rate(cfg: ExperimentConfig) -> RateFit:
         raise ConfigError("experiment.t_grid", "all horizons identical: log-log fit undefined")
     if cfg.n_seeds < 100:
         raise ConfigError("experiment.seeds", "rate fitting needs at least 100 seeds per horizon")
-    medians = [float(np.median(_sweep(cfg, horizon, cfg.algorithm)[0].summary))
-               for horizon in cfg.horizon_grid]
+    # one sweep per distinct horizon: a repeated horizon's seeds give the same median
+    median = {horizon: float(np.median(_sweep(cfg, horizon, cfg.algorithm)[0].summary))
+              for horizon in dict.fromkeys(cfg.horizon_grid)}
+    medians = [median[horizon] for horizon in cfg.horizon_grid]
     slope, _, r2 = fit_power_law(cfg.horizon_grid, medians)
     exponent = theoretical_exponent(cfg)
     return RateFit(

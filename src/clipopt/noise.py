@@ -323,14 +323,18 @@ def _radial_moments(G: np.ndarray, s: np.ndarray, a: float, d: int, nodes):
 # the spike window, a run loop's window buffers and the temporaries of its per-window
 # metrics (a few such blocks in all) stay in cache.  A spike window holds at least
 # _WINDOW_MIN_STEPS steps: its expansion's fixed cost, a handful of numpy calls, would
-# otherwise weigh on every step where one step's slab alone fills the budget.
+# otherwise weigh on every step where one step's slab alone fills the budget.  A window
+# holds at most _WINDOW_MAX_STEPS steps: the loops and the spike window keep one numpy
+# view (~100-200 bytes) per step of it, and at one seed and d = 2 the bytes alone would
+# allow 8192 steps, which is more in views than in data.
 _WINDOW_BYTES = 1 << 17
 _WINDOW_MIN_STEPS = 8
+_WINDOW_MAX_STEPS = 1024
 
 
 def window_steps(steps: int, d: int, n: int) -> int:
     """K: the steps of one (K, d, n) window of doubles, at least one and at most ``steps``."""
-    return max(1, min(steps, _WINDOW_BYTES // (8 * d * n)))
+    return max(1, min(steps, _WINDOW_MAX_STEPS, _WINDOW_BYTES // (8 * d * n)))
 
 
 # Bytes a spike costs a ``SpikeDraws`` build at its peak, with a margin: its int64

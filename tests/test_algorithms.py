@@ -250,6 +250,30 @@ def test_batch_matches_single_runs_smd():
         assert batch.clipped_fraction[i] == rec.clipped_fraction
 
 
+def test_single_run_past_the_window_step_cap_equals_its_batch_row(monkeypatch):
+    """A single run at d = 2 whose horizon crosses the window's step cap (the bytes alone
+    would allow 8192 steps) runs capped windows and a ragged last one; its results and step
+    table equal its row of a batch, and the same run with the cap lifted, bitwise."""
+    prob = quad(diag=(1.0, 2.0))
+    x1 = np.array([1.0, 0.5])
+    steps = 2 * nz._WINDOW_MAX_STEPS + 300
+    assert nz.window_steps(steps, 2, 1) == nz._WINDOW_MAX_STEPS < nz._WINDOW_BYTES // 16
+    model = TwoPointNoise(p=1.5, sigma=1.0, q=0.3)
+    sched = schedules.Schedule("smd_known_t", smd_inputs(prob, x1, sigma=1.0, horizon=steps))
+    batch = algos.run_smd_batch(prob, model, sched, steps, x1, SEEDS, record=True)
+    rec = algos.run_smd(prob, Oracle(prob, model, seed=SEEDS[1]), sched, steps, x1)
+    monkeypatch.setattr(nz, "_WINDOW_MAX_STEPS", steps)
+    uncapped = algos.run_smd(prob, Oracle(prob, model, seed=SEEDS[1]), sched, steps, x1)
+    for other, row in ((batch, 1), (uncapped, None)):
+        for field in ("summary", "final_gap", "clipped_fraction"):
+            theirs = getattr(other, field) if row is None else getattr(other, field)[row]
+            assert theirs == getattr(rec, field), field
+        for field in ("x", "metric", "clipped"):
+            rows = getattr(other.table, field)
+            rows = rows if row is None else rows[row:row + 1]
+            assert rows.tobytes() == getattr(rec.table, field).tobytes(), field
+
+
 def test_batch_matches_single_runs_smd_simplex():
     prob = problems.make_simplex_quadratic([0.3, 0.3, 0.4])
     x1 = np.ones(3) / 3

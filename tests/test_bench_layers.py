@@ -31,3 +31,8 @@ def test_bench_layers_tiny_prints_every_layer(capsys):
     tables = [line for line in lines if line.startswith("schedule ")]
     assert len(tables) == len(bench.TABLE_MODES) and all(" table " in line for line in tables)
     assert len([line for line in lines if line.startswith("draws ")]) == len(bench.TINY_SIZES)
+    sweeps = [line.split() for line in lines if line.startswith("sweep ")]
+    assert [row[1] for row in sweeps] == [name for name, _ in bench.TINY_SWEEPS]
+    assert all(row[6] == "W=1" and row[9].startswith("W=") and int(row[9][2:]) >= 1
+               and row[8] == row[11] == "ms" and float(row[7]) > 0 and float(row[10]) > 0
+               for row in sweeps)

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -81,6 +82,34 @@ def test_invalid_moment_order_names_field():
     bad = MINIMAL.replace("p = 1.5", "p = 2.5")
     with pytest.raises(ConfigError, match="noise.p"):
         parse_config(bad)
+
+
+def test_config_error_survives_a_pickle_round_trip():
+    """A sweep's worker process sends its exception back pickled; the field path and the
+    message come back whole, a colon in the message or the path repeated in it included."""
+    for path, message in (("experiment.seeds", "x"), ("noise.p", "a: b"), ("p", "p: x")):
+        back = pickle.loads(pickle.dumps(ConfigError(path, message)))
+        assert type(back) is ConfigError
+        assert str(back) == f"{path}: {message}" and back.field_path == path
+
+
+def test_main_parses_each_call_afresh(monkeypatch):
+    """The parser is built once; the ``--set`` list of one call reaches no other call."""
+    seen = []
+
+    def load(args):
+        seen.append((args.command, args.set))
+        raise ConfigError("experiment.seeds", "stop")
+
+    monkeypatch.setattr(cli, "_load", load)
+    assert cli.main(["run", "--config", "a.cfg", "--set", "experiment.seeds=5"]) == 2
+    assert cli.main(["run", "--config", "a.cfg"]) == 2
+    assert cli.main(["rates", "--config", "a.cfg",
+                     "--set", "noise.p=1.5", "--set", "noise.q=0.1"]) == 2
+    assert cli.main(["compare", "--config", "a.cfg"]) == 2
+    assert seen == [("run", ["experiment.seeds=5"]), ("run", []),
+                    ("rates", ["noise.p=1.5", "noise.q=0.1"]), ("compare", [])]
+    assert cli._parser() is cli._parser()
 
 
 def test_mode_algorithm_compatibility():

@@ -4,12 +4,16 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
 
-from clipopt import algorithms, harness
-from clipopt.config import ExperimentConfig, build_noise, validate_config
+from clipopt import algorithms, cli, harness
+from clipopt.config import (ConfigError, ExperimentConfig, build_noise, dumps_config,
+                            validate_config)
 from clipopt.noise import RadialParetoNoise, TwoPointNoise
 
 
@@ -154,15 +158,18 @@ def test_seed_chunks_are_balanced():
     # the perfbench asmd sweep with a dense block: 500 * 2048 * 32 doubles (262 MB)
     # over the 240 MB budget gives two halves
     dense = RadialParetoNoise(p=1.5, sigma=0.5, tail_index=1.75).seed_step_bytes(32)
-    chunks = harness._seed_chunks(np.arange(500), 2048, dense)
+    chunks = harness._seed_chunks(np.arange(500), 2048, dense, 1)
     assert [len(c) for c in chunks] == [250, 250]
     np.testing.assert_array_equal(np.concatenate(chunks), np.arange(500))
-    # the same sweep with two-point noise keeps only its spikes: one batch
+    # two workers share the budget: each runs two chunks of half the size
+    assert [len(c) for c in harness._seed_chunks(np.arange(500), 2048, dense, 2)] == [125] * 4
+    # the same sweep with two-point noise keeps only its spikes: one batch, or one a worker
     spikes = TwoPointNoise(p=1.5, sigma=0.5, q=0.1).seed_step_bytes(32)
-    assert [len(c) for c in harness._seed_chunks(np.arange(500), 2048, spikes)] == [500]
-    assert [len(c) for c in harness._seed_chunks(np.arange(7), 100, 16)] == [7]
+    assert [len(c) for c in harness._seed_chunks(np.arange(500), 2048, spikes, 1)] == [500]
+    assert [len(c) for c in harness._seed_chunks(np.arange(500), 2048, spikes, 2)] == [250] * 2
+    assert [len(c) for c in harness._seed_chunks(np.arange(7), 100, 16, 1)] == [7]
     # a seed whose own draws exceed the budget still runs, alone
-    assert [len(c) for c in harness._seed_chunks(np.arange(3), 10 ** 8, 8)] == [1, 1, 1]
+    assert [len(c) for c in harness._seed_chunks(np.arange(3), 10 ** 8, 8, 2)] == [1, 1, 1]
 
 
 def test_run_trials_writes_stable_csv(tmp_path):
@@ -194,6 +201,25 @@ def test_fit_rate_requires_grid_and_seeds():
         harness.fit_rate(cfg(n_seeds=120))
     with pytest.raises(ValueError, match="100 seeds"):
         harness.fit_rate(cfg(horizon_grid=(64, 128, 256, 512), n_seeds=50))
+
+
+def test_fit_rate_sweeps_each_horizon_once(monkeypatch):
+    """A repeated horizon reuses its median: the fit sees every grid point, the sweeps run
+    once per distinct horizon."""
+    c = cfg(sigma=0.0, noise="none", n_seeds=100, horizon_grid=(256, 256, 512, 1024, 512))
+    swept = []
+    sweep = harness._sweep
+
+    def counted_sweep(cfg, horizon, algorithm):
+        swept.append(horizon)
+        return sweep(cfg, horizon, algorithm)
+
+    monkeypatch.setattr(harness, "_sweep", counted_sweep)
+    fit = harness.fit_rate(c)
+    assert swept == [256, 512, 1024]
+    assert fit.horizons.tolist() == [256, 256, 512, 1024, 512]
+    assert fit.medians[0] == fit.medians[1] and fit.medians[2] == fit.medians[4]
+    assert (fit.slope, fit.r_squared) == harness.fit_power_law(fit.horizons, fit.medians)[::2]
 
 
 def test_fit_rate_noiseless_smd_slope():
@@ -271,3 +297,207 @@ def test_compare_upper_quantiles_with_diverged_baseline():
     assert comp.vanilla_diverged == 30
     assert comp.vanilla_upper == math.inf
     assert math.isfinite(comp.clipped_upper)
+
+
+# -- worker processes -----------------------------------------------------------------
+
+SGD = dict(algorithm="sgd", mode="sgd_known_t", problem="nonconvex_ratio", x1=(1.0, 1.0))
+CASES = {"smd": {}, "asmd": dict(algorithm="asmd", mode="asmd_known_t"), "sgd": SGD,
+         "vanilla-sgd": dict(SGD, algorithm="vanilla-sgd")}
+FIELDS = ("seeds", "summary", "final_gap", "clipped_fraction", "diverged")
+
+
+def forking(monkeypatch) -> list:
+    """From here on every sweep forks, onto three CPUs (more than this machine may have);
+    returns the pids forked, appended as they are."""
+    monkeypatch.setattr(harness, "_FORK_SEED_STEPS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    forked, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forked
+
+
+def assert_all_reaped():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def sweep_bytes(c, algorithm: str) -> list[bytes]:
+    result, _ = harness._sweep(c, c.horizon, algorithm)
+    return [getattr(result, field).tobytes() for field in FIELDS]
+
+
+def test_workers_rule(monkeypatch):
+    """One worker per CPU and at most one per seed, from the seed-step threshold on, in a
+    process that can fork and runs one thread; the CPU count stands in for affinity."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    n = harness._FORK_SEED_STEPS // 64
+    assert harness._workers(n, 64) == 3
+    assert harness._workers(n - 1, 64) == 1
+    assert harness._workers(2, harness._FORK_SEED_STEPS) == 2
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert harness._workers(n, 64) == 1
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert harness._workers(n, 64) == 5
+    monkeypatch.delattr(os, "fork")
+    assert harness._workers(n, 64) == 1
+
+
+@pytest.mark.parametrize("algorithm", sorted(CASES))
+@pytest.mark.parametrize("seven", [False, True])
+def test_forked_sweep_equals_the_in_process_sweep_bitwise(monkeypatch, algorithm, seven):
+    """Three workers give every row of the in-process sweep, bitwise and in seed order, each
+    worker running one chunk or six (the chunks dealt round the workers); run_trials'
+    summary follows."""
+    c = cfg(**CASES[algorithm], n_seeds=40)
+    whole, trials = sweep_bytes(c, algorithm), harness.run_trials(c, write=False)
+    forked = forking(monkeypatch)
+    calls = {"run": 0}
+    name = "run_vanilla_sgd_batch" if algorithm == "vanilla-sgd" else f"run_{algorithm}_batch"
+    monkeypatch.setattr(algorithms, name, counted(calls, "run", getattr(algorithms, name)))
+    if seven:
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", seven_seed_budget(c))
+    assert sweep_bytes(c, algorithm) == whole
+    again = harness.run_trials(c, write=False)
+    assert again.metrics.tobytes() == trials.metrics.tobytes() and again.row() == trials.row()
+    assert len(forked) == 4  # two children a sweep
+    assert calls["run"] == 2 * (6 if seven else 1)  # the calling process's share
+    assert_all_reaped()
+
+
+def test_forked_fit_rate_and_compare_equal_the_in_process_runs_bitwise(monkeypatch):
+    rates = cfg(**SGD, n_seeds=100, horizon_grid=(64, 128, 256, 512))
+    pair = cfg(algorithm="sgd", mode="sgd_known_t", p=1.5, sigma=1.0, q=1e-3, horizon=256,
+               n_seeds=40, vanilla_eta=3.0)
+    fit, comp = harness.fit_rate(rates), harness.compare_clipped_vanilla(pair)
+    forked = forking(monkeypatch)
+    again = harness.fit_rate(rates)
+    assert again.medians.tobytes() == fit.medians.tobytes()
+    assert (again.slope, again.r_squared) == (fit.slope, fit.r_squared)
+    assert harness.compare_clipped_vanilla(pair) == comp
+    assert comp.vanilla_diverged == 40  # the diverged flags come back from the workers too
+    assert len(forked) == 2 * (4 + 2)
+    assert_all_reaped()
+
+
+class LocalError(Exception):
+    """Raised with an argument that cannot be pickled."""
+
+
+def in_workers_only(monkeypatch, act):
+    """``run_smd_batch`` calls ``act(seeds)`` first in a forked worker only."""
+    parent, run = os.getpid(), algorithms.run_smd_batch
+
+    def patched(problem, noise, rule, horizon, x1, seeds, **kwargs):
+        if os.getpid() != parent:
+            act(seeds)
+        return run(problem, noise, rule, horizon, x1, seeds, **kwargs)
+
+    monkeypatch.setattr(algorithms, "run_smd_batch", patched)
+
+
+def _raise(exc):
+    raise exc
+
+
+@pytest.mark.parametrize("act, code, message", [
+    (lambda seeds: _raise(ValueError("bad row")), 1, "error: bad row"),
+    (lambda seeds: _raise(ConfigError("noise.q", "bad q")), 2, "config error: noise.q: bad q"),
+    (lambda seeds: _raise(LocalError(threading.Lock())), 1, "error: LocalError(<unlocked "),
+    (lambda seeds: os._exit(3), 1, "error: a sweep worker process exited with code 3 before "
+                                   "sending its result"),
+])
+def test_a_worker_error_reaches_the_cli(monkeypatch, tmp_path, capsys, act, code, message):
+    """A worker's exception is raised again in the calling process with its type and
+    message, so the exit codes hold; one that cannot be pickled arrives as a RuntimeError
+    with its repr, and a worker that dies without a reply is an error too."""
+    path = tmp_path / "run.cfg"
+    path.write_text(dumps_config(cfg(n_seeds=40)))
+    in_workers_only(monkeypatch, act)
+    forked = forking(monkeypatch)
+    assert cli.main(["run", "--config", str(path)]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(message)
+    assert len(forked) == 2
+    assert_all_reaped()
+
+
+def test_an_error_in_the_calling_process_kills_and_reaps_every_worker(monkeypatch):
+    """The workers would sleep a minute; the calling process's own chunk raises, and every
+    worker is killed and reaped before the error leaves the sweep."""
+    parent, run = os.getpid(), algorithms.run_smd_batch
+
+    def patched(*args, **kwargs):
+        if os.getpid() == parent:
+            raise ValueError("bad row here")
+        time.sleep(60)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(algorithms, "run_smd_batch", patched)
+    forked = forking(monkeypatch)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="bad row here"):
+        harness.run_trials(cfg(n_seeds=40), write=False)
+    assert time.monotonic() - start < 30
+    assert len(forked) == 2
+    assert_all_reaped()
+
+
+def test_worker_warnings_are_issued_again_in_order(monkeypatch):
+    """Each worker's warnings come back in its order, the workers in seed order; under an
+    error filter a worker's warning is raised again here as its exception."""
+    def warn(seeds):
+        warnings.warn(f"from seed {seeds[0]}", UserWarning)
+        warnings.warn(f"to seed {seeds[-1]}", UserWarning)
+
+    in_workers_only(monkeypatch, warn)
+    forking(monkeypatch)
+    c = cfg(n_seeds=40)  # one chunk a worker: seeds 0-13 here, 14-26 and 27-39 forked
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        harness._sweep(c, c.horizon, "smd")
+    assert [str(w.message) for w in caught] == ["from seed 14", "to seed 26",
+                                                "from seed 27", "to seed 39"]
+    assert {(w.category, w.filename) for w in caught} == {(UserWarning, __file__)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UserWarning, match="from seed 14"):
+            harness._sweep(c, c.horizon, "smd")
+    assert_all_reaped()
+
+
+def test_a_forked_cli_run_prints_once(tmp_path):
+    """A worker leaves without flushing the stdout buffer it inherited: text the calling
+    process had buffered before the fork (stdout to a pipe is block-buffered unless
+    PYTHONUNBUFFERED is set) is written once."""
+    path = tmp_path / "run.cfg"
+    path.write_text(dumps_config(cfg(n_seeds=40, out_dir=str(tmp_path / "out"))))
+    code = ("import os, sys\n"
+            "from clipopt import cli, harness\n"
+            "harness._FORK_SEED_STEPS = 0\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "print('buffered', end=' ')\n"
+            f"sys.exit(cli.main(['run', '--config', {str(path)!r}]))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("buffered [t] smd/smd_known_t T=64 seeds=40 ")
+    assert proc.stdout.count("buffered") == 1 and proc.stdout.count("\n") == 1

@@ -17,6 +17,9 @@ Prints, one line each:
   ``RadialParetoNoise.clipped_moments``, a quadrature; in ms and in us per point;
 * the time of ``Schedule.table(T)`` and of one ``Schedule.pair`` call, per mode;
 * the time of ``noise.lockstep_draws`` at each workload's full size;
+* the time of one ``harness._sweep`` (the seeds of one config at one horizon, written
+  nowhere) at the run-smd, rates-sgd (its longest horizon) and asmd-simplex sizes, run in
+  this process (W = 1) and on the W worker processes a sweep past the fork threshold uses;
 * nproc, the Python version and the numpy version.
 
 Each time is the minimum over ``--repeat`` runs, which on a shared machine is
@@ -40,7 +43,8 @@ import time
 
 import numpy as np
 
-from clipopt import algorithms, geometry, noise, problems, schedules
+from clipopt import algorithms, geometry, harness, noise, problems, schedules
+from clipopt.config import ExperimentConfig, validate_config
 
 # (name, seeds, dimension, horizon of the draws build); one step is timed over LOOP_STEPS
 SIZES = [("run-smd", 1000, 2, 4096), ("rates-sgd", 100, 2, 16384),
@@ -60,6 +64,19 @@ CLIP_SIZE, TINY_CLIP_SIZE = ("rates-sgd", 100, 2), ("tiny", 3, 2)
 CLIP_LEVEL = 1.0
 # the moments: query points (d = 2)
 MOMENTS, TINY_MOMENTS = 256, 16
+# the sweeps: (name, config fields), as the benchmark's workloads configure them
+SWEEPS = [("run-smd", dict(algorithm="smd", mode="smd_known_t", horizon=4096, n_seeds=1000,
+                           diag=(1.0, 1.0), shift=(0.0, 0.0), x1=(4.0, 0.0), p=1.5,
+                           sigma=0.25)),
+          ("rates-sgd", dict(algorithm="sgd", mode="sgd_known_t", horizon=16384, n_seeds=100,
+                             problem="nonconvex_ratio", x1=(0.1, 0.1), sigma=0.1,
+                             delta=0.36787944117144233)),
+          ("asmd-simplex", dict(algorithm="asmd", mode="asmd_known_t", horizon=2048,
+                                n_seeds=500, problem="simplex_quadratic", dim=32, p=1.5,
+                                sigma=0.5))]
+TINY_SWEEPS = [("tiny", dict(algorithm="smd", mode="smd_known_t", horizon=16, n_seeds=40)),
+               ("tiny-simplex", dict(algorithm="asmd", mode="asmd_known_t", horizon=16,
+                                     n_seeds=8, problem="simplex_quadratic", dim=4))]
 TABLE_MODES = ["smd_known_t", "smd_anytime", "smd_param_free", "asmd_known_t", "asmd_anytime",
                "sgd_known_t", "sgd_anytime"]
 
@@ -168,6 +185,25 @@ def draws_lines(sizes, repeat: int):
         print(f"draws {name:<13} n={n:<5} d={d:<3} T={steps:<6} {seconds * 1e3:9.1f} ms")
 
 
+def sweep_lines(sweeps, repeat: int):
+    threshold = harness._FORK_SEED_STEPS
+    try:
+        for name, fields in sweeps:
+            cfg = ExperimentConfig(**fields)
+            validate_config(cfg)
+            seconds = []
+            for fork_from in (float("inf"), 0):  # never, then at every size
+                harness._FORK_SEED_STEPS = fork_from
+                seconds.append(_best(lambda: harness._sweep(cfg, cfg.horizon, cfg.algorithm),
+                                     repeat))
+            W = harness._workers(cfg.n_seeds, cfg.horizon)
+            print(f"sweep {name:<13} n={cfg.n_seeds:<5} d={cfg.dim:<3} T={cfg.horizon:<6} "
+                  f"{cfg.algorithm:<5} W=1 {seconds[0] * 1e3:9.1f} ms  "
+                  f"W={W} {seconds[1] * 1e3:9.1f} ms")
+    finally:
+        harness._FORK_SEED_STEPS = threshold
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -185,6 +221,7 @@ def main(argv=None) -> int:
     moments_line(TINY_MOMENTS if args.tiny else MOMENTS, repeat)
     schedule_lines(TINY_TABLE_T if args.tiny else TABLE_T, repeat)
     draws_lines(sizes, repeat)
+    sweep_lines(TINY_SWEEPS if args.tiny else SWEEPS, repeat)
     return 0
 
 
