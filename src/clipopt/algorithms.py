@@ -36,16 +36,17 @@ only when some row's norm is over the level (or NaN), the clip over the
 noisy gradient and the count of the rows it clipped; eta * G (and the
 accelerated mixes' alpha * z) go into one scratch array.  Everything else is
 done once per window of K steps (``noise.window_steps``, the spike window's
-byte rule): the metrics over the window's iterates or gradients, the running
-sums, added in time order (``_running_sum``), and the copy of the window
-into the record.  Window sizes do not change a bit.
+byte rule): the metrics over the window's iterates or gradients and the
+running sums, added in time order (``_running_sum``).  A recorded run is one
+window of all its steps, and its step table is built from the window buffers
+when the loop ends.  Window sizes do not change a bit.
 
 ``run_*_batch`` advances many seeds in lockstep (used by the experiment
 harness and ``diagnose``); ``run_*`` is the one-seed batch on its oracle's
 generator.  Both draw their noise through ``noise.lockstep_draws``, the one
 place that knows its layout, and run through one helper, which can record
-the run into a preallocated ``StepTable`` with a leading seed axis (read by
-the diagnostics); a single run's table is its n = 1 case.  Same seed, same
+the run as a ``StepTable`` with a leading seed axis (read by the
+diagnostics); a single run's table is its n = 1 case.  Same seed, same
 config give bitwise-identical trajectories in either form.  A row whose
 final iterate, summary or final gap is not finite is reported as diverged,
 with infinite summary and gap; the overflow and invalid-value warnings that
@@ -82,6 +83,11 @@ class StepTable:
     and ``y``, ``z`` hold y_1..y_{T+1} and z_1..z_{T+1}.  ``grad_clipped`` is
     the gradient each step used (the unclipped one for the baseline, whose
     ``lam`` is infinite).
+
+    A recorded run is one window of all its steps, so some fields are
+    transposed views of its window buffers: ``grad_clipped``, the accelerated
+    query points ``x``, mirror descent's ``metric`` and the parameter-free
+    mode's ``eta`` and ``lam``.  ``alpha`` is the schedule table's.
     """
 
     t: np.ndarray
@@ -203,26 +209,12 @@ def _batch(loop, problem, noise_model, param, steps, x1, seeds, record) -> Batch
 def _run(loop, problem, param, steps, x1, seeds, noise, record):
     """The seeds' results (a row with a non-finite final iterate, summary or gap is
     flagged diverged) and their final rows."""
-    tab = _step_table(steps, noise.n, x1, loop is _asmd) if record else None
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are flagged diverged
-        summary, final_gap, clipped, X = loop(problem, param, steps, x1, noise, tab)
+        summary, final_gap, clipped, X, tab = loop(problem, param, steps, x1, noise, record)
     diverged = ~(np.isfinite(summary) & np.isfinite(final_gap) & np.all(np.isfinite(X), axis=1))
     res = BatchResult(np.asarray(seeds), np.where(diverged, np.inf, summary),
                       np.where(diverged, np.inf, final_gap), clipped / steps, diverged, tab)
     return res, X
-
-
-def _step_table(steps: int, n: int, x1, accelerated: bool) -> StepTable:
-    """An unfilled record of n seeds over ``steps`` steps; each path holds ``x1`` until written."""
-    x1 = np.asarray(x1, dtype=float)
-    rows, points, path_reps = (n, steps), (n, steps, x1.size), (n, steps + 1, 1)
-    tab = StepTable(np.arange(1, steps + 1), np.empty(rows), np.empty(rows),
-                    np.empty(rows, dtype=bool), np.empty(rows), np.tile(x1, path_reps),
-                    np.empty(points))
-    if accelerated:  # x holds the query points, y and z the paths
-        tab.alpha, tab.x, tab.y, tab.z = (np.empty(steps), np.empty(points), tab.x,
-                                          np.tile(x1, path_reps))
-    return tab
 
 
 def _start(problem: Problem, x1, n: int) -> np.ndarray:
@@ -275,14 +267,9 @@ def _running_sum(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.add.reduce(block, axis=0)
 
 
-def _record(tab: StepTable, lo: int, k: int, eta, lam, norms, metric, grad):
-    """Steps lo + 1 .. lo + k of the columns every loop records, from its window's rows
-    (``eta`` and ``lam`` are (k, n), or (k, 1) for every row); a step clipped the rows
-    whose norm is over its level."""
-    rows = slice(lo, lo + k)
-    tab.eta[:, rows], tab.lam[:, rows] = eta.T, lam.T
-    tab.clipped[:, rows], tab.metric[:, rows] = (norms > lam).T, metric.T
-    tab.grad_clipped[:, rows] = grad.transpose(1, 0, 2)
+def _path(start: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """Each row's path, (n, T + 1, d): its start followed by its iterates in a (T, n, d) window."""
+    return np.concatenate((start[:, None], window.transpose(1, 0, 2)), axis=1)
 
 
 # -- the loops: noise is a draws object whose slab(t) is step t's (n, d) noise,
@@ -295,25 +282,26 @@ def _record(tab: StepTable, lo: int, k: int, eta, lam, norms, metric, grad):
 # gets the factor 1, so skipping the clip keeps the bits (the baseline's level is
 # +inf: it runs the clip only at a NaN norm); a row is counted clipped when its norm
 # is over the level;
-# a step table, if given, gets each window's rows; each returns (summary,
-# final_gap, clip counts, final rows) --
+# a recorded run is one window of every step, and its step table is built from the
+# window buffers at the end; each returns (summary, final_gap, clip counts, final
+# rows, step table or None) --
 
 
-def _smd(problem, schedule, steps, x1, noise, tab):
+def _smd(problem, schedule, steps, x1, noise, record):
     levels = _levels(schedule, SMD_MODES, "smd needs a mirror-descent schedule", steps)
-    return _descent(problem, levels, steps, x1, noise, tab,
+    return _descent(problem, levels, steps, x1, noise, record,
                     lambda xw, fw, out: problem.gap_many(xw, out=out))
 
 
-def _sgd(problem, schedule, steps, x1, noise, tab):
+def _sgd(problem, schedule, steps, x1, noise, record):
     levels = _levels(schedule, SGD_MODES, "sgd needs a gradient-descent schedule", steps)
     if problem.geometry.kind != "euclidean":
         raise ValueError("clipped gradient descent runs on unconstrained l2 geometry")
-    return _descent(problem, levels, steps, x1, noise, tab,
+    return _descent(problem, levels, steps, x1, noise, record,
                     lambda xw, fw, out: coord_dot(fw, fw, out=out))
 
 
-def _vanilla(problem, eta, steps, x1, noise, tab):
+def _vanilla(problem, eta, steps, x1, noise, record):
     if problem.geometry.kind != "euclidean":
         raise ValueError("the baseline runs on unconstrained l2 geometry")
 
@@ -323,10 +311,10 @@ def _vanilla(problem, eta, steps, x1, noise, tab):
         return out
 
     levels = ScheduleTable(np.full(steps, float(eta)), np.full(steps, np.inf), None)
-    return _descent(problem, levels, steps, x1, noise, tab, metric)
+    return _descent(problem, levels, steps, x1, noise, record, metric)
 
 
-def _descent(problem, levels, steps, x1, noise, tab, metric):
+def _descent(problem, levels, steps, x1, noise, record, metric):
     """Clipped mirror descent, whose summary is the average of ``metric(xw, fw, out)``:
     the per-step metric of a window, from its new iterates ``xw`` and the gradients
     ``fw`` its steps were queried at (the value gap for SMD, the squared gradient
@@ -334,9 +322,9 @@ def _descent(problem, levels, steps, x1, noise, tab, metric):
     table (its step sizes and levels), or the parameter-free mode's ``pair(t, dev)``."""
     n = noise.n
     geom = problem.geometry
-    X = _start(problem, x1, n)
+    X1 = X = _start(problem, x1, n)
     d = X.shape[1]
-    K = window_steps(steps, d, n)
+    K = steps if record else window_steps(steps, d, n)  # a recorded run is one window
     (xw, xs), (fw, fs), (gw, gs) = (_slots(K, n, d) for _ in range(3))
     S = _rows(n, d)
     norms, metric_rows = np.empty((K, n)), np.empty((K, n))
@@ -354,12 +342,11 @@ def _descent(problem, levels, steps, x1, noise, tab, metric):
                 yield eta_w[i, :, None], lam_w[i], lam_w[i].min()
     else:
         etas, lams, _ = levels
-    for lo in range(0, steps, K):  # windows of K steps, then the rest
+    for lo in range(0, steps, max(K, 1)):  # windows of K steps, then the rest
         k = min(K, steps - lo)
         if per_row:
-            pairs, eta_k, lam_k = row_pairs(lo, k), eta_w[:k], lam_w[:k]
+            pairs = row_pairs(lo, k)
         else:
-            eta_k, lam_k = etas[lo:lo + k, None], lams[lo:lo + k, None]
             level = lams[lo:lo + k].tolist()
             pairs = zip(etas[lo:lo + k].tolist(), level, level)
         for i, (eta, lam, lowest) in enumerate(pairs):
@@ -370,30 +357,31 @@ def _descent(problem, levels, steps, x1, noise, tab, metric):
                 clip_batch(G, lam, nrm, out=G)
                 clipped += nrm > lam
             X = geom.mirror_step_many(X, G, eta, out=xs[i], scratch=S)
-        window = metric(xw[:k], fw[:k], metric_rows[:k])
-        metric_sum = _running_sum(metric_sum, window)
-        if tab is not None:
-            _record(tab, lo, k, eta_k, lam_k, norms[:k], window, gw[:k])
-            tab.x[:, lo + 1:lo + k + 1] = xw[:k].transpose(1, 0, 2)
-    return metric_sum / steps, problem.gap_many(X), clipped, X.copy(order="K")
+        metric_sum = _running_sum(metric_sum, metric(xw[:k], fw[:k], metric_rows[:k]))
+    tab = None
+    if record:
+        eta, lam = (eta_w.T, lam_w.T) if per_row else (np.tile(a, (n, 1)) for a in (etas, lams))
+        tab = StepTable(np.arange(1, steps + 1), eta, lam, norms.T > lam, metric_rows.T,
+                        _path(X1, xw), gw.transpose(1, 0, 2))
+    return metric_sum / steps, problem.gap_many(X), clipped, X.copy(order="K"), tab
 
 
-def _asmd(problem, schedule, steps, y1, noise, tab):
+def _asmd(problem, schedule, steps, y1, noise, record):
     n = noise.n
     etas, lams, alphas = _levels(schedule, ASMD_MODES, "asmd needs an accelerated schedule", steps)
     geom = problem.geometry
-    Y = Z = _start(problem, y1, n)  # z_1 = y_1; steps write into slots, never into the start
+    Y1 = Y = Z = _start(problem, y1, n)  # z_1 = y_1; steps write into slots, never into the start
     d = Y.shape[1]
-    K = window_steps(steps, d, n)
+    K = steps if record else window_steps(steps, d, n)  # a recorded run is one window
     (yw, ys), (zw, zs), (xw, xs), (gw, gs) = (_slots(K, n, d) for _ in range(4))
     S = _rows(n, d)
     norms = np.empty((K, n))
     norm_rows, clipped = list(norms), np.zeros(n)
-    for lo in range(0, steps, K):
+    for lo in range(0, steps, max(K, 1)):
         k = min(K, steps - lo)
-        level = lams[lo:lo + k]
         for i, (alpha, eta, lam) in enumerate(zip(alphas[lo:lo + k].tolist(),
-                                                  etas[lo:lo + k].tolist(), level.tolist())):
+                                                  etas[lo:lo + k].tolist(),
+                                                  lams[lo:lo + k].tolist())):
             Xq = geom.mix_many(Y, Z, alpha, out=xs[i], scratch=S)
             G = problem.grad_many(Xq, out=gs[i])
             G += noise.slab(lo + i + 1)
@@ -403,11 +391,11 @@ def _asmd(problem, schedule, steps, y1, noise, tab):
                 clipped += nrm > lam
             Z = geom.mirror_step_many(Z, G, eta, out=zs[i], scratch=S)
             Y = geom.mix_many(Y, Z, alpha, out=ys[i], scratch=S)
-        if tab is not None:
-            _record(tab, lo, k, etas[lo:lo + k, None], level[:, None], norms[:k],
-                    problem.gap_many(yw[:k]), gw[:k])
-            tab.alpha[lo:lo + k], tab.x[:, lo:lo + k] = alphas[lo:lo + k], xw[:k].transpose(1, 0, 2)
-            tab.y[:, lo + 1:lo + k + 1] = yw[:k].transpose(1, 0, 2)
-            tab.z[:, lo + 1:lo + k + 1] = zw[:k].transpose(1, 0, 2)
+    tab = None
+    if record:  # x holds the query points, y and z the paths
+        eta, lam = np.tile(etas, (n, 1)), np.tile(lams, (n, 1))
+        tab = StepTable(np.arange(1, steps + 1), eta, lam, norms.T > lam,
+                        problem.gap_many(yw).T, xw.transpose(1, 0, 2), gw.transpose(1, 0, 2),
+                        alphas, _path(Y1, yw), _path(Y1, zw))
     gaps = problem.gap_many(Y)
-    return gaps, gaps, clipped, Y.copy(order="K")
+    return gaps, gaps, clipped, Y.copy(order="K"), tab

@@ -4,9 +4,9 @@ Sections are ``[experiment]``, ``[problem]``, ``[noise]``, ``[schedule]`` and
 ``[diagnostics]``; ``#`` starts a comment.  Loading parses the file, applies
 any ``section.key=value`` overrides in order, then validates once: every
 constraint of the underlying modules (moment order range, tail index, step-size
-caps, mode/algorithm compatibility) is re-checked and reported with the
-offending section.key.  ``dumps_config`` writes a canonical form whose reload
-compares equal, so configs round-trip.
+caps, mode/algorithm compatibility, the l2 geometry gradient descent runs on) is
+re-checked and reported with the offending section.key.  ``dumps_config``
+writes a canonical form whose reload compares equal, so configs round-trip.
 
 Each key is declared once, as an ``ExperimentConfig`` field that carries its
 section.key and value kind.  The field's default is the value of a key no config
@@ -256,6 +256,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     # build everything once so module-level constraints surface at load time
     try:
         problem, _ = build_problem(cfg)
+        if cfg.algorithm in ("sgd", "vanilla-sgd") and problem.geometry.kind != "euclidean":
+            raise ConfigError("problem.kind", f"{cfg.algorithm} runs on unconstrained l2 "
+                                              f"geometry, not on {cfg.problem!r}")
         noise_model = build_noise(cfg)
         _check_spike(cfg, noise_model)
         try:

@@ -103,12 +103,6 @@ class MgfReport:
     def passed(self) -> bool:
         return all(e.passed for e in self.entries if not e.skipped)
 
-    def row(self) -> dict:
-        worst = min((e.rhs - e.lhs for e in self.entries if not e.skipped), default=math.inf)
-        return {"name": "mgf_bound", "steps": len(self.entries), "violations":
-                sum(not e.passed for e in self.entries if not e.skipped),
-                "max_margin": worst, "stderr": 0.0}
-
 
 def check_mgf_bound(radius: float, lambdas, law: DiscreteLaw) -> MgfReport:
     """Verify ``E exp(l X) <= exp(0.75 l^2 E X^2)`` for ``0 <= l <= 1/radius``, exactly.

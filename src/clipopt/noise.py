@@ -326,7 +326,9 @@ def _radial_moments(G: np.ndarray, s: np.ndarray, a: float, d: int, nodes):
 # otherwise weigh on every step where one step's slab alone fills the budget.  A window
 # holds at most _WINDOW_MAX_STEPS steps: the loops and the spike window keep one numpy
 # view (~100-200 bytes) per step of it, and at one seed and d = 2 the bytes alone would
-# allow 8192 steps, which is more in views than in data.
+# allow 8192 steps, which is more in views than in data.  A run loop that records skips
+# both caps: its one window holds every step, because its step table is made of views of
+# the window buffers (one view per step, the same order as the record itself).
 _WINDOW_BYTES = 1 << 17
 _WINDOW_MIN_STEPS = 8
 _WINDOW_MAX_STEPS = 1024

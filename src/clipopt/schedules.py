@@ -66,10 +66,10 @@ def log_weight_tail_sum(t_max: int) -> float:
 class ScheduleInputs:
     """Problem and confidence constants a schedule is built from.
 
-    ``r1`` and ``r0`` are the Bregman radii ``sqrt(2 D(x*, x1))`` and
-    ``sqrt(2 D(x*, x0))``; ``delta1`` is the initial value gap (nonconvex
-    modes); ``grad1_bound`` upper-bounds the dual norm of the gradient at the
-    start (parameter-free mode); ``c1``/``c2`` are its dimension constants.
+    ``r1`` is the Bregman radius ``sqrt(2 D(x*, x1))``; ``delta1`` is the
+    initial value gap (nonconvex modes); ``grad1_bound`` upper-bounds the
+    dual norm of the gradient at the start (parameter-free mode);
+    ``c1``/``c2`` are its dimension constants.
     ``c_override`` replaces the accelerated modes' internal constant
     ``max(1e4, ...)`` and is off-guarantee, for illustrative runs only.
     """
@@ -80,9 +80,7 @@ class ScheduleInputs:
     delta: float = 0.1
     horizon: int | None = None
     r1: float | None = None
-    r0: float = 0.0
     mu: float = 0.0
-    g0_norm: float = 0.0
     delta1: float | None = None
     grad1_bound: float | None = None
     c1: float = 1.0
@@ -117,9 +115,9 @@ def _horizon_at(mode: str, horizon: int | None, t: int) -> tuple[int, float]:
 
 
 def _smd_det(s: ScheduleInputs) -> float:
-    """Deterministic floor ``2 (2 L r1 + L r0 + mu sigma + ||g0||_*)`` of the SMD clipping level."""
-    L = s.smoothness
-    return 2.0 * (2.0 * L * s.r1 + L * s.r0 + s.mu * s.sigma + s.g0_norm)
+    """Deterministic floor ``2 (2 L r1 + mu sigma)`` of the SMD clipping level: its reference
+    point x0 is the minimizer, where the ``L r0 + ||g0||_*`` terms vanish."""
+    return 2.0 * (2.0 * s.smoothness * s.r1 + s.mu * s.sigma)
 
 
 def _smd_lam(s: ScheduleInputs, tau: float) -> float:
@@ -174,8 +172,8 @@ def derive_inputs(problem: Problem, x1, *, p: float, sigma: float, delta: float 
                   c1: float = 1.0, c2: float = 1.0, c_override: float | None = None) -> ScheduleInputs:
     """Compute schedule inputs from a problem instance and a start point.
 
-    The reference point x0 is the minimizer, with ``g0 = 0`` (``r0 = g0_norm = 0``)
-    and by default ``mu = 0``, which is exact for instances whose minimizer has zero
+    The reference point x0 is the minimizer, with ``g0 = 0``, ``r0 = 0`` and by
+    default ``mu = 0``, which is exact for instances whose minimizer has zero
     gradient.  The convex radius r1 requires a known minimizer; the
     value gap ``delta1`` and gradient bound are always available.  A start
     far enough out overflows a double on the way; the quantities it makes

@@ -400,6 +400,36 @@ def test_single_extreme_value_names_its_key(tmp_path, capsys):
     assert not wrong
 
 
+PROBLEM_KINDS = ("quadratic", "simplex_quadratic", "nonconvex_ratio", "quadratic_plus_norm")
+
+
+@pytest.mark.parametrize("problem", PROBLEM_KINDS)
+@pytest.mark.parametrize("algorithm", config.ALGORITHMS)
+def test_every_algorithm_on_every_problem_runs_or_exits_2(tmp_path, capsys, algorithm, problem):
+    """Each algorithm, under its first mode, on each problem kind from the kind's own start
+    either runs or is rejected with exit 2 naming a section.key before it prints, for
+    ``run``, ``compare`` and ``diagnose`` with every check on; ``diagnose`` may also exit 1
+    for a check that fails, with nothing on stderr."""
+    text = (DEMO_CONFIGS / "diagnose_smd.cfg").read_text().replace("x1 = 2,0\n", "")
+    assert "x1" not in text
+    path = _write(tmp_path, text)
+    sets = {"experiment.t": 8, "experiment.seeds": 3, "experiment.out": tmp_path / "out",
+            "experiment.algorithm": algorithm, "problem.kind": problem,
+            "schedule.mode": config.MODE_FOR_ALGORITHM[algorithm][0]}
+    for command in ("run", "compare", "diagnose"):
+        argv = [command, "--config", path]
+        for key, value in sets.items():
+            argv += ["--set", f"{key}={value}"]
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "fewer than 30 seeds", UserWarning)
+            rc = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert rc in (0, 2) or (command == "diagnose" and rc == 1 and not err), (command, err)
+        if rc == 2:
+            named = err.removeprefix("config error: ").split(":")[0]
+            assert tuple(named.split(".")) in config._SCHEMA and not out, (command, err, out)
+
+
 def test_cmd_run_writes_only_inside_out_dir(tmp_path):
     cfgfile = _write(tmp_path, MINIMAL)
     out = tmp_path / "only-here"

@@ -428,7 +428,8 @@ def test_report_serialization(tmp_path):
     sched, oracle = _smd_setup(prob, x1, 1.0, 50, seed=0)
     reports = [
         _pathwise_smd(prob, oracle, sched, 50, x1),
-        diag.check_mgf_bound(1.0, [0.0, 0.5, 1.0], diag.rademacher(1.0)),
+        diag.check_clipping_error_bounds(prob, TwoPointNoise(p=1.5, sigma=0.0, q=1.0),
+                                         np.array([0.5, 0.0]), level=2.0),
     ]
     csv_path = tmp_path / "reports.csv"
     jsonl_path = tmp_path / "reports.jsonl"

@@ -12,8 +12,8 @@ GAMMA_ONE = math.exp(-1.0)  # delta with log(1/delta) = 1
 
 
 def inputs(**kw):
-    base = dict(p=2.0, sigma=1.0, smoothness=1.0, delta=GAMMA_ONE, r1=1.0, r0=0.0,
-                mu=0.0, g0_norm=0.0, delta1=1.0, grad1_bound=1.0)
+    base = dict(p=2.0, sigma=1.0, smoothness=1.0, delta=GAMMA_ONE, r1=1.0, mu=0.0,
+                delta1=1.0, grad1_bound=1.0)
     base.update(kw)
     return schedules.ScheduleInputs(**base)
 
@@ -32,8 +32,8 @@ def test_smd_known_horizon_example():
 
 
 def test_smd_known_horizon_noiseless_branch():
-    sched = schedules.Schedule("smd_known_t", inputs(sigma=0.0, horizon=100, r0=0.5))
-    det = 2.0 * (2.0 * 1.0 * 1.0 + 1.0 * 0.5)
+    sched = schedules.Schedule("smd_known_t", inputs(sigma=0.0, horizon=100, smoothness=1.25))
+    det = 2.0 * (2.0 * 1.25 * 1.0)
     assert sched.lam(7) == pytest.approx(det)
     assert sched.eta(7) == pytest.approx(1.0 / (24.0 * det))
 
@@ -330,7 +330,7 @@ def test_theorem_bound_sgd_hand_value():
 def closed_form_bound(mode, s, T):
     """Each mode's bound written out in closed form (reference for theorem_bound)."""
     gamma, p, sigma, L = s.gamma, s.p, s.sigma, s.smoothness
-    det = 2.0 * (2.0 * L * s.r1 + L * s.r0 + s.mu * sigma + s.g0_norm)
+    det = 2.0 * (2.0 * L * s.r1 + s.mu * sigma)
     if mode == "smd_known_t":
         return 48.0 * s.r1 * max(
             26.0 ** (1.0 / p) * T ** ((1.0 - p) / p) * sigma * gamma ** ((p - 1.0) / p),
@@ -370,8 +370,8 @@ def test_theorem_bound_matches_closed_forms(mode):
         s = schedules.ScheduleInputs(
             p=rng.uniform(1.05, 2.0), sigma=rng.choice([0.0, rng.uniform(0.0, 10.0)]),
             smoothness=np.exp(rng.uniform(-3, 3)), delta=rng.uniform(0.001, 0.99), horizon=T,
-            r1=np.exp(rng.uniform(-3, 3)), r0=rng.uniform(0, 2), mu=rng.uniform(0, 2),
-            g0_norm=rng.uniform(0, 2), delta1=np.exp(rng.uniform(-3, 3)),
+            r1=np.exp(rng.uniform(-3, 3)), mu=rng.uniform(0, 2),
+            delta1=np.exp(rng.uniform(-3, 3)),
             grad1_bound=np.exp(rng.uniform(-3, 3)), c1=np.exp(rng.uniform(-2, 2)),
             c2=np.exp(rng.uniform(-2, 2)),
             c_override=300.0 if rng.random() < 0.3 else None)
@@ -392,7 +392,6 @@ def test_derive_inputs_from_problem():
     x1 = np.array([2.0, 0.0])
     s = schedules.derive_inputs(prob, x1, p=1.5, sigma=0.5, delta=0.2, horizon=32)
     assert s.r1 == pytest.approx(1.0)  # sqrt(2 * 0.5 * ||x1 - x*||^2)
-    assert s.r0 == 0.0
     assert s.delta1 == pytest.approx(1.0)
     assert s.grad1_bound == pytest.approx(2.0)
     assert s.smoothness == 2.0
@@ -400,7 +399,7 @@ def test_derive_inputs_from_problem():
 
 @pytest.mark.parametrize("mode", schedules.ALL_MODES)
 def test_pair_equals_eta_and_lam_with_one_evaluation(mode, monkeypatch):
-    s = inputs(p=1.5, sigma=0.7, delta=0.05, horizon=40, r0=0.3)
+    s = inputs(p=1.5, sigma=0.7, delta=0.05, horizon=40, mu=0.2)
     sched = schedules.Schedule(mode, s, eta_scale=1.7, lambda_scale=0.3)
     calls = []
     for name in ("_smd_lam", "_pf_lam", "_sgd_lam", "_accel_c"):  # the level helpers
@@ -428,8 +427,7 @@ def test_table_equals_pair_and_alpha_bitwise(mode, eta_scale, lambda_scale, c_ov
     """``table(T)`` holds ``pair(t)`` and ``alpha(t)`` for t = 1..T with the same bits, for
     every mode and knob; the parameter-free mode's at displacement 0."""
     for T in (1, 2, 257, 4096):
-        s = inputs(p=1.5, sigma=0.7, delta=0.05, horizon=T, r0=0.3, mu=0.2, g0_norm=0.1,
-                   c_override=c_override)
+        s = inputs(p=1.5, sigma=0.7, delta=0.05, horizon=T, mu=0.2, c_override=c_override)
         sched = schedules.Schedule(mode, s, eta_scale=eta_scale, lambda_scale=lambda_scale)
         tab = sched.table(T)
         pairs = np.array([sched.pair(t) for t in range(1, T + 1)])

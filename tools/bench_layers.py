@@ -132,7 +132,7 @@ def step_lines(sizes, steps: int, repeat: int):
 
             def run():
                 with np.errstate(over="ignore", invalid="ignore"):
-                    loop(problem, param, steps, x1, draws, None)
+                    loop(problem, param, steps, x1, draws, False)
 
             ns = _best(run, repeat) / (n * steps) * 1e9
             print(f"step {name:<13} n={n:<5} d={d:<3} {algorithm}/{kind:<10} "
@@ -145,8 +145,8 @@ def clip_line(size, steps: int, repeat: int):
     sched = _schedule("smd_known_t", problem, x1, 0.25, steps, level=CLIP_LEVEL)
     model = noise.TwoPointNoise(p=1.5, sigma=0.25, q=0.1)
     draws = _draws(model, d, steps, n)
-    clipped = algorithms._smd(problem, sched, steps, x1, draws, None)[2]
-    ns = _best(lambda: algorithms._smd(problem, sched, steps, x1, draws, None),
+    clipped = algorithms._smd(problem, sched, steps, x1, draws, False)[2]
+    ns = _best(lambda: algorithms._smd(problem, sched, steps, x1, draws, False),
                repeat) / (n * steps) * 1e9
     print(f"clipstep {name:<13} n={n:<5} d={d:<3} smd/euclidean  {ns:9.1f} ns/seed-step "
           f"clipped={clipped.sum() / (n * steps):.3f}")
