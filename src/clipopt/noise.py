@@ -448,52 +448,6 @@ def make_noise(kind: str, p: float, sigma: float, *, q: float = 0.1, tail_index:
     raise ValueError(f"unknown noise kind {kind!r}")
 
 
-def median_of_means(samples: np.ndarray, blocks: int = 50):
-    """Median of block means plus the spread of block means.
-
-    Robust location estimate for laws whose plain sample mean has unstable
-    standard error (infinite variance).  Returns ``(estimate, spread)`` where
-    spread is ``std(block means) / sqrt(blocks)``.  Works coordinatewise for
-    2-d input.
-    """
-    samples = np.asarray(samples, dtype=float)
-    n = samples.shape[0]
-    if n < blocks:
-        raise ValueError("need at least one sample per block")
-    m = n // blocks
-    trimmed = samples[: m * blocks]
-    shaped = trimmed.reshape(blocks, m, *samples.shape[1:])
-    block_means = shaped.mean(axis=1)
-    est = np.median(block_means, axis=0)
-    spread = block_means.std(axis=0, ddof=1) / np.sqrt(blocks)
-    return est, spread
-
-
-def moment_check(model, d: int, n: int, rng: np.random.Generator, blocks: int = 50):
-    """Empirical p-th moment of the dual noise norm and its uncertainty.
-
-    The norm of a coordinate spike is the same in l2 and l-infinity, and the
-    radial family is only used with l2 geometries, so the l2 norm is the
-    correct dual norm for both families.  The p-th power of the norm has
-    finite variance only when the 2p-th moment exists; the Pareto family
-    within its allowed tail range never satisfies that, so its estimate uses
-    the median of block means and reports the block spread.  For tail index
-    close to p the power's own tail index a/p approaches 1 and every
-    location estimate of its mean typically undershoots at feasible sample
-    sizes; treat the Pareto estimate as a typical-value report and verify
-    calibration through the closed-form moment identity and distributional
-    checks (see the tests).
-    """
-    if n < 1000:
-        raise ValueError("need at least 1e3 samples for a moment check")
-    xi = model.sample_batch(d, n, rng)
-    powers = np.sqrt(np.einsum("ij,ij->i", xi, xi)) ** model.p
-    if isinstance(model, TwoPointNoise):  # bounded support: the power's variance is finite
-        return float(powers.mean()), float(powers.std(ddof=1) / np.sqrt(n))
-    est, spread = median_of_means(powers, blocks=blocks)
-    return float(est), float(spread)
-
-
 def check_noise_geometry(problem: Problem, noise) -> None:
     """Reject a noise model that is not calibrated for the problem's geometry."""
     if isinstance(noise, RadialParetoNoise) and problem.geometry.kind == "simplex":

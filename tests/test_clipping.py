@@ -1,4 +1,4 @@
-"""Clipping operator properties and the error-decomposition estimators."""
+"""Clipping operator properties."""
 
 import warnings
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clipopt import clipping, geometry, noise, problems
+from clipopt import clipping, geometry
 
 finite_vectors = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=6)
@@ -123,110 +123,3 @@ def test_clip_respects_linf_dual_norm():
     v = np.array([1.0, -4.0, 0.5])
     out = clipping.clip(v, 2.0, s.dual_norm)
     np.testing.assert_allclose(out, v * 0.5)
-
-
-def _quadratic_noise(sigma, q=0.5):
-    prob = problems.make_quadratic([1.0, 1.0])
-    return prob, noise.TwoPointNoise(p=1.5, sigma=sigma, q=q)
-
-
-def test_estimate_theta_noiseless_below_level():
-    prob, model = _quadratic_noise(sigma=0.0)
-    x = np.array([0.3, 0.4])
-    est = clipping.estimate_theta(prob, model, x, 5.0, noise.make_rng(0))
-    np.testing.assert_array_equal(est.theta, np.zeros(2))
-    # the weighted sum over identical support points rounds in the last float bits
-    np.testing.assert_allclose(est.theta_u, np.zeros(2), atol=1e-13)
-    np.testing.assert_allclose(est.theta_b, np.zeros(2), atol=1e-13)
-
-
-def test_estimate_theta_noiseless_clipped_bias():
-    prob, model = _quadratic_noise(sigma=0.0)
-    x = np.array([3.0, 4.0])  # gradient norm 5
-    lam = 2.5
-    est = clipping.estimate_theta(prob, model, x, lam, noise.make_rng(0))
-    expected_bias = (lam / 5.0 - 1.0) * prob.grad(x)
-    np.testing.assert_allclose(est.theta_b, expected_bias, rtol=1e-12)
-    np.testing.assert_allclose(est.theta_u, np.zeros(2), atol=1e-12)
-
-
-def test_estimate_theta_decomposition_exact_and_bounded():
-    prob, model = _quadratic_noise(sigma=1.0, q=0.3)
-    x = np.array([0.5, -0.25])
-    rng = noise.make_rng(3)
-    for _ in range(20):
-        est = clipping.estimate_theta(prob, model, x, 1.5, rng)
-        np.testing.assert_allclose(est.theta_u + est.theta_b, est.theta,
-                                   rtol=1e-12, atol=1e-14)
-        assert np.linalg.norm(est.theta_u) <= 2 * 1.5
-
-
-def test_estimate_theta_symmetric_spikes_at_stationary_point():
-    # all-spike noise at a stationary point: unit-norm unbiased part, vanishing bias
-    prob = problems.make_quadratic([1.0, 1.0])
-    model = noise.TwoPointNoise(p=1.5, sigma=1.0, q=1.0)
-    lam = 0.5 * model.spike
-    est = clipping.estimate_theta(prob, model, prob.minimizer, lam, noise.make_rng(5))
-    assert np.linalg.norm(est.theta_b) <= 1e-12 * lam
-    assert np.linalg.norm(est.theta_u) == pytest.approx(lam, rel=0.02)
-
-
-@pytest.mark.parametrize("model", [noise.TwoPointNoise(p=1.5, sigma=1.0, q=0.3),
-                                   noise.RadialParetoNoise(p=1.5, sigma=1.0, tail_index=1.75)])
-@pytest.mark.parametrize("d", [2, 3, 9])
-def test_estimate_theta_primary_draw_is_the_oracles_next_draw(model, d):
-    """The primary draw is the generator's next draw: theta is ``clip(grad + sample_batch(d, 1,
-    rng)[0]) - grad`` bitwise, the draw an oracle's ``noise_matrix(1)[0]`` gives on the same
-    stream, and the estimate leaves the generator where one ``sample_batch(d, 1)`` leaves it."""
-    prob = problems.make_quadratic([1.0] * d, [0.1 * i for i in range(d)])
-    x, level = np.linspace(-1.0, 2.0, d), 1.2
-    for seed in range(20):
-        rng, twin = noise.make_rng(seed), noise.Oracle(prob, model, seed=seed)
-        model.sample_batch(d, seed % 3, rng)  # start the stream at different positions
-        twin.noise_matrix(seed % 3)
-        est = clipping.estimate_theta(prob, model, x, level, rng)
-        g = prob.grad(x)
-        expected = clipping.clip(g + twin.noise_matrix(1)[0], level, prob.geometry.dual_norm) - g
-        np.testing.assert_array_equal(est.theta, expected)
-        np.testing.assert_array_equal(rng.bit_generator.random_raw(4),
-                                      twin.rng.bit_generator.random_raw(4))  # the same next bits
-
-
-def test_geometric_median_one_dimensional_outlier():
-    pts = np.array([[1.0], [2.0], [100.0]])
-    med = clipping.geometric_median(pts)
-    assert med[0] == pytest.approx(2.0, abs=1e-6)
-
-
-def test_geometric_median_symmetric_cloud():
-    rng = np.random.default_rng(7)
-    pts = rng.standard_normal((500, 3))
-    pts = np.vstack([pts, -pts])  # exactly symmetric around the origin
-    med = clipping.geometric_median(pts)
-    np.testing.assert_allclose(med, np.zeros(3), atol=1e-8)
-
-
-def test_geometric_median_nonconvergence_error():
-    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(RuntimeError, match="iterations"):
-        clipping.geometric_median(pts, tol=0.0, max_iter=3)
-
-
-def test_estimate_g0_noiseless():
-    prob, model = _quadratic_noise(sigma=0.0)
-    x0 = np.array([2.0, 1.0])
-    g0, mu = clipping.estimate_g0(prob, model, x0, blocks=5, per_block=4,
-                                  rng=noise.make_rng(8))
-    np.testing.assert_allclose(g0, prob.grad(x0), atol=1e-9)
-    assert mu == 0.0
-
-
-def test_estimate_g0_observed_mu_quantile():
-    # across 1000 meta-trials the observed error stays within 3 sigma 95% of the time
-    prob = problems.make_quadratic([1.0, 1.0], [0.0, 0.0])
-    model = noise.TwoPointNoise(p=1.5, sigma=1.0, q=0.1)
-    x0 = np.array([1.0, 1.0])  # gradient (1, 1)
-    rng = noise.make_rng(9)
-    mus = np.array([clipping.estimate_g0(prob, model, x0, blocks=51, per_block=20, rng=rng)[1]
-                    for _ in range(1000)])
-    assert np.mean(mus <= 3.0) >= 0.95
