@@ -1,26 +1,33 @@
 """Multi-seed experiment orchestration and guarantee validation.
 
-Every seed sweep is one ``_sweep``: it builds the problem, the noise and the
-schedule once, runs the independent seeds (seed i = base_seed + i) in
-memory-bounded lockstep chunks, and hands back the schedule it ran.
-``run_trials`` makes one sweep, evaluates that schedule's explicit
-high-probability bound, and reports the fraction of seeds whose summary
-exceeds it.  ``fit_rate`` makes one sweep per horizon of the grid and fits a
-log-log slope to the per-horizon median metric; medians rather than means
-because the noise may have infinite variance and the guarantees are quantile
-statements.  ``compare_clipped_vanilla`` makes one clipped and one unclipped
-sweep on identical per-seed noise and compares final gaps.
+A seed sweep runs the independent seeds (seed i = base_seed + i) of one config
+through one algorithm at one horizon, in memory-bounded lockstep chunks.  Every
+call makes its sweeps through one ``_sweeps``: it builds the problem and the
+noise once and each sweep's schedule once, runs the sweeps, and hands back each
+one's result with the schedule it ran.  ``run_trials`` makes one sweep,
+evaluates that schedule's explicit high-probability bound, and reports the
+fraction of seeds whose summary exceeds it.  ``fit_rate`` makes one sweep per
+distinct horizon of the grid and fits a log-log slope to the per-horizon median
+metric; medians rather than means because the noise may have infinite variance
+and the guarantees are quantile statements.  ``compare_clipped_vanilla`` makes
+one clipped and one unclipped sweep on identical per-seed noise and compares
+final gaps.
 
-A sweep of at least ``_FORK_SEED_STEPS`` seed-steps (n * T) runs on W worker
-processes, one per CPU this process may run on and at most one per seed: chunk i
-runs on worker i % W, worker 0 is this process, and the others are children
-forked from it that send their results back through pipes, to be put back in
-seed order.  The chunks in flight at once share the ``_CHUNK_BYTES`` budget, each
-holding ``_CHUNK_BYTES / W``.  A seed's row depends neither on its chunk nor on
-the process that ran it, so every output is the same bit for bit at any W.  A
-child's exception is raised again here with its type and message, and its
-warnings are issued again here, in order.  A process running more than one
-thread, or a platform without ``os.fork``, runs every sweep in-process.
+A call whose sweeps hold at least ``_FORK_SEED_STEPS`` seed-steps (n * T) between
+them runs on W worker processes in one fork round: one per CPU this process may
+run on and at most one per seed row, worker 0 this process and the others
+children forked from it that send their results back through pipes.  The sweeps
+are cut into seed chunks (jobs), each holding at most ``_CHUNK_BYTES / W`` of
+draws, so that the chunks in flight at once share the budget.  With at least as
+many sweeps as workers the sweeps are dealt whole, so that no two processes both
+pay one sweep's per-step cost; with fewer, each sweep is also cut W ways.  Jobs
+go longest first (n * T) to the least-loaded worker, and the rows are put back
+per sweep in seed order.  A seed's row depends neither on its chunk nor on the
+process that ran it, so every output is the same bit for bit at any W.  A
+child's exception is raised again here with its type and message, and the
+children's warnings are issued again here, in (sweep, seed) order.  A process
+running more than one thread, or a platform without ``os.fork``, runs every
+sweep in-process.
 
 Outputs: one CSV per experiment (row per seed) under
 ``<out>/<id>/<algorithm>/<pXX>/seed-results.csv`` plus a JSON-lines summary;
@@ -50,11 +57,13 @@ from .schedules import SGD_MODES, Schedule, theorem_bound
 # radial noise fills a dense block of d doubles a seed-step, two-point noise keeps
 # its spikes only, so a two-point batch is chunked only when it has very many.
 _CHUNK_BYTES = 240_000_000
-# A sweep of at least this many seed-steps (n * T) runs on every CPU (``_workers``).  A fork
-# and its pipe round trip take ~1.5 ms at 100 MB resident.  On 2 vCPUs (Python 3.11, numpy
-# 2.4; SMD and SGD, two-point noise, d = 2) two workers break even with one near 1.5e5
-# seed-steps at 100 seeds (~10 ms a sweep) and run 1.1x at 2^18; at 1000 seeds, whose
-# per-seed set-up is split too, they already run 1.6x at 1.3e5.
+# A call whose sweeps hold at least this many seed-steps (n * T) runs on every CPU
+# (``_workers``).  A fork and its pipe round trip take ~1.5 ms at 100 MB resident.  One sweep
+# cut across two workers makes each pay the whole per-step cost: on 2 vCPUs (Python 3.11,
+# numpy 2.4; SMD and SGD, two-point noise, d = 2; ``tools/bench_layers.py`` sweep rows, best
+# of 9) a 100-seed sweep at 2^18 runs 0.75-1.0x on two workers against one process and only
+# 1.0-1.1x at 2^20, while at 1000 seeds, whose per-seed set-up is split too, it runs
+# 1.2-1.4x at 1.3e5.  A call of at least W sweeps deals them to the workers whole instead.
 _FORK_SEED_STEPS = 1 << 18
 
 
@@ -121,22 +130,23 @@ def upper_quantile(values: np.ndarray, q: float) -> float:
     return float(np.sort(values)[math.ceil((len(values) - 1) * q)])
 
 
-def _workers(n_seeds: int, horizon: int) -> int:
-    """W: the processes a sweep runs on, this one and W - 1 forked children.
+def _workers(rows: int, seed_steps: int) -> int:
+    """W: the processes one call's sweeps run on, this one and W - 1 forked children.
 
-    One per CPU this process may run on, at most one per seed, when the sweep holds at
-    least ``_FORK_SEED_STEPS`` seed-steps, the platform can fork and this process runs a
-    single thread (a child forked from a threaded process can wait forever on a lock that
-    another thread held); else 1.
+    One per CPU this process may run on, at most one per seed row of the call (``rows``, its
+    seeds times its sweeps), when the call's sweeps hold at least ``_FORK_SEED_STEPS``
+    seed-steps between them, the platform can fork and this process runs a single thread (a
+    child forked from a threaded process can wait forever on a lock that another thread
+    held); else 1.
     """
-    if (n_seeds * horizon < _FORK_SEED_STEPS or not hasattr(os, "fork")
+    if (seed_steps < _FORK_SEED_STEPS or not hasattr(os, "fork")
             or threading.active_count() > 1):
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return min(cpus, n_seeds)
+    return min(cpus, rows)
 
 
 def _seed_chunks(seeds: np.ndarray, horizon: int, seed_step_bytes: float,
@@ -163,33 +173,40 @@ def _portable(exc: BaseException) -> BaseException:
     return exc
 
 
-def _child(run, share, write_fd: int):
-    """In a forked child: ``run(share)``, sent down ``write_fd`` as ``("ok", result,
-    warnings)`` or ``("err", exception, warnings)``.  Never returns: it leaves through
-    ``os._exit``, so it flushes no output buffer and runs no exit hook it inherited."""
+def _child(run, jobs: list, write_fd: int):
+    """In a forked child: ``run(job)`` for each job in turn until one raises, sent down
+    ``write_fd`` as one ``("ok", result, warnings)`` a job, the last ``("err", exception,
+    warnings)`` if one raised.  Never returns: it leaves through ``os._exit``, so it flushes
+    no output buffer and runs no exit hook it inherited."""
     code = 1
     try:
+        replies = []
         with warnings.catch_warnings(record=True) as caught:
-            try:
-                reply = ("ok", run(share))
-            except BaseException as exc:  # raised again by the calling process
-                reply = ("err", _portable(exc))
-        caught = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+            for job in jobs:
+                seen = len(caught)
+                try:
+                    status, value = "ok", run(job)
+                except BaseException as exc:  # raised again by the calling process
+                    status, value = "err", _portable(exc)
+                replies.append((status, value, [(str(w.message), w.category, w.filename,
+                                                 w.lineno) for w in caught[seen:]]))
+                if status == "err":
+                    break
         with open(write_fd, "wb") as pipe:
-            pipe.write(pickle.dumps((*reply, caught)))
+            pipe.write(pickle.dumps(replies))
         code = 0
     finally:
         os._exit(code)
 
 
-def _in_workers(run, shares: list) -> list:
-    """``[run(share) for share in shares]``: the first share runs in this process, each other
-    one in a child forked from it.
+def _in_workers(run, jobs: list, shares: list[list[int]]) -> list:
+    """``[run(job) for job in jobs]``: worker w runs the jobs whose indices ``shares[w]``
+    lists, in that order; worker 0 is this process, each other one a child forked from it.
 
-    The children's warnings are issued again here, in share order, and the first child
-    exception is raised again here (type and message kept).  Every child is reaped, also
-    when this process's own share raises; it is then killed first, since its result has no
-    reader.
+    The children's warnings are issued again here in job order, and the first child
+    exception in job order is raised again here (type and message kept), after the warnings
+    of the jobs before it.  Every child is reaped, also when this process's own share
+    raises; it is then killed first, since its result has no reader.
     """
     children = []  # (pid, read end of its pipe)
     replies = None
@@ -199,10 +216,10 @@ def _in_workers(run, shares: list) -> list:
             pid = os.fork()
             if pid == 0:
                 os.close(read_fd)
-                _child(run, share, write_fd)
+                _child(run, [jobs[k] for k in share], write_fd)
             os.close(write_fd)
             children.append((pid, open(read_fd, "rb")))
-        own = run(shares[0])
+        results = {k: run(jobs[k]) for k in shares[0]}
         # to EOF before any wait: a pipe holds 64 KB, and a child blocks on a larger reply
         replies = [pipe.read() for _, pipe in children]
     finally:
@@ -214,51 +231,77 @@ def _in_workers(run, shares: list) -> list:
         for pid, pipe in children:
             pipe.close()
             codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    results = [own]
-    for reply, code in zip(replies, codes):
+    for code in codes:
         if code != 0:  # its reply is missing or cut short
             raise RuntimeError(f"a sweep worker process exited with code {code} before "
                                "sending its result")
-        status, value, caught = pickle.loads(reply)
+    # a child stops at its first exception, so every job before it in job order has a reply
+    done = {k: reply for share, data in zip(shares[1:], replies)
+            for k, reply in zip(share, pickle.loads(data))}
+    for k in sorted(done):
+        status, value, caught = done[k]
         for message, category, filename, lineno in caught:
             warnings.warn_explicit(message, category, filename, lineno)
         if status == "err":
             raise value
-        results.append(value)
-    return results
+        results[k] = value
+    return [results[k] for k in range(len(jobs))]
 
 
-def _sweep(cfg: ExperimentConfig, horizon: int,
-           algorithm: str) -> tuple[algos.BatchResult, Schedule]:
-    """Every seed of ``cfg`` through ``algorithm``'s lockstep batch at ``horizon``, chunked for
-    memory and run on ``_workers`` processes (a seed's row depends on neither); returns
-    ``(result, schedule)``."""
+def _sweeps(cfg: ExperimentConfig,
+            runs: list[tuple[int, str]]) -> list[tuple[algos.BatchResult, Schedule]]:
+    """Every seed of ``cfg`` through each run's lockstep batch, a run being a ``(horizon,
+    algorithm)`` pair; returns ``(result, schedule)`` a run, in the order of ``runs``.
+
+    The runs are cut into seed chunks (jobs) for memory and run in one fork round on
+    ``_workers`` processes (a seed's row depends on neither its chunk nor its process).  With
+    at least as many runs as workers a run is not split across workers; with fewer each run
+    is also cut W ways.  Jobs go longest first (n * T) to the least-loaded worker.
+    """
     problem, x1 = build_problem(cfg)
     noise_model = build_noise(cfg)
-    schedule = build_schedule(cfg, problem, x1, horizon=horizon)
-    if algorithm == "vanilla-sgd":
-        runner = algos.run_vanilla_sgd_batch
-        rule = schedule.eta(1) if cfg.vanilla_eta is None else cfg.vanilla_eta
-    else:  # looked up per call, so a patched runner is the one that runs
-        runner = {"smd": algos.run_smd_batch, "asmd": algos.run_asmd_batch,
-                  "sgd": algos.run_sgd_batch}[algorithm]
-        rule = schedule
+    step_bytes = noise_model.seed_step_bytes(problem.dim)
     seeds = cfg.base_seed + np.arange(cfg.n_seeds)
-    workers = _workers(cfg.n_seeds, horizon)
-    chunks = _seed_chunks(seeds, horizon, noise_model.seed_step_bytes(problem.dim), workers)
-    # chunk i runs on worker i % W, so the workers' shares differ by at most one chunk
-    done = _in_workers(lambda share: [runner(problem, noise_model, rule, horizon, x1, chunk)
-                                      for chunk in share],
-                       [chunks[w::workers] for w in range(workers)])
-    parts = [done[i % workers][i // workers] for i in range(len(chunks))]
-    result = algos.BatchResult(
-        seeds=np.concatenate([r.seeds for r in parts]),
-        summary=np.concatenate([r.summary for r in parts]),
-        final_gap=np.concatenate([r.final_gap for r in parts]),
-        clipped_fraction=np.concatenate([r.clipped_fraction for r in parts]),
-        diverged=np.concatenate([r.diverged for r in parts]),
-    )
-    return result, schedule
+    workers = _workers(cfg.n_seeds * len(runs), cfg.n_seeds * sum(h for h, _ in runs))
+    ways = workers if len(runs) < workers else 1
+    schedules, plans, jobs = [], [], []  # plans: (runner, rule, horizon); jobs: (run, seeds)
+    for i, (horizon, algorithm) in enumerate(runs):
+        schedule = build_schedule(cfg, problem, x1, horizon=horizon)
+        if algorithm == "vanilla-sgd":
+            runner = algos.run_vanilla_sgd_batch
+            rule = schedule.eta(1) if cfg.vanilla_eta is None else cfg.vanilla_eta
+        else:  # looked up per call, so a patched runner is the one that runs
+            runner = {"smd": algos.run_smd_batch, "asmd": algos.run_asmd_batch,
+                      "sgd": algos.run_sgd_batch}[algorithm]
+            rule = schedule
+        schedules.append(schedule)
+        plans.append((runner, rule, horizon))
+        # ``ways`` parts, each cut into chunks of at most _CHUNK_BYTES / W
+        jobs += [(i, chunk) for chunk in
+                 _seed_chunks(seeds, horizon, step_bytes * workers / ways, ways)]
+    cost = [len(chunk) * runs[i][0] for i, chunk in jobs]
+    load, shares = [0] * workers, [[] for _ in range(workers)]
+    for k in sorted(range(len(jobs)), key=lambda k: -cost[k]):
+        w = load.index(min(load))
+        load[w] += cost[k]
+        shares[w].append(k)
+
+    def run(job):
+        runner, rule, horizon = plans[job[0]]
+        return runner(problem, noise_model, rule, horizon, x1, job[1])
+
+    # each worker runs its jobs in job order, so that a child stops at its first exception
+    done = _in_workers(run, jobs, [sorted(share) for share in shares])
+    parts = [[] for _ in runs]
+    for (i, _), result in zip(jobs, done):
+        parts[i].append(result)
+    return [(algos.BatchResult(
+        seeds=np.concatenate([r.seeds for r in rs]),
+        summary=np.concatenate([r.summary for r in rs]),
+        final_gap=np.concatenate([r.final_gap for r in rs]),
+        clipped_fraction=np.concatenate([r.clipped_fraction for r in rs]),
+        diverged=np.concatenate([r.diverged for r in rs]),
+    ), schedule) for rs, schedule in zip(parts, schedules)]
 
 
 def run_trials(cfg: ExperimentConfig, write: bool = True) -> TrialSummary:
@@ -266,7 +309,7 @@ def run_trials(cfg: ExperimentConfig, write: bool = True) -> TrialSummary:
     if cfg.n_seeds < 30:
         warnings.warn("fewer than 30 seeds: the binomial failure-rate interval is wide",
                       stacklevel=2)
-    result, schedule = _sweep(cfg, cfg.horizon, cfg.algorithm)
+    [(result, schedule)] = _sweeps(cfg, [(cfg.horizon, cfg.algorithm)])
     # the baseline carries no guarantee
     bound = math.inf if cfg.algorithm == "vanilla-sgd" else theorem_bound(schedule, cfg.horizon)
     metrics = result.summary
@@ -347,8 +390,10 @@ def fit_rate(cfg: ExperimentConfig) -> RateFit:
     if cfg.n_seeds < 100:
         raise ConfigError("experiment.seeds", "rate fitting needs at least 100 seeds per horizon")
     # one sweep per distinct horizon: a repeated horizon's seeds give the same median
-    median = {horizon: float(np.median(_sweep(cfg, horizon, cfg.algorithm)[0].summary))
-              for horizon in dict.fromkeys(cfg.horizon_grid)}
+    horizons = list(dict.fromkeys(cfg.horizon_grid))
+    swept = _sweeps(cfg, [(horizon, cfg.algorithm) for horizon in horizons])
+    median = {horizon: float(np.median(result.summary))
+              for horizon, (result, _) in zip(horizons, swept)}
     medians = [median[horizon] for horizon in cfg.horizon_grid]
     slope, _, r2 = fit_power_law(cfg.horizon_grid, medians)
     exponent = theoretical_exponent(cfg)
@@ -375,8 +420,8 @@ def compare_clipped_vanilla(cfg: ExperimentConfig) -> VanillaComparison:
     if cfg.mode not in SGD_MODES:
         raise ConfigError("schedule.mode", f"compare runs clipped gradient descent; {cfg.mode} "
                           f"is not one of {SGD_MODES}")
-    clipped, vanilla = (_sweep(cfg, cfg.horizon, algorithm)[0]
-                        for algorithm in ("sgd", "vanilla-sgd"))
+    (clipped, _), (vanilla, _) = _sweeps(cfg, [(cfg.horizon, "sgd"),
+                                               (cfg.horizon, "vanilla-sgd")])
     up = 1.0 - cfg.delta
     clipped_upper = upper_quantile(clipped.final_gap, up)
     vanilla_upper = upper_quantile(vanilla.final_gap, up)

@@ -33,6 +33,9 @@ def test_bench_layers_tiny_prints_every_layer(capsys):
     assert len([line for line in lines if line.startswith("draws ")]) == len(bench.TINY_SIZES)
     sweeps = [line.split() for line in lines if line.startswith("sweep ")]
     assert [row[1] for row in sweeps] == [name for name, _ in bench.TINY_SWEEPS]
+    rates = [line.split() for line in lines if line.startswith("rates ")]
+    assert [row[1] for row in rates] == [bench.TINY_RATES[0]]
+    assert rates[0][4] == "T=" + ",".join(map(str, bench.TINY_RATES[1]["horizon_grid"]))
     assert all(row[6] == "W=1" and row[9].startswith("W=") and int(row[9][2:]) >= 1
                and row[8] == row[11] == "ms" and float(row[7]) > 0 and float(row[10]) > 0
-               for row in sweeps)
+               for row in sweeps + rates)

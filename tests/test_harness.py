@@ -204,19 +204,19 @@ def test_fit_rate_requires_grid_and_seeds():
 
 
 def test_fit_rate_sweeps_each_horizon_once(monkeypatch):
-    """A repeated horizon reuses its median: the fit sees every grid point, the sweeps run
-    once per distinct horizon."""
+    """A repeated horizon reuses its median: the fit sees every grid point, and one call
+    sweeps each distinct horizon once."""
     c = cfg(sigma=0.0, noise="none", n_seeds=100, horizon_grid=(256, 256, 512, 1024, 512))
     swept = []
-    sweep = harness._sweep
+    sweeps = harness._sweeps
 
-    def counted_sweep(cfg, horizon, algorithm):
-        swept.append(horizon)
-        return sweep(cfg, horizon, algorithm)
+    def counted_sweeps(cfg, runs):
+        swept.append(runs)
+        return sweeps(cfg, runs)
 
-    monkeypatch.setattr(harness, "_sweep", counted_sweep)
+    monkeypatch.setattr(harness, "_sweeps", counted_sweeps)
     fit = harness.fit_rate(c)
-    assert swept == [256, 512, 1024]
+    assert swept == [[(256, "smd"), (512, "smd"), (1024, "smd")]]
     assert fit.horizons.tolist() == [256, 256, 512, 1024, 512]
     assert fit.medians[0] == fit.medians[1] and fit.medians[2] == fit.medians[4]
     assert (fit.slope, fit.r_squared) == harness.fit_power_law(fit.horizons, fit.medians)[::2]
@@ -330,32 +330,33 @@ def assert_all_reaped():
 
 
 def sweep_bytes(c, algorithm: str) -> list[bytes]:
-    result, _ = harness._sweep(c, c.horizon, algorithm)
+    [(result, _)] = harness._sweeps(c, [(c.horizon, algorithm)])
     return [getattr(result, field).tobytes() for field in FIELDS]
 
 
 def test_workers_rule(monkeypatch):
-    """One worker per CPU and at most one per seed, from the seed-step threshold on, in a
-    process that can fork and runs one thread; the CPU count stands in for affinity."""
+    """One worker per CPU and at most one per seed row, from the seed-step threshold on (the
+    call's sweeps counted together), in a process that can fork and runs one thread; the CPU
+    count stands in for affinity."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    n = harness._FORK_SEED_STEPS // 64
-    assert harness._workers(n, 64) == 3
-    assert harness._workers(n - 1, 64) == 1
-    assert harness._workers(2, harness._FORK_SEED_STEPS) == 2
+    n, steps = 100, harness._FORK_SEED_STEPS
+    assert harness._workers(n, steps) == 3
+    assert harness._workers(n, steps - 1) == 1
+    assert harness._workers(2, steps) == 2
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert harness._workers(n, 64) == 1
+        assert harness._workers(n, steps) == 1
     finally:
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 5)
-    assert harness._workers(n, 64) == 5
+    assert harness._workers(n, steps) == 5
     monkeypatch.delattr(os, "fork")
-    assert harness._workers(n, 64) == 1
+    assert harness._workers(n, steps) == 1
 
 
 @pytest.mark.parametrize("algorithm", sorted(CASES))
@@ -391,8 +392,78 @@ def test_forked_fit_rate_and_compare_equal_the_in_process_runs_bitwise(monkeypat
     assert (again.slope, again.r_squared) == (fit.slope, fit.r_squared)
     assert harness.compare_clipped_vanilla(pair) == comp
     assert comp.vanilla_diverged == 40  # the diverged flags come back from the workers too
-    assert len(forked) == 2 * (4 + 2)
+    assert len(forked) == 2 * 2  # one fork round a call, two children each
     assert_all_reaped()
+
+
+def logged_sgd_runners(monkeypatch, log) -> None:
+    """Every clipped and unclipped SGD batch call, in any process, warns ``<algorithm>
+    <horizon> <first seed> <seeds>`` and appends ``<pid> <that message>`` to the file
+    ``log``."""
+    for algorithm in ("sgd", "vanilla-sgd"):
+        name = "run_vanilla_sgd_batch" if algorithm == "vanilla-sgd" else "run_sgd_batch"
+
+        def logged(problem, noise, rule, horizon, x1, seeds, _run=getattr(algorithms, name),
+                   _algorithm=algorithm, **kwargs):
+            message = f"{_algorithm} {horizon} {seeds[0]} {len(seeds)}"
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {message}\n")
+            warnings.warn(message, UserWarning)
+            return _run(problem, noise, rule, horizon, x1, seeds, **kwargs)
+        monkeypatch.setattr(algorithms, name, logged)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+def test_one_fork_round_a_call_equals_one_process_bitwise(monkeypatch, tmp_path, cpus):
+    """At any worker count, fit_rate (a repeated horizon in its grid) and compare give the
+    one-process results bitwise from one fork round a call (W - 1 children); with at least
+    as many sweeps as workers each sweep runs whole in one runner call, and the children's
+    warnings are issued again in (sweep, seed) order, the order one process gives."""
+    rates = cfg(**SGD, n_seeds=100, horizon_grid=(64, 128, 64, 256, 512))
+    pair = cfg(algorithm="sgd", mode="sgd_known_t", p=1.5, sigma=1.0, q=1e-3, horizon=256,
+               n_seeds=40, vanilla_eta=3.0)
+    calls = {"rates": (lambda: harness.fit_rate(rates),
+                       [("sgd", T) for T in (64, 128, 256, 512)], rates.n_seeds),
+             "compare": (lambda: harness.compare_clipped_vanilla(pair),
+                         [("sgd", 256), ("vanilla-sgd", 256)], pair.n_seeds)}
+    log = tmp_path / "calls.log"
+    logged_sgd_runners(monkeypatch, log)
+    alone = {}
+    for name, (call, _, _) in calls.items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            alone[name] = (call(), [str(w.message) for w in caught])
+    assert alone["compare"][0].vanilla_diverged == 40
+    log.unlink()
+    forked = forking(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    for name, (call, sweeps, n) in calls.items():
+        del forked[:]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            again = call()
+        if name == "rates":
+            fit = alone[name][0]
+            assert again.medians.tobytes() == fit.medians.tobytes()
+            assert (again.slope, again.r_squared) == (fit.slope, fit.r_squared)
+        else:
+            assert again == alone[name][0]
+        workers = min(cpus, n * len(sweeps))
+        assert len(forked) == workers - 1
+        assert_all_reaped()
+        lines = [line.split(" ", 1) for line in log.read_text().splitlines()]
+        log.unlink()
+        if len(sweeps) >= workers:  # each sweep whole, in one runner call
+            assert sorted(message for _, message in lines) == \
+                sorted(f"{algorithm} {T} 0 {n}" for algorithm, T in sweeps)
+        # the children's warnings come last, in the order of their rows in the results
+        children = [message for pid, message in lines if int(pid) != os.getpid()]
+        order = sorted(children, key=lambda m: (sweeps.index((m.split()[0], int(m.split()[1]))),
+                                                int(m.split()[2])))
+        got = [str(w.message) for w in caught]
+        assert got[len(got) - len(children):] == order
+        if len(sweeps) >= workers:  # the chunks one process runs, in its order
+            assert [m for m in alone[name][1] if m in children] == order
 
 
 class LocalError(Exception):
@@ -470,14 +541,14 @@ def test_worker_warnings_are_issued_again_in_order(monkeypatch):
     c = cfg(n_seeds=40)  # one chunk a worker: seeds 0-13 here, 14-26 and 27-39 forked
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        harness._sweep(c, c.horizon, "smd")
+        harness._sweeps(c, [(c.horizon, "smd")])
     assert [str(w.message) for w in caught] == ["from seed 14", "to seed 26",
                                                 "from seed 27", "to seed 39"]
     assert {(w.category, w.filename) for w in caught} == {(UserWarning, __file__)}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(UserWarning, match="from seed 14"):
-            harness._sweep(c, c.horizon, "smd")
+            harness._sweeps(c, [(c.horizon, "smd")])
     assert_all_reaped()
 
 

@@ -1,8 +1,11 @@
 """The output digest script runs every command on every shipped config and digests its outputs."""
 
 import importlib.util
+import os
 import re
 from pathlib import Path
+
+from clipopt import harness
 
 TESTS = Path(__file__).resolve().parent
 DIGEST = TESTS.parent / "tools" / "output_digest.py"
@@ -47,3 +50,27 @@ def test_output_digest_tiny_lines_of_the_l2_configs_are_pinned(monkeypatch):
     got = [text for text in digest.digest_lines(tiny=True) if text.split()[1] not in UNPINNED]
     assert got == PINNED.read_text().splitlines()
     assert {text.split()[1] for text in got} == set(digest.configs()) - UNPINNED
+
+
+def test_output_digest_tiny_lines_are_the_same_when_every_sweep_forks(monkeypatch):
+    """The tiny sizes fall under the fork threshold, so the lines above never reach the
+    worker path.  With every sweep forked onto three workers (more than this machine may
+    have), every line is the same."""
+    digest = _load()
+    alone = list(digest.digest_lines(tiny=True))
+    monkeypatch.setattr(harness, "_FORK_SEED_STEPS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    forked, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    assert list(digest.digest_lines(tiny=True)) == alone
+    # two children a sweeping call: run, rates and compare on every config they accept
+    runs = sum(text.split()[0] in ("run", "rates", "compare") and " exit=0 " in text
+               for text in alone)
+    assert len(forked) == 2 * runs

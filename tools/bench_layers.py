@@ -17,9 +17,11 @@ Prints, one line each:
   ``RadialParetoNoise.clipped_moments``, a quadrature; in ms and in us per point;
 * the time of ``Schedule.table(T)`` and of one ``Schedule.pair`` call, per mode;
 * the time of ``noise.lockstep_draws`` at each workload's full size;
-* the time of one ``harness._sweep`` (the seeds of one config at one horizon, written
-  nowhere) at the run-smd, rates-sgd (its longest horizon) and asmd-simplex sizes, run in
-  this process (W = 1) and on the W worker processes a sweep past the fork threshold uses;
+* the time of one ``harness._sweeps`` call on one sweep (the seeds of one config at one
+  horizon, written nowhere) at the run-smd, rates-sgd (its longest horizon) and
+  asmd-simplex sizes, and of one ``harness.fit_rate`` (every horizon of the rates-sgd grid
+  in one call), each run in this process (W = 1) and on the W worker processes a call past
+  the fork threshold uses;
 * nproc, the Python version and the numpy version.
 
 Each time is the minimum over ``--repeat`` runs, which on a shared machine is
@@ -77,6 +79,10 @@ SWEEPS = [("run-smd", dict(algorithm="smd", mode="smd_known_t", horizon=4096, n_
 TINY_SWEEPS = [("tiny", dict(algorithm="smd", mode="smd_known_t", horizon=16, n_seeds=40)),
                ("tiny-simplex", dict(algorithm="asmd", mode="asmd_known_t", horizon=16,
                                      n_seeds=8, problem="simplex_quadratic", dim=4))]
+# the rate fit: (name, config fields), the rates-sgd sweep over its workload's horizon grid
+RATES = ("rates-sgd", dict(SWEEPS[1][1], horizon=256, horizon_grid=(256, 1024, 4096, 16384)))
+TINY_RATES = ("tiny", dict(algorithm="smd", mode="smd_known_t", horizon=16, n_seeds=100,
+                           horizon_grid=(16, 32, 64, 128)))
 TABLE_MODES = ["smd_known_t", "smd_anytime", "smd_param_free", "asmd_known_t", "asmd_anytime",
                "sgd_known_t", "sgd_anytime"]
 
@@ -185,23 +191,45 @@ def draws_lines(sizes, repeat: int):
         print(f"draws {name:<13} n={n:<5} d={d:<3} T={steps:<6} {seconds * 1e3:9.1f} ms")
 
 
-def sweep_lines(sweeps, repeat: int):
+def _forked_and_not(fn, repeat: int) -> list[float]:
+    """``fn``'s best time in this process alone, then with every call forking."""
     threshold = harness._FORK_SEED_STEPS
+    seconds = []
     try:
-        for name, fields in sweeps:
-            cfg = ExperimentConfig(**fields)
-            validate_config(cfg)
-            seconds = []
-            for fork_from in (float("inf"), 0):  # never, then at every size
-                harness._FORK_SEED_STEPS = fork_from
-                seconds.append(_best(lambda: harness._sweep(cfg, cfg.horizon, cfg.algorithm),
-                                     repeat))
-            W = harness._workers(cfg.n_seeds, cfg.horizon)
-            print(f"sweep {name:<13} n={cfg.n_seeds:<5} d={cfg.dim:<3} T={cfg.horizon:<6} "
-                  f"{cfg.algorithm:<5} W=1 {seconds[0] * 1e3:9.1f} ms  "
-                  f"W={W} {seconds[1] * 1e3:9.1f} ms")
+        for fork_from in (float("inf"), 0):  # never, then at every size
+            harness._FORK_SEED_STEPS = fork_from
+            seconds.append(_best(fn, repeat))
     finally:
         harness._FORK_SEED_STEPS = threshold
+    return seconds
+
+
+def _config(fields) -> ExperimentConfig:
+    cfg = ExperimentConfig(**fields)
+    validate_config(cfg)
+    return cfg
+
+
+def sweep_lines(sweeps, repeat: int):
+    for name, fields in sweeps:
+        cfg = _config(fields)
+        seconds = _forked_and_not(
+            lambda: harness._sweeps(cfg, [(cfg.horizon, cfg.algorithm)]), repeat)
+        W = harness._workers(cfg.n_seeds, harness._FORK_SEED_STEPS)  # a call past the threshold
+        print(f"sweep {name:<13} n={cfg.n_seeds:<5} d={cfg.dim:<3} T={cfg.horizon:<6} "
+              f"{cfg.algorithm:<5} W=1 {seconds[0] * 1e3:9.1f} ms  "
+              f"W={W} {seconds[1] * 1e3:9.1f} ms")
+
+
+def rates_line(rates, repeat: int):
+    name, fields = rates
+    cfg = _config(fields)
+    seconds = _forked_and_not(lambda: harness.fit_rate(cfg), repeat)
+    grid = dict.fromkeys(cfg.horizon_grid)
+    W = harness._workers(cfg.n_seeds * len(grid), harness._FORK_SEED_STEPS)
+    print(f"rates {name:<13} n={cfg.n_seeds:<5} d={cfg.dim:<3} "
+          f"T={','.join(map(str, grid))} {cfg.algorithm:<5} W=1 {seconds[0] * 1e3:9.1f} ms  "
+          f"W={W} {seconds[1] * 1e3:9.1f} ms")
 
 
 def main(argv=None) -> int:
@@ -222,6 +250,7 @@ def main(argv=None) -> int:
     schedule_lines(TINY_TABLE_T if args.tiny else TABLE_T, repeat)
     draws_lines(sizes, repeat)
     sweep_lines(TINY_SWEEPS if args.tiny else SWEEPS, repeat)
+    rates_line(TINY_RATES if args.tiny else RATES, repeat)
     return 0
 
 
