@@ -24,10 +24,11 @@ pay one sweep's per-step cost; with fewer, each sweep is also cut W ways.  Jobs
 go longest first (n * T) to the least-loaded worker, and the rows are put back
 per sweep in seed order.  A seed's row depends neither on its chunk nor on the
 process that ran it, so every output is the same bit for bit at any W.  A
-child's exception is raised again here with its type and message, and the
-children's warnings are issued again here, in (sweep, seed) order.  A process
-running more than one thread, or a platform without ``os.fork``, runs every
-sweep in-process.
+child's exception is raised again here with its type and message.  Every
+worker's warnings, this process's too, are recorded and issued again here in
+(sweep, seed) order through one registry a call, so that a call shows the same
+warnings at any W.  A process running more than one thread, or a platform
+without ``os.fork``, runs every sweep in-process.
 
 Outputs: one CSV per experiment (row per seed) under
 ``<out>/<id>/<algorithm>/<pXX>/seed-results.csv`` plus a JSON-lines summary;
@@ -61,9 +62,9 @@ _CHUNK_BYTES = 240_000_000
 # (``_workers``).  A fork and its pipe round trip take ~1.5 ms at 100 MB resident.  One sweep
 # cut across two workers makes each pay the whole per-step cost: on 2 vCPUs (Python 3.11,
 # numpy 2.4; SMD and SGD, two-point noise, d = 2; ``tools/bench_layers.py`` sweep rows, best
-# of 9) a 100-seed sweep at 2^18 runs 0.75-1.0x on two workers against one process and only
-# 1.0-1.1x at 2^20, while at 1000 seeds, whose per-seed set-up is split too, it runs
-# 1.2-1.4x at 1.3e5.  A call of at least W sweeps deals them to the workers whole instead.
+# of 9, three rounds) a 100-seed sweep at 2^18 runs 0.8-1.1x on two workers against one
+# process and 0.65-1.2x at 2^20, while at 1000 seeds, whose per-seed set-up is split too, it
+# runs 1.1-1.6x at 1.3e5.  A call of at least W sweeps deals them to the workers whole instead.
 _FORK_SEED_STEPS = 1 << 18
 
 
@@ -173,25 +174,37 @@ def _portable(exc: BaseException) -> BaseException:
     return exc
 
 
+def _run_share(run, jobs: list) -> list:
+    """``run(job)`` for each job in turn, as one ``(status, value, warnings)`` a job: status
+    ``"ok"`` with the result, or ``"err"`` with the exception it raised, which ends the list
+    (the calling process raises it again).  Every warning is recorded, as ``(message,
+    category, filename, lineno)``, for ``_in_workers`` to issue again: the caller's filters
+    then decide which are shown."""
+    replies = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for job in jobs:
+            seen = len(caught)
+            try:
+                status, value = "ok", run(job)
+            except BaseException as exc:
+                status, value = "err", exc
+            replies.append((status, value, [(str(w.message), w.category, w.filename,
+                                             w.lineno) for w in caught[seen:]]))
+            if status == "err":
+                break
+    return replies
+
+
 def _child(run, jobs: list, write_fd: int):
-    """In a forked child: ``run(job)`` for each job in turn until one raises, sent down
-    ``write_fd`` as one ``("ok", result, warnings)`` a job, the last ``("err", exception,
-    warnings)`` if one raised.  Never returns: it leaves through ``os._exit``, so it flushes
-    no output buffer and runs no exit hook it inherited."""
+    """In a forked child: the ``_run_share`` replies of ``jobs``, sent down ``write_fd``.
+    Never returns: it leaves through ``os._exit``, so it flushes no output buffer and runs
+    no exit hook it inherited."""
     code = 1
     try:
-        replies = []
-        with warnings.catch_warnings(record=True) as caught:
-            for job in jobs:
-                seen = len(caught)
-                try:
-                    status, value = "ok", run(job)
-                except BaseException as exc:  # raised again by the calling process
-                    status, value = "err", _portable(exc)
-                replies.append((status, value, [(str(w.message), w.category, w.filename,
-                                                 w.lineno) for w in caught[seen:]]))
-                if status == "err":
-                    break
+        replies = _run_share(run, jobs)
+        if replies and replies[-1][0] == "err":
+            replies[-1] = ("err", _portable(replies[-1][1]), replies[-1][2])
         with open(write_fd, "wb") as pipe:
             pipe.write(pickle.dumps(replies))
         code = 0
@@ -199,15 +212,28 @@ def _child(run, jobs: list, write_fd: int):
         os._exit(code)
 
 
+def _issue(replies, registry: dict):
+    """Issue the warnings of ``replies`` again, in order, through one ``registry``, and raise
+    the exception of an ``"err"`` reply after the warnings of its job."""
+    for status, value, caught in replies:
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+        if status == "err":
+            raise value
+
+
 def _in_workers(run, jobs: list, shares: list[list[int]]) -> list:
     """``[run(job) for job in jobs]``: worker w runs the jobs whose indices ``shares[w]``
     lists, in that order; worker 0 is this process, each other one a child forked from it.
 
-    The children's warnings are issued again here in job order, and the first child
-    exception in job order is raised again here (type and message kept), after the warnings
-    of the jobs before it.  Every child is reaped, also when this process's own share
-    raises; it is then killed first, since its result has no reader.
+    Every worker records its warnings, and all are issued again here in job order through
+    one registry (a location's record of the warnings it has shown), so that a call shows
+    the same warnings at any worker count.  The first child exception in job order is
+    raised again here (type and message kept), after the warnings of the jobs before it.
+    An exception in this process's own share is raised at once, after its own warnings;
+    every child is reaped, and is then killed first, since its result has no reader.
     """
+    registry = {}
     children = []  # (pid, read end of its pipe)
     replies = None
     try:
@@ -219,7 +245,9 @@ def _in_workers(run, jobs: list, shares: list[list[int]]) -> list:
                 _child(run, [jobs[k] for k in share], write_fd)
             os.close(write_fd)
             children.append((pid, open(read_fd, "rb")))
-        results = {k: run(jobs[k]) for k in shares[0]}
+        own = _run_share(run, [jobs[k] for k in shares[0]])
+        if own and own[-1][0] == "err":
+            _issue(own, registry)
         # to EOF before any wait: a pipe holds 64 KB, and a child blocks on a larger reply
         replies = [pipe.read() for _, pipe in children]
     finally:
@@ -236,16 +264,11 @@ def _in_workers(run, jobs: list, shares: list[list[int]]) -> list:
             raise RuntimeError(f"a sweep worker process exited with code {code} before "
                                "sending its result")
     # a child stops at its first exception, so every job before it in job order has a reply
-    done = {k: reply for share, data in zip(shares[1:], replies)
-            for k, reply in zip(share, pickle.loads(data))}
-    for k in sorted(done):
-        status, value, caught = done[k]
-        for message, category, filename, lineno in caught:
-            warnings.warn_explicit(message, category, filename, lineno)
-        if status == "err":
-            raise value
-        results[k] = value
-    return [results[k] for k in range(len(jobs))]
+    done = dict(zip(shares[0], own))
+    done.update((k, reply) for share, data in zip(shares[1:], replies)
+                for k, reply in zip(share, pickle.loads(data)))
+    _issue((done[k] for k in sorted(done)), registry)
+    return [done[k][1] for k in range(len(jobs))]
 
 
 def _sweeps(cfg: ExperimentConfig,

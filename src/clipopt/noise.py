@@ -12,11 +12,15 @@ while ``E r^p = a s^p / (a - p)`` stays finite, and the internal scale
 Randomness comes from numpy's counter-based 64-bit Philox generator seeded
 through ``SeedSequence`` (``make_rng``).  Each family writes its draw once,
 in ``sample_batch(d, n, rng)``, which can write it into a caller's array
-(``out``): two-point noise draws n uniforms for the spike indicators, n
-integers for the coordinates and n uniforms for the signs, then scatters the
-spikes; radial noise draws n * d standard normals for the directions and n
-uniforms for the inverse-CDF Pareto radii, then normalizes and scales.  One
-stochastic gradient at x is ``problem.grad(x) + model.sample_batch(d, 1, rng)[0]``.
+(``out``).  Two-point noise draws its hits only (``_spike_hits``), in two
+generator calls unless its gaps need a top-up: the gaps between hits, each
+max(1, ceil(E / lambda)) of a standard exponential E, lambda = -log1p(-q),
+which is geometric with parameter q; then one uniform U per hit, whose
+floor(2 d U) holds the coordinate (halved) and the sign (its parity); then it
+scatters the spikes.  Radial noise draws n * d standard normals for the
+directions and n uniforms for the inverse-CDF Pareto radii, then normalizes
+and scales.  One stochastic gradient at x is
+``problem.grad(x) + model.sample_batch(d, 1, rng)[0]``.
 
 Each family also states exactly, at many points, what the clipping-error
 analysis reads of its clipped draws (``clipped_moments``): their mean, their
@@ -32,14 +36,15 @@ generator per seed; a single run is its n = 1 case, on its oracle's generator.
 use it, seed k's strided slice ``[:, :, k]`` of one zero-filled block filled
 in place from the seed's own generator.  ``SpikeDraws`` holds a two-point run
 as its spikes only: each seed's generator makes the calls of
-``sample_batch(d, steps, rng)``, each hit is kept as one int64 key, and a
-reused window of K steps is expanded from them with the dense slab's bits
-and layout.  The family's ``seed_step_bytes`` states the draws' size per
-seed-step, by which the harness sizes its seed chunks.
+``sample_batch(d, steps, rng)``, which draw the hits alone, each hit is kept
+as one int64 key, and a reused window of K steps is expanded from them with
+the dense slab's bits and layout.  The family's ``seed_step_bytes`` states the
+draws' size per seed-step, by which the harness sizes its seed chunks.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -86,13 +91,16 @@ class TwoPointNoise:
     def sample_batch(self, d: int, n: int, rng: np.random.Generator,
                      out: np.ndarray | None = None) -> np.ndarray:
         """``n`` draws as an (n, d) array; only the spikes are written into ``out``,
-        which must therefore hold zeros."""
-        U, S = np.empty(n), np.empty(n)
-        idx = _spike_fields(rng, d, U, S)
+        which must therefore hold zeros.
+
+        The draws are made hits first (``_spike_hits``): the geometric gaps between the
+        steps that hold a spike, from standard exponentials, then one uniform a hit for its
+        coordinate and sign.  Steps without a spike draw nothing.
+        """
+        t, v = _spike_hits(rng, self.q, d, n)
         if out is None:
             out = np.zeros((n, d))
-        hits = np.flatnonzero(U < self.q)
-        out[hits, idx[hits]] = np.where(S[hits] < 0.5, self.spike, -self.spike)
+        out[t - 1, v >> 1] = np.where(v & 1, -self.spike, self.spike)
         return out
 
     def clipped_moments(self, problem: Problem, X, levels) -> ClippedMoments:
@@ -154,13 +162,36 @@ def _support_moments(geom, support: np.ndarray, weight: np.ndarray, levels: np.n
     return mean, np.sum(r * r, axis=1), over
 
 
-def _spike_fields(rng: np.random.Generator, d: int, U: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """One ``sample_batch``'s ``len(U)`` two-point draws in stream order: the hit uniforms
-    into ``U``, then the coordinates (returned), then the sign uniforms into ``S``."""
-    rng.random(out=U)
-    idx = rng.integers(0, d, size=U.size)
-    rng.random(out=S)
-    return idx
+def _spike_hits(rng: np.random.Generator, q: float, d: int, steps: int):
+    """One ``sample_batch`` of ``steps`` two-point draws as its hits only: the steps t of
+    the hits (1-based, increasing) and v = floor(2 d U) of each, whose spike is at
+    coordinate v >> 1 and is negative when v is odd.
+
+    The gaps between hits are max(1, ceil(E / lambda)), E standard exponential and lambda
+    = -log1p(-q), so that P(gap = k) = (1 - q)^(k - 1) q, each capped at steps + 1 before
+    the running sum (q = 5e-324 then overflows no sum, and q = 1 hits every step).  They are
+    drawn m at a time, m the mean hit count plus ``_SPIKE_SLACK_SD`` standard deviations,
+    plus one, until their sum passes ``steps``; then one uniform U is drawn per hit.
+    """
+    lam = -math.log1p(-q) if q < 1.0 else math.inf
+    m = int(steps * q + _SPIKE_SLACK_SD * math.sqrt(steps * q * (1.0 - q))) + 1
+    ends, last = [], 0.0
+    while last <= steps:  # a top-up draws m more gaps, past the ones drawn so far
+        gaps = rng.standard_exponential(m)
+        with np.errstate(over="ignore"):  # E / lambda past the doubles is inf, capped below
+            gaps /= lam
+        np.ceil(gaps, out=gaps)
+        np.minimum(gaps, steps + 1.0, out=gaps)
+        np.maximum(gaps, 1.0, out=gaps)
+        gaps[0] += last
+        np.add.accumulate(gaps, out=gaps)  # integers below 2^53: exact
+        last = gaps[-1]
+        ends.append(gaps)
+    ends = ends[0] if len(ends) == 1 else np.concatenate(ends)
+    t = ends[:ends.searchsorted(steps, "right")].astype(np.int64)
+    U = rng.random(t.size)
+    U *= 2 * d  # below 2 d: for U <= 1 - 2^-53, 2 d U lies more than half an ulp below 2 d
+    return t, U.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -345,8 +376,9 @@ def window_steps(steps: int, d: int, n: int) -> int:
 # window, one seed's draw buffers and the key array's slack.
 _SPIKE_BYTES = 32
 
-# Slack of a ``SpikeDraws`` key array past the mean spike count, in binomial standard
-# deviations: the array grows by a copy only when a batch draws more spikes than that.
+# Slack past the mean spike count, in binomial standard deviations, of a ``SpikeDraws``
+# key array, which grows by a copy only when a batch draws more spikes than that, and of
+# each seed's first block of gaps (``_spike_hits``), which is topped up only then.
 _SPIKE_SLACK_SD = 6
 
 
@@ -369,34 +401,36 @@ class SpikeDraws:
     """Two-point noise of many seeds kept as its spikes, expanded K steps at a time.
 
     Seed k's generator (the k-th of the n ``generators``) makes the generator
-    calls of ``model.sample_batch(d, steps, rng)``, and only its hits are kept:
-    each as one int64 key, twice the hit's flat index into the dense (steps, d,
-    n) block plus 1 for a negative spike, written straight into one array sized
-    for the mean spike count and a margin.  The keys are sorted, so they are step major.  ``slab(t)`` writes
-    the spikes of t's window of K steps into a reused zero-filled (K, d, n)
-    block and returns the (n, d) view of its C-ordered (d, n) slab: the same
-    layout and the same +0.0 and +-M values as the dense block's slab, a -0.0
-    spike (sigma = 0) included.
+    calls of ``model.sample_batch(d, steps, rng)`` through the same
+    ``_spike_hits``, which draws the hits alone (their steps from geometric
+    gaps, then one uniform each for the coordinate and sign).  Each hit is kept
+    as one int64 key, twice the hit's flat index into the dense (steps, d, n)
+    block plus 1 for a negative spike, written straight into one array sized
+    for the mean spike count and a margin.  The keys are sorted, so they are
+    step major.  ``slab(t)`` writes the spikes of t's window of K steps into a
+    reused zero-filled (K, d, n) block and returns the (n, d) view of its
+    C-ordered (d, n) slab: the same layout and the same +0.0 and +-M values as
+    the dense block's slab, a -0.0 spike (sigma = 0) included.
     """
 
     def __init__(self, model: TwoPointNoise, d: int, steps: int, generators, n: int):
         self.n = n
-        U, S = np.empty(steps), np.empty(steps)
         mean = n * steps * model.q
         keys = np.empty(int(mean + _SPIKE_SLACK_SD * np.sqrt(mean * (1.0 - model.q))) + 1,
                         dtype=np.int64)
+        # a hit's key is 2 d n t plus offset[v]: its coordinate v >> 1 and its sign v & 1,
+        # less the 2 d n of step 1, which is row 0 of the dense block
+        v = np.arange(2 * d)
+        offset = (v >> 1) * 2 * n + (v & 1) - 2 * d * n
         size = 0
         for k, rng in enumerate(generators):
-            idx = _spike_fields(rng, d, U, S)
-            hits = np.flatnonzero(U < model.q)
-            if size + hits.size > keys.size:
-                keys = np.concatenate((keys[:size], np.empty(max(keys.size, hits.size), np.int64)))
-            seed_keys = np.multiply(hits, d, out=keys[size:size + hits.size])
-            seed_keys += idx[hits]  # flat index into a seed's (steps, d) draw
-            seed_keys *= 2 * n
+            t, v = _spike_hits(rng, model.q, d, steps)
+            if size + t.size > keys.size:
+                keys = np.concatenate((keys[:size], np.empty(max(keys.size, t.size), np.int64)))
+            seed_keys = np.multiply(t, 2 * d * n, out=keys[size:size + t.size])
+            seed_keys += offset[v]
             seed_keys += 2 * k
-            seed_keys += S[hits] >= 0.5
-            size += hits.size
+            size += t.size
         keys = keys[:size]
         keys.sort()
         self.keys = keys

@@ -30,7 +30,10 @@ def test_bench_layers_tiny_prints_every_layer(capsys):
     assert all(float(moments[0][i]) > 0 for i in (4, 6, 9, 11))  # ms and us per point
     tables = [line for line in lines if line.startswith("schedule ")]
     assert len(tables) == len(bench.TABLE_MODES) and all(" table " in line for line in tables)
-    assert len([line for line in lines if line.startswith("draws ")]) == len(bench.TINY_SIZES)
+    draws = [line.split() for line in lines if line.startswith("draws ")]
+    assert [row[1] for row in draws] == [name for name, *_ in bench.TINY_SIZES]
+    assert all(row[6::2] == ["ms", "us/seed", "ns/seed-step"] and
+               all(float(value) > 0 for value in row[5::2]) for row in draws)
     sweeps = [line.split() for line in lines if line.startswith("sweep ")]
     assert [row[1] for row in sweeps] == [name for name, _ in bench.TINY_SWEEPS]
     rates = [line.split() for line in lines if line.startswith("rates ")]

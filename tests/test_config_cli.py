@@ -572,8 +572,8 @@ def test_divergent_run_flagged_under_optimize(tmp_path):
 SGD_VARIANT = ["experiment.algorithm=sgd", "problem.kind=nonconvex_ratio", "problem.x1=1,1",
                "schedule.mode=sgd_known_t"]
 DIAGNOSE_ROWS = {
-    "smd": [("pathwise_smd", 256, 0, 0.0003262677263162761, None),
-            ("clipping_error_bounds", 1, 0, 0.2807980687202168, 0.0),
+    "smd": [("pathwise_smd", 256, 0, 0.0003266114109183871, None),
+            ("clipping_error_bounds", 1, 0, 0.28079806872021634, 0.0),
             ("martingale_smd", 256, 0, 2.303832804594543, 0.0)],
     "sgd": [("pathwise_sgd", 256, 0, 4.1229006565726635e-11, None),
             ("clipping_error_bounds", 1, 0, 0.10130276991452962, 0.0),
@@ -731,15 +731,17 @@ def test_cmd_diagnose_reports_out_of_range_steps(tmp_path, capsys):
 def test_cmd_run_golden_digest(tmp_path):
     """The per-seed CSV of a small Euclidean demo run is pinned byte for byte.
 
-    Euclidean SMD with two-point noise uses no exp/log in the loop, so the
-    bytes do not depend on the CPU's vector math routines.
+    Euclidean SMD with two-point noise calls no exp or log in its loop.  The spike
+    draws call the generator's exponential sampler and the log1p of q, both in
+    numpy's own scalar code, so the bytes do not depend on the CPU's vector math
+    routines.
     """
     rc = cli.main(["run", "--config", str(DEMO_CONFIGS / "smd_heavy_tail.cfg"), "--seeds", "30",
                    "--set", "experiment.t=128", "--out", str(tmp_path)])
     assert rc == 0
     csv_bytes = (tmp_path / "smd-heavy-tail" / "smd" / "p15" / "seed-results.csv").read_bytes()
     assert hashlib.sha256(csv_bytes).hexdigest() == (
-        "cb81f4c61daa0d288cafe09ce5cda44c632f6eb4ec61bbf2f0c85229333d3b37")
+        "61e7dfd73e1b0b911da4267ec5094e439dda771692c8415935f014477bbfb873")
 
 
 def test_loading_from_file(tmp_path):

@@ -1,5 +1,6 @@
 """Harness oracles: trial aggregation, slope fitting, baseline comparison."""
 
+import io
 import math
 import os
 import subprocess
@@ -417,7 +418,7 @@ def logged_sgd_runners(monkeypatch, log) -> None:
 def test_one_fork_round_a_call_equals_one_process_bitwise(monkeypatch, tmp_path, cpus):
     """At any worker count, fit_rate (a repeated horizon in its grid) and compare give the
     one-process results bitwise from one fork round a call (W - 1 children); with at least
-    as many sweeps as workers each sweep runs whole in one runner call, and the children's
+    as many sweeps as workers each sweep runs whole in one runner call, and every worker's
     warnings are issued again in (sweep, seed) order, the order one process gives."""
     rates = cfg(**SGD, n_seeds=100, horizon_grid=(64, 128, 64, 256, 512))
     pair = cfg(algorithm="sgd", mode="sgd_known_t", p=1.5, sigma=1.0, q=1e-3, horizon=256,
@@ -456,14 +457,14 @@ def test_one_fork_round_a_call_equals_one_process_bitwise(monkeypatch, tmp_path,
         if len(sweeps) >= workers:  # each sweep whole, in one runner call
             assert sorted(message for _, message in lines) == \
                 sorted(f"{algorithm} {T} 0 {n}" for algorithm, T in sweeps)
-        # the children's warnings come last, in the order of their rows in the results
-        children = [message for pid, message in lines if int(pid) != os.getpid()]
-        order = sorted(children, key=lambda m: (sweeps.index((m.split()[0], int(m.split()[1]))),
-                                                int(m.split()[2])))
+        # every worker's warnings, in the order of their rows in the results
+        order = sorted((message for _, message in lines),
+                       key=lambda m: (sweeps.index((m.split()[0], int(m.split()[1]))),
+                                      int(m.split()[2])))
         got = [str(w.message) for w in caught]
-        assert got[len(got) - len(children):] == order
+        assert got == order
         if len(sweeps) >= workers:  # the chunks one process runs, in its order
-            assert [m for m in alone[name][1] if m in children] == order
+            assert got == alone[name][1]
 
 
 class LocalError(Exception):
@@ -549,6 +550,40 @@ def test_worker_warnings_are_issued_again_in_order(monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(UserWarning, match="from seed 14"):
             harness._sweeps(c, [(c.horizon, "smd")])
+    assert_all_reaped()
+
+
+def test_warnings_show_the_same_at_any_worker_count(monkeypatch):
+    """Under the ``default`` filter, a runner that warns one text a batch call shows it once a
+    call, from one process or three: the same stderr."""
+    run = algorithms.run_smd_batch
+
+    def warned(*args, **kwargs):
+        warnings.warn("one batch call", UserWarning)
+        return run(*args, **kwargs)
+
+    def stderr() -> str:
+        """What two calls write to stderr (pytest records warnings in place of showing them)."""
+        text = io.StringIO()
+
+        def show(message, category, filename, lineno, file=None, line=None):
+            text.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            warnings.showwarning = show
+            for _ in range(2):
+                harness.run_trials(c, write=False)
+        return text.getvalue()
+
+    monkeypatch.setattr(algorithms, "run_smd_batch", warned)
+    c = cfg(n_seeds=40)
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", seven_seed_budget(c))  # 6 batch calls a call
+    alone = stderr()
+    assert alone.count("UserWarning: one batch call") == 2
+    forked = forking(monkeypatch)
+    assert stderr() == alone
+    assert len(forked) == 4
     assert_all_reaped()
 
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,64 @@ def test_two_point_draws_match_the_law(p, q, d):
     assert abs(np.count_nonzero(xi[rows, cols] > 0) - hits / 2) <= 5 * np.sqrt(hits / 4)
     per_coord = np.bincount(cols, minlength=d)
     assert np.all(np.abs(per_coord - hits / d) <= 5 * np.sqrt(hits * (1 / d) * (1 - 1 / d)))
+
+
+def _seed_hits(model, d, steps, n):
+    """The hit steps (1-based) of seeds 0..n-1 of a ``SpikeDraws`` build, a list per seed."""
+    draws = nz.SpikeDraws(model, d, steps, map(nz.make_rng, range(n)), n)
+    flat = draws.keys >> 1  # (step - 1) d n + coordinate n + seed
+    seeds, at = flat % n, flat // (d * n) + 1
+    return [at[seeds == k] for k in range(n)]
+
+
+@pytest.mark.parametrize("q, steps", [(0.05, 64), (0.4, 12)])
+def test_two_point_first_hit_and_hit_count_follow_their_laws(q, steps):
+    """Over 4000 seeds, the share whose first hit is at step k is within 5 s.e. of the
+    geometric (1 - q)^(k - 1) q (no hit: (1 - q)^steps), and the share with j hits within 5
+    s.e. of the binomial C(steps, j) q^j (1 - q)^(steps - j)."""
+    model, n = nz.TwoPointNoise(p=1.5, sigma=1.0, q=q), 4000
+    hits = _seed_hits(model, 3, steps, n)
+    first = np.array([h[0] if h.size else steps + 1 for h in hits])
+    counts = np.array([h.size for h in hits])
+    k = np.arange(1, steps + 2)
+    geometric = np.where(k <= steps, (1 - q) ** (k - 1) * q, (1 - q) ** steps)
+    j = np.arange(steps + 1)
+    binomial = np.array([math.comb(steps, i) for i in j]) * q ** j * (1 - q) ** (steps - j)
+    for got, law in ((np.bincount(first, minlength=steps + 2)[1:], geometric),
+                     (np.bincount(counts, minlength=steps + 1), binomial)):
+        assert np.all(np.abs(got / n - law) <= 5 * np.sqrt(law * (1 - law) / n) + 1e-12)
+
+
+@pytest.mark.parametrize("q", [1.0, 1e-300, 5e-324])
+def test_two_point_extreme_q(q):
+    """q = 1 hits every step of every seed; a q near the doubles' floor hits none, and no
+    draw overflows into a warning."""
+    model, d, steps, n = nz.TwoPointNoise(p=1.5, sigma=1.0, q=q), 3, 300, 5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xi = model.sample_batch(d, steps, nz.make_rng(7))
+        hits = _seed_hits(model, d, steps, n)
+    every = q == 1.0
+    assert np.array_equal(np.count_nonzero(xi, axis=1), np.full(steps, int(every)))
+    for h in hits:
+        assert np.array_equal(h, np.arange(1, steps + 1) if every else [])
+
+
+@pytest.mark.parametrize("slack", [None, 0])
+@pytest.mark.parametrize("q", [1e-3, 0.1, 0.5, 1.0])
+def test_sample_batch_is_the_one_seed_spike_draws(q, slack, monkeypatch):
+    """``sample_batch(d, T, rng)`` is the one-seed ``SpikeDraws``' slabs bit for bit, and
+    leaves the generator where they do, also when a zero slack makes most seeds top up."""
+    if slack is not None:
+        monkeypatch.setattr(nz, "_SPIKE_SLACK_SD", slack)
+    model, d, steps = nz.TwoPointNoise(p=1.5, sigma=1.0, q=q), 3, 200
+    for seed in range(20):
+        dense_rng, spike_rng = nz.make_rng(seed), nz.make_rng(seed)
+        dense = model.sample_batch(d, steps, dense_rng)
+        spikes = nz.SpikeDraws(model, d, steps, [spike_rng], 1)
+        slabs = np.stack([spikes.slab(t)[0] for t in range(1, steps + 1)])
+        assert _bits(slabs).tobytes() == _bits(dense).tobytes()
+        np.testing.assert_equal(spike_rng.bit_generator.state, dense_rng.bit_generator.state)
 
 
 def test_radial_pareto_moment_by_quadrature():

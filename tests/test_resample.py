@@ -9,9 +9,12 @@ error.  The exact moments of either family must lie within a few standard
 errors of them.
 """
 
+import math
+
 import numpy as np
 import pytest
 
+from clipopt import noise
 from clipopt.clipping import clip_batch
 from clipopt.noise import RadialParetoNoise, TwoPointNoise, make_rng
 
@@ -22,13 +25,31 @@ MODELS = {"two_point": TwoPointNoise(p=1.5, sigma=1.0, q=0.2),
 def reference_draw(model, d, n, rng):
     """The documented stream of ``sample_batch``, written out as the samplers had it."""
     if isinstance(model, TwoPointNoise):
-        u, idx, s = rng.random(n), rng.integers(0, d, size=n), rng.random(n)
-        out, hit = np.zeros((n, d)), u < model.q
-        out[np.nonzero(hit)[0], idx[hit]] = np.where(s[hit] < 0.5, model.spike, -model.spike)
-        return out
+        return reference_spikes(model, d, n, rng)
     Z = rng.standard_normal((n, d))
     Z /= np.sqrt(np.einsum("ij,ij->i", Z, Z))[:, None]
     return Z * (model.scale * rng.random(n) ** (-1.0 / model.tail_index))[:, None]
+
+
+def reference_spikes(model, d, n, rng, slack_sd=6):
+    """The two-point stream one hit at a time: gaps max(1, ceil(E / lambda)) capped at n + 1,
+    lambda = -log1p(-q), drawn ``mean + slack_sd sd + 1`` at a time until they pass n, then
+    one uniform U per hit, whose floor(2 d U) = 2 i + s puts a spike at coordinate i,
+    negative when s = 1."""
+    q = model.q
+    lam = -math.log1p(-q) if q < 1 else math.inf
+    m = int(n * q + slack_sd * math.sqrt(n * q * (1 - q))) + 1
+    hits, t = [], 0
+    while t <= n:
+        for e in rng.standard_exponential(m):
+            t += max(1, math.ceil(min(e / lam, n + 1.0)))  # ceil(inf) has no int
+            if t <= n:
+                hits.append(t)
+    out = np.zeros((n, d))
+    for t, u in zip(hits, rng.random(len(hits))):
+        i, s = divmod(math.floor(2 * d * u), 2)
+        out[t - 1, i] = -model.spike if s else model.spike
+    return out
 
 
 def reference_point(problem, noise_model, x, level, resamples, rng):
@@ -119,3 +140,21 @@ def test_sample_batch_is_the_documented_stream(noise, d):
     assert calls.tobytes() == reference.tobytes() == np.ascontiguousarray(written).tobytes()
     for rng in rngs[1:]:
         np.testing.assert_equal(rngs[0].bit_generator.state, rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("q", [0.02, 0.1, 0.5])
+def test_two_point_top_up_is_the_documented_stream(q, monkeypatch):
+    """With no slack past the mean hit count, many draws top their gaps up and still give
+    the documented stream's values and generator state."""
+    monkeypatch.setattr(noise, "_SPIKE_SLACK_SD", 0)
+    model, d, n = TwoPointNoise(p=1.5, sigma=1.0, q=q), 3, 150
+    topped = 0
+    for seed in range(30):
+        rng, ref_rng = make_rng(seed), make_rng(seed)
+        got, want = model.sample_batch(d, n, rng), reference_spikes(model, d, n, ref_rng,
+                                                                    slack_sd=0)
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
+        # the first int(n q) + 1 gaps all end inside the draw: a top-up was needed
+        topped += np.count_nonzero(got) >= int(n * q) + 1
+    assert 0 < topped < 30

@@ -16,7 +16,10 @@ Prints, one line each:
   (d = 2): ``TwoPointNoise.clipped_moments``, a sum over the support, and
   ``RadialParetoNoise.clipped_moments``, a quadrature; in ms and in us per point;
 * the time of ``Schedule.table(T)`` and of one ``Schedule.pair`` call, per mode;
-* the time of ``noise.lockstep_draws`` at each workload's full size;
+* the time of ``noise.lockstep_draws`` at each workload's full size (two-point
+  noise, q = 0.1), in ms, in us per seed and in ns per seed-step: the per-seed
+  part holds a fixed cost (the seed's generator, ``make_rng``, and a handful of
+  numpy calls) that the seed-steps do not;
 * the time of one ``harness._sweeps`` call on one sweep (the seeds of one config at one
   horizon, written nowhere) at the run-smd, rates-sgd (its longest horizon) and
   asmd-simplex sizes, and of one ``harness.fit_rate`` (every horizon of the rates-sgd grid
@@ -188,7 +191,8 @@ def draws_lines(sizes, repeat: int):
     for name, n, d, steps in sizes:
         model = noise.TwoPointNoise(p=1.5, sigma=0.25, q=0.1)
         seconds = _best(lambda: _draws(model, d, steps, n), repeat)
-        print(f"draws {name:<13} n={n:<5} d={d:<3} T={steps:<6} {seconds * 1e3:9.1f} ms")
+        print(f"draws {name:<13} n={n:<5} d={d:<3} T={steps:<6} {seconds * 1e3:9.1f} ms "
+              f"{seconds / n * 1e6:8.1f} us/seed {seconds / (n * steps) * 1e9:7.2f} ns/seed-step")
 
 
 def _forked_and_not(fn, repeat: int) -> list[float]:
