@@ -28,18 +28,18 @@ at a time.  The parameter-free mode's are per row instead: the loop keeps
 each row's largest displacement ``||x_t - x_1||`` so far (``norm_many``),
 and each step takes the schedule's (n,) levels and steps at it.  Each (n, d)
 array a step makes goes into that step's slot of a seed-contiguous window
-buffer, whether or not the run is recorded: the gradient
-(``grad_many(X, out=...)``), the gradient plus noise, the new iterate (the
-accelerated loop's query point, y and z each have a window).  Its dual norms
-go into a row of the window's norms (``dual_norm_many(G, out=...)``) and,
-only when some row's norm is over the level (or NaN), the clip over the
-noisy gradient and the count of the rows it clipped; eta * G (and the
-accelerated mixes' alpha * z) go into one scratch array.  Everything else is
-done once per window of K steps (``noise.window_steps``, the spike window's
-byte rule): the metrics over the window's iterates or gradients and the
-running sums, added in time order (``_running_sum``).  A recorded run is one
-window of all its steps, and its step table is built from the window buffers
-when the loop ends.  Window sizes do not change a bit.
+buffer: the gradient (``grad_many(X, out=...)``), the gradient plus noise,
+the new iterate (the accelerated loop's query point, y and z each have a
+window; an iterate's holds the start in slot 0).  Its dual norms go into a row
+of the window's norms (``dual_norm_many(G, out=...)``) and, only when some
+row's norm is over the level (or NaN), the clip over the noisy gradient and
+the count of the rows it clipped; eta * G (and the accelerated mixes' alpha *
+z) go into one scratch array.  Everything else is done once per window of K
+steps (``noise.window_steps``, the spike window's byte rule): the metrics
+over the window's iterates or gradients and the running sums, added in time
+order (``_running_sum``).  A recorded run takes the same windows, but the
+buffers its step table reads (all but the true gradients) span the horizon,
+so the table is views of them.  Window sizes do not change a bit.
 
 ``run_*_batch`` advances many seeds in lockstep (used by the experiment
 harness and ``diagnose``); ``run_*`` is the one-seed batch on its oracle's
@@ -74,9 +74,9 @@ DIVERGENCE_LIMIT = 1e12
 class StepTable:
     """Columnar per-step record of n seeds run in lockstep, with their paths.
 
-    The per-step columns have one entry per step t = 1..T: ``t`` and ``alpha``
-    are (T,), shared by every seed; ``eta``, ``lam``, ``clipped`` and ``metric``
-    are (n, T); the paths are (n, T[+1], d).
+    The per-step columns have one entry per step t = 1..T: ``alpha`` is (T,),
+    shared by every seed; ``eta``, ``lam``, ``clipped`` and ``metric`` are (n, T);
+    the paths are (n, T[+1], d).
     Seed k's ``x[k]`` holds x_1..x_{T+1}, so step t queried the oracle at
     ``x[k, t - 1]`` and moved to ``x[k, t]``.  The accelerated loop queries at
     (1 - alpha_t) y_t + alpha_t z_t: its ``x`` holds those T query points,
@@ -84,13 +84,12 @@ class StepTable:
     the gradient each step used (the unclipped one for the baseline, whose
     ``lam`` is infinite).
 
-    A recorded run is one window of all its steps, so some fields are
-    transposed views of its window buffers: ``grad_clipped``, the accelerated
-    query points ``x``, mirror descent's ``metric`` and the parameter-free
-    mode's ``eta`` and ``lam``.  ``alpha`` is the schedule table's.
+    Every field but ``clipped`` is a view: of the recorded loop's buffers, which
+    span the horizon (the paths, ``grad_clipped``, mirror descent's ``metric``,
+    the parameter-free ``eta`` and ``lam``), or of the schedule table (``alpha``;
+    ``eta`` and ``lam`` otherwise, read-only broadcasts over the seeds).
     """
 
-    t: np.ndarray
     eta: np.ndarray
     lam: np.ndarray
     clipped: np.ndarray
@@ -209,6 +208,8 @@ def _batch(loop, problem, noise_model, param, steps, x1, seeds, record) -> Batch
 def _run(loop, problem, param, steps, x1, seeds, noise, record):
     """The seeds' results (a row with a non-finite final iterate, summary or gap is
     flagged diverged) and their final rows."""
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are flagged diverged
         summary, final_gap, clipped, X, tab = loop(problem, param, steps, x1, noise, record)
     diverged = ~(np.isfinite(summary) & np.isfinite(final_gap) & np.all(np.isfinite(X), axis=1))
@@ -217,12 +218,13 @@ def _run(loop, problem, param, steps, x1, seeds, noise, record):
     return res, X
 
 
-def _start(problem: Problem, x1, n: int) -> np.ndarray:
-    """n copies of ``x1`` as seed-contiguous rows: the transpose of a C-ordered (d, n) block."""
+def _start(problem: Problem, x1, out: np.ndarray) -> np.ndarray:
+    """``x1`` written into each seed's row of the (n, d) slot ``out``, which it returns."""
     x1 = np.asarray(x1, dtype=float)
     if not problem.geometry.contains(x1):
         raise ValueError("initial point outside the domain")
-    return np.repeat(x1[:, None], n, axis=1).T
+    out[...] = x1
+    return out
 
 
 def _levels(schedule: Schedule, modes, needs: str, steps: int):
@@ -267,11 +269,6 @@ def _running_sum(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.add.reduce(block, axis=0)
 
 
-def _path(start: np.ndarray, window: np.ndarray) -> np.ndarray:
-    """Each row's path, (n, T + 1, d): its start followed by its iterates in a (T, n, d) window."""
-    return np.concatenate((start[:, None], window.transpose(1, 0, 2)), axis=1)
-
-
 # -- the loops: noise is a draws object whose slab(t) is step t's (n, d) noise,
 # the transpose of a C-ordered (d, n) block, so the state stays seed-contiguous;
 # every step writes into window slots made before the loop (``S`` holds eta * G and
@@ -282,9 +279,9 @@ def _path(start: np.ndarray, window: np.ndarray) -> np.ndarray:
 # gets the factor 1, so skipping the clip keeps the bits (the baseline's level is
 # +inf: it runs the clip only at a NaN norm); a row is counted clipped when its norm
 # is over the level;
-# a recorded run is one window of every step, and its step table is built from the
-# window buffers at the end; each returns (summary, final_gap, clip counts, final
-# rows, step table or None) --
+# a window's steps write from slot ``at`` of the buffers a step table reads (its first
+# step's if they span the horizon, else 0) through per-window slices of their slot lists;
+# each returns (summary, final_gap, clip counts, final rows, step table or None) --
 
 
 def _smd(problem, schedule, steps, x1, noise, record):
@@ -320,82 +317,85 @@ def _descent(problem, levels, steps, x1, noise, record, metric):
     ``fw`` its steps were queried at (the value gap for SMD, the squared gradient
     norm for SGD, where the l2 mirror step is x - eta * G).  ``levels`` is a schedule
     table (its step sizes and levels), or the parameter-free mode's ``pair(t, dev)``."""
-    n = noise.n
+    n, d = noise.n, problem.dim
     geom = problem.geometry
-    X1 = X = _start(problem, x1, n)
-    d = X.shape[1]
-    K = steps if record else window_steps(steps, d, n)  # a recorded run is one window
-    (xw, xs), (fw, fs), (gw, gs) = (_slots(K, n, d) for _ in range(3))
+    K = window_steps(steps, d, n)
+    span = K if not record else steps  # the steps held by the buffers a step table reads
+    (xw, xs), (gw, gs), (fw, fs) = _slots(span + 1, n, d), _slots(span, n, d), _slots(K, n, d)
+    X = _start(problem, x1, xs[0])
     S = _rows(n, d)
-    norms, metric_rows = np.empty((K, n)), np.empty((K, n))
-    norm_rows = list(norms)
-    metric_sum, clipped = np.zeros(n), np.zeros(n)
+    norms, metric_rows = np.empty((span, n)), np.empty((span, n))
+    norm_rows, metric_sum, clipped = list(norms), np.zeros(n), np.zeros(n)
     per_row = callable(levels)
     if per_row:
         start, D, dev = np.asarray(x1, dtype=float), np.empty((n, d)), np.zeros(n)
-        eta_w, lam_w = np.empty((K, n)), np.empty((K, n))
+        eta_w, lam_w = np.empty((span, n)), np.empty((span, n))
 
-        def row_pairs(lo, k):  # (n, 1) steps, (n,) levels, the least; X as each step starts
-            for i in range(k):
+        def row_pairs(lo, eta_k, lam_k):  # (n, 1) steps, (n,) levels, the least; X as each starts
+            for t, eta, lam in zip(range(lo + 1, steps + 1), eta_k, lam_k):
                 np.fmax(dev, geom.norm_many(np.subtract(X, start, out=D)), out=dev)
-                eta_w[i], lam_w[i] = levels(lo + i + 1, dev)
-                yield eta_w[i, :, None], lam_w[i], lam_w[i].min()
+                eta[:], lam[:] = levels(t, dev)
+                yield eta[:, None], lam, lam.min()
     else:
         etas, lams, _ = levels
-    for lo in range(0, steps, max(K, 1)):  # windows of K steps, then the rest
+        eta_w, lam_w = (np.broadcast_to(a[:, None], (steps, n)) for a in (etas, lams))
+    for lo in range(0, steps, K):  # windows of K steps, then the rest
         k = min(K, steps - lo)
+        at = lo if record else 0
+        xo, go, no = xs[at + 1:at + k + 1], gs[at:at + k], norm_rows[at:at + k]
         if per_row:
-            pairs = row_pairs(lo, k)
+            pairs = row_pairs(lo, eta_w[at:at + k], lam_w[at:at + k])
         else:
             level = lams[lo:lo + k].tolist()
             pairs = zip(etas[lo:lo + k].tolist(), level, level)
         for i, (eta, lam, lowest) in enumerate(pairs):
             F = problem.grad_many(X, out=fs[i])
-            G = np.add(F, noise.slab(lo + i + 1), out=gs[i])
-            nrm = geom.dual_norm_many(G, out=norm_rows[i])
+            G = np.add(F, noise.slab(lo + i + 1), out=go[i])
+            nrm = geom.dual_norm_many(G, out=no[i])
             if not (nrm[nrm.argmax()] <= lowest):
                 clip_batch(G, lam, nrm, out=G)
                 clipped += nrm > lam
-            X = geom.mirror_step_many(X, G, eta, out=xs[i], scratch=S)
-        metric_sum = _running_sum(metric_sum, metric(xw[:k], fw[:k], metric_rows[:k]))
-    tab = None
-    if record:
-        eta, lam = (eta_w.T, lam_w.T) if per_row else (np.tile(a, (n, 1)) for a in (etas, lams))
-        tab = StepTable(np.arange(1, steps + 1), eta, lam, norms.T > lam, metric_rows.T,
-                        _path(X1, xw), gw.transpose(1, 0, 2))
+            X = geom.mirror_step_many(X, G, eta, out=xo[i], scratch=S)
+        rows = metric(xw[at + 1:at + k + 1], fw[:k], metric_rows[at:at + k])
+        metric_sum = _running_sum(metric_sum, rows)
+    tab = StepTable(eta_w.T, lam_w.T, norms.T > lam_w.T, metric_rows.T, xw.transpose(1, 0, 2),
+                    gw.transpose(1, 0, 2)) if record else None
     return metric_sum / steps, problem.gap_many(X), clipped, X.copy(order="K"), tab
 
 
 def _asmd(problem, schedule, steps, y1, noise, record):
-    n = noise.n
+    n, d = noise.n, problem.dim
     etas, lams, alphas = _levels(schedule, ASMD_MODES, "asmd needs an accelerated schedule", steps)
     geom = problem.geometry
-    Y1 = Y = Z = _start(problem, y1, n)  # z_1 = y_1; steps write into slots, never into the start
-    d = Y.shape[1]
-    K = steps if record else window_steps(steps, d, n)  # a recorded run is one window
-    (yw, ys), (zw, zs), (xw, xs), (gw, gs) = (_slots(K, n, d) for _ in range(4))
+    K = window_steps(steps, d, n)
+    span = K if not record else steps  # the steps held by the buffers a step table reads
+    (yw, ys), (zw, zs), (xw, xs), (gw, gs) = (_slots(span + s, n, d) for s in (1, 1, 0, 0))
+    Y, Z = (_start(problem, y1, slots[0]) for slots in (ys, zs))  # z_1 = y_1
     S = _rows(n, d)
-    norms = np.empty((K, n))
+    norms = np.empty((span, n))
     norm_rows, clipped = list(norms), np.zeros(n)
-    for lo in range(0, steps, max(K, 1)):
+    for lo in range(0, steps, K):
         k = min(K, steps - lo)
+        at = lo if record else 0
+        yo, zo = ys[at + 1:at + k + 1], zs[at + 1:at + k + 1]
+        xo, go, no = xs[at:at + k], gs[at:at + k], norm_rows[at:at + k]
         for i, (alpha, eta, lam) in enumerate(zip(alphas[lo:lo + k].tolist(),
                                                   etas[lo:lo + k].tolist(),
                                                   lams[lo:lo + k].tolist())):
-            Xq = geom.mix_many(Y, Z, alpha, out=xs[i], scratch=S)
-            G = problem.grad_many(Xq, out=gs[i])
+            Xq = geom.mix_many(Y, Z, alpha, out=xo[i], scratch=S)
+            G = problem.grad_many(Xq, out=go[i])
             G += noise.slab(lo + i + 1)
-            nrm = geom.dual_norm_many(G, out=norm_rows[i])
+            nrm = geom.dual_norm_many(G, out=no[i])
             if not (nrm[nrm.argmax()] <= lam):
                 clip_batch(G, lam, nrm, out=G)
                 clipped += nrm > lam
-            Z = geom.mirror_step_many(Z, G, eta, out=zs[i], scratch=S)
-            Y = geom.mix_many(Y, Z, alpha, out=ys[i], scratch=S)
+            Z = geom.mirror_step_many(Z, G, eta, out=zo[i], scratch=S)
+            Y = geom.mix_many(Y, Z, alpha, out=yo[i], scratch=S)
     tab = None
     if record:  # x holds the query points, y and z the paths
-        eta, lam = np.tile(etas, (n, 1)), np.tile(lams, (n, 1))
-        tab = StepTable(np.arange(1, steps + 1), eta, lam, norms.T > lam,
-                        problem.gap_many(yw).T, xw.transpose(1, 0, 2), gw.transpose(1, 0, 2),
-                        alphas, _path(Y1, yw), _path(Y1, zw))
+        eta, lam = (np.broadcast_to(a, (n, steps)) for a in (etas, lams))
+        tab = StepTable(eta, lam, norms.T > lam, problem.gap_many(yw[1:]).T,
+                        *(w.transpose(1, 0, 2) for w in (xw, gw)), alphas,
+                        *(w.transpose(1, 0, 2) for w in (yw, zw)))
     gaps = problem.gap_many(Y)
     return gaps, gaps, clipped, Y.copy(order="K"), tab

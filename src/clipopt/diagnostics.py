@@ -237,7 +237,7 @@ def check_pathwise_smd(problem: Problem, tab: StepTable, tol: float = 1e-8) -> l
            + eta2 * np.float_power(geom.dual_norm_many(theta), 2)
            + 2.0 * problem.lipschitz_g ** 2 * eta2)
     too_large = eta > 0.25 / problem.smoothness * (1 + 1e-12)
-    return _pathwise("pathwise_smd", tab.t, rhs - lhs, too_large, tol)
+    return _pathwise("pathwise_smd", rhs - lhs, too_large, tol)
 
 
 @np.errstate(all="ignore")
@@ -260,7 +260,7 @@ def check_pathwise_asmd(problem: Problem, tab: StepTable, tol: float = 1e-8) -> 
            + eta * coord_dot(theta, xstar - z[:, :-1])
            + np.float_power(eta, 2) * np.float_power(geom.dual_norm_many(theta), 2)
            / (2.0 * (1.0 - L * eta * alpha)))
-    return _pathwise("pathwise_asmd", tab.t, rhs - lhs, eta * alpha * L > 0.5 * (1 + 1e-12),
+    return _pathwise("pathwise_asmd", rhs - lhs, eta * alpha * L > 0.5 * (1 + 1e-12),
                      tol)
 
 
@@ -282,14 +282,15 @@ def check_pathwise_sgd(problem: Problem, tab: StepTable, tol: float = 1e-8) -> l
            + (L * eta2 / 2.0) * coord_dot(theta, theta)
            + (L * eta2 - eta) * coord_dot(g, theta))
     margins = rhs - (gap[:, 1:] - gap[:, :-1])
-    return _pathwise("pathwise_sgd", tab.t, margins, eta * L > 1.0 + 1e-12, tol)
+    return _pathwise("pathwise_sgd", margins, eta * L > 1.0 + 1e-12, tol)
 
 
-def _pathwise(name: str, t, margins, out_of_range, tol: float) -> list:
-    """One report per seed's row of the (n, steps) ``margins``; a step ``out_of_range`` (its
-    step size past the inequality's range, whose overflow the checks leave unwarned) has
-    margin -inf, and a NaN margin fails."""
+def _pathwise(name: str, margins, out_of_range, tol: float) -> list:
+    """One report per seed's row of the (n, steps) ``margins``, whose columns are steps
+    1..steps; a step ``out_of_range`` (its step size past the inequality's range, whose
+    overflow the checks leave unwarned) has margin -inf, and a NaN margin fails."""
     margins = np.where(out_of_range, -np.inf, margins)
+    t = np.arange(1, margins.shape[1] + 1)
     return [PathwiseReport(name, t.size, [(int(s), float(m)) for s, m in zip(t[bad], row[bad])],
                            float(np.min(row)))
             for row, bad in zip(margins, ~(margins >= -tol))]

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from clipopt.noise import (DenseDraws, Oracle, RadialParetoNoise, SpikeDraws, Tw
                           make_rng)
 
 GAMMA_ONE = math.exp(-1.0)
+DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
 def quad(diag=(1.0, 1.0), shift=(0.0, 0.0)):
@@ -216,7 +218,6 @@ def test_run_record_row_count_and_finiteness():
     assert rec.table.metric.size == 50
     assert np.all(np.isfinite(rec.table.metric))
     assert np.all(rec.table.metric >= 0)
-    assert np.all(rec.table.t == np.arange(1, 51))
 
 
 def test_reproducibility_bitwise():
@@ -533,6 +534,54 @@ def test_single_run_peak_memory_is_its_spikes():
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * 8 * steps * d, peak / (8 * steps * d)
+
+
+@pytest.mark.parametrize("algorithm, mode", [("smd", "smd_known_t"), ("sgd", "sgd_known_t"),
+                                             ("smd", "smd_param_free")])
+def test_recorded_run_peak_memory_is_what_it_holds(algorithm, mode):
+    """A recorded run is a windowed run whose buffers span the horizon, and its step table
+    is views of them: on diagnose_smd.cfg's problem and noise its traced peak is about 1.3
+    times what its result holds.  A run whose whole horizon is one window peaks at about
+    twice that, from its metric's temporaries over the window."""
+    from clipopt import config
+
+    n, steps = 200, 1024
+    cfg = config.load_config(DEMO_CONFIGS / "diagnose_smd.cfg",
+                             [f"experiment.algorithm={algorithm}", f"schedule.mode={mode}",
+                              f"experiment.t={steps}"])
+    prob, x1 = config.build_problem(cfg)
+    model, sched = config.build_noise(cfg), config.build_schedule(cfg, prob, x1)
+    run = {"smd": algos.run_smd_batch, "sgd": algos.run_sgd_batch}[algorithm]
+    run(prob, model, sched, 8, x1, [0], record=True)  # first-use allocations
+    tracemalloc.start()
+    try:
+        res = run(prob, model, sched, steps, x1, range(n), record=True)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.table.x.shape == (n, steps + 1, prob.dim)
+    assert peak <= 1.5 * held, peak / held
+
+
+RUNNERS = {"smd": (algos.run_smd, algos.run_smd_batch, "smd_known_t"),
+           "asmd": (algos.run_asmd, algos.run_asmd_batch, "asmd_known_t"),
+           "sgd": (algos.run_sgd, algos.run_sgd_batch, "sgd_known_t"),
+           "vanilla-sgd": (algos.run_vanilla_sgd, algos.run_vanilla_sgd_batch, None)}
+
+
+@pytest.mark.parametrize("algorithm", list(RUNNERS))
+def test_a_run_of_no_steps_is_rejected(algorithm):
+    """A run takes at least one step: without one there is no summary to average and no
+    step for a check to read."""
+    prob, x1 = START["euclidean"]
+    single, batch, mode = RUNNERS[algorithm]
+    param = 0.1 if mode is None else schedules.Schedule(
+        mode, smd_inputs(prob, x1, sigma=1.0, horizon=8))
+    model = TwoPointNoise(p=1.5, sigma=1.0, q=0.2)
+    with pytest.raises(ValueError, match="steps must be >= 1"):
+        batch(prob, model, param, 0, x1, range(2), record=True)
+    with pytest.raises(ValueError, match="steps must be >= 1"):
+        single(prob, Oracle(prob, model, seed=0), param, 0, x1)
 
 
 @pytest.mark.parametrize("x1", [[1.0, 0.0], [1.0 + 1e-10, -1e-10]])

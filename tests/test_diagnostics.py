@@ -248,9 +248,9 @@ def test_pathwise_rejects_oversized_steps():
 
 def test_pathwise_nan_margin_fails():
     """A NaN margin is a violation, as is a step out of range (margin -inf)."""
-    t, margins = np.arange(1, 5), np.array([[0.0, np.nan, -1.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
+    margins = np.array([[0.0, np.nan, -1.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
     out_of_range = np.array([[False, False, False, True], [False] * 4])
-    bad, good = diag._pathwise("pathwise_smd", t, margins, out_of_range, 1e-8)
+    bad, good = diag._pathwise("pathwise_smd", margins, out_of_range, 1e-8)
     assert [s for s, _ in bad.violations] == [2, 3, 4] and bad.violations[2][1] == -math.inf
     assert good.passed and good.min_margin == 0.0
 
