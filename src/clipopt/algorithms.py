@@ -30,16 +30,17 @@ and each step takes the schedule's (n,) levels and steps at it.  Each (n, d)
 array a step makes goes into that step's slot of a seed-contiguous window
 buffer: the gradient (``grad_many(X, out=...)``), the gradient plus noise,
 the new iterate (the accelerated loop's query point, y and z each have a
-window; an iterate's holds the start in slot 0).  Its dual norms go into a row
-of the window's norms (``dual_norm_many(G, out=...)``) and, only when some
-row's norm is over the level (or NaN), the clip over the noisy gradient and
-the count of the rows it clipped; eta * G (and the accelerated mixes' alpha *
-z) go into one scratch array.  Everything else is done once per window of K
-steps (``noise.window_steps``, the spike window's byte rule): the metrics
-over the window's iterates or gradients and the running sums, added in time
-order (``_running_sum``).  A recorded run takes the same windows, but the
-buffers its step table reads (all but the true gradients) span the horizon,
-so the table is views of them.  Window sizes do not change a bit.
+window; an iterate's holds the start in slot 0).  Its dual norms go into one
+reused (n,) row (``dual_norm_many(G, out=...)``), read only by the step's clip
+test and count: only when some row's norm is over the level (or NaN), the clip
+over the noisy gradient and the count of the rows it clipped; eta * G (and the
+accelerated mixes' alpha * z) go into one scratch array.  Everything else is
+done once per window of K steps (``noise.window_steps``, the spike window's
+byte rule): the metrics over the window's iterates or gradients and the running
+sums, added in time order (``_running_sum``).  A recorded run takes the same
+windows, but the buffers its step table reads (the iterates, ASMD's query
+points, the clipped gradients, the parameter-free eta and lambda) span the
+horizon, so the table is views of them.  Window sizes do not change a bit.
 
 ``run_*_batch`` advances many seeds in lockstep (used by the experiment
 harness and ``diagnose``); ``run_*`` is the one-seed batch on its oracle's
@@ -75,8 +76,7 @@ class StepTable:
     """Columnar per-step record of n seeds run in lockstep, with their paths.
 
     The per-step columns have one entry per step t = 1..T: ``alpha`` is (T,),
-    shared by every seed; ``eta``, ``lam``, ``clipped`` and ``metric`` are (n, T);
-    the paths are (n, T[+1], d).
+    shared by every seed; ``eta`` and ``lam`` are (n, T); the paths are (n, T[+1], d).
     Seed k's ``x[k]`` holds x_1..x_{T+1}, so step t queried the oracle at
     ``x[k, t - 1]`` and moved to ``x[k, t]``.  The accelerated loop queries at
     (1 - alpha_t) y_t + alpha_t z_t: its ``x`` holds those T query points,
@@ -84,16 +84,14 @@ class StepTable:
     the gradient each step used (the unclipped one for the baseline, whose
     ``lam`` is infinite).
 
-    Every field but ``clipped`` is a view: of the recorded loop's buffers, which
-    span the horizon (the paths, ``grad_clipped``, mirror descent's ``metric``,
-    the parameter-free ``eta`` and ``lam``), or of the schedule table (``alpha``;
-    ``eta`` and ``lam`` otherwise, read-only broadcasts over the seeds).
+    Every field is a view, none computed: of the recorded loop's buffers, which span
+    the horizon (the paths, ``grad_clipped``, the parameter-free ``eta`` and ``lam``),
+    or of the schedule table (``alpha``; ``eta`` and ``lam`` otherwise, read-only
+    broadcasts over the seeds).  A check recomputes a step's gap, norms or clip from them.
     """
 
     eta: np.ndarray
     lam: np.ndarray
-    clipped: np.ndarray
-    metric: np.ndarray
     x: np.ndarray
     grad_clipped: np.ndarray
     alpha: np.ndarray | None = None
@@ -208,8 +206,6 @@ def _batch(loop, problem, noise_model, param, steps, x1, seeds, record) -> Batch
 def _run(loop, problem, param, steps, x1, seeds, noise, record):
     """The seeds' results (a row with a non-finite final iterate, summary or gap is
     flagged diverged) and their final rows."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are flagged diverged
         summary, final_gap, clipped, X, tab = loop(problem, param, steps, x1, noise, record)
     diverged = ~(np.isfinite(summary) & np.isfinite(final_gap) & np.all(np.isfinite(X), axis=1))
@@ -278,7 +274,7 @@ def _running_sum(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
 # first NaN as the largest, and is cheaper than a reduction); a row it leaves alone
 # gets the factor 1, so skipping the clip keeps the bits (the baseline's level is
 # +inf: it runs the clip only at a NaN norm); a row is counted clipped when its norm
-# is over the level;
+# is over the level; each step's norms go into one reused (n,) row ``nrm``;
 # a window's steps write from slot ``at`` of the buffers a step table reads (its first
 # step's if they span the horizon, else 0) through per-window slices of their slot lists;
 # each returns (summary, final_gap, clip counts, final rows, step table or None) --
@@ -323,9 +319,8 @@ def _descent(problem, levels, steps, x1, noise, record, metric):
     span = K if not record else steps  # the steps held by the buffers a step table reads
     (xw, xs), (gw, gs), (fw, fs) = _slots(span + 1, n, d), _slots(span, n, d), _slots(K, n, d)
     X = _start(problem, x1, xs[0])
-    S = _rows(n, d)
-    norms, metric_rows = np.empty((span, n)), np.empty((span, n))
-    norm_rows, metric_sum, clipped = list(norms), np.zeros(n), np.zeros(n)
+    S, nrm, metric_rows = _rows(n, d), np.empty(n), np.empty((K, n))
+    metric_sum, clipped = np.zeros(n), np.zeros(n)
     per_row = callable(levels)
     if per_row:
         start, D, dev = np.asarray(x1, dtype=float), np.empty((n, d)), np.zeros(n)
@@ -342,7 +337,7 @@ def _descent(problem, levels, steps, x1, noise, record, metric):
     for lo in range(0, steps, K):  # windows of K steps, then the rest
         k = min(K, steps - lo)
         at = lo if record else 0
-        xo, go, no = xs[at + 1:at + k + 1], gs[at:at + k], norm_rows[at:at + k]
+        xo, go = xs[at + 1:at + k + 1], gs[at:at + k]
         if per_row:
             pairs = row_pairs(lo, eta_w[at:at + k], lam_w[at:at + k])
         else:
@@ -351,14 +346,14 @@ def _descent(problem, levels, steps, x1, noise, record, metric):
         for i, (eta, lam, lowest) in enumerate(pairs):
             F = problem.grad_many(X, out=fs[i])
             G = np.add(F, noise.slab(lo + i + 1), out=go[i])
-            nrm = geom.dual_norm_many(G, out=no[i])
+            geom.dual_norm_many(G, out=nrm)
             if not (nrm[nrm.argmax()] <= lowest):
                 clip_batch(G, lam, nrm, out=G)
                 clipped += nrm > lam
             X = geom.mirror_step_many(X, G, eta, out=xo[i], scratch=S)
-        rows = metric(xw[at + 1:at + k + 1], fw[:k], metric_rows[at:at + k])
+        rows = metric(xw[at + 1:at + k + 1], fw[:k], metric_rows[:k])
         metric_sum = _running_sum(metric_sum, rows)
-    tab = StepTable(eta_w.T, lam_w.T, norms.T > lam_w.T, metric_rows.T, xw.transpose(1, 0, 2),
+    tab = StepTable(eta_w.T, lam_w.T, xw.transpose(1, 0, 2),
                     gw.transpose(1, 0, 2)) if record else None
     return metric_sum / steps, problem.gap_many(X), clipped, X.copy(order="K"), tab
 
@@ -371,21 +366,19 @@ def _asmd(problem, schedule, steps, y1, noise, record):
     span = K if not record else steps  # the steps held by the buffers a step table reads
     (yw, ys), (zw, zs), (xw, xs), (gw, gs) = (_slots(span + s, n, d) for s in (1, 1, 0, 0))
     Y, Z = (_start(problem, y1, slots[0]) for slots in (ys, zs))  # z_1 = y_1
-    S = _rows(n, d)
-    norms = np.empty((span, n))
-    norm_rows, clipped = list(norms), np.zeros(n)
+    S, nrm, clipped = _rows(n, d), np.empty(n), np.zeros(n)
     for lo in range(0, steps, K):
         k = min(K, steps - lo)
         at = lo if record else 0
         yo, zo = ys[at + 1:at + k + 1], zs[at + 1:at + k + 1]
-        xo, go, no = xs[at:at + k], gs[at:at + k], norm_rows[at:at + k]
+        xo, go = xs[at:at + k], gs[at:at + k]
         for i, (alpha, eta, lam) in enumerate(zip(alphas[lo:lo + k].tolist(),
                                                   etas[lo:lo + k].tolist(),
                                                   lams[lo:lo + k].tolist())):
             Xq = geom.mix_many(Y, Z, alpha, out=xo[i], scratch=S)
             G = problem.grad_many(Xq, out=go[i])
             G += noise.slab(lo + i + 1)
-            nrm = geom.dual_norm_many(G, out=no[i])
+            geom.dual_norm_many(G, out=nrm)
             if not (nrm[nrm.argmax()] <= lam):
                 clip_batch(G, lam, nrm, out=G)
                 clipped += nrm > lam
@@ -394,8 +387,7 @@ def _asmd(problem, schedule, steps, y1, noise, record):
     tab = None
     if record:  # x holds the query points, y and z the paths
         eta, lam = (np.broadcast_to(a, (n, steps)) for a in (etas, lams))
-        tab = StepTable(eta, lam, norms.T > lam, problem.gap_many(yw[1:]).T,
-                        *(w.transpose(1, 0, 2) for w in (xw, gw)), alphas,
+        tab = StepTable(eta, lam, *(w.transpose(1, 0, 2) for w in (xw, gw)), alphas,
                         *(w.transpose(1, 0, 2) for w in (yw, zw)))
     gaps = problem.gap_many(Y)
     return gaps, gaps, clipped, Y.copy(order="K"), tab

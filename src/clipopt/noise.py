@@ -461,6 +461,8 @@ def lockstep_draws(model, d: int, steps: int, generators, n: int):
     """The noise of n seeds run in lockstep, seed k's drawn from the k-th of ``generators``
     (the calls of ``model.sample_batch(d, steps, rng)``): two-point noise kept as its spikes,
     radial noise into ``[:, :, k]`` of one zero-filled (steps, d, n) block."""
+    if steps < 1:  # no summary to average, no step to check
+        raise ValueError("steps must be >= 1")
     if isinstance(model, TwoPointNoise):
         return SpikeDraws(model, d, steps, generators, n)
     block = np.zeros((steps, d, n))

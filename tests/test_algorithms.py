@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,8 @@ def test_smd_geometric_decay_with_forced_step():
                                eta_scale=24.0)
     assert sched.eta(1) == pytest.approx(0.25)
     rec = algos.run_smd(prob, noiseless_oracle(prob), sched, 16, x1)
-    gaps = np.concatenate([[prob.gap(x1)], rec.table.metric[0]])
+    gaps = prob.gap_many(rec.table.x[0])  # at x_1..x_17
+    assert gaps[0] == prob.gap(x1)
     ratios = gaps[1:] / gaps[:-1]
     np.testing.assert_allclose(ratios, 0.75 ** 2, rtol=1e-12)
     assert rec.clipped_fraction == 0.0
@@ -52,7 +54,7 @@ def test_smd_single_step_summary():
     x1 = np.array([1.0, 0.0])
     sched = schedules.Schedule("smd_known_t", smd_inputs(prob, x1, horizon=1))
     rec = algos.run_smd(prob, noiseless_oracle(prob), sched, 1, x1)
-    assert rec.summary == rec.table.metric[0, 0]
+    assert rec.summary == rec.final_gap == prob.gap_many(rec.table.x[0, 1:])[0]
     assert rec.steps == 1
 
 
@@ -116,10 +118,11 @@ def test_sgd_one_step_solve_of_isotropic_quadratic():
                                eta_scale=1.0 / base.eta(1))
     assert sched.eta(1) == pytest.approx(1.0)
     rec = algos.run_sgd(prob, noiseless_oracle(prob), sched, 4, x1)
-    # eta = 1/L lands exactly on the minimizer after one step
-    assert rec.table.metric[0, 0] == pytest.approx(float(x1 @ x1))
+    # eta = 1/L lands exactly on the minimizer after one step, so only the first of the
+    # four squared gradient norms is not 0
+    np.testing.assert_array_equal(rec.table.x[0, 1:], np.zeros((4, 2)))
     np.testing.assert_allclose(rec.final_point, np.zeros(2), atol=1e-15)
-    assert rec.table.metric[0, 1] == 0.0
+    assert rec.summary == pytest.approx(float(x1 @ x1) / 4)
 
 
 def test_sgd_descent_on_nonconvex_instance():
@@ -137,7 +140,8 @@ def test_sgd_descent_on_nonconvex_instance():
         x = x - 0.4 * prob.grad(x)
         gaps.append(prob.value(x))
     assert np.all(np.diff(np.array(gaps)) <= 1e-15)
-    assert np.all(np.diff(rec.table.metric[0, 2:]) <= 1e-15)
+    grads = prob.grad_many(rec.table.x[0, :-1])  # at the visited points
+    assert np.all(np.diff(np.sum(grads * grads, axis=1)[2:]) <= 1e-15)
 
 
 def test_sgd_single_step_summary():
@@ -164,7 +168,8 @@ def test_vanilla_matches_clipped_when_noiseless():
     clipped = algos.run_sgd(prob, noiseless_oracle(prob), sched, 32, x1)
     vanilla = algos.run_vanilla_sgd(prob, noiseless_oracle(prob), sched.eta(1), 32, x1)
     np.testing.assert_array_equal(clipped.final_point, vanilla.final_point)
-    np.testing.assert_array_equal(clipped.table.metric, vanilla.table.metric)
+    np.testing.assert_array_equal(clipped.table.x, vanilla.table.x)
+    assert clipped.summary == vanilla.summary
     assert not vanilla.diverged
 
 
@@ -177,7 +182,8 @@ def test_vanilla_divergence_flag():
     assert rec.diverged
     assert rec.summary == np.inf
     assert rec.final_gap == np.inf
-    assert rec.steps == 500 and rec.table.metric.shape == (1, 500)
+    assert rec.steps == 500 and rec.table.x.shape == (1, 501, 2)
+    assert np.abs(rec.table.x[0, -1]).max() > algos.DIVERGENCE_LIMIT
 
 
 def test_vanilla_row_that_escapes_and_comes_back_is_diverged():
@@ -215,9 +221,11 @@ def test_run_record_row_count_and_finiteness():
     oracle = Oracle(prob, TwoPointNoise(p=1.5, sigma=1.0, q=0.3), seed=3)
     sched = schedules.Schedule("smd_known_t", smd_inputs(prob, x1, sigma=1.0, horizon=50))
     rec = algos.run_smd(prob, oracle, sched, 50, x1)
-    assert rec.table.metric.size == 50
-    assert np.all(np.isfinite(rec.table.metric))
-    assert np.all(rec.table.metric >= 0)
+    assert rec.table.x.shape == (1, 51, 2) and rec.table.grad_clipped.shape == (1, 50, 2)
+    gaps = prob.gap_many(rec.table.x[0, 1:])
+    assert np.all(np.isfinite(gaps))
+    assert np.all(gaps >= 0)
+    assert rec.summary == pytest.approx(gaps.mean())
 
 
 def test_reproducibility_bitwise():
@@ -231,7 +239,8 @@ def test_reproducibility_bitwise():
 
     a, b = one(), one()
     assert a.summary == b.summary
-    np.testing.assert_array_equal(a.table.metric, b.table.metric)
+    assert a.table.x.tobytes() == b.table.x.tobytes()
+    assert a.table.grad_clipped.tobytes() == b.table.grad_clipped.tobytes()
     np.testing.assert_array_equal(a.final_point, b.final_point)
 
 
@@ -269,7 +278,7 @@ def test_single_run_past_the_window_step_cap_equals_its_batch_row(monkeypatch):
         for field in ("summary", "final_gap", "clipped_fraction"):
             theirs = getattr(other, field) if row is None else getattr(other, field)[row]
             assert theirs == getattr(rec, field), field
-        for field in ("x", "metric", "clipped"):
+        for field in ("x", "grad_clipped"):
             rows = getattr(other.table, field)
             rows = rows if row is None else rows[row:row + 1]
             assert rows.tobytes() == getattr(rec.table, field).tobytes(), field
@@ -490,7 +499,10 @@ def test_no_clipping_when_level_dominates():
     sched = schedules.Schedule("smd_known_t", smd_inputs(prob, x1, horizon=32))
     rec = algos.run_smd(prob, noiseless_oracle(prob), sched, 32, x1)
     assert rec.clipped_fraction == 0.0
-    assert np.all(~rec.table.clipped)
+    # every step used its true gradient, whose norm is within the level
+    grads = rec.table.grad_clipped[0]
+    np.testing.assert_array_equal(grads, prob.grad_many(rec.table.x[0, :-1]))
+    assert np.all(prob.geometry.dual_norm_many(grads) <= rec.table.lam[0])
 
 
 def test_batch_peak_memory_is_one_noise_block():
@@ -537,12 +549,15 @@ def test_single_run_peak_memory_is_its_spikes():
 
 
 @pytest.mark.parametrize("algorithm, mode", [("smd", "smd_known_t"), ("sgd", "sgd_known_t"),
-                                             ("smd", "smd_param_free")])
+                                             ("smd", "smd_param_free"), ("asmd", "asmd_known_t")])
 def test_recorded_run_peak_memory_is_what_it_holds(algorithm, mode):
     """A recorded run is a windowed run whose buffers span the horizon, and its step table
-    is views of them: on diagnose_smd.cfg's problem and noise its traced peak is about 1.3
-    times what its result holds.  A run whose whole horizon is one window peaks at about
-    twice that, from its metric's temporaries over the window."""
+    is views of them: on diagnose_smd.cfg's problem and noise its result holds little more
+    than the table's buffers, and its traced peak is about 1.1-1.2 times that.  The rest of the
+    peak is one window's scratch (the true gradients, the metric rows and their
+    temporaries) and the draws, which do not grow with the horizon; so at one seed, where
+    the table is small against them and the per-step slot views, the peak is many times
+    what the run holds (about 14 at T = 1024)."""
     from clipopt import config
 
     n, steps = 200, 1024
@@ -551,7 +566,8 @@ def test_recorded_run_peak_memory_is_what_it_holds(algorithm, mode):
                               f"experiment.t={steps}"])
     prob, x1 = config.build_problem(cfg)
     model, sched = config.build_noise(cfg), config.build_schedule(cfg, prob, x1)
-    run = {"smd": algos.run_smd_batch, "sgd": algos.run_sgd_batch}[algorithm]
+    run = {"smd": algos.run_smd_batch, "sgd": algos.run_sgd_batch,
+           "asmd": algos.run_asmd_batch}[algorithm]
     run(prob, model, sched, 8, x1, [0], record=True)  # first-use allocations
     tracemalloc.start()
     try:
@@ -559,8 +575,11 @@ def test_recorded_run_peak_memory_is_what_it_holds(algorithm, mode):
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert res.table.x.shape == (n, steps + 1, prob.dim)
+    assert res.table.x.shape == (n, steps + (algorithm != "asmd"), prob.dim)
     assert peak <= 1.5 * held, peak / held
+    fields = (getattr(res.table, field.name) for field in dataclasses.fields(algos.StepTable))
+    data = sum(a.nbytes for a in fields if a is not None and 0 not in a.strides)  # no broadcast
+    assert held <= 1.1 * data, held / data
 
 
 RUNNERS = {"smd": (algos.run_smd, algos.run_smd_batch, "smd_known_t"),
@@ -572,16 +591,21 @@ RUNNERS = {"smd": (algos.run_smd, algos.run_smd_batch, "smd_known_t"),
 @pytest.mark.parametrize("algorithm", list(RUNNERS))
 def test_a_run_of_no_steps_is_rejected(algorithm):
     """A run takes at least one step: without one there is no summary to average and no
-    step for a check to read."""
+    step for a check to read.  The draw builder rejects a count below one before it draws
+    anything, for either noise family, so no warning is raised on the way."""
     prob, x1 = START["euclidean"]
     single, batch, mode = RUNNERS[algorithm]
     param = 0.1 if mode is None else schedules.Schedule(
         mode, smd_inputs(prob, x1, sigma=1.0, horizon=8))
-    model = TwoPointNoise(p=1.5, sigma=1.0, q=0.2)
-    with pytest.raises(ValueError, match="steps must be >= 1"):
-        batch(prob, model, param, 0, x1, range(2), record=True)
-    with pytest.raises(ValueError, match="steps must be >= 1"):
-        single(prob, Oracle(prob, model, seed=0), param, 0, x1)
+    for model in (TwoPointNoise(p=1.5, sigma=1.0, q=0.2),
+                  RadialParetoNoise(p=1.5, sigma=1.0, tail_index=1.75)):
+        for steps in (0, -1):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="^steps must be >= 1$"):
+                    batch(prob, model, param, steps, x1, range(2), record=True)
+                with pytest.raises(ValueError, match="^steps must be >= 1$"):
+                    single(prob, Oracle(prob, model, seed=0), param, steps, x1)
 
 
 @pytest.mark.parametrize("x1", [[1.0, 0.0], [1.0 + 1e-10, -1e-10]])
@@ -641,6 +665,15 @@ def test_simplex_underflow_stays_interior():
         assert np.all(rec.final_point > 0)
 
 
+def over_level(prob, tab, noise):
+    """(n, T): whether each seed's noisy gradient was over its level at each step, from the
+    recorded query points (``tab.x``'s first T rows) and the run's draws."""
+    steps = tab.lam.shape[1]
+    raw = np.stack([prob.grad_many(tab.x[:, t]) + noise.slab(t + 1) for t in range(steps)],
+                   axis=1)
+    return prob.geometry.dual_norm_many(raw) > tab.lam
+
+
 LOOPS = {"smd": algos._smd, "asmd": algos._asmd, "sgd": algos._sgd, "vanilla-sgd": algos._vanilla}
 
 
@@ -677,13 +710,14 @@ def test_window_size_changes_no_bit(monkeypatch, algorithm, start, param, n):
                                    record))
     res, X = runs[0]
     if baseline and param > 1.0:  # diverged rows run every step, with infinite results
-        assert res.diverged.any() and res.table.metric.shape == (n, steps)
+        assert res.diverged.any() and res.table.x.shape == (n, steps + 1, prob.dim)
         assert res.diverged.all() == (param == 1.2 or n == 1)
         assert np.isinf(res.summary[res.diverged]).all()
         assert np.isinf(res.final_gap[res.diverged]).all()
-    elif not baseline:
-        over = res.table.clipped.any(axis=0)  # steps with and without a clipped row; with
-        assert over.any() and (n > 5 or not over.all())  # many seeds each step clips one
+    elif not baseline:  # steps with and without a clipped row (with many seeds, each clips one)
+        noise = nz.lockstep_draws(model, prob.dim, steps, map(make_rng, range(n)), n)
+        over = over_level(prob, res.table, noise).any(axis=0)
+        assert over.any() and (n > 5 or not over.all())
     for other, X_other in runs[1:]:
         assert X_other.tobytes() == X.tobytes()
         for field in ("summary", "final_gap", "clipped_fraction", "diverged"):
@@ -733,7 +767,8 @@ def test_infinite_or_nan_norm_takes_the_clip(algorithm):
     grads = res.table.grad_clipped
     assert np.isnan(grads[0, 1, 0]) and grads[0, 1, 1] == 0.0
     assert np.isnan(grads[1, 2]).all()
-    assert not res.table.clipped[2].any()  # the noiseless seed's gradients, bit for bit
     assert grads[2].tobytes() == (prob.grad_many(res.table.x[2, :steps]) + 0.0).tobytes()
-    assert res.table.clipped[0, 1] and not res.table.clipped[1, 2]  # a NaN norm is not over
+    # seed 0 is counted clipped at its infinite step, and at none after it, whose norms are
+    # NaN; a NaN norm is not over the level, so seed 1 and the noiseless seed 2 never are
+    assert res.clipped_fraction.tolist() == [1 / steps, 0.0, 0.0]
     assert list(res.diverged) == [True, True, False]

@@ -43,9 +43,9 @@ def test_bench_layers_tiny_prints_every_layer(capsys):
                and row[8] == row[11] == "ms" and float(row[7]) > 0 and float(row[10]) > 0
                for row in sweeps + rates)
     records = [line.split() for line in lines if line.startswith("record ")]
-    assert len(records) == 1
-    record = records[0]
-    assert record[1:4] == [f"n={bench.TINY_RECORD[0]}", "d=2", f"T={bench.TINY_RECORD[1]}"]
-    assert record[6::3] == ["ms", "MB", "MB"] and record[7::3] == ["peak", "held"]
-    assert all(float(record[i]) > 0 for i in (5, 8, 11))
-    assert float(record[8]) >= float(record[11])  # the peak includes what the result holds
+    assert [record[4] for record in records] == ["smd/euclidean", "asmd/euclidean"]
+    for record in records:
+        assert record[1:4] == [f"n={bench.TINY_RECORD[0]}", "d=2", f"T={bench.TINY_RECORD[1]}"]
+        assert record[6::3] == ["ms", "MB", "MB"] and record[7::3] == ["peak", "held"]
+        assert all(float(record[i]) > 0 for i in (5, 8, 11))
+        assert float(record[8]) >= float(record[11])  # the peak includes what the result holds

@@ -25,9 +25,10 @@ Prints, one line each:
   asmd-simplex sizes, and of one ``harness.fit_rate`` (every horizon of the rates-sgd grid
   in one call), each run in this process (W = 1) and on the W worker processes a call past
   the fork threshold uses;
-* the time of one recorded ``run_smd_batch`` (Euclidean, draws included), in ms, with
-  its traced peak and the MB its result holds (``tracemalloc``, from a second call): a
-  recorded run feeds the diagnostics, which read its step table;
+* the time of one recorded ``run_smd_batch`` and one recorded ``run_asmd_batch``
+  (Euclidean, draws included), in ms, each with its traced peak and the MB its result
+  holds (``tracemalloc``, from a second call): a recorded run feeds the diagnostics,
+  which read its step table;
 * nproc, the Python version and the numpy version.
 
 Each time is the minimum over ``--repeat`` runs, which on a shared machine is
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import platform
 import time
@@ -90,8 +92,10 @@ TINY_SWEEPS = [("tiny", dict(algorithm="smd", mode="smd_known_t", horizon=16, n_
 RATES = ("rates-sgd", dict(SWEEPS[1][1], horizon=256, horizon_grid=(256, 1024, 4096, 16384)))
 TINY_RATES = ("tiny", dict(algorithm="smd", mode="smd_known_t", horizon=16, n_seeds=100,
                            horizon_grid=(16, 32, 64, 128)))
-# the recorded run: seeds and horizon
+# the recorded runs: seeds and horizon, and (algorithm, schedule mode, runner)
 RECORD, TINY_RECORD = (200, 1024), (3, 16)
+RECORDS = [("smd", "smd_known_t", algorithms.run_smd_batch),
+           ("asmd", "asmd_known_t", algorithms.run_asmd_batch)]
 TABLE_MODES = ["smd_known_t", "smd_anytime", "smd_param_free", "asmd_known_t", "asmd_anytime",
                "sgd_known_t", "sgd_anytime"]
 
@@ -242,24 +246,23 @@ def rates_line(rates, repeat: int):
           f"W={W} {seconds[1] * 1e3:9.1f} ms")
 
 
-def record_line(size, repeat: int):
+def record_lines(size, repeat: int):
     n, steps = size
     problem, x1 = _problem("euclidean", 2)
-    sched = _schedule("smd_known_t", problem, x1, 0.25, steps)
     model = noise.TwoPointNoise(p=1.5, sigma=0.25, q=0.1)
-
-    def run():
-        return algorithms.run_smd_batch(problem, model, sched, steps, x1, range(n), record=True)
-
-    seconds = _best(run, repeat)  # the traced call below follows the first-use allocations
-    tracemalloc.start()
-    try:
-        result = run()  # alive while the held bytes are read
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    print(f"record n={n:<5} d={problem.dim:<3} T={steps:<6} smd/euclidean {seconds * 1e3:9.1f} ms "
-          f"peak {peak / 1e6:9.3f} MB held {held / 1e6:9.3f} MB")
+    for algorithm, mode, batch in RECORDS:
+        sched = _schedule(mode, problem, x1, 0.25, steps)
+        run = functools.partial(batch, problem, model, sched, steps, x1, range(n), record=True)
+        seconds = _best(run, repeat)  # the traced call below follows the first-use allocations
+        tracemalloc.start()
+        try:
+            result = run()  # alive while the held bytes are read
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del result
+        print(f"record n={n:<5} d={problem.dim:<3} T={steps:<6} {algorithm + '/euclidean':<14} "
+              f"{seconds * 1e3:9.1f} ms peak {peak / 1e6:9.3f} MB held {held / 1e6:9.3f} MB")
 
 
 def main(argv=None) -> int:
@@ -281,7 +284,7 @@ def main(argv=None) -> int:
     draws_lines(sizes, repeat)
     sweep_lines(TINY_SWEEPS if args.tiny else SWEEPS, repeat)
     rates_line(TINY_RATES if args.tiny else RATES, repeat)
-    record_line(TINY_RECORD if args.tiny else RECORD, repeat)
+    record_lines(TINY_RECORD if args.tiny else RECORD, repeat)
     return 0
 
 
