@@ -30,17 +30,33 @@ and each step takes the schedule's (n,) levels and steps at it.  Each (n, d)
 array a step makes goes into that step's slot of a seed-contiguous window
 buffer: the gradient (``grad_many(X, out=...)``), the gradient plus noise,
 the new iterate (the accelerated loop's query point, y and z each have a
-window; an iterate's holds the start in slot 0).  Its dual norms go into one
-reused (n,) row (``dual_norm_many(G, out=...)``), read only by the step's clip
-test and count: only when some row's norm is over the level (or NaN), the clip
-over the noisy gradient and the count of the rows it clipped; eta * G (and the
-accelerated mixes' alpha * z) go into one scratch array.  Everything else is
-done once per window of K steps (``noise.window_steps``, the spike window's
-byte rule): the metrics over the window's iterates or gradients and the running
-sums, added in time order (``_running_sum``).  A recorded run takes the same
-windows, but the buffers its step table reads (the iterates, ASMD's query
-points, the clipped gradients, the parameter-free eta and lambda) span the
-horizon, so the table is views of them.  Window sizes do not change a bit.
+window; an iterate's holds the start in slot 0); eta * G (and the accelerated
+mixes' alpha * z) go into one scratch array.  Everything else is done once per
+window of K steps (``noise.window_steps``, the spike window's byte rule): the
+metrics over the window's iterates or gradients and the running sums, added in
+time order (``_running_sum``).  A recorded run takes the same windows, but the
+buffers its step table reads (the iterates, ASMD's query points, the clipped
+gradients, the parameter-free eta and lambda) span the horizon, so the table is
+views of them.  Window sizes do not change a bit.
+
+The levels make clipping rare, so the mirror-descent loop checks it once a
+window.  A window's first step is tested: its dual norms go into one (n,) row
+(``dual_norm_many(G, out=...)``), and only when some row's norm is over its
+level (or NaN) does it clip the noisy gradient and count the rows it clipped.
+The other steps take no norm and run no test, unless the first step or the
+window before clipped, which makes the whole window run tested.  (So a replay
+never restarts from the state a window starts from, which an unrecorded window
+overwrites, and a run that clips at every step runs no untested pass.)  After them
+one ``dual_norm_many`` over their noisy gradients and one comparison with
+their levels find the first step with a row over its level or NaN; from it
+the loop runs again, tested, from the state before it (its slot of the
+iterate window, and for the parameter-free mode the displacement row it
+keeps per step).  A step with no such row would keep the factor 1 for every
+row and count none, so skipping its test keeps the bits, and the steps before
+the replayed one are the tested ones.  The accelerated loop tests every step:
+at the size it runs on a worker (250 seeds, d = 32) its window is 2 steps, and
+a step is bound by per-element work, so a window's fixed cost could exceed
+what skipping its tests saves.
 
 ``run_*_batch`` advances many seeds in lockstep (used by the experiment
 harness and ``diagnose``); ``run_*`` is the one-seed batch on its oracle's
@@ -269,15 +285,19 @@ def _running_sum(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
 # the transpose of a C-ordered (d, n) block, so the state stays seed-contiguous;
 # every step writes into window slots made before the loop (``S`` holds eta * G and
 # alpha * Z); a window's step sizes, levels and weights are Python floats (the
-# parameter-free mode's are per row, and its skip test takes the smallest level);
-# the clip runs when the largest norm is over the level or NaN (``argmax`` takes the
-# first NaN as the largest, and is cheaper than a reduction); a row it leaves alone
+# parameter-free mode's are per row); a tested step takes its norms into one reused
+# (n,) row ``nrm`` and clips when the largest is over the level or NaN (``argmax``
+# takes the first NaN as the largest, and is cheaper than a reduction; the
+# parameter-free mode compares each row with its own level); a row it leaves alone
 # gets the factor 1, so skipping the clip keeps the bits (the baseline's level is
-# +inf: it runs the clip only at a NaN norm); a row is counted clipped when its norm
-# is over the level; each step's norms go into one reused (n,) row ``nrm``;
-# a window's steps write from slot ``at`` of the buffers a step table reads (its first
-# step's if they span the horizon, else 0) through per-window slices of their slot lists;
-# each returns (summary, final_gap, clip counts, final rows, step table or None) --
+# +inf: it clips only at a NaN norm); a row is counted clipped when its norm is over
+# the level.  ``_descent`` tests a window's first step, and the rest only if that
+# step or the window before clipped; otherwise it checks the rest's norms at once
+# and replays from the first that clips (module docstring); ``_asmd`` tests every
+# step.  A window's steps write from slot ``at`` of the buffers a step table reads
+# (its first step's if they span the horizon, else 0) through per-window slices of
+# their slot lists; each returns (summary, final_gap, clip counts, final rows, step
+# table or None) --
 
 
 def _smd(problem, schedule, steps, x1, noise, record):
@@ -319,38 +339,57 @@ def _descent(problem, levels, steps, x1, noise, record, metric):
     span = K if not record else steps  # the steps held by the buffers a step table reads
     (xw, xs), (gw, gs), (fw, fs) = _slots(span + 1, n, d), _slots(span, n, d), _slots(K, n, d)
     X = _start(problem, x1, xs[0])
-    S, nrm, metric_rows = _rows(n, d), np.empty(n), np.empty((K, n))
+    S, nrm, norms, metric_rows = _rows(n, d), np.empty(n), np.empty((K, n)), np.empty((K, n))
     metric_sum, clipped = np.zeros(n), np.zeros(n)
     per_row = callable(levels)
     if per_row:
-        start, D, dev = np.asarray(x1, dtype=float), np.empty((n, d)), np.zeros(n)
+        start, D, devs = np.asarray(x1, dtype=float), np.empty((n, d)), np.zeros((K, n))
         eta_w, lam_w = np.empty((span, n)), np.empty((span, n))
 
-        def row_pairs(lo, eta_k, lam_k):  # (n, 1) steps, (n,) levels, the least; X as each starts
-            for t, eta, lam in zip(range(lo + 1, steps + 1), eta_k, lam_k):
-                np.fmax(dev, geom.norm_many(np.subtract(X, start, out=D)), out=dev)
-                eta[:], lam[:] = levels(t, dev)
-                yield eta[:, None], lam, lam.min()
+        def pairs(lo, at, j, k):  # (n, 1) steps and (n,) levels from step j, at X as each starts
+            for i in range(j, k):  # at i = 0, devs[-1]: the last window's last row, or zeros
+                dev = np.fmax(devs[i - 1], geom.norm_many(np.subtract(X, start, out=D)),
+                              out=devs[i])
+                eta, lam = eta_w[at + i], lam_w[at + i]
+                eta[:], lam[:] = levels(lo + i + 1, dev)
+                yield eta[:, None], lam
     else:
         etas, lams, _ = levels
         eta_w, lam_w = (np.broadcast_to(a[:, None], (steps, n)) for a in (etas, lams))
+
+        def pairs(lo, at, j, k):
+            return zip(etas[lo + j:lo + k].tolist(), lams[lo + j:lo + k].tolist())
+    hit = False  # whether a step of the window clipped: the next window runs tested
     for lo in range(0, steps, K):  # windows of K steps, then the rest
         k = min(K, steps - lo)
         at = lo if record else 0
         xo, go = xs[at + 1:at + k + 1], gs[at:at + k]
-        if per_row:
-            pairs = row_pairs(lo, eta_w[at:at + k], lam_w[at:at + k])
-        else:
-            level = lams[lo:lo + k].tolist()
-            pairs = zip(etas[lo:lo + k].tolist(), level, level)
-        for i, (eta, lam, lowest) in enumerate(pairs):
-            F = problem.grad_many(X, out=fs[i])
-            G = np.add(F, noise.slab(lo + i + 1), out=go[i])
-            geom.dual_norm_many(G, out=nrm)
-            if not (nrm[nrm.argmax()] <= lowest):
-                clip_batch(G, lam, nrm, out=G)
-                clipped += nrm > lam
-            X = geom.mirror_step_many(X, G, eta, out=xo[i], scratch=S)
+        j, tested, hit = 0, hit, False
+        while True:  # steps j..k-1, each tested if ``tested`` or the window's first
+            for i, (eta, lam) in enumerate(pairs(lo, at, j, k), j):
+                F = problem.grad_many(X, out=fs[i])
+                G = np.add(F, noise.slab(lo + i + 1), out=go[i])
+                if tested or not i:
+                    geom.dual_norm_many(G, out=nrm)
+                    if not (nrm[nrm.argmax()] <= lam if not per_row else (nrm <= lam).all()):
+                        clip_batch(G, lam, nrm, out=G)
+                        clipped += nrm > lam
+                        tested = hit = True
+                X = geom.mirror_step_many(X, G, eta, out=xo[i], scratch=S)
+            if tested or k == 1:
+                break
+            # steps 1..k-1 ran untested: their norms at once (the largest against the least
+            # level first); if a row is over its level (or NaN) at some step, the steps from
+            # the first such one run again, tested
+            lam_k = lam_w[at + 1:at + k] if per_row else lams[lo + 1:lo + k, None]
+            over = geom.dual_norm_many(gw[at + 1:at + k], out=norms[:k - 1])
+            if over.max() <= lam_k.min():
+                break
+            clean = np.less_equal(over, lam_k).all(1)
+            if clean.all():
+                break
+            j = 1 + int(clean.argmin())
+            X, tested = xs[at + j], True  # the state before step j
         rows = metric(xw[at + 1:at + k + 1], fw[:k], metric_rows[:k])
         metric_sum = _running_sum(metric_sum, rows)
     tab = StepTable(eta_w.T, lam_w.T, xw.transpose(1, 0, 2),

@@ -62,9 +62,10 @@ _CHUNK_BYTES = 240_000_000
 # (``_workers``).  A fork and its pipe round trip take ~1.5 ms at 100 MB resident.  One sweep
 # cut across two workers makes each pay the whole per-step cost: on 2 vCPUs (Python 3.11,
 # numpy 2.4; SMD and SGD, two-point noise, d = 2; ``tools/bench_layers.py`` sweep rows, best
-# of 9, three rounds) a 100-seed sweep at 2^18 runs 0.8-1.1x on two workers against one
-# process and 0.65-1.2x at 2^20, while at 1000 seeds, whose per-seed set-up is split too, it
-# runs 1.1-1.6x at 1.3e5.  A call of at least W sweeps deals them to the workers whole instead.
+# of 9, nine rounds on a shared host) a 100-seed sweep at 2^18 runs 0.5-1.0x as fast on two
+# workers as in one process and 0.7-1.6x at 2^20, while at 1000 seeds, whose per-seed set-up
+# is split too, it runs 0.9-1.7x at 1.3e5.  A call of at least W sweeps deals them to the
+# workers whole instead.
 _FORK_SEED_STEPS = 1 << 18
 
 

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clipopt import algorithms as algos
-from clipopt import geometry, problems, schedules
+from clipopt import clipping, geometry, problems, schedules
 from clipopt import noise as nz
 from clipopt.noise import (DenseDraws, Oracle, RadialParetoNoise, SpikeDraws, TwoPointNoise,
                           make_rng)
@@ -772,3 +772,181 @@ def test_infinite_or_nan_norm_takes_the_clip(algorithm):
     # NaN; a NaN norm is not over the level, so seed 1 and the noiseless seed 2 never are
     assert res.clipped_fraction.tolist() == [1 / steps, 0.0, 0.0]
     assert list(res.diverged) == [True, True, False]
+
+
+# -- the mirror-descent loop against a plain step-by-step loop: the loop runs a window's
+# steps after its first without their clip test, checks their norms once, and replays
+# from the first step with a row over its level (or NaN) --
+
+REF_STEPS, REF_SEEDS, REF_SPIKE = 24, 3, 10.0
+
+
+def reference_descent(prob, levels, steps, x1, draws, metric):
+    """Mirror descent one step at a time, each step testing its own clip: when its largest
+    dual norm is over its smallest level (or NaN) it clips (``clipping.clip_batch``) and
+    counts the rows over their own level.  Returns the loop's (summary, final gap, clip
+    counts, final rows), its step table's fields, and per step whether the test fired and
+    whether some row was over its own level or NaN."""
+    n, d = draws.n, prob.dim
+    geom = prob.geometry
+    X = algos._rows(n, d)
+    X[...] = x1
+    total, clipped, dev = np.zeros(n), np.zeros(n), np.zeros(n)
+    xs, gs, etas, lams, fired, dirty = [X], [], [], [], [], []
+    for t in range(1, steps + 1):
+        if callable(levels):  # the parameter-free mode's per-row pair at the displacement so far
+            dev = np.fmax(dev, geom.norm_many(X - x1))
+            eta, lam = levels(t, dev)
+            step = eta[:, None]
+        else:
+            eta = step = float(levels.eta[t - 1])
+            lam = float(levels.lam[t - 1])
+        F = prob.grad_many(X)
+        G = F + draws.slab(t)
+        nrm = geom.dual_norm_many(G)
+        fired.append(not (nrm.max() <= np.min(lam)))
+        dirty.append(not np.all(nrm <= lam))
+        if fired[-1]:
+            G = clipping.clip_batch(G, lam, nrm)
+            clipped += nrm > lam
+        X = geom.mirror_step_many(X, G, step)
+        total += metric(X[None], F[None], np.empty((1, n)))[0]
+        xs.append(X)
+        gs.append(G)
+        etas.append(np.broadcast_to(eta, n))
+        lams.append(np.broadcast_to(lam, n))
+    table = {"eta": np.stack(etas, 1), "lam": np.stack(lams, 1), "x": np.stack(xs, 1),
+             "grad_clipped": np.stack(gs, 1), "alpha": None, "y": None, "z": None}
+    return ((total / steps, prob.gap_many(X), clipped, X), table, np.array(fired),
+            np.array(dirty))
+
+
+def expected_reads(dirty, steps, K):
+    """The steps whose noise the loop reads, in order: each window's once, tested if the
+    window before it clipped or its first step clips, and else again from the first step
+    after its first that clips (the replay)."""
+    reads, before = [], False
+    for lo in range(0, steps, K):
+        k = min(K, steps - lo)
+        reads += range(lo + 1, lo + k + 1)
+        hits = [i for i in range(k) if dirty[lo + i]]
+        if hits and hits[0] > 0 and not before:
+            reads += range(lo + hits[0] + 1, lo + k + 1)
+        before = bool(hits)
+    return reads
+
+
+class ReadDraws:
+    """A draws object that lists the steps whose slabs are read."""
+
+    def __init__(self, draws):
+        self.draws, self.n, self.reads = draws, draws.n, []
+
+    def slab(self, t):
+        self.reads.append(t)
+        return self.draws.slab(t)
+
+
+def reference_geometry(kind, d):
+    """A problem whose noiseless gradient has dual norm at most 1 from its start."""
+    if kind == "simplex":
+        target = np.arange(1, d + 1) / (d * (d + 1) / 2)
+        return problems.make_simplex_quadratic(target), np.ones(d) / d
+    prob = problems.make_quadratic(np.ones(d), np.zeros(d))  # the gradient at x is x
+    if kind == "ball":
+        prob = dataclasses.replace(prob, geometry=geometry.ball(d, radius=2.0))
+    return prob, np.full(d, 1.0 / np.sqrt(d))
+
+
+def reference_case(scenario, kind, d, K):
+    """(problem, start, levels, draws) of one scenario at loop windows of K steps: level 2
+    and step 0.1, with noise spikes of 10 (over the level) or a NaN placed on seed 1."""
+    steps, n = REF_STEPS, REF_SEEDS
+    prob, x1 = reference_geometry(kind, d)
+    block = np.zeros((steps, d, n))
+    lo = K if 2 * K <= steps else 0  # the second window, or the only one
+    lam = 2.0
+    if scenario.startswith("window-"):  # the first clip at the window's first, middle or last step
+        block[lo + {"first": 0, "middle": K // 2, "last": K - 1}[scenario[7:]], 0, 1] = REF_SPIKE
+    elif scenario == "every-step":
+        lam = 1e-3
+    elif scenario in ("nan-row", "baseline-nan"):
+        block[lo + K // 2, 0, 1] = np.nan
+        lam = np.inf if scenario == "baseline-nan" else lam
+    elif scenario == "param-free":
+        # near the minimizer the smallest level is 1/6; seed 0's first step clips and moves it
+        # about 1 away, so its own level is 2 (L dev + g1) ~ 2, while the other seeds stay
+        # within ~0.3 of the start (levels up to ~0.6); the noise of 1.2 placed on seed 0
+        # later, like its noiseless gradient at steps 2 and 3, is over the smallest level
+        # and under its own
+        x1 = np.full(d, 0.01 / np.sqrt(d))
+        block[0, 0, 0] = REF_SPIKE
+        block[[9, 16, 22], 0, 0] = 1.2
+        sched = schedules.Schedule("smd_param_free",
+                                   smd_inputs(prob, x1, sigma=1.0, horizon=steps, c2=1e-8),
+                                   eta_scale=24.0)
+        return prob, x1, sched.pair, DenseDraws(block)
+    levels = schedules.ScheduleTable(np.full(steps, 0.1), np.full(steps, lam), None)
+    if scenario == "spikes":  # two-point noise whose spikes (q = 0.02) are 10: read by windows
+        q = 0.02
+        model = TwoPointNoise(p=1.5, sigma=REF_SPIKE * q ** (1 / 1.5), q=q)
+        return prob, x1, levels, nz.lockstep_draws(model, d, steps, map(make_rng, range(n)), n)
+    return prob, x1, levels, DenseDraws(block)
+
+
+REF_GEOMETRIES = [(kind, d) for kind in ("euclidean", "ball", "simplex") for d in (2, 4, 32)]
+REF_CASES = ([(scenario, kind, d) for scenario in
+              ("clean", "window-first", "window-middle", "window-last", "every-step", "nan-row",
+               "spikes") for kind, d in REF_GEOMETRIES]
+             + [("baseline-nan", "euclidean", d) for d in (2, 4, 32)]
+             + [("param-free", kind, d) for kind in ("euclidean", "ball") for d in (2, 4, 32)])
+
+
+@pytest.mark.parametrize("scenario, kind, d", REF_CASES)
+def test_descent_equals_a_step_by_step_loop(monkeypatch, scenario, kind, d):
+    """Recorded or not, at windows of 1, 7 and the default number of steps, the loop's
+    summary, final gap, clip counts, final rows and step table equal the step-by-step
+    loop's bit for bit; it reads each step's noise once, and a second time only in a
+    replay: from the first step after a window's first with a row over its level or NaN,
+    in a window whose first step and the window before did not clip.  ``clip_batch`` runs
+    once at each step with such a row and at no other (never in a clean run)."""
+    calls = []
+    steps, n = REF_STEPS, REF_SEEDS
+
+    def spy(G, level, norms=None, out=None):
+        calls.append(reads.reads[-1])
+        return clipping.clip_batch(G, level, norms, out=out)
+
+    monkeypatch.setattr(algos, "clip_batch", spy)
+    for window in (None, 1, 7):  # the bytes alone: spike windows stay at least 8 steps long
+        if window is not None:
+            monkeypatch.setattr(nz, "_WINDOW_BYTES", 8 * d * n * window)
+        K = nz.window_steps(steps, d, n)
+        prob, x1, levels, draws = reference_case(scenario, kind, d, K)
+
+        def metric(xw, fw, out):
+            return prob.gap_many(xw, out=out)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            want, table, fired, dirty = reference_descent(prob, levels, steps, x1, draws, metric)
+        assert {"clean": not dirty.any(), "every-step": dirty.all(),
+                "param-free": dirty[0] and (fired & ~dirty).any(),
+                "spikes": dirty.any() and not dirty.all()}.get(scenario, dirty.any())
+        for record in (True, False):
+            reads, calls[:] = ReadDraws(draws), []
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = algos._descent(prob, levels, steps, x1, reads, record, metric)
+            for one, other in zip(got[:4], want):
+                assert one.shape == other.shape and one.tobytes() == other.tobytes()
+            assert reads.reads == expected_reads(dirty, steps, K)
+            assert calls == [t for t in range(1, steps + 1) if dirty[t - 1]]
+            if record:
+                for field in dataclasses.fields(algos.StepTable):
+                    one, other = getattr(got[4], field.name), table[field.name]
+                    if other is None:
+                        assert one is None, field.name
+                    else:
+                        assert (one.shape == other.shape
+                                and one.tobytes() == other.tobytes()), field.name
+            else:
+                assert got[4] is None

@@ -22,8 +22,10 @@ def test_bench_layers_tiny_prints_every_layer(capsys):
     assert [row[1:4] for row in param_free] == [[name, f"n={n}", f"d={d}"]
                                                 for name, n, d, _ in bench.TINY_SIZES]
     clipsteps = [line.split() for line in lines if line.startswith("clipstep ")]
-    assert len(clipsteps) == 1 and float(clipsteps[0][-3]) > 0
-    assert float(clipsteps[0][-1].removeprefix("clipped=")) > 0.5  # the step really clips
+    assert [row[5] for row in clipsteps] == [f"level={level:g}" for level in bench.CLIP_LEVELS]
+    assert all(float(row[-3]) > 0 for row in clipsteps)
+    every, rare = (float(row[-1].removeprefix("clipped=")) for row in clipsteps)
+    assert every == 1.0 and 0 < rare < 0.5  # every seed-step clips, then some
     moments = [line.split() for line in lines if line.startswith("moments ")]
     assert len(moments) == 1 and moments[0][3::5] == ["two_point", "radial"]
     assert moments[0][5::5] == ["ms", "ms"] and moments[0][7::5] == ["us/point", "us/point"]

@@ -9,9 +9,11 @@ Prints, one line each:
   draws built beforehand, so the time is the loop's alone; the
   ``smd_param_free`` row is Euclidean SMD on the parameter-free schedule,
   whose steps keep each row's displacement and take per-row levels;
-* the same for a Euclidean SMD step that clips: its level is scaled down to
-  1, below the spikes, so nearly every step calls ``clip_batch`` (the share of
-  seed-steps clipped is printed);
+* the same for Euclidean SMD steps that clip, at two levels (the share of
+  seed-steps clipped is printed): at 1, below the spikes, every step clips;
+  at 4.5, just over the gradient's norm at the start, 1.1% of the seed-steps
+  clip, so the loop's once-a-window check finds a clip in some windows and
+  replays their steps from it;
 * the exact clipped moments of each noise family at the same 256 points
   (d = 2): ``TwoPointNoise.clipped_moments``, a sum over the support, and
   ``RadialParetoNoise.clipped_moments``, a quadrature; in ms and in us per point;
@@ -34,9 +36,9 @@ Prints, one line each:
 Each time is the minimum over ``--repeat`` runs, which on a shared machine is
 the least disturbed one.  The rows time the one tree the script is run from,
 with each case's repeats back to back, so a slow spell of a shared host lands
-on one tree's rows: to compare two trees, alternate whole runs between their
-checkouts (parent, change, parent, ...) and compare each row over the runs,
-never one run of each.  Run from the repository root::
+on one tree's rows: to compare two trees, use ``tools/ab_layers.py``, which
+runs the step, clipstep and one-process sweep rows of both trees in one
+process, interleaved repeat by repeat.  Run from the repository root::
 
     PYTHONPATH=src python tools/bench_layers.py            # about a minute
     PYTHONPATH=src python tools/bench_layers.py --tiny     # smoke sizes, well under 1 s
@@ -70,9 +72,11 @@ CASES = ([("smd", algorithms._smd, g, "smd_known_t") for g in GEOMETRIES]
          + [("asmd", algorithms._asmd, g, "asmd_known_t") for g in GEOMETRIES]
          + [("sgd", algorithms._sgd, "euclidean", "sgd_known_t"),
             ("vanilla-sgd", algorithms._vanilla, "euclidean", 0.01)])
-# the clipping step: (name, seeds, dimension) and the level its schedule is scaled to
+# the clipping steps: (name, seeds, dimension) and the levels their schedule is scaled to:
+# 1, below the spikes, clips every seed-step; 4.5, just over the gradient's norm at the
+# start (4), clips 1.1% of the full-size row's seed-steps, most of them early in the run
 CLIP_SIZE, TINY_CLIP_SIZE = ("rates-sgd", 100, 2), ("tiny", 3, 2)
-CLIP_LEVEL = 1.0
+CLIP_LEVELS = (1.0, 4.5)
 # the moments: query points (d = 2)
 MOMENTS, TINY_MOMENTS = 256, 16
 # the sweeps: (name, config fields), as the benchmark's workloads configure them
@@ -137,7 +141,8 @@ def _schedule(mode: str, problem, x1, sigma: float, horizon: int,
     return schedules.Schedule(mode, inputs, lambda_scale=level / sched.lam(1))
 
 
-def step_lines(sizes, steps: int, repeat: int):
+def step_rows(sizes, steps: int):
+    """(label, run, seed-steps) of each lockstep step row; ``run`` makes ``steps`` steps."""
     for name, n, d, _ in sizes:
         for algorithm, loop, kind, param in CASES:
             problem, x1 = _problem(kind, d)
@@ -147,28 +152,38 @@ def step_lines(sizes, steps: int, repeat: int):
             model = noise.TwoPointNoise(p=1.5, sigma=sigma, q=0.1)
             if isinstance(param, str):
                 param = _schedule(param, problem, x1, sigma, steps)
-            draws = _draws(model, d, steps, n)
-
-            def run():
-                with np.errstate(over="ignore", invalid="ignore"):
-                    loop(problem, param, steps, x1, draws, False)
-
-            ns = _best(run, repeat) / (n * steps) * 1e9
-            print(f"step {name:<13} n={n:<5} d={d:<3} {algorithm}/{kind:<10} "
-                  f"{ns:9.1f} ns/seed-step")
+            run = functools.partial(_loop, loop, problem, param, steps, x1,
+                                    _draws(model, d, steps, n))
+            yield f"step {name:<13} n={n:<5} d={d:<3} {algorithm}/{kind:<10}", run, n * steps
 
 
-def clip_line(size, steps: int, repeat: int):
+def _loop(loop, problem, param, steps, x1, draws):
+    """One unrecorded run of ``loop`` on draws built beforehand."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return loop(problem, param, steps, x1, draws, False)
+
+
+def step_lines(sizes, steps: int, repeat: int):
+    for label, run, seed_steps in step_rows(sizes, steps):
+        print(f"{label} {_best(run, repeat) / seed_steps * 1e9:9.1f} ns/seed-step")
+
+
+def clip_rows(size, steps: int):
+    """(label, run, seed-steps, share of them clipped) of each clipping step row."""
     name, n, d = size
     problem, x1 = _problem("euclidean", d)
-    sched = _schedule("smd_known_t", problem, x1, 0.25, steps, level=CLIP_LEVEL)
-    model = noise.TwoPointNoise(p=1.5, sigma=0.25, q=0.1)
-    draws = _draws(model, d, steps, n)
-    clipped = algorithms._smd(problem, sched, steps, x1, draws, False)[2]
-    ns = _best(lambda: algorithms._smd(problem, sched, steps, x1, draws, False),
-               repeat) / (n * steps) * 1e9
-    print(f"clipstep {name:<13} n={n:<5} d={d:<3} smd/euclidean  {ns:9.1f} ns/seed-step "
-          f"clipped={clipped.sum() / (n * steps):.3f}")
+    draws = _draws(noise.TwoPointNoise(p=1.5, sigma=0.25, q=0.1), d, steps, n)
+    for level in CLIP_LEVELS:
+        sched = _schedule("smd_known_t", problem, x1, 0.25, steps, level=level)
+        run = functools.partial(_loop, algorithms._smd, problem, sched, steps, x1, draws)
+        yield (f"clipstep {name:<13} n={n:<5} d={d:<3} smd/euclidean level={level:<4g}", run,
+               n * steps, run()[2].sum() / (n * steps))
+
+
+def clip_lines(size, steps: int, repeat: int):
+    for label, run, seed_steps, share in clip_rows(size, steps):
+        print(f"{label} {_best(run, repeat) / seed_steps * 1e9:9.1f} ns/seed-step "
+              f"clipped={share:.3f}")
 
 
 def moments_line(points: int, repeat: int):
@@ -205,17 +220,21 @@ def draws_lines(sizes, repeat: int):
               f"{seconds / n * 1e6:8.1f} us/seed {seconds / (n * steps) * 1e9:7.2f} ns/seed-step")
 
 
+def _at_threshold(fn, fork_from: float):
+    """``fn`` made to run with the fork threshold at ``fork_from`` seed-steps: never at inf."""
+    def run():
+        threshold = harness._FORK_SEED_STEPS
+        harness._FORK_SEED_STEPS = fork_from
+        try:
+            return fn()
+        finally:
+            harness._FORK_SEED_STEPS = threshold
+    return run
+
+
 def _forked_and_not(fn, repeat: int) -> list[float]:
     """``fn``'s best time in this process alone, then with every call forking."""
-    threshold = harness._FORK_SEED_STEPS
-    seconds = []
-    try:
-        for fork_from in (float("inf"), 0):  # never, then at every size
-            harness._FORK_SEED_STEPS = fork_from
-            seconds.append(_best(fn, repeat))
-    finally:
-        harness._FORK_SEED_STEPS = threshold
-    return seconds
+    return [_best(_at_threshold(fn, fork_from), repeat) for fork_from in (float("inf"), 0)]
 
 
 def _config(fields) -> ExperimentConfig:
@@ -224,15 +243,20 @@ def _config(fields) -> ExperimentConfig:
     return cfg
 
 
-def sweep_lines(sweeps, repeat: int):
+def sweep_rows(sweeps):
+    """(label, config, run) of each sweep row; ``run`` makes the sweep, written nowhere."""
     for name, fields in sweeps:
         cfg = _config(fields)
-        seconds = _forked_and_not(
-            lambda: harness._sweeps(cfg, [(cfg.horizon, cfg.algorithm)]), repeat)
+        yield (f"sweep {name:<13} n={cfg.n_seeds:<5} d={cfg.dim:<3} T={cfg.horizon:<6} "
+               f"{cfg.algorithm:<5}", cfg,
+               functools.partial(harness._sweeps, cfg, [(cfg.horizon, cfg.algorithm)]))
+
+
+def sweep_lines(sweeps, repeat: int):
+    for label, cfg, run in sweep_rows(sweeps):
+        seconds = _forked_and_not(run, repeat)
         W = harness._workers(cfg.n_seeds, harness._FORK_SEED_STEPS)  # a call past the threshold
-        print(f"sweep {name:<13} n={cfg.n_seeds:<5} d={cfg.dim:<3} T={cfg.horizon:<6} "
-              f"{cfg.algorithm:<5} W=1 {seconds[0] * 1e3:9.1f} ms  "
-              f"W={W} {seconds[1] * 1e3:9.1f} ms")
+        print(f"{label} W=1 {seconds[0] * 1e3:9.1f} ms  W={W} {seconds[1] * 1e3:9.1f} ms")
 
 
 def rates_line(rates, repeat: int):
@@ -278,7 +302,7 @@ def main(argv=None) -> int:
           f"numpy={np.__version__}")
     steps = TINY_LOOP_STEPS if args.tiny else LOOP_STEPS
     step_lines(sizes, steps, repeat)
-    clip_line(TINY_CLIP_SIZE if args.tiny else CLIP_SIZE, steps, repeat)
+    clip_lines(TINY_CLIP_SIZE if args.tiny else CLIP_SIZE, steps, repeat)
     moments_line(TINY_MOMENTS if args.tiny else MOMENTS, repeat)
     schedule_lines(TINY_TABLE_T if args.tiny else TABLE_T, repeat)
     draws_lines(sizes, repeat)
