@@ -28,7 +28,8 @@ at a time.  The parameter-free mode's are per row instead: the loop keeps
 each row's largest displacement ``||x_t - x_1||`` so far (``norm_many``),
 and each step takes the schedule's (n,) levels and steps at it.  Each (n, d)
 array a step makes goes into that step's slot of a seed-contiguous window
-buffer: the gradient (``grad_many(X, out=...)``), the gradient plus noise,
+buffer: the gradient (``grad_many(X, out)``; the row forms take ``out`` by
+position, which numpy parses faster than a keyword), the gradient plus noise,
 the new iterate (the accelerated loop's query point, y and z each have a
 window; an iterate's holds the start in slot 0); eta * G (and the accelerated
 mixes' alpha * z) go into one scratch array.  Everything else is done once per
@@ -41,14 +42,19 @@ views of them.  Window sizes do not change a bit.
 
 The levels make clipping rare, so the mirror-descent loop checks it once a
 window.  A window's first step is tested: its dual norms go into one (n,) row
-(``dual_norm_many(G, out=...)``), and only when some row's norm is over its
+(``dual_norm_many(G, out)``), and only when some row's norm is over its
 level (or NaN) does it clip the noisy gradient and count the rows it clipped.
 The other steps take no norm and run no test, unless the first step or the
 window before clipped, which makes the whole window run tested.  (So a replay
 never restarts from the state a window starts from, which an unrecorded window
-overwrites, and a run that clips at every step runs no untested pass.)  After them
-one ``dual_norm_many`` over their noisy gradients and one comparison with
-their levels find the first step with a row over its level or NaN; from it
+overwrites, and a run that clips at every step runs no untested pass.)  The
+untested steps run in a tight loop over the window's slots, step sizes and step
+numbers, whose only calls are the gradient, ``np.add``, the draws' ``slab`` and
+the mirror step, each bound to a local once a run (not at import, so a wrapper
+installed on them before the run is what runs); the tested step is written
+once, for a window's first step, a window run tested and a replay.  After the
+untested steps one ``dual_norm_many`` over their noisy gradients and one
+comparison with their levels find the first step with a row over its level or NaN; from it
 the loop runs again, tested, from the state before it (its slot of the
 iterate window, and for the parameter-free mode the displacement row it
 keeps per step).  A step with no such row would keep the factor 1 for every
@@ -292,12 +298,13 @@ def _running_sum(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
 # gets the factor 1, so skipping the clip keeps the bits (the baseline's level is
 # +inf: it clips only at a NaN norm); a row is counted clipped when its norm is over
 # the level.  ``_descent`` tests a window's first step, and the rest only if that
-# step or the window before clipped; otherwise it checks the rest's norms at once
-# and replays from the first that clips (module docstring); ``_asmd`` tests every
-# step.  A window's steps write from slot ``at`` of the buffers a step table reads
-# (its first step's if they span the horizon, else 0) through per-window slices of
-# their slot lists; each returns (summary, final_gap, clip counts, final rows, step
-# table or None) --
+# step or the window before clipped; otherwise it runs the rest in a tight loop with
+# no test (gradient, noise add, mirror step, each through a local bound once a run),
+# then checks their norms at once and replays from the first that clips (module
+# docstring); ``_asmd`` tests every step.  A window's steps write from slot ``at`` of
+# the buffers a step table reads (its first step's if they span the horizon, else 0)
+# through per-window slices of their slot lists; each returns (summary, final_gap,
+# clip counts, final rows, step table or None) --
 
 
 def _smd(problem, schedule, steps, x1, noise, record):
@@ -335,6 +342,9 @@ def _descent(problem, levels, steps, x1, noise, record, metric):
     table (its step sizes and levels), or the parameter-free mode's ``pair(t, dev)``."""
     n, d = noise.n, problem.dim
     geom = problem.geometry
+    # the calls a step makes, bound here (not at import, so a wrapper installed on the
+    # problem's gradient or the geometry's step is what runs)
+    grad_many, add, slab, step = problem.grad_many, np.add, noise.slab, geom.mirror_step_many
     K = window_steps(steps, d, n)
     span = K if not record else steps  # the steps held by the buffers a step table reads
     (xw, xs), (gw, gs), (fw, fs) = _slots(span + 1, n, d), _slots(span, n, d), _slots(K, n, d)
@@ -353,36 +363,45 @@ def _descent(problem, levels, steps, x1, noise, record, metric):
                 eta, lam = eta_w[at + i], lam_w[at + i]
                 eta[:], lam[:] = levels(lo + i + 1, dev)
                 yield eta[:, None], lam
+
+        def sizes(lo, at, j, k):
+            return (eta for eta, _ in pairs(lo, at, j, k))
     else:
         etas, lams, _ = levels
         eta_w, lam_w = (np.broadcast_to(a[:, None], (steps, n)) for a in (etas, lams))
 
         def pairs(lo, at, j, k):
             return zip(etas[lo + j:lo + k].tolist(), lams[lo + j:lo + k].tolist())
+
+        def sizes(lo, at, j, k):
+            return etas[lo + j:lo + k].tolist()
     hit = False  # whether a step of the window clipped: the next window runs tested
     for lo in range(0, steps, K):  # windows of K steps, then the rest
         k = min(K, steps - lo)
         at = lo if record else 0
         xo, go = xs[at + 1:at + k + 1], gs[at:at + k]
         j, tested, hit = 0, hit, False
-        while True:  # steps j..k-1, each tested if ``tested`` or the window's first
+        while True:  # tested steps from j: to the window's end if ``tested``, else step 0
             for i, (eta, lam) in enumerate(pairs(lo, at, j, k), j):
-                F = problem.grad_many(X, out=fs[i])
-                G = np.add(F, noise.slab(lo + i + 1), out=go[i])
-                if tested or not i:
-                    geom.dual_norm_many(G, out=nrm)
-                    if not (nrm[nrm.argmax()] <= lam if not per_row else (nrm <= lam).all()):
-                        clip_batch(G, lam, nrm, out=G)
-                        clipped += nrm > lam
-                        tested = hit = True
-                X = geom.mirror_step_many(X, G, eta, out=xo[i], scratch=S)
+                G = add(grad_many(X, fs[i]), slab(lo + i + 1), go[i])
+                geom.dual_norm_many(G, nrm)
+                if not (nrm[nrm.argmax()] <= lam if not per_row else (nrm <= lam).all()):
+                    clip_batch(G, lam, nrm, out=G)
+                    clipped += nrm > lam
+                    tested = hit = True
+                X = step(X, G, eta, xo[i], S)
+                if not tested:
+                    break
             if tested or k == 1:
                 break
+            for F, G, Xn, t, eta in zip(fs[1:k], go[1:k], xo[1:k], range(lo + 2, lo + k + 1),
+                                        sizes(lo, at, 1, k)):  # steps 1..k-1, untested
+                X = step(X, add(grad_many(X, F), slab(t), G), eta, Xn, S)
             # steps 1..k-1 ran untested: their norms at once (the largest against the least
             # level first); if a row is over its level (or NaN) at some step, the steps from
             # the first such one run again, tested
             lam_k = lam_w[at + 1:at + k] if per_row else lams[lo + 1:lo + k, None]
-            over = geom.dual_norm_many(gw[at + 1:at + k], out=norms[:k - 1])
+            over = geom.dual_norm_many(gw[at + 1:at + k], norms[:k - 1])
             if over.max() <= lam_k.min():
                 break
             clean = np.less_equal(over, lam_k).all(1)

@@ -25,8 +25,23 @@ EUCLIDEAN = "euclidean"
 BALL = "ball"
 SIMPLEX = "simplex"
 
+
+def operand(value: float) -> np.ndarray:
+    """``value`` as a read-only 0-d float64 array, the row forms' constant operands.
+
+    numpy converts a Python float or numpy scalar operand on every call, which at the
+    loops' sizes (100 rows of 2) adds about half again to the call; a 0-d array it takes as
+    it is, with the same bits.  For the same reason the row forms pass ``out`` by position,
+    except to ``np.maximum``, which numpy 2.4 deprecates taking it so.
+    """
+    const = np.array(float(value))
+    const.flags.writeable = False
+    return const
+
+
 # Floor of an entropy mirror step's coordinates: the smallest positive double.
-_SIMPLEX_FLOOR = np.nextafter(0.0, 1.0)
+_SIMPLEX_FLOOR = operand(np.nextafter(0.0, 1.0))
+_ZERO = operand(0.0)
 # below this l2 norm a row's sum of squares is not a normal double
 _SQRT_TINY = np.sqrt(np.finfo(float).tiny)
 
@@ -73,7 +88,7 @@ def coord_sum(A: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``np.sum(A, axis=-1)``, bitwise, for any memory layout of ``A``; written into
     ``out`` when it is given."""
     # numpy's sum starts from +0.0, so a sum of -0.0 terms is +0.0
-    return np.add(_pairwise_sum(A, 0, A.shape[-1]), 0.0, out=out)
+    return np.add(_pairwise_sum(A, 0, A.shape[-1]), _ZERO, out)
 
 
 def _pairwise_sum(A: np.ndarray, lo: int, d: int) -> np.ndarray:
@@ -106,12 +121,12 @@ def coord_dot(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np
     ``out`` when it is given."""
     if B is A and A.shape[-1] == 2:  # a sum of squares is never -0.0: coord_sum's + 0.0 is moot
         sq = np.square(A)
-        return np.add(sq[..., 0], sq[..., 1], out=out)
+        return np.add(sq[..., 0], sq[..., 1], out)
     if A.shape[-1] > 2:
         C = np.ascontiguousarray(A)
         return np.einsum("...i,...i->...", C, C if B is A else np.ascontiguousarray(B),
                          out=out)
-    return coord_sum(A * B, out=out)
+    return coord_sum(A * B, out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,9 +189,9 @@ class Geometry:
     def dual_norm_many(self, V: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Row-wise dual norms of an (..., dim) array, written into ``out`` when it is given."""
         if self.kind == SIMPLEX:
-            return np.maximum.reduce(np.abs(V), axis=-1, out=out)
-        sq = coord_dot(V, V, out=out)
-        return np.sqrt(sq, out=sq)
+            return np.maximum.reduce(np.abs(V), -1, None, out)
+        sq = coord_dot(V, V, out)
+        return np.sqrt(sq, sq)
 
     # -- mirror map ---------------------------------------------------------
 
@@ -237,18 +252,18 @@ class Geometry:
         like ``G``, distinct from ``X`` and ``out``) when it is given; the bits do not
         depend on ``out``, ``scratch`` or the layouts.
         """
-        step = np.multiply(eta, G, out=scratch)
+        step = np.multiply(eta, G, scratch)
         if self.kind == EUCLIDEAN:
-            return np.subtract(X, step, out=out)
+            return np.subtract(X, step, out)
         if self.kind == BALL:
-            V = np.subtract(X, step, out=step)
+            V = np.subtract(X, step, step)
             V -= self.center
             V *= shrink_factors(np.sqrt(coord_dot(V, V)), self.radius)[:, None]
-            return np.add(self.center, V, out=out)
-        W = np.log(X, out=out)
+            return np.add(self.center, V, out)
+        W = np.log(X, out)
         W -= step
         W -= np.maximum.reduce(W, axis=1, keepdims=True)
-        np.exp(W, out=W)
+        np.exp(W, W)
         W /= coord_sum(W)[:, None]
         # A coordinate that underflowed to 0 would make the next step's log -inf;
         # hold it at the floor so iterates stay strictly interior.  Other bits are unchanged.
@@ -264,8 +279,8 @@ class Geometry:
         On the simplex two floored coordinates mixed at ``alpha = 1/2`` round to 0; such a
         coordinate is held at the floor, as in ``mirror_step_many``.  Other bits are unchanged.
         """
-        term = np.multiply(alpha, B, out=scratch)
-        M = np.multiply(A, 1.0 - alpha, out=out)
+        term = np.multiply(alpha, B, scratch)
+        M = np.multiply(A, 1.0 - alpha, out)
         M += term
         if self.kind == SIMPLEX:
             np.maximum(M, _SIMPLEX_FLOOR, out=M)

@@ -37,7 +37,6 @@ rows are deterministic so a rerun of the same config is byte-identical.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -361,15 +360,14 @@ def write_experiment_outputs(cfg: ExperimentConfig, result: algos.BatchResult,
     out = experiment_dir(cfg)
     os.makedirs(out, exist_ok=True)
     csv_path = os.path.join(out, "seed-results.csv")
+    # csv.writer's bytes (its "\r\n" line end; no field needs quoting), one line a seed
+    rows = zip(result.seeds.tolist(), result.summary.tolist(), result.final_gap.tolist(),
+               result.clipped_fraction.tolist(), result.diverged.tolist())
+    lines = ["seed,summary,final_gap,clipped_fraction,diverged"]
+    lines += [f"{seed:d},{summary!r},{final_gap!r},{clipped!r},{diverged:d}"
+              for seed, summary, final_gap, clipped, diverged in rows]
     with open(csv_path, "w", newline="") as fh:
-        fh.write("# schema=1\n")
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "summary", "final_gap", "clipped_fraction", "diverged"])
-        for i in range(result.seeds.size):
-            writer.writerow([int(result.seeds[i]), repr(float(result.summary[i])),
-                             repr(float(result.final_gap[i])),
-                             repr(float(result.clipped_fraction[i])),
-                             int(result.diverged[i])])
+        fh.write("# schema=1\n" + "\r\n".join(lines) + "\r\n")
     with open(os.path.join(out, "summary.jsonl"), "w") as fh:
         fh.write(json.dumps(summary.row()) + "\n")
     return csv_path

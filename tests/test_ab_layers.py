@@ -9,7 +9,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 AB, BENCH = ROOT / "tools" / "ab_layers.py", ROOT / "tools" / "bench_layers.py"
 NUMBER = r"(\d+\.\d+)"
-ROW = re.compile(rf"(step|clipstep|sweep) .+ A +{NUMBER} B +{NUMBER} (ns/seed-step|ms) "
+ROW = re.compile(rf"(step|kernel|clipstep|sweep) .+ A +{NUMBER} B +{NUMBER} (ns/seed-step|ms) "
                  rf"A/B {NUMBER} \[{NUMBER} {NUMBER}\] won (\d+)/3$")
 
 
@@ -27,8 +27,11 @@ def test_ab_layers_tiny_prints_every_row():
     spec = importlib.util.spec_from_file_location("bench_layers", BENCH)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    steps = len(bench.TINY_SIZES) * len(bench.CASES) + len(bench.CLIP_LEVELS)
+    kernels = len(bench.TINY_KERNEL_SIZES) * sum(algorithm in bench.KERNEL_ALGORITHMS
+                                                for algorithm, *_ in bench.CASES)
+    steps = len(bench.TINY_SIZES) * len(bench.CASES) + kernels + len(bench.CLIP_LEVELS)
     assert [row[1] for row in rows] == (["step"] * len(bench.TINY_SIZES) * len(bench.CASES)
+                                        + ["kernel"] * kernels
                                         + ["clipstep"] * len(bench.CLIP_LEVELS)
                                         + ["sweep"] * len(bench.TINY_SWEEPS))
     assert [row[4] for row in rows] == ["ns/seed-step"] * steps + ["ms"] * len(bench.TINY_SWEEPS)

@@ -18,6 +18,15 @@ def test_bench_layers_tiny_prints_every_layer(capsys):
     steps = [line for line in lines if line.startswith("step ")]
     assert len(steps) == len(bench.TINY_SIZES) * len(bench.CASES)
     assert all(line.endswith("ns/seed-step") and float(line.split()[-2]) > 0 for line in steps)
+    kernels = [line.split() for line in lines if line.startswith("kernel ")]
+    assert [row[1:5] for row in kernels] == [
+        [name, f"n={n}", f"d={d}", f"{algorithm}/{kind}"] for name, n, d, _ in
+        bench.TINY_KERNEL_SIZES for algorithm, _, kind, _ in bench.CASES
+        if algorithm in bench.KERNEL_ALGORITHMS]
+    assert all(row[-1] == "ns/seed-step" and float(row[-2]) > 0 for row in kernels)
+    for i, line in enumerate(lines):  # each kernel row follows the step row of its case
+        if line.startswith("kernel "):
+            assert lines[i - 1].split()[:5] == ["step"] + line.split()[1:5]
     param_free = [line.split() for line in steps if " smd_param_free/euclidean " in line]
     assert [row[1:4] for row in param_free] == [[name, f"n={n}", f"d={d}"]
                                                 for name, n, d, _ in bench.TINY_SIZES]

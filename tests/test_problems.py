@@ -236,3 +236,58 @@ def test_problem_fields_keep_what_they_are_given():
         problems.make_nonconvex_ratio(0)
     with pytest.raises(ValueError, match="dimension must be >= 1"):
         problems.make_quadratic_plus_norm(0, 0.25)
+
+
+# Doubles for the nonconvex ratio's gradient: any finite or infinite value or NaN
+# (subnormals included), and the edges where its arithmetic changes: signed zeros,
+# subnormals, where x * x underflows (|x| < 1.5e-154) or overflows (|x| > 1.3e154), and
+# where x + x overflows (|x| > 9e307).
+RATIO_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-160, 1.4e154, -1.4e154, 1e200, 9e307,
+               -1.7e308, np.inf, -np.inf, np.nan]
+RATIO_VALUES = st.one_of(st.floats(), st.sampled_from(RATIO_EDGES))
+
+
+@pytest.mark.parametrize("d", [1, 2, 9])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_nonconvex_ratio_gradient_is_its_formula_bitwise(d, data):
+    """``grad_many`` gives the bits of ``2.0 * X / np.square(1.0 + X * X)`` on any doubles,
+    in C order and in seed-contiguous rows, allocating or into an ``out`` of either layout
+    passed by position or by keyword."""
+    n = data.draw(st.integers(1, 40), label="n")
+    A = np.array(data.draw(st.lists(RATIO_VALUES, min_size=n * d, max_size=n * d),
+                           label="values")).reshape(n, d)
+    prob = problems.make_nonconvex_ratio(d)
+    with np.errstate(all="ignore"):
+        want = _bits(2.0 * A / np.square(1.0 + A * A)).tobytes()
+        for X in (A, np.asfortranarray(A)):  # C order, then seed-contiguous rows
+            assert _bits(prob.grad_many(X)).tobytes() == want
+            for out in (np.empty((n, d)), np.empty((d, n)).T):
+                assert prob.grad_many(X, out) is out and _bits(out).tobytes() == want
+                out[...] = 0.0
+                assert prob.grad_many(X, out=out) is out and _bits(out).tobytes() == want
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@given(seed=st.integers(0, 2 ** 32 - 1), special=st.sampled_from([0.0, 0.05, 0.5]),
+       eta=st.floats(1e-3, 10.0), alpha=st.floats(0.0, 1.0))
+@settings(max_examples=15, deadline=None)
+def test_steps_and_mixes_take_out_and_scratch_by_position_or_keyword(layout, seed, special,
+                                                                     eta, alpha):
+    """Each geometry's ``mirror_step_many`` and ``mix_many`` give the same bits with ``out``
+    and ``scratch`` passed by position or by keyword as with neither."""
+    rng = np.random.default_rng(seed)
+    with np.errstate(all="ignore"):
+        for geom in OUT_GEOMETRIES:
+            X, G = (_rows(rng, (7, geom.dim), special, layout) for _ in range(2))
+            if geom.kind == "simplex":  # domain points, so the logs are finite
+                X = np.asarray(rng.dirichlet(np.ones(geom.dim), size=7), order=layout)
+            for method, second, weight in ((geom.mirror_step_many, G, eta),
+                                           (geom.mix_many, X[::-1], alpha)):
+                want = _bits(method(X, second, weight)).tobytes()
+                out, scratch = np.empty_like(X), np.empty_like(X)
+                assert method(X, second, weight, out, scratch) is out
+                assert _bits(out).tobytes() == want
+                out[...] = 0.0
+                assert method(X, second, weight, out=out, scratch=scratch) is out
+                assert _bits(out).tobytes() == want

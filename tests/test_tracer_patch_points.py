@@ -4,6 +4,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from clipopt import (algorithms, clipping, diagnostics, geometry, harness,  # noqa: F401
                      noise, problems, schedules)
 
@@ -71,3 +74,41 @@ def test_traced_diagnose_attributes_its_checks(tmp_path, capsys):
     assert row["diagnostics.pathwise:calls"] == 1
     assert row["diagnostics.martingale:calls"] == 1
     assert row["algorithms.batch:calls"] == 1
+
+
+# (runner, problem factory, its arguments, start, schedule mode, level scale, clipped share):
+# at the schedule's own levels no step clips, so each window's first step runs tested and
+# the rest untested; at a millionth of them every step clips, so every step runs tested
+TRACED_RUNS = [(runner, make, args, x1, mode, scale, share)
+               for runner, make, args, x1, mode in [
+                   ("run_sgd_batch", "make_nonconvex_ratio", (2,), (0.1, 0.1), "sgd_known_t"),
+                   ("run_smd_batch", "make_quadratic", ([1.0, 1.0],), (4.0, 0.0), "smd_known_t"),
+                   ("run_smd_batch", "make_quadratic", ([1.0, 1.0],), (4.0, 0.0),
+                    "smd_param_free")]
+               for scale, share in ((1.0, 0.0), (1e-6, 1.0))]
+
+
+@pytest.mark.parametrize("runner, make, args, x1, mode, scale, share", TRACED_RUNS)
+def test_traced_loop_steps_each_call_the_wrapped_row_forms(monkeypatch, runner, make, args,
+                                                           x1, mode, scale, share):
+    """In a traced batch run, every step, tested or not, calls the problem's gradient and the
+    geometry's mirror step through the names the tracer wraps: the loop binds them once a
+    run, after the tracer is installed, so each count is the number of steps."""
+    steps, seeds = 23, range(3)
+    monkeypatch.setattr(noise, "_WINDOW_BYTES", 8 * 2 * len(seeds) * 5)  # windows of 5 steps
+    model = noise.TwoPointNoise(p=1.5, sigma=0.25, q=0.1)
+    plain = getattr(problems, make)(*args)  # the schedule reads constants only
+    inputs = schedules.derive_inputs(plain, np.array(x1), p=1.5, sigma=0.25, horizon=steps)
+    schedule = schedules.Schedule(mode, inputs, lambda_scale=scale)
+    tracer = _load_tracer().Tracer()
+    tracer.install(0)
+    try:
+        problem = getattr(problems, make)(*args)
+        result = getattr(algorithms, runner)(problem, model, schedule, steps, x1, seeds)
+    finally:
+        tracer.uninstall()
+    assert np.all(result.clipped_fraction == share), result.clipped_fraction
+    row = tracer.per_op([0])[0]
+    assert row["algorithms.batch:calls"] == 1
+    assert row["problems.grad:calls"] == steps
+    assert row["geometry.mirror_step:calls"] == steps

@@ -6,7 +6,8 @@ script imports this checkout's ``src/clipopt`` and OTHER's side by side, as
 the packages ``clipopt_a`` and ``clipopt_b``, and loads this checkout's
 ``bench_layers.py`` once against each, so both trees run the same bench code.
 It then times, for both trees, the bench's lockstep ``step`` rows, its
-``clipstep`` rows and its ``sweep`` rows run in this process (W = 1): each
+``kernel`` rows (a step's arithmetic alone), its ``clipstep`` rows and its
+``sweep`` rows run in this process (W = 1): each
 repeat runs every row once on each tree, back to back, and which tree goes
 first alternates from repeat to repeat and from row to row.  Every row runs
 once on each tree before the timed repeats.
@@ -79,6 +80,9 @@ def rows(bench, tiny: bool):
     out = [(label, run, seed_steps * 1e-9, "ns/seed-step")
            for label, run, seed_steps in bench.step_rows(
                bench.TINY_SIZES if tiny else bench.SIZES, steps)]
+    out += [(label, run, seed_steps * 1e-9, "ns/seed-step")
+            for label, run, seed_steps in bench.kernel_rows(
+                bench.TINY_KERNEL_SIZES if tiny else bench.KERNEL_SIZES, steps)]
     out += [(label, run, seed_steps * 1e-9, "ns/seed-step")
             for label, run, seed_steps, _ in bench.clip_rows(
                 bench.TINY_CLIP_SIZE if tiny else bench.CLIP_SIZE, steps)]

@@ -9,7 +9,12 @@ Prints, one line each:
   draws built beforehand, so the time is the loop's alone; the
   ``smd_param_free`` row is Euclidean SMD on the parameter-free schedule,
   whose steps keep each row's displacement and take per-row levels;
-* the same for Euclidean SMD steps that clip, at two levels (the share of
+* beside each ``smd`` and ``sgd`` step row at the rates-sgd and diagnose sizes, a
+  ``kernel`` row: the same problem's ``grad_many``, the noise add and the
+  geometry's ``mirror_step_many``, called in a plain loop on fixed buffers (no
+  windows, draws, schedule pairs or clip test), so that the step row less the
+  kernel row is what the loop spends around the arithmetic;
+* the step time of Euclidean SMD steps that clip, at two levels (the share of
   seed-steps clipped is printed): at 1, below the spikes, every step clips;
   at 4.5, just over the gradient's norm at the start, 1.1% of the seed-steps
   clip, so the loop's once-a-window check finds a clip in some windows and
@@ -37,7 +42,7 @@ Each time is the minimum over ``--repeat`` runs, which on a shared machine is
 the least disturbed one.  The rows time the one tree the script is run from,
 with each case's repeats back to back, so a slow spell of a shared host lands
 on one tree's rows: to compare two trees, use ``tools/ab_layers.py``, which
-runs the step, clipstep and one-process sweep rows of both trees in one
+runs the step, kernel, clipstep and one-process sweep rows of both trees in one
 process, interleaved repeat by repeat.  Run from the repository root::
 
     PYTHONPATH=src python tools/bench_layers.py            # about a minute
@@ -72,6 +77,10 @@ CASES = ([("smd", algorithms._smd, g, "smd_known_t") for g in GEOMETRIES]
          + [("asmd", algorithms._asmd, g, "asmd_known_t") for g in GEOMETRIES]
          + [("sgd", algorithms._sgd, "euclidean", "sgd_known_t"),
             ("vanilla-sgd", algorithms._vanilla, "euclidean", 0.01)])
+# the kernel rows: the step rows of these algorithms, at the sizes named here
+KERNEL_ALGORITHMS = ("smd", "sgd")
+KERNEL_SIZES = [size for size in SIZES if size[0] in ("rates-sgd", "diagnose")]
+TINY_KERNEL_SIZES = TINY_SIZES
 # the clipping steps: (name, seeds, dimension) and the levels their schedule is scaled to:
 # 1, below the spikes, clips every seed-step; 4.5, just over the gradient's norm at the
 # start (4), clips 1.1% of the full-size row's seed-steps, most of them early in the run
@@ -141,10 +150,13 @@ def _schedule(mode: str, problem, x1, sigma: float, horizon: int,
     return schedules.Schedule(mode, inputs, lambda_scale=level / sched.lam(1))
 
 
-def step_rows(sizes, steps: int):
-    """(label, run, seed-steps) of each lockstep step row; ``run`` makes ``steps`` steps."""
+def _cases(sizes, steps: int, algorithms=None):
+    """(row label after its kind, loop, problem, start, schedule or the baseline's step,
+    noise model, seeds) of each size and case, the cases of ``algorithms`` if given."""
     for name, n, d, _ in sizes:
         for algorithm, loop, kind, param in CASES:
+            if algorithms is not None and algorithm not in algorithms:
+                continue
             problem, x1 = _problem(kind, d)
             if algorithm == "sgd":
                 problem, x1 = problems.make_nonconvex_ratio(d), np.full(d, 0.1)
@@ -152,9 +164,16 @@ def step_rows(sizes, steps: int):
             model = noise.TwoPointNoise(p=1.5, sigma=sigma, q=0.1)
             if isinstance(param, str):
                 param = _schedule(param, problem, x1, sigma, steps)
-            run = functools.partial(_loop, loop, problem, param, steps, x1,
-                                    _draws(model, d, steps, n))
-            yield f"step {name:<13} n={n:<5} d={d:<3} {algorithm}/{kind:<10}", run, n * steps
+            yield (f"{name:<13} n={n:<5} d={d:<3} {algorithm}/{kind:<10}", loop, problem, x1,
+                   param, model, n)
+
+
+def step_rows(sizes, steps: int):
+    """(label, run, seed-steps) of each lockstep step row; ``run`` makes ``steps`` steps."""
+    for label, loop, problem, x1, param, model, n in _cases(sizes, steps):
+        run = functools.partial(_loop, loop, problem, param, steps, x1,
+                                _draws(model, problem.dim, steps, n))
+        yield f"step {label}", run, n * steps
 
 
 def _loop(loop, problem, param, steps, x1, draws):
@@ -163,9 +182,39 @@ def _loop(loop, problem, param, steps, x1, draws):
         return loop(problem, param, steps, x1, draws, False)
 
 
-def step_lines(sizes, steps: int, repeat: int):
-    for label, run, seed_steps in step_rows(sizes, steps):
-        print(f"{label} {_best(run, repeat) / seed_steps * 1e9:9.1f} ns/seed-step")
+def kernel_rows(sizes, steps: int):
+    """(label, run, seed-steps) of each kernel row: the arithmetic of ``steps`` steps of an
+    ``smd`` or ``sgd`` step row, with none of the loop around it (``_kernel``)."""
+    for label, _, problem, x1, schedule, model, n in _cases(sizes, steps, KERNEL_ALGORITHMS):
+        noise_rows = _draws(model, problem.dim, 1, n).slab(1).copy(order="K")
+        eta = float(schedule.table(steps).eta[0])
+        run = functools.partial(_kernel, problem, x1, noise_rows, eta, steps)
+        yield f"kernel {label}", run, n * steps
+
+
+def _kernel(problem, x1, noise_rows, eta: float, steps: int):
+    """``steps`` calls of the problem's ``grad_many``, the noise add and the geometry's
+    ``mirror_step_many`` on fixed seed-contiguous buffers, in a plain loop: no windows, no
+    draws, one step size, no clip test.  A step row's time less this one's is what the
+    loop spends around the arithmetic."""
+    n, d = noise_rows.shape
+    X, F, G, S = (np.empty((d, n)).T for _ in range(4))
+    X[...] = x1
+    grad_many, add, step = problem.grad_many, np.add, problem.geometry.mirror_step_many
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            step(X, add(grad_many(X, F), noise_rows, G), eta, X, S)
+    return X
+
+
+def step_lines(sizes, kernel_sizes, steps: int, repeat: int):
+    """Each step row, and after each that has one, its kernel row."""
+    kernels = {label.split(None, 1)[1]: (label, run, seed_steps)
+               for label, run, seed_steps in kernel_rows(kernel_sizes, steps)}
+    for row in step_rows(sizes, steps):
+        kernel = kernels.get(row[0].split(None, 1)[1])
+        for label, run, seed_steps in [row] + ([kernel] if kernel else []):
+            print(f"{label} {_best(run, repeat) / seed_steps * 1e9:9.1f} ns/seed-step")
 
 
 def clip_rows(size, steps: int):
@@ -301,7 +350,7 @@ def main(argv=None) -> int:
     print(f"machine nproc={len(os.sched_getaffinity(0))} python={platform.python_version()} "
           f"numpy={np.__version__}")
     steps = TINY_LOOP_STEPS if args.tiny else LOOP_STEPS
-    step_lines(sizes, steps, repeat)
+    step_lines(sizes, TINY_KERNEL_SIZES if args.tiny else KERNEL_SIZES, steps, repeat)
     clip_lines(TINY_CLIP_SIZE if args.tiny else CLIP_SIZE, steps, repeat)
     moments_line(TINY_MOMENTS if args.tiny else MOMENTS, repeat)
     schedule_lines(TINY_TABLE_T if args.tiny else TABLE_T, repeat)
