@@ -66,8 +66,10 @@ what skipping its tests saves.
 
 ``run_*_batch`` advances many seeds in lockstep (used by the experiment
 harness and ``diagnose``); ``run_*`` is the one-seed batch on its oracle's
-generator.  Both draw their noise through ``noise.lockstep_draws``, the one
-place that knows its layout, and run through one helper, which can record
+seed, whose generator it leaves untouched.  Both draw their noise through
+``noise.lockstep_draws`` from the seeds alone (seed k's noise is that of
+``make_rng(seed)``), the one place that knows its layout, and run through
+one helper, which can record
 the run as a ``StepTable`` with a leading seed axis (read by the
 diagnostics); a single run's table is its n = 1 case.  Same seed, same
 config give bitwise-identical trajectories in either form.  A row whose
@@ -86,7 +88,7 @@ import numpy as np
 
 from .clipping import clip_batch
 from .geometry import coord_dot
-from .noise import Oracle, check_noise_geometry, lockstep_draws, make_rng, window_steps
+from .noise import Oracle, check_noise_geometry, lockstep_draws, window_steps
 from .problems import Problem
 from .schedules import ASMD_MODES, SGD_MODES, SMD_MODES, Schedule, ScheduleTable
 
@@ -209,8 +211,8 @@ def run_vanilla_sgd_batch(problem: Problem, noise_model, eta: float, steps: int,
 
 
 def _single(loop, problem, oracle, param, steps, x1, record) -> RunRecord:
-    """The one-seed batch on the oracle's generator, as that seed's record."""
-    noise = lockstep_draws(oracle.noise, problem.dim, steps, [oracle.rng], 1)
+    """The one-seed batch of the oracle's seed, as that seed's record."""
+    noise = lockstep_draws(oracle.noise, problem.dim, steps, [oracle.seed])
     res, X = _run(loop, problem, param, steps, x1, [oracle.seed], noise, record)
     return RunRecord(steps, float(res.summary[0]), X[0], float(res.final_gap[0]),
                      float(res.clipped_fraction[0]), bool(res.diverged[0]), res.table)
@@ -220,8 +222,7 @@ def _batch(loop, problem, noise_model, param, steps, x1, seeds, record) -> Batch
     """Seed k's noise drawn from ``make_rng(seeds[k])`` (``noise.lockstep_draws``)."""
     seeds = np.asarray(list(seeds), dtype=int)
     check_noise_geometry(problem, noise_model)
-    noise = lockstep_draws(noise_model, problem.dim, steps,
-                           (make_rng(int(s)) for s in seeds), len(seeds))
+    noise = lockstep_draws(noise_model, problem.dim, steps, seeds)
     return _run(loop, problem, param, steps, x1, seeds, noise, record)[0]
 
 

@@ -204,6 +204,9 @@ def p_tag(p: float) -> str:
     return f"p{round(p * 10):02d}"
 
 
+_MAX_SEED = 2**63 - 1
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
     for (section, key), (attr, kind) in _SCHEMA.items():
         value = getattr(cfg, attr)
@@ -219,6 +222,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("experiment.seeds", "need at least one seed")
     if cfg.base_seed < 0:
         raise ConfigError("experiment.base_seed", "base seed must be >= 0")
+    if cfg.base_seed + cfg.n_seeds - 1 > _MAX_SEED:  # the seeds are an int64 array
+        raise ConfigError("experiment.base_seed",
+                          f"the last seed, base seed + seeds - 1, must be <= {_MAX_SEED}")
     if not (0.0 < cfg.delta < 1.0):
         raise ConfigError("experiment.delta", "delta must lie in (0, 1)")
     if math.isinf(1.0 / cfg.delta):

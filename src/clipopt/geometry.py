@@ -126,7 +126,7 @@ def coord_dot(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np
         C = np.ascontiguousarray(A)
         return np.einsum("...i,...i->...", C, C if B is A else np.ascontiguousarray(B),
                          out=out)
-    return coord_sum(A * B, out)
+    return coord_sum(np.square(A) if B is A else A * B, out)
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,16 +30,20 @@ radial noise is a fixed-node Gauss-Legendre sum over the draw's radius and
 its angle to the gradient.
 
 Run noise: the loops read step t's (n, d) noise as ``slab(t)`` of a draws
-object, and ``lockstep_draws`` is the one builder of a run's draws, from one
-generator per seed; a single run is its n = 1 case, on its oracle's generator.
+object, and ``lockstep_draws`` is the one builder of a run's draws, from the
+run's seeds: seed k's are the draws of ``sample_batch(d, steps,
+make_rng(seed))``, and a single run is the n = 1 case, on its oracle's seed.
 ``DenseDraws`` holds a presampled time-major (steps, d, n) block; radial runs
 use it, seed k's strided slice ``[:, :, k]`` of one zero-filled block filled
-in place from the seed's own generator.  ``SpikeDraws`` holds a two-point run
-as its spikes only: each seed's generator makes the calls of
-``sample_batch(d, steps, rng)``, which draw the hits alone, each hit is kept
-as one int64 key, and a reused window of K steps is expanded from them with
-the dense slab's bits and layout.  The family's ``seed_step_bytes`` states the
-draws' size per seed-step, by which the harness sizes its seed chunks.
+in place from ``make_rng(seed)``.  ``SpikeDraws`` holds a two-point run as its
+spikes only.  It draws a block of seeds at a time from one Philox, re-keyed
+for each seed through its ``state`` with the key ``Philox(seed)`` would hash
+(``_philox_keys`` hashes a build's keys at once, on arrays), each seed's gaps
+and uniforms in one generator call each; the hits' steps and keys are then
+made once a block.  Each hit is kept as one int64 key, and a reused window of
+K steps is expanded from them with the dense slab's bits and layout.  The
+family's ``seed_step_bytes`` states the draws' size per seed-step, by which the
+harness sizes its seed chunks.
 """
 
 from __future__ import annotations
@@ -57,6 +61,65 @@ from .problems import Problem
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based Philox generator; identical seeds give identical streams."""
     return np.random.Generator(np.random.Philox(seed))
+
+
+# numpy's SeedSequence hash (bit_generator.pyx), which derives ``Philox(seed)``'s key: the
+# (initial value, multiplier) of the hash constants of its entropy mix and of its output,
+# the multipliers of its two-word mix, and its xorshift
+_MIX_HASH, _OUT_HASH = (0x43b0d7e5, 0x931e8875), (0x8b51f9dd, 0x58f38ded)
+_MIX_L, _MIX_R, _XSHIFT = 0xca01f9dd, 0x4973f715, 16
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list[tuple[int, int]]:
+    """The first ``count`` hashes' (xor, multiplier) pairs: hash i xors its value with the
+    constant c_i, then multiplies it by c_(i+1) = c_i * mult (mod 2^32)."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return list(zip(consts, consts[1:]))
+
+
+# the pool's 4 words hashed, then 12 (source, destination) mixes; then the 4 output words
+_MIX_CONSTANTS = _hash_constants(*_MIX_HASH, 4 + 12)
+_OUT_CONSTANTS = np.array(_hash_constants(*_OUT_HASH, 4), dtype=np.uint32).T[:, :, None]
+
+
+def _philox_keys(seeds) -> np.ndarray:
+    """The (n, 2) uint64 keys of ``np.random.Philox(seed)``, a row a seed in [0, 2^63):
+    ``np.random.SeedSequence(seed).generate_state(2, np.uint64)``, replayed on uint32 arrays.
+
+    A seed is entropy of one 32-bit word, or of two, low first, past 2^32 - 1; the hash fills
+    its 4-word pool past the entropy with hashes of 0, so a high word of 0 hashes alike.  A
+    negative seed raises ``ValueError``, as ``make_rng`` does.
+    """
+    seeds = np.asarray(seeds, dtype=np.int64)
+    if np.any(seeds < 0):
+        raise ValueError("expected non-negative integer")
+    pool = np.zeros((4, seeds.size), dtype=np.uint32)
+    pool[0], pool[1] = seeds & 0xFFFFFFFF, seeds >> 32
+    consts = iter(_MIX_CONSTANTS)
+
+    def hashmix(value):
+        xor, mult = next(consts)
+        value = value ^ xor
+        value *= mult  # uint32 products wrap, as the C hash's do
+        value ^= value >> _XSHIFT
+        return value
+
+    for word in pool:
+        word[...] = hashmix(word)
+    for src in range(4):  # every word mixed into every other, so late words reach early ones
+        for dst in range(4):
+            if src != dst:
+                mixed = pool[dst] * _MIX_L
+                mixed -= hashmix(pool[src]) * _MIX_R
+                mixed ^= mixed >> _XSHIFT
+                pool[dst] = mixed
+    pool ^= _OUT_CONSTANTS[0]
+    pool *= _OUT_CONSTANTS[1]
+    pool ^= pool >> _XSHIFT
+    words = pool.astype(np.uint64)
+    return np.stack((words[0] | words[1] << 32, words[2] | words[3] << 32), axis=1)
 
 
 def _check_p(p: float):
@@ -159,7 +222,7 @@ def _support_moments(geom, support: np.ndarray, weight: np.ndarray, levels: np.n
     r = geom.dual_norm_many(u * np.sqrt(weight)[:, None])  # sqrt(w) ||u||
     norms = geom.dual_norm_many(u)[:, weight > 0]
     over = np.count_nonzero(norms > 2.0 * levels[:, None] * (1 + 1e-12), axis=1)
-    return mean, np.sum(r * r, axis=1), over
+    return mean, np.sum(np.square(r), axis=1), over
 
 
 def _spike_hits(rng: np.random.Generator, q: float, d: int, steps: int):
@@ -167,31 +230,48 @@ def _spike_hits(rng: np.random.Generator, q: float, d: int, steps: int):
     the hits (1-based, increasing) and v = floor(2 d U) of each, whose spike is at
     coordinate v >> 1 and is negative when v is odd.
 
-    The gaps between hits are max(1, ceil(E / lambda)), E standard exponential and lambda
-    = -log1p(-q), so that P(gap = k) = (1 - q)^(k - 1) q, each capped at steps + 1 before
-    the running sum (q = 5e-324 then overflows no sum, and q = 1 hits every step).  They are
-    drawn m at a time, m the mean hit count plus ``_SPIKE_SLACK_SD`` standard deviations,
-    plus one, until their sum passes ``steps``; then one uniform U is drawn per hit.
+    The gaps between hits (``_hit_steps``) are drawn m at a time (``_gap_draws``) until
+    their sum passes ``steps``; then one uniform U is drawn per hit.
     """
-    lam = -math.log1p(-q) if q < 1.0 else math.inf
-    m = int(steps * q + _SPIKE_SLACK_SD * math.sqrt(steps * q * (1.0 - q))) + 1
+    lam, m = _gap_draws(q, steps)
     ends, last = [], 0.0
     while last <= steps:  # a top-up draws m more gaps, past the ones drawn so far
-        gaps = rng.standard_exponential(m)
-        with np.errstate(over="ignore"):  # E / lambda past the doubles is inf, capped below
-            gaps /= lam
-        np.ceil(gaps, out=gaps)
-        np.minimum(gaps, steps + 1.0, out=gaps)
-        np.maximum(gaps, 1.0, out=gaps)
-        gaps[0] += last
-        np.add.accumulate(gaps, out=gaps)  # integers below 2^53: exact
+        gaps = _hit_steps(rng.standard_exponential(m), lam, steps, last)
         last = gaps[-1]
         ends.append(gaps)
     ends = ends[0] if len(ends) == 1 else np.concatenate(ends)
     t = ends[:ends.searchsorted(steps, "right")].astype(np.int64)
-    U = rng.random(t.size)
+    return t, _coordinates(rng.random(t.size), d)
+
+
+def _gap_draws(q: float, steps: int):
+    """lambda = -log1p(-q), and m, the gaps a seed draws at a time: the mean hit count over
+    ``steps`` plus ``_SPIKE_SLACK_SD`` standard deviations, plus one."""
+    lam = -math.log1p(-q) if q < 1.0 else math.inf
+    return lam, int(steps * q + _SPIKE_SLACK_SD * math.sqrt(steps * q * (1.0 - q))) + 1
+
+
+def _hit_steps(gaps: np.ndarray, lam: float, steps: int, last: float = 0.0) -> np.ndarray:
+    """Standard exponentials E, the last axis of ``gaps``, made in place into the steps of
+    the hits they end, counted from ``last``: each gap is max(1, ceil(E / lambda)), so that
+    P(gap = k) = (1 - q)^(k - 1) q, capped at steps + 1 before the running sum (q = 5e-324
+    then overflows no sum, and q = 1 hits every step)."""
+    with np.errstate(over="ignore"):  # E / lambda past the doubles is inf, capped below
+        gaps /= lam
+    np.ceil(gaps, out=gaps)
+    np.minimum(gaps, steps + 1.0, out=gaps)
+    np.maximum(gaps, 1.0, out=gaps)
+    if last:
+        gaps[..., 0] += last
+    np.add.accumulate(gaps, axis=-1, out=gaps)  # integers below 2^53: exact
+    return gaps
+
+
+def _coordinates(U: np.ndarray, d: int) -> np.ndarray:
+    """v = floor(2 d U) of uniforms U (scaled in place) as int64: a spike's coordinate and
+    sign."""
     U *= 2 * d  # below 2 d: for U <= 1 - 2^-53, 2 d U lies more than half an ulp below 2 d
-    return t, U.astype(np.int64)
+    return U.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -314,7 +394,7 @@ def _radial_moments(G: np.ndarray, s: np.ndarray, a: float, d: int, nodes):
                                    np.full_like(G, np.pi)]), axis=1)
         lo, width = edges[:, :-1, None], np.diff(edges, axis=1)[:, :, None]
         past = lo == tangent[:, :, None]
-        phi = (lo + width * np.where(past, x * x, x)).reshape(n, -1)
+        phi = (lo + width * np.where(past, np.square(x), x)).reshape(n, -1)
         w_phi = (width * np.where(past, 2.0 * x * wx, wx)).reshape(n, -1) * np.sin(phi) ** (d - 2)
         w_phi /= np.sum(w_phi, axis=1, keepdims=True)
     cos, sin = np.cos(phi), np.sin(phi)
@@ -371,13 +451,18 @@ def window_steps(steps: int, d: int, n: int) -> int:
 # Bytes a spike costs a ``SpikeDraws`` build at its peak, with a margin: its int64
 # key, written straight into one array (about 8 bytes in all, 16 while that array
 # grows by a copy).  The margin covers what does not grow with the spikes: the
-# window, one seed's draw buffers and the key array's slack.
+# window, one block of seeds' draw buffers (``_BLOCK_BYTES``) and the key array's slack.
 _SPIKE_BYTES = 32
 
 # Slack past the mean spike count, in binomial standard deviations, of a ``SpikeDraws``
 # key array, which grows by a copy only when a batch draws more spikes than that, and of
 # each seed's first block of gaps (``_spike_hits``), which is topped up only then.
 _SPIKE_SLACK_SD = 6
+
+# Bytes of one (B, m) block of a ``SpikeDraws`` build: B seeds' m gaps, or their m uniforms,
+# as doubles.  The block's arrays (four such, and a mask) stay in cache and take no lasting
+# memory; blocks of 2^15 to 2^18 bytes built as fast (500 x 4096 and 100 x 16384, d = 2).
+_BLOCK_BYTES = 1 << 16
 
 
 class DenseDraws:
@@ -398,21 +483,26 @@ class DenseDraws:
 class SpikeDraws:
     """Two-point noise of many seeds kept as its spikes, expanded K steps at a time.
 
-    Seed k's generator (the k-th of the n ``generators``) makes the generator
-    calls of ``model.sample_batch(d, steps, rng)`` through the same
-    ``_spike_hits``, which draws the hits alone (their steps from geometric
-    gaps, then one uniform each for the coordinate and sign).  Each hit is kept
-    as one int64 key, twice the hit's flat index into the dense (steps, d, n)
-    block plus 1 for a negative spike, written straight into one array sized
-    for the mean spike count and a margin.  The keys are sorted, so they are
-    step major.  ``slab(t)`` writes the spikes of t's window of K steps into a
-    reused zero-filled (K, d, n) block and returns the (n, d) view of its
-    C-ordered (d, n) slab: the same layout and the same +0.0 and +-M values as
-    the dense block's slab, a -0.0 spike (sigma = 0) included.
+    Seed k (the k-th of the n ``seeds``) draws what ``model.sample_batch(d, steps,
+    make_rng(seed))`` draws, the hits alone: their steps from geometric gaps, then
+    one uniform each for the coordinate and sign.  The seeds draw a block at a time,
+    from one Philox re-keyed per seed (``_philox_keys``): two generator calls a
+    seed, m gaps into its row of a (B, m) block and m uniforms into another, the
+    first of which are the uniforms of its hits.  The gaps' running sums, the hits
+    and their keys are then made once per block.  A seed whose m gaps end at or
+    before ``steps`` is drawn again by ``_spike_hits``, which tops its gaps up.
+    Each hit is kept as one int64 key, twice the hit's flat index into the dense
+    (steps, d, n) block plus 1 for a negative spike, written straight into one
+    array sized for the mean spike count and a margin.  The keys are sorted, so
+    they are step major.  ``slab(t)`` writes the spikes of t's window of K steps
+    into a reused zero-filled (K, d, n) block and returns the (n, d) view of its
+    C-ordered (d, n) slab: the same layout and the same +0.0 and +-M values as the
+    dense block's slab, a -0.0 spike (sigma = 0) included.
     """
 
-    def __init__(self, model: TwoPointNoise, d: int, steps: int, generators, n: int):
-        self.n = n
+    def __init__(self, model: TwoPointNoise, d: int, steps: int, seeds):
+        seeds = np.asarray(seeds, dtype=np.int64)
+        self.n = n = seeds.size
         mean = n * steps * model.q
         keys = np.empty(int(mean + _SPIKE_SLACK_SD * np.sqrt(mean * (1.0 - model.q))) + 1,
                         dtype=np.int64)
@@ -420,15 +510,32 @@ class SpikeDraws:
         # less the 2 d n of step 1, which is row 0 of the dense block
         v = np.arange(2 * d)
         offset = (v >> 1) * 2 * n + (v & 1) - 2 * d * n
+        lam, m = _gap_draws(model.q, steps)
+        rows = max(1, min(n, _BLOCK_BYTES // (8 * m)))
+        gaps, uniforms = np.empty((rows, m)), np.empty((rows, m))
+        generators = _rekeyed(seeds)
         size = 0
-        for k, rng in enumerate(generators):
-            t, v = _spike_hits(rng, model.q, d, steps)
-            if size + t.size > keys.size:
-                keys = np.concatenate((keys[:size], np.empty(max(keys.size, t.size), np.int64)))
-            seed_keys = np.multiply(t, 2 * d * n, out=keys[size:size + t.size])
-            seed_keys += offset[v]
-            seed_keys += 2 * k
-            size += t.size
+        for lo in range(0, n, rows):
+            E, U = gaps[:n - lo], uniforms[:n - lo]
+            for e, u, rng in zip(E, U, generators):  # the block's rows first: zip re-keys no
+                rng.standard_exponential(out=e)     # seed past the block's last
+                rng.random(out=u)
+            ends = _hit_steps(E, lam, steps)
+            hit = ends <= steps
+            short = hit[:, -1].nonzero()[0]  # more hits past its m gaps: drawn again
+            hit[short] = False
+            block = ends.astype(np.int64)
+            _spike_keys(block, _coordinates(U, d), np.arange(lo, lo + len(E))[:, None], n,
+                        offset, out=block)
+            count = np.count_nonzero(hit)
+            keys = _room(keys, size, count)
+            np.compress(hit.reshape(-1), block.reshape(-1), out=keys[size:size + count])
+            size += count
+            for k in (lo + short).tolist():
+                t, v = _spike_hits(make_rng(int(seeds[k])), model.q, d, steps)
+                keys = _room(keys, size, t.size)
+                _spike_keys(t, v, k, n, offset, out=keys[size:size + t.size])
+                size += t.size
         keys = keys[:size]
         keys.sort()
         self.keys = keys
@@ -436,7 +543,7 @@ class SpikeDraws:
         self._K = K = max(window_steps(steps, d, n), min(steps, _WINDOW_MIN_STEPS))
         window = np.zeros((K, d, n))
         self._flat = window.reshape(-1)
-        self._slabs = [slab.T for slab in window]  # made once: a step costs no view
+        self._slabs = list(window.transpose(0, 2, 1))  # made once: a step costs no view
         self._bounds = np.searchsorted(keys, 2 * window.size * np.arange(-(-steps // K) + 1))
         self._first = -K  # first step of the window now expanded; none yet
         self._written = np.empty(0, dtype=np.int64)
@@ -457,17 +564,55 @@ class SpikeDraws:
         self._first = w * self._K + 1
 
 
-def lockstep_draws(model, d: int, steps: int, generators, n: int):
-    """The noise of n seeds run in lockstep, seed k's drawn from the k-th of ``generators``
-    (the calls of ``model.sample_batch(d, steps, rng)``): two-point noise kept as its spikes,
-    radial noise into ``[:, :, k]`` of one zero-filled (steps, d, n) block."""
+def _rekeyed(seeds: np.ndarray):
+    """One generator, yielded once a seed in the state ``make_rng(seed)`` starts in: made
+    for the first seed, then re-keyed through its Philox's ``state`` for each later one."""
+    bits = np.random.Philox(int(seeds[0]))
+    rng = np.random.Generator(bits)
+    keys = []
+    if seeds.size > 1:  # one seed hashes nothing more, and reads no state
+        keys = _philox_keys(seeds[1:]).tolist()
+        # Philox(seed)'s state at its start, a zero counter and an empty buffer, as plain
+        # lists, which the setter reads fastest
+        start = bits.state
+        start["state"]["counter"] = start["state"]["counter"].tolist()
+        start["buffer"] = start["buffer"].tolist()
+    yield rng
+    for key in keys:
+        start["state"]["key"] = key
+        bits.state = start
+        yield rng
+
+
+def _spike_keys(t, v, k, n: int, offset: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The keys, into ``out``, of seed k's hits at steps t with v = floor(2 d U) (arrays
+    that broadcast), ``offset`` the ``SpikeDraws`` table of a hit's 2 d values of v.  ``v``
+    is overwritten: v lies in [0, 2 d), so ``take``'s "clip" changes no index, and unlike
+    its "raise" it writes in place, unbuffered."""
+    np.multiply(t, offset.size * n, out=out)
+    out += offset.take(v, out=v, mode="clip")
+    out += 2 * k
+    return out
+
+
+def _room(keys: np.ndarray, size: int, count: int) -> np.ndarray:
+    """``keys``, its first ``size`` kept, grown by a copy if ``count`` more would not fit."""
+    if size + count > keys.size:
+        keys = np.concatenate((keys[:size], np.empty(max(keys.size, count), np.int64)))
+    return keys
+
+
+def lockstep_draws(model, d: int, steps: int, seeds):
+    """The noise of the ``seeds`` run in lockstep, seed k's the draws of
+    ``model.sample_batch(d, steps, make_rng(seeds[k]))``: two-point noise kept as its
+    spikes, radial noise into ``[:, :, k]`` of one zero-filled (steps, d, n) block."""
     if steps < 1:  # no summary to average, no step to check
         raise ValueError("steps must be >= 1")
     if isinstance(model, TwoPointNoise):
-        return SpikeDraws(model, d, steps, generators, n)
-    block = np.zeros((steps, d, n))
-    for k, rng in enumerate(generators):
-        model.sample_batch(d, steps, rng, out=block[:, :, k])
+        return SpikeDraws(model, d, steps, seeds)
+    block = np.zeros((steps, d, len(seeds)))
+    for k, seed in enumerate(seeds):
+        model.sample_batch(d, steps, make_rng(int(seed)), out=block[:, :, k])
     return DenseDraws(block)
 
 
@@ -492,11 +637,12 @@ class Oracle:
     """One problem's seeded noise stream: the additive noise of a stochastic oracle.
 
     Carries its own mutable generator ``rng``, ``make_rng(seed)``; use one instance
-    per run (distinct seeds may run concurrently).  A single run draws its noise
-    from ``rng`` as the one-seed case of ``lockstep_draws``, and a lockstep batch
-    draws seed k's from ``make_rng(seeds[k])`` with the same calls, so a single-run
-    trajectory and a multi-seed sweep see identical noise for identical seeds.
-    ``noise_matrix`` is a one-off draw of the stream's next steps.
+    per run (distinct seeds may run concurrently).  A single run draws its noise as
+    the one-seed case of ``lockstep_draws`` on ``seed``, and a lockstep batch draws
+    seed k's the same way, so a single-run trajectory and a multi-seed sweep see
+    identical noise for identical seeds.  A run does not advance ``rng``:
+    ``noise_matrix`` is a one-off draw of the stream's next steps, and the first
+    ``noise_matrix(T)`` of a fresh oracle is a T-step run's noise.
     """
 
     def __init__(self, problem: Problem, noise, seed: int = 0):

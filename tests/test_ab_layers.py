@@ -9,7 +9,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 AB, BENCH = ROOT / "tools" / "ab_layers.py", ROOT / "tools" / "bench_layers.py"
 NUMBER = r"(\d+\.\d+)"
-ROW = re.compile(rf"(step|kernel|clipstep|sweep) .+ A +{NUMBER} B +{NUMBER} (ns/seed-step|ms) "
+ROW = re.compile(rf"(step|kernel|clipstep|draws|sweep) .+ A +{NUMBER} B +{NUMBER} "
+                 rf"(ns/seed-step|us/seed|ms) "
                  rf"A/B {NUMBER} \[{NUMBER} {NUMBER}\] won (\d+)/3$")
 
 
@@ -33,8 +34,11 @@ def test_ab_layers_tiny_prints_every_row():
     assert [row[1] for row in rows] == (["step"] * len(bench.TINY_SIZES) * len(bench.CASES)
                                         + ["kernel"] * kernels
                                         + ["clipstep"] * len(bench.CLIP_LEVELS)
+                                        + ["draws"] * len(bench.TINY_DRAWS_SIZES)
                                         + ["sweep"] * len(bench.TINY_SWEEPS))
-    assert [row[4] for row in rows] == ["ns/seed-step"] * steps + ["ms"] * len(bench.TINY_SWEEPS)
+    assert [row[4] for row in rows] == (["ns/seed-step"] * steps
+                                        + ["us/seed"] * len(bench.TINY_DRAWS_SIZES)
+                                        + ["ms"] * len(bench.TINY_SWEEPS))
     for row in rows:
         a, b, median, q1, q3 = (float(row[i]) for i in (2, 3, 5, 6, 7))
         assert a > 0 and b > 0 and q1 <= median <= q3 and int(row[8]) <= 3

@@ -640,7 +640,7 @@ def test_batch_state_stays_seed_contiguous(loop, start, param):
     for k in range(n):
         model.sample_batch(prob.dim, steps, make_rng(k), out=block[:, :, k])
     for noise in (DenseDraws(block),
-                  SpikeDraws(model, prob.dim, steps, map(make_rng, range(n)), n)):
+                  SpikeDraws(model, prob.dim, steps, range(n))):
         X = loop(prob, param, steps, x1, noise, None)[3]
         assert X.shape == (n, prob.dim)
         assert X.flags.f_contiguous and not X.flags.c_contiguous
@@ -705,7 +705,7 @@ def test_window_size_changes_no_bit(monkeypatch, algorithm, start, param, n):
             monkeypatch.setattr(nz, "_WINDOW_BYTES", 8 * prob.dim * n * window)
             monkeypatch.setattr(nz, "_WINDOW_MIN_STEPS", 1)
         for record in (True, False):
-            noise = nz.lockstep_draws(model, prob.dim, steps, map(make_rng, range(n)), n)
+            noise = nz.lockstep_draws(model, prob.dim, steps, range(n))
             runs.append(algos._run(LOOPS[algorithm], prob, param, steps, x1, range(n), noise,
                                    record))
     res, X = runs[0]
@@ -715,7 +715,7 @@ def test_window_size_changes_no_bit(monkeypatch, algorithm, start, param, n):
         assert np.isinf(res.summary[res.diverged]).all()
         assert np.isinf(res.final_gap[res.diverged]).all()
     elif not baseline:  # steps with and without a clipped row (with many seeds, each clips one)
-        noise = nz.lockstep_draws(model, prob.dim, steps, map(make_rng, range(n)), n)
+        noise = nz.lockstep_draws(model, prob.dim, steps, range(n))
         over = over_level(prob, res.table, noise).any(axis=0)
         assert over.any() and (n > 5 or not over.all())
     for other, X_other in runs[1:]:
@@ -890,7 +890,7 @@ def reference_case(scenario, kind, d, K):
     if scenario == "spikes":  # two-point noise whose spikes (q = 0.02) are 10: read by windows
         q = 0.02
         model = TwoPointNoise(p=1.5, sigma=REF_SPIKE * q ** (1 / 1.5), q=q)
-        return prob, x1, levels, nz.lockstep_draws(model, d, steps, map(make_rng, range(n)), n)
+        return prob, x1, levels, nz.lockstep_draws(model, d, steps, range(n))
     return prob, x1, levels, DenseDraws(block)
 
 

@@ -42,7 +42,8 @@ def test_bench_layers_tiny_prints_every_layer(capsys):
     tables = [line for line in lines if line.startswith("schedule ")]
     assert len(tables) == len(bench.TABLE_MODES) and all(" table " in line for line in tables)
     draws = [line.split() for line in lines if line.startswith("draws ")]
-    assert [row[1] for row in draws] == [name for name, *_ in bench.TINY_SIZES]
+    assert [row[1:5] for row in draws] == [[name, f"n={n}", f"d={d}", f"T={steps}"]
+                                           for name, n, d, steps in bench.TINY_DRAWS_SIZES]
     assert all(row[6::2] == ["ms", "us/seed", "ns/seed-step"] and
                all(float(value) > 0 for value in row[5::2]) for row in draws)
     sweeps = [line.split() for line in lines if line.startswith("sweep ")]

@@ -238,6 +238,22 @@ def test_out_of_range_values_exit_2(tmp_path, capsys, assignment):
 
 
 @pytest.mark.parametrize("command", ["run", "diagnose"])
+@pytest.mark.parametrize("base_seed, seeds", [(2**63 - 30, 30), (2**63 - 29, 30), (2**63, 1)])
+def test_seeds_past_int64_exit_2(tmp_path, capsys, command, base_seed, seeds):
+    """Seeds run up to 2^63 - 1, the largest int64: a last seed (base seed + seeds - 1) past
+    it is a config error named by experiment.base_seed, with no wrapped seed or overflow."""
+    argv = [command, "--config", _write(tmp_path, NOISY), "--out", str(tmp_path / "out"),
+            "--set", "experiment.t=8", "--set", f"experiment.seeds={seeds}",
+            "--set", f"experiment.base_seed={base_seed}"]
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    if base_seed + seeds - 1 < 2**63:
+        assert rc in (0, 1) and not err, err  # diagnose exits 1 for a failing check
+    else:
+        assert rc == 2 and err.startswith("config error: experiment.base_seed:"), err
+
+
+@pytest.mark.parametrize("command", ["run", "diagnose"])
 @pytest.mark.parametrize("config_file, assignments, key", [
     ("sgd_rates.cfg", ["noise.p=1.05", "noise.sigma=1e30"], "noise.p"),
     ("sgd_rates.cfg", ["noise.p=1.01", "noise.sigma=1e10"], "noise.p"),

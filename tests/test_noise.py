@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clipopt import geometry as geo
 from clipopt import noise as nz
@@ -92,7 +94,7 @@ def test_two_point_draws_match_the_law(p, q, d):
 
 def _seed_hits(model, d, steps, n):
     """The hit steps (1-based) of seeds 0..n-1 of a ``SpikeDraws`` build, a list per seed."""
-    draws = nz.SpikeDraws(model, d, steps, map(nz.make_rng, range(n)), n)
+    draws = nz.SpikeDraws(model, d, steps, range(n))
     flat = draws.keys >> 1  # (step - 1) d n + coordinate n + seed
     seeds, at = flat % n, flat // (d * n) + 1
     return [at[seeds == k] for k in range(n)]
@@ -134,18 +136,59 @@ def test_two_point_extreme_q(q):
 @pytest.mark.parametrize("slack", [None, 0])
 @pytest.mark.parametrize("q", [1e-3, 0.1, 0.5, 1.0])
 def test_sample_batch_is_the_one_seed_spike_draws(q, slack, monkeypatch):
-    """``sample_batch(d, T, rng)`` is the one-seed ``SpikeDraws``' slabs bit for bit, and
-    leaves the generator where they do, also when a zero slack makes most seeds top up."""
+    """``sample_batch(d, T, make_rng(seed))`` is the one-seed ``SpikeDraws``' slabs bit for
+    bit, also when a zero slack makes most seeds top up."""
     if slack is not None:
         monkeypatch.setattr(nz, "_SPIKE_SLACK_SD", slack)
     model, d, steps = nz.TwoPointNoise(p=1.5, sigma=1.0, q=q), 3, 200
     for seed in range(20):
-        dense_rng, spike_rng = nz.make_rng(seed), nz.make_rng(seed)
-        dense = model.sample_batch(d, steps, dense_rng)
-        spikes = nz.SpikeDraws(model, d, steps, [spike_rng], 1)
+        dense = model.sample_batch(d, steps, nz.make_rng(seed))
+        spikes = nz.SpikeDraws(model, d, steps, [seed])
         slabs = np.stack([spikes.slab(t)[0] for t in range(1, steps + 1)])
         assert _bits(slabs).tobytes() == _bits(dense).tobytes()
-        np.testing.assert_equal(spike_rng.bit_generator.state, dense_rng.bit_generator.state)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=40))
+@example([0, 2**32 - 1, 2**32, 2**63 - 1])
+def test_philox_keys_are_the_seed_sequence_keys(seeds):
+    """The array replay of the seed hash is ``Philox(seed)``'s key for every seed in
+    [0, 2^63): ``SeedSequence(seed).generate_state(2, np.uint64)``."""
+    want = np.array([np.random.SeedSequence(s).generate_state(2, np.uint64) for s in seeds])
+    got = nz._philox_keys(seeds)
+    assert got.dtype == np.uint64 and got.tobytes() == want.tobytes()
+
+
+def test_negative_seed_raises_as_make_rng_does():
+    """A negative seed raises ``ValueError``: hashed on arrays, or as a build's first seed,
+    whose key its own Philox hashes."""
+    model = nz.TwoPointNoise(p=1.5, sigma=1.0, q=0.1)
+    for raises in (lambda: nz.make_rng(-1), lambda: nz._philox_keys([3, -1]),
+                   lambda: nz.SpikeDraws(model, 2, 8, [-1]),
+                   lambda: nz.SpikeDraws(model, 2, 8, [0, -1])):
+        with pytest.raises(ValueError, match="non-negative"):
+            raises()
+
+
+@pytest.mark.parametrize("slack", [None, 0])
+@pytest.mark.parametrize("d", [1, 2, 32])
+@pytest.mark.parametrize("q", [5e-324, 1e-3, 0.1, 0.5, 1.0])
+def test_block_build_keys_are_each_seeds_own_keys(q, d, slack, monkeypatch):
+    """A build's keys are those of each seed's own ``_spike_hits(make_rng(seed), ...)``, as
+    flat indices into the dense (steps, d, n) block, at one seed and at a block of B seeds
+    less one, B and one more; also when a zero slack makes most seeds top up."""
+    if slack is not None:
+        monkeypatch.setattr(nz, "_SPIKE_SLACK_SD", slack)
+    model, steps, B = nz.TwoPointNoise(p=1.5, sigma=1.0, q=q), 60, 4
+    monkeypatch.setattr(nz, "_BLOCK_BYTES", 8 * nz._gap_draws(q, steps)[1] * B)
+    for n in (1, B - 1, B, B + 1):
+        seeds = [2**32 - 2 + 7919 * k for k in range(n)]  # below and past one 32-bit word
+        want = []
+        for k, seed in enumerate(seeds):
+            t, v = nz._spike_hits(nz.make_rng(seed), q, d, steps)
+            want.append(2 * (((t - 1) * d + (v >> 1)) * n + k) + (v & 1))
+        want = np.sort(np.concatenate(want))
+        assert nz.SpikeDraws(model, d, steps, seeds).keys.tobytes() == want.tobytes()
 
 
 def test_radial_pareto_moment_by_quadrature():
@@ -290,27 +333,23 @@ def _bits(a):
                                    nz.make_noise("none", 1.5, 0.0)],
                          ids=["q1e-3", "q0.1", "q1", "none"])
 def test_spike_slabs_equal_dense_slabs(model, d, n, window_steps, monkeypatch):
-    """Every step's spike slab is the dense block's slab bit for bit, in the same layout,
-    and each seed's generator ends where its dense draw leaves it."""
+    """Every step's spike slab is the dense block's slab of the same seeds bit for bit, in
+    the same layout."""
     if window_steps is not None:  # windows of 3 steps: 10 is not a multiple
         monkeypatch.setattr(nz, "_WINDOW_BYTES", 8 * d * n * window_steps)
         monkeypatch.setattr(nz, "_WINDOW_MIN_STEPS", 1)
     steps = 10 if window_steps is not None else 50
     seeds = range(100, 100 + n)
     block = np.zeros((steps, d, n))
-    dense_rngs = [nz.make_rng(s) for s in seeds]
-    for k, rng in enumerate(dense_rngs):
-        model.sample_batch(d, steps, rng, out=block[:, :, k])
-    spike_rngs = [nz.make_rng(s) for s in seeds]
-    spikes = nz.SpikeDraws(model, d, steps, spike_rngs, n)
+    for k, seed in enumerate(seeds):
+        model.sample_batch(d, steps, nz.make_rng(seed), out=block[:, :, k])
+    spikes = nz.SpikeDraws(model, d, steps, seeds)
     dense = nz.DenseDraws(block)
     assert spikes.n == dense.n == n
     for t in range(1, steps + 1):
         got, want = spikes.slab(t), dense.slab(t)
         assert got.shape == want.shape == (n, d) and got.strides == want.strides
         np.testing.assert_array_equal(_bits(got), _bits(want))
-    for a, b in zip(spike_rngs, dense_rngs):
-        np.testing.assert_equal(a.bit_generator.state, b.bit_generator.state)
     if model.sigma > 0:
         assert spikes.keys.size == np.count_nonzero(block)
     if model.q == 1.0:  # every row of every step is a hit: the worst case, 8 bytes a seed-step
@@ -344,7 +383,7 @@ def test_spike_draws_build_within_stated_bytes(n, steps, d, q):
     model = nz.TwoPointNoise(p=1.5, sigma=0.5, q=q)
     tracemalloc.start()
     try:
-        draws = nz.lockstep_draws(model, d, steps, map(nz.make_rng, range(n)), n)
+        draws = nz.lockstep_draws(model, d, steps, range(n))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -356,10 +395,10 @@ def test_spike_draws_build_peaks_near_its_keys():
     """Each seed's keys go straight into one array, so the build peaks at its 8-byte keys
     and little else."""
     model = nz.TwoPointNoise(p=1.5, sigma=0.5, q=1.0)
-    nz.lockstep_draws(model, 4, 16, map(nz.make_rng, range(3)), 3)  # first-use allocations
+    nz.lockstep_draws(model, 4, 16, range(3))  # first-use allocations
     tracemalloc.start()
     try:
-        draws = nz.lockstep_draws(model, 4, 1024, map(nz.make_rng, range(200)), 200)
+        draws = nz.lockstep_draws(model, 4, 1024, range(200))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

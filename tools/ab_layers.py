@@ -6,8 +6,10 @@ script imports this checkout's ``src/clipopt`` and OTHER's side by side, as
 the packages ``clipopt_a`` and ``clipopt_b``, and loads this checkout's
 ``bench_layers.py`` once against each, so both trees run the same bench code.
 It then times, for both trees, the bench's lockstep ``step`` rows, its
-``kernel`` rows (a step's arithmetic alone), its ``clipstep`` rows and its
-``sweep`` rows run in this process (W = 1): each
+``kernel`` rows (a step's arithmetic alone), its ``clipstep`` rows, its
+``draws`` rows (a two-point draws build, through ``algorithms._batch``, so a
+tree whose ``noise.lockstep_draws`` takes other arguments is timed alike) and
+its ``sweep`` rows run in this process (W = 1): each
 repeat runs every row once on each tree, back to back, and which tree goes
 first alternates from repeat to repeat and from row to row.  Every row runs
 once on each tree before the timed repeats.
@@ -86,6 +88,8 @@ def rows(bench, tiny: bool):
     out += [(label, run, seed_steps * 1e-9, "ns/seed-step")
             for label, run, seed_steps, _ in bench.clip_rows(
                 bench.TINY_CLIP_SIZE if tiny else bench.CLIP_SIZE, steps)]
+    out += [(label, run, builds * n * 1e-6, "us/seed") for label, run, builds, n, _ in
+            bench.draws_rows(bench.TINY_DRAWS_SIZES if tiny else bench.DRAWS_SIZES)]
     out += [(label + " W=1", bench._at_threshold(run, float("inf")), 1e-3, "ms")
             for label, _, run in bench.sweep_rows(bench.TINY_SWEEPS if tiny else bench.SWEEPS)]
     return out

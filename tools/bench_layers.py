@@ -23,10 +23,13 @@ Prints, one line each:
   (d = 2): ``TwoPointNoise.clipped_moments``, a sum over the support, and
   ``RadialParetoNoise.clipped_moments``, a quadrature; in ms and in us per point;
 * the time of ``Schedule.table(T)`` and of one ``Schedule.pair`` call, per mode;
-* the time of ``noise.lockstep_draws`` at each workload's full size (two-point
-  noise, q = 0.1), in ms, in us per seed and in ns per seed-step: the per-seed
-  part holds a fixed cost (the seed's generator, ``make_rng``, and a handful of
-  numpy calls) that the seed-steps do not;
+* the time of a two-point draws build (q = 0.1) at each workload's size (run-smd's
+  at one of two workers' 500 seeds), in ms, in us per seed and in ns per seed-step:
+  an ``algorithms._batch`` call through a loop that takes no step, so the row
+  times the batch's own ``noise.lockstep_draws`` call on any tree, whatever that
+  call's arguments, repeated up to ``DRAWS_SEED_STEPS`` seed-steps a timed call;
+  the per-seed part holds a fixed cost (the seed's key, its two generator calls)
+  that the seed-steps do not;
 * the time of one ``harness._sweeps`` call on one sweep (the seeds of one config at one
   horizon, written nowhere) at the run-smd, rates-sgd (its longest horizon) and
   asmd-simplex sizes, and of one ``harness.fit_rate`` (every horizon of the rates-sgd grid
@@ -42,8 +45,8 @@ Each time is the minimum over ``--repeat`` runs, which on a shared machine is
 the least disturbed one.  The rows time the one tree the script is run from,
 with each case's repeats back to back, so a slow spell of a shared host lands
 on one tree's rows: to compare two trees, use ``tools/ab_layers.py``, which
-runs the step, kernel, clipstep and one-process sweep rows of both trees in one
-process, interleaved repeat by repeat.  Run from the repository root::
+runs the step, kernel, clipstep, draws and one-process sweep rows of both trees in
+one process, interleaved repeat by repeat.  Run from the repository root::
 
     PYTHONPATH=src python tools/bench_layers.py            # about a minute
     PYTHONPATH=src python tools/bench_layers.py --tiny     # smoke sizes, well under 1 s
@@ -68,6 +71,10 @@ from clipopt.config import ExperimentConfig, validate_config
 SIZES = [("run-smd", 1000, 2, 4096), ("rates-sgd", 100, 2, 16384),
          ("asmd-simplex", 500, 32, 2048), ("diagnose", 1, 2, 256)]
 TINY_SIZES = [("tiny", 3, 2, 16), ("tiny-simplex", 2, 4, 16)]
+# the draws builds: run-smd's 1000 seeds build on two workers, 500 each
+DRAWS_SIZES = [("run-smd", 500, 2, 4096)] + SIZES[1:]
+TINY_DRAWS_SIZES = TINY_SIZES
+DRAWS_SEED_STEPS = 1 << 14
 LOOP_STEPS, TINY_LOOP_STEPS = 512, 8
 TABLE_T, TINY_TABLE_T = 16384, 64
 # (row name, loop, geometry, schedule mode or the baseline's step)
@@ -136,8 +143,23 @@ def _problem(kind: str, d: int):
 
 
 def _draws(model, d: int, steps: int, n: int):
-    """The lockstep draws of seeds 0..n-1, as a batch run makes them."""
-    return noise.lockstep_draws(model, d, steps, (noise.make_rng(k) for k in range(n)), n)
+    """The lockstep draws of seeds 0..n-1, as a batch run makes them (``_no_step``)."""
+    return _draws_run(model, d, steps, n)().table
+
+
+def _draws_run(model, d: int, steps: int, n: int):
+    """A call of ``algorithms._batch`` on seeds 0..n-1 and a d-dimensional quadratic that
+    builds their draws and takes no step (``_no_step``)."""
+    problem, x1 = problems.make_quadratic(np.ones(d), np.zeros(d)), np.zeros(d)
+    return functools.partial(algorithms._batch, _no_step, problem, model, None, steps, x1,
+                             range(n), False)
+
+
+def _no_step(problem, param, steps, x1, draws, record):
+    """A loop that takes no step: zero summaries, gaps and clips for ``draws.n`` rows at
+    ``x1``, and the draws it was given in the step table's place."""
+    zeros = np.zeros(draws.n)
+    return zeros, zeros, zeros, np.tile(x1, (draws.n, 1)), draws
 
 
 def _schedule(mode: str, problem, x1, sigma: float, horizon: int,
@@ -261,12 +283,27 @@ def schedule_lines(horizon: int, repeat: int):
               f"pair {pair_ns:8.1f} ns/call")
 
 
-def draws_lines(sizes, repeat: int):
+def draws_rows(sizes):
+    """(label, run, builds, seeds, steps) of each draws row; ``run`` builds the draws
+    ``builds`` times, enough for ``DRAWS_SEED_STEPS`` seed-steps, so that a one-seed
+    build's ~0.1 ms is not timed alone."""
+    model = noise.TwoPointNoise(p=1.5, sigma=0.25, q=0.1)
     for name, n, d, steps in sizes:
-        model = noise.TwoPointNoise(p=1.5, sigma=0.25, q=0.1)
-        seconds = _best(lambda: _draws(model, d, steps, n), repeat)
-        print(f"draws {name:<13} n={n:<5} d={d:<3} T={steps:<6} {seconds * 1e3:9.1f} ms "
-              f"{seconds / n * 1e6:8.1f} us/seed {seconds / (n * steps) * 1e9:7.2f} ns/seed-step")
+        build, builds = _draws_run(model, d, steps, n), -(-DRAWS_SEED_STEPS // (n * steps))
+        yield (f"draws {name:<13} n={n:<5} d={d:<3} T={steps:<6}",
+               functools.partial(_repeat, build, builds), builds, n, steps)
+
+
+def _repeat(fn, times: int):
+    for _ in range(times):
+        fn()
+
+
+def draws_lines(sizes, repeat: int):
+    for label, run, builds, n, steps in draws_rows(sizes):
+        seconds = _best(run, repeat) / builds
+        print(f"{label} {seconds * 1e3:9.1f} ms {seconds / n * 1e6:8.1f} us/seed "
+              f"{seconds / (n * steps) * 1e9:7.2f} ns/seed-step")
 
 
 def _at_threshold(fn, fork_from: float):
@@ -354,7 +391,7 @@ def main(argv=None) -> int:
     clip_lines(TINY_CLIP_SIZE if args.tiny else CLIP_SIZE, steps, repeat)
     moments_line(TINY_MOMENTS if args.tiny else MOMENTS, repeat)
     schedule_lines(TINY_TABLE_T if args.tiny else TABLE_T, repeat)
-    draws_lines(sizes, repeat)
+    draws_lines(TINY_DRAWS_SIZES if args.tiny else DRAWS_SIZES, repeat)
     sweep_lines(TINY_SWEEPS if args.tiny else SWEEPS, repeat)
     rates_line(TINY_RATES if args.tiny else RATES, repeat)
     record_lines(TINY_RECORD if args.tiny else RECORD, repeat)
