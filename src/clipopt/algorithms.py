@@ -40,12 +40,21 @@ buffers its step table reads (the iterates, ASMD's query points, the clipped
 gradients, the parameter-free eta and lambda) span the horizon, so the table is
 views of them.  Window sizes do not change a bit.
 
-The levels make clipping rare, so the mirror-descent loop checks it once a
-window.  A window's first step is tested: its dual norms go into one (n,) row
-(``dual_norm_many(G, out)``), and only when some row's norm is over its
-level (or NaN) does it clip the noisy gradient and count the rows it clipped.
-The other steps take no norm and run no test, unless the first step or the
-window before clipped, which makes the whole window run tested.  (So a replay
+The levels make clipping rare, so a clip test is first a bound: one
+``dual_norm_bound`` over the noisy gradients it covers (their largest
+coordinate magnitude, times sqrt(d) on l2) against the least of their levels.
+Only when the bound is not at or below that level (an inf or NaN gradient
+always fails it) does the test take the exact dual norms, into one (n,) row
+(``dual_norm_many(G, out)``), and only when some row's norm is over its level
+(or NaN) does it clip the noisy gradient and count the rows it clipped.  A
+stretch that already clips skips the bound and takes the norms at once: a
+window running tested in the mirror-descent loop, and the step after a clip
+in the accelerated one.  A row under its level keeps the factor 1 and is not
+counted, so a test the bound passes changes no bit.
+
+The mirror-descent loop also checks the clip once a window.  A window's first
+step is tested.  The other steps take no norm and run no test, unless the first
+step or the window before clipped, which makes the whole window run tested.  (So a replay
 never restarts from the state a window starts from, which an unrecorded window
 overwrites, and a run that clips at every step runs no untested pass.)  The
 untested steps run in a tight loop over the window's slots, step sizes and step
@@ -53,16 +62,17 @@ numbers, whose only calls are the gradient, ``np.add``, the draws' ``slab`` and
 the mirror step, each bound to a local once a run (not at import, so a wrapper
 installed on them before the run is what runs); the tested step is written
 once, for a window's first step, a window run tested and a replay.  After the
-untested steps one ``dual_norm_many`` over their noisy gradients and one
+untested steps one bound over their noisy gradients against their least level
+passes the window as a rule; else one ``dual_norm_many`` over them and one
 comparison with their levels find the first step with a row over its level or NaN; from it
 the loop runs again, tested, from the state before it (its slot of the
 iterate window, and for the parameter-free mode the displacement row it
 keeps per step).  A step with no such row would keep the factor 1 for every
 row and count none, so skipping its test keeps the bits, and the steps before
-the replayed one are the tested ones.  The accelerated loop tests every step:
-at the size it runs on a worker (250 seeds, d = 32) its window is 2 steps, and
-a step is bound by per-element work, so a window's fixed cost could exceed
-what skipping its tests saves.
+the replayed one are the tested ones.  The accelerated loop tests every step,
+each by its bound first: at the size it runs on a worker (250 seeds, d = 32)
+its window is 2 steps, too short for a once-a-window check to pay, and the
+bound already makes a passing test one ``abs`` and one ``max``.
 
 ``run_*_batch`` advances many seeds in lockstep (used by the experiment
 harness and ``diagnose``); ``run_*`` is the one-seed batch on its oracle's
@@ -292,17 +302,21 @@ def _running_sum(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
 # the transpose of a C-ordered (d, n) block, so the state stays seed-contiguous;
 # every step writes into window slots made before the loop (``S`` holds eta * G and
 # alpha * Z); a window's step sizes, levels and weights are Python floats (the
-# parameter-free mode's are per row); a tested step takes its norms into one reused
-# (n,) row ``nrm`` and clips when the largest is over the level or NaN (``argmax``
-# takes the first NaN as the largest, and is cheaper than a reduction; the
+# parameter-free mode's are per row); a tested step first compares the geometry's
+# ``dual_norm_bound`` of its gradients with its least level (the parameter-free mode's
+# ``lam.min()``), and only if the bound is not at or below it takes its norms into
+# one reused (n,) row ``nrm`` and clips when the largest is over the level or NaN
+# (``argmax`` takes the first NaN as the largest, and is cheaper than a reduction; the
 # parameter-free mode compares each row with its own level); a row it leaves alone
 # gets the factor 1, so skipping the clip keeps the bits (the baseline's level is
-# +inf: it clips only at a NaN norm); a row is counted clipped when its norm is over
-# the level.  ``_descent`` tests a window's first step, and the rest only if that
-# step or the window before clipped; otherwise it runs the rest in a tight loop with
-# no test (gradient, noise add, mirror step, each through a local bound once a run),
-# then checks their norms at once and replays from the first that clips (module
-# docstring); ``_asmd`` tests every step.  A window's steps write from slot ``at`` of
+# +inf: it clips only at a NaN norm, whose bound is NaN); a row is counted clipped
+# when its norm is over the level.  ``_descent`` tests a window's first step, and the
+# rest only if that step or the window before clipped, and then with no bound;
+# otherwise it runs the rest in a tight loop with no test (gradient, noise add,
+# mirror step, each through a local bound once a run), then checks their bound, and
+# their norms if it fails, at once and replays from the first that clips (module
+# docstring); ``_asmd`` tests every step, by the bound unless the step before
+# clipped.  A window's steps write from slot ``at`` of
 # the buffers a step table reads (its first step's if they span the horizon, else 0)
 # through per-window slices of their slot lists; each returns (summary, final_gap,
 # clip counts, final rows, step table or None) --
@@ -346,6 +360,7 @@ def _descent(problem, levels, steps, x1, noise, record, metric):
     # the calls a step makes, bound here (not at import, so a wrapper installed on the
     # problem's gradient or the geometry's step is what runs)
     grad_many, add, slab, step = problem.grad_many, np.add, noise.slab, geom.mirror_step_many
+    bound = geom.dual_norm_bound
     K = window_steps(steps, d, n)
     span = K if not record else steps  # the steps held by the buffers a step table reads
     (xw, xs), (gw, gs), (fw, fs) = _slots(span + 1, n, d), _slots(span, n, d), _slots(K, n, d)
@@ -385,11 +400,12 @@ def _descent(problem, levels, steps, x1, noise, record, metric):
         while True:  # tested steps from j: to the window's end if ``tested``, else step 0
             for i, (eta, lam) in enumerate(pairs(lo, at, j, k), j):
                 G = add(grad_many(X, fs[i]), slab(lo + i + 1), go[i])
-                geom.dual_norm_many(G, nrm)
-                if not (nrm[nrm.argmax()] <= lam if not per_row else (nrm <= lam).all()):
-                    clip_batch(G, lam, nrm, out=G)
-                    clipped += nrm > lam
-                    tested = hit = True
+                if tested or not bound(G) <= (lam if not per_row else lam.min()):
+                    geom.dual_norm_many(G, nrm)
+                    if not (nrm[nrm.argmax()] <= lam if not per_row else (nrm <= lam).all()):
+                        clip_batch(G, lam, nrm, out=G)
+                        clipped += nrm > lam
+                        tested = hit = True
                 X = step(X, G, eta, xo[i], S)
                 if not tested:
                     break
@@ -398,12 +414,15 @@ def _descent(problem, levels, steps, x1, noise, record, metric):
             for F, G, Xn, t, eta in zip(fs[1:k], go[1:k], xo[1:k], range(lo + 2, lo + k + 1),
                                         sizes(lo, at, 1, k)):  # steps 1..k-1, untested
                 X = step(X, add(grad_many(X, F), slab(t), G), eta, Xn, S)
-            # steps 1..k-1 ran untested: their norms at once (the largest against the least
-            # level first); if a row is over its level (or NaN) at some step, the steps from
-            # the first such one run again, tested
+            # steps 1..k-1 ran untested: their bound, then their norms at once (the largest
+            # against the least level first); if a row is over its level (or NaN) at some
+            # step, the steps from the first such one run again, tested
             lam_k = lam_w[at + 1:at + k] if per_row else lams[lo + 1:lo + k, None]
+            least = lam_k.min()
+            if bound(gw[at + 1:at + k]) <= least:
+                break
             over = geom.dual_norm_many(gw[at + 1:at + k], norms[:k - 1])
-            if over.max() <= lam_k.min():
+            if over.max() <= least:
                 break
             clean = np.less_equal(over, lam_k).all(1)
             if clean.all():
@@ -426,6 +445,7 @@ def _asmd(problem, schedule, steps, y1, noise, record):
     (yw, ys), (zw, zs), (xw, xs), (gw, gs) = (_slots(span + s, n, d) for s in (1, 1, 0, 0))
     Y, Z = (_start(problem, y1, slots[0]) for slots in (ys, zs))  # z_1 = y_1
     S, nrm, clipped = _rows(n, d), np.empty(n), np.zeros(n)
+    bound, hit = geom.dual_norm_bound, False  # whether the step before clipped
     for lo in range(0, steps, K):
         k = min(K, steps - lo)
         at = lo if record else 0
@@ -437,10 +457,12 @@ def _asmd(problem, schedule, steps, y1, noise, record):
             Xq = geom.mix_many(Y, Z, alpha, out=xo[i], scratch=S)
             G = problem.grad_many(Xq, out=go[i])
             G += noise.slab(lo + i + 1)
-            geom.dual_norm_many(G, out=nrm)
-            if not (nrm[nrm.argmax()] <= lam):
-                clip_batch(G, lam, nrm, out=G)
-                clipped += nrm > lam
+            if hit or not bound(G) <= lam:
+                geom.dual_norm_many(G, out=nrm)
+                hit = not (nrm[nrm.argmax()] <= lam)
+                if hit:
+                    clip_batch(G, lam, nrm, out=G)
+                    clipped += nrm > lam
             Z = geom.mirror_step_many(Z, G, eta, out=zo[i], scratch=S)
             Y = geom.mix_many(Y, Z, alpha, out=yo[i], scratch=S)
     tab = None

@@ -13,11 +13,20 @@ proximal step has a closed form.  All functions are pure, except that the row
 norms, step and mix write into a caller's ``out`` array when given one, and the
 step and mix their scaled term into a caller's ``scratch`` array; ``Geometry``
 values are immutable and safe to share across threads.
+
+A clip test asks whether every row's dual norm is at most a level, and almost
+always it is.  ``dual_norm_bound`` answers it for a whole block from its largest
+coordinate magnitude m (one ``abs`` and one ``max`` over the block): the
+l-infinity norm is m itself, and an l2 norm is at most sqrt(d) m, widened past
+the rounding of the computed norm.  A block that passes its bound needs no
+norms; one that does not takes them, and so does a block holding an inf (its
+bound is inf) or a NaN (its bound is NaN, which passes no level).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,6 +53,9 @@ _SIMPLEX_FLOOR = operand(np.nextafter(0.0, 1.0))
 _ZERO = operand(0.0)
 # below this l2 norm a row's sum of squares is not a normal double
 _SQRT_TINY = np.sqrt(np.finfo(float).tiny)
+# up to this l2 norm bound no partial sum of a row's squares overflows (2^511 = sqrt(2^1022))
+_SQRT_HUGE = 2.0 ** 511
+_max = np.maximum.reduce
 
 
 class GeometryError(ValueError):
@@ -144,12 +156,20 @@ class Geometry:
     dim: int
     radius: float = 0.0
     center: np.ndarray | None = None
+    # c of ``dual_norm_bound``: 1 for l-infinity, sqrt(d) widened past rounding for l2
+    bound_factor: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in (EUCLIDEAN, BALL, SIMPLEX):
             raise GeometryError(f"unknown geometry kind {self.kind!r}")
         if self.dim < 1:
             raise GeometryError("dimension must be >= 1")
+        # a computed sum of d squares, each at most m^2 (normal), is at most about
+        # d m^2 (1 + d 2^-53) in any order and with or without fused multiply-adds, and its
+        # square root rounds once more; (d + 8) 2^-52 covers those, the roundings of sqrt(d),
+        # of this product and of c m, with room to spare
+        c = 1.0 if self.kind == SIMPLEX else math.sqrt(self.dim) * (1 + (self.dim + 8) * 2.0 ** -52)
+        object.__setattr__(self, "bound_factor", c)
         if self.kind == BALL:
             if not self.radius > 0:
                 raise GeometryError("ball radius must be positive")
@@ -192,6 +212,24 @@ class Geometry:
             return np.maximum.reduce(np.abs(V), -1, None, out)
         sq = coord_dot(V, V, out)
         return np.sqrt(sq, sq)
+
+    def dual_norm_bound(self, V: np.ndarray) -> float:
+        """An upper bound on every row's ``dual_norm_many`` in an (..., dim) block, from its
+        largest coordinate magnitude m alone: ``bound_factor * m``, NaN if the block holds a
+        NaN.  On the simplex it is m, the largest row norm exactly.
+
+        On l2, m is taken at least sqrt(tiny) (2^-511), below which squares lose relative
+        precision: a sum of d squares each at most m^2 is, rounded, at most that of d copies
+        of m^2.  Past a bound of 2^511, where a row's sum of squares might overflow to an
+        infinite norm, the bound is +inf.  A caller tests ``not bound <= level``, so a NaN
+        or infinite block always takes the exact norms.
+        """
+        top = _max(np.abs(V), None)  # NaN if the block holds one
+        if self.kind == SIMPLEX:
+            return top
+        if top > _SQRT_HUGE / self.bound_factor:
+            return np.inf
+        return self.bound_factor * (top if not top < _SQRT_TINY else _SQRT_TINY)
 
     # -- mirror map ---------------------------------------------------------
 

@@ -30,10 +30,11 @@ def test_ab_layers_tiny_prints_every_row():
     spec.loader.exec_module(bench)
     kernels = len(bench.TINY_KERNEL_SIZES) * sum(algorithm in bench.KERNEL_ALGORITHMS
                                                 for algorithm, *_ in bench.CASES)
-    steps = len(bench.TINY_SIZES) * len(bench.CASES) + kernels + len(bench.CLIP_LEVELS)
+    clipsteps = sum(len(case[-1]) for case in bench.TINY_CLIP_CASES)
+    steps = len(bench.TINY_SIZES) * len(bench.CASES) + kernels + clipsteps
     assert [row[1] for row in rows] == (["step"] * len(bench.TINY_SIZES) * len(bench.CASES)
                                         + ["kernel"] * kernels
-                                        + ["clipstep"] * len(bench.CLIP_LEVELS)
+                                        + ["clipstep"] * clipsteps
                                         + ["draws"] * len(bench.TINY_DRAWS_SIZES)
                                         + ["sweep"] * len(bench.TINY_SWEEPS))
     assert [row[4] for row in rows] == (["ns/seed-step"] * steps

@@ -505,6 +505,39 @@ def test_no_clipping_when_level_dominates():
     assert np.all(prob.geometry.dual_norm_many(grads) <= rec.table.lam[0])
 
 
+def count_exact_norms(monkeypatch):
+    """A list that collects the block shape of each ``Geometry.dual_norm_many`` call made
+    from now on in the test."""
+    calls, dual_norm_many = [], geometry.Geometry.dual_norm_many
+
+    def counted(self, V, out=None):
+        calls.append(V.shape)
+        return dual_norm_many(self, V, out)
+
+    monkeypatch.setattr(geometry.Geometry, "dual_norm_many", counted)
+    return calls
+
+
+@pytest.mark.parametrize("algorithm", ["smd", "asmd"])
+def test_an_unclipped_run_takes_no_dual_norm(monkeypatch, algorithm):
+    """On the heavy-tail demo's problem, noise and known-T schedule (its levels make
+    clipping rare), a run in which no seed clips passes every clip test by its bound and
+    never calls ``dual_norm_many``."""
+    from clipopt import config
+
+    steps, n = 256, 40
+    cfg = config.load_config(DEMO_CONFIGS / "smd_heavy_tail.cfg",
+                             [f"experiment.algorithm={algorithm}",
+                              f"schedule.mode={algorithm}_known_t", f"experiment.t={steps}"])
+    prob, x1 = config.build_problem(cfg)
+    model, sched = config.build_noise(cfg), config.build_schedule(cfg, prob, x1)
+    calls = count_exact_norms(monkeypatch)
+    run = {"smd": algos.run_smd_batch, "asmd": algos.run_asmd_batch}[algorithm]
+    res = run(prob, model, sched, steps, x1, range(n))
+    assert not res.clipped_fraction.any() and not res.diverged.any()
+    assert calls == []
+
+
 def test_batch_peak_memory_is_one_noise_block():
     """A two-point batch holds less than half a dense noise block, all told.
 
@@ -860,13 +893,18 @@ def reference_geometry(kind, d):
 
 def reference_case(scenario, kind, d, K):
     """(problem, start, levels, draws) of one scenario at loop windows of K steps: level 2
-    and step 0.1, with noise spikes of 10 (over the level) or a NaN placed on seed 1."""
+    and step 0.1, with noise spikes of 10 (over the level) or a NaN placed on seed 1; in
+    ``bound-only``, level 12 and spikes of 10 at a window's first and middle steps, which
+    no l2 norm passes but sqrt(d) times the largest coordinate does."""
     steps, n = REF_STEPS, REF_SEEDS
     prob, x1 = reference_geometry(kind, d)
     block = np.zeros((steps, d, n))
     lo = K if 2 * K <= steps else 0  # the second window, or the only one
     lam = 2.0
-    if scenario.startswith("window-"):  # the first clip at the window's first, middle or last step
+    if scenario == "bound-only":
+        block[[lo, lo + K // 2], 0, 1] = REF_SPIKE
+        lam = 1.2 * REF_SPIKE
+    elif scenario.startswith("window-"):  # the first clip at the window's first, middle or last step
         block[lo + {"first": 0, "middle": K // 2, "last": K - 1}[scenario[7:]], 0, 1] = REF_SPIKE
     elif scenario == "every-step":
         lam = 1e-3
@@ -898,6 +936,7 @@ REF_GEOMETRIES = [(kind, d) for kind in ("euclidean", "ball", "simplex") for d i
 REF_CASES = ([(scenario, kind, d) for scenario in
               ("clean", "window-first", "window-middle", "window-last", "every-step", "nan-row",
                "spikes") for kind, d in REF_GEOMETRIES]
+             + [("bound-only", kind, d) for kind, d in REF_GEOMETRIES]
              + [("baseline-nan", "euclidean", d) for d in (2, 4, 32)]
              + [("param-free", kind, d) for kind in ("euclidean", "ball") for d in (2, 4, 32)])
 
@@ -909,8 +948,10 @@ def test_descent_equals_a_step_by_step_loop(monkeypatch, scenario, kind, d):
     loop's bit for bit; it reads each step's noise once, and a second time only in a
     replay: from the first step after a window's first with a row over its level or NaN,
     in a window whose first step and the window before did not clip.  ``clip_batch`` runs
-    once at each step with such a row and at no other (never in a clean run)."""
-    calls = []
+    once at each step with such a row and at no other (never in a clean run).  The exact
+    dual norms run at no step of a clean run, whose every test its bound passes, and at
+    some step of an l2 ``bound-only`` run, where the bound fails and nothing clips."""
+    calls, exact = [], count_exact_norms(monkeypatch)
     steps, n = REF_STEPS, REF_SEEDS
 
     def spy(G, level, norms=None, out=None):
@@ -931,11 +972,16 @@ def test_descent_equals_a_step_by_step_loop(monkeypatch, scenario, kind, d):
             want, table, fired, dirty = reference_descent(prob, levels, steps, x1, draws, metric)
         assert {"clean": not dirty.any(), "every-step": dirty.all(),
                 "param-free": dirty[0] and (fired & ~dirty).any(),
-                "spikes": dirty.any() and not dirty.all()}.get(scenario, dirty.any())
+                "spikes": dirty.any() and not dirty.all(),
+                "bound-only": not dirty.any()}.get(scenario, dirty.any())
         for record in (True, False):
-            reads, calls[:] = ReadDraws(draws), []
+            reads, calls[:], exact[:] = ReadDraws(draws), [], []
             with np.errstate(over="ignore", invalid="ignore"):
                 got = algos._descent(prob, levels, steps, x1, reads, record, metric)
+            if scenario == "clean" or (scenario == "bound-only" and kind == "simplex"):
+                assert exact == []
+            elif scenario == "bound-only":
+                assert exact
             for one, other in zip(got[:4], want):
                 assert one.shape == other.shape and one.tobytes() == other.tobytes()
             assert reads.reads == expected_reads(dirty, steps, K)
@@ -950,3 +996,108 @@ def test_descent_equals_a_step_by_step_loop(monkeypatch, scenario, kind, d):
                                 and one.tobytes() == other.tobytes()), field.name
             else:
                 assert got[4] is None
+
+
+# -- the accelerated loop against a plain step-by-step loop that takes every step's dual
+# norms: the loop passes a step by its bound (sqrt(d) times the largest coordinate on l2)
+# and takes the norms only when the bound fails or the step before clipped --
+
+
+def reference_asmd(prob, table, steps, y1, draws):
+    """Accelerated mirror descent one step at a time, each step taking its dual norms and
+    clipping (``clipping.clip_batch``) when the largest is over the level or NaN, counting
+    the rows over it.  Returns the loop's (summary, final gap, clip counts, final rows), its
+    step table's fields, and per step whether the test fired and whether it failed the
+    bound."""
+    n, d = draws.n, prob.dim
+    geom = prob.geometry
+    Y = algos._rows(n, d)
+    Y[...] = y1
+    Z, clipped = Y.copy(order="K"), np.zeros(n)
+    xs, gs, ys, zs, fired, unbounded = [], [], [Y], [Z], [], []
+    for t in range(1, steps + 1):
+        alpha, eta, lam = (float(a[t - 1]) for a in (table.alpha, table.eta, table.lam))
+        X = geom.mix_many(Y, Z, alpha)
+        G = prob.grad_many(X) + draws.slab(t)
+        nrm = geom.dual_norm_many(G)
+        fired.append(not nrm.max() <= lam)
+        unbounded.append(not geom.dual_norm_bound(G) <= lam)
+        if fired[-1]:
+            G = clipping.clip_batch(G, lam, nrm)
+            clipped += nrm > lam
+        Z = geom.mirror_step_many(Z, G, eta)
+        Y = geom.mix_many(Y, Z, alpha)
+        xs.append(X)
+        gs.append(G)
+        ys.append(Y)
+        zs.append(Z)
+    gaps = prob.gap_many(Y)
+    fields = {"eta": np.broadcast_to(table.eta, (n, steps)),
+              "lam": np.broadcast_to(table.lam, (n, steps)), "x": np.stack(xs, 1),
+              "grad_clipped": np.stack(gs, 1), "alpha": table.alpha, "y": np.stack(ys, 1),
+              "z": np.stack(zs, 1)}
+    return (gaps, gaps, clipped, Y), fields, np.array(fired), np.array(unbounded)
+
+
+def reference_asmd_case(scenario, kind, d):
+    """(problem, start, schedule, draws): the known-T accelerated schedule at 1/1000 of its
+    step sizes (the iterates stay within ~1 of the start) with its least level, at t = T,
+    scaled to 10.  Noise on seed 0 at steps 3 and 12 and on seed 2 at step 13 (the step
+    after a clip): ``spikes`` of 10 times the step's level; ``bound-only`` spikes of 0.85
+    times it, under the level in l2 and over it times sqrt(d); an inf at step 8
+    (``inf-row``) or a NaN at step 20 (``nan-row``) on seed 1."""
+    steps, n = REF_STEPS, REF_SEEDS
+    prob, y1 = reference_geometry(kind, d)
+    inputs = smd_inputs(prob, y1, sigma=1.0, horizon=steps)
+    base = schedules.Schedule("asmd_known_t", inputs)
+    sched = schedules.Schedule("asmd_known_t", inputs, eta_scale=1e-3,
+                               lambda_scale=10.0 / base.lam(steps))
+    lam = sched.table(steps).lam
+    block = np.zeros((steps, d, n))
+    spikes = {"spikes": 10.0, "bound-only": 0.85}.get(scenario)
+    if spikes:
+        for t, seed in ((3, 0), (12, 0), (13, 2)):
+            block[t - 1, 0, seed] = spikes * lam[t - 1]
+    elif scenario == "inf-row":
+        block[7, 0, 1] = np.inf
+    elif scenario == "nan-row":
+        block[19, d - 1, 1] = np.nan
+    return prob, y1, sched, DenseDraws(block)
+
+
+@pytest.mark.parametrize("scenario", ["clean", "spikes", "bound-only", "inf-row", "nan-row"])
+@pytest.mark.parametrize("kind, d", REF_GEOMETRIES)
+def test_asmd_equals_a_step_by_step_loop(monkeypatch, scenario, kind, d):
+    """Recorded or not, at windows of 1, 7 and the default number of steps, the accelerated
+    loop's summary, final gap, clip counts, final rows and step table equal those of a loop
+    that takes every step's dual norms, bit for bit.  The loop takes the norms at no step
+    of a clean run, and at a ``bound-only`` run's spikes on l2, which fail the bound and
+    clip nothing."""
+    steps, exact = REF_STEPS, count_exact_norms(monkeypatch)
+    prob, y1, sched, draws = reference_asmd_case(scenario, kind, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want, table, fired, unbounded = reference_asmd(prob, sched.table(steps), steps, y1,
+                                                       draws)
+    assert {"clean": not unbounded.any(), "spikes": fired[[2, 11, 12]].all(),
+            "bound-only": not fired.any() and (kind == "simplex") != unbounded[2],
+            "inf-row": fired[7], "nan-row": fired[19:].all()}[scenario]
+    assert not fired[:2].any() and not fired[3:7].any()  # no clip before the noise
+    for window in (None, 1, 7):
+        if window is not None:
+            monkeypatch.setattr(nz, "_WINDOW_BYTES", 8 * d * REF_SEEDS * window)
+        for record in (True, False):
+            exact[:] = []
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = algos._asmd(prob, sched, steps, y1, draws, record)
+            for one, other in zip(got[:4], want):
+                assert one.shape == other.shape and one.tobytes() == other.tobytes()
+            if scenario == "clean":
+                assert exact == []
+            elif scenario == "bound-only":
+                assert len(exact) == (0 if kind == "simplex" else 3)
+            if not record:
+                assert got[4] is None
+                continue
+            for field in dataclasses.fields(algos.StepTable):
+                one, other = getattr(got[4], field.name), table[field.name]
+                assert one.shape == other.shape and one.tobytes() == other.tobytes(), field.name

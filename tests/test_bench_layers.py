@@ -31,10 +31,13 @@ def test_bench_layers_tiny_prints_every_layer(capsys):
     assert [row[1:4] for row in param_free] == [[name, f"n={n}", f"d={d}"]
                                                 for name, n, d, _ in bench.TINY_SIZES]
     clipsteps = [line.split() for line in lines if line.startswith("clipstep ")]
-    assert [row[5] for row in clipsteps] == [f"level={level:g}" for level in bench.CLIP_LEVELS]
+    assert [row[1:6] for row in clipsteps] == [
+        [name, f"n={n}", f"d={d}", f"{algorithm}/{kind}", f"level={level:g}"]
+        for name, n, d, algorithm, kind, levels in bench.TINY_CLIP_CASES for level in levels]
     assert all(float(row[-3]) > 0 for row in clipsteps)
-    every, rare = (float(row[-1].removeprefix("clipped=")) for row in clipsteps)
-    assert every == 1.0 and 0 < rare < 0.5  # every seed-step clips, then some
+    shares = [float(row[-1].removeprefix("clipped=")) for row in clipsteps]
+    for every, rare in zip(shares[::2], shares[1::2]):  # every seed-step clips, then some
+        assert every == 1.0 and 0 < rare < 0.5
     moments = [line.split() for line in lines if line.startswith("moments ")]
     assert len(moments) == 1 and moments[0][3::5] == ["two_point", "radial"]
     assert moments[0][5::5] == ["ms", "ms"] and moments[0][7::5] == ["us/point", "us/point"]

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from clipopt import geometry as geo
@@ -88,6 +90,86 @@ def test_l2_dual_norm_is_the_norm_and_does_not_underflow(make):
         assert g.dual_norm(v) == g.norm(v)
     hypot = np.hypot(1e-300, 1e-300)
     assert abs(g.dual_norm([1e-300, 1e-300]) - hypot) <= np.spacing(hypot)
+
+
+MAKERS = {"euclidean": geo.euclidean, "ball": lambda d: geo.ball(d, radius=1.0),
+          "simplex": geo.simplex}
+SPECIALS = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def bound_blocks(draw):
+    """A geometry and an (n, d) or (k, n, d) block, C-ordered or seed-contiguous, of
+    coordinates +-m, fractions of m (m from 1e-300 to 1e300: a row of d copies of +-m is the
+    l2 bound's tightest case), and a few of +-0.0, the least subnormal, inf and NaN."""
+    kind = draw(st.sampled_from(sorted(MAKERS)))
+    d = draw(st.sampled_from([1, 2, 3, 9, 32, 129]))
+    shape = draw(st.sampled_from([(1,), (3,), (2, 2)])) + (d,)
+    # exponents over the whole range, and more often where squares are subnormal or overflow
+    exponent = st.integers(-300, 299) | st.integers(-163, -153) | st.integers(150, 156)
+    m = draw(st.floats(1.0, 10.0)) * 10.0 ** draw(exponent)
+    size = int(np.prod(shape))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # a drawn share of the coordinates at +-m, the rest at +-m times a uniform fraction
+    at_m = rng.random(shape) < draw(st.floats(0.0, 1.0))
+    block = rng.choice([-m, m], shape) * np.where(at_m, 1.0, rng.random(shape))
+    for i, value in draw(st.lists(st.tuples(st.integers(0, size - 1), st.sampled_from(SPECIALS)),
+                                  max_size=3)):
+        block.flat[i] = value
+    if draw(st.booleans()):  # the loops' layout: each coordinate's rows adjacent
+        block = np.ascontiguousarray(block.swapaxes(-1, -2)).swapaxes(-1, -2)
+    return MAKERS[kind](d), block
+
+
+@settings(max_examples=400, deadline=None)
+@given(bound_blocks(), st.floats(0.0, 1e300))
+# a square that rounds up to the least subnormal (its norm is 1.15 m), and rows whose
+# squares overflow where m does not
+@example((geo.euclidean(1), np.array([[1.924965543538208e-162]])), 0.0)
+@example((geo.ball(2, 1.0), np.array([[1e154, -1e154]])), 1e300)
+def test_dual_norm_bound_covers_every_row(case, level):
+    """A block whose bound is at or below a level has every computed dual norm at or below
+    it too; a block holding a NaN or an inf passes no finite level; on the simplex the bound
+    is the largest row norm exactly.  Levels tried: the bound itself, the ulp below and above
+    it, and a drawn one."""
+    geom, V = case
+    with np.errstate(over="ignore"):
+        norms = geom.dual_norm_many(V)
+    bound = geom.dual_norm_bound(V)
+    assert np.isnan(bound) == np.isnan(V).any() == np.isnan(norms).any()
+    if not np.isfinite(V).all():
+        assert not bound <= np.finfo(float).max
+    if geom.kind == geo.SIMPLEX:
+        assert bound == norms.max() or np.isnan(bound)
+    elif np.isfinite(bound):  # no looser than sqrt(d) m, m at least 2^-511
+        assert bound <= math.sqrt(geom.dim) * max(np.abs(V).max(), 2.0 ** -511) * (1 + 1e-13)
+    for lam in (bound, np.nextafter(bound, 0.0), np.nextafter(bound, np.inf), level):
+        if bound <= lam:
+            assert norms.max() <= lam
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 9, 32, 129])
+@pytest.mark.parametrize("m", [3e-160, 2.0 ** -511, 0.1, 1.0 / 3.0, 7.0, 1e150])
+@pytest.mark.parametrize("make", [geo.euclidean, lambda d: geo.ball(d, 1.0)])
+def test_a_row_one_ulp_over_its_level_fails_the_bound(d, m, make):
+    """A row of d copies of m, the l2 bound's tightest case: at a level one ulp under its
+    computed norm the bound does not pass and the exact test finds the row over the level;
+    at the norm itself the bound is at least the norm."""
+    g = make(d)
+    V = np.full((1, d), m)
+    norm = g.dual_norm_many(V)[0]
+    under = np.nextafter(norm, 0.0)
+    assert not g.dual_norm_bound(V) <= under and norm > under
+    assert g.dual_norm_bound(V) >= norm
+    assert g.bound_factor >= math.sqrt(d) and g.bound_factor <= math.sqrt(d) * (1 + 1e-13)
+
+
+def test_simplex_dual_norm_bound_is_the_largest_coordinate():
+    g = geo.simplex(3)
+    V = np.array([[0.5, -2.0, 1.0], [-0.0, 0.0, 1.5]])
+    assert g.bound_factor == 1.0 and g.dual_norm_bound(V) == 2.0 == g.dual_norm_many(V).max()
+    assert np.isnan(g.dual_norm_bound(np.array([[np.nan, 1.0, 0.0]])))
+    assert g.dual_norm_bound(np.array([[-np.inf, 1.0, 0.0]])) == np.inf
 
 
 def test_norm_dimension_mismatch():

@@ -87,7 +87,7 @@ def rows(bench, tiny: bool):
                 bench.TINY_KERNEL_SIZES if tiny else bench.KERNEL_SIZES, steps)]
     out += [(label, run, seed_steps * 1e-9, "ns/seed-step")
             for label, run, seed_steps, _ in bench.clip_rows(
-                bench.TINY_CLIP_SIZE if tiny else bench.CLIP_SIZE, steps)]
+                bench.TINY_CLIP_CASES if tiny else bench.CLIP_CASES, steps)]
     out += [(label, run, builds * n * 1e-6, "us/seed") for label, run, builds, n, _ in
             bench.draws_rows(bench.TINY_DRAWS_SIZES if tiny else bench.DRAWS_SIZES)]
     out += [(label + " W=1", bench._at_threshold(run, float("inf")), 1e-3, "ms")

@@ -14,11 +14,16 @@ Prints, one line each:
   geometry's ``mirror_step_many``, called in a plain loop on fixed buffers (no
   windows, draws, schedule pairs or clip test), so that the step row less the
   kernel row is what the loop spends around the arithmetic;
-* the step time of Euclidean SMD steps that clip, at two levels (the share of
-  seed-steps clipped is printed): at 1, below the spikes, every step clips;
-  at 4.5, just over the gradient's norm at the start, 1.1% of the seed-steps
-  clip, so the loop's once-a-window check finds a clip in some windows and
-  replays their steps from it;
+* the step time of steps that clip, each at two first levels (the share of
+  seed-steps clipped is printed), one that clips every step and one that clips
+  few, so that a loop's clip tests find a clip at some steps: Euclidean SMD at
+  the rates-sgd size and at one of two workers' share of run-smd (500 seeds),
+  at 1, below the spikes (every step), and at 4.5, just over the gradient's
+  norm at the start (1.1% of the seed-steps, so the once-a-window check finds a
+  clip in some windows and replays their steps from it); accelerated SMD on
+  the simplex at one of two workers' share of asmd-simplex (250 seeds, d = 32),
+  at 1e-3 (every step) and at 500, whose levels fall below the spikes late in
+  the run (1.6%);
 * the exact clipped moments of each noise family at the same 256 points
   (d = 2): ``TwoPointNoise.clipped_moments``, a sum over the support, and
   ``RadialParetoNoise.clipped_moments``, a quadrature; in ms and in us per point;
@@ -88,11 +93,17 @@ CASES = ([("smd", algorithms._smd, g, "smd_known_t") for g in GEOMETRIES]
 KERNEL_ALGORITHMS = ("smd", "sgd")
 KERNEL_SIZES = [size for size in SIZES if size[0] in ("rates-sgd", "diagnose")]
 TINY_KERNEL_SIZES = TINY_SIZES
-# the clipping steps: (name, seeds, dimension) and the levels their schedule is scaled to:
-# 1, below the spikes, clips every seed-step; 4.5, just over the gradient's norm at the
-# start (4), clips 1.1% of the full-size row's seed-steps, most of them early in the run
-CLIP_SIZE, TINY_CLIP_SIZE = ("rates-sgd", 100, 2), ("tiny", 3, 2)
-CLIP_LEVELS = (1.0, 4.5)
+# the clipping steps: (name, seeds, dimension, algorithm, geometry) and the first levels its
+# known-T schedule is scaled to, one that clips every seed-step and one that clips few.  SMD:
+# 1, below the spikes; 4.5, just over the gradient's norm at the start (4), clips 1.1% of
+# the seed-steps, most of them early in the run.  ASMD on the simplex: at 1e-3 every level
+# is below the gradient's; at 500 the levels, falling 256-fold over 512 steps, pass under
+# the spikes late in the run and clip 1.6%
+CLIP_CASES = [("rates-sgd", 100, 2, "smd", "euclidean", (1.0, 4.5)),
+              ("run-smd", 500, 2, "smd", "euclidean", (1.0, 4.5)),
+              ("asmd-simplex", 250, 32, "asmd", "simplex", (1e-3, 500.0))]
+TINY_CLIP_CASES = [("tiny", 3, 2, "smd", "euclidean", (1.0, 4.5)),
+                   ("tiny-simplex", 2, 4, "asmd", "simplex", (1e-3, 8.0))]
 # the moments: query points (d = 2)
 MOMENTS, TINY_MOMENTS = 256, 16
 # the sweeps: (name, config fields), as the benchmark's workloads configure them
@@ -239,20 +250,22 @@ def step_lines(sizes, kernel_sizes, steps: int, repeat: int):
             print(f"{label} {_best(run, repeat) / seed_steps * 1e9:9.1f} ns/seed-step")
 
 
-def clip_rows(size, steps: int):
+def clip_rows(cases, steps: int):
     """(label, run, seed-steps, share of them clipped) of each clipping step row."""
-    name, n, d = size
-    problem, x1 = _problem("euclidean", d)
-    draws = _draws(noise.TwoPointNoise(p=1.5, sigma=0.25, q=0.1), d, steps, n)
-    for level in CLIP_LEVELS:
-        sched = _schedule("smd_known_t", problem, x1, 0.25, steps, level=level)
-        run = functools.partial(_loop, algorithms._smd, problem, sched, steps, x1, draws)
-        yield (f"clipstep {name:<13} n={n:<5} d={d:<3} smd/euclidean level={level:<4g}", run,
-               n * steps, run()[2].sum() / (n * steps))
+    for name, n, d, algorithm, kind, levels in cases:
+        problem, x1 = _problem(kind, d)
+        sigma = 0.5 if kind == "simplex" else 0.25
+        draws = _draws(noise.TwoPointNoise(p=1.5, sigma=sigma, q=0.1), d, steps, n)
+        loop = getattr(algorithms, f"_{algorithm}")
+        for level in levels:
+            sched = _schedule(f"{algorithm}_known_t", problem, x1, sigma, steps, level=level)
+            run = functools.partial(_loop, loop, problem, sched, steps, x1, draws)
+            yield (f"clipstep {name:<13} n={n:<5} d={d:<3} {algorithm}/{kind:<10} "
+                   f"level={level:<4g}", run, n * steps, run()[2].sum() / (n * steps))
 
 
-def clip_lines(size, steps: int, repeat: int):
-    for label, run, seed_steps, share in clip_rows(size, steps):
+def clip_lines(cases, steps: int, repeat: int):
+    for label, run, seed_steps, share in clip_rows(cases, steps):
         print(f"{label} {_best(run, repeat) / seed_steps * 1e9:9.1f} ns/seed-step "
               f"clipped={share:.3f}")
 
@@ -388,7 +401,7 @@ def main(argv=None) -> int:
           f"numpy={np.__version__}")
     steps = TINY_LOOP_STEPS if args.tiny else LOOP_STEPS
     step_lines(sizes, TINY_KERNEL_SIZES if args.tiny else KERNEL_SIZES, steps, repeat)
-    clip_lines(TINY_CLIP_SIZE if args.tiny else CLIP_SIZE, steps, repeat)
+    clip_lines(TINY_CLIP_CASES if args.tiny else CLIP_CASES, steps, repeat)
     moments_line(TINY_MOMENTS if args.tiny else MOMENTS, repeat)
     schedule_lines(TINY_TABLE_T if args.tiny else TABLE_T, repeat)
     draws_lines(TINY_DRAWS_SIZES if args.tiny else DRAWS_SIZES, repeat)
