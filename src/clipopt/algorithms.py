@@ -34,8 +34,10 @@ the new iterate (the accelerated loop's query point, y and z each have a
 window; an iterate's holds the start in slot 0); eta * G (and the accelerated
 mixes' alpha * z) go into one scratch array.  Everything else is done once per
 window of K steps (``noise.window_steps``, the spike window's byte rule): the
-metrics over the window's iterates or gradients and the running sums, added in
-time order (``_running_sum``).  A recorded run takes the same windows, but the
+metrics over the window's iterates or gradients, and the running sum.  The
+mirror-descent loop keeps that sum in row 0 of one C-ordered (K + 1, n) buffer,
+the window's metric writes rows 1..k, and one reduction adds them in time order
+with no copy (``_running_sum``).  A recorded run takes the same windows, but the
 buffers its step table reads (the iterates, ASMD's query points, the clipped
 gradients, the parameter-free eta and lambda) span the horizon, so the table is
 views of them.  Window sizes do not change a bit.
@@ -285,15 +287,15 @@ def _slots(K: int, n: int, d: int):
     return window, list(window)
 
 
-def _running_sum(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``total`` plus each of ``rows`` in turn, the bits of a ``+=`` loop over them.
+def _running_sum(block: np.ndarray) -> np.ndarray:
+    """Row 0 of the C-ordered (k + 1, n) ``block`` (the carried total) plus each of rows
+    1..k in turn, the bits of a ``+=`` loop over them.
 
-    ``np.add.reduce`` over the slow axis of the C-ordered (k + 1, n) block adds
-    one row after another, in time order.  A one-seed block it would sum
-    pairwise, so there ``np.add.accumulate`` adds in sequence.
+    ``np.add.reduce`` over the slow axis adds one row after another, in time
+    order.  A one-seed block it would sum pairwise, so there ``np.add.accumulate``
+    adds in sequence.
     """
-    block = np.concatenate((total[None], rows))
-    if total.size == 1:
+    if block.shape[1] == 1:
         return np.add.accumulate(block, axis=0)[-1]
     return np.add.reduce(block, axis=0)
 
@@ -351,10 +353,11 @@ def _vanilla(problem, eta, steps, x1, noise, record):
 
 def _descent(problem, levels, steps, x1, noise, record, metric):
     """Clipped mirror descent, whose summary is the average of ``metric(xw, fw, out)``:
-    the per-step metric of a window, from its new iterates ``xw`` and the gradients
-    ``fw`` its steps were queried at (the value gap for SMD, the squared gradient
-    norm for SGD, where the l2 mirror step is x - eta * G).  ``levels`` is a schedule
-    table (its step sizes and levels), or the parameter-free mode's ``pair(t, dev)``."""
+    the per-step metric of a window, written into ``out``, from its new iterates ``xw``
+    and the gradients ``fw`` its steps were queried at (the value gap for SMD, the
+    squared gradient norm for SGD, where the l2 mirror step is x - eta * G).  ``levels``
+    is a schedule table (its step sizes and levels), or the parameter-free mode's
+    ``pair(t, dev)``."""
     n, d = noise.n, problem.dim
     geom = problem.geometry
     # the calls a step makes, bound here (not at import, so a wrapper installed on the
@@ -365,8 +368,8 @@ def _descent(problem, levels, steps, x1, noise, record, metric):
     span = K if not record else steps  # the steps held by the buffers a step table reads
     (xw, xs), (gw, gs), (fw, fs) = _slots(span + 1, n, d), _slots(span, n, d), _slots(K, n, d)
     X = _start(problem, x1, xs[0])
-    S, nrm, norms, metric_rows = _rows(n, d), np.empty(n), np.empty((K, n)), np.empty((K, n))
-    metric_sum, clipped = np.zeros(n), np.zeros(n)
+    S, nrm, norms, clipped = _rows(n, d), np.empty(n), np.empty((K, n)), np.zeros(n)
+    sums = np.zeros((K + 1, n))  # the running sum in row 0, then a window's metric rows
     per_row = callable(levels)
     if per_row:
         start, D, devs = np.asarray(x1, dtype=float), np.empty((n, d)), np.zeros((K, n))
@@ -429,11 +432,11 @@ def _descent(problem, levels, steps, x1, noise, record, metric):
                 break
             j = 1 + int(clean.argmin())
             X, tested = xs[at + j], True  # the state before step j
-        rows = metric(xw[at + 1:at + k + 1], fw[:k], metric_rows[:k])
-        metric_sum = _running_sum(metric_sum, rows)
+        metric(xw[at + 1:at + k + 1], fw[:k], sums[1:k + 1])
+        sums[0] = _running_sum(sums[:k + 1])
     tab = StepTable(eta_w.T, lam_w.T, xw.transpose(1, 0, 2),
                     gw.transpose(1, 0, 2)) if record else None
-    return metric_sum / steps, problem.gap_many(X), clipped, X.copy(order="K"), tab
+    return sums[0] / steps, problem.gap_many(X), clipped, X.copy(order="K"), tab
 
 
 def _asmd(problem, schedule, steps, y1, noise, record):

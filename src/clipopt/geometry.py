@@ -96,11 +96,17 @@ def shrink_factors(norms: np.ndarray, level: float) -> np.ndarray:
 _PAIRWISE_BLOCK = 128  # numpy's PW_BLOCKSIZE
 
 
-def coord_sum(A: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def coord_sum(A: np.ndarray, out: np.ndarray | None = None,
+              nonnegative: bool = False) -> np.ndarray:
     """``np.sum(A, axis=-1)``, bitwise, for any memory layout of ``A``; written into
-    ``out`` when it is given."""
+    ``out`` when it is given.  ``nonnegative`` says that no entry of ``A`` is -0.0 or
+    below (NaN may be), as a sum of squares: then no sum is -0.0 and none takes numpy's
+    +0.0 start, which changes only a -0.0 sum."""
+    total = _pairwise_sum(A, 0, A.shape[-1])
+    if nonnegative and out is None:
+        return total
     # numpy's sum starts from +0.0, so a sum of -0.0 terms is +0.0
-    return np.add(_pairwise_sum(A, 0, A.shape[-1]), _ZERO, out)
+    return np.add(total, _ZERO, out)
 
 
 def _pairwise_sum(A: np.ndarray, lo: int, d: int) -> np.ndarray:

@@ -7,19 +7,27 @@ convergence metrics and schedule inputs carry no estimation error.
 The row forms ``value_many(X, out=None)`` and ``grad_many(X, out=None)`` take
 an (..., n, d) array of any layout and write into ``out`` when it is given,
 with the bits of the allocating form.  A per-coordinate constant (a
-quadratic's curvature and shift, the simplex target) enters as an array laid
-out like the trailing (n, d) axes of ``X``, built once per shape and strides
-and kept read-only: numpy runs an op of two arrays that share a layout as one
-inner loop over the seeds, but a (d,) vector broadcast against seed-contiguous
-rows costs nearly twice as much (one subtract at 1000 x 2 rows: 2.8 against 1.6 us
-on 2 vCPUs with numpy 2.4).  A scalar constant enters as a read-only 0-d array
-(``geometry.operand``), and the row forms pass ``out`` to numpy by position: at the
-loops' 100 x 2 rows, one ``np.add`` took 0.53 us with a Python-float operand and an
+quadratic's curvature and shift, the simplex target) is decided once, when the
+problem is built (``_laid_out``).  If its d coordinates have the same bits, as
+the default quadratic's curvature 1 and shift 0 do, it enters as one read-only
+0-d array (``geometry.operand``), and an op runs as an array-with-scalar loop
+over rows, step or window, with no (n, d) constant made.  Otherwise it enters
+as an array laid out like the trailing (n, d) axes of ``X``, built once per
+shape and strides and kept read-only: numpy runs an op of two arrays that
+share a layout as one inner loop over the seeds, but a (d,) vector broadcast
+against seed-contiguous rows costs more.  One subtract on seed-contiguous rows
+(2 vCPUs, numpy 2.4.6) took, with a 0-d, a laid-out and a (d,) constant:
+0.97, 1.58 and 2.65 us at 1000 x 2; 4.65, 8.21 and 11.15 us over a (16, 500,
+2) window, where the laid-out constant is broadcast over the window axis; and
+4.32, 9.49 and 14.95 us at 500 x 32.  A scalar constant enters as a 0-d array
+too, and the row forms pass ``out`` to numpy by position: at the loops' 100 x
+2 rows, one ``np.add`` took 0.53 us with a Python-float operand and an
 ``out=`` keyword against 0.34 us (2 vCPUs, numpy 2.4.6).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -72,17 +80,31 @@ class Problem:
         return float(self.value(np.asarray(x, dtype=float)) - self.optimal_value)
 
     def gap_many(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Row-wise value gaps, written into ``out`` when it is given."""
-        return np.subtract(self.value_many(X, out), self.optimal_value, out)
+        """Row-wise value gaps, written into ``out`` when it is given.  At f* = +0.0 they are
+        the values themselves: v - 0.0 is v for every double (-0.0, +-inf and NaN too), so
+        the subtraction is skipped; at f* = -0.0 it is not, as -0.0 - (-0.0) is +0.0."""
+        values = self.value_many(X, out)
+        if self.optimal_value == 0.0 and math.copysign(1.0, self.optimal_value) > 0:
+            return values
+        return np.subtract(values, self.optimal_value, out)
 
 
 def _laid_out(*vecs: np.ndarray):
-    """``like(X)``: the (d,) constants ``vecs``, each repeated over the trailing (n, d)
-    axes of ``X`` and laid out as they are, made once per trailing shape and strides,
-    read-only.  They are looked up first by the whole shape and strides of ``X`` (cheaper
-    than slicing out the trailing two), then by the trailing ones, so that a step's rows
-    and a window of them share one set: a second set adds to the loop's working set
-    (1.04-1.07x on the 500 x 32 SMD step rows)."""
+    """``like(X)``: the (d,) constants ``vecs`` as operands for the rows ``X``, read-only.
+
+    A constant whose d coordinates have the same bits (compared as int64, so that
+    (0.0, -0.0) is not one) is one 0-d operand (``geometry.operand``) whatever ``X`` is,
+    decided here, once.  The others are repeated over the trailing (n, d) axes of ``X`` and
+    laid out as they are, made once per trailing shape and strides.  Those are looked up
+    first by the whole shape and strides of ``X`` (cheaper than slicing out the trailing
+    two), then by the trailing ones, so that a step's rows and a window of them share one
+    set: a second set adds to the loop's working set (1.04-1.07x on the 500 x 32 SMD step
+    rows).  When every constant is 0-d, ``like`` looks nothing up."""
+    bits = [vec.view(np.int64) for vec in vecs]  # not np.unique: its first call takes 14 ms
+    scalars = tuple(geo.operand(vec[0]) if b.size and (b == b[0]).all() else None
+                    for vec, b in zip(vecs, bits))
+    if None not in scalars:
+        return lambda X: scalars
     cache = {}
 
     def like(X: np.ndarray) -> tuple:
@@ -93,15 +115,20 @@ def _laid_out(*vecs: np.ndarray):
             consts = cache.get(trailing)
             if consts is None:
                 seed_major = X.ndim > 1 and X.strides[-2] < X.strides[-1]
-                consts = tuple(np.empty(shape[::-1]).T if seed_major else np.empty(shape)
-                               for _ in vecs)
-                for const, vec in zip(consts, vecs):
-                    const[...] = vec
-                    const.flags.writeable = False
+                consts = tuple(_lay(vec, shape, seed_major) if scalar is None else scalar
+                               for vec, scalar in zip(vecs, scalars))
             cache[key] = cache[trailing] = consts
         return consts
 
     return like
+
+
+def _lay(vec: np.ndarray, shape: tuple, seed_major: bool) -> np.ndarray:
+    """``vec`` repeated over an array of ``shape``, seed-contiguous if ``seed_major``, read-only."""
+    const = np.empty(shape[::-1]).T if seed_major else np.empty(shape)
+    const[...] = vec
+    const.flags.writeable = False
+    return const
 
 
 def make_quadratic(diag, shift=None) -> Problem:
@@ -124,8 +151,8 @@ def make_quadratic(diag, shift=None) -> Problem:
         diag_x, shift_x = like(X)
         R = np.subtract(X, shift_x)
         S = np.multiply(diag_x, R)
-        S *= R
-        return np.multiply(_HALF, geo.coord_sum(S), out)
+        S *= R  # diag > 0, so each term is +0.0 or more, or NaN
+        return np.multiply(_HALF, geo.coord_sum(S, nonnegative=True), out)
 
     def grad_many(X, out=None):
         diag_x, shift_x = like(X)

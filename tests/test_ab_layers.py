@@ -9,7 +9,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 AB, BENCH = ROOT / "tools" / "ab_layers.py", ROOT / "tools" / "bench_layers.py"
 NUMBER = r"(\d+\.\d+)"
-ROW = re.compile(rf"(step|kernel|clipstep|draws|sweep) .+ A +{NUMBER} B +{NUMBER} "
+ROW = re.compile(rf"(step|kernel|metric|clipstep|draws|sweep) .+ A +{NUMBER} B +{NUMBER} "
                  rf"(ns/seed-step|us/seed|ms) "
                  rf"A/B {NUMBER} \[{NUMBER} {NUMBER}\] won (\d+)/3$")
 
@@ -31,9 +31,13 @@ def test_ab_layers_tiny_prints_every_row():
     kernels = len(bench.TINY_KERNEL_SIZES) * sum(algorithm in bench.KERNEL_ALGORITHMS
                                                 for algorithm, *_ in bench.CASES)
     clipsteps = sum(len(case[-1]) for case in bench.TINY_CLIP_CASES)
-    steps = len(bench.TINY_SIZES) * len(bench.CASES) + kernels + clipsteps
-    assert [row[1] for row in rows] == (["step"] * len(bench.TINY_SIZES) * len(bench.CASES)
+    step_rows = (len(bench.TINY_SIZES) * len(bench.CASES)
+                 + len(bench.TINY_NONUNIFORM_SIZES) * len(bench.NONUNIFORM_CASES))
+    metrics = len(bench.TINY_METRIC_SIZES) * len(bench.METRICS)
+    steps = step_rows + kernels + metrics + clipsteps
+    assert [row[1] for row in rows] == (["step"] * step_rows
                                         + ["kernel"] * kernels
+                                        + ["metric"] * metrics
                                         + ["clipstep"] * clipsteps
                                         + ["draws"] * len(bench.TINY_DRAWS_SIZES)
                                         + ["sweep"] * len(bench.TINY_SWEEPS))

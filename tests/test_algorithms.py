@@ -324,6 +324,8 @@ def test_batch_matches_single_runs_sgd_and_vanilla():
 
 START = {
     "euclidean": (quad(diag=(1.0, 2.0)), np.array([1.0, -0.5])),
+    # the shipped default: both constants uniform, so the row forms take them as 0-d operands
+    "euclidean_uniform": (quad(), np.array([1.0, -0.5])),
     "ball": (dataclasses.replace(quad(diag=(1.0, 2.0)), geometry=geometry.ball(2, radius=1.5)),
              np.array([0.5, 0.5])),
     "simplex": (problems.make_simplex_quadratic([0.2, 0.3, 0.5]), np.ones(3) / 3),
@@ -713,6 +715,8 @@ LOOPS = {"smd": algos._smd, "asmd": algos._asmd, "sgd": algos._sgd, "vanilla-sgd
 @pytest.mark.parametrize("algorithm, start, param", [
     ("smd", "euclidean", "smd_known_t"), ("smd", "ball", "smd_anytime"),
     ("smd", "simplex9", "smd_known_t"), ("smd", "euclidean3", "smd_param_free"),
+    # the quadratic's constants as 0-d operands, then both laid out
+    ("smd", "euclidean_uniform", "smd_known_t"), ("smd", "euclidean3", "smd_known_t"),
     ("asmd", "euclidean", "asmd_known_t"),
     ("asmd", "simplex9", "asmd_anytime"), ("sgd", "euclidean3", "sgd_known_t"),
     ("sgd", "euclidean", "sgd_anytime"),
@@ -767,17 +771,27 @@ def test_window_size_changes_no_bit(monkeypatch, algorithm, start, param, n):
 
 @pytest.mark.parametrize("n", [1, 2, 4, 129])
 def test_running_sum_adds_in_time_order(n):
-    """The per-window sum is the bits of a ``+=`` loop over the steps, on values whose sum
-    depends on the order of the additions: in time order each 1 is lost against 2^53, in
-    any order that adds the -2^53 first it is kept."""
+    """The per-window sum of a (k + 1, n) block, the carried total in row 0 and the
+    window's metric rows after it, is the bits of a ``+=`` loop over the steps, on values
+    whose sum depends on the order of the additions: in time order each 1 is lost against
+    2^53, in any order that adds the -2^53 first it is kept.  The block is left as it was."""
     rng = np.random.default_rng(n)
-    rows = rng.uniform(0.0, 1.0, (40, n)).round()  # zeros and ones
+    block = np.empty((41, n))  # C-ordered, as the loop keeps it
+    rows = block[1:]
+    rows[...] = rng.uniform(0.0, 1.0, (40, n)).round()  # zeros and ones
     rows[3], rows[-2] = 2.0 ** 53, -(2.0 ** 53)
-    total = rng.uniform(0.0, 0.5, n)
+    total = block[0]
+    total[...] = rng.uniform(0.0, 0.5, n)
     expect = total.copy()
     for row in rows:
         expect += row
-    assert algos._running_sum(total, rows).tobytes() == expect.tobytes()
+    before = block.tobytes()
+    assert algos._running_sum(block).tobytes() == expect.tobytes()
+    assert block.tobytes() == before
+    part = total.copy()  # a window shorter than the block: the rows past it are not added
+    for row in rows[:5]:
+        part += row
+    assert algos._running_sum(block[:6]).tobytes() == part.tobytes()
     for k in range(n):  # another order of the same additions gives other bits
         backwards = total[k]
         for value in rows[::-1, k]:

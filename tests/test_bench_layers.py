@@ -16,7 +16,11 @@ def test_bench_layers_tiny_prints_every_layer(capsys):
     assert machine[0] == "machine"
     assert [field.split("=")[0] for field in machine[1:]] == ["nproc", "python", "numpy"]
     steps = [line for line in lines if line.startswith("step ")]
-    assert len(steps) == len(bench.TINY_SIZES) * len(bench.CASES)
+    assert len(steps) == (len(bench.TINY_SIZES) * len(bench.CASES)
+                          + len(bench.TINY_NONUNIFORM_SIZES) * len(bench.NONUNIFORM_CASES))
+    assert [line.split()[1:5] for line in steps[-len(bench.TINY_NONUNIFORM_SIZES):]] == [
+        [name, f"n={n}", f"d={d}", "smd/nonuniform"]
+        for name, n, d, _ in bench.TINY_NONUNIFORM_SIZES]
     assert all(line.endswith("ns/seed-step") and float(line.split()[-2]) > 0 for line in steps)
     kernels = [line.split() for line in lines if line.startswith("kernel ")]
     assert [row[1:5] for row in kernels] == [
@@ -27,6 +31,14 @@ def test_bench_layers_tiny_prints_every_layer(capsys):
     for i, line in enumerate(lines):  # each kernel row follows the step row of its case
         if line.startswith("kernel "):
             assert lines[i - 1].split()[:5] == ["step"] + line.split()[1:5]
+    metrics = [line.split() for line in lines if line.startswith("metric ")]
+    assert [row[1:5] for row in metrics] == [
+        [name, f"n={n}", f"d={d}", f"{algorithm}/{kind}"]
+        for name, n, d, _ in bench.TINY_METRIC_SIZES for algorithm, kind in bench.METRICS]
+    assert [row[4] for row in metrics[:3]] == ["smd/euclidean", "smd/nonuniform",
+                                               "sgd/euclidean"]
+    assert all(row[5].startswith("K=") and int(row[5][2:]) >= 1 and row[-1] == "ns/seed-step"
+               and float(row[-2]) > 0 for row in metrics)
     param_free = [line.split() for line in steps if " smd_param_free/euclidean " in line]
     assert [row[1:4] for row in param_free] == [[name, f"n={n}", f"d={d}"]
                                                 for name, n, d, _ in bench.TINY_SIZES]

@@ -440,7 +440,8 @@ def test_shrink_factor_is_the_clip_and_the_ball_projection():
 @pytest.mark.parametrize("n", [1, 2, 1000])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_coordinate_reductions_match_numpy_bitwise(d, n, order):
-    """The loops' sum and dot over coordinates give numpy's bits in either layout."""
+    """The loops' sum and dot over coordinates give numpy's bits in either layout; a sum
+    of terms none of which is -0.0 gives them with or without numpy's +0.0 start."""
     rng = np.random.default_rng(1000 * d + n)
 
     def wide():  # signs, zeros of both signs and exponents across 2^-60..2^60
@@ -451,7 +452,10 @@ def test_coordinate_reductions_match_numpy_bitwise(d, n, order):
 
     A, B = wide(), wide()
     assert A.flags.f_contiguous == (order == "F" or n == 1 or d == 1)
+    P = np.abs(A)  # +0.0 or more, some rows all +0.0
+    P[::3] = 0.0
     for got, ref in ((geo.coord_sum(A), np.sum(np.ascontiguousarray(A), axis=-1)),
+                     (geo.coord_sum(P, nonnegative=True), np.sum(np.ascontiguousarray(P), axis=-1)),
                      (geo.coord_dot(A, B), np.einsum("ij,ij->i", np.ascontiguousarray(A),
                                                      np.ascontiguousarray(B))),
                      (geo.coord_dot(A, A), np.einsum("ij,ij->i", np.ascontiguousarray(A),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clipopt import algorithms
 from clipopt import geometry as geo
 from clipopt import problems
 
@@ -220,6 +221,126 @@ def test_out_forms_equal_allocating_forms_bitwise(layout, n, seed, special):
             out = np.empty_like(norms)
             assert geom.dual_norm_many(V, out=out) is out
             assert _bits(out).tobytes() == _bits(norms).tobytes() == _bits(ref).tobytes()
+
+
+
+# Problems whose per-coordinate constants are uniform (0-d operands), mixed or laid out,
+# with the full-shape constants a reference broadcasts; a shift of signed zeros has two bit
+# patterns, so it is laid out.
+def _quadratic(diag, shift):
+    return problems.make_quadratic(diag, shift), np.asarray(diag, float), np.asarray(shift, float)
+
+
+CONSTANT_PROBLEMS = [
+    _quadratic([1.0, 1.0], [0.0, 0.0]),  # the shipped default
+    _quadratic([2.5] * 9, [0.75] * 9),
+    _quadratic([1.5, 1.5, 1.5], [0.5, -0.5, 2.0]),  # uniform curvature, laid-out shift
+    _quadratic([1.0, 4.0, 0.5], [0.5, 0.5, 0.5]),  # laid-out curvature, uniform shift
+    _quadratic([1.0, 4.0, 0.5], [0.5, -0.5, 2.0]),
+    _quadratic([1.0, 1.0], [0.0, -0.0]),
+] + [(problems.make_simplex_quadratic(np.full(d, 1.0 / d)), None, np.full(d, 1.0 / d))
+     for d in (2, 3, 9)]
+# signed zeros, subnormals, magnitudes near 1e-300 and 1e300 (whose squares under- and
+# overflow), infinities and NaN
+EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1e-310, 1e-300, -3e-300, 1e300,
+                  -2e300, 1.7e308, np.inf, -np.inf, np.nan])
+
+
+def _edge_rows(rng, shape, layout):
+    """Wide-range values, half of them edges, as seed-contiguous rows, a slice of a loop's
+    window buffer (``algorithms._slots``), C-ordered rows or one row."""
+    A = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    picked = rng.random(shape) < 0.5
+    A[picked] = rng.choice(EDGES, size=np.count_nonzero(picked))
+    if layout == "F":
+        return np.asfortranarray(A)
+    if layout == "window":
+        window, _ = algorithms._slots(4, *shape)
+        window[1:] = A
+        return window[1:]
+    return A if layout == "C" else A[:1]
+
+
+@pytest.mark.parametrize("layout", ["F", "window", "C", "one"])
+@pytest.mark.parametrize("n", [1, 3, 130])
+def test_uniform_constants_give_the_full_shape_bits(layout, n):
+    """``grad_many``, ``value_many`` and ``gap_many``, allocating and into ``out``, give the
+    bits of the same expressions with every constant an explicit array of the rows' full
+    shape, whether each constant is a 0-d operand or laid out, on any layout."""
+    rng = np.random.default_rng(n)
+    with np.errstate(all="ignore"):
+        for prob, diag, shift in CONSTANT_PROBLEMS:
+            X = _edge_rows(rng, (n, prob.dim), layout)
+            shift_x = np.broadcast_to(shift, X.shape).copy()
+            if diag is None:  # the simplex quadratic: half the squared distance to its target
+                R = X - shift_x
+                value, grad = 0.5 * geo.coord_dot(R, R), X - shift_x
+            else:
+                diag_x = np.broadcast_to(diag, X.shape).copy()
+                R = X - shift_x
+                value, grad = 0.5 * geo.coord_sum(diag_x * R * R), diag_x * (X - shift_x)
+            gap = value - prob.optimal_value
+            for method, want in ((prob.grad_many, grad), (prob.value_many, value),
+                                 (prob.gap_many, gap)):
+                got = method(X)
+                assert got.shape == want.shape and _bits(got).tobytes() == _bits(want).tobytes()
+                out = np.full_like(want, 7.0)
+                assert method(X, out) is out
+                assert _bits(out).tobytes() == _bits(want).tobytes()
+
+
+def test_laid_out_decides_each_constant_once():
+    """A constant whose coordinates share their bits is one read-only 0-d operand for any
+    rows, NaN included; (0.0, -0.0) is not, and is laid out like the rows' trailing axes."""
+    uniform = problems._laid_out(np.ones(3), np.full(3, np.nan))
+    X = np.empty((3, 5)).T
+    consts = uniform(X)
+    assert [c.shape for c in consts] == [(), ()] and uniform(X[:2]) is consts
+    assert consts[0] == 1.0 and np.isnan(consts[1])
+    mixed = problems._laid_out(np.ones(2), np.array([0.0, -0.0]))
+    for rows in (np.empty((2, 5)).T, np.empty((5, 2)), algorithms._slots(3, 5, 2)[0]):
+        diag, shift = mixed(rows)
+        assert diag.shape == () and shift.shape == (5, 2)
+        assert shift.strides == rows.strides[-2:]
+        assert np.signbit(shift[:, 1]).all() and not np.signbit(shift[:, 0]).any()
+        assert not diag.flags.writeable and not shift.flags.writeable
+
+
+def _stub(optimal_value):
+    """A problem whose values are rows of -0.0 and NaN, written into ``out`` if given."""
+    def value_many(X, out=None):
+        values = np.where(np.arange(X.shape[-2]) % 2 == 0, -0.0, np.nan)
+        values = np.broadcast_to(values, X.shape[:-1])
+        if out is None:
+            return values.copy()
+        out[...] = values
+        return out
+
+    return problems.Problem("stub", geo.euclidean(2), value_many, lambda X, out=None: X,
+                            smoothness=1.0, optimal_value=optimal_value)
+
+
+def test_gap_many_skips_only_a_subtraction_of_positive_zero():
+    """At f* = +0.0 the gaps are ``value_many``'s own array and bits (v - 0.0 is v for -0.0
+    and NaN); at f* = -0.0 or 0.25 they are ``value_many(X) - f*``, bitwise."""
+    X = np.zeros((2, 5, 2))
+    stub = _stub(0.0)
+    values = stub.value_many(X)
+    assert _bits(stub.gap_many(X)).tobytes() == _bits(values).tobytes()
+    assert _bits(values - 0.0).tobytes() == _bits(values).tobytes()
+    out = np.empty((2, 5))
+    assert stub.gap_many(X, out) is out and _bits(out).tobytes() == _bits(values).tobytes()
+    for f_star in (-0.0, 0.25):
+        other = dataclasses.replace(stub, optimal_value=f_star)
+        want = _bits(values - f_star).tobytes()
+        assert _bits(other.gap_many(X)).tobytes() == want
+        assert other.gap_many(X, out) is out and _bits(out).tobytes() == want
+    assert not np.signbit(dataclasses.replace(stub, optimal_value=-0.0).gap_many(X)[0]).any()
+    prob = ALL_PROBLEMS["quadratic"]
+    X = _edge_rows(np.random.default_rng(5), (40, 2), "F")
+    with np.errstate(all="ignore"):
+        moved = dataclasses.replace(prob, optimal_value=0.25)
+        assert _bits(moved.gap_many(X)).tobytes() == _bits(prob.value_many(X) - 0.25).tobytes()
 
 
 def test_problem_fields_keep_what_they_are_given():

@@ -6,7 +6,8 @@ script imports this checkout's ``src/clipopt`` and OTHER's side by side, as
 the packages ``clipopt_a`` and ``clipopt_b``, and loads this checkout's
 ``bench_layers.py`` once against each, so both trees run the same bench code.
 It then times, for both trees, the bench's lockstep ``step`` rows, its
-``kernel`` rows (a step's arithmetic alone), its ``clipstep`` rows, its
+``kernel`` rows (a step's arithmetic alone), its ``metric`` rows (the mirror-descent
+loop's per-window metric alone), its ``clipstep`` rows, its
 ``draws`` rows (a two-point draws build, through ``algorithms._batch``, so a
 tree whose ``noise.lockstep_draws`` takes other arguments is timed alike) and
 its ``sweep`` rows run in this process (W = 1): each
@@ -81,10 +82,14 @@ def rows(bench, tiny: bool):
     steps = bench.TINY_LOOP_STEPS if tiny else bench.LOOP_STEPS
     out = [(label, run, seed_steps * 1e-9, "ns/seed-step")
            for label, run, seed_steps in bench.step_rows(
-               bench.TINY_SIZES if tiny else bench.SIZES, steps)]
+               bench.TINY_SIZES if tiny else bench.SIZES, steps,
+               bench.TINY_NONUNIFORM_SIZES if tiny else bench.NONUNIFORM_SIZES)]
     out += [(label, run, seed_steps * 1e-9, "ns/seed-step")
             for label, run, seed_steps in bench.kernel_rows(
                 bench.TINY_KERNEL_SIZES if tiny else bench.KERNEL_SIZES, steps)]
+    out += [(label, run, seed_steps * 1e-9, "ns/seed-step")
+            for label, run, seed_steps in bench.metric_rows(
+                bench.TINY_METRIC_SIZES if tiny else bench.METRIC_SIZES, steps)]
     out += [(label, run, seed_steps * 1e-9, "ns/seed-step")
             for label, run, seed_steps, _ in bench.clip_rows(
                 bench.TINY_CLIP_CASES if tiny else bench.CLIP_CASES, steps)]

@@ -14,6 +14,15 @@ Prints, one line each:
   geometry's ``mirror_step_many``, called in a plain loop on fixed buffers (no
   windows, draws, schedule pairs or clip test), so that the step row less the
   kernel row is what the loop spends around the arithmetic;
+* one more ``smd`` step row, at one of two workers' share of run-smd (500 seeds,
+  d = 2), on a quadratic whose curvature (1, 2) and shift (0.5, -0.5) differ by
+  coordinate (``smd/nonuniform``): every other quadratic here has the uniform
+  defaults, which enter the row forms as 0-d operands, so this row times the
+  laid-out constants;
+* ns per seed-step of the mirror-descent loop's per-window metric alone, over the
+  windows of a run at one of two workers' share of run-smd and at the rates-sgd
+  size (d = 2): SMD's ``gap_many`` of a window's iterates on the uniform and the
+  non-uniform quadratic, and SGD's ``coord_dot`` of its gradients;
 * the step time of steps that clip, each at two first levels (the share of
   seed-steps clipped is printed), one that clips every step and one that clips
   few, so that a loop's clip tests find a clip at some steps: Euclidean SMD at
@@ -50,8 +59,9 @@ Each time is the minimum over ``--repeat`` runs, which on a shared machine is
 the least disturbed one.  The rows time the one tree the script is run from,
 with each case's repeats back to back, so a slow spell of a shared host lands
 on one tree's rows: to compare two trees, use ``tools/ab_layers.py``, which
-runs the step, kernel, clipstep, draws and one-process sweep rows of both trees in
-one process, interleaved repeat by repeat.  Run from the repository root::
+runs the step, kernel, metric, clipstep, draws and one-process sweep rows of
+both trees in one process, interleaved repeat by repeat.  Run from the
+repository root::
 
     PYTHONPATH=src python tools/bench_layers.py            # about a minute
     PYTHONPATH=src python tools/bench_layers.py --tiny     # smoke sizes, well under 1 s
@@ -62,6 +72,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import os
 import platform
 import time
@@ -89,6 +100,16 @@ CASES = ([("smd", algorithms._smd, g, "smd_known_t") for g in GEOMETRIES]
          + [("asmd", algorithms._asmd, g, "asmd_known_t") for g in GEOMETRIES]
          + [("sgd", algorithms._sgd, "euclidean", "sgd_known_t"),
             ("vanilla-sgd", algorithms._vanilla, "euclidean", 0.01)])
+# the laid-out constants: a quadratic whose curvature and shift differ by coordinate (every
+# other quadratic here has the uniform defaults, each of which enters as a 0-d operand)
+NONUNIFORM_DIAG, NONUNIFORM_SHIFT = (1.0, 2.0), (0.5, -0.5)
+# the step rows on it, beside the others: Euclidean SMD at one of two workers' share of run-smd
+NONUNIFORM_CASES = [("smd", algorithms._smd, "nonuniform", "smd_known_t")]
+NONUNIFORM_SIZES, TINY_NONUNIFORM_SIZES = DRAWS_SIZES[:1], TINY_SIZES[:1]
+# the window metric rows: SMD's gap on the uniform and the laid-out quadratic and SGD's
+# squared gradient norm, over the windows a LOOP_STEPS run takes at these sizes
+METRICS = [("smd", "euclidean"), ("smd", "nonuniform"), ("sgd", "euclidean")]
+METRIC_SIZES, TINY_METRIC_SIZES = DRAWS_SIZES[:2], TINY_SIZES[:1]
 # the kernel rows: the step rows of these algorithms, at the sizes named here
 KERNEL_ALGORITHMS = ("smd", "sgd")
 KERNEL_SIZES = [size for size in SIZES if size[0] in ("rates-sgd", "diagnose")]
@@ -146,7 +167,11 @@ def _problem(kind: str, d: int):
     if kind == "simplex":
         target = np.arange(1, d + 1) / (d * (d + 1) / 2)
         return problems.make_simplex_quadratic(target), np.ones(d) / d
-    quad = problems.make_quadratic(np.ones(d), np.zeros(d))
+    if kind == "nonuniform":
+        quad = problems.make_quadratic(np.resize(NONUNIFORM_DIAG, d),
+                                       np.resize(NONUNIFORM_SHIFT, d))
+    else:
+        quad = problems.make_quadratic(np.ones(d), np.zeros(d))
     x1 = np.full(d, 1.0 / np.sqrt(d))
     if kind == "ball":
         return dataclasses.replace(quad, geometry=geometry.ball(d, radius=2.0)), x1
@@ -183,11 +208,11 @@ def _schedule(mode: str, problem, x1, sigma: float, horizon: int,
     return schedules.Schedule(mode, inputs, lambda_scale=level / sched.lam(1))
 
 
-def _cases(sizes, steps: int, algorithms=None):
+def _cases(sizes, steps: int, algorithms=None, cases=CASES):
     """(row label after its kind, loop, problem, start, schedule or the baseline's step,
     noise model, seeds) of each size and case, the cases of ``algorithms`` if given."""
     for name, n, d, _ in sizes:
-        for algorithm, loop, kind, param in CASES:
+        for algorithm, loop, kind, param in cases:
             if algorithms is not None and algorithm not in algorithms:
                 continue
             problem, x1 = _problem(kind, d)
@@ -201,9 +226,11 @@ def _cases(sizes, steps: int, algorithms=None):
                    param, model, n)
 
 
-def step_rows(sizes, steps: int):
-    """(label, run, seed-steps) of each lockstep step row; ``run`` makes ``steps`` steps."""
-    for label, loop, problem, x1, param, model, n in _cases(sizes, steps):
+def step_rows(sizes, steps: int, nonuniform_sizes=()):
+    """(label, run, seed-steps) of each lockstep step row, then of each ``NONUNIFORM_CASES``
+    row at ``nonuniform_sizes``; ``run`` makes ``steps`` steps."""
+    for label, loop, problem, x1, param, model, n in itertools.chain(
+            _cases(sizes, steps), _cases(nonuniform_sizes, steps, cases=NONUNIFORM_CASES)):
         run = functools.partial(_loop, loop, problem, param, steps, x1,
                                 _draws(model, problem.dim, steps, n))
         yield f"step {label}", run, n * steps
@@ -240,14 +267,38 @@ def _kernel(problem, x1, noise_rows, eta: float, steps: int):
     return X
 
 
-def step_lines(sizes, kernel_sizes, steps: int, repeat: int):
+def step_lines(sizes, kernel_sizes, nonuniform_sizes, steps: int, repeat: int):
     """Each step row, and after each that has one, its kernel row."""
     kernels = {label.split(None, 1)[1]: (label, run, seed_steps)
                for label, run, seed_steps in kernel_rows(kernel_sizes, steps)}
-    for row in step_rows(sizes, steps):
+    for row in step_rows(sizes, steps, nonuniform_sizes):
         kernel = kernels.get(row[0].split(None, 1)[1])
         for label, run, seed_steps in [row] + ([kernel] if kernel else []):
             print(f"{label} {_best(run, repeat) / seed_steps * 1e9:9.1f} ns/seed-step")
+
+
+def metric_rows(sizes, steps: int):
+    """(label, run, seed-steps) of each window metric row: ``run`` evaluates the metric of
+    ``METRICS`` over the windows of ``steps`` steps (``noise.window_steps``) on n seeds, as
+    ``algorithms._descent`` does once a window: SMD's ``gap_many`` of a window's iterates,
+    SGD's ``coord_dot`` of its gradients with themselves, each into a (K, n) row block."""
+    for name, n, d, _ in sizes:
+        K = noise.window_steps(steps, d, n)
+        window, _ = algorithms._slots(K, n, d)
+        window[...] = np.random.default_rng(0).standard_normal((K, n, d))
+        out, windows = np.empty((K, n)), -(-steps // K)
+        for algorithm, kind in METRICS:
+            if algorithm == "smd":
+                metric = functools.partial(_problem(kind, d)[0].gap_many, window, out)
+            else:
+                metric = functools.partial(geometry.coord_dot, window, window, out)
+            yield (f"metric {name:<13} n={n:<5} d={d:<3} {algorithm}/{kind:<10} K={K:<4}",
+                   functools.partial(_repeat, metric, windows), n * K * windows)
+
+
+def metric_lines(sizes, steps: int, repeat: int):
+    for label, run, seed_steps in metric_rows(sizes, steps):
+        print(f"{label} {_best(run, repeat) / seed_steps * 1e9:9.2f} ns/seed-step")
 
 
 def clip_rows(cases, steps: int):
@@ -400,7 +451,9 @@ def main(argv=None) -> int:
     print(f"machine nproc={len(os.sched_getaffinity(0))} python={platform.python_version()} "
           f"numpy={np.__version__}")
     steps = TINY_LOOP_STEPS if args.tiny else LOOP_STEPS
-    step_lines(sizes, TINY_KERNEL_SIZES if args.tiny else KERNEL_SIZES, steps, repeat)
+    step_lines(sizes, TINY_KERNEL_SIZES if args.tiny else KERNEL_SIZES,
+               TINY_NONUNIFORM_SIZES if args.tiny else NONUNIFORM_SIZES, steps, repeat)
+    metric_lines(TINY_METRIC_SIZES if args.tiny else METRIC_SIZES, steps, repeat)
     clip_lines(TINY_CLIP_CASES if args.tiny else CLIP_CASES, steps, repeat)
     moments_line(TINY_MOMENTS if args.tiny else MOMENTS, repeat)
     schedule_lines(TINY_TABLE_T if args.tiny else TABLE_T, repeat)
