@@ -8,7 +8,6 @@ exact decomposition among them), and a seeded experiment harness.
 """
 
 from .algorithms import (RunRecord, run_asmd, run_sgd, run_smd, run_vanilla_sgd)
-from .clipping import clip
 from .geometry import Geometry, ball, euclidean, simplex
 from .noise import Oracle, RadialParetoNoise, TwoPointNoise, make_noise, make_rng
 from .problems import (Problem, make_nonconvex_ratio, make_quadratic,

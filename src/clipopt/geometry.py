@@ -56,6 +56,8 @@ _SQRT_TINY = np.sqrt(np.finfo(float).tiny)
 # up to this l2 norm bound no partial sum of a row's squares overflows (2^511 = sqrt(2^1022))
 _SQRT_HUGE = 2.0 ** 511
 _max = np.maximum.reduce
+# how far past a ball's radius, or the simplex's unit sum, ``contains`` accepts a point
+_CONTAINS_TOL = 1e-9
 
 
 class GeometryError(ValueError):
@@ -239,14 +241,6 @@ class Geometry:
 
     # -- mirror map ---------------------------------------------------------
 
-    def grad_psi(self, x) -> np.ndarray:
-        x = _as_vector(x, self.dim)
-        if self.kind == SIMPLEX:
-            if np.any(x <= 0):
-                raise GeometryError("entropy gradient undefined on the boundary")
-            return 1.0 + np.log(x)
-        return x.copy()
-
     def bregman(self, x, y) -> float:
         """Bregman divergence induced by the mirror map; see ``bregman_many``."""
         x = _as_vector(x, self.dim)
@@ -330,41 +324,18 @@ class Geometry:
             np.maximum(M, _SIMPLEX_FLOOR, out=M)
         return M
 
-    def step_optimality_gap(self, x, g, eta: float, x_next, u) -> float:
-        """First-order optimality residual ``<eta*g + grad_psi(x+) - grad_psi(x), u - x+>``.
-
-        Nonnegative (up to roundoff) for every domain point ``u`` when
-        ``x_next`` is the exact proximal step.
-        """
-        x_next = _as_vector(x_next, self.dim)
-        u = _as_vector(u, self.dim)
-        r = eta * _as_vector(g, self.dim) + self.grad_psi(x_next) - self.grad_psi(x)
-        return float(r @ (u - x_next))
-
     # -- domain helpers --------------------------------------------------------
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
+    def contains(self, x) -> bool:
         x = _as_vector(x, self.dim)
         if not np.all(np.isfinite(x)):
             return False
         if self.kind == EUCLIDEAN:
             return True
         if self.kind == BALL:
-            return bool(self.norm(x - self.center) <= self.radius + tol)
-        return bool(np.all(x > 0) and abs(np.sum(x) - 1.0) <= tol)  # the entropy map's open simplex
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Random domain point (strictly interior for the simplex); test helper."""
-        if self.kind == EUCLIDEAN:
-            return rng.standard_normal(self.dim)
-        if self.kind == BALL:
-            u = rng.standard_normal(self.dim)
-            u /= np.linalg.norm(u)
-            r = self.radius * rng.random() ** (1.0 / self.dim)
-            return self.center + r * u
-        w = rng.dirichlet(np.ones(self.dim))
-        w = np.maximum(w, 1e-12)
-        return w / np.sum(w)
+            return bool(self.norm(x - self.center) <= self.radius + _CONTAINS_TOL)
+        # the entropy map's open simplex
+        return bool(np.all(x > 0) and abs(np.sum(x) - 1.0) <= _CONTAINS_TOL)
 
 
 def euclidean(dim: int) -> Geometry:

@@ -327,7 +327,7 @@ def _sweeps(cfg: ExperimentConfig,
     ), schedule) for rs, schedule in zip(parts, schedules)]
 
 
-def run_trials(cfg: ExperimentConfig, write: bool = True) -> TrialSummary:
+def run_trials(cfg: ExperimentConfig) -> TrialSummary:
     """N seeded runs, quantiles, and the failure rate against the explicit bound."""
     if cfg.n_seeds < 30:
         warnings.warn("fewer than 30 seeds: the binomial failure-rate interval is wide",
@@ -345,7 +345,7 @@ def run_trials(cfg: ExperimentConfig, write: bool = True) -> TrialSummary:
         bound=bound, failure_rate=failures, failure_stderr=stderr,
         diverged=int(np.sum(result.diverged)),
     )
-    if write and cfg.out_dir:
+    if cfg.out_dir:
         write_experiment_outputs(cfg, result, summary)
     return summary
 

@@ -291,11 +291,6 @@ class Schedule:
         return (self.eta_scale / (3.0 * c * gamma ** 2 * L * alpha),
                 self.lambda_scale * (c * s.r1 * gamma * L * alpha / 8.0))
 
-    @property
-    def off_guarantee(self) -> bool:
-        return (self.eta_scale != 1.0 or self.lambda_scale != 1.0
-                or (self.mode in ASMD_MODES and self.inputs.c_override is not None))
-
     # -- proof-level constants -------------------------------------------------
 
     def constants(self) -> dict:

@@ -144,7 +144,7 @@ def test_c03_high_probability_validation():
             experiment_id="hp", algorithm=algorithm, mode=f"{algorithm}_known_t",
             horizon=1024, n_seeds=1000, base_seed=100, delta=0.1,
             noise="two_point", p=p, q=0.1, dim=2, **knobs)
-        summary = harness.run_trials(cfg, write=False)
+        summary = harness.run_trials(cfg)
         ok = summary.failure_rate <= slack
         announce(f"criterion 3 ({algorithm} p={p})", ok,
                  f"failure_rate={summary.failure_rate:.4f} limit={slack:.4f} "

@@ -690,7 +690,7 @@ def test_simplex_underflow_stays_interior():
                                   p=1.5, sigma=0.5, q=0.1, eta_scale=1e6)
     config.validate_config(cfg)
     with pytest.warns(UserWarning, match="fewer than 30 seeds"):
-        summary = harness.run_trials(cfg, write=False)  # RuntimeWarnings are errors here
+        summary = harness.run_trials(cfg)  # RuntimeWarnings are errors here
     assert summary.diverged == 0
     problem, y1 = config.build_problem(cfg)
     noise_model, schedule = config.build_noise(cfg), config.build_schedule(cfg, problem, y1)

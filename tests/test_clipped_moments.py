@@ -2,7 +2,7 @@
 
 A two-point draw at x is one of 2d + 1 support points, so the moments of its
 clipped value are finite weighted sums.  ``brute_force`` writes those sums out
-point by point with the scalar ``clip`` and plain Python sums; the vectorized
+point by point, clipping one row at a time, with plain Python sums; the vectorized
 form must agree with it to roundoff, and resampling must agree with it within
 its own standard errors.  Radial moments are a quadrature: they must agree
 with a million resampled draws within their standard errors, and with the
@@ -14,12 +14,12 @@ import math
 import numpy as np
 import pytest
 
+from test_clipping import clip_rows
 from test_resample import reference_moments, reference_point
 
 from clipopt import diagnostics as diag
 from clipopt import noise, problems, schedules
 from clipopt.algorithms import run_smd
-from clipopt.clipping import clip
 from clipopt.noise import Oracle, RadialParetoNoise, TwoPointNoise, make_rng
 
 FIELDS = ("grad", "cond_mean", "u_sq_mean", "u_over")
@@ -47,7 +47,7 @@ def brute_force(problem, model, x, level):
             e = np.zeros(d)
             e[i] = sign * spike
             support.append((q / (2 * d), g + e))
-    clipped = [(w, clip(s, level, geom.dual_norm)) for w, s in support]
+    clipped = [(w, clip_rows(s, level, geom)[0]) for w, s in support]
     mean = sum(w * c for w, c in clipped)
     norms = [(w, geom.dual_norm(c - mean)) for w, c in clipped]
     positive = [n for w, n in norms if w > 0]
@@ -204,7 +204,7 @@ def test_radial_moments_lie_within_four_standard_errors_of_a_million_draws(d):
 def test_radial_moments_of_zero_noise_are_the_clipped_gradient(d):
     prob, X = radial_points(d, 1.3)
     res = RadialParetoNoise(p=1.5, sigma=0.0, tail_index=1.75).clipped_moments(prob, X, 1.3)
-    np.testing.assert_allclose(res.cond_mean, [clip(x, 1.3) for x in X], rtol=1e-15)
+    np.testing.assert_allclose(res.cond_mean, [clip_rows(x, 1.3)[0] for x in X], rtol=1e-15)
     for name in ("u_sq_mean", "u_over"):
         assert not getattr(res, name).any(), name
 

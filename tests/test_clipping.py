@@ -14,21 +14,29 @@ finite_vectors = st.lists(
 levels = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
 
 
+def clip_rows(G, level, geom=None):
+    """``clip_batch`` of the rows of ``G`` (one row if ``G`` is a vector) with the dual norms
+    ``dual_norm_many`` takes in ``geom``, by default l2."""
+    G = np.atleast_2d(np.asarray(G, dtype=float))
+    geom = geom or geometry.euclidean(G.shape[1])
+    return clipping.clip_batch(G, level, geom.dual_norm_many(G))
+
+
 def test_clip_values():
-    np.testing.assert_allclose(clipping.clip([3.0, 4.0], 2.5), [1.5, 2.0])
-    np.testing.assert_allclose(clipping.clip([1.0, 0.0], 5.0), [1.0, 0.0])
-    np.testing.assert_allclose(clipping.clip([0.0, 0.0], 1.0), [0.0, 0.0])
+    np.testing.assert_allclose(clip_rows([3.0, 4.0], 2.5)[0], [1.5, 2.0])
+    np.testing.assert_allclose(clip_rows([1.0, 0.0], 5.0)[0], [1.0, 0.0])
+    np.testing.assert_allclose(clip_rows([0.0, 0.0], 1.0)[0], [0.0, 0.0])
 
 
 def test_clip_rejects_nonpositive_level():
     with pytest.raises(ValueError):
-        clipping.clip([1.0], 0.0)
+        clip_rows([1.0], 0.0)
 
 
 @given(v=finite_vectors, lam=levels)
 @settings(max_examples=200, deadline=None)
 def test_clip_norm_never_exceeds_level(v, lam):
-    out = clipping.clip(v, lam)
+    out = clip_rows(v, lam)[0]
     assert np.linalg.norm(out) <= lam * (1 + 1e-12)
 
 
@@ -36,25 +44,29 @@ def test_clip_norm_never_exceeds_level(v, lam):
 @settings(max_examples=200, deadline=None)
 def test_clip_positive_homogeneity(v, lam, c):
     v = np.asarray(v)
-    lhs = clipping.clip(c * v, c * lam)
-    rhs = c * clipping.clip(v, lam)
+    lhs = clip_rows(c * v, c * lam)[0]
+    rhs = c * clip_rows(v, lam)[0]
     np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-12)
 
 
 @given(v=finite_vectors, lam=levels)
 @settings(max_examples=200, deadline=None)
 def test_clip_idempotent(v, lam):
-    once = clipping.clip(v, lam)
-    twice = clipping.clip(once, lam)
+    once = clip_rows(v, lam)[0]
+    twice = clip_rows(once, lam)[0]
     np.testing.assert_allclose(once, twice, rtol=1e-12, atol=0)
 
 
 def test_clip_batch_matches_scalar():
+    """A block clips each row with the bits of that row alone, and the l2 norms
+    ``dual_norm_many`` gives the clip are ``sqrt(coord_dot(G, G))``'s bits."""
     rng = np.random.default_rng(0)
     G = rng.standard_normal((100, 3)) * 10
-    batch = clipping.clip_batch(G, 2.0)
-    single = np.stack([clipping.clip(g, 2.0) for g in G])
+    batch = clip_rows(G, 2.0)
+    single = np.stack([clip_rows(g, 2.0)[0] for g in G])
     np.testing.assert_array_equal(batch, single)
+    norms = geometry.euclidean(3).dual_norm_many(G)
+    assert norms.tobytes() == np.sqrt(geometry.coord_dot(G, G)).tobytes()
 
 
 def test_clip_batch_takes_per_row_levels():
@@ -63,13 +75,13 @@ def test_clip_batch_takes_per_row_levels():
     rng = np.random.default_rng(1)
     G = rng.standard_normal((50, 3)) * 10
     lam = rng.uniform(0.5, 20.0, 50)
-    batch = clipping.clip_batch(G, lam)
-    single = np.stack([clipping.clip(g, level) for g, level in zip(G, lam)])
+    batch = clip_rows(G, lam)
+    single = np.stack([clip_rows(g, level)[0] for g, level in zip(G, lam)])
     assert batch.tobytes() == single.tobytes()
     for bad in (0.0, -1.0):
         lam[37] = bad
         with pytest.raises(ValueError, match="positive"):
-            clipping.clip_batch(G, lam)
+            clip_rows(G, lam)
 
 
 def test_clip_batch_infinite_row_level_keeps_the_row():
@@ -91,8 +103,8 @@ def test_clip_at_an_infinite_level_keeps_every_row_but_a_nan_one(per_row):
     level = np.full(4, np.inf) if per_row else float("inf")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = clipping.clip_batch(G, level)
-        one = clipping.clip(np.array([3.0, 4.0]), float("inf"))
+        out = clip_rows(G, level)
+        one = clip_rows([3.0, 4.0], float("inf"))[0]
     assert out[:3].tobytes() == G[:3].tobytes() and np.isnan(out[3]).all()
     assert one.tobytes() == np.array([3.0, 4.0]).tobytes()
 
@@ -102,9 +114,9 @@ def test_clip_batch_rejects_a_nonpositive_float_or_array_level(bad):
     """A level of 0 or -1 raises as a float and as an (n,) array, which take separate checks."""
     G = np.ones((4, 2))
     with pytest.raises(ValueError, match="positive"):
-        clipping.clip_batch(G, bad)
+        clip_rows(G, bad)
     with pytest.raises(ValueError, match="positive"):
-        clipping.clip_batch(G, np.full(4, bad, dtype=float))
+        clip_rows(G, np.full(4, bad, dtype=float))
 
 
 @pytest.mark.parametrize("level", [np.nan, 1e-300])
@@ -112,8 +124,8 @@ def test_clip_batch_level_check_lets_nan_and_tiny_through(level):
     """The set of rejected levels is exactly the nonpositive ones, for a float and an array:
     a NaN level is not rejected and clips every row to NaN."""
     G = np.array([[3.0, 4.0], [0.0, 0.0]])
-    as_float = clipping.clip_batch(G, level)
-    as_array = clipping.clip_batch(G, np.full(2, level))
+    as_float = clip_rows(G, level)
+    as_array = clip_rows(G, np.full(2, level))
     assert as_float.tobytes() == as_array.tobytes()
     assert np.isnan(as_float).all() == np.isnan(level)
 
@@ -121,5 +133,5 @@ def test_clip_batch_level_check_lets_nan_and_tiny_through(level):
 def test_clip_respects_linf_dual_norm():
     s = geometry.simplex(3)
     v = np.array([1.0, -4.0, 0.5])
-    out = clipping.clip(v, 2.0, s.dual_norm)
+    out = clip_rows(v, 2.0, s)[0]
     np.testing.assert_allclose(out, v * 0.5)

@@ -20,6 +20,25 @@ GEOMETRIES = {
 }
 
 
+def sample_point(g, rng):
+    """A random point of ``g``'s domain, strictly interior on the simplex."""
+    if g.kind == "euclidean":
+        return rng.standard_normal(g.dim)
+    if g.kind == "ball":
+        u = rng.standard_normal(g.dim)
+        u /= np.linalg.norm(u)
+        r = g.radius * rng.random() ** (1.0 / g.dim)
+        return g.center + r * u
+    w = rng.dirichlet(np.ones(g.dim))
+    w = np.maximum(w, 1e-12)
+    return w / np.sum(w)
+
+
+def grad_psi(g, x):
+    """The gradient of ``g``'s mirror map: x, or 1 + log x on the simplex."""
+    return 1.0 + np.log(x) if g.kind == "simplex" else x
+
+
 def test_norm_values():
     g2 = geo.euclidean(2)
     assert g2.norm([3.0, 4.0]) == pytest.approx(5.0)
@@ -198,8 +217,8 @@ def test_bregman_boundary_error():
 def test_bregman_many_rows_equal_scalar(name):
     g = GEOMETRIES[name]
     rng = np.random.default_rng(4)
-    X = np.array([g.sample(rng) for _ in range(6)])
-    Y = np.array([g.sample(rng) for _ in range(6)])
+    X = np.array([sample_point(g, rng) for _ in range(6)])
+    Y = np.array([sample_point(g, rng) for _ in range(6)])
     np.testing.assert_array_equal(g.bregman_many(X, Y), [g.bregman(x, y) for x, y in zip(X, Y)])
     # one first argument for every row, as the diagnostics pass the minimizer
     np.testing.assert_array_equal(g.bregman_many(X[0], Y), [g.bregman(X[0], y) for y in Y])
@@ -242,9 +261,9 @@ def test_three_point_identity(name):
     g = GEOMETRIES[name]
     rng = np.random.default_rng(3)
     for _ in range(200):
-        x, y, z = (g.sample(rng) for _ in range(3))
+        x, y, z = (sample_point(g, rng) for _ in range(3))
         lhs = g.bregman(x, z)
-        rhs = g.bregman(x, y) + g.bregman(y, z) + (g.grad_psi(y) - g.grad_psi(z)) @ (x - y)
+        rhs = g.bregman(x, y) + g.bregman(y, z) + (grad_psi(g, y) - grad_psi(g, z)) @ (x - y)
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
 
@@ -253,22 +272,26 @@ def test_strong_convexity(name):
     g = GEOMETRIES[name]
     rng = np.random.default_rng(4)
     for _ in range(1000):
-        x, y = g.sample(rng), g.sample(rng)
+        x, y = sample_point(g, rng), sample_point(g, rng)
         assert g.bregman(x, y) >= 0.5 * g.norm(x - y) ** 2 - 1e-12
 
 
 @pytest.mark.parametrize("name", list(GEOMETRIES))
 def test_step_optimality(name):
+    """The step x+ meets its first-order optimality condition: the residual
+    ``<eta g + grad_psi(x+) - grad_psi(x), u - x+>`` is nonnegative, up to roundoff, at
+    every domain point u."""
     g = GEOMETRIES[name]
     rng = np.random.default_rng(5)
     for _ in range(20):
-        x = g.sample(rng)
+        x = sample_point(g, rng)
         grad = rng.standard_normal(g.dim)
         eta = rng.uniform(0.01, 0.5)
         x_next = g.mirror_step(x, grad, eta)
+        r = eta * grad + grad_psi(g, x_next) - grad_psi(g, x)
         for _ in range(100):
-            u = g.sample(rng)
-            assert g.step_optimality_gap(x, grad, eta, x_next, u) >= -1e-8
+            u = sample_point(g, rng)
+            assert float(r @ (u - x_next)) >= -1e-8
 
 
 def _numeric_prox(g, x, grad, eta):
@@ -295,7 +318,7 @@ def test_closed_form_matches_numeric_minimizer(name):
     g = GEOMETRIES[name]
     rng = np.random.default_rng(6)
     for _ in range(5):
-        x = g.sample(rng)
+        x = sample_point(g, rng)
         grad = rng.standard_normal(g.dim)
         eta = rng.uniform(0.05, 0.3)
         exact = g.mirror_step(x, grad, eta)
@@ -432,8 +455,9 @@ def test_shrink_factor_is_the_clip_and_the_ball_projection():
     b = geo.ball(2, radius=level, center=np.array([0.5, -0.5]))
     X = np.array([[0.5, -0.5], [1.0, 0.0], [0.0, 0.2]])
     G = np.array([[3.0, 4.0], [0.1, 0.0], [-1.0, np.nan]])
+    V = X - 0.5 * G - b.center
     np.testing.assert_array_equal(b.mirror_step_many(X, G, 0.5) - b.center,
-                                  clip_batch(X - 0.5 * G - b.center, level))
+                                  clip_batch(V, level, b.dual_norm_many(V)))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 15, 16, 17, 32, 128, 129, 257])

@@ -89,7 +89,7 @@ def test_theoretical_exponents():
 
 
 def test_run_trials_noiseless_failure_rate_zero():
-    summary = harness.run_trials(cfg(sigma=0.0, n_seeds=32), write=False)
+    summary = harness.run_trials(cfg(sigma=0.0, n_seeds=32))
     assert summary.failure_rate == 0.0
     assert summary.diverged == 0
     assert summary.median <= summary.bound
@@ -98,23 +98,23 @@ def test_run_trials_noiseless_failure_rate_zero():
 
 def test_run_trials_accelerated_and_baseline_paths():
     accel = harness.run_trials(cfg(algorithm="asmd", mode="asmd_known_t",
-                                   sigma=0.0, noise="none", n_seeds=31), write=False)
+                                   sigma=0.0, noise="none", n_seeds=31))
     assert accel.failure_rate == 0.0
     assert accel.median <= accel.bound
     vanilla = harness.run_trials(cfg(algorithm="vanilla-sgd", mode="sgd_known_t",
-                                     problem="nonconvex_ratio", n_seeds=31), write=False)
+                                     problem="nonconvex_ratio", n_seeds=31))
     assert vanilla.bound == np.inf  # no guarantee for the baseline
     assert vanilla.failure_rate == 0.0
 
 
 def test_run_trials_warns_on_few_seeds():
     with pytest.warns(UserWarning, match="30 seeds"):
-        harness.run_trials(cfg(n_seeds=5), write=False)
+        harness.run_trials(cfg(n_seeds=5))
 
 
 def test_run_trials_matches_seed_offsets():
-    a = harness.run_trials(cfg(base_seed=0, n_seeds=35), write=False)
-    b = harness.run_trials(cfg(base_seed=5, n_seeds=30), write=False)
+    a = harness.run_trials(cfg(base_seed=0, n_seeds=35))
+    b = harness.run_trials(cfg(base_seed=5, n_seeds=30))
     np.testing.assert_array_equal(a.metrics[5:], b.metrics[:30])
 
 
@@ -132,12 +132,12 @@ def counted(calls, side, fn):
 
 def test_run_trials_independent_of_chunking(monkeypatch):
     c = cfg(n_seeds=40)
-    full = harness.run_trials(c, write=False)
+    full = harness.run_trials(c)
     calls = {"smd": 0}
     monkeypatch.setattr(algorithms, "run_smd_batch",
                         counted(calls, "smd", algorithms.run_smd_batch))
     monkeypatch.setattr(harness, "_CHUNK_BYTES", seven_seed_budget(c))
-    chunked = harness.run_trials(c, write=False)
+    chunked = harness.run_trials(c)
     np.testing.assert_array_equal(full.metrics, chunked.metrics)
     assert calls["smd"] >= 2
 
@@ -151,7 +151,7 @@ def test_run_trials_builds_one_schedule(monkeypatch):
                         counted(calls, "schedule", harness.build_schedule))
     monkeypatch.setattr(algorithms, "run_smd_batch",
                         counted(calls, "smd", algorithms.run_smd_batch))
-    harness.run_trials(c, write=False)
+    harness.run_trials(c)
     assert calls == {"schedule": 1, "smd": 6}
 
 
@@ -191,7 +191,7 @@ def test_run_trials_median_scaling_with_horizon():
     for horizon in (512, 1024):
         summary = harness.run_trials(
             cfg(p=2.0, sigma=0.25, q=0.1, x1=(4.0, 0.0), delta=math.exp(-1.0),
-                horizon=horizon, n_seeds=100), write=False)
+                horizon=horizon, n_seeds=100))
         med[horizon] = summary.median
     ratio = med[1024] / med[512]
     assert 0.4 <= ratio <= 0.95
@@ -286,7 +286,7 @@ def test_upper_quantile_through_infinities():
 
 
 def test_run_trials_all_diverged_upper_quantile_inf():
-    summary = harness.run_trials(cfg(n_seeds=30, eta_scale=1e300), write=False)
+    summary = harness.run_trials(cfg(n_seeds=30, eta_scale=1e300))
     assert summary.diverged == 30
     assert summary.upper_quantile == math.inf
 
@@ -367,7 +367,7 @@ def test_forked_sweep_equals_the_in_process_sweep_bitwise(monkeypatch, algorithm
     worker running one chunk or six (the chunks dealt round the workers); run_trials'
     summary follows."""
     c = cfg(**CASES[algorithm], n_seeds=40)
-    whole, trials = sweep_bytes(c, algorithm), harness.run_trials(c, write=False)
+    whole, trials = sweep_bytes(c, algorithm), harness.run_trials(c)
     forked = forking(monkeypatch)
     calls = {"run": 0}
     name = "run_vanilla_sgd_batch" if algorithm == "vanilla-sgd" else f"run_{algorithm}_batch"
@@ -375,7 +375,7 @@ def test_forked_sweep_equals_the_in_process_sweep_bitwise(monkeypatch, algorithm
     if seven:
         monkeypatch.setattr(harness, "_CHUNK_BYTES", seven_seed_budget(c))
     assert sweep_bytes(c, algorithm) == whole
-    again = harness.run_trials(c, write=False)
+    again = harness.run_trials(c)
     assert again.metrics.tobytes() == trials.metrics.tobytes() and again.row() == trials.row()
     assert len(forked) == 4  # two children a sweep
     assert calls["run"] == 2 * (6 if seven else 1)  # the calling process's share
@@ -524,7 +524,7 @@ def test_an_error_in_the_calling_process_kills_and_reaps_every_worker(monkeypatc
     forked = forking(monkeypatch)
     start = time.monotonic()
     with pytest.raises(ValueError, match="bad row here"):
-        harness.run_trials(cfg(n_seeds=40), write=False)
+        harness.run_trials(cfg(n_seeds=40))
     assert time.monotonic() - start < 30
     assert len(forked) == 2
     assert_all_reaped()
@@ -573,7 +573,7 @@ def test_warnings_show_the_same_at_any_worker_count(monkeypatch):
             warnings.simplefilter("default")
             warnings.showwarning = show
             for _ in range(2):
-                harness.run_trials(c, write=False)
+                harness.run_trials(c)
         return text.getvalue()
 
     monkeypatch.setattr(algorithms, "run_smd_batch", warned)

@@ -148,11 +148,9 @@ def test_accelerated_anytime_noiseless_matches_known_horizon():
         assert anytime.eta(t) == known.eta(t)
 
 
-def test_accelerated_override_is_off_guarantee():
+def test_accelerated_override_sets_the_constant():
     sched = schedules.Schedule("asmd_known_t", inputs(horizon=64, c_override=300.0))
-    assert sched.off_guarantee
     assert sched.lam(3) == pytest.approx(300.0 * 1.0 * 1.0 * 1.0 * 0.5 / 8.0)
-    assert not schedules.Schedule("asmd_known_t", inputs(horizon=64)).off_guarantee
 
 
 def test_sgd_known_horizon_example():
